@@ -8,7 +8,7 @@ GO ?= go
 # under testdata/fuzz/.
 FUZZ_PKGS = ./internal/sigmap/ ./internal/gtp/ ./internal/q931/ ./internal/gb/ ./internal/isup/ ./internal/rtp/ ./internal/gsm/ ./internal/h323/
 
-.PHONY: all build vet test race check bench bench-sim bench-codec bench-registration bench-engine bench-scenarios bench-scale bench-scale-full bench-media bench-json fuzz-smoke fuzz soak soak-short
+.PHONY: all build vet test race check bench-smoke bench bench-sim bench-codec bench-registration bench-engine bench-scenarios bench-scale bench-scale-full bench-media bench-json fuzz-smoke fuzz soak soak-short
 
 all: check
 
@@ -27,7 +27,13 @@ test:
 race:
 	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/netsim/...
 
-check: vet build test race
+# bench/ is its own module (BENCHMARK.json's harness): the root
+# `go build ./... && go test ./...` never compiles it, yet it calls the
+# nodes' public accessors. ~2 s.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+check: vet build test race bench-smoke
 
 # Short coverage-guided fuzz pass over every wire decoder, seeded from the
 # committed corpora. CI runs this; it is a smoke test for decoder panics,

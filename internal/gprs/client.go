@@ -10,6 +10,7 @@ import (
 	"vgprs/internal/gtp"
 	"vgprs/internal/ipnet"
 	"vgprs/internal/sim"
+	"vgprs/internal/txn"
 )
 
 // Typed errors surfaced (via Client.LastError) when a GMM/SM transaction
@@ -33,6 +34,9 @@ type SendFunc func(env *sim.Env, tlli gsmid.TLLI, pdu []byte)
 // VMSC hosts one client per registered subscriber, so this matters on its
 // registration path.
 type Host interface {
+	// Transactions returns the table every client of this host runs its
+	// GMM/SM procedures in: one table per host, never one per subscriber.
+	Transactions() *Transactions
 	// SendLLC transmits an uplink LLC PDU (the SendFunc role).
 	SendLLC(env *sim.Env, tlli gsmid.TLLI, pdu []byte)
 	// PacketIn delivers a downlink IP packet on an NSAPI (the OnPacket role).
@@ -64,34 +68,15 @@ type Client struct {
 
 	attached bool
 	ptmsi    gsmid.PTMSI
-	tlli     gsmid.TLLI
 
 	contexts map[uint8]*ClientPDP
 
-	pendingAttach     func(arg any, ok bool)
-	pendingAttachArg  any
-	pendingDetach     func()
-	pendingRAU        func()
-	pendingActivate   map[uint8]activatePending
-	pendingDeactivate map[uint8]deactivatePending
-
-	// Attach retransmission state. The PDU is retained until the
-	// transaction resolves; expireAttach re-sends it with a doubled RTO
-	// until the budget runs out. attachTimerArmed keeps the invariant of
-	// at most one outstanding attach timer per client.
-	attachEnv        *sim.Env
-	attachPDU        []byte
-	attachRTO        time.Duration
-	attachRetries    int
-	attachTimerArmed bool
-
-	// activateGen disambiguates timer records across successive
-	// activations of the same NSAPI: a stale timer whose generation no
-	// longer matches the pending entry is ignored.
-	activateGen uint32
-
-	retransmits uint64
-	lastErr     error
+	// txns is where this client's procedures are in flight — its host's
+	// table, or its own for a standalone client — and pending counts how
+	// many of them are this client's.
+	txns    *Transactions
+	pending int
+	lastErr error
 
 	// OnPacket delivers downlink IP packets per NSAPI.
 	OnPacket func(env *sim.Env, nsapi uint8, pkt ipnet.Packet)
@@ -107,31 +92,104 @@ type ClientPDP struct {
 	QoS     gtp.QoSProfile
 }
 
-// activatePending is one outstanding activation: a package-level (or at
-// least closure-free) completion function plus its argument. The plain
-// ActivatePDP entry point adapts func(addr, ok) callbacks onto it; func
-// values are pointer-shaped, so boxing one into arg costs nothing. The
-// retained request PDU and RTO state drive retransmission on timeout.
-type activatePending struct {
-	fn  func(arg any, addr netip.Addr, ok bool)
-	arg any
-
-	env     *sim.Env
-	pdu     []byte
-	rto     time.Duration
-	retries int
-	gen     uint32
+// Transactions is a table of in-flight GMM/SM procedures (attach, detach,
+// routing-area update, and per-NSAPI PDP activation and deactivation) for any
+// number of clients.
+type Transactions struct {
+	*txn.Table[procKey, clientProc]
 }
 
-// deactivatePending mirrors activatePending for context tear-down.
-type deactivatePending struct {
-	fn func()
+// procKey names one procedure of one client; a client runs at most one
+// attach, detach and RAU, and one activation and deactivation per NSAPI.
+type procKey struct {
+	c     *Client
+	proc  uint8
+	nsapi uint8
+}
 
-	env     *sim.Env
-	pdu     []byte
-	rto     time.Duration
-	retries int
-	gen     uint32
+const (
+	procAttach uint8 = iota + 1
+	procDetach
+	procRAU
+	procActivate
+	procDeactivate
+)
+
+// clientProc is one in-flight procedure: the request PDU retained for
+// retransmission and the completion its kind uses — onAttach for attach,
+// onActivate for activation (both with arg; func values are pointer-shaped,
+// so boxing a plain callback into arg costs nothing), done for the rest.
+type clientProc struct {
+	procKey
+	pdu        []byte
+	onAttach   func(arg any, ok bool)
+	onActivate func(arg any, addr netip.Addr, ok bool)
+	arg        any
+	done       func()
+}
+
+// NewTransactions returns an empty GMM/SM transaction table for a Host to
+// share among its clients.
+func NewTransactions() *Transactions {
+	return &Transactions{txn.New[procKey](
+		func(env *sim.Env, p *clientProc) bool {
+			p.c.sendPDU(env, p.c.TLLI(), p.pdu)
+			return true
+		},
+		procExpired,
+	)}
+}
+
+// procExpired fails a procedure whose retransmission budget ran out: the
+// completion fires with failure and LastError reports the typed cause.
+func procExpired(_ *sim.Env, p *clientProc) {
+	c := p.c
+	c.pending--
+	switch p.proc {
+	case procAttach:
+		c.lastErr = ErrAttachTimeout
+		p.onAttach(p.arg, false)
+	case procActivate:
+		c.lastErr = ErrActivateTimeout
+		if p.onActivate != nil {
+			p.onActivate(p.arg, netip.Addr{}, false)
+		}
+	case procDeactivate:
+		// Tear the context down locally anyway — the network side reclaims
+		// its half via its own supervision — and still complete the
+		// callback so the caller's clear-down never hangs.
+		delete(c.contexts, p.nsapi)
+		c.lastErr = ErrDeactivateTimeout
+		if p.done != nil {
+			p.done()
+		}
+	}
+}
+
+// begin enters a procedure into the table under the given schedule and sends
+// its request. It returns nil if the same procedure is already in flight.
+func (c *Client) begin(env *sim.Env, proc, nsapi uint8, pdu []byte, policy txn.Policy) *clientProc {
+	key := procKey{c: c, proc: proc, nsapi: nsapi}
+	p := c.txns.Begin(env, key, policy)
+	if p == nil {
+		return nil
+	}
+	c.pending++
+	p.procKey, p.pdu = key, pdu
+	c.sendPDU(env, c.TLLI(), pdu)
+	return p
+}
+
+// policy is the client's configured Timeout/Retries schedule.
+func (c *Client) policy() txn.Policy { return txn.Policy{RTO: c.Timeout, Retries: c.Retries} }
+
+// take ends a procedure whose answer arrived (or that is being aborted).
+func (c *Client) take(proc, nsapi uint8) (clientProc, bool) {
+	p, ok := c.txns.Take(procKey{c: c, proc: proc, nsapi: nsapi})
+	if ok {
+		c.pending--
+	}
+	return p, ok
 }
 
 // callActivateDone adapts a plain activation callback stored in arg.
@@ -144,17 +202,16 @@ func callAttachDone(arg any, ok bool) {
 	arg.(func(bool))(ok)
 }
 
-// NewClient returns a detached client. The per-NSAPI maps are created
-// lazily on first use: a VMSC builds one client per registering MS, and
-// three eager map allocations per subscriber add up on that path.
+// NewClient returns a detached standalone client with a transaction table of
+// its own.
 func NewClient(imsi gsmid.IMSI, send SendFunc) *Client {
-	return &Client{IMSI: imsi, send: send}
+	return &Client{IMSI: imsi, send: send, txns: NewTransactions()}
 }
 
-// NewHostedClient returns a detached client whose transport and event
-// delivery go through host rather than per-client callbacks.
+// NewHostedClient returns a detached client whose transport, event delivery
+// and transaction table are its host's rather than per-client state.
 func NewHostedClient(imsi gsmid.IMSI, host Host) *Client {
-	return &Client{IMSI: imsi, host: host}
+	return &Client{IMSI: imsi, host: host, txns: host.Transactions()}
 }
 
 // sendPDU routes an uplink PDU through the host or the send callback.
@@ -166,21 +223,9 @@ func (c *Client) sendPDU(env *sim.Env, tlli gsmid.TLLI, pdu []byte) {
 	c.send(env, tlli, pdu)
 }
 
-// retryBudget resolves the Retries field: zero means the default of 3,
-// negative disables retransmission.
-func (c *Client) retryBudget() int {
-	switch {
-	case c.Retries > 0:
-		return c.Retries
-	case c.Retries < 0:
-		return 0
-	default:
-		return 3
-	}
-}
-
-// Retransmits reports how many GMM/SM PDUs this client has retransmitted.
-func (c *Client) Retransmits() uint64 { return c.retransmits }
+// Retransmits reports how many GMM/SM PDUs the client's transaction table
+// has retransmitted — for a hosted client, across all its host's clients.
+func (c *Client) Retransmits() uint64 { return c.txns.Retransmits() }
 
 // LastError returns the typed error from the most recent transaction that
 // exhausted its retransmission budget (nil if none has).
@@ -219,22 +264,11 @@ func (c *Client) Context(nsapi uint8) (ClientPDP, bool) {
 // ActiveContexts returns the number of active PDP contexts.
 func (c *Client) ActiveContexts() int { return len(c.contexts) }
 
-// PendingTransactions counts GMM/SM transactions still awaiting an answer
-// (attach, detach, RAU, and per-NSAPI activate/deactivate). A quiesced
-// client reports zero; soak tests assert on it to catch leaked callbacks.
-func (c *Client) PendingTransactions() int {
-	n := len(c.pendingActivate) + len(c.pendingDeactivate)
-	if c.pendingAttach != nil {
-		n++
-	}
-	if c.pendingDetach != nil {
-		n++
-	}
-	if c.pendingRAU != nil {
-		n++
-	}
-	return n
-}
+// PendingTransactions counts this client's GMM/SM transactions still
+// awaiting an answer (attach, detach, RAU, and per-NSAPI activate/
+// deactivate). A quiesced client reports zero; soak tests assert on it to
+// catch leaked callbacks.
+func (c *Client) PendingTransactions() int { return c.pending }
 
 // Attach starts GPRS attach; done fires with the outcome.
 func (c *Client) Attach(env *sim.Env, done func(ok bool)) error {
@@ -248,140 +282,33 @@ func (c *Client) AttachArg(env *sim.Env, fn func(arg any, ok bool), arg any) err
 	if c.attached {
 		return fmt.Errorf("gprs: client %s already attached", c.IMSI)
 	}
-	if c.pendingAttach != nil {
-		return fmt.Errorf("gprs: client %s attach already in progress", c.IMSI)
-	}
-	c.pendingAttach, c.pendingAttachArg = fn, arg
 	pdu, err := WrapSM(AttachRequest{IMSI: c.IMSI})
 	if err != nil {
-		c.pendingAttach, c.pendingAttachArg = nil, nil
 		return err
 	}
-	c.sendPDU(env, c.TLLI(), pdu)
-	if c.Timeout > 0 {
-		c.attachEnv, c.attachPDU = env, pdu
-		c.attachRTO, c.attachRetries = c.Timeout, c.retryBudget()
-		if !c.attachTimerArmed {
-			c.attachTimerArmed = true
-			env.AfterArg(c.Timeout, expireAttach, c)
-		}
+	p := c.begin(env, procAttach, 0, pdu, c.policy())
+	if p == nil {
+		return fmt.Errorf("gprs: client %s attach already in progress", c.IMSI)
 	}
+	p.onAttach, p.arg = fn, arg
 	return nil
 }
 
-// finishAttach fires and clears the pending attach callback.
+// finishAttach fires the pending attach completion, if any.
 func (c *Client) finishAttach(ok bool) {
-	c.attachEnv, c.attachPDU = nil, nil
-	fn, arg := c.pendingAttach, c.pendingAttachArg
-	if fn == nil {
-		return
-	}
-	c.pendingAttach, c.pendingAttachArg = nil, nil
-	fn(arg, ok)
-}
-
-// expireAttach runs on the attach RTO timer. It is a package-level
-// function scheduled through AfterArg so arming the timer allocates
-// nothing; retransmission re-arms with the same receiver, keeping at
-// most one outstanding attach timer.
-func expireAttach(arg any) {
-	c := arg.(*Client)
-	if c.pendingAttach == nil || c.attachPDU == nil {
-		c.attachTimerArmed = false
-		return
-	}
-	if c.attachRetries > 0 {
-		c.attachRetries--
-		c.retransmits++
-		c.attachRTO = sim.NextRTO(c.attachRTO, c.Timeout)
-		c.sendPDU(c.attachEnv, c.TLLI(), c.attachPDU)
-		c.attachEnv.AfterArg(c.attachRTO, expireAttach, c)
-		return
-	}
-	c.attachTimerArmed = false
-	c.lastErr = ErrAttachTimeout
-	c.finishAttach(false)
-}
-
-// activateExpiry carries the (client, NSAPI, generation) triple an
-// activation timeout needs; one small record replaces the three closures
-// the timer previously cost. The generation lets a stale timer from a
-// previous activation of the same NSAPI step aside.
-type activateExpiry struct {
-	c     *Client
-	nsapi uint8
-	gen   uint32
-}
-
-func expireActivate(arg any) {
-	e := arg.(*activateExpiry)
-	p, ok := e.c.pendingActivate[e.nsapi]
-	if !ok || p.gen != e.gen {
-		return
-	}
-	if p.retries > 0 {
-		p.retries--
-		p.rto = sim.NextRTO(p.rto, e.c.Timeout)
-		e.c.pendingActivate[e.nsapi] = p
-		e.c.retransmits++
-		e.c.sendPDU(p.env, e.c.TLLI(), p.pdu)
-		p.env.AfterArg(p.rto, expireActivate, e)
-		return
-	}
-	delete(e.c.pendingActivate, e.nsapi)
-	e.c.lastErr = ErrActivateTimeout
-	if p.fn != nil {
-		p.fn(p.arg, netip.Addr{}, false)
-	}
-}
-
-// deactivateExpiry mirrors activateExpiry for context tear-down timers.
-type deactivateExpiry struct {
-	c     *Client
-	nsapi uint8
-	gen   uint32
-}
-
-func expireDeactivate(arg any) {
-	e := arg.(*deactivateExpiry)
-	p, ok := e.c.pendingDeactivate[e.nsapi]
-	if !ok || p.gen != e.gen {
-		return
-	}
-	if p.retries > 0 {
-		p.retries--
-		p.rto = sim.NextRTO(p.rto, e.c.Timeout)
-		e.c.pendingDeactivate[e.nsapi] = p
-		e.c.retransmits++
-		e.c.sendPDU(p.env, e.c.TLLI(), p.pdu)
-		p.env.AfterArg(p.rto, expireDeactivate, e)
-		return
-	}
-	// Budget exhausted: tear the context down locally anyway — the
-	// network side reclaims its half via its own supervision — and
-	// surface the typed error while still completing the callback so
-	// the caller's clear-down never hangs.
-	delete(e.c.pendingDeactivate, e.nsapi)
-	delete(e.c.contexts, e.nsapi)
-	e.c.lastErr = ErrDeactivateTimeout
-	if p.fn != nil {
-		p.fn()
+	if p, pending := c.take(procAttach, 0); pending {
+		p.onAttach(p.arg, ok)
 	}
 }
 
 // UpdateRoutingArea reports a new routing area to the SGSN (movement). The
-// attach and PDP contexts survive; done fires on the accept.
+// attach and PDP contexts survive; done fires on the accept. A second update
+// supersedes one still in flight.
 func (c *Client) UpdateRoutingArea(env *sim.Env, rai gsmid.RAI, done func()) error {
 	if !c.attached {
 		return fmt.Errorf("gprs: client %s not attached", c.IMSI)
 	}
-	c.pendingRAU = done
-	pdu, err := WrapSM(RAUpdateRequest{RAI: rai})
-	if err != nil {
-		return err
-	}
-	c.sendPDU(env, c.TLLI(), pdu)
-	return nil
+	return c.beginUntimed(env, procRAU, RAUpdateRequest{RAI: rai}, done)
 }
 
 // Detach leaves the GPRS network.
@@ -389,12 +316,18 @@ func (c *Client) Detach(env *sim.Env, done func()) error {
 	if !c.attached {
 		return fmt.Errorf("gprs: client %s not attached", c.IMSI)
 	}
-	c.pendingDetach = done
-	pdu, err := WrapSM(DetachRequest{})
+	return c.beginUntimed(env, procDetach, DetachRequest{}, done)
+}
+
+// beginUntimed runs a detach or RAU: in the table so it is counted and
+// audited like every other procedure, but sent once and never expired.
+func (c *Client) beginUntimed(env *sim.Env, proc uint8, sm sim.Message, done func()) error {
+	pdu, err := WrapSM(sm)
 	if err != nil {
 		return err
 	}
-	c.sendPDU(env, c.TLLI(), pdu)
+	c.take(proc, 0)
+	c.begin(env, proc, 0, pdu, txn.Policy{}).done = done
 	return nil
 }
 
@@ -415,25 +348,15 @@ func (c *Client) ActivatePDPArg(env *sim.Env, nsapi uint8, qos gtp.QoSProfile,
 	if _, exists := c.contexts[nsapi]; exists {
 		return fmt.Errorf("gprs: client %s NSAPI %d already active", c.IMSI, nsapi)
 	}
-	if _, pending := c.pendingActivate[nsapi]; pending {
-		return fmt.Errorf("gprs: client %s NSAPI %d activation in progress", c.IMSI, nsapi)
-	}
-	if c.pendingActivate == nil {
-		c.pendingActivate = make(map[uint8]activatePending)
-	}
 	pdu, err := WrapSM(ActivatePDPRequest{NSAPI: nsapi, QoS: qos, RequestedAddress: requestedAddr})
 	if err != nil {
 		return err
 	}
-	c.activateGen++
-	c.pendingActivate[nsapi] = activatePending{
-		fn: fn, arg: arg,
-		env: env, pdu: pdu, rto: c.Timeout, retries: c.retryBudget(), gen: c.activateGen,
+	p := c.begin(env, procActivate, nsapi, pdu, c.policy())
+	if p == nil {
+		return fmt.Errorf("gprs: client %s NSAPI %d activation in progress", c.IMSI, nsapi)
 	}
-	c.sendPDU(env, c.TLLI(), pdu)
-	if c.Timeout > 0 {
-		env.AfterArg(c.Timeout, expireActivate, &activateExpiry{c: c, nsapi: nsapi, gen: c.activateGen})
-	}
+	p.onActivate, p.arg = fn, arg
 	return nil
 }
 
@@ -442,25 +365,15 @@ func (c *Client) DeactivatePDP(env *sim.Env, nsapi uint8, done func()) error {
 	if _, exists := c.contexts[nsapi]; !exists {
 		return fmt.Errorf("gprs: client %s NSAPI %d not active", c.IMSI, nsapi)
 	}
-	if _, pending := c.pendingDeactivate[nsapi]; pending {
-		return fmt.Errorf("gprs: client %s NSAPI %d deactivation in progress", c.IMSI, nsapi)
-	}
-	if c.pendingDeactivate == nil {
-		c.pendingDeactivate = make(map[uint8]deactivatePending)
-	}
 	pdu, err := WrapSM(DeactivatePDPRequest{NSAPI: nsapi})
 	if err != nil {
 		return err
 	}
-	c.activateGen++
-	c.pendingDeactivate[nsapi] = deactivatePending{
-		fn: done,
-		env: env, pdu: pdu, rto: c.Timeout, retries: c.retryBudget(), gen: c.activateGen,
+	p := c.begin(env, procDeactivate, nsapi, pdu, c.policy())
+	if p == nil {
+		return fmt.Errorf("gprs: client %s NSAPI %d deactivation in progress", c.IMSI, nsapi)
 	}
-	c.sendPDU(env, c.TLLI(), pdu)
-	if c.Timeout > 0 {
-		env.AfterArg(c.Timeout, expireDeactivate, &deactivateExpiry{c: c, nsapi: nsapi, gen: c.activateGen})
-	}
+	p.done = done
 	return nil
 }
 
@@ -502,36 +415,29 @@ func (c *Client) HandleDownlink(env *sim.Env, pdu []byte) error {
 	case DetachAccept:
 		c.attached = false
 		c.contexts = nil
+		detach, detaching := c.take(procDetach, 0)
 		// Detach implicitly aborts every in-flight context transaction —
 		// the SGSN has dropped the subscriber record, so no accept or
 		// reject will ever arrive. Fail the activations and complete the
 		// deactivations (their contexts are gone either way), in NSAPI
 		// order so completion order is deterministic.
-		for nsapi := 0; nsapi < 256; nsapi++ {
-			if p, ok := c.pendingActivate[uint8(nsapi)]; ok {
-				delete(c.pendingActivate, uint8(nsapi))
-				if p.fn != nil {
-					p.fn(p.arg, netip.Addr{}, false)
-				}
+		for nsapi := 0; nsapi < 256 && c.pending > 0; nsapi++ {
+			if p, ok := c.take(procActivate, uint8(nsapi)); ok && p.onActivate != nil {
+				p.onActivate(p.arg, netip.Addr{}, false)
 			}
-			if p, ok := c.pendingDeactivate[uint8(nsapi)]; ok {
-				delete(c.pendingDeactivate, uint8(nsapi))
-				if p.fn != nil {
-					p.fn()
-				}
+			if p, ok := c.take(procDeactivate, uint8(nsapi)); ok && p.done != nil {
+				p.done()
 			}
 		}
-		if done := c.pendingDetach; done != nil {
-			c.pendingDetach = nil
-			done()
+		if detaching && detach.done != nil {
+			detach.done()
 		}
 	case ActivatePDPAccept:
 		addr, parseErr := netip.ParseAddr(m.Address)
-		done := c.pendingActivate[m.NSAPI]
-		delete(c.pendingActivate, m.NSAPI)
+		p, _ := c.take(procActivate, m.NSAPI)
 		if parseErr != nil {
-			if done.fn != nil {
-				done.fn(done.arg, netip.Addr{}, false)
+			if p.onActivate != nil {
+				p.onActivate(p.arg, netip.Addr{}, false)
 			}
 			return fmt.Errorf("gprs: bad PDP address %q: %w", m.Address, parseErr)
 		}
@@ -539,23 +445,17 @@ func (c *Client) HandleDownlink(env *sim.Env, pdu []byte) error {
 			c.contexts = make(map[uint8]*ClientPDP)
 		}
 		c.contexts[m.NSAPI] = &ClientPDP{NSAPI: m.NSAPI, Address: addr, QoS: m.QoS}
-		if done.fn != nil {
-			done.fn(done.arg, addr, true)
+		if p.onActivate != nil {
+			p.onActivate(p.arg, addr, true)
 		}
 	case ActivatePDPReject:
-		if done, pending := c.pendingActivate[m.NSAPI]; pending {
-			delete(c.pendingActivate, m.NSAPI)
-			if done.fn != nil {
-				done.fn(done.arg, netip.Addr{}, false)
-			}
+		if p, pending := c.take(procActivate, m.NSAPI); pending && p.onActivate != nil {
+			p.onActivate(p.arg, netip.Addr{}, false)
 		}
 	case DeactivatePDPAccept:
 		delete(c.contexts, m.NSAPI)
-		if done, pending := c.pendingDeactivate[m.NSAPI]; pending {
-			delete(c.pendingDeactivate, m.NSAPI)
-			if done.fn != nil {
-				done.fn()
-			}
+		if p, pending := c.take(procDeactivate, m.NSAPI); pending && p.done != nil {
+			p.done()
 		}
 	case RequestPDPActivation:
 		if c.host != nil {
@@ -564,9 +464,8 @@ func (c *Client) HandleDownlink(env *sim.Env, pdu []byte) error {
 			c.OnActivationRequest(env, m.Address)
 		}
 	case RAUpdateAccept:
-		if done := c.pendingRAU; done != nil {
-			c.pendingRAU = nil
-			done()
+		if p, pending := c.take(procRAU, 0); pending && p.done != nil {
+			p.done()
 		}
 	}
 	return nil

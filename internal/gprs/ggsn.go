@@ -13,6 +13,7 @@ import (
 	"vgprs/internal/sim"
 	"vgprs/internal/slab"
 	"vgprs/internal/ss7"
+	"vgprs/internal/txn"
 )
 
 // GGSNConfig parameterises a GGSN node.
@@ -127,9 +128,6 @@ func NewGGSN(cfg GGSNConfig) *GGSN {
 	if cfg.SigRTO == 0 {
 		cfg.SigRTO = time.Second
 	}
-	if cfg.SigRetries == 0 {
-		cfg.SigRetries = 3
-	}
 	pool, err := ipnet.NewPoolSize(cfg.PoolPrefix, cfg.PoolSize)
 	if err != nil {
 		panic(err)
@@ -149,6 +147,9 @@ func NewGGSN(cfg GGSNConfig) *GGSN {
 
 // Retransmits returns the number of MAP request PDUs this GGSN has re-sent.
 func (g *GGSN) Retransmits() uint64 { return g.dm.Retransmits() }
+
+// TxnStats reports the MAP dialogue table's lifetime counters.
+func (g *GGSN) TxnStats(report func(plane string, s txn.Stats)) { report("MAP", g.dm.Stats()) }
 
 // PendingCreates returns in-flight context creations still waiting on the
 // Gc static-address lookup. Zero at quiescence.
@@ -214,13 +215,22 @@ func (g *GGSN) QueuedPackets() int {
 	return n
 }
 
+// Audit reports every transient record this GGSN holds, by kind, plus its
+// storage audit — all zero at quiescence. netsim's leak gate walks it.
+func (g *GGSN) Audit(report func(kind string, n int)) {
+	report("pending creates", g.PendingCreates())
+	report("open dialogues", g.OutstandingDialogues())
+	report("queued activation packets", g.QueuedPackets())
+	report("slab imbalance", g.SlabImbalance())
+}
+
 // SlabImbalance audits the slab storage: per-shard occupancy must balance
 // and both indexes must resolve to live records that agree with the key.
 // Non-zero means a context leaked or was lost.
 func (g *GGSN) SlabImbalance() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	imb := 0
+	imb := g.dm.Occupancy().Imbalance()
 	perShard := make([]int, ggsnShards)
 	g.byTID.Range(func(k uint64, h slab.Handle) bool {
 		r := g.recs.Get(h)

@@ -42,6 +42,12 @@ func NewMS(cfg MSConfig) *MS {
 // ID implements sim.Node.
 func (m *MS) ID() sim.NodeID { return m.cfg.ID }
 
+// Audit reports the MS's transient state for netsim's leak gate.
+func (m *MS) Audit(report func(kind string, n int)) {
+	report("pending transactions", m.Client.PendingTransactions())
+	report("transaction record imbalance", m.Client.txns.Occupancy().Imbalance())
+}
+
 // Receive implements sim.Node: downlink LLC frames feed the client.
 func (m *MS) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Message) {
 	frame, ok := msg.(gsm.LLCFrame)

@@ -13,6 +13,7 @@ import (
 	"vgprs/internal/sim"
 	"vgprs/internal/slab"
 	"vgprs/internal/ss7"
+	"vgprs/internal/txn"
 )
 
 // SGSNConfig parameterises an SGSN node.
@@ -68,6 +69,10 @@ type mmRec struct {
 	// attachPending dedupes in-flight attaches: a retransmitted
 	// AttachRequest must not spawn a second HLR dialogue.
 	attachPending bool
+	// activating and deactivating dedupe in-flight GTP creates and deletes
+	// the same way, one bit per NSAPI (a 4-bit field, see gtp.MakeTID): a
+	// retransmitted SM request must not issue a second GTP request.
+	activating, deactivating uint16
 }
 
 // pdpRec is the SGSN's slab-resident per-PDP-context state. Each context
@@ -142,16 +147,11 @@ type SGSN struct {
 	cells   slab.Syms[gsmid.CGI] // serving cells
 	nextPT  uint32
 	nextSeq uint16
-	pending map[uint16]gtpTxn
+	// gtp holds the outstanding GTP requests toward the GGSN by sequence
+	// number.
+	gtp *txn.Table[uint16, gtpTxn]
 
 	ulPackets, dlPackets uint64
-
-	// GTP retransmission: timer records are slab-allocated and recycled
-	// like the dialogue manager's, so arming a retry timer per transaction
-	// stays allocation-free at steady state. gtpRetransmits counts re-sent
-	// request PDUs.
-	gtpTimerFree   []*gtpTimer
-	gtpRetransmits uint64
 
 	// Attach-dialogue records, recycled the same way (the HLR callback
 	// runs exactly once per dialogue).
@@ -164,12 +164,10 @@ type SGSN struct {
 	echoMissed   int
 }
 
-// gtpTxn records one outstanding GTP request toward the GGSN. Pending
-// transactions are value-typed and dispatched by kind in resolve, so issuing
-// a create or delete request allocates nothing beyond the map slot. The
-// subscriber rides along as a slab handle: if it detaches while the
-// transaction is in flight the handle goes stale and Get returns nil, which
-// replaces the old pointer-identity guard.
+// gtpTxn is the payload of one outstanding GTP request toward the GGSN,
+// dispatched by kind when it ends. The subscriber rides along as a slab
+// handle: if it detaches while the request is in flight the handle goes
+// stale and Get returns nil.
 type gtpTxn struct {
 	kind  uint8 // txnActivate, txnDeactivate or txnCleanup
 	nsapi uint8
@@ -178,13 +176,7 @@ type gtpTxn struct {
 	tlli  gsmid.TLLI
 	tid   gtp.TID
 	mm    slab.Handle
-
-	// Retransmission state: the request PDU is re-sent with doubled RTO
-	// each time its timer fires while the transaction is still pending.
-	env         *sim.Env
-	req         sim.Message
-	rto         time.Duration
-	retriesLeft int
+	req   sim.Message // retained for retransmission
 }
 
 const (
@@ -195,34 +187,6 @@ const (
 	// DeletePDPRequest does not leak the tunnel.
 	txnCleanup
 )
-
-// gtpTimer is the slab-recycled argument for GTP retransmission timers; it
-// locates the pending transaction by sequence number. A record is recycled
-// only when its armed timer fires with the transaction already resolved —
-// until then the event queue still references it.
-type gtpTimer struct {
-	s   *SGSN
-	seq uint16
-}
-
-func (s *SGSN) getGTPTimer(seq uint16) *gtpTimer {
-	if len(s.gtpTimerFree) == 0 {
-		recs := make([]gtpTimer, 32)
-		for i := range recs {
-			s.gtpTimerFree = append(s.gtpTimerFree, &recs[i])
-		}
-	}
-	n := len(s.gtpTimerFree)
-	g := s.gtpTimerFree[n-1]
-	s.gtpTimerFree = s.gtpTimerFree[:n-1]
-	g.s, g.seq = s, seq
-	return g
-}
-
-func (s *SGSN) putGTPTimer(g *gtpTimer) {
-	*g = gtpTimer{}
-	s.gtpTimerFree = append(s.gtpTimerFree, g)
-}
 
 // attachTxn carries one in-flight HLR attach dialogue: the subscriber as a
 // stale-safe handle plus the reply path captured at request time.
@@ -253,53 +217,64 @@ func (s *SGSN) putAttachTxn(t *attachTxn) {
 	s.attachFree = append(s.attachFree, t)
 }
 
-// armGTP registers the pending transaction, transmits its request toward
-// the GGSN and arms the retransmission timer.
+// armGTP enters the request into the GTP table (which retransmits it on the
+// SigRTO/SigRetries schedule) and sends the first copy toward the GGSN.
 func (s *SGSN) armGTP(env *sim.Env, seq uint16, t gtpTxn, req sim.Message) {
-	t.env, t.req = env, req
-	t.rto, t.retriesLeft = s.cfg.SigRTO, s.cfg.SigRetries
+	t.req = req
 	s.mu.Lock()
-	s.pending[seq] = t
+	p := s.gtp.Begin(env, seq, txn.Policy{RTO: s.cfg.SigRTO, Retries: s.cfg.SigRetries})
+	if p != nil {
+		*p = t
+		s.markInFlight(p, true)
+	}
 	s.mu.Unlock()
+	if p == nil {
+		return // the whole 16-bit sequence space is in flight; the MS retries
+	}
 	env.Send(s.cfg.ID, s.cfg.GGSN, req)
-	env.AfterArg(t.rto, gtpExpire, s.getGTPTimer(seq))
 }
 
-// gtpExpire runs when a GTP retransmission timer fires. While budget
-// remains the request is re-sent with the RTO doubled; once exhausted the
-// transaction fails gracefully: activations are rejected back to the
-// client, deactivations tear down locally, cleanups are abandoned.
-func gtpExpire(arg any) {
-	g := arg.(*gtpTimer)
-	s := g.s
+// nsapiBit is an NSAPI's bit in mmRec.activating/deactivating.
+func nsapiBit(nsapi uint8) uint16 { return 1 << (nsapi & 0x0F) }
+
+// markInFlight sets or clears the subscriber's dedupe bit for an activate or
+// deactivate request; a stale subscriber has none to keep. Callers hold s.mu.
+func (s *SGSN) markInFlight(t *gtpTxn, on bool) {
+	r := s.mms.Get(t.mm)
+	if r == nil {
+		return
+	}
+	var mask *uint16
+	switch t.kind {
+	case txnActivate:
+		mask = &r.activating
+	case txnDeactivate:
+		mask = &r.deactivating
+	default:
+		return
+	}
+	if on {
+		*mask |= nsapiBit(t.nsapi)
+	} else {
+		*mask &^= nsapiBit(t.nsapi)
+	}
+}
+
+// gtpExpired runs when a GTP request exhausts its retransmission budget. The
+// transaction fails gracefully: activations are rejected back to the client,
+// deactivations tear down locally, cleanups are abandoned.
+func (s *SGSN) gtpExpired(env *sim.Env, t *gtpTxn) {
 	s.mu.Lock()
-	t, ok := s.pending[g.seq]
-	if !ok {
-		s.putGTPTimer(g)
-		s.mu.Unlock()
-		return
-	}
-	if t.retriesLeft > 0 {
-		t.retriesLeft--
-		t.rto = sim.NextRTO(t.rto, s.cfg.SigRTO)
-		s.pending[g.seq] = t
-		s.gtpRetransmits++
-		s.mu.Unlock()
-		t.env.Send(s.cfg.ID, s.cfg.GGSN, t.req)
-		t.env.AfterArg(t.rto, gtpExpire, g)
-		return
-	}
-	delete(s.pending, g.seq)
-	s.putGTPTimer(g)
+	s.markInFlight(t, false)
 	s.mu.Unlock()
 	switch t.kind {
 	case txnActivate:
-		s.reply(t.env, t.peer, t.ms, t.tlli, ActivatePDPReject{NSAPI: t.nsapi, Cause: SMCauseNetworkFailure})
+		s.reply(env, t.peer, t.ms, t.tlli, ActivatePDPReject{NSAPI: t.nsapi, Cause: SMCauseNetworkFailure})
 	case txnDeactivate:
 		// The GGSN is unreachable: release the context locally so the
 		// subscriber is not stuck holding a dead tunnel (the GGSN side is
 		// reclaimed by its own teardown paths on re-attach).
-		s.finishDeactivate(t.env, t)
+		s.finishDeactivate(env, *t)
 	}
 }
 
@@ -310,19 +285,20 @@ func NewSGSN(cfg SGSNConfig) *SGSN {
 	if cfg.SigRTO == 0 {
 		cfg.SigRTO = time.Second
 	}
-	if cfg.SigRetries == 0 {
-		cfg.SigRetries = 3
+	s := &SGSN{
+		cfg:    cfg,
+		dm:     ss7.NewDialogueManager(),
+		mms:    slab.NewSharded[mmRec](sgsnShards),
+		pdps:   slab.NewSharded[pdpRec](sgsnShards),
+		byTLLI: slab.NewIndex[uint32](slab.HashUint32),
+		byIMSI: slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
+		byTID:  slab.NewIndex[uint64](slab.HashUint64),
 	}
-	return &SGSN{
-		cfg:     cfg,
-		dm:      ss7.NewDialogueManager(),
-		mms:     slab.NewSharded[mmRec](sgsnShards),
-		pdps:    slab.NewSharded[pdpRec](sgsnShards),
-		byTLLI:  slab.NewIndex[uint32](slab.HashUint32),
-		byIMSI:  slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
-		byTID:   slab.NewIndex[uint64](slab.HashUint64),
-		pending: make(map[uint16]gtpTxn),
-	}
+	s.gtp = txn.New[uint16](
+		func(env *sim.Env, t *gtpTxn) bool { env.Send(s.cfg.ID, s.cfg.GGSN, t.req); return true },
+		s.gtpExpired,
+	)
+	return s
 }
 
 // ID implements sim.Node.
@@ -356,7 +332,7 @@ func (s *SGSN) Forwarded() (ul, dl uint64) {
 func (s *SGSN) PendingTransactions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.pending)
+	return s.gtp.InFlight()
 }
 
 // OutstandingDialogues returns un-answered MAP invokes toward the HLR.
@@ -367,18 +343,37 @@ func (s *SGSN) OutstandingDialogues() int { return s.dm.Outstanding() }
 func (s *SGSN) Retransmits() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dm.Retransmits() + s.gtpRetransmits
+	return s.dm.Retransmits() + s.gtp.Retransmits()
+}
+
+// Audit reports every transient record this SGSN holds, by kind, plus its
+// storage audit — all zero at quiescence. netsim's leak gate walks it.
+func (s *SGSN) Audit(report func(kind string, n int)) {
+	report("pending GTP transactions", s.PendingTransactions())
+	report("open dialogues", s.OutstandingDialogues())
+	report("slab imbalance", s.SlabImbalance())
+}
+
+// TxnStats reports the MAP and GTP tables' lifetime counters.
+func (s *SGSN) TxnStats(report func(plane string, st txn.Stats)) {
+	s.mu.Lock()
+	mapStats, gtpStats := s.dm.Stats(), s.gtp.Stats()
+	s.mu.Unlock()
+	report("MAP", mapStats)
+	report("GTP", gtpStats)
 }
 
 // SlabImbalance audits the slab storage: every index entry must resolve to
 // a live record that agrees with the key, per-shard occupancy must balance
 // (cap == live + free), and the PDP slab population must match the sum of
-// per-subscriber context lists and the TID index. Non-zero means a context
-// leaked or was lost; the soak/leak gates assert zero.
+// per-subscriber context lists and the TID index; the MAP and GTP
+// transaction tables must account for every record they allocated. Non-zero
+// means a context or record leaked or was lost; the soak/leak gates assert
+// zero.
 func (s *SGSN) SlabImbalance() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	imb := 0
+	imb := s.dm.Occupancy().Imbalance() + s.gtp.Occupancy().Imbalance()
 	perShard := make([]int, sgsnShards)
 	pdpListed := 0
 	tlliExpected := 0
@@ -591,9 +586,9 @@ func (s *SGSN) cleanupTunnel(env *sim.Env, tid gtp.TID) {
 
 func (s *SGSN) resolve(env *sim.Env, seq uint16, resp sim.Message) {
 	s.mu.Lock()
-	t, ok := s.pending[seq]
+	t, ok := s.gtp.Take(seq)
 	if ok {
-		delete(s.pending, seq)
+		s.markInFlight(&t, false)
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -773,12 +768,7 @@ func (s *SGSN) handleActivate(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m
 		full = s.cfg.MaxContexts > 0 && s.pdps.Len() >= s.cfg.MaxContexts
 		// A retransmitted ActivatePDPRequest while the GTP create is in
 		// flight must not issue a second CreatePDPRequest.
-		for _, t := range s.pending {
-			if t.kind == txnActivate && t.tlli == ul.TLLI && t.nsapi == m.NSAPI {
-				inFlight = true
-				break
-			}
-		}
+		inFlight = r.activating&nsapiBit(m.NSAPI) != 0
 	}
 	pathDown := s.pathDown
 	s.mu.Unlock()
@@ -862,12 +852,7 @@ func (s *SGSN) handleDeactivate(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata,
 	var inFlight bool
 	if ok {
 		pdp = s.findPDP(r, m.NSAPI)
-		for _, t := range s.pending {
-			if t.kind == txnDeactivate && t.tlli == ul.TLLI && t.nsapi == m.NSAPI {
-				inFlight = true
-				break
-			}
-		}
+		inFlight = r.deactivating&nsapiBit(m.NSAPI) != 0
 	}
 	var tid gtp.TID
 	if pdp != nil {

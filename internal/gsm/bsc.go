@@ -61,6 +61,11 @@ func (b *BSC) ID() sim.NodeID { return b.cfg.ID }
 // ChannelsInUse returns the number of allocated dedicated channels.
 func (b *BSC) ChannelsInUse() int { return len(b.channels) }
 
+// Audit reports the BSC's transient state for netsim's leak gate.
+func (b *BSC) Audit(report func(kind string, n int)) {
+	report("channels in use", b.ChannelsInUse())
+}
+
 // Blocked returns how many channel requests were refused for congestion.
 func (b *BSC) Blocked() uint64 { return b.blocked }
 

@@ -269,6 +269,12 @@ func (g *Gatekeeper) KnownIMSIs() int {
 	return g.byIMSI.Len()
 }
 
+// Audit reports every transient record this gatekeeper holds, by kind, plus its
+// storage audit — all zero at quiescence. netsim's leak gate walks it.
+func (g *Gatekeeper) Audit(report func(kind string, n int)) {
+	report("slab imbalance", g.SlabImbalance())
+}
+
 // SlabImbalance cross-checks every index against its slab: each index entry
 // must resolve to a live row carrying the same key, each slab shard's live
 // count must match what the indexes reference, and allocated capacity must
@@ -277,7 +283,7 @@ func (g *Gatekeeper) KnownIMSIs() int {
 func (g *Gatekeeper) SlabImbalance() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	imb := 0
+	imb := g.dm.Occupancy().Imbalance()
 
 	perShard := make(map[int]int)
 	g.byAlias.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {

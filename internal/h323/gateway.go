@@ -10,6 +10,7 @@ import (
 	"vgprs/internal/q931"
 	"vgprs/internal/rtp"
 	"vgprs/internal/sim"
+	"vgprs/internal/txn"
 )
 
 // GatewayConfig parameterises an H.323/PSTN gateway.
@@ -64,11 +65,12 @@ type Gateway struct {
 	cfg GatewayConfig
 	ep  *Endpoint
 
-	nextSeq    uint32
-	nextRef    uint16
-	pendingRAS map[uint32]*gwRASPending
-	rasFree    []*gwRASPending
-	byISUP     map[uint32]*gwCall
+	nextSeq uint32
+	nextRef uint16
+	// rasTxns holds outstanding RAS transactions by sequence number. They are
+	// one-shot: sent once and never expired.
+	rasTxns *txn.Table[uint32, gwRASTxn]
+	byISUP  map[uint32]*gwCall
 	// byQ931 keys calls by (peer signalling address, wire reference):
 	// Q.931 references are scoped per signalling connection, so two
 	// peers may use the same value concurrently.
@@ -82,10 +84,10 @@ var _ sim.Node = (*Gateway)(nil)
 // NewGateway returns a gateway.
 func NewGateway(cfg GatewayConfig) *Gateway {
 	g := &Gateway{
-		cfg:        cfg,
-		pendingRAS: make(map[uint32]*gwRASPending),
-		byISUP:     make(map[uint32]*gwCall),
-		byQ931:     make(map[gwQKey]*gwCall),
+		cfg:     cfg,
+		rasTxns: txn.New[uint32, gwRASTxn](nil, nil), // untimed: the hooks never run
+		byISUP:  make(map[uint32]*gwCall),
+		byQ931:  make(map[gwQKey]*gwCall),
 	}
 	g.ep = &Endpoint{
 		Node: cfg.ID,
@@ -134,42 +136,28 @@ func (g *Gateway) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.M
 	}
 }
 
-// gwRASPending is one outstanding RAS transaction: a package-level
-// completion function plus the call it concerns. Records are recycled
-// through rasFree in batches (the ss7.DialogueManager treatment), so the
-// tromboning-elimination probe path allocates no closures.
-type gwRASPending struct {
+// gwRASTxn is one outstanding RAS transaction: a package-level completion
+// function plus the call it concerns.
+type gwRASTxn struct {
 	g    *Gateway
-	seq  uint32
-	fn   func(env *sim.Env, p *gwRASPending, msg sim.Message)
+	fn   func(env *sim.Env, p gwRASTxn, msg sim.Message)
 	call *gwCall
 }
 
-func (g *Gateway) getRAS() *gwRASPending {
-	if len(g.rasFree) == 0 {
-		batch := make([]gwRASPending, 32)
-		for i := range batch {
-			g.rasFree = append(g.rasFree, &batch[i])
-		}
-	}
-	n := len(g.rasFree)
-	p := g.rasFree[n-1]
-	g.rasFree = g.rasFree[:n-1]
-	return p
-}
+// PendingRAS returns RAS transactions still awaiting a gatekeeper answer.
+func (g *Gateway) PendingRAS() int { return g.rasTxns.InFlight() }
 
-func (g *Gateway) putRAS(p *gwRASPending) {
-	*p = gwRASPending{}
-	g.rasFree = append(g.rasFree, p)
+// Audit reports the gateway's transient state for netsim's leak gate.
+func (g *Gateway) Audit(report func(kind string, n int)) {
+	report("pending RAS", g.PendingRAS())
+	report("transaction record imbalance", g.rasTxns.Occupancy().Imbalance())
 }
 
 // ras registers fn as the completion for seq, bound to call, and sends the
 // request to the gatekeeper.
 func (g *Gateway) ras(env *sim.Env, seq uint32, msg sim.Message,
-	fn func(*sim.Env, *gwRASPending, sim.Message), call *gwCall) {
-	p := g.getRAS()
-	p.g, p.seq, p.fn, p.call = g, seq, fn, call
-	g.pendingRAS[seq] = p
+	fn func(*sim.Env, gwRASTxn, sim.Message), call *gwCall) {
+	*g.rasTxns.Begin(env, seq, txn.Policy{}) = gwRASTxn{g: g, fn: fn, call: call}
 	g.ep.SendRAS(env, g.cfg.Gatekeeper, msg)
 }
 
@@ -189,7 +177,7 @@ func (g *Gateway) handleIAM(env *sim.Env, exchange sim.NodeID, m isup.IAM) {
 
 // gwLocateDone consumes the gatekeeper's answer to the Fig 8 step (2)
 // address-translation probe.
-func gwLocateDone(env *sim.Env, p *gwRASPending, msg sim.Message) {
+func gwLocateDone(env *sim.Env, p gwRASTxn, msg sim.Message) {
 	g, call := p.g, p.call
 	switch lm := msg.(type) {
 	case LCF:
@@ -222,7 +210,7 @@ func (g *Gateway) placeVoIPCall(env *sim.Env, call *gwCall, lcf LCF) {
 
 // gwAdmitDone completes the inbound call's admission: setup toward the
 // registered endpoint, or release back to the exchange.
-func gwAdmitDone(env *sim.Env, p *gwRASPending, msg sim.Message) {
+func gwAdmitDone(env *sim.Env, p gwRASTxn, msg sim.Message) {
 	g, call := p.g, p.call
 	switch msg.(type) {
 	case ACF:
@@ -271,12 +259,8 @@ func (g *Gateway) handleRAS(env *sim.Env, msg sim.Message) {
 	default:
 		return
 	}
-	if p, ok := g.pendingRAS[seq]; ok {
-		delete(g.pendingRAS, seq)
-		fn := p.fn
-		p.fn = nil
-		fn(env, p, msg)
-		g.putRAS(p)
+	if p, ok := g.rasTxns.Take(seq); ok {
+		p.fn(env, p, msg)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"vgprs/internal/q931"
 	"vgprs/internal/rtp"
 	"vgprs/internal/sim"
+	"vgprs/internal/txn"
 )
 
 // CallState is a terminal-side call state.
@@ -117,15 +118,6 @@ type termCall struct {
 	outgoing  bool
 	mediaSeq  uint16
 	sending   bool
-
-	// Q.931 retransmission state (T303 for Setup, T313 for Connect): a
-	// nil q931Msg means no cycle is running; q931Gen guards stale timers
-	// from an earlier cycle on the same call.
-	q931Msg     sim.Message
-	q931Env     *sim.Env
-	q931RTO     time.Duration
-	q931Retries int
-	q931Gen     uint32
 }
 
 // Terminal is an H.323 terminal: a native VoIP endpoint on the external
@@ -134,15 +126,16 @@ type Terminal struct {
 	cfg TerminalConfig
 	ep  *Endpoint
 
-	registered  bool
-	keepAlive   bool
-	endpointID  string
-	nextSeq     uint32
-	nextRef     uint16
-	pendingRAS  map[uint32]*termRASPending
-	rasFree     []*termRASPending
-	calls       map[uint16]*termCall
-	retransmits uint64
+	registered bool
+	keepAlive  bool
+	endpointID string
+	nextSeq    uint32
+	nextRef    uint16
+	calls      map[uint16]*termCall
+	// rasTxns holds outstanding RAS transactions by sequence number; q931 the
+	// running T303/T313 cycle of each call.
+	rasTxns *txn.Table[uint32, termRASTxn]
+	q931    *txn.Table[*termCall, termQ931Txn]
 
 	// Media is the RTP receive-side statistics collector.
 	Media *rtp.Receiver
@@ -156,11 +149,15 @@ func NewTerminal(cfg TerminalConfig) *Terminal {
 		cfg.FrameInterval = codec.FrameDuration
 	}
 	t := &Terminal{
-		cfg:        cfg,
-		pendingRAS: make(map[uint32]*termRASPending),
-		calls:      make(map[uint16]*termCall),
-		Media:      rtp.NewReceiver(),
+		cfg:   cfg,
+		calls: make(map[uint16]*termCall),
+		Media: rtp.NewReceiver(),
 	}
+	t.rasTxns = txn.New[uint32](
+		func(env *sim.Env, p *termRASTxn) bool { t.ep.SendRAS(env, t.cfg.Gatekeeper, p.msg); return true },
+		func(env *sim.Env, p *termRASTxn) { p.fn(env, *p, nil) },
+	)
+	t.q931 = txn.New[*termCall](t.q931Resend, t.q931Expired)
 	send := cfg.Transport
 	if send == nil {
 		send = func(env *sim.Env, pkt ipnet.Packet) {
@@ -222,110 +219,54 @@ func (t *Terminal) ActiveCalls() int {
 	return n
 }
 
-// termRASPending is one outstanding RAS transaction: a package-level
-// completion function plus the transaction's subject (the call, if any).
-// Records are recycled through rasFree in batches, ss7.DialogueManager
-// style, and double as their own RTO-timer arguments, so the registration
-// and admission hot paths allocate no closures and no per-transaction
-// timer records. With SigRTO enabled, msg is retained for retransmission;
-// on budget exhaustion the completion fires with a nil message.
-type termRASPending struct {
+// termRASTxn is one outstanding RAS transaction: a package-level completion
+// function plus the transaction's subject (the call, if any). With SigRTO
+// enabled, msg is retained for retransmission; on budget exhaustion the
+// completion fires with a nil message.
+type termRASTxn struct {
 	t       *Terminal
-	seq     uint32
-	fn      func(env *sim.Env, p *termRASPending, msg sim.Message)
+	fn      func(env *sim.Env, p termRASTxn, msg sim.Message)
 	call    *termCall
 	calling gsmid.MSISDN // incoming-admission's caller, for the hooks
-	env     *sim.Env
 	msg     sim.Message
-
-	rto     time.Duration
-	retries int
-	// hasTimer/resolved implement the DialogueManager recycling protocol:
-	// a transaction resolved before its RTO timer fires stays allocated
-	// (the event queue still references it) and is recycled by the timer.
-	hasTimer bool
-	resolved bool
 }
 
-func (t *Terminal) getRAS() *termRASPending {
-	if len(t.rasFree) == 0 {
-		batch := make([]termRASPending, 32)
-		for i := range batch {
-			t.rasFree = append(t.rasFree, &batch[i])
-		}
-	}
-	n := len(t.rasFree)
-	p := t.rasFree[n-1]
-	t.rasFree = t.rasFree[:n-1]
-	return p
-}
-
-func (t *Terminal) putRAS(p *termRASPending) {
-	*p = termRASPending{}
-	t.rasFree = append(t.rasFree, p)
-}
-
-func termRASExpire(arg any) {
-	p := arg.(*termRASPending)
-	t := p.t
-	p.hasTimer = false
-	if p.resolved {
-		t.putRAS(p)
-		return
-	}
-	if p.retries > 0 {
-		p.retries--
-		p.rto = sim.NextRTO(p.rto, t.cfg.SigRTO)
-		t.retransmits++
-		t.ep.SendRAS(p.env, t.cfg.Gatekeeper, p.msg)
-		p.hasTimer = true
-		p.env.AfterArg(p.rto, termRASExpire, p)
-		return
-	}
-	delete(t.pendingRAS, p.seq)
-	fn, env := p.fn, p.env
-	p.fn, p.msg, p.resolved = nil, nil, true
-	fn(env, p, nil)
-	t.putRAS(p)
-}
-
-// sigRetries resolves the configured retransmission budget (zero = 3,
-// negative = none).
-func (t *Terminal) sigRetries() int {
-	switch {
-	case t.cfg.SigRetries > 0:
-		return t.cfg.SigRetries
-	case t.cfg.SigRetries < 0:
-		return 0
-	default:
-		return 3
-	}
+// sigPolicy is the RAS and Q.931 retransmission schedule; with SigRTO zero
+// transactions never expire.
+func (t *Terminal) sigPolicy() txn.Policy {
+	return txn.Policy{RTO: t.cfg.SigRTO, Retries: t.cfg.SigRetries}
 }
 
 // Retransmits reports how many RAS and Q.931 requests this terminal has
 // re-sent.
-func (t *Terminal) Retransmits() uint64 { return t.retransmits }
+func (t *Terminal) Retransmits() uint64 { return t.rasTxns.Retransmits() + t.q931.Retransmits() }
+
+// TxnStats reports the RAS and Q.931 tables' lifetime counters.
+func (t *Terminal) TxnStats(report func(plane string, s txn.Stats)) {
+	report("RAS", t.rasTxns.Stats())
+	report("Q.931", t.q931.Stats())
+}
 
 // PendingRAS returns RAS transactions still awaiting a gatekeeper answer.
-func (t *Terminal) PendingRAS() int { return len(t.pendingRAS) }
+func (t *Terminal) PendingRAS() int { return t.rasTxns.InFlight() }
+
+// Audit reports the terminal's transient state for netsim's leak gate.
+func (t *Terminal) Audit(report func(kind string, n int)) {
+	report("pending RAS", t.PendingRAS())
+	report("active calls", t.ActiveCalls())
+	report("transaction record imbalance",
+		t.rasTxns.Occupancy().Imbalance()+t.q931.Occupancy().Imbalance())
+}
 
 // ras sends a RAS request; with a completion it registers a pending
 // transaction for the answer, bound to call if the transaction concerns
 // one. The record is returned so callers can attach extra subject fields.
 func (t *Terminal) ras(env *sim.Env, msg sim.Message,
-	fn func(*sim.Env, *termRASPending, sim.Message), call *termCall) *termRASPending {
-	var p *termRASPending
+	fn func(*sim.Env, termRASTxn, sim.Message), call *termCall) *termRASTxn {
+	var p *termRASTxn
 	if fn != nil {
-		seq := rasSeq(msg)
-		p = t.getRAS()
-		p.t, p.seq, p.fn, p.call, p.env = t, seq, fn, call, env
-		if t.cfg.SigRTO > 0 {
-			p.msg = msg
-			p.rto, p.retries = t.cfg.SigRTO, t.sigRetries()
-			p.hasTimer = true
-			env.AfterArg(p.rto, termRASExpire, p)
-		}
-		t.pendingRAS[seq] = p
+		p = t.rasTxns.Begin(env, rasSeq(msg), t.sigPolicy())
+		*p = termRASTxn{t: t, fn: fn, call: call, msg: msg}
 	}
 	t.ep.SendRAS(env, t.cfg.Gatekeeper, msg)
 	return p
@@ -357,7 +298,7 @@ func (t *Terminal) Register(env *sim.Env) {
 	}, termRegisterDone, nil)
 }
 
-func termRegisterDone(env *sim.Env, p *termRASPending, msg sim.Message) {
+func termRegisterDone(env *sim.Env, p termRASTxn, msg sim.Message) {
 	t := p.t
 	switch m := msg.(type) {
 	case RCF:
@@ -404,7 +345,7 @@ func (t *Terminal) StartKeepAlive(env *sim.Env, interval time.Duration) {
 	tick()
 }
 
-func termKeepAliveDone(env *sim.Env, p *termRASPending, msg sim.Message) {
+func termKeepAliveDone(env *sim.Env, p termRASTxn, msg sim.Message) {
 	if rrj, isRRJ := msg.(RRJ); isRRJ &&
 		rrj.Reason == RejectFullRegistrationRequired {
 		p.t.Register(env)
@@ -431,7 +372,7 @@ func (t *Terminal) Call(env *sim.Env, called gsmid.MSISDN) (uint16, error) {
 
 // termCallAdmitDone continues an outgoing call once the gatekeeper admits
 // it (or rejects/times out).
-func termCallAdmitDone(env *sim.Env, p *termRASPending, msg sim.Message) {
+func termCallAdmitDone(env *sim.Env, p termRASTxn, msg sim.Message) {
 	t, call := p.t, p.call
 	switch m := msg.(type) {
 	case ACF:
@@ -486,7 +427,7 @@ func (t *Terminal) Hangup(env *sim.Env, ref uint16) error {
 func (t *Terminal) finishCall(env *sim.Env, call *termCall) {
 	call.state = CallCleared
 	call.sending = false
-	call.q931Msg = nil // stop any retransmission cycle
+	t.q931.Take(call) // stop any retransmission cycle
 	t.nextSeq++
 	t.ras(env, DRQ{Seq: t.nextSeq, Alias: t.cfg.Alias, CallRef: call.wireRef, Peer: call.remote}, nil, nil)
 	if t.cfg.Hooks.OnReleased != nil {
@@ -532,28 +473,17 @@ func (t *Terminal) handleRAS(env *sim.Env, msg sim.Message) {
 	default:
 		return
 	}
-	p, ok := t.pendingRAS[seq]
-	if !ok {
-		return
+	if p, ok := t.rasTxns.Take(seq); ok {
+		p.fn(env, p, msg)
 	}
-	delete(t.pendingRAS, seq)
-	fn := p.fn
-	p.fn, p.msg, p.resolved = nil, nil, true
-	fn(env, p, msg)
-	if !p.hasTimer {
-		t.putRAS(p)
-	}
-	// Otherwise the armed RTO timer still references the record; it is
-	// recycled when that timer fires and observes resolved.
 }
 
 // --- Q.931 retransmission (T303 for Setup, T313 for Connect) ---
 
-// termQ931Timer is the timer record for one Q.931 retransmission cycle.
-type termQ931Timer struct {
-	t    *Terminal
+// termQ931Txn is a call's running Q.931 retransmission cycle.
+type termQ931Txn struct {
 	call *termCall
-	gen  uint32
+	msg  sim.Message
 }
 
 // armQ931 sends a Q.931 message that expects an answer and, with SigRTO
@@ -563,33 +493,22 @@ func (t *Terminal) armQ931(env *sim.Env, call *termCall, msg sim.Message) {
 	if t.cfg.SigRTO <= 0 {
 		return
 	}
-	call.q931Gen++
-	call.q931Msg, call.q931Env = msg, env
-	call.q931RTO, call.q931Retries = t.cfg.SigRTO, t.sigRetries()
-	env.AfterArg(t.cfg.SigRTO, termQ931Expire, &termQ931Timer{t: t, call: call, gen: call.q931Gen})
+	t.q931.Take(call) // a new cycle supersedes one still running
+	*t.q931.Begin(env, call, t.sigPolicy()) = termQ931Txn{call: call, msg: msg}
 }
 
-func termQ931Expire(arg any) {
-	r := arg.(*termQ931Timer)
-	call := r.call
-	if call.q931Msg == nil || call.q931Gen != r.gen || call.state == CallCleared {
-		return
-	}
-	if call.q931Retries > 0 {
-		call.q931Retries--
-		call.q931RTO = sim.NextRTO(call.q931RTO, r.t.cfg.SigRTO)
-		r.t.retransmits++
-		r.t.ep.SendQ931(call.q931Env, call.remoteSig, call.q931Msg)
-		call.q931Env.AfterArg(call.q931RTO, termQ931Expire, r)
-		return
-	}
-	// Budget exhausted: release the call cleanly on both sides rather
-	// than hang in a signalling state forever.
-	call.q931Msg = nil
-	r.t.ep.SendQ931(call.q931Env, call.remoteSig, q931.ReleaseComplete{
-		CallRef: call.wireRef, Cause: q931.CauseRecoveryOnTimerExpiry,
+func (t *Terminal) q931Resend(env *sim.Env, r *termQ931Txn) bool {
+	t.ep.SendQ931(env, r.call.remoteSig, r.msg)
+	return true
+}
+
+// q931Expired releases the call cleanly on both sides once the budget is
+// exhausted, rather than hang in a signalling state forever.
+func (t *Terminal) q931Expired(env *sim.Env, r *termQ931Txn) {
+	t.ep.SendQ931(env, r.call.remoteSig, q931.ReleaseComplete{
+		CallRef: r.call.wireRef, Cause: q931.CauseRecoveryOnTimerExpiry,
 	})
-	r.t.finishCall(call.q931Env, call)
+	t.finishCall(env, r.call)
 }
 
 func (t *Terminal) handleQ931(env *sim.Env, pkt ipnet.Packet, msg sim.Message) {
@@ -599,14 +518,14 @@ func (t *Terminal) handleQ931(env *sim.Env, pkt ipnet.Packet, msg sim.Message) {
 	case q931.CallProceeding:
 		if call := t.findCall(pkt.Src, m.CallRef); call != nil && call.state == CallSetupSent {
 			call.state = CallProceeding
-			call.q931Msg = nil // far end holds our Setup; stop T303
+			t.q931.Take(call) // far end holds our Setup; stop T303
 		}
 	case q931.Alerting:
 		// Guard against a late duplicate regressing an answered call.
 		if call := t.findCall(pkt.Src, m.CallRef); call != nil &&
 			(call.state == CallSetupSent || call.state == CallProceeding) {
 			call.state = CallAlerting
-			call.q931Msg = nil // stop T303
+			t.q931.Take(call) // stop T303
 			if t.cfg.Hooks.OnAlerting != nil {
 				t.cfg.Hooks.OnAlerting(call.ref)
 			}
@@ -620,7 +539,7 @@ func (t *Terminal) handleQ931(env *sim.Env, pkt ipnet.Packet, msg sim.Message) {
 				return
 			}
 			call.state = CallConnected
-			call.q931Msg = nil // stop T303
+			t.q931.Take(call) // stop T303
 			call.remoteMed = m.Media
 			t.startMedia(env, call)
 			if t.cfg.Hooks.OnConnected != nil {
@@ -630,7 +549,7 @@ func (t *Terminal) handleQ931(env *sim.Env, pkt ipnet.Packet, msg sim.Message) {
 	case q931.ConnectAck:
 		// The caller saw our Connect: stop T313.
 		if call := t.findCall(pkt.Src, m.CallRef); call != nil {
-			call.q931Msg = nil
+			t.q931.Take(call)
 		}
 	case q931.ReleaseComplete:
 		if call := t.findCall(pkt.Src, m.CallRef); call != nil && call.state != CallCleared {
@@ -683,7 +602,7 @@ func (t *Terminal) handleIncomingSetup(env *sim.Env, pkt ipnet.Packet, m q931.Se
 
 // termIncomingAdmitDone alerts the local user once the gatekeeper admits an
 // incoming call; rejection or timeout releases the caller.
-func termIncomingAdmitDone(env *sim.Env, p *termRASPending, msg sim.Message) {
+func termIncomingAdmitDone(env *sim.Env, p termRASTxn, msg sim.Message) {
 	t, call := p.t, p.call
 	switch msg.(type) {
 	case ACF:

@@ -15,6 +15,7 @@ import (
 	"vgprs/internal/sim"
 	"vgprs/internal/slab"
 	"vgprs/internal/ss7"
+	"vgprs/internal/txn"
 )
 
 // Subscriber is the provisioned (static) part of an HLR record.
@@ -102,9 +103,6 @@ func New(cfg Config) *HLR {
 	if cfg.SigRTO == 0 {
 		cfg.SigRTO = time.Second
 	}
-	if cfg.SigRetries == 0 {
-		cfg.SigRetries = 3
-	}
 	return &HLR{
 		cfg:      cfg,
 		dm:       ss7.NewDialogueManager(),
@@ -119,6 +117,9 @@ func (h *HLR) ID() sim.NodeID { return h.cfg.ID }
 
 // Retransmits returns the number of MAP request PDUs this HLR has re-sent.
 func (h *HLR) Retransmits() uint64 { return h.dm.Retransmits() }
+
+// TxnStats reports the MAP dialogue table's lifetime counters.
+func (h *HLR) TxnStats(report func(plane string, s txn.Stats)) { report("MAP", h.dm.Stats()) }
 
 // OutstandingDialogues returns un-answered MAP invokes this HLR has open.
 func (h *HLR) OutstandingDialogues() int { return h.dm.Outstanding() }
@@ -209,13 +210,20 @@ func (h *HLR) LookupByMSISDN(msisdn gsmid.MSISDN) (Record, bool) {
 	return h.export(r), true
 }
 
+// Audit reports every transient record this HLR holds, by kind, plus its
+// storage audit — all zero at quiescence. netsim's leak gate walks it.
+func (h *HLR) Audit(report func(kind string, n int)) {
+	report("open dialogues", h.OutstandingDialogues())
+	report("slab imbalance", h.SlabImbalance())
+}
+
 // SlabImbalance audits the slab storage: both identity indexes must hold
 // exactly one entry per live record and per-shard occupancy must balance.
 // Non-zero means records were lost or leaked.
 func (h *HLR) SlabImbalance() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	imb := 0
+	imb := h.dm.Occupancy().Imbalance()
 	perShard := make([]int, hlrShards)
 	h.byIMSI.Range(func(k gsmid.PackedDigits, hd slab.Handle) bool {
 		r := h.recs.Get(hd)

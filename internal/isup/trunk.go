@@ -62,6 +62,11 @@ func (t *TrunkGroup) InUse() int {
 	return len(t.busy)
 }
 
+// Audit reports the group's transient state for netsim's leak gate.
+func (t *TrunkGroup) Audit(report func(kind string, n int)) {
+	report("trunks in use", t.InUse())
+}
+
 // Size returns the number of circuits in the group.
 func (t *TrunkGroup) Size() int { return t.size }
 

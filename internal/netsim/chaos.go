@@ -153,22 +153,6 @@ func MediaChaosPlan(loss float64, jitter time.Duration, from, until time.Duratio
 	return plan
 }
 
-// SignallingRetransmits sums the retransmission counters of every
-// signalling plane in the network: MAP dialogues at the VMSC, VLR, HLR,
-// SGSN and GGSN, GTP transactions at the SGSN, the VMSC's GMM/SM clients
-// and RAS/Q.931 state machines, and the H.323 terminals.
-func (n *VGPRSNet) SignallingRetransmits() uint64 {
-	total := n.VMSC.Retransmits() +
-		n.VLR.Retransmits() +
-		n.HLR.Retransmits() +
-		n.SGSN.Retransmits() +
-		n.GGSN.Retransmits()
-	for _, t := range n.Terminals {
-		total += t.Retransmits()
-	}
-	return total
-}
-
 // ProcedureError reports a signalling procedure that failed *cleanly*
 // under injected faults: the scenario ran to its deadline without hanging
 // and the failure is attributable to a named procedure.
@@ -287,9 +271,16 @@ func RunChaosRegistration(seed int64, plan FaultPlan) (ChaosResult, error) {
 // Results are identical at any shard count — the determinism tests compare
 // them directly.
 func RunChaosRegistrationSharded(seed int64, plan FaultPlan, shards int) (ChaosResult, error) {
+	_, res, err := runChaosRegistration(seed, plan, shards)
+	return res, err
+}
+
+// runChaosRegistration also returns the network, for tests that audit it
+// after the run.
+func runChaosRegistration(seed int64, plan FaultPlan, shards int) (*VGPRSNet, ChaosResult, error) {
 	n, err := chaosNet(seed, 1, shards, plan)
 	if err != nil {
-		return ChaosResult{}, err
+		return nil, ChaosResult{}, err
 	}
 	start := n.Env.Now()
 	for _, term := range n.Terminals {
@@ -305,12 +296,12 @@ func RunChaosRegistrationSharded(seed int64, plan FaultPlan, shards int) (ChaosR
 		Elapsed:     n.Env.Now() - start,
 	}
 	if !ok {
-		return res, &ProcedureError{
+		return n, res, &ProcedureError{
 			Procedure: "registration", Seed: seed,
 			Detail: fmt.Errorf("MS state %v after deadline", n.MSs[0].State()),
 		}
 	}
-	return res, nil
+	return n, res, nil
 }
 
 // RunChaosCall registers two MSs under the fault plan and then sets up an
@@ -323,9 +314,16 @@ func RunChaosCall(seed int64, plan FaultPlan) (ChaosResult, error) {
 
 // RunChaosCallSharded is RunChaosCall on a sharded engine.
 func RunChaosCallSharded(seed int64, plan FaultPlan, shards int) (ChaosResult, error) {
+	_, res, err := runChaosCall(seed, plan, shards)
+	return res, err
+}
+
+// runChaosCall also returns the network, for tests that audit it after the
+// run.
+func runChaosCall(seed int64, plan FaultPlan, shards int) (*VGPRSNet, ChaosResult, error) {
 	n, err := chaosNet(seed, 2, shards, plan)
 	if err != nil {
-		return ChaosResult{}, err
+		return nil, ChaosResult{}, err
 	}
 	for _, term := range n.Terminals {
 		term.Register(n.Env)
@@ -334,7 +332,7 @@ func RunChaosCallSharded(seed int64, plan FaultPlan, shards int) (ChaosResult, e
 		ms.PowerOn(n.Env)
 	}
 	if !runUntilDone(n.Env, chaosWindow, n.registered) {
-		return ChaosResult{
+		return n, ChaosResult{
 				Retransmits: n.SignallingRetransmits(),
 				Elapsed:     n.Env.Now(),
 			}, &ProcedureError{
@@ -346,7 +344,7 @@ func RunChaosCallSharded(seed int64, plan FaultPlan, shards int) (ChaosResult, e
 	caller, callee := n.MSs[0], n.MSs[1]
 	start := n.Env.Now()
 	if dialErr := caller.Dial(n.Env, n.Subscribers[1].MSISDN); dialErr != nil {
-		return ChaosResult{Registered: true},
+		return n, ChaosResult{Registered: true},
 			&ProcedureError{Procedure: "call-setup", Seed: seed, Detail: dialErr}
 	}
 	inCall := func() bool {
@@ -360,11 +358,11 @@ func RunChaosCallSharded(seed int64, plan FaultPlan, shards int) (ChaosResult, e
 		Elapsed:       n.Env.Now() - start,
 	}
 	if !ok {
-		return res, &ProcedureError{
+		return n, res, &ProcedureError{
 			Procedure: "call-setup", Seed: seed,
 			Detail: fmt.Errorf("caller %v, callee %v after deadline",
 				caller.State(), callee.State()),
 		}
 	}
-	return res, nil
+	return n, res, nil
 }

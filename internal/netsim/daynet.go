@@ -180,6 +180,14 @@ func BuildDay(opts DayOptions) *DayNet {
 	for _, node := range nodes {
 		env.AddNode(node)
 	}
+	n.audit("GW-1", n.Gateway)
+	n.audit("PHONE-Y", n.PhoneY)
+	n.audit("PHONE-UK", n.PhoneUK)
+	n.audit("LE-1<->GW-1", n.LocalTrunks)
+	n.audit("LE-1<->GMSC-UK", n.IntlTrunks)
+	for _, ms := range n.DataMSs {
+		n.audit(string(ms.ID()), ms)
+	}
 
 	env.Connect("GI", "GW-1", "IP", lat.LAN)
 	env.Connect("GI", "ECHO", "IP", lat.LAN)
@@ -208,25 +216,6 @@ func BuildDay(opts DayOptions) *DayNet {
 		}
 	}
 	return n
-}
-
-// Residual extends the two-area snapshot with the day topology's
-// endpoints: gateway/PSTN call legs and the data handsets' clients.
-func (n *DayNet) Residual() Residual {
-	r := n.TwoVMSCNet.Residual()
-	if n.PhoneY.InCall() {
-		r.add("PHONE-Y", "active calls", 1)
-	}
-	if n.PhoneUK.InCall() {
-		r.add("PHONE-UK", "active calls", 1)
-	}
-	r.add("LE-1<->GW-1", "trunks in use", n.LocalTrunks.InUse())
-	r.add("LE-1<->GMSC-UK", "trunks in use", n.IntlTrunks.InUse())
-	r.add("VMSC-1<->VMSC-2", "trunks in use", n.ETrunks.InUse())
-	for _, ms := range n.DataMSs {
-		r.add(string(ms.ID()), "pending transactions", ms.Client.PendingTransactions())
-	}
-	return r
 }
 
 // EchoHost is a Gi-LAN node that answers every IP packet with an echo of

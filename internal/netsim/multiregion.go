@@ -52,6 +52,9 @@ type Region struct {
 // the event population of different regions is nearly independent, so the
 // sharded engine can process regions in parallel between HLR interactions.
 type MultiRegionNet struct {
+	// Audited is the leak gate over the HLR and every region's elements.
+	Audited
+
 	Env     *sim.Env
 	Rec     *trace.Recorder
 	HLR     *hlr.HLR
@@ -92,6 +95,7 @@ func BuildMultiRegion(opts MultiRegionOptions) *MultiRegionNet {
 
 	n.HLR = hlr.New(hlr.Config{ID: "HLR"})
 	env.AddNode(n.HLR)
+	n.audit("HLR", n.HLR)
 
 	global := 0
 	for r := 0; r < opts.Regions; r++ {
@@ -135,6 +139,12 @@ func BuildMultiRegion(opts MultiRegionOptions) *MultiRegionNet {
 		for _, node := range []sim.Node{reg.VLR, sgsn, ggsn, router, reg.GK, reg.VMSC, bts, reg.BSC} {
 			env.AddNode(node)
 		}
+		n.audit(string(id("VMSC")), reg.VMSC)
+		n.audit(string(id("VLR")), reg.VLR)
+		n.audit(string(id("SGSN")), sgsn)
+		n.audit(string(id("GGSN")), ggsn)
+		n.audit(string(id("GK")), reg.GK)
+		n.audit(string(id("BSC")), reg.BSC)
 
 		env.Connect(id("BTS"), id("BSC"), "Abis", lat.Abis)
 		env.Connect(id("BSC"), id("VMSC"), "A", lat.A)

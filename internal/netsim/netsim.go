@@ -120,6 +120,10 @@ type SigProfile struct {
 
 // VGPRSNet is a fully wired vGPRS network (Fig 2(b)).
 type VGPRSNet struct {
+	// Audited is the leak gate over every stateful element built below
+	// (and by the topologies that extend this one).
+	Audited
+
 	Env *sim.Env
 	Rec *trace.Recorder
 	Dir *h323.Directory
@@ -264,6 +268,13 @@ func BuildVGPRS(opts VGPRSOptions) *VGPRSNet {
 	for _, node := range []sim.Node{n.HLR, n.VLR, n.VMSC, sgsn, ggsn, n.Router, n.GK, bts, n.BSC} {
 		env.AddNode(node)
 	}
+	n.audit("VMSC-1", n.VMSC)
+	n.audit("VLR-1", n.VLR)
+	n.audit("HLR", n.HLR)
+	n.audit("SGSN-1", sgsn)
+	n.audit("GGSN-1", ggsn)
+	n.audit("GK", n.GK)
+	n.audit("BSC-1", n.BSC)
 
 	env.Connect("BTS-1", "BSC-1", "Abis", lat.Abis)
 	env.Connect("BSC-1", "VMSC-1", "A", lat.A)
@@ -326,6 +337,7 @@ func BuildVGPRS(opts VGPRSOptions) *VGPRSNet {
 		n.Router.AddHost(addr, termID)
 		dir.Bind(addr, termID)
 		env.AddNode(term)
+		n.audit(string(termID), term)
 		env.Connect("GI", termID, "IP", lat.LAN)
 	}
 

@@ -54,59 +54,56 @@ func (r *Residual) String() string {
 	return b.String()
 }
 
-// Residual snapshots the transient state of every stateful element in the
-// base topology. Durable state (registrations, attached subscribers, idle
-// PDP contexts) is deliberately excluded — it is supposed to survive
-// between procedures; only in-flight records count.
-func (n *VGPRSNet) Residual() Residual {
+// Auditor is a stateful network element that can report the transient
+// records it holds, by kind (see the Audit methods of vmsc.VMSC, vlr.VLR,
+// gprs.SGSN and the rest).
+type Auditor interface {
+	Audit(report func(kind string, n int))
+}
+
+// Audited is the registry behind a network's leak gate. Every builder
+// registers each stateful element as it creates it, so Residual and
+// SignallingRetransmits cover exactly what was built: an element added to a
+// topology cannot be forgotten by the gate, and an extended topology
+// (TwoVMSCNet, DayNet) needs no Residual of its own.
+type Audited struct {
+	elements []auditedElement
+}
+
+type auditedElement struct {
+	name string
+	node Auditor
+}
+
+// audit registers an element under the name its residual items carry.
+func (a *Audited) audit(name string, node Auditor) {
+	a.elements = append(a.elements, auditedElement{name, node})
+}
+
+// Residual snapshots the transient state of every registered element.
+// Durable state (registrations, attached subscribers, idle PDP contexts) is
+// deliberately excluded — it is supposed to survive between procedures;
+// only in-flight records count, plus each element's storage audit: a
+// non-zero slab imbalance is a storage-layer leak even when all
+// procedure-level counters are clean.
+func (a *Audited) Residual() Residual {
 	var r Residual
-	r.add("VMSC-1", "pending transactions", n.VMSC.PendingTransactions())
-	r.add("VMSC-1", "active calls", n.VMSC.ActiveCalls())
-	r.add("VMSC-1", "handoff trunk calls", n.VMSC.HandoffCalls())
-	r.add("VMSC-1", "in-flight media frames", n.VMSC.InflightFrames())
-	r.add("VLR-1", "pending location updates", n.VLR.PendingUpdates())
-	r.add("VLR-1", "open dialogues", n.VLR.OutstandingDialogues())
-	r.add("VLR-1", "outstanding MSRNs", n.VLR.OutstandingMSRNs())
-	r.add("HLR", "open dialogues", n.HLR.OutstandingDialogues())
-	r.add("SGSN-1", "pending GTP transactions", n.SGSN.PendingTransactions())
-	r.add("SGSN-1", "open dialogues", n.SGSN.OutstandingDialogues())
-	r.add("GGSN-1", "pending creates", n.GGSN.PendingCreates())
-	r.add("GGSN-1", "open dialogues", n.GGSN.OutstandingDialogues())
-	r.add("GGSN-1", "queued activation packets", n.GGSN.QueuedPackets())
-	r.add("BSC-1", "channels in use", n.BSC.ChannelsInUse())
-	// Slab audits: allocated-handle count must equal live-context count in
-	// every shard, and every index entry must resolve to a record that
-	// agrees with its key. A non-zero imbalance is a storage-layer leak
-	// even when all procedure-level counters are clean.
-	r.add("VMSC-1", "slab imbalance", n.VMSC.SlabImbalance())
-	r.add("VLR-1", "slab imbalance", n.VLR.SlabImbalance())
-	r.add("HLR", "slab imbalance", n.HLR.SlabImbalance())
-	r.add("SGSN-1", "slab imbalance", n.SGSN.SlabImbalance())
-	r.add("GGSN-1", "slab imbalance", n.GGSN.SlabImbalance())
-	r.add("GK", "slab imbalance", n.GK.SlabImbalance())
-	for i, term := range n.Terminals {
-		id := fmt.Sprintf("TERM-%d", i+1)
-		r.add(id, "pending RAS", term.PendingRAS())
-		r.add(id, "active calls", term.ActiveCalls())
+	for _, e := range a.elements {
+		e.node.Audit(func(kind string, n int) { r.add(e.name, kind, n) })
 	}
 	return r
 }
 
-// Residual extends the base snapshot with the second service area.
-func (n *TwoVMSCNet) Residual() Residual {
-	r := n.VGPRSNet.Residual()
-	r.add("VMSC-2", "pending transactions", n.VMSC2.PendingTransactions())
-	r.add("VMSC-2", "active calls", n.VMSC2.ActiveCalls())
-	r.add("VMSC-2", "handoff trunk calls", n.VMSC2.HandoffCalls())
-	r.add("VMSC-2", "in-flight media frames", n.VMSC2.InflightFrames())
-	r.add("VLR-2", "pending location updates", n.VLR2.PendingUpdates())
-	r.add("VLR-2", "open dialogues", n.VLR2.OutstandingDialogues())
-	r.add("VLR-2", "outstanding MSRNs", n.VLR2.OutstandingMSRNs())
-	r.add("SGSN-2", "pending GTP transactions", n.SGSN2.PendingTransactions())
-	r.add("SGSN-2", "open dialogues", n.SGSN2.OutstandingDialogues())
-	r.add("BSC-2", "channels in use", n.BSC2.ChannelsInUse())
-	r.add("VMSC-2", "slab imbalance", n.VMSC2.SlabImbalance())
-	r.add("VLR-2", "slab imbalance", n.VLR2.SlabImbalance())
-	r.add("SGSN-2", "slab imbalance", n.SGSN2.SlabImbalance())
-	return r
+// SignallingRetransmits sums the retransmission counters of every
+// registered element that retransmits: MAP dialogues at the VMSCs, VLRs,
+// HLR, SGSNs and GGSN, GTP transactions at the SGSNs, the VMSCs' GMM/SM,
+// RAS and Q.931 tables, and the H.323 terminals.
+func (a *Audited) SignallingRetransmits() uint64 {
+	var total uint64
+	for _, e := range a.elements {
+		if r, ok := e.node.(interface{ Retransmits() uint64 }); ok {
+			total += r.Retransmits()
+		}
+	}
+	return total
 }

@@ -426,8 +426,7 @@ func RunDay(cfg DayConfig) (DayResult, error) {
 	runFor(env, 30*time.Second)
 	sampleHeap()
 
-	res.Retransmits = n.SignallingRetransmits() +
-		n.VMSC2.Retransmits() + n.VLR2.Retransmits() + n.SGSN2.Retransmits()
+	res.Retransmits = n.SignallingRetransmits()
 	residual := n.Residual()
 	res.Residual = residual.Total()
 	if res.Residual != 0 {

@@ -32,6 +32,9 @@ func TestShardedMatchesSequential(t *testing.T) {
 				if err := n.RegisterAll(); err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
+				if res := n.Residual(); res.Total() != 0 {
+					t.Fatalf("shards=%d residual after registration:\n%s", shards, res.String())
+				}
 				return outcome{n.Rec.Dump(), n.Env.Delivered(), n.Env.Now(), n.Rec.Len()}
 			},
 		},
@@ -66,6 +69,9 @@ func TestShardedMatchesSequential(t *testing.T) {
 				})
 				if err := n.RegisterAll(); err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				if res := n.Residual(); res.Total() != 0 {
+					t.Fatalf("shards=%d residual after registration:\n%s", shards, res.String())
 				}
 				return outcome{n.Rec.Dump(), n.Env.Delivered(), n.Env.Now(), n.Rec.Len()}
 			},
@@ -154,5 +160,8 @@ func TestShardedRegistrationUnderLoad(t *testing.T) {
 	}
 	if n.Env.Delivered() != seq.Env.Delivered() {
 		t.Fatalf("sharded delivered %d, sequential %d", n.Env.Delivered(), seq.Env.Delivered())
+	}
+	if res := n.Residual(); res.Total() != 0 {
+		t.Fatalf("residual after registration:\n%s", res.String())
 	}
 }

@@ -118,6 +118,11 @@ func BuildTwoVMSC(opts VGPRSOptions) *TwoVMSCNet {
 	for _, node := range []sim.Node{n.VLR2, sgsn2, n.VMSC2, bts2, n.BSC2} {
 		env.AddNode(node)
 	}
+	n.audit("VMSC-2", n.VMSC2)
+	n.audit("VLR-2", n.VLR2)
+	n.audit("SGSN-2", sgsn2)
+	n.audit("BSC-2", n.BSC2)
+	n.audit("VMSC-1<->VMSC-2", eTrunks)
 	env.Connect("BTS-2", "BSC-2", "Abis", lat.Abis)
 	env.Connect("BSC-2", "VMSC-2", "A", lat.A)
 	env.Connect("VMSC-2", "VLR-2", "B", lat.SS7)

@@ -90,6 +90,13 @@ func (p *Phone) FramesReceived() uint64 { return p.rx }
 // InCall reports whether a call is active.
 func (p *Phone) InCall() bool { return p.active && p.answered }
 
+// Audit reports the phone's transient state for netsim's leak gate.
+func (p *Phone) Audit(report func(kind string, n int)) {
+	if p.InCall() {
+		report("active calls", 1)
+	}
+}
+
 // Call dials a number and returns the call reference. Call references are
 // derived from the phone's number so concurrent calls from different phones
 // never collide.

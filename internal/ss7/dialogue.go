@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"vgprs/internal/sim"
+	"vgprs/internal/txn"
 )
 
 // InvokeID correlates a MAP invoke with its result, like a TCAP invoke ID.
@@ -18,92 +19,48 @@ var ErrTimeout = errors.New("ss7: dialogue timed out")
 // DialogueManager tracks outstanding MAP invokes for one network element.
 // Callers register a completion callback per invoke; a response routed back
 // through Resolve fires the callback exactly once. Invokes that receive no
-// response within their timeout fire the callback with ok=false — this is
-// how lost-signalling failure injection surfaces in the procedure state
-// machines.
+// response within their timeout (or retransmission budget) fire the callback
+// with ok=false — this is how lost-signalling failure injection surfaces in
+// the procedure state machines.
 //
-// The manager is driven entirely from the simulation goroutine, so it needs
-// no locking.
+// The pending table, timers, retransmission and record recycling are a
+// txn.Table keyed by invoke ID; the manager adds ID allocation and the two
+// callback shapes. It is driven entirely from the simulation goroutine, so
+// it needs no locking.
 type DialogueManager struct {
-	next    InvokeID
-	pending map[InvokeID]*pendingInvoke
-	// freeList recycles invoke records. An element under a MAP-heavy
-	// procedure issues several invokes per transaction; reusing records
-	// (and scheduling expiry through sim.Env.AfterArg with a package
-	// function) makes Invoke allocation-free at steady state.
-	freeList []*pendingInvoke
-	// retransmits counts request PDUs re-sent by the retry timer across the
-	// manager's lifetime. The chaos harness sums it across elements to bound
-	// per-procedure retry counts.
-	retransmits uint64
+	next InvokeID
+	txns *txn.Table[InvokeID, invoke]
+	// staged is the invoke allocated by InvokeRetry/InvokeRetryArg and not
+	// yet transmitted; Transmit enters it into the table.
+	staged   invoke
+	stagedID InvokeID
 }
 
-type pendingInvoke struct {
-	d  *DialogueManager
-	id InvokeID
-	// Exactly one of done (Invoke) or doneArg+arg (InvokeArg) is set.
+// invoke is one outstanding dialogue: its completion (exactly one of done or
+// doneArg+arg is set) and, for retransmitting invokes, the request PDU and
+// its route.
+type invoke struct {
 	done     func(msg sim.Message, ok bool)
 	doneArg  func(arg any, msg sim.Message, ok bool)
 	arg      any
-	resolved bool
-	hasTimer bool
+	from, to sim.NodeID
+	msg      sim.Message
+}
 
-	// Retransmission state, set by Transmit: the request PDU is re-sent
-	// with doubled RTO each time the retry timer fires unresolved, until
-	// retriesLeft hits zero.
-	env         *sim.Env
-	from, to    sim.NodeID
-	msg         sim.Message
-	rto         time.Duration
-	rto0        time.Duration // initial RTO; bounds the backoff at 8x
-	retriesLeft int
+func (p *invoke) complete(msg sim.Message, ok bool) {
+	if p.doneArg != nil {
+		p.doneArg(p.arg, msg, ok)
+		return
+	}
+	p.done(msg, ok)
 }
 
 // NewDialogueManager returns an empty manager.
 func NewDialogueManager() *DialogueManager {
-	return &DialogueManager{pending: make(map[InvokeID]*pendingInvoke)}
-}
-
-func (d *DialogueManager) get() *pendingInvoke {
-	if len(d.freeList) == 0 {
-		// Records recycle only after their expiry timers fire, so a burst
-		// of invokes (one registration wave) drains the list faster than it
-		// refills. Allocating records a slab at a time keeps the per-invoke
-		// heap cost at 1/32 of an allocation even mid-burst.
-		slab := make([]pendingInvoke, 32)
-		for i := range slab {
-			d.freeList = append(d.freeList, &slab[i])
-		}
-	}
-	n := len(d.freeList)
-	p := d.freeList[n-1]
-	d.freeList = d.freeList[:n-1]
-	return p
-}
-
-func (d *DialogueManager) put(p *pendingInvoke) {
-	*p = pendingInvoke{}
-	d.freeList = append(d.freeList, p)
-}
-
-// expireInvoke runs when an invoke's timeout timer fires. A record resolved
-// before its deadline is only recycled here, because until the timer fires
-// the event queue still references it.
-func expireInvoke(arg any) {
-	p := arg.(*pendingInvoke)
-	d := p.d
-	if p.resolved {
-		d.put(p)
-		return
-	}
-	delete(d.pending, p.id)
-	done, doneArg, cbArg := p.done, p.doneArg, p.arg
-	d.put(p)
-	if doneArg != nil {
-		doneArg(cbArg, nil, false)
-		return
-	}
-	done(nil, false)
+	return &DialogueManager{txns: txn.New[InvokeID](
+		func(env *sim.Env, p *invoke) bool { env.Send(p.from, p.to, p.msg); return true },
+		func(_ *sim.Env, p *invoke) { p.complete(nil, false) },
+	)}
 }
 
 // Invoke allocates an invoke ID and registers done to be called with the
@@ -111,141 +68,69 @@ func expireInvoke(arg any) {
 // called with (nil, false). A timeout of zero disables expiry.
 func (d *DialogueManager) Invoke(env *sim.Env, timeout time.Duration, done func(msg sim.Message, ok bool)) InvokeID {
 	d.next++
-	id := d.next
-	p := d.get()
-	p.d, p.id, p.done = d, id, done
-	d.pending[id] = p
-	if timeout > 0 {
-		p.hasTimer = true
-		env.AfterArg(timeout, expireInvoke, p)
-	}
-	return id
-}
-
-// InvokeArg is Invoke for callers that route completion through a
-// package-level function plus a transaction argument: fn(arg, msg, ok).
-// Procedure chains that would otherwise allocate a closure per step can
-// thread one transaction record through all their invokes.
-func (d *DialogueManager) InvokeArg(env *sim.Env, timeout time.Duration, fn func(arg any, msg sim.Message, ok bool), arg any) InvokeID {
-	d.next++
-	id := d.next
-	p := d.get()
-	p.d, p.id, p.doneArg, p.arg = d, id, fn, arg
-	d.pending[id] = p
-	if timeout > 0 {
-		p.hasTimer = true
-		env.AfterArg(timeout, expireInvoke, p)
-	}
-	return id
-}
-
-// retryInvoke runs when a retransmitting invoke's RTO timer fires. Like
-// expireInvoke, a record resolved before the deadline is only recycled here.
-// While budget remains, the stored request PDU is re-sent and the timer
-// re-armed with the RTO doubled (binary exponential backoff); once the
-// budget is exhausted the invoke fails exactly like a timeout.
-func retryInvoke(arg any) {
-	p := arg.(*pendingInvoke)
-	d := p.d
-	if p.resolved {
-		d.put(p)
-		return
-	}
-	if p.retriesLeft > 0 {
-		p.retriesLeft--
-		d.retransmits++
-		p.env.Send(p.from, p.to, p.msg)
-		p.rto = sim.NextRTO(p.rto, p.rto0)
-		p.env.AfterArg(p.rto, retryInvoke, p)
-		return
-	}
-	delete(d.pending, p.id)
-	done, doneArg, cbArg := p.done, p.doneArg, p.arg
-	d.put(p)
-	if doneArg != nil {
-		doneArg(cbArg, nil, false)
-		return
-	}
-	done(nil, false)
+	d.txns.Begin(env, d.next, txn.Policy{RTO: timeout, Retries: -1}).done = done
+	return d.next
 }
 
 // InvokeRetry allocates an invoke ID for a retransmitting dialogue: the
 // caller must follow immediately with exactly one Transmit carrying the
-// request PDU, which arms the retry timer. Like Invoke, done fires exactly
-// once — with the response, or with (nil, false) after the retry budget is
-// exhausted.
+// request PDU, which enters the dialogue and arms the retry timer. Like
+// Invoke, done fires exactly once — with the response, or with (nil, false)
+// after the retry budget is exhausted.
 func (d *DialogueManager) InvokeRetry(done func(msg sim.Message, ok bool)) InvokeID {
 	d.next++
-	id := d.next
-	p := d.get()
-	p.d, p.id, p.done = d, id, done
-	d.pending[id] = p
-	return id
+	d.staged, d.stagedID = invoke{done: done}, d.next
+	return d.next
 }
 
 // InvokeRetryArg is InvokeRetry routing completion through a package-level
-// function plus a transaction argument, like InvokeArg.
+// function plus a transaction argument: fn(arg, msg, ok). Procedure chains
+// that would otherwise allocate a closure per step thread one transaction
+// record through all their invokes.
 func (d *DialogueManager) InvokeRetryArg(fn func(arg any, msg sim.Message, ok bool), arg any) InvokeID {
 	d.next++
-	id := d.next
-	p := d.get()
-	p.d, p.id, p.doneArg, p.arg = d, id, fn, arg
-	d.pending[id] = p
-	return id
+	d.staged, d.stagedID = invoke{doneArg: fn, arg: arg}, d.next
+	return d.next
 }
 
-// Transmit sends the request PDU for an invoke allocated with
+// Transmit sends the request PDU for the invoke just allocated with
 // InvokeRetry/InvokeRetryArg and arms its retransmission timer: if no
-// Resolve arrives within rto the same PDU is re-sent with the RTO doubled,
-// up to retries re-sends. Responders must therefore treat a repeated invoke
-// ID idempotently. When the budget runs out the completion callback fires
-// with (nil, false).
+// Resolve arrives within rto the same PDU is re-sent on the txn.Policy
+// schedule (retries as configured: zero means the default budget, negative
+// none). Responders must therefore treat a repeated invoke ID idempotently.
+// When the budget runs out the completion callback fires with (nil, false).
 func (d *DialogueManager) Transmit(env *sim.Env, id InvokeID, from, to sim.NodeID, msg sim.Message, rto time.Duration, retries int) {
-	p, ok := d.pending[id]
-	if !ok {
+	if id != d.stagedID {
 		return
 	}
-	p.env, p.from, p.to, p.msg = env, from, to, msg
-	p.rto, p.rto0, p.retriesLeft = rto, rto, retries
-	p.hasTimer = true
+	p := d.txns.Begin(env, id, txn.Policy{RTO: rto, Retries: retries})
+	*p = d.staged
+	p.from, p.to, p.msg = from, to, msg
+	d.staged, d.stagedID = invoke{}, 0
 	env.Send(from, to, msg)
-	env.AfterArg(rto, retryInvoke, p)
 }
 
 // Resolve delivers a response for the given invoke ID. It reports whether an
 // outstanding invoke was found (late responses after timeout return false
 // and are dropped, mirroring TCAP behaviour).
 func (d *DialogueManager) Resolve(id InvokeID, msg sim.Message) bool {
-	p, ok := d.pending[id]
-	if !ok {
-		return false
+	p, ok := d.txns.Take(id)
+	if ok {
+		p.complete(msg, true)
 	}
-	delete(d.pending, id)
-	done, doneArg, cbArg := p.done, p.doneArg, p.arg
-	if p.hasTimer {
-		// The expiry event still holds the record; drop the callbacks (and
-		// any retained request PDU) now and let the timer function recycle
-		// it.
-		p.resolved = true
-		p.done, p.doneArg, p.arg, p.msg = nil, nil, nil, nil
-	} else {
-		d.put(p)
-	}
-	if doneArg != nil {
-		doneArg(cbArg, msg, true)
-		return true
-	}
-	done(msg, true)
-	return true
+	return ok
 }
 
 // Outstanding returns the number of unresolved invokes.
-func (d *DialogueManager) Outstanding() int { return len(d.pending) }
+func (d *DialogueManager) Outstanding() int { return d.txns.InFlight() }
 
 // Retransmits returns the number of request PDUs re-sent by retry timers.
-func (d *DialogueManager) Retransmits() uint64 { return d.retransmits }
+func (d *DialogueManager) Retransmits() uint64 { return d.txns.Retransmits() }
 
-// FreeLen returns the current length of the record free list. Leak tests
-// use it to assert that every timer record is recycled once all dialogues
-// have concluded and their timers fired.
-func (d *DialogueManager) FreeLen() int { return len(d.freeList) }
+// Stats returns the dialogue table's lifetime counters.
+func (d *DialogueManager) Stats() txn.Stats { return d.txns.Stats() }
+
+// Occupancy accounts for the manager's invoke records; owners add its
+// Imbalance to their SlabImbalance audit, and leak tests assert a drained
+// manager has every record back on the free list.
+func (d *DialogueManager) Occupancy() txn.Occupancy { return d.txns.Occupancy() }

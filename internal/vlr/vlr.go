@@ -17,6 +17,7 @@ import (
 	"vgprs/internal/sim"
 	"vgprs/internal/slab"
 	"vgprs/internal/ss7"
+	"vgprs/internal/txn"
 )
 
 // MMContext is the mobility-management state the VLR keeps per visiting MS.
@@ -129,9 +130,6 @@ func New(cfg Config) *VLR {
 	if cfg.SigRTO == 0 {
 		cfg.SigRTO = time.Second
 	}
-	if cfg.SigRetries == 0 {
-		cfg.SigRetries = 3
-	}
 	if cfg.MSRNLifetime == 0 {
 		cfg.MSRNLifetime = 30 * time.Second
 	}
@@ -197,6 +195,9 @@ func (v *VLR) export(r *mmRec) MMContext {
 // Retransmits returns the number of MAP request PDUs this VLR has re-sent.
 func (v *VLR) Retransmits() uint64 { return v.dm.Retransmits() }
 
+// TxnStats reports the MAP dialogue table's lifetime counters.
+func (v *VLR) TxnStats(report func(plane string, s txn.Stats)) { report("MAP", v.dm.Stats()) }
+
 // PendingUpdates returns in-flight location-update transactions (not yet
 // answered toward the requesting MSC). Zero at quiescence.
 func (v *VLR) PendingUpdates() int { return len(v.pendingULA) }
@@ -232,6 +233,15 @@ func (v *VLR) OutstandingMSRNs() int {
 	return len(v.msrn)
 }
 
+// Audit reports every transient record this VLR holds, by kind, plus its
+// storage audit — all zero at quiescence. netsim's leak gate walks it.
+func (v *VLR) Audit(report func(kind string, n int)) {
+	report("pending location updates", v.PendingUpdates())
+	report("open dialogues", v.OutstandingDialogues())
+	report("outstanding MSRNs", v.OutstandingMSRNs())
+	report("slab imbalance", v.SlabImbalance())
+}
+
 // SlabImbalance audits the slab storage: per-shard occupancy must balance
 // (cap == live + free) and every index entry must resolve to a live record
 // that agrees with the key. Non-zero means a context leaked out of — or
@@ -240,7 +250,7 @@ func (v *VLR) OutstandingMSRNs() int {
 func (v *VLR) SlabImbalance() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	imb := 0
+	imb := v.dm.Occupancy().Imbalance()
 	perShard := make([]int, vlrShards)
 	v.byIMSI.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
 		r := v.recs.Get(h)

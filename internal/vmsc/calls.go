@@ -17,6 +17,7 @@ import (
 	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 	"vgprs/internal/slab"
+	"vgprs/internal/txn"
 )
 
 // Receive implements sim.Node: the VMSC's five faces (A interface, MAP,
@@ -128,169 +129,90 @@ func (v *VMSC) handleRAS(env *sim.Env, msg sim.Message) {
 	default:
 		return
 	}
-	p, ok := v.pendingRAS[seq]
-	if !ok {
-		return
+	if p, ok := v.ras.Take(seq); ok {
+		p.fn(env, p, msg)
 	}
-	delete(v.pendingRAS, seq)
-	fn := p.fn
-	p.fn, p.msg, p.resolved = nil, nil, true
-	fn(env, p, msg)
-	if !p.hasTimer {
-		v.putRAS(p)
-	}
-	// Otherwise the armed RTO timer still references the record; it is
-	// recycled when that timer fires and observes resolved.
 }
 
-// rasPending is one outstanding RAS transaction: a package-level completion
+// rasTxn is one outstanding RAS transaction: a package-level completion
 // function plus the transaction's subject — the MS-table row by generational
-// handle and, for admissions, the call. Records are batch-allocated and
-// recycled through rasFree (the ss7.DialogueManager treatment), and the
-// record itself is the RTO timer's argument, so arming a transaction costs
-// 1/32 of an allocation at steady state and boxes nothing.
-//
-// env is kept for the timeout path, which has no live env of its own. msg
-// drives retransmission: the request is re-sent with a doubled RTO until
-// the budget runs out, then the completion fires with a nil message.
-type rasPending struct {
+// handle and, for admissions, the call — and the request retained for
+// retransmission.
+type rasTxn struct {
 	v      *VMSC
-	seq    uint32
-	fn     func(env *sim.Env, p *rasPending, msg sim.Message)
+	fn     func(env *sim.Env, p rasTxn, msg sim.Message)
 	entryH slab.Handle
 	call   *vCall
-	env    *sim.Env
 	msg    sim.Message
-
-	rto         time.Duration
-	retriesLeft int
-	// hasTimer/resolved implement the DialogueManager recycling protocol:
-	// a transaction resolved before its RTO timer fires stays allocated
-	// (the event queue still references it) and is recycled by the timer.
-	hasTimer bool
-	resolved bool
 }
 
-// getRAS pops a recycled transaction record, replenishing the free list a
-// batch at a time.
-func (v *VMSC) getRAS() *rasPending {
-	if len(v.rasFree) == 0 {
-		batch := make([]rasPending, 32)
-		for i := range batch {
-			v.rasFree = append(v.rasFree, &batch[i])
-		}
-	}
-	n := len(v.rasFree)
-	p := v.rasFree[n-1]
-	v.rasFree = v.rasFree[:n-1]
-	return p
-}
-
-// putRAS zeroes a record (releasing its message and call references) and
-// returns it to the free list.
-func (v *VMSC) putRAS(p *rasPending) {
-	*p = rasPending{}
-	v.rasFree = append(v.rasFree, p)
+// h323Policy is the RAS and Q.931 retransmission schedule.
+func (v *VMSC) h323Policy() txn.Policy {
+	return txn.Policy{RTO: v.cfg.SigRTO, Retries: v.cfg.H323Retries}
 }
 
 // rasTransmit registers fn as the completion for the RAS transaction with
-// sequence seq, arms its RTO timer, and sends the request through the MS's
-// signalling context. call, if non-nil, is the admission's call; fn reads
-// the subject back off the record (p.entryH, p.call). An unanswered
-// transaction is retried per the SigRTO/H323Retries schedule and then fails
-// with a nil message.
+// sequence seq and sends the request through the MS's signalling context.
+// call, if non-nil, is the admission's call; fn reads the subject back off
+// the record (p.entryH, p.call). An unanswered transaction is retried per
+// the SigRTO/H323Retries schedule and then fails with a nil message —
+// callers treat that as failure, so a dead gatekeeper (or severed tunnel)
+// fails procedures instead of wedging them.
 func (v *VMSC) rasTransmit(env *sim.Env, entry *msEntry, seq uint32, msg sim.Message,
-	fn func(env *sim.Env, p *rasPending, msg sim.Message), call *vCall) {
-	p := v.getRAS()
-	p.v, p.seq, p.fn, p.entryH, p.call = v, seq, fn, entry.self, call
-	p.env, p.msg = env, msg
-	p.rto, p.retriesLeft = v.cfg.SigRTO, v.cfg.H323Retries
-	p.hasTimer, p.resolved = true, false
-	v.pendingRAS[seq] = p
-	env.AfterArg(v.cfg.SigRTO, rasExpire, p)
+	fn func(env *sim.Env, p rasTxn, msg sim.Message), call *vCall) {
+	*v.ras.Begin(env, seq, v.h323Policy()) = rasTxn{v: v, fn: fn, entryH: entry.self, call: call, msg: msg}
 	entry.endpoint.SendRAS(env, v.cfg.Gatekeeper, msg)
 }
 
-// rasExpire runs an unanswered RAS transaction's RTO timer. While budget
-// remains (and the subscriber row is still live), the retained request is
-// retransmitted with a doubled RTO, re-arming the SAME record. On
-// exhaustion the completion fires with a nil message — callers treat that
-// as failure, so a dead gatekeeper (or severed tunnel) fails procedures
-// instead of wedging them.
-func rasExpire(arg any) {
-	p := arg.(*rasPending)
-	v := p.v
-	p.hasTimer = false
-	if p.resolved {
-		v.putRAS(p)
-		return
+// rasResend retransmits a RAS request while its subscriber row is live; a
+// purged subscriber fails the transaction at once.
+func (v *VMSC) rasResend(env *sim.Env, p *rasTxn) bool {
+	entry := v.ents.Get(p.entryH)
+	if entry == nil {
+		return false
 	}
-	if p.retriesLeft > 0 {
-		if entry := v.ents.Get(p.entryH); entry != nil {
-			p.retriesLeft--
-			p.rto = sim.NextRTO(p.rto, v.cfg.SigRTO)
-			v.rasRetransmits++
-			entry.endpoint.SendRAS(p.env, v.cfg.Gatekeeper, p.msg)
-			p.hasTimer = true
-			p.env.AfterArg(p.rto, rasExpire, p)
-			return
-		}
-	}
-	delete(v.pendingRAS, p.seq)
-	fn, env := p.fn, p.env
-	p.fn, p.msg, p.resolved = nil, nil, true
-	fn(env, p, nil)
-	v.putRAS(p)
+	entry.endpoint.SendRAS(env, v.cfg.Gatekeeper, p.msg)
+	return true
 }
+
+func rasExpired(env *sim.Env, p *rasTxn) { p.fn(env, *p, nil) }
 
 // --- Q.931 retransmission (T303 for Setup, T313 for Connect) ---
 
-// q931Retry is the timer record for one Q.931 retransmission cycle.
-type q931Retry struct {
-	v    *VMSC
+// q931Txn is a call's running Q.931 retransmission cycle.
+type q931Txn struct {
 	call *vCall
-	gen  uint32
+	msg  sim.Message
 }
 
 // armQ931 sends a Q.931 message that expects an answer and starts its
-// retransmission cycle: re-sent with doubling RTO until an answer stops the
-// cycle (stopQ931) or the budget runs out, which tears the call down.
+// retransmission cycle: re-sent on the H.323 schedule until an answer stops
+// the cycle (stopQ931) or the budget runs out, which tears the call down.
 func (v *VMSC) armQ931(env *sim.Env, call *vCall, msg sim.Message) {
 	entry := call.ent()
 	if entry == nil {
 		return
 	}
 	entry.endpoint.SendQ931(env, call.remoteSig, msg)
-	call.q931Gen++
-	call.q931Msg = msg
-	call.q931RTO, call.q931Retries = v.cfg.SigRTO, v.cfg.H323Retries
-	env.AfterArg(v.cfg.SigRTO, q931Expire, &q931Retry{v: v, call: call, gen: call.q931Gen})
+	v.stopQ931(call) // a new cycle supersedes one still running
+	*v.q931.Begin(env, call, v.h323Policy()) = q931Txn{call: call, msg: msg}
 }
 
 // stopQ931 ends the call's current retransmission cycle (answer arrived).
-func (v *VMSC) stopQ931(call *vCall) { call.q931Msg = nil }
+func (v *VMSC) stopQ931(call *vCall) { v.q931.Take(call) }
 
-func q931Expire(arg any) {
-	r := arg.(*q931Retry)
-	call := r.call
-	if call.q931Msg == nil || call.q931Gen != r.gen {
-		return
+func (v *VMSC) q931Resend(env *sim.Env, t *q931Txn) bool {
+	entry := t.call.ent()
+	if entry == nil {
+		return false
 	}
-	if call.q931Retries > 0 {
-		if entry := call.ent(); entry != nil {
-			call.q931Retries--
-			call.q931RTO = sim.NextRTO(call.q931RTO, r.v.cfg.SigRTO)
-			r.v.q931Retransmits++
-			entry.endpoint.SendQ931(call.env, call.remoteSig, call.q931Msg)
-			call.env.AfterArg(call.q931RTO, q931Expire, r)
-			return
-		}
-	}
-	// Budget exhausted (or subscriber purged): clear the call everywhere
-	// rather than hang.
-	call.q931Msg = nil
-	r.v.clearCall(call.env, call, true)
+	entry.endpoint.SendQ931(env, t.call.remoteSig, t.msg)
+	return true
 }
+
+// q931Expired clears the call everywhere rather than hang once the budget
+// is exhausted (or the subscriber was purged).
+func (v *VMSC) q931Expired(env *sim.Env, t *q931Txn) { v.clearCall(env, t.call, true) }
 
 // --- Mobile-originated calls (Fig 5, steps 2.1-2.9) ---
 
@@ -360,7 +282,7 @@ func (v *VMSC) admitMOCall(env *sim.Env, call *vCall, called gsmid.MSISDN) {
 
 // rasMOAdmitDone continues an MO call once the gatekeeper admits it (ACF
 // carrying the destination's signalling address) or rejects/times out.
-func rasMOAdmitDone(env *sim.Env, p *rasPending, msg sim.Message) {
+func rasMOAdmitDone(env *sim.Env, p rasTxn, msg sim.Message) {
 	v, call := p.v, p.call
 	if call == nil || call.released {
 		return
@@ -479,7 +401,7 @@ func (v *VMSC) handleMTSetup(env *sim.Env, entry *msEntry, pkt ipnet.Packet, m q
 
 // rasMTAdmitDone pages the MS once the gatekeeper admits the terminating
 // call; rejection (or timeout) releases the caller.
-func rasMTAdmitDone(env *sim.Env, p *rasPending, msg sim.Message) {
+func rasMTAdmitDone(env *sim.Env, p rasTxn, msg sim.Message) {
 	v, call := p.v, p.call
 	if call == nil || call.released {
 		return

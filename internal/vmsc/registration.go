@@ -143,7 +143,7 @@ func (v *VMSC) registerWithGatekeeper(env *sim.Env, entry *msEntry, announce boo
 
 // regRRQDone completes the registration when the gatekeeper answers (or the
 // RAS transaction times out).
-func regRRQDone(env *sim.Env, p *rasPending, msg sim.Message) {
+func regRRQDone(env *sim.Env, p rasTxn, msg sim.Message) {
 	v := p.v
 	entry := v.ents.Get(p.entryH)
 	if entry == nil {
@@ -321,7 +321,7 @@ func (v *VMSC) unregisterGK(env *sim.Env, entry *msEntry) {
 // rasURQDone finishes a deregistration: whether the gatekeeper confirmed
 // (UCF) or the transaction timed out, the GPRS attachment is released, and
 // a purged row is freed once the detach completes.
-func rasURQDone(env *sim.Env, p *rasPending, _ sim.Message) {
+func rasURQDone(env *sim.Env, p rasTxn, _ sim.Message) {
 	v := p.v
 	entry := v.ents.Get(p.entryH)
 	if entry == nil {
@@ -381,7 +381,7 @@ func (v *VMSC) StartKeepAlive(env *sim.Env, interval time.Duration) {
 // rasKeepAliveDone handles the keepalive RRQ's answer: a gatekeeper that
 // lost the row (TTL lapse, restart) demands a full registration, which the
 // VMSC performs silently.
-func rasKeepAliveDone(env *sim.Env, p *rasPending, msg sim.Message) {
+func rasKeepAliveDone(env *sim.Env, p rasTxn, msg sim.Message) {
 	v := p.v
 	entry := v.ents.Get(p.entryH)
 	if entry == nil {

@@ -36,6 +36,7 @@ import (
 	"vgprs/internal/sim"
 	"vgprs/internal/slab"
 	"vgprs/internal/ss7"
+	"vgprs/internal/txn"
 )
 
 // NSAPIs for the two PDP contexts each MS holds (paper steps 1.3 and 2.9).
@@ -143,16 +144,15 @@ type VMSC struct {
 	byMS     *slab.Index[sim.NodeID]
 	byMSISDN *slab.Index[gsmid.PackedDigits]
 
-	// pendingRAS tracks outstanding RAS transactions by sequence number.
-	// Records are batch-allocated and recycled (see rasFree), mirroring
-	// ss7.DialogueManager's pendingInvoke slab.
-	pendingRAS map[uint32]*rasPending
-	rasFree    []*rasPending
-	nextRAS    uint32
-	// rasRetransmits and q931Retransmits count re-sent signalling
-	// requests (fault-tolerance observability).
-	rasRetransmits  uint64
-	q931Retransmits uint64
+	// One transaction table per plane beside the MAP dialogues in dm: RAS
+	// exchanges by sequence number, the Q.931 T303/T313 cycle of each call,
+	// and the GMM/SM procedures of every hosted GPRS client (see
+	// msEntry.Transactions). Their counters are this VMSC's pending and
+	// retransmit totals.
+	ras     *txn.Table[uint32, rasTxn]
+	q931    *txn.Table[*vCall, q931Txn]
+	gmm     *gprs.Transactions
+	nextRAS uint32
 
 	// hoCalls indexes handed-over calls by the anchor-allocated trunk
 	// call reference (Q.931 references are resolved per MS entry, since
@@ -192,7 +192,7 @@ type Stats struct {
 type msEntry struct {
 	v *VMSC
 	// self is the row's own slab handle; index entries and cross-references
-	// (vCall.entryH, rasPending.entryH) carry it instead of the pointer.
+	// (vCall.entryH, rasTxn.entryH) carry it instead of the pointer.
 	self    slab.Handle
 	imsi    gsmid.IMSI
 	imsiKey gsmid.PackedDigits
@@ -233,6 +233,10 @@ type msEntry struct {
 	llcBuf []byte
 	ulMsg  *gb.ULUnitdata
 }
+
+// Transactions implements gprs.Host: every hosted client runs its GMM/SM
+// procedures in the VMSC's one table.
+func (e *msEntry) Transactions() *gprs.Transactions { return e.v.gmm }
 
 // SendLLC implements gprs.Host: uplink LLC PDUs go straight onto the Gb
 // interface — the VMSC-specific twist on the shared gprs.Client state
@@ -325,14 +329,6 @@ type vCall struct {
 	// active-call count and release stats double-book.
 	released bool
 
-	// Q.931 retransmission state (T303 for Setup, T313 for Connect):
-	// the in-flight message, its current RTO and remaining budget. A nil
-	// q931Msg means no retransmission cycle is running; q931Gen guards
-	// stale timers from a previous cycle on the same call.
-	q931Msg     sim.Message
-	q931RTO     time.Duration
-	q931Retries int
-	q931Gen     uint32
 	// remote is the far party's alias (dialled number on MO, calling
 	// party on MT) — the gatekeeper's DRQ matching needs it.
 	remote    gsmid.MSISDN
@@ -383,28 +379,21 @@ func New(cfg Config) *VMSC {
 	if cfg.SigRTO == 0 {
 		cfg.SigRTO = time.Second
 	}
-	switch {
-	case cfg.SigRetries == 0:
-		cfg.SigRetries = 3
-	case cfg.SigRetries < 0:
-		cfg.SigRetries = 0
-	}
-	switch {
-	case cfg.H323Retries == 0:
+	if cfg.H323Retries == 0 {
 		cfg.H323Retries = cfg.SigRetries
-	case cfg.H323Retries < 0:
-		cfg.H323Retries = 0
 	}
 	v := &VMSC{
-		cfg:        cfg,
-		dm:         ss7.NewDialogueManager(),
-		ents:       slab.NewSharded[msEntry](mscShards),
-		byIMSI:     slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
-		byMS:       slab.NewIndex[sim.NodeID](hashNodeID),
-		byMSISDN:   slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
-		pendingRAS: make(map[uint32]*rasPending),
-		hoCalls:    make(map[uint32]*vCall),
+		cfg:      cfg,
+		dm:       ss7.NewDialogueManager(),
+		ents:     slab.NewSharded[msEntry](mscShards),
+		byIMSI:   slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
+		byMS:     slab.NewIndex[sim.NodeID](hashNodeID),
+		byMSISDN: slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
+		gmm:      gprs.NewTransactions(),
+		hoCalls:  make(map[uint32]*vCall),
 	}
+	v.ras = txn.New[uint32](v.rasResend, rasExpired)
+	v.q931 = txn.New[*vCall](v.q931Resend, v.q931Expired)
 	v.registrar = msc.NewRegistrar(cfg.ID, cfg.VLR, v.onVLROutcome)
 	v.registrar.RTO = cfg.SigRTO
 	v.registrar.Retries = cfg.SigRetries
@@ -526,7 +515,7 @@ func (v *VMSC) CallMedia(ms sim.NodeID) (MediaStats, bool) {
 }
 
 // PendingRAS returns RAS transactions still awaiting a gatekeeper answer.
-func (v *VMSC) PendingRAS() int { return len(v.pendingRAS) }
+func (v *VMSC) PendingRAS() int { return v.ras.InFlight() }
 
 // HandoffCalls returns calls currently relayed over an E-interface trunk
 // (this VMSC as the anchor of an inter-system handover).
@@ -537,23 +526,28 @@ func (v *VMSC) HandoffCalls() int { return len(v.hoCalls) }
 // RAS transactions, and the per-MS GPRS clients' GMM/SM transactions. A
 // quiesced VMSC reports zero; the scenario soak asserts on it.
 func (v *VMSC) PendingTransactions() int {
-	n := v.dm.Outstanding() + v.registrar.Pending() + len(v.pendingRAS)
-	v.byIMSI.Range(func(_ gsmid.PackedDigits, h slab.Handle) bool {
-		if e := v.ents.Get(h); e != nil && e.client != nil {
-			n += e.client.PendingTransactions()
-		}
-		return true
-	})
-	return n
+	return v.dm.Outstanding() + v.registrar.Pending() + v.ras.InFlight() + v.gmm.InFlight()
+}
+
+// Audit reports every transient record this VMSC holds, by kind, plus its
+// storage audit — all zero at quiescence. netsim's leak gate walks it.
+func (v *VMSC) Audit(report func(kind string, n int)) {
+	report("pending transactions", v.PendingTransactions())
+	report("active calls", v.ActiveCalls())
+	report("handoff trunk calls", v.HandoffCalls())
+	report("in-flight media frames", v.InflightFrames())
+	report("slab imbalance", v.SlabImbalance())
 }
 
 // SlabImbalance audits the MS-table storage: per-shard occupancy must
 // balance (cap == live + free) and every index entry must resolve to a
-// live row that agrees with the key. Non-zero means a row leaked out of —
-// or was lost by — the slab; the soak/leak gates assert zero alongside the
-// transient residuals.
+// live row that agrees with the key, and the four transaction tables must
+// account for every record they allocated. Non-zero means a row or record
+// leaked out of — or was lost by — its store; the soak/leak gates assert
+// zero alongside the transient residuals.
 func (v *VMSC) SlabImbalance() int {
-	imb := 0
+	imb := v.dm.Occupancy().Imbalance() + v.ras.Occupancy().Imbalance() +
+		v.q931.Occupancy().Imbalance() + v.gmm.Occupancy().Imbalance()
 	perShard := make([]int, mscShards)
 	v.byIMSI.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
 		e := v.ents.Get(h)
@@ -604,9 +598,6 @@ func (v *VMSC) newClient(entry *msEntry) *gprs.Client {
 	client := gprs.NewHostedClient(entry.imsi, entry)
 	client.Timeout = v.cfg.SigRTO
 	client.Retries = v.cfg.SigRetries
-	if client.Retries == 0 {
-		client.Retries = -1 // cfg 0 is post-normalisation "no retries"
-	}
 	return client
 }
 
@@ -615,21 +606,25 @@ func (v *VMSC) newClient(entry *msEntry) *gprs.Client {
 // retransmit (the handover legs) use it so their timeout matches the
 // retried planes' failure horizon.
 func (v *VMSC) sigDeadline() time.Duration {
-	return sim.RetryDeadline(v.cfg.SigRTO, v.cfg.SigRetries)
+	return txn.Policy{RTO: v.cfg.SigRTO, Retries: v.cfg.SigRetries}.Deadline()
 }
 
 // Retransmits reports the total signalling retransmissions this VMSC has
-// performed across its MAP, RAS and Q.931 planes (GPRS GMM/SM retries are
-// counted by the per-MS clients).
+// performed across its MAP, RAS, Q.931 and GMM/SM planes. Each plane's count
+// lives in its table, not on the subscriber, so the total never decreases
+// when a subscriber is purged.
 func (v *VMSC) Retransmits() uint64 {
-	total := v.dm.Retransmits() + v.rasRetransmits + v.q931Retransmits
-	v.byIMSI.Range(func(_ gsmid.PackedDigits, h slab.Handle) bool {
-		if e := v.ents.Get(h); e != nil && e.client != nil {
-			total += e.client.Retransmits()
-		}
-		return true
-	})
-	return total
+	return v.dm.Retransmits() + v.ras.Retransmits() + v.q931.Retransmits() + v.gmm.Retransmits()
+}
+
+// TxnStats reports the lifetime counters of the four tables Retransmits
+// sums, by plane. (The location-update registrar keeps its own MAP dialogue
+// manager, which neither covers.)
+func (v *VMSC) TxnStats(report func(plane string, s txn.Stats)) {
+	report("MAP", v.dm.Stats())
+	report("RAS", v.ras.Stats())
+	report("Q.931", v.q931.Stats())
+	report("GMM/SM", v.gmm.Stats())
 }
 
 // setupEndpoint (re)initialises the per-MS H.323 endpoint in place; the
