@@ -8,7 +8,7 @@ GO ?= go
 # under testdata/fuzz/.
 FUZZ_PKGS = ./internal/sigmap/ ./internal/gtp/ ./internal/q931/ ./internal/gb/ ./internal/isup/ ./internal/rtp/ ./internal/gsm/ ./internal/h323/
 
-.PHONY: all build vet test race check bench-smoke bench bench-sim bench-codec bench-registration bench-engine bench-scenarios bench-scale bench-scale-full bench-media bench-json fuzz-smoke fuzz soak soak-short
+.PHONY: all build vet test race check bench-smoke bench-e2e bench bench-sim bench-codec bench-registration bench-engine bench-scenarios bench-scale bench-scale-full bench-media bench-json fuzz-smoke fuzz soak soak-short
 
 all: check
 
@@ -35,6 +35,16 @@ bench-smoke:
 
 check: vet build test race bench-smoke
 
+# BENCHMARK.json's five workloads, end-to-end metrics only, one JSON line
+# each: run it in a checkout of the parent commit and in one of the change
+# and compare line by line. SECONDS defaults to BENCHMARK.json's run_seconds.
+SEED ?= 1
+SECONDS ?= 20
+bench-e2e:
+	@for w in attach_storm call_churn media_relay lossy_rounds region_attach; do \
+		bash bench/run.sh --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace 0 | tail -n 1 || exit 1; \
+	done
+
 # Short coverage-guided fuzz pass over every wire decoder, seeded from the
 # committed corpora. CI runs this; it is a smoke test for decoder panics,
 # not a soak.
@@ -53,10 +63,13 @@ fuzz:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Engine hot-path micro-benchmarks only: must report 0 allocs/op for
-# BenchmarkSendDeliver and BenchmarkTimerChurn.
+# Engine hot-path micro-benchmarks with their allocation budgets: the
+# ZeroAlloc tests fail on any allocation, and every benchmark must report
+# 0 allocs/op. BenchmarkSendDeliverDeep runs against standing queues of 200
+# and 25,000 tied events — the depths the media relay and an attach storm
+# hold — which the empty-queue benchmarks cannot see.
 bench-sim:
-	$(GO) test -run '^$$' -bench 'SendDeliver|TimerChurn' -benchmem ./internal/sim/
+	$(GO) test -run 'ZeroAlloc' -bench 'SendDeliver|TimerChurn' -benchmem ./internal/sim/
 
 # Per-codec allocation benchmarks on the pooled zero-copy path. The alloc
 # ceilings themselves are enforced by TestAllocCeilings in each package.

@@ -256,6 +256,63 @@ func TestMobileOriginatedCallAndClearing(t *testing.T) {
 	}
 }
 
+// TestLateClearingDoesNotResurrectDetachedMS powers the MS off mid-call and
+// then delivers the network's trailing Release (or the far party's
+// Disconnect) for that call. The MS must still confirm the release so the
+// network leg clears, but it stays detached: no state change, no callRef
+// reset, no OnReleased.
+func TestLateClearingDoesNotResurrectDetachedMS(t *testing.T) {
+	for _, late := range []string{"Release", "Disconnect"} {
+		t.Run(late, func(t *testing.T) {
+			released := 0
+			f := newRadioFixture(t, MSConfig{
+				Hooks: MSHooks{OnReleased: func(uint32) { released++ }},
+			}, BSCConfig{})
+			f.ms.PowerOn(f.env)
+			f.env.Run()
+			if err := f.ms.Dial(f.env, "886955555555"); err != nil {
+				t.Fatal(err)
+			}
+			f.env.RunUntil(f.env.Now() + 500*time.Millisecond)
+			if f.ms.State() != MSInCall {
+				t.Fatalf("state = %v", f.ms.State())
+			}
+			ref := f.ms.CallRef()
+			if err := f.ms.PowerOff(f.env); err != nil {
+				t.Fatal(err)
+			}
+			f.env.Run()
+
+			var msg sim.Message = Release{Leg: LegUm, MS: "MS-1", CallRef: ref}
+			if late == "Disconnect" {
+				msg = Disconnect{Leg: LegUm, MS: "MS-1", CallRef: ref}
+			}
+			before := len(f.rec.Entries())
+			f.env.Send("BTS-1", "MS-1", msg)
+			f.env.Run()
+
+			if f.ms.State() != MSDetached {
+				t.Fatalf("late %s moved a powered-off MS to %v", late, f.ms.State())
+			}
+			if f.ms.CallRef() != ref {
+				t.Fatalf("callRef = %d, want %d left alone", f.ms.CallRef(), ref)
+			}
+			if released != 0 {
+				t.Fatalf("OnReleased fired %d times on a detached MS", released)
+			}
+			confirmed := false
+			for _, e := range f.rec.Entries()[before:] {
+				if e.From == "MS-1" && e.Msg.Name() == "Um_Release_Complete" {
+					confirmed = true
+				}
+			}
+			if !confirmed {
+				t.Fatal("detached MS did not answer with ReleaseComplete")
+			}
+		})
+	}
+}
+
 func TestMobileTerminatedCall(t *testing.T) {
 	incoming := false
 	f := newRadioFixture(t, MSConfig{

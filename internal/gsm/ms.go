@@ -468,24 +468,10 @@ func (m *MS) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Messag
 		m.onPaging(env, t)
 	case Release:
 		// Network-initiated clearing (or answer to our Disconnect).
-		m.stopTalking()
-		ref := m.callRef
-		m.callRef = 0
-		m.state = MSIdle
-		env.Send(m.cfg.ID, m.cfg.BTS, ReleaseComplete{Leg: LegUm, MS: m.cfg.ID, CallRef: t.CallRef})
-		if m.cfg.Hooks.OnReleased != nil {
-			m.cfg.Hooks.OnReleased(ref)
-		}
+		m.onCleared(env, t.CallRef)
 	case Disconnect:
 		// Far party cleared first: respond and go idle.
-		m.stopTalking()
-		ref := m.callRef
-		m.callRef = 0
-		m.state = MSIdle
-		env.Send(m.cfg.ID, m.cfg.BTS, ReleaseComplete{Leg: LegUm, MS: m.cfg.ID, CallRef: t.CallRef})
-		if m.cfg.Hooks.OnReleased != nil {
-			m.cfg.Hooks.OnReleased(ref)
-		}
+		m.onCleared(env, t.CallRef)
 	case TCHFrame:
 		if t.Downlink {
 			m.rxFrames++
@@ -503,6 +489,26 @@ func (m *MS) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Messag
 	}
 	_ = from
 	_ = iface
+}
+
+// onCleared answers the network's Release or Disconnect for a call. The
+// network leg must clear whatever the MS is doing, so ReleaseComplete always
+// goes back. An MS that powered off while the call was still clearing stays
+// off: the trailing Release of that call must not mark it registered again.
+func (m *MS) onCleared(env *sim.Env, netRef uint32) {
+	complete := ReleaseComplete{Leg: LegUm, MS: m.cfg.ID, CallRef: netRef}
+	if m.state == MSDetached {
+		env.Send(m.cfg.ID, m.cfg.BTS, complete)
+		return
+	}
+	m.stopTalking()
+	ref := m.callRef
+	m.callRef = 0
+	m.state = MSIdle
+	env.Send(m.cfg.ID, m.cfg.BTS, complete)
+	if m.cfg.Hooks.OnReleased != nil {
+		m.cfg.Hooks.OnReleased(ref)
+	}
 }
 
 func (m *MS) onAssignment(env *sim.Env, t ImmediateAssignment) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -17,7 +18,7 @@ type sinkNode struct {
 	n  int
 }
 
-func (s *sinkNode) ID() NodeID                           { return s.id }
+func (s *sinkNode) ID() NodeID                            { return s.id }
 func (s *sinkNode) Receive(*Env, NodeID, string, Message) { s.n++ }
 
 func newBenchPair() (*Env, *sinkNode) {
@@ -133,5 +134,72 @@ func TestTimerChurnZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("timer churn allocated %.1f objects/op, want 0", allocs)
+	}
+}
+
+// hubNode bounces every delivery straight back to its sender, so a world of
+// hubNodes keeps exactly as many events queued as tokens were injected.
+type hubNode struct{ id NodeID }
+
+func (h *hubNode) ID() NodeID { return h.id }
+func (h *hubNode) Receive(env *Env, from NodeID, _ string, msg Message) {
+	env.Send(h.id, from, msg)
+}
+
+// newDeepHub builds a hub with 64 spokes on equal-latency links and injects
+// depth tokens at time zero. Every event then ties on its timestamp with
+// the rest of its generation, the queue stands depth entries deep forever,
+// and every second Send resolves its link among the hub's 64 neighbours —
+// the engine as the full stack drives it, which one token in an empty queue
+// does not show.
+func newDeepHub(depth int) *Env {
+	const spokes = 64
+	env := NewEnv(1)
+	env.AddNode(&hubNode{id: "hub"})
+	ids := make([]NodeID, spokes)
+	for i := range ids {
+		ids[i] = NodeID(fmt.Sprintf("spoke-%02d", i))
+		env.AddNode(&hubNode{id: ids[i]})
+		env.Connect("hub", ids[i], "bench", time.Millisecond)
+	}
+	msg := &benchMsg{}
+	for i := 0; i < depth; i++ {
+		env.Send("hub", ids[i%spokes], msg)
+	}
+	// Two generations: tokens now leave from hub and spoke dispatches, and
+	// the arena is at its high-water mark.
+	for i := 0; i < 2*depth; i++ {
+		env.Step()
+	}
+	return env
+}
+
+// BenchmarkSendDeliverDeep measures one pop + dispatch + Send + push against
+// a standing queue at the two depths the stack runs at: ~200 entries (the
+// media relay) and ~25,000 (an attach storm).
+func BenchmarkSendDeliverDeep(b *testing.B) {
+	for _, depth := range []int{200, 25000} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			env := newDeepHub(depth)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				env.Step()
+			}
+			b.StopTimer()
+			if env.Pending() != depth {
+				b.Fatalf("queue holds %d events, want a standing %d", env.Pending(), depth)
+			}
+		})
+	}
+}
+
+// TestSendDeliverDeepZeroAlloc is the allocation budget for a send made
+// during a dispatch — the adjacency lookup — against a deep queue.
+func TestSendDeliverDeepZeroAlloc(t *testing.T) {
+	env := newDeepHub(200)
+	allocs := testing.AllocsPerRun(1000, func() { env.Step() })
+	if allocs != 0 {
+		t.Fatalf("deep-queue delivery allocated %.1f objects/op, want 0", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"time"
 )
 
@@ -13,78 +14,81 @@ const (
 	evDeliver
 )
 
-// event is a scheduled occurrence. Ties on timestamp break on the event key
-// (seq): the scheduling context's index in the high bits, its private
-// emission counter below, so the total order is identical at any shard
-// count. Events live by value in the queue's arena, never individually on
-// the heap: a delivery event is a plain record (from/to/link/msg) and a
-// timer event carries its callback.
+// event is a scheduled occurrence: 72 bytes, stored by value in the queue's
+// arena (or a cross-shard outbox), never individually on the heap. Ties on
+// timestamp break on the event key (seq): the scheduling context's index in
+// the high bits, its private emission counter below, so the total order is
+// identical at any shard count.
+//
+// A delivery names its endpoints and interface through link (link.From,
+// link.To, link.Iface) rather than carrying copies. An evTimer keeps its
+// func() in arg: a func value is pointer-shaped, so the interface conversion
+// stores the pointer and does not allocate.
 type event struct {
 	at    time.Duration
 	seq   uint64
 	kind  uint8
 	ctx   int32     // context the event dispatches in (destination node, or scheduler for timers)
-	fn    func()    // evTimer
 	argFn func(any) // evTimerArg
-	arg   any       // evTimerArg
-	from  NodeID    // evDeliver
-	to    NodeID    // evDeliver
+	arg   any       // evTimerArg: argFn's argument; evTimer: the func() to call
 	link  *Link     // evDeliver
-	msg   Message
+	msg   Message   // evDeliver
 }
 
-// eventQueue is an index-based 4-ary min-heap ordered by (at, seq).
+// heapEntry is one node of the heap: the event's full ordering key inline,
+// plus the arena slot holding the rest of the record.
+type heapEntry struct {
+	at  time.Duration
+	seq uint64
+	idx int32
+}
+
+// before reports 1 if a orders before b by (at, seq) and 0 otherwise: the
+// borrow out of the 128-bit subtraction a-b, with the timestamp's sign bit
+// flipped so unsigned order is time order. It is computed and returned as a
+// number because which of two queued events is earlier is close to a coin
+// flip: a compare-and-branch here is a branch the predictor cannot learn,
+// and siftDown makes four calls per level.
+func (a *heapEntry) before(b *heapEntry) uint64 {
+	const signBit = 1 << 63
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at)^signBit, uint64(b.at)^signBit, borrow)
+	return borrow
+}
+
+// eventQueue is a 4-ary min-heap ordered by (at, seq).
 //
-// Layout: events are stored by value in a slot arena; the heap itself orders
-// int32 slot indices, so sift operations move 4-byte indices instead of
-// multi-word event records. Freed slots go on a free-list and are reused by
-// later pushes, so a steady-state schedule/dispatch cycle performs zero heap
-// allocations once the arena has grown to the high-water mark.
+// Layout: event records live by value in a slot arena and never move while
+// queued; the heap orders 24-byte {at, seq, idx} entries. The key is inline
+// so a sift compares adjacent heap memory — the four children of a node sit
+// in 96 contiguous bytes — and never reads the arena, which at the depths
+// the stack runs (hundreds of entries under a voice relay, tens of
+// thousands under an attach storm) would be a cache miss per comparison.
+// Sifts move 24-byte entries, never the 72-byte records. Freed
+// slots go on a free-list and are reused by later pushes, so a steady-state
+// schedule/dispatch cycle performs zero heap allocations once the arena has
+// grown to the high-water mark.
 //
-// A 4-ary heap does the same work as a binary heap in half the tree height,
-// and the four children of a node share a cache line of indices — both
-// matter here because the event queue is the hottest structure in the
-// engine.
+// A 4-ary heap does the same work as a binary heap in half the tree height.
 type eventQueue struct {
-	arena []event // slot storage, indexed by the heap entries
-	free  []int32 // arena slots available for reuse
-	heap  []int32 // heap-ordered arena indices
+	arena []event     // slot storage, indexed by heapEntry.idx
+	free  []int32     // arena slots available for reuse
+	heap  []heapEntry // heap-ordered keys
 }
 
-// alloc returns a free arena slot, growing the arena only when the free-list
-// is empty.
-func (q *eventQueue) alloc() int32 {
+// push schedules a copy of *ev.
+func (q *eventQueue) push(ev *event) {
+	var idx int32
 	if n := len(q.free); n > 0 {
-		idx := q.free[n-1]
+		idx = q.free[n-1]
 		q.free = q.free[:n-1]
-		return idx
+		q.arena[idx] = *ev
+	} else {
+		idx = int32(len(q.arena))
+		q.arena = append(q.arena, *ev)
 	}
-	q.arena = append(q.arena, event{})
-	return int32(len(q.arena) - 1)
-}
-
-// release returns a slot to the free-list, dropping references the event
-// held so the arena does not retain callbacks or messages past dispatch.
-func (q *eventQueue) release(idx int32) {
-	q.arena[idx] = event{}
-	q.free = append(q.free, idx)
-}
-
-// less orders two arena slots by (at, seq).
-func (q *eventQueue) less(a, b int32) bool {
-	ea, eb := &q.arena[a], &q.arena[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	return ea.seq < eb.seq
-}
-
-// push schedules an event value.
-func (q *eventQueue) push(ev event) {
-	idx := q.alloc()
-	q.arena[idx] = ev
-	q.heap = append(q.heap, idx)
-	q.siftUp(len(q.heap) - 1)
+	q.heap = append(q.heap, heapEntry{})
+	q.siftUp(len(q.heap)-1, heapEntry{at: ev.at, seq: ev.seq, idx: idx})
 }
 
 // peekAt reports the timestamp of the earliest event, if any.
@@ -92,7 +96,7 @@ func (q *eventQueue) peekAt() (time.Duration, bool) {
 	if len(q.heap) == 0 {
 		return 0, false
 	}
-	return q.arena[q.heap[0]].at, true
+	return q.heap[0].at, true
 }
 
 // peekKey reports the full (timestamp, key) order of the earliest event, if
@@ -101,36 +105,38 @@ func (q *eventQueue) peekKey() (time.Duration, uint64, bool) {
 	if len(q.heap) == 0 {
 		return 0, 0, false
 	}
-	ev := &q.arena[q.heap[0]]
-	return ev.at, ev.seq, true
+	return q.heap[0].at, q.heap[0].seq, true
 }
 
-// pop removes and returns the earliest event by value. The returned record
-// is fully detached: its arena slot is already back on the free-list.
-func (q *eventQueue) pop() (event, bool) {
+// pop removes the earliest event into *out and reports whether there was
+// one. The record is fully detached: its arena slot is cleared, so the arena
+// does not retain callbacks or messages past dispatch, and is already back
+// on the free-list.
+func (q *eventQueue) pop(out *event) bool {
 	if len(q.heap) == 0 {
-		return event{}, false
+		return false
 	}
-	idx := q.heap[0]
-	ev := q.arena[idx]
+	idx := q.heap[0].idx
+	*out = q.arena[idx]
+	q.arena[idx] = event{}
+	q.free = append(q.free, idx)
 	last := len(q.heap) - 1
-	q.heap[0] = q.heap[last]
+	moved := q.heap[last]
 	q.heap = q.heap[:last]
 	if last > 0 {
-		q.siftDown(0)
+		q.siftDown(moved)
 	}
-	q.release(idx)
-	return ev, true
+	return true
 }
 
 func (q *eventQueue) len() int { return len(q.heap) }
 
-func (q *eventQueue) siftUp(i int) {
+// siftUp places moved at or above hole i.
+func (q *eventQueue) siftUp(i int, moved heapEntry) {
 	h := q.heap
-	moved := h[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !q.less(moved, h[parent]) {
+		if moved.before(&h[parent]) == 0 {
 			break
 		}
 		h[i] = h[parent]
@@ -139,10 +145,11 @@ func (q *eventQueue) siftUp(i int) {
 	h[i] = moved
 }
 
-func (q *eventQueue) siftDown(i int) {
+// siftDown places moved at or below the root hole.
+func (q *eventQueue) siftDown(moved heapEntry) {
 	h := q.heap
 	n := len(h)
-	moved := h[i]
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -154,11 +161,10 @@ func (q *eventQueue) siftDown(i int) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if q.less(h[c], h[best]) {
-				best = c
-			}
+			// best = c if h[c] is earlier, selected without a branch.
+			best += (c - best) & -int(h[c].before(&h[best]))
 		}
-		if !q.less(h[best], moved) {
+		if h[best].before(&moved) == 0 {
 			break
 		}
 		h[i] = h[best]

@@ -150,12 +150,13 @@ func (w *world) runSharded(deadline time.Duration) {
 
 // runWindow processes this shard's events strictly earlier than limit.
 func (e *Env) runWindow(limit time.Duration) {
+	var ev event
 	for {
 		at, ok := e.queue.peekAt()
 		if !ok || at >= limit {
 			break
 		}
-		ev, _ := e.queue.pop()
+		e.queue.pop(&ev)
 		if ev.at > e.now {
 			e.now = ev.at
 		}
@@ -176,7 +177,7 @@ func (w *world) mergeOutboxes() {
 			}
 			q := &w.shards[d].queue
 			for i := range box {
-				q.push(box[i])
+				q.push(&box[i])
 				box[i] = event{} // drop message refs so the outbox doesn't retain them
 			}
 			src.outbox[d] = box[:0]

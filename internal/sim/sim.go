@@ -38,7 +38,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -86,6 +85,11 @@ type world struct {
 	ctr     []uint64     // per-context emission counters (event key tie-break)
 	rngs    []*rand.Rand // per-context RNG streams, created on first draw
 	shardOf []int32      // per-context home shard
+	// out is the per-context adjacency: every link leaving the context's
+	// node, sorted by To. Send resolves its link here, so the steady state
+	// hashes no NodeID; links answers the by-name queries (LinkBetween,
+	// HasLink) and sends made on another node's behalf.
+	out     [][]*Link
 	links   map[linkKey]*Link
 	tracer  Tracer
 	shards  []*Env
@@ -167,6 +171,7 @@ func NewShardedEnv(seed int64, shards int) *Env {
 		ctr:     make([]uint64, 1),
 		rngs:    make([]*rand.Rand, 1),
 		shardOf: []int32{0},
+		out:     make([][]*Link, 1),
 		links:   make(map[linkKey]*Link),
 		shards:  make([]*Env, shards),
 	}
@@ -234,6 +239,7 @@ func (e *Env) AddNode(n Node) {
 	w.ctr = append(w.ctr, 0)
 	w.rngs = append(w.rngs, nil)
 	w.shardOf = append(w.shardOf, 0)
+	w.out = append(w.out, nil)
 }
 
 // Node returns the registered node with the given ID, or nil.
@@ -287,11 +293,43 @@ func (e *Env) Connect(a, b NodeID, iface string, latency time.Duration) (ab, ba 
 			panic(fmt.Sprintf("sim: Connect references unknown node %q", id))
 		}
 	}
-	ab = &Link{From: a, To: b, Iface: iface, Latency: latency, toIdx: w.idx[b]}
-	ba = &Link{From: b, To: a, Iface: iface, Latency: latency, toIdx: w.idx[a]}
+	ia, ib := w.idx[a], w.idx[b]
+	ab = &Link{From: a, To: b, Iface: iface, Latency: latency, toIdx: ib}
+	ba = &Link{From: b, To: a, Iface: iface, Latency: latency, toIdx: ia}
 	w.links[linkKey{a, b}] = ab
 	w.links[linkKey{b, a}] = ba
+	w.out[ia] = putLink(w.out[ia], ab)
+	w.out[ib] = putLink(w.out[ib], ba)
 	return ab, ba
+}
+
+// findLink binary-searches an adjacency for the link to the given node. It
+// returns the position the link holds, or would be inserted at.
+func findLink(adj []*Link, to NodeID) (int, bool) {
+	lo, hi := 0, len(adj)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if adj[mid].To < to {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(adj) && adj[lo].To == to
+}
+
+// putLink inserts l into an adjacency in To order. Reconnecting a pair
+// replaces the earlier link, as it does in the links map.
+func putLink(adj []*Link, l *Link) []*Link {
+	i, found := findLink(adj, l.To)
+	if found {
+		adj[i] = l
+		return adj
+	}
+	adj = append(adj, nil)
+	copy(adj[i+1:], adj[i:])
+	adj[i] = l
+	return adj
 }
 
 // LinkBetween returns the unidirectional link from a to b, or nil.
@@ -308,13 +346,14 @@ func (e *Env) HasLink(a, b NodeID) bool {
 // lexicographically so the result is deterministic regardless of link
 // insertion order.
 func (e *Env) Neighbors(id NodeID) []NodeID {
-	var out []NodeID
-	for k := range e.w.links {
-		if k.from == id {
-			out = append(out, k.to)
-		}
+	i, ok := e.w.idx[id]
+	if !ok {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	var out []NodeID
+	for _, l := range e.w.out[i] {
+		out = append(out, l.To)
+	}
 	return out
 }
 
@@ -331,12 +370,26 @@ func (w *world) nextKey(ctx int32) uint64 {
 // push routes a scheduled event to the destination shard's queue. During a
 // run, cross-shard events go through this shard's outbox and are merged at
 // the next window barrier; everything else lands in the heap directly.
-func (e *Env) push(ev event, dst int32) {
+func (e *Env) push(ev *event, dst int32) {
 	if dst == e.shard || !e.w.running {
 		e.w.shards[dst].queue.push(ev)
 		return
 	}
-	e.outbox[dst] = append(e.outbox[dst], ev)
+	e.outbox[dst] = append(e.outbox[dst], *ev)
+}
+
+// linkFrom resolves the link a Send travels. A node sending under its own
+// name during its own dispatch — all traffic once a run is under way — finds
+// it in the dispatching context's adjacency. The root context (scripts and
+// load drivers outside a run) has no adjacency, and a node sending on behalf
+// of another (a VMSC-hosted client) finds none of that name or one with the
+// wrong From; both go through the by-name map.
+func (e *Env) linkFrom(from, to NodeID) *Link {
+	adj := e.w.out[e.cur]
+	if i, ok := findLink(adj, to); ok && adj[i].From == from {
+		return adj[i]
+	}
+	return e.w.links[linkKey{from, to}]
 }
 
 // Send delivers msg from one node to another over the link between them.
@@ -345,7 +398,7 @@ func (e *Env) push(ev event, dst int32) {
 // topology bug the figure tests must surface loudly.
 func (e *Env) Send(from, to NodeID, msg Message) {
 	w := e.w
-	link := w.links[linkKey{from, to}]
+	link := e.linkFrom(from, to)
 	if link == nil {
 		panic(fmt.Sprintf("sim: no link %s -> %s for message %s", from, to, msg.Name()))
 	}
@@ -369,9 +422,9 @@ func (e *Env) Send(from, to NodeID, msg Message) {
 		// Delivery is the engine's steady state: schedule a typed record
 		// rather than a closure so the hot path performs zero heap
 		// allocations.
-		e.push(event{
+		e.push(&event{
 			at: e.now + delay, seq: w.nextKey(e.cur), kind: evDeliver,
-			ctx: link.toIdx, from: from, to: to, link: link, msg: msg,
+			ctx: link.toIdx, link: link, msg: msg,
 		}, w.shardOf[link.toIdx])
 	}
 }
@@ -387,15 +440,16 @@ func (e *Env) dispatch(ev *event) {
 		if dst == nil {
 			return
 		}
+		l := ev.link
 		if e.w.tracer != nil {
-			e.trace(e.now, ev.from, ev.to, ev.link.Iface, ev.msg)
+			e.trace(e.now, l.From, l.To, l.Iface, ev.msg)
 		}
 		e.delivered++
-		dst.Receive(e, ev.from, ev.link.Iface, ev.msg)
+		dst.Receive(e, l.From, l.Iface, ev.msg)
 	case evTimerArg:
 		ev.argFn(ev.arg)
 	default:
-		ev.fn()
+		ev.arg.(func())()
 	}
 }
 
@@ -423,7 +477,7 @@ func (e *Env) After(d time.Duration, fn func()) {
 }
 
 func (e *Env) schedule(at time.Duration, fn func()) {
-	e.queue.push(event{at: at, seq: e.w.nextKey(e.cur), kind: evTimer, ctx: e.cur, fn: fn})
+	e.queue.push(&event{at: at, seq: e.w.nextKey(e.cur), kind: evTimer, ctx: e.cur, arg: fn})
 }
 
 // AfterArg schedules fn(arg) to run at Now()+d. Unlike After it takes a
@@ -434,7 +488,7 @@ func (e *Env) AfterArg(d time.Duration, fn func(any), arg any) {
 	if d < 0 {
 		d = 0
 	}
-	e.queue.push(event{at: e.now + d, seq: e.w.nextKey(e.cur), kind: evTimerArg, ctx: e.cur, argFn: fn, arg: arg})
+	e.queue.push(&event{at: e.now + d, seq: e.w.nextKey(e.cur), kind: evTimerArg, ctx: e.cur, argFn: fn, arg: arg})
 }
 
 // AfterNode schedules fn to run at Now()+d on the named node's shard, in
@@ -458,8 +512,8 @@ func (e *Env) AfterNode(id NodeID, d time.Duration, fn func(*Env)) {
 		d = 0
 	}
 	sh := w.shards[dst]
-	sh.queue.push(event{at: e.now + d, seq: w.nextKey(i), kind: evTimer, ctx: i,
-		fn: func() { fn(sh) }})
+	sh.queue.push(&event{at: e.now + d, seq: w.nextKey(i), kind: evTimer, ctx: i,
+		arg: func() { fn(sh) }})
 }
 
 // NextRTO advances a retransmission timeout one step: binary exponential
@@ -520,6 +574,7 @@ func (e *Env) RunUntil(deadline time.Duration) time.Duration {
 
 // runLocal is the sequential event loop used by single-shard environments.
 func (e *Env) runLocal(deadline time.Duration) {
+	var ev event
 	for {
 		at, ok := e.queue.peekAt()
 		if !ok {
@@ -535,7 +590,7 @@ func (e *Env) runLocal(deadline time.Duration) {
 			e.now = deadline
 			break
 		}
-		ev, _ := e.queue.pop()
+		e.queue.pop(&ev)
 		if ev.at > e.now {
 			e.now = ev.at
 		}
@@ -565,7 +620,8 @@ func (e *Env) Step() bool {
 	if best == nil {
 		return false
 	}
-	ev, _ := best.queue.pop()
+	var ev event
+	best.queue.pop(&ev)
 	// Sequential stepping keeps one logical clock: every shard observes the
 	// event's time.
 	for _, sh := range w.shards {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -427,5 +428,77 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	// Run-to-quiescence must NOT advance an idle clock.
 	if got := env.Run(); got != 20*time.Second {
 		t.Fatalf("Run moved the idle clock to %v", got)
+	}
+}
+
+// TestReconnectReplacesLink: a second Connect between the same pair replaces
+// the first in both lookup structures — the adjacency never holds two links
+// to one neighbour, Neighbors stays sorted and duplicate-free whatever the
+// connect order, and sends from either path travel the new link.
+func TestReconnectReplacesLink(t *testing.T) {
+	env := NewEnv(1)
+	hub := &recorderNode{id: "hub"}
+	env.AddNode(hub)
+	spokes := map[NodeID]*recorderNode{}
+	for _, id := range []NodeID{"d", "b", "e", "a", "c"} {
+		spokes[id] = &recorderNode{id: id}
+		env.AddNode(spokes[id])
+		env.Connect("hub", id, "old", time.Second)
+	}
+	for _, id := range []NodeID{"c", "a", "d"} {
+		env.Connect("hub", id, "new", time.Millisecond)
+	}
+	if got, want := env.Neighbors("hub"), []NodeID{"a", "b", "c", "d", "e"}; !slices.Equal(got, want) {
+		t.Fatalf("Neighbors(hub) = %v, want %v", got, want)
+	}
+	if nb := env.Neighbors("c"); len(nb) != 1 || nb[0] != "hub" {
+		t.Fatalf("Neighbors(c) = %v, want [hub]", nb)
+	}
+	if l := env.LinkBetween("hub", "c"); l.Iface != "new" {
+		t.Fatalf("LinkBetween(hub, c) is the %q link, want the replacement", l.Iface)
+	}
+	// From inside hub's dispatch (adjacency) and from the root context (map).
+	hub.onMsg = func(e *Env, _ NodeID, _ string, m Message) { e.Send("hub", "c", m) }
+	env.Send("a", "hub", testMsg{"via-adjacency"})
+	env.Send("hub", "c", testMsg{"via-map"})
+	env.Run()
+	c := spokes["c"]
+	if len(c.got) != 2 || c.lastIf != "new" || c.gotAt[0] != time.Millisecond || c.gotAt[1] != 2*time.Millisecond {
+		t.Fatalf("c received %v over %q at %v, want two deliveries over the replacement link", c.got, c.lastIf, c.gotAt)
+	}
+}
+
+// TestSendOutsideOwnContext: Send resolves the link by name when the sender
+// is not the dispatching node — from the root context before a run (load
+// drivers inject traffic this way) and from a node sending under another
+// node's ID (a VMSC-hosted client sends as its host), including when the
+// dispatching node has its own, different link to the same destination.
+func TestSendOutsideOwnContext(t *testing.T) {
+	env := NewEnv(1)
+	host := &recorderNode{id: "host"}
+	guest := &recorderNode{id: "guest"}
+	peer := &recorderNode{id: "peer"}
+	for _, n := range []*recorderNode{host, guest, peer} {
+		env.AddNode(n)
+	}
+	env.Connect("host", "peer", "hp", time.Millisecond)
+	env.Connect("guest", "peer", "gp", 5*time.Millisecond)
+	env.Connect("guest", "host", "gh", time.Millisecond)
+
+	// Dispatching in guest's context, send as host.
+	guest.onMsg = func(e *Env, _ NodeID, _ string, m Message) { e.Send("host", "peer", m) }
+	env.Send("host", "guest", testMsg{"relayed"}) // root context
+	env.Run()
+	if len(peer.got) != 1 || peer.lastFrom != "host" || peer.lastIf != "hp" || peer.gotAt[0] != 2*time.Millisecond {
+		t.Fatalf("peer got %v from %q over %q at %v, want one message from host over hp at 2ms",
+			peer.got, peer.lastFrom, peer.lastIf, peer.gotAt)
+	}
+
+	// A timer callback runs in its scheduler's context, not a node's.
+	env.After(time.Millisecond, func() { env.Send("guest", "peer", testMsg{"timer"}) })
+	env.Run()
+	if len(peer.got) != 2 || peer.lastFrom != "guest" || peer.lastIf != "gp" {
+		t.Fatalf("peer got %v, last from %q over %q, want the timer's send from guest over gp",
+			peer.got, peer.lastFrom, peer.lastIf)
 	}
 }

@@ -13,6 +13,8 @@
 // tags so a stale handle can never resurrect a recycled slot.
 package slab
 
+import "math/bits"
+
 // Handle names one live slot in a Sharded slab. The packed layout is
 //
 //	bits 40..63  generation (24 bits, odd while the slot is live)
@@ -46,10 +48,37 @@ func makeHandle(shard int, slot uint32, gen uint32) Handle {
 	return Handle(uint64(gen&genMask)<<40 | uint64(shard)<<32 | uint64(slot+1))
 }
 
-// chunkSize is the number of records per slab chunk. Chunks are allocated
-// whole and never move, so a *T returned by Alloc or Get stays valid until
-// the slot is freed — no matter how much the slab grows afterwards.
-const chunkSize = 1024
+// chunkSize is the number of records per full-size slab chunk. Chunks are
+// allocated whole and never move, so a *T returned by Alloc or Get stays
+// valid until the slot is freed — no matter how much the slab grows
+// afterwards.
+//
+// The first chunkSize slots are spread over geometrically growing chunks of
+// firstChunk, firstChunk, 2*firstChunk, ... chunkSize/2 rows, so a store
+// that holds a few dozen records (one of the small worlds a sweep builds by
+// the thousand) does not allocate and zero a thousand rows per shard on its
+// first insert. From slot chunkSize on every chunk is full size: the layout
+// of a large store is what it would be without the small chunks.
+const (
+	chunkBits  = 10
+	chunkSize  = 1 << chunkBits
+	firstBits  = 5
+	firstChunk = 1 << firstBits
+	// smallChunks is how many chunks the first chunkSize slots occupy.
+	smallChunks = chunkBits - firstBits + 1
+)
+
+// locate maps a slot to its chunk and its offset within the chunk. Small
+// chunk k >= 1 starts at slot firstChunk<<(k-1), a power of two, so the
+// slot's bit length names the chunk.
+func locate(slot uint32) (chunk, off uint32) {
+	if slot >= chunkSize {
+		return slot/chunkSize + smallChunks - 1, slot % chunkSize
+	}
+	b := uint32(bits.Len32(slot | (firstChunk - 1)))  // firstBits for chunk 0, one more per chunk
+	start := uint32(1) << (b - 1) &^ (firstChunk - 1) // 0 for chunk 0
+	return b - firstBits, slot - start
+}
 
 // Slab is a single-shard arena of T records with a generational free-list.
 // The zero value is not usable; use NewSlab or Sharded.
@@ -77,14 +106,18 @@ func (s *Slab[T]) Alloc() (Handle, *T) {
 		s.free = s.free[:n-1]
 	} else {
 		slot = uint32(len(s.gens))
-		if int(slot)/chunkSize == len(s.chunks) {
-			s.chunks = append(s.chunks, make([]T, chunkSize))
-		}
 		s.gens = append(s.gens, 0)
+	}
+	k, off := locate(slot)
+	if int(k) == len(s.chunks) {
+		// A small chunk after the first starts at the slot equal to its
+		// size: 32 rows from slot 32, 64 from 64, ... 512 from 512.
+		rows := min(max(slot, firstChunk), chunkSize)
+		s.chunks = append(s.chunks, make([]T, rows))
 	}
 	s.gens[slot]++ // even -> odd: live
 	s.live++
-	p := &s.chunks[slot/chunkSize][slot%chunkSize]
+	p := &s.chunks[k][off]
 	var zero T
 	*p = zero
 	return makeHandle(s.shard, slot, s.gens[slot]), p
@@ -107,7 +140,13 @@ func (s *Slab[T]) Get(h Handle) *T {
 	if g&1 == 0 || g&genMask != h.gen() {
 		return nil
 	}
-	return &s.chunks[slot/chunkSize][slot%chunkSize]
+	return s.at(slot)
+}
+
+// at returns the record in an allocated slot.
+func (s *Slab[T]) at(slot uint32) *T {
+	k, off := locate(slot)
+	return &s.chunks[k][off]
 }
 
 // Free releases the slot behind a handle, zeroing the record so any heap
@@ -119,7 +158,7 @@ func (s *Slab[T]) Free(h Handle) bool {
 	}
 	slot := h.slot()
 	var zero T
-	s.chunks[slot/chunkSize][slot%chunkSize] = zero
+	*s.at(slot) = zero
 	s.gens[slot]++ // odd -> even: free
 	s.live--
 	s.free = append(s.free, slot)

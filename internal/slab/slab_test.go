@@ -56,22 +56,73 @@ func TestSlabZeroHandle(t *testing.T) {
 	}
 }
 
+// TestSlabStablePointers fills a slab one record at a time across every
+// chunk boundary (31/32, 63/64, ... 1023/1024, 2047/2048, ...) and checks at
+// each boundary, and again at the end, that no earlier record moved, every
+// handle still resolves to the pointer Alloc returned, and no two slots
+// share storage.
 func TestSlabStablePointers(t *testing.T) {
 	s := NewSlab[rec]()
-	handles := make([]Handle, 0, 10*chunkSize)
-	ptrs := make([]*rec, 0, 10*chunkSize)
-	for i := 0; i < 10*chunkSize; i++ {
+	const n = 10 * chunkSize
+	handles := make([]Handle, 0, n)
+	ptrs := make([]*rec, 0, n)
+	check := func() {
+		t.Helper()
+		for i, h := range handles {
+			if got := s.Get(h); got != ptrs[i] {
+				t.Fatalf("after %d allocs record %d moved: Get=%p want %p", len(handles), i, got, ptrs[i])
+			}
+			if ptrs[i].id != uint64(i) {
+				t.Fatalf("after %d allocs record %d corrupted: id=%d", len(handles), i, ptrs[i].id)
+			}
+		}
+	}
+	boundary := map[int]bool{}
+	for b := firstChunk; b < chunkSize; b *= 2 {
+		boundary[b] = true
+	}
+	for b := chunkSize; b < n; b += chunkSize {
+		boundary[b] = true
+	}
+	for i := 0; i < n; i++ {
 		h, p := s.Alloc()
 		p.id = uint64(i)
 		handles = append(handles, h)
 		ptrs = append(ptrs, p)
-	}
-	for i, h := range handles {
-		if got := s.Get(h); got != ptrs[i] {
-			t.Fatalf("record %d moved: Get=%p want %p", i, got, ptrs[i])
+		// i is the first slot of a chunk: i-1 | i straddles the boundary.
+		if boundary[i] {
+			check()
 		}
-		if ptrs[i].id != uint64(i) {
-			t.Fatalf("record %d corrupted: id=%d", i, ptrs[i].id)
+	}
+	check()
+	if s.Cap() != n {
+		t.Fatalf("Cap = %d after %d allocs", s.Cap(), n)
+	}
+}
+
+// TestSlabSmallStoreStaysSmall is the reason for the geometric first
+// chunks: a 40-record population spread over an 8-shard store occupies one
+// 32-row chunk per shard, not a 1,024-row chunk each.
+func TestSlabSmallStoreStaysSmall(t *testing.T) {
+	s := NewSharded[rec](8)
+	for i := 0; i < 40; i++ {
+		s.Alloc(i % 8)
+	}
+	rows := 0
+	for i := range s.shards {
+		for _, c := range s.shards[i].chunks {
+			rows += len(c)
+		}
+	}
+	if rows > 8*firstChunk {
+		t.Fatalf("40 records in 8 shards hold %d rows, want <= %d", rows, 8*firstChunk)
+	}
+	// Past the small chunks the layout is the flat one: slot s lives in
+	// chunk s/chunkSize of the full-size run.
+	for _, slot := range []uint32{chunkSize, chunkSize + 1, 5*chunkSize - 1, 5 * chunkSize} {
+		k, off := locate(slot)
+		if k != slot/chunkSize+smallChunks-1 || off != slot%chunkSize {
+			t.Fatalf("locate(%d) = chunk %d offset %d", slot, k, off)
 		}
 	}
 }
