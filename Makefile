@@ -67,9 +67,11 @@ bench:
 # ZeroAlloc tests fail on any allocation, and every benchmark must report
 # 0 allocs/op. BenchmarkSendDeliverDeep runs against standing queues of 200
 # and 25,000 tied events — the depths the media relay and an attach storm
-# hold — which the empty-queue benchmarks cannot see.
+# hold — which the empty-queue benchmarks cannot see; BenchmarkTimerArmCancel
+# is an answered transaction's timer (one AfterArg, one Cancel) at the same
+# two depths.
 bench-sim:
-	$(GO) test -run 'ZeroAlloc' -bench 'SendDeliver|TimerChurn' -benchmem ./internal/sim/
+	$(GO) test -run 'ZeroAlloc' -bench 'SendDeliver|TimerChurn|TimerArmCancel' -benchmem ./internal/sim/
 
 # Per-codec allocation benchmarks on the pooled zero-copy path. The alloc
 # ceilings themselves are enforced by TestAllocCeilings in each package.

@@ -45,16 +45,16 @@ func TestBytesPerSubscriberBudget(t *testing.T) {
 // TestFullStackBytesPerSubscriberBudget is the memory gate for the full
 // Fig 2(b) stack: the same population attached through a real VMSC (MS
 // table, hosted GPRS clients, H.323 endpoints), VLR, HLR, SGSN, GGSN,
-// gatekeeper, and directory at once. The budget carries ~1.5x headroom over
-// the measured 2,900 B/sub at 100k; the run itself asserts completeness
+// gatekeeper, and directory at once. The budget carries ~1.2x headroom over
+// the measured 1,805 B/sub at 100k; the run itself asserts completeness
 // (every subscriber registered at the VMSC and the gatekeeper), end-to-end
 // call setup at full residency, and full recycling after cancel-all.
 func TestFullStackBytesPerSubscriberBudget(t *testing.T) {
-	subs, budget := 100_000, 4_500.0
+	subs, budget := 100_000, 2_200.0
 	if testing.Short() || raceEnabled {
 		// Slab chunks dominate the full-stack cost, so race instrumentation
-		// barely moves it (measured ~5,230 B/sub plain and race at 10k).
-		subs, budget = 10_000, 9_000.0
+		// does not move it (measured 4,020 B/sub plain and race at 10k).
+		subs, budget = 10_000, 4_800.0
 	}
 	p, err := RunScaleFull(7, subs)
 	if err != nil {

@@ -69,7 +69,11 @@ type Client struct {
 	attached bool
 	ptmsi    gsmid.PTMSI
 
-	contexts map[uint8]*ClientPDP
+	// contexts holds the active PDP contexts by value, in activation order:
+	// one or two per subscriber in practice (NSAPIs allow eleven), so a scan
+	// beats a map and a resident subscriber pays for neither buckets nor a
+	// boxed record.
+	contexts []ClientPDP
 
 	// txns is where this client's procedures are in flight — its host's
 	// table, or its own for a standalone client — and pending counts how
@@ -158,7 +162,7 @@ func procExpired(_ *sim.Env, p *clientProc) {
 		// Tear the context down locally anyway — the network side reclaims
 		// its half via its own supervision — and still complete the
 		// callback so the caller's clear-down never hangs.
-		delete(c.contexts, p.nsapi)
+		c.dropContext(p.nsapi)
 		c.lastErr = ErrDeactivateTimeout
 		if p.done != nil {
 			p.done()
@@ -254,11 +258,27 @@ func (c *Client) foreignTLLI() gsmid.TLLI {
 
 // Context returns the active PDP context on an NSAPI.
 func (c *Client) Context(nsapi uint8) (ClientPDP, bool) {
-	ctx, ok := c.contexts[nsapi]
-	if !ok {
-		return ClientPDP{}, false
+	if i := c.findContext(nsapi); i >= 0 {
+		return c.contexts[i], true
 	}
-	return *ctx, true
+	return ClientPDP{}, false
+}
+
+// findContext returns the position of the context on an NSAPI, or -1.
+func (c *Client) findContext(nsapi uint8) int {
+	for i := range c.contexts {
+		if c.contexts[i].NSAPI == nsapi {
+			return i
+		}
+	}
+	return -1
+}
+
+// dropContext forgets the context on an NSAPI, if there is one.
+func (c *Client) dropContext(nsapi uint8) {
+	if i := c.findContext(nsapi); i >= 0 {
+		c.contexts = append(c.contexts[:i], c.contexts[i+1:]...)
+	}
 }
 
 // ActiveContexts returns the number of active PDP contexts.
@@ -345,7 +365,7 @@ func (c *Client) ActivatePDPArg(env *sim.Env, nsapi uint8, qos gtp.QoSProfile,
 	if !c.attached {
 		return fmt.Errorf("gprs: client %s must attach before PDP activation", c.IMSI)
 	}
-	if _, exists := c.contexts[nsapi]; exists {
+	if c.findContext(nsapi) >= 0 {
 		return fmt.Errorf("gprs: client %s NSAPI %d already active", c.IMSI, nsapi)
 	}
 	pdu, err := WrapSM(ActivatePDPRequest{NSAPI: nsapi, QoS: qos, RequestedAddress: requestedAddr})
@@ -362,7 +382,7 @@ func (c *Client) ActivatePDPArg(env *sim.Env, nsapi uint8, qos gtp.QoSProfile,
 
 // DeactivatePDP tears down the context on the NSAPI.
 func (c *Client) DeactivatePDP(env *sim.Env, nsapi uint8, done func()) error {
-	if _, exists := c.contexts[nsapi]; !exists {
+	if c.findContext(nsapi) < 0 {
 		return fmt.Errorf("gprs: client %s NSAPI %d not active", c.IMSI, nsapi)
 	}
 	pdu, err := WrapSM(DeactivatePDPRequest{NSAPI: nsapi})
@@ -380,12 +400,12 @@ func (c *Client) DeactivatePDP(env *sim.Env, nsapi uint8, done func()) error {
 // SendIP transmits an IP packet on the context's NSAPI. The packet's source
 // address is filled from the context when unset.
 func (c *Client) SendIP(env *sim.Env, nsapi uint8, pkt ipnet.Packet) error {
-	ctx, ok := c.contexts[nsapi]
-	if !ok {
+	i := c.findContext(nsapi)
+	if i < 0 {
 		return fmt.Errorf("gprs: client %s NSAPI %d not active", c.IMSI, nsapi)
 	}
 	if !pkt.Src.IsValid() {
-		pkt.Src = ctx.Address
+		pkt.Src = c.contexts[i].Address
 	}
 	c.sendPDU(env, c.TLLI(), WrapData(nsapi, pkt))
 	return nil
@@ -441,10 +461,12 @@ func (c *Client) HandleDownlink(env *sim.Env, pdu []byte) error {
 			}
 			return fmt.Errorf("gprs: bad PDP address %q: %w", m.Address, parseErr)
 		}
-		if c.contexts == nil {
-			c.contexts = make(map[uint8]*ClientPDP)
+		ctx := ClientPDP{NSAPI: m.NSAPI, Address: addr, QoS: m.QoS}
+		if i := c.findContext(m.NSAPI); i >= 0 {
+			c.contexts[i] = ctx // a duplicated accept
+		} else {
+			c.contexts = append(c.contexts, ctx)
 		}
-		c.contexts[m.NSAPI] = &ClientPDP{NSAPI: m.NSAPI, Address: addr, QoS: m.QoS}
 		if p.onActivate != nil {
 			p.onActivate(p.arg, addr, true)
 		}
@@ -453,7 +475,7 @@ func (c *Client) HandleDownlink(env *sim.Env, pdu []byte) error {
 			p.onActivate(p.arg, netip.Addr{}, false)
 		}
 	case DeactivatePDPAccept:
-		delete(c.contexts, m.NSAPI)
+		c.dropContext(m.NSAPI)
 		if p, pending := c.take(procDeactivate, m.NSAPI); pending && p.done != nil {
 			p.done()
 		}

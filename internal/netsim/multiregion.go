@@ -131,9 +131,10 @@ func BuildMultiRegion(opts MultiRegionOptions) *MultiRegionNet {
 			Gatekeeper: gkAddr, Dir: dir,
 		})
 
-		bts := gsm.NewBTS(gsm.BTSConfig{ID: id("BTS"), BSC: id("BSC")})
+		btsID := id("BTS")
+		bts := gsm.NewBTS(gsm.BTSConfig{ID: btsID, BSC: id("BSC")})
 		reg.BSC = gsm.NewBSC(gsm.BSCConfig{
-			ID: id("BSC"), MSC: id("VMSC"), BTSs: []sim.NodeID{id("BTS")},
+			ID: id("BSC"), MSC: id("VMSC"), BTSs: []sim.NodeID{btsID},
 		})
 
 		for _, node := range []sim.Node{reg.VLR, sgsn, ggsn, router, reg.GK, reg.VMSC, bts, reg.BSC} {
@@ -146,7 +147,7 @@ func BuildMultiRegion(opts MultiRegionOptions) *MultiRegionNet {
 		n.audit(string(id("GK")), reg.GK)
 		n.audit(string(id("BSC")), reg.BSC)
 
-		env.Connect(id("BTS"), id("BSC"), "Abis", lat.Abis)
+		env.Connect(btsID, id("BSC"), "Abis", lat.Abis)
 		env.Connect(id("BSC"), id("VMSC"), "A", lat.A)
 		env.Connect(id("VMSC"), id("VLR"), "B", lat.SS7)
 		env.Connect(id("VLR"), "HLR", "D", lat.SS7)
@@ -170,11 +171,11 @@ func BuildMultiRegion(opts MultiRegionOptions) *MultiRegionNet {
 			msID := sim.NodeID(fmt.Sprintf("MS-R%d-%d", r+1, i+1))
 			ms := gsm.NewMS(gsm.MSConfig{
 				ID: msID, IMSI: sub.IMSI, MSISDN: sub.MSISDN, Ki: sub.Ki,
-				BTS: id("BTS"), LAI: lai,
+				BTS: btsID, LAI: lai,
 			})
 			reg.MSs = append(reg.MSs, ms)
 			env.AddNode(ms)
-			env.Connect(msID, id("BTS"), "Um", lat.Um)
+			env.Connect(msID, btsID, "Um", lat.Um)
 			reg.VMSC.ProvisionMSISDN(sub.IMSI, sub.MSISDN)
 		}
 		n.Regions = append(n.Regions, reg)

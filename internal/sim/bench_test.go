@@ -137,6 +137,72 @@ func TestTimerChurnZeroAlloc(t *testing.T) {
 	}
 }
 
+// newStandingTimers returns an Env whose queue holds depth timers an hour
+// or more out, a second apart, so that shorter timers arm and cancel against
+// a heap of that depth.
+func newStandingTimers(depth int) *Env {
+	env := NewEnv(1)
+	for i := 0; i < depth; i++ {
+		env.After(time.Hour+time.Duration(i)*time.Second, func() {})
+	}
+	return env
+}
+
+func nopArg(any) {}
+
+// BenchmarkTimerArmCancel measures the transaction tables' lossless common
+// case — arm a retransmission timer, cancel it when the answer arrives —
+// against standing queues of the depths the stack runs at. Each op arms one
+// timer and cancels the one armed 64 ops earlier, so a cancel finds its
+// entry wherever the arms since then have left it, not at the tail of the
+// heap; deadlines stride through the standing timers' range so arms land at
+// every level.
+func BenchmarkTimerArmCancel(b *testing.B) {
+	for _, depth := range []int{200, 25000} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			env := newStandingTimers(depth)
+			var ring [64]Timer
+			arm := func(i int) Timer {
+				return env.AfterArg(time.Hour+time.Duration(i*7919%depth)*time.Second, nopArg, nil)
+			}
+			for i := range ring {
+				ring[i] = arm(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				slot := &ring[i%len(ring)]
+				if !env.Cancel(*slot) {
+					b.Fatal("Cancel of a pending timer reported false")
+				}
+				*slot = arm(i)
+			}
+			b.StopTimer()
+			if env.Pending() != depth+len(ring) {
+				b.Fatalf("queue holds %d events, want %d", env.Pending(), depth+len(ring))
+			}
+		})
+	}
+}
+
+// TestCancelZeroAlloc is the allocation budget for an answered transaction's
+// timer: once the arena is warm, an arm + cancel cycle must not allocate.
+func TestCancelZeroAlloc(t *testing.T) {
+	env := newStandingTimers(200)
+	env.Cancel(env.AfterArg(time.Second, nopArg, nil))
+	allocs := testing.AllocsPerRun(200, func() {
+		if !env.Cancel(env.AfterArg(time.Second, nopArg, nil)) {
+			t.Fatal("Cancel of a pending timer reported false")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("timer arm + cancel allocated %.1f objects/op, want 0", allocs)
+	}
+	if env.Pending() != 200 {
+		t.Fatalf("queue holds %d events, want the standing 200", env.Pending())
+	}
+}
+
 // hubNode bounces every delivery straight back to its sender, so a world of
 // hubNodes keeps exactly as many events queued as tokens were injected.
 type hubNode struct{ id NodeID }

@@ -69,15 +69,21 @@ func (a *heapEntry) before(b *heapEntry) uint64 {
 // schedule/dispatch cycle performs zero heap allocations once the arena has
 // grown to the high-water mark.
 //
+// pos maps an arena slot back to its entry's heap position; the sifts keep
+// it current wherever they write an entry. It is what lets remove take an
+// event out of the middle of the heap, so a cancelled timer leaves nothing
+// queued.
+//
 // A 4-ary heap does the same work as a binary heap in half the tree height.
 type eventQueue struct {
 	arena []event     // slot storage, indexed by heapEntry.idx
 	free  []int32     // arena slots available for reuse
 	heap  []heapEntry // heap-ordered keys
+	pos   []int32     // arena slot -> index in heap, for queued slots
 }
 
-// push schedules a copy of *ev.
-func (q *eventQueue) push(ev *event) {
+// push schedules a copy of *ev and returns the arena slot holding it.
+func (q *eventQueue) push(ev *event) int32 {
 	var idx int32
 	if n := len(q.free); n > 0 {
 		idx = q.free[n-1]
@@ -86,9 +92,11 @@ func (q *eventQueue) push(ev *event) {
 	} else {
 		idx = int32(len(q.arena))
 		q.arena = append(q.arena, *ev)
+		q.pos = append(q.pos, 0)
 	}
 	q.heap = append(q.heap, heapEntry{})
 	q.siftUp(len(q.heap)-1, heapEntry{at: ev.at, seq: ev.seq, idx: idx})
+	return idx
 }
 
 // peekAt reports the timestamp of the earliest event, if any.
@@ -124,7 +132,33 @@ func (q *eventQueue) pop(out *event) bool {
 	moved := q.heap[last]
 	q.heap = q.heap[:last]
 	if last > 0 {
-		q.siftDown(moved)
+		q.siftDown(0, moved)
+	}
+	return true
+}
+
+// remove takes the event with key seq out of slot idx, wherever its entry
+// sits in the heap, and reports whether it was there. A slot that has been
+// popped, removed or reused since holds another key (a free slot holds 0,
+// which no event has), so a stale (idx, seq) pair is a harmless false.
+func (q *eventQueue) remove(idx int32, seq uint64) bool {
+	if seq == 0 || uint(idx) >= uint(len(q.arena)) || q.arena[idx].seq != seq {
+		return false
+	}
+	q.arena[idx] = event{}
+	q.free = append(q.free, idx)
+	i := int(q.pos[idx])
+	last := len(q.heap) - 1
+	moved := q.heap[last]
+	q.heap = q.heap[:last]
+	if i == last {
+		return true
+	}
+	// The last entry fills the hole; it may belong above or below it.
+	if i > 0 && moved.before(&q.heap[(i-1)/4]) != 0 {
+		q.siftUp(i, moved)
+	} else {
+		q.siftDown(i, moved)
 	}
 	return true
 }
@@ -133,23 +167,24 @@ func (q *eventQueue) len() int { return len(q.heap) }
 
 // siftUp places moved at or above hole i.
 func (q *eventQueue) siftUp(i int, moved heapEntry) {
-	h := q.heap
+	h, pos := q.heap, q.pos
 	for i > 0 {
 		parent := (i - 1) / 4
 		if moved.before(&h[parent]) == 0 {
 			break
 		}
 		h[i] = h[parent]
+		pos[h[i].idx] = int32(i)
 		i = parent
 	}
 	h[i] = moved
+	pos[moved.idx] = int32(i)
 }
 
-// siftDown places moved at or below the root hole.
-func (q *eventQueue) siftDown(moved heapEntry) {
-	h := q.heap
+// siftDown places moved at or below hole i.
+func (q *eventQueue) siftDown(i int, moved heapEntry) {
+	h, pos := q.heap, q.pos
 	n := len(h)
-	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
@@ -168,7 +203,9 @@ func (q *eventQueue) siftDown(moved heapEntry) {
 			break
 		}
 		h[i] = h[best]
+		pos[h[i].idx] = int32(i)
 		i = best
 	}
 	h[i] = moved
+	pos[moved.idx] = int32(i)
 }

@@ -48,17 +48,19 @@ func (e *Env) trace(at time.Duration, from, to NodeID, iface string, msg Message
 // it panics with partitioning guidance instead of silently serializing.
 func (w *world) crossLookahead() time.Duration {
 	min := durMax
-	for _, l := range w.links {
-		if w.shardOf[w.idx[l.From]] == w.shardOf[l.toIdx] {
-			continue
-		}
-		if l.Latency <= 0 {
-			panic(fmt.Sprintf(
-				"sim: zero-latency cross-shard link %s -> %s (%s); co-locate both endpoints on one shard or give the link a latency",
-				l.From, l.To, l.Iface))
-		}
-		if l.Latency < min {
-			min = l.Latency
+	for from, adj := range w.out {
+		for _, l := range adj {
+			if w.shardOf[from] == w.shardOf[l.toIdx] {
+				continue
+			}
+			if l.Latency <= 0 {
+				panic(fmt.Sprintf(
+					"sim: zero-latency cross-shard link %s -> %s (%s); co-locate both endpoints on one shard or give the link a latency",
+					l.From, l.To, l.Iface))
+			}
+			if l.Latency < min {
+				min = l.Latency
+			}
 		}
 	}
 	return min

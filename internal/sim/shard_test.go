@@ -92,6 +92,78 @@ func TestCrossShardSameTimestampTieBreak(t *testing.T) {
 	}
 }
 
+// watchdog is a node that restarts a 5 ms timer on every message and reports
+// to the sender when it runs out — a transaction table's use of the queue in
+// miniature.
+type watchdog struct {
+	id, peer  NodeID
+	env       *Env
+	timer     Timer
+	cancelled int
+	expired   int
+}
+
+func (w *watchdog) ID() NodeID { return w.id }
+func (w *watchdog) Receive(env *Env, from NodeID, _ string, _ Message) {
+	w.env, w.peer = env, from
+	if env.Cancel(w.timer) {
+		w.cancelled++
+	}
+	w.timer = env.AfterArg(5*time.Millisecond, w.expire, nil)
+}
+
+func (w *watchdog) expire(any) {
+	w.expired++
+	w.env.Send(w.id, w.peer, testMsg{"timeout"})
+}
+
+// TestShardedCancel arms and cancels timers on a shard other than the root
+// view's: pings 2 ms apart each cancel the timer the one before armed, two
+// 20 ms silences let it run out, and the trace — which shows a timeout
+// exactly where a timer fired — is identical at shards 1 and 2.
+func TestShardedCancel(t *testing.T) {
+	var refTrace string
+	for _, shards := range []int{1, 2} {
+		env := NewShardedEnv(9, shards)
+		tr := &dumpTracer{}
+		env.SetTracer(tr)
+		dog := &watchdog{id: "dog"}
+		env.AddNode(&recorderNode{id: "src"})
+		env.AddNode(dog)
+		env.Connect("src", "dog", "wd", time.Millisecond)
+		if shards > 1 {
+			env.AssignShard("dog", 1)
+		}
+		at := time.Duration(0)
+		for i := 0; i < 30; i++ {
+			at += 2 * time.Millisecond
+			if i == 10 || i == 20 {
+				at += 20 * time.Millisecond
+			}
+			env.AfterNode("src", at, func(sh *Env) { sh.Send("src", "dog", testMsg{"ping"}) })
+		}
+		end := env.Run()
+
+		// 30 pings arm 30 timers: three run out (two silences and the end),
+		// the other 27 are cancelled by the next ping.
+		if dog.cancelled != 27 || dog.expired != 3 || env.Pending() != 0 {
+			t.Fatalf("shards=%d: %d cancelled, %d expired, %d pending; want 27, 3, 0",
+				shards, dog.cancelled, dog.expired, env.Pending())
+		}
+		if want := at + 7*time.Millisecond; end != want {
+			t.Fatalf("shards=%d: quiesced at %v, want %v (last ping + latency + timeout + latency)", shards, end, want)
+		}
+		if shards == 1 {
+			refTrace = tr.dump()
+			if n := strings.Count(refTrace, "timeout"); n != 3 {
+				t.Fatalf("reference trace shows %d timeouts, want 3:\n%s", n, refTrace)
+			}
+		} else if tr.dump() != refTrace {
+			t.Fatalf("shards=%d trace diverged:\n%s\nvs\n%s", shards, tr.dump(), refTrace)
+		}
+	}
+}
+
 func TestSameTimestampOrderFollowsEventKey(t *testing.T) {
 	// All bursts fire at t=10ms and arrive at t=13ms; the total order at
 	// equal timestamps is (context index, per-context counter): senders in

@@ -79,18 +79,17 @@ const ctrBits = 40
 // NewEnv/NewShardedEnv is shard 0's view and the user-facing handle.
 type world struct {
 	seed    int64
-	nodes   map[NodeID]Node
-	list    []Node // dense context index -> node; [0] is the root context
-	idx     map[NodeID]int32
-	ctr     []uint64     // per-context emission counters (event key tie-break)
-	rngs    []*rand.Rand // per-context RNG streams, created on first draw
-	shardOf []int32      // per-context home shard
+	list    []Node           // dense context index -> node; [0] is the root context
+	idx     map[NodeID]int32 // node ID -> context index
+	ctr     []uint64         // per-context emission counters (event key tie-break)
+	rngs    []*rand.Rand     // per-context RNG streams, created on first draw
+	shardOf []int32          // per-context home shard
 	// out is the per-context adjacency: every link leaving the context's
-	// node, sorted by To. Send resolves its link here, so the steady state
-	// hashes no NodeID; links answers the by-name queries (LinkBetween,
-	// HasLink) and sends made on another node's behalf.
+	// node, sorted by To — the one record of the topology. Send resolves
+	// its link in the dispatching context's row, so the steady state hashes
+	// no NodeID; by-name queries (LinkBetween, HasLink) and sends made on
+	// another node's behalf find the row through idx.
 	out     [][]*Link
-	links   map[linkKey]*Link
 	tracer  Tracer
 	shards  []*Env
 	running bool
@@ -114,10 +113,6 @@ type Env struct {
 	delivered uint64
 	outbox    [][]event  // cross-shard sends buffered during a window, per dst shard
 	trbuf     []traceRec // trace entries buffered during a sharded run
-}
-
-type linkKey struct {
-	from, to NodeID
 }
 
 // Link is a unidirectional edge between two nodes. Connect creates both
@@ -165,14 +160,12 @@ func NewShardedEnv(seed int64, shards int) *Env {
 	}
 	w := &world{
 		seed:    seed,
-		nodes:   make(map[NodeID]Node),
 		idx:     make(map[NodeID]int32),
 		list:    []Node{nil},
 		ctr:     make([]uint64, 1),
 		rngs:    make([]*rand.Rand, 1),
 		shardOf: []int32{0},
 		out:     make([][]*Link, 1),
-		links:   make(map[linkKey]*Link),
 		shards:  make([]*Env, shards),
 	}
 	for i := range w.shards {
@@ -230,10 +223,9 @@ func (e *Env) Delivered() uint64 {
 func (e *Env) AddNode(n Node) {
 	w := e.w
 	id := n.ID()
-	if _, ok := w.nodes[id]; ok {
+	if _, ok := w.idx[id]; ok {
 		panic(fmt.Sprintf("sim: duplicate node ID %q", id))
 	}
-	w.nodes[id] = n
 	w.idx[id] = int32(len(w.list))
 	w.list = append(w.list, n)
 	w.ctr = append(w.ctr, 0)
@@ -243,7 +235,12 @@ func (e *Env) AddNode(n Node) {
 }
 
 // Node returns the registered node with the given ID, or nil.
-func (e *Env) Node(id NodeID) Node { return e.w.nodes[id] }
+func (e *Env) Node(id NodeID) Node {
+	if i, ok := e.w.idx[id]; ok {
+		return e.w.list[i]
+	}
+	return nil
+}
 
 // ShardCount returns the number of shards the event loop is partitioned
 // across (1 for a sequential environment).
@@ -288,16 +285,19 @@ func (e *Env) AssignShard(id NodeID, shard int) {
 // jitter or fail one direction.
 func (e *Env) Connect(a, b NodeID, iface string, latency time.Duration) (ab, ba *Link) {
 	w := e.w
-	for _, id := range []NodeID{a, b} {
-		if _, ok := w.nodes[id]; !ok {
-			panic(fmt.Sprintf("sim: Connect references unknown node %q", id))
-		}
+	ia, oka := w.idx[a]
+	ib, okb := w.idx[b]
+	switch {
+	case !oka:
+		panic(fmt.Sprintf("sim: Connect references unknown node %q", a))
+	case !okb:
+		panic(fmt.Sprintf("sim: Connect references unknown node %q", b))
 	}
-	ia, ib := w.idx[a], w.idx[b]
-	ab = &Link{From: a, To: b, Iface: iface, Latency: latency, toIdx: ib}
-	ba = &Link{From: b, To: a, Iface: iface, Latency: latency, toIdx: ia}
-	w.links[linkKey{a, b}] = ab
-	w.links[linkKey{b, a}] = ba
+	pair := &[2]Link{
+		{From: a, To: b, Iface: iface, Latency: latency, toIdx: ib},
+		{From: b, To: a, Iface: iface, Latency: latency, toIdx: ia},
+	}
+	ab, ba = &pair[0], &pair[1]
 	w.out[ia] = putLink(w.out[ia], ab)
 	w.out[ib] = putLink(w.out[ib], ba)
 	return ab, ba
@@ -319,7 +319,7 @@ func findLink(adj []*Link, to NodeID) (int, bool) {
 }
 
 // putLink inserts l into an adjacency in To order. Reconnecting a pair
-// replaces the earlier link, as it does in the links map.
+// replaces the earlier link.
 func putLink(adj []*Link, l *Link) []*Link {
 	i, found := findLink(adj, l.To)
 	if found {
@@ -333,13 +333,18 @@ func putLink(adj []*Link, l *Link) []*Link {
 }
 
 // LinkBetween returns the unidirectional link from a to b, or nil.
-func (e *Env) LinkBetween(a, b NodeID) *Link { return e.w.links[linkKey{a, b}] }
+func (e *Env) LinkBetween(a, b NodeID) *Link {
+	if ia, ok := e.w.idx[a]; ok {
+		if i, found := findLink(e.w.out[ia], b); found {
+			return e.w.out[ia][i]
+		}
+	}
+	return nil
+}
 
 // HasLink reports whether a bidirectional link exists between a and b.
 func (e *Env) HasLink(a, b NodeID) bool {
-	_, ab := e.w.links[linkKey{a, b}]
-	_, ba := e.w.links[linkKey{b, a}]
-	return ab && ba
+	return e.LinkBetween(a, b) != nil && e.LinkBetween(b, a) != nil
 }
 
 // Neighbors returns the IDs of all nodes directly linked from id, sorted
@@ -383,13 +388,13 @@ func (e *Env) push(ev *event, dst int32) {
 // it in the dispatching context's adjacency. The root context (scripts and
 // load drivers outside a run) has no adjacency, and a node sending on behalf
 // of another (a VMSC-hosted client) finds none of that name or one with the
-// wrong From; both go through the by-name map.
+// wrong From; both look the sender's adjacency up by name.
 func (e *Env) linkFrom(from, to NodeID) *Link {
 	adj := e.w.out[e.cur]
 	if i, ok := findLink(adj, to); ok && adj[i].From == from {
 		return adj[i]
 	}
-	return e.w.links[linkKey{from, to}]
+	return e.LinkBetween(from, to)
 }
 
 // Send delivers msg from one node to another over the link between them.
@@ -480,16 +485,34 @@ func (e *Env) schedule(at time.Duration, fn func()) {
 	e.queue.push(&event{at: at, seq: e.w.nextKey(e.cur), kind: evTimer, ctx: e.cur, arg: fn})
 }
 
+// Timer is a handle to one timer scheduled by AfterArg, good for cancelling
+// it. It names the event by key and queue slot, so a handle whose timer has
+// fired or been cancelled — even one whose slot a later event now occupies —
+// matches nothing. The zero Timer is never valid.
+type Timer struct {
+	seq uint64
+	idx int32
+}
+
 // AfterArg schedules fn(arg) to run at Now()+d. Unlike After it takes a
 // plain function plus its argument, so callers with many outstanding timers
-// (the MAP dialogue manager) can schedule a package-level function without
-// allocating a fresh closure per timer.
-func (e *Env) AfterArg(d time.Duration, fn func(any), arg any) {
+// (the transaction tables) can schedule a package-level function without
+// allocating a fresh closure per timer. The returned handle cancels it.
+func (e *Env) AfterArg(d time.Duration, fn func(any), arg any) Timer {
 	if d < 0 {
 		d = 0
 	}
-	e.queue.push(&event{at: e.now + d, seq: e.w.nextKey(e.cur), kind: evTimerArg, ctx: e.cur, argFn: fn, arg: arg})
+	seq := e.w.nextKey(e.cur)
+	idx := e.queue.push(&event{at: e.now + d, seq: seq, kind: evTimerArg, ctx: e.cur, argFn: fn, arg: arg})
+	return Timer{seq: seq, idx: idx}
 }
+
+// Cancel removes a pending timer from the queue, releasing its callback and
+// argument, and reports whether it did: false means the timer has already
+// fired (its own callback included) or been cancelled. A timer lives in the
+// queue of the Env view that scheduled it and is cancelled through that same
+// view — during a run, from its own shard.
+func (e *Env) Cancel(t Timer) bool { return e.queue.remove(t.idx, t.seq) }
 
 // AfterNode schedules fn to run at Now()+d on the named node's shard, in
 // that node's scheduling context. The callback receives that shard's Env

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -97,6 +98,47 @@ func TestAfterTimerFires(t *testing.T) {
 	env.Run()
 	if firedAt != 7*time.Millisecond {
 		t.Fatalf("fired at %v, want 7ms", firedAt)
+	}
+}
+
+// TestCancel walks one Timer handle through its life: cancelling a pending
+// timer takes it out of the queue so it never fires and Run quiesces without
+// waiting for it; a second cancel, a cancel after the timer fired, a cancel
+// from inside the timer's own callback and the zero Timer all report false
+// and disturb nothing — including the later event that reuses the slot.
+func TestCancel(t *testing.T) {
+	env := NewEnv(1)
+	var fired []string
+	note := func(arg any) { fired = append(fired, arg.(string)) }
+
+	keep := env.AfterArg(2*time.Millisecond, note, "keep")
+	drop := env.AfterArg(time.Second, note, "drop")
+	if !env.Cancel(drop) || env.Pending() != 1 {
+		t.Fatalf("Cancel of a pending timer failed, %d events pending", env.Pending())
+	}
+	if env.Cancel(drop) || env.Cancel(Timer{}) {
+		t.Fatal("a cancelled handle or the zero Timer cancelled something")
+	}
+	// reuse takes the slot drop left; the stale handle must not reach it.
+	env.AfterArg(3*time.Millisecond, note, "reuse")
+	if env.Cancel(drop) {
+		t.Fatal("a stale handle cancelled the event that reused its slot")
+	}
+	var own Timer
+	var ownResult bool
+	own = env.AfterArg(time.Millisecond, func(any) {
+		ownResult = env.Cancel(own)
+		fired = append(fired, "own")
+	}, nil)
+
+	if end := env.Run(); end != 3*time.Millisecond {
+		t.Fatalf("Run quiesced at %v, want 3ms: the cancelled 1s timer must not hold the clock", end)
+	}
+	if got := strings.Join(fired, ","); got != "own,keep,reuse" {
+		t.Fatalf("fired %s, want own,keep,reuse", got)
+	}
+	if ownResult || env.Cancel(keep) || env.Cancel(own) {
+		t.Fatal("Cancel of a fired timer reported true")
 	}
 }
 

@@ -8,10 +8,18 @@
 //
 // Records live by value in chunks that never move, and a record is its own
 // timer argument, so beginning a transaction costs no closure, no boxed
-// value and (past the first chunk) no allocation. The price is that a
-// record answered before its timer fires cannot be reused until that timer
-// has run — the event queue still points at it — so Take only parks it and
-// the timer recycles it. That protocol lives here and nowhere else.
+// value and (past the first chunk) no allocation. A record keeps the
+// sim.Timer of the one timer that references it; Take cancels that timer and
+// frees the record at once, so an answered transaction leaves nothing behind
+// — no queue entry, no held record — and a record on the free list is never
+// reachable from the event queue.
+//
+// Hooks run on the retransmission timer and may re-enter the table: expired
+// may Begin again (a keepalive failure starting a full registration), and
+// resend may end transactions, its own included, with Take. When resend has
+// ended its own transaction its return value is ignored and expired does not
+// run: the timer touches the record again only if it still holds the
+// transaction the timer was armed for.
 //
 // A Table is driven from the simulation goroutine of the node that owns it
 // and is not safe for concurrent use.
@@ -59,15 +67,13 @@ func (p Policy) Deadline() time.Duration { return sim.RetryDeadline(p.RTO, p.Bud
 const chunk = 32
 
 type record[K comparable, T any] struct {
-	data T
-	key  K
-	env  *sim.Env
-	rto  time.Duration // current timeout
-	rto0 time.Duration // initial timeout, bounds the backoff
-	left int           // retransmissions remaining
-	// live: in the table, unanswered. armed: a timer event references the
-	// record. A record that is armed but not live is parked.
-	live, armed bool
+	data  T
+	key   K
+	env   *sim.Env
+	timer sim.Timer     // the pending retransmission timer; zero if untimed
+	rto   time.Duration // current timeout
+	rto0  time.Duration // initial timeout, bounds the backoff
+	left  int           // retransmissions remaining
 }
 
 // Table is a set of in-flight transactions keyed by K, each carrying a
@@ -77,10 +83,9 @@ type Table[K comparable, T any] struct {
 	expired func(env *sim.Env, t *T)
 	fire    func(any)
 
-	byKey  map[K]*record[K, T]
-	free   []*record[K, T]
-	cap    int
-	parked int
+	byKey map[K]*record[K, T]
+	free  []*record[K, T]
+	cap   int
 
 	begun, resolved, timedOut, retransmits uint64
 }
@@ -115,19 +120,20 @@ func (tb *Table[K, T]) Begin(env *sim.Env, key K, p Policy) *T {
 	n := len(tb.free) - 1
 	r := tb.free[n]
 	tb.free = tb.free[:n]
-	r.key, r.env, r.live = key, env, true
+	r.key, r.env = key, env
 	tb.byKey[key] = r
 	tb.begun++
 	if p.RTO > 0 {
-		r.rto, r.rto0, r.left, r.armed = p.RTO, p.RTO, p.Budget(), true
-		env.AfterArg(p.RTO, tb.fire, r)
+		r.rto, r.rto0, r.left = p.RTO, p.RTO, p.Budget()
+		r.timer = env.AfterArg(p.RTO, tb.fire, r)
 	}
 	return &r.data
 }
 
 // Take ends the transaction under key — its answer arrived, or the plane is
-// stopping it — and returns its payload. It reports false for a key not in
-// flight, which is how a late answer after a timeout is dropped.
+// stopping it — cancels its timer and returns its payload. It reports false
+// for a key not in flight, which is how a late answer after a timeout is
+// dropped.
 func (tb *Table[K, T]) Take(key K) (T, bool) {
 	r, ok := tb.byKey[key]
 	if !ok {
@@ -137,15 +143,8 @@ func (tb *Table[K, T]) Take(key K) (T, bool) {
 	delete(tb.byKey, key)
 	tb.resolved++
 	data := r.data
-	if r.armed {
-		// The timer event still holds the record: release what the payload
-		// references now and let the timer recycle it.
-		var zero T
-		r.data, r.live = zero, false
-		tb.parked++
-	} else {
-		tb.put(r)
-	}
+	r.env.Cancel(r.timer)
+	tb.put(r)
 	return data, true
 }
 
@@ -156,22 +155,21 @@ func (tb *Table[K, T]) put(r *record[K, T]) {
 
 func (tb *Table[K, T]) onTimer(arg any) {
 	r := arg.(*record[K, T])
-	r.armed = false
-	if !r.live {
-		tb.parked--
-		tb.put(r)
+	fired := r.timer
+	resent := r.left > 0 && tb.resend(r.env, &r.data)
+	if r.timer != fired {
+		// The hook took this transaction: the record is free, or already
+		// holds another. Timer keys are unique, so the test is exact.
 		return
 	}
-	if r.left > 0 && tb.resend(r.env, &r.data) {
+	if resent {
 		r.left--
 		tb.retransmits++
 		r.rto = sim.NextRTO(r.rto, r.rto0)
-		r.armed = true
-		r.env.AfterArg(r.rto, tb.fire, r)
+		r.timer = r.env.AfterArg(r.rto, tb.fire, r)
 		return
 	}
 	delete(tb.byKey, r.key)
-	r.live = false
 	tb.timedOut++
 	tb.expired(r.env, &r.data)
 	tb.put(r)
@@ -207,14 +205,12 @@ type Occupancy struct {
 	Cap      int // records allocated
 	Free     int // on the free list
 	InFlight int // unanswered
-	Parked   int // answered, waiting for their timer to recycle them
 }
 
 // Imbalance is the number of records unaccounted for; non-zero means one
-// leaked. With the event queue drained Parked is zero too, so a quiet table
-// has Free == Cap.
+// leaked. A table with nothing in flight has Free == Cap.
 func (o Occupancy) Imbalance() int {
-	d := o.Cap - o.Free - o.InFlight - o.Parked
+	d := o.Cap - o.Free - o.InFlight
 	if d < 0 {
 		return -d
 	}
@@ -224,5 +220,5 @@ func (o Occupancy) Imbalance() int {
 // Occupancy returns the record accounting; owners fold its Imbalance into
 // their SlabImbalance audit.
 func (tb *Table[K, T]) Occupancy() Occupancy {
-	return Occupancy{Cap: tb.cap, Free: len(tb.free), InFlight: len(tb.byKey), Parked: tb.parked}
+	return Occupancy{Cap: tb.cap, Free: len(tb.free), InFlight: len(tb.byKey)}
 }

@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -54,9 +55,9 @@ func (h *harness) begin(t *testing.T, id uint32, p Policy) *req {
 	return r
 }
 
-// assertDrained checks the table after the event queue has emptied: nothing
-// in flight or parked, every allocated record back on the free list, and the
-// lifetime counters balanced.
+// assertDrained checks a table whose transactions have all ended: nothing in
+// flight, every allocated record back on the free list, no timer left in the
+// queue, and the lifetime counters balanced.
 func (h *harness) assertDrained(t *testing.T) {
 	t.Helper()
 	if o := h.tb.Occupancy(); o.Cap == 0 || o.Free != o.Cap || o.Imbalance() != 0 {
@@ -64,6 +65,9 @@ func (h *harness) assertDrained(t *testing.T) {
 	}
 	if s := h.tb.Stats(); s.InFlight != 0 || s.Begun != s.Resolved+s.TimedOut {
 		t.Fatalf("stats %+v, want begun == resolved + timedOut and nothing in flight", s)
+	}
+	if n := h.env.Pending(); n != 0 {
+		t.Fatalf("%d events still queued behind a drained table", n)
 	}
 }
 
@@ -113,32 +117,218 @@ func TestBudgetExhaustionMatchesRetryDeadline(t *testing.T) {
 	}
 }
 
-// TestTakeBeforeTimerRecyclesOnce answers a transaction while its timer is
-// still queued: the record is parked, not freed, the hooks never run for it,
-// and the timer recycles it exactly once.
-func TestTakeBeforeTimerRecyclesOnce(t *testing.T) {
+// TestTakeCancelsTimer answers a transaction while its timer is still queued:
+// the timer leaves the queue and the record is free at once, the next
+// transaction reuses that record under a new key, and the old deadline passes
+// with neither hook firing.
+func TestTakeCancelsTimer(t *testing.T) {
 	h := newHarness()
 	h.begin(t, 1, Policy{RTO: time.Second})
 	h.env.RunUntil(300 * time.Millisecond)
+	if n := h.env.Pending(); n != 1 {
+		t.Fatalf("%d events queued for one armed transaction, want 1", n)
+	}
 
 	got, ok := h.tb.Take(1)
 	if !ok || got.id != 1 {
 		t.Fatalf("Take = %+v, %v", got, ok)
 	}
-	if o := h.tb.Occupancy(); o.Parked != 1 || o.InFlight != 0 || o.Free != o.Cap-1 {
-		t.Fatalf("after Take: occupancy %+v, want the record parked", o)
+	if n := h.env.Pending(); n != 0 {
+		t.Fatalf("after Take: %d events queued, want the timer cancelled", n)
 	}
-	// A transaction begun meanwhile must get a different record.
-	h.begin(t, 2, Policy{RTO: time.Second})
-	if _, ok := h.tb.Take(2); !ok {
-		t.Fatal("second transaction lost")
+	if o := h.tb.Occupancy(); o.InFlight != 0 || o.Free != o.Cap {
+		t.Fatalf("after Take: occupancy %+v, want the record free", o)
+	}
+
+	// The free list is LIFO: this transaction lives in the record the first
+	// one just left, with its own timer 1.3 s out.
+	second := h.begin(t, 2, Policy{RTO: time.Second, Retries: -1})
+	h.env.RunUntil(1100 * time.Millisecond) // the first transaction's deadline
+	if len(h.resent) != 0 || len(h.expired) != 0 {
+		t.Fatalf("hooks ran at a cancelled deadline: resent %v expired %v", h.resent, h.expired)
+	}
+	if second.id != 2 || h.tb.InFlight() != 1 {
+		t.Fatalf("second transaction disturbed: %+v, %d in flight", *second, h.tb.InFlight())
 	}
 	h.env.Run()
-
-	if len(h.resent) != 0 || len(h.expired) != 0 {
-		t.Fatalf("hooks ran for answered transactions: resent %v expired %v", h.resent, h.expired)
+	if len(h.expired) != 1 || h.expired[0] != 2 || h.expireAt != 1300*time.Millisecond {
+		t.Fatalf("expired %v at %v, want [2] at its own deadline", h.expired, h.expireAt)
 	}
 	h.assertDrained(t)
+}
+
+// TestTakeInsideResend ends a transaction from its own resend hook, as a
+// plane does when retransmitting finds the procedure already over: whichever
+// way the hook then answers, the timer must leave the freed record alone —
+// no re-arm, no expiry, no second free — including when the hook has already
+// begun the next transaction in that record.
+func TestTakeInsideResend(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		answer, again bool
+	}{
+		{"reports resent", true, false},
+		{"reports failure", false, false},
+		{"begins again under the same key", true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			policy := Policy{RTO: 100 * time.Millisecond, Retries: 2}
+			var tb *Table[uint32, req]
+			took, expired := 0, 0
+			tb = New[uint32](
+				func(env *sim.Env, r *req) bool {
+					if took > 0 {
+						return true
+					}
+					took++
+					if got, ok := tb.Take(r.id); !ok || got.id != 7 {
+						t.Fatalf("Take inside resend = %+v, %v", got, ok)
+					}
+					if c.again {
+						tb.Begin(env, 7, policy).id = 7
+					}
+					return c.answer
+				},
+				func(*sim.Env, *req) { expired++ },
+			)
+			tb.Begin(env, 7, policy).id = 7
+			env.RunUntil(150 * time.Millisecond)
+
+			want := Stats{Begun: 1, Resolved: 1}
+			pending := 0
+			if c.again {
+				// The second transaction owns the record now, with its full
+				// budget and exactly one timer.
+				want = Stats{Begun: 2, Resolved: 1, InFlight: 1}
+				pending = 1
+			}
+			if s := tb.Stats(); s != want {
+				t.Fatalf("stats %+v, want %+v", s, want)
+			}
+			if o := tb.Occupancy(); o.Free != o.Cap-want.InFlight || o.Imbalance() != 0 {
+				t.Fatalf("occupancy %+v", o)
+			}
+			if env.Pending() != pending || expired != 0 {
+				t.Fatalf("%d events queued (want %d), expired ran %d times", env.Pending(), pending, expired)
+			}
+			env.Run()
+			if s := tb.Stats(); s.InFlight != 0 || s.Begun != s.Resolved+s.TimedOut || s.Retransmits != uint64(2*pending) {
+				t.Fatalf("final stats %+v", s)
+			}
+		})
+	}
+}
+
+// TestTableMatchesModel drives one table and a map-and-deadline model with
+// the same random Begin/Take/advance-time script, timed and untimed policies
+// mixed, keys drawn from a small space so duplicates, late answers and
+// record reuse are common. After every step the table's books balance, the
+// event queue holds exactly one timer per timed transaction in flight, and
+// every hook call is one the model predicted at that instant — in particular
+// none for a transaction already taken.
+func TestTableMatchesModel(t *testing.T) {
+	const rto = 10 * time.Millisecond
+	type entry struct {
+		next time.Duration // next timer instant; untimed if rto is 0
+		rto  time.Duration
+		left int
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		env := sim.NewEnv(seed)
+		model := map[uint32]*entry{}
+		var resolved, timedOut, retransmits uint64
+		var tb *Table[uint32, req]
+		// due checks a hook call against the model's entry for that key.
+		due := func(hook string, env *sim.Env, r *req) *entry {
+			m := model[r.id]
+			if m == nil || m.rto == 0 || m.next != env.Now() {
+				t.Fatalf("seed %d: %s(%d) at %v, model has %+v", seed, hook, r.id, env.Now(), m)
+			}
+			return m
+		}
+		tb = New[uint32](
+			func(env *sim.Env, r *req) bool {
+				m := due("resend", env, r)
+				if m.left == 0 {
+					t.Fatalf("seed %d: resend(%d) with no budget left", seed, r.id)
+				}
+				m.left--
+				m.rto = sim.NextRTO(m.rto, rto)
+				m.next += m.rto
+				retransmits++
+				return true
+			},
+			func(env *sim.Env, r *req) {
+				if m := due("expired", env, r); m.left != 0 {
+					t.Fatalf("seed %d: expired(%d) with %d retransmissions left", seed, r.id, m.left)
+				}
+				delete(model, r.id)
+				timedOut++
+			},
+		)
+		var begun uint64
+		for step := 0; step < 20000; step++ {
+			key := uint32(rng.Intn(48))
+			switch op := rng.Intn(10); {
+			case op < 4:
+				p := Policy{RTO: rto, Retries: rng.Intn(4) - 1}
+				if rng.Intn(8) == 0 {
+					p.RTO = 0
+				}
+				r := tb.Begin(env, key, p)
+				if _, dup := model[key]; dup != (r == nil) {
+					t.Fatalf("seed %d step %d: Begin(%d) = %v, model in flight: %v", seed, step, key, r, dup)
+				}
+				if r != nil {
+					r.id = key
+					begun++
+					model[key] = &entry{next: env.Now() + p.RTO, rto: p.RTO, left: p.Budget()}
+				}
+			case op < 8:
+				got, ok := tb.Take(key)
+				if _, want := model[key]; ok != want || (ok && got.id != key) {
+					t.Fatalf("seed %d step %d: Take(%d) = %+v, %v; model in flight: %v", seed, step, key, got, ok, want)
+				}
+				if ok {
+					delete(model, key)
+					resolved++
+				}
+			default:
+				env.RunUntil(env.Now() + time.Duration(rng.Intn(25))*time.Millisecond)
+			}
+			armed := 0
+			for _, m := range model {
+				if m.rto > 0 {
+					armed++
+				}
+			}
+			want := Stats{Begun: begun, Resolved: resolved, TimedOut: timedOut, Retransmits: retransmits, InFlight: len(model)}
+			if s := tb.Stats(); s != want || s.Begun != s.Resolved+s.TimedOut+uint64(s.InFlight) {
+				t.Fatalf("seed %d step %d: stats %+v, model %+v", seed, step, s, want)
+			}
+			if o := tb.Occupancy(); o.Imbalance() != 0 || o.InFlight != len(model) {
+				t.Fatalf("seed %d step %d: occupancy %+v, model holds %d", seed, step, o, len(model))
+			}
+			if env.Pending() != armed {
+				t.Fatalf("seed %d step %d: %d events queued, %d timed transactions in flight", seed, step, env.Pending(), armed)
+			}
+		}
+		for key := range model {
+			if model[key].rto == 0 {
+				tb.Take(key)
+				delete(model, key)
+			}
+		}
+		env.Run()
+		if s := tb.Stats(); len(model) != 0 || s.InFlight != 0 || s.Begun != s.Resolved+s.TimedOut {
+			t.Fatalf("seed %d: drained with model %v, stats %+v", seed, model, s)
+		}
+		if o := tb.Occupancy(); o.Free != o.Cap || env.Pending() != 0 {
+			t.Fatalf("seed %d: drained with occupancy %+v, %d events queued", seed, o, env.Pending())
+		}
+	}
 }
 
 // TestUntimedTransaction covers a policy without an RTO: no timer, the record
@@ -240,7 +430,7 @@ func TestExpiredHookMayBeginAgain(t *testing.T) {
 }
 
 // TestSteadyStateAllocatesNothing runs full transaction lifecycles — begin,
-// one retransmission, answer, timer recycling — on a warmed table.
+// one retransmission, answer, timer cancel — on a warmed table.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
 	env := sim.NewEnv(1)
 	tb := New[uint32](

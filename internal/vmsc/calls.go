@@ -419,11 +419,12 @@ func rasMTAdmitDone(env *sim.Env, p rasTxn, msg sim.Message) {
 		return
 	}
 	// Step 4.4: page the MS. The timeout references the call directly
-	// (paging state holds the subscriber only through call.entryH).
+	// (paging state holds the subscriber only through call.entryH); the
+	// paging response, or whatever releases the call first, cancels it.
 	env.Send(v.cfg.ID, entry.bsc, gsm.Paging{
 		Leg: gsm.LegA, MS: entry.ms, Identity: gsmid.ByTMSI(entry.tmsi),
 	})
-	env.AfterArg(v.cfg.PagingTimeout, pagingExpire, call)
+	call.paging = call.env.AfterArg(v.cfg.PagingTimeout, pagingExpire, call)
 }
 
 // pagingExpire releases an MT call whose page went unanswered.
@@ -455,6 +456,7 @@ func (v *VMSC) pagingResponse(env *sim.Env, t gsm.PagingResponse) {
 	}
 	call := entry.call
 	call.state = callDelivering
+	call.env.Cancel(call.paging)
 	// Step 4.5: Setup down the radio path.
 	env.Send(v.cfg.ID, entry.bsc, gsm.Setup{
 		Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
@@ -621,6 +623,7 @@ func (v *VMSC) forget(call *vCall) {
 	}
 	call.released = true
 	v.stopQ931(call) // a live retry timer must not resurrect the call
+	call.env.Cancel(call.paging)
 	v.stats.CallsReleased++
 	entry := call.ent()
 	if v.cfg.Hooks.OnCallReleased != nil && entry != nil {

@@ -328,6 +328,10 @@ type vCall struct {
 	// the paging timeout, say); the second path must be a no-op or the
 	// active-call count and release stats double-book.
 	released bool
+	// paging is the page-response timer of an MT call, cancelled when the
+	// MS answers the page or the call is released, so the event queue does
+	// not hold a finished call for the rest of PagingTimeout.
+	paging sim.Timer
 
 	// remote is the far party's alias (dialled number on MO, calling
 	// party on MT) — the gatekeeper's DRQ matching needs it.
