@@ -311,7 +311,8 @@ func (r scaleBenchResult) String() string {
 		parts = append(parts, experiments.ScaleTable(r.Core).String())
 	}
 	if len(r.FullStack) > 0 {
-		parts = append(parts, experiments.ScaleFullTable(r.FullStack).String())
+		parts = append(parts, experiments.ScaleFullTable(r.FullStack).String(),
+			experiments.ScaleFootprintTable(r.FullStack).String())
 	}
 	return strings.Join(parts, "\n\n")
 }

@@ -55,6 +55,13 @@ type ScaleFullPoint struct {
 	CallSetupOps    int     `json:"call_setup_ops"`
 	CallSetupPerSec float64 `json:"call_setup_per_sec"`
 
+	// Who owns which bytes of a resident subscriber: each node's Footprint()
+	// (slab chunks plus index tables) at full residency, per subscriber. The
+	// split is exact accounting, not a heap measurement; what BytesPerSub
+	// shows beyond its sum is heap outside the stores (MS-name strings, the
+	// address pool's bitset, allocator rounding).
+	Footprint NodeBytes `json:"footprint_bytes_per_sub"`
+
 	// Host parallelism at measurement time (as BENCH_engine.json records).
 	GoMaxProcs int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
@@ -118,45 +125,67 @@ func (d *fullDriver) Receive(env *sim.Env, from sim.NodeID, iface string, msg si
 	}
 }
 
-// RunScaleFull attaches `subs` subscribers through the complete Fig 2(b)
-// topology — real VMSC, VLR, HLR, SGSN, GGSN, GI router, and gatekeeper —
-// and measures bytes/subscriber at full residency, registration throughput,
-// end-to-end call-setup throughput, and full recycling via CancelLocation.
-func RunScaleFull(seed int64, subs int) (ScaleFullPoint, error) {
-	var p ScaleFullPoint
-	p.Topology = "full-stack"
-	p.Subs = subs
-	p.GoMaxProcs = runtime.GOMAXPROCS(0)
-	p.NumCPU = runtime.NumCPU()
-	if subs < 8 {
-		return p, fmt.Errorf("experiments: full-stack scale needs at least 8 subscribers, got %d", subs)
-	}
+// NodeBytes is memory split by the node that owns it.
+type NodeBytes struct {
+	VMSC       float64 `json:"vmsc"`
+	VLR        float64 `json:"vlr"`
+	HLR        float64 `json:"hlr"`
+	SGSN       float64 `json:"sgsn"`
+	GGSN       float64 `json:"ggsn"`
+	Gatekeeper float64 `json:"gatekeeper"`
+	Directory  float64 `json:"directory"`
+}
 
-	env := sim.NewEnv(seed)
-	dir := h323.NewDirectory()
-	h := hlr.New(hlr.Config{ID: "HLR"})
-	v := vlr.New(vlr.Config{
-		ID: "VLR-1", HLR: "HLR", HomeCountryCode: "886", MSRNPrefix: "88690000",
-		AuthDisabled: true,
-	})
-	sgsn := gprs.NewSGSN(gprs.SGSNConfig{ID: "SGSN-1", GGSN: "GGSN-1", HLR: "HLR"})
-	// The pool base sits on a /8 so a million dynamic PDP addresses count
-	// up without leaving the routed prefix.
-	ggsn := gprs.NewGGSN(gprs.GGSNConfig{
-		ID: "GGSN-1", PoolPrefix: "10.0.0.0", PoolSize: subs + 2, Gi: "GI", HLR: "HLR",
-	})
+// Sum is the total over all nodes.
+func (b NodeBytes) Sum() float64 {
+	return b.VMSC + b.VLR + b.HLR + b.SGSN + b.GGSN + b.Gatekeeper + b.Directory
+}
+
+// fullStack is the complete Fig 2(b) topology — real VMSC, VLR, HLR, SGSN,
+// GGSN, GI router and gatekeeper — behind the stateless LOAD driver.
+type fullStack struct {
+	env     *sim.Env
+	dir     *h323.Directory
+	hlr     *hlr.HLR
+	vlr     *vlr.VLR
+	sgsn    *gprs.SGSN
+	ggsn    *gprs.GGSN
+	gk      *h323.Gatekeeper
+	vmsc    *vmsc.VMSC
+	load    *fullDriver
+	dirBase int
+}
+
+// newFullStack builds the topology with an address pool for subs subscribers.
+func newFullStack(seed int64, subs int) *fullStack {
+	f := &fullStack{
+		env: sim.NewEnv(seed),
+		dir: h323.NewDirectory(),
+		hlr: hlr.New(hlr.Config{ID: "HLR"}),
+		vlr: vlr.New(vlr.Config{
+			ID: "VLR-1", HLR: "HLR", HomeCountryCode: "886", MSRNPrefix: "88690000",
+			AuthDisabled: true,
+		}),
+		sgsn: gprs.NewSGSN(gprs.SGSNConfig{ID: "SGSN-1", GGSN: "GGSN-1", HLR: "HLR"}),
+		// The pool base sits on a /8 so a million dynamic PDP addresses count
+		// up without leaving the routed prefix.
+		ggsn: gprs.NewGGSN(gprs.GGSNConfig{
+			ID: "GGSN-1", PoolPrefix: "10.0.0.0", PoolSize: subs + 2, Gi: "GI", HLR: "HLR",
+		}),
+		load: &fullDriver{vmsc: "VMSC-1", hold: 100 * time.Millisecond},
+	}
 	router := ipnet.NewRouter("GI")
-	gk := h323.NewGatekeeper(h323.GatekeeperConfig{ID: "GK", Addr: fullGKAddr, Router: "GI", Dir: dir})
+	f.gk = h323.NewGatekeeper(h323.GatekeeperConfig{ID: "GK", Addr: fullGKAddr, Router: "GI", Dir: f.dir})
 	router.AddHost(fullGKAddr, "GK")
 	router.AddPrefix(netip.MustParsePrefix("10.0.0.0/8"), "GGSN-1")
-	dir.Bind(fullGKAddr, "GK")
-	vm := vmsc.New(vmsc.Config{
+	f.dir.Bind(fullGKAddr, "GK")
+	f.vmsc = vmsc.New(vmsc.Config{
 		ID: "VMSC-1", VLR: "VLR-1", SGSN: "SGSN-1",
-		Cell: scaleCell, Gatekeeper: fullGKAddr, Dir: dir,
+		Cell: scaleCell, Gatekeeper: fullGKAddr, Dir: f.dir,
 	})
-	d := &fullDriver{vmsc: "VMSC-1", hold: 100 * time.Millisecond}
 
-	for _, node := range []sim.Node{h, v, vm, sgsn, ggsn, router, gk, d} {
+	env := f.env
+	for _, node := range []sim.Node{f.hlr, f.vlr, f.vmsc, f.sgsn, f.ggsn, router, f.gk, f.load} {
 		env.AddNode(node)
 	}
 	const lat = 50 * time.Microsecond
@@ -170,30 +199,67 @@ func RunScaleFull(seed int64, subs int) (ScaleFullPoint, error) {
 	env.Connect("GGSN-1", "HLR", "Gc", lat)
 	env.Connect("GGSN-1", "GI", "Gi", lat)
 	env.Connect("GI", "GK", "IP", lat)
-	dirBase := dir.Bound()
+	f.dirBase = f.dir.Bound()
+	return f
+}
 
-	// attachWave provisions and fully registers subscribers [lo, hi): one
-	// LocationUpdate each, quiesce. The VMSC runs the whole Fig 4 chain
-	// before the accept comes back.
-	attachWave := func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := h.Provision(hlr.Subscriber{
-				IMSI: scaleIMSI(i), MSISDN: scaleMSISDN(i), Ki: [16]byte{byte(i), byte(i >> 8), 0x5A},
-				Profile: sigmap.SubscriberProfile{
-					MSISDN: scaleMSISDN(i), InternationalAllowed: true, VoIPQoS: 1,
-				},
-			}); err != nil {
-				return err
-			}
-			env.Send("LOAD", "VMSC-1", gsm.LocationUpdate{
-				Leg: gsm.LegA, MS: fullMS(i),
-				Identity: gsmid.MobileIdentity{Kind: gsmid.IdentityIMSI, IMSI: scaleIMSI(i)},
-				LAI:      scaleCell.LAI,
-			})
-		}
-		env.Run()
-		return nil
+// attach provisions subscriber i and sends its LocationUpdate from the given
+// MS node.
+func (f *fullStack) attach(i int, ms sim.NodeID) error {
+	if err := f.hlr.Provision(hlr.Subscriber{
+		IMSI: scaleIMSI(i), MSISDN: scaleMSISDN(i), Ki: [16]byte{byte(i), byte(i >> 8), 0x5A},
+		Profile: sigmap.SubscriberProfile{
+			MSISDN: scaleMSISDN(i), InternationalAllowed: true, VoIPQoS: 1,
+		},
+	}); err != nil {
+		return err
 	}
+	f.env.Send("LOAD", "VMSC-1", gsm.LocationUpdate{
+		Leg: gsm.LegA, MS: ms,
+		Identity: gsmid.MobileIdentity{Kind: gsmid.IdentityIMSI, IMSI: scaleIMSI(i)},
+		LAI:      scaleCell.LAI,
+	})
+	return nil
+}
+
+// attachWave provisions and fully registers subscribers [lo, hi): one
+// LocationUpdate each, quiesce. The VMSC runs the whole Fig 4 chain before
+// the accept comes back.
+func (f *fullStack) attachWave(lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		if err := f.attach(i, fullMS(i)); err != nil {
+			return err
+		}
+	}
+	f.env.Run()
+	return nil
+}
+
+// footprint returns each node's Footprint() in bytes, times scale.
+func (f *fullStack) footprint(scale float64) NodeBytes {
+	return NodeBytes{
+		VMSC: scale * float64(f.vmsc.Footprint()), VLR: scale * float64(f.vlr.Footprint()),
+		HLR: scale * float64(f.hlr.Footprint()), SGSN: scale * float64(f.sgsn.Footprint()),
+		GGSN: scale * float64(f.ggsn.Footprint()), Gatekeeper: scale * float64(f.gk.Footprint()),
+		Directory: scale * float64(f.dir.Footprint()),
+	}
+}
+
+// RunScaleFull attaches `subs` subscribers through the complete Fig 2(b)
+// topology and measures bytes/subscriber at full residency (with the
+// per-node split), registration throughput, end-to-end call-setup
+// throughput, and full recycling via CancelLocation.
+func RunScaleFull(seed int64, subs int) (ScaleFullPoint, error) {
+	var p ScaleFullPoint
+	p.Topology = "full-stack"
+	p.Subs = subs
+	p.GoMaxProcs = runtime.GOMAXPROCS(0)
+	p.NumCPU = runtime.NumCPU()
+	if subs < 8 {
+		return p, fmt.Errorf("experiments: full-stack scale needs at least 8 subscribers, got %d", subs)
+	}
+	f := newFullStack(seed, subs)
+	env, d := f.env, f.load
 
 	// Flat attach, wave by wave, with the DESIGN.md §8 warm-wave baseline.
 	warm := subs / 10
@@ -204,7 +270,7 @@ func RunScaleFull(seed int64, subs int) (ScaleFullPoint, error) {
 		warm = scaleWave
 	}
 	start := time.Now()
-	if err := attachWave(0, warm); err != nil {
+	if err := f.attachWave(0, warm); err != nil {
 		return p, err
 	}
 	var base runtime.MemStats
@@ -215,7 +281,7 @@ func RunScaleFull(seed int64, subs int) (ScaleFullPoint, error) {
 		if hi > subs {
 			hi = subs
 		}
-		if err := attachWave(lo, hi); err != nil {
+		if err := f.attachWave(lo, hi); err != nil {
 			return p, err
 		}
 	}
@@ -229,10 +295,11 @@ func RunScaleFull(seed int64, subs int) (ScaleFullPoint, error) {
 	}
 	p.BytesPerSub = float64(p.HeapDeltaBytes) / float64(subs-warm)
 	p.AttachPerSec = float64(subs) / p.AttachWallSec
+	p.Footprint = f.footprint(1 / float64(subs))
 
-	p.RegisteredVMSC = vm.MSTable()
-	p.GKRegistered = gk.Registered()
-	p.ActivePDP = ggsn.ActiveContexts()
+	p.RegisteredVMSC = f.vmsc.MSTable()
+	p.GKRegistered = f.gk.Registered()
+	p.ActivePDP = f.ggsn.ActiveContexts()
 	p.Rejects = d.rejects
 	if d.accepts != subs || p.RegisteredVMSC != subs || p.GKRegistered != subs || p.ActivePDP != subs {
 		return p, fmt.Errorf("experiments: full-stack population incomplete: accepts %d VMSC %d GK %d GGSN %d of %d (%d rejects)",
@@ -265,9 +332,9 @@ func RunScaleFull(seed int64, subs int) (ScaleFullPoint, error) {
 	}
 	p.CallSetupOps = callOps
 	p.CallSetupPerSec = float64(callOps) / time.Since(start).Seconds()
-	if d.established != callOps || vm.ActiveCalls() != 0 {
+	if d.established != callOps || f.vmsc.ActiveCalls() != 0 {
 		return p, fmt.Errorf("experiments: full-stack calls incomplete: %d of %d established, %d still active",
-			d.established, callOps, vm.ActiveCalls())
+			d.established, callOps, f.vmsc.ActiveCalls())
 	}
 
 	// Cancel-all: one CancelLocation per subscriber into the VLR, which
@@ -285,11 +352,11 @@ func RunScaleFull(seed int64, subs int) (ScaleFullPoint, error) {
 		}
 		env.Run()
 	}
-	p.DetachLeftover = vm.MSTable() + gk.Registered() + v.Registered() +
-		sgsn.Attached() + sgsn.ActiveContexts() + ggsn.ActiveContexts() +
-		(dir.Bound() - dirBase)
-	p.SlabImbalance = vm.SlabImbalance() + gk.SlabImbalance() + v.SlabImbalance() +
-		h.SlabImbalance() + sgsn.SlabImbalance() + ggsn.SlabImbalance()
+	p.DetachLeftover = f.vmsc.MSTable() + f.gk.Registered() + f.vlr.Registered() +
+		f.sgsn.Attached() + f.sgsn.ActiveContexts() + f.ggsn.ActiveContexts() +
+		(f.dir.Bound() - f.dirBase)
+	p.SlabImbalance = f.vmsc.SlabImbalance() + f.gk.SlabImbalance() + f.vlr.SlabImbalance() +
+		f.hlr.SlabImbalance() + f.sgsn.SlabImbalance() + f.ggsn.SlabImbalance()
 	return p, nil
 }
 
@@ -320,6 +387,24 @@ func ScaleFullTable(points []ScaleFullPoint) *metrics.Table {
 			fmt.Sprintf("%d", p.DetachLeftover),
 			fmt.Sprintf("%d", p.SlabImbalance),
 		)
+	}
+	return t
+}
+
+// ScaleFootprintTable renders who owns which bytes of a resident subscriber:
+// each node's stores per subscriber, their sum, and the measured heap figure
+// the sum accounts for.
+func ScaleFootprintTable(points []ScaleFullPoint) *metrics.Table {
+	t := metrics.NewTable(
+		"SCALE-FULL: bytes of a resident subscriber by owning node (slab chunks + index tables)",
+		"subscribers", "VMSC", "VLR", "HLR", "SGSN", "GGSN", "GK", "directory", "stores", "heap")
+	for _, p := range points {
+		b := p.Footprint
+		row := []string{fmt.Sprintf("%d", p.Subs)}
+		for _, v := range []float64{b.VMSC, b.VLR, b.HLR, b.SGSN, b.GGSN, b.Gatekeeper, b.Directory, b.Sum(), p.BytesPerSub} {
+			row = append(row, fmt.Sprintf("%.0f", v))
+		}
+		t.AddRow(row...)
 	}
 	return t
 }

@@ -1,7 +1,6 @@
 package gprs
 
 import (
-	"encoding/binary"
 	"net/netip"
 	"sync"
 	"time"
@@ -88,8 +87,8 @@ type GGSN struct {
 	mu      sync.Mutex
 	recs    *slab.Sharded[ggsnRec]
 	byTID   *slab.Index[uint64]
-	byAddr  *slab.Index[netip.Addr]
-	names   slab.Syms[string] // SGSN node names
+	byAddr  *slab.Index[uint32] // PDP address in its ipnet.V4Key form
+	names   slab.Syms[string]   // SGSN node names
 	static  map[netip.Addr]gsmid.IMSI
 	queued  map[netip.Addr][]ipnet.Packet
 	nextSeq uint16
@@ -112,11 +111,14 @@ type createKey struct {
 
 var _ sim.Node = (*GGSN)(nil)
 
-// hashAddr mixes a netip.Addr for the byAddr index.
-func hashAddr(a netip.Addr) uint64 {
-	b := a.As16()
-	return slab.HashUint64(binary.LittleEndian.Uint64(b[:8]) ^
-		slab.HashUint64(binary.LittleEndian.Uint64(b[8:])))
+// byDst resolves the context that owns a destination address. Callers hold
+// g.mu.
+func (g *GGSN) byDst(dst netip.Addr) *ggsnRec {
+	key, v4 := ipnet.V4Key(dst)
+	if !v4 {
+		return nil
+	}
+	return g.recs.Get(g.byAddr.Get(key))
 }
 
 // NewGGSN returns a GGSN. It panics on an invalid pool prefix (topology
@@ -138,7 +140,7 @@ func NewGGSN(cfg GGSNConfig) *GGSN {
 		dm:            ss7.NewDialogueManager(),
 		recs:          slab.NewSharded[ggsnRec](ggsnShards),
 		byTID:         slab.NewIndex[uint64](slab.HashUint64),
-		byAddr:        slab.NewIndex[netip.Addr](hashAddr),
+		byAddr:        slab.NewIndex[uint32](slab.HashUint32),
 		static:        make(map[netip.Addr]gsmid.IMSI),
 		queued:        make(map[netip.Addr][]ipnet.Packet),
 		pendingCreate: make(map[createKey]struct{}),
@@ -224,6 +226,14 @@ func (g *GGSN) Audit(report func(kind string, n int)) {
 	report("slab imbalance", g.SlabImbalance())
 }
 
+// Footprint is the memory the PDP context store holds, in bytes: slab chunks
+// plus index tables.
+func (g *GGSN) Footprint() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.recs.Bytes() + g.byTID.Bytes() + g.byAddr.Bytes()
+}
+
 // SlabImbalance audits the slab storage: per-shard occupancy must balance
 // and both indexes must resolve to live records that agree with the key.
 // Non-zero means a context leaked or was lost.
@@ -244,8 +254,11 @@ func (g *GGSN) SlabImbalance() int {
 	for _, a := range g.recs.Audit() {
 		imb += a.Imbalance() + abs(perShard[a.Shard]-a.Live)
 	}
-	g.byAddr.Range(func(k netip.Addr, h slab.Handle) bool {
-		if r := g.recs.Get(h); r == nil || r.address != k {
+	g.byAddr.Range(func(k uint32, h slab.Handle) bool {
+		r := g.recs.Get(h)
+		if r == nil {
+			imb++
+		} else if key, v4 := ipnet.V4Key(r.address); !v4 || key != k {
 			imb++
 		}
 		return true
@@ -323,7 +336,7 @@ func (g *GGSN) finishCreate(env *sim.Env, sgsn sim.NodeID, m gtp.CreatePDPReques
 	dynamic := false
 	if staticAddr != "" {
 		parsed, err := netip.ParseAddr(staticAddr)
-		if err != nil {
+		if err != nil || !parsed.Is4() {
 			env.Send(g.cfg.ID, sgsn, gtp.CreatePDPResponse{Seq: m.Seq, Cause: gtp.CauseSystemFailure})
 			return
 		}
@@ -370,7 +383,8 @@ func (g *GGSN) finishCreate(env *sim.Env, sgsn sim.NodeID, m gtp.CreatePDPReques
 	r.qos = negotiated
 	r.dynamic = dynamic
 	g.byTID.Put(uint64(tid), h)
-	g.byAddr.Put(addr, h)
+	key, _ := ipnet.V4Key(addr) // IPv4 by construction: pool-allocated, or checked above
+	g.byAddr.Put(key, h)
 	queued := g.queued[addr]
 	delete(g.queued, addr)
 	g.mu.Unlock()
@@ -393,7 +407,8 @@ func (g *GGSN) handleDelete(env *sim.Env, sgsn sim.NodeID, m gtp.DeletePDPReques
 	var release netip.Addr
 	if ok {
 		g.byTID.Delete(uint64(m.TID))
-		g.byAddr.Delete(r.address)
+		key, _ := ipnet.V4Key(r.address)
+		g.byAddr.Delete(key)
 		if r.dynamic {
 			release = r.address
 		}
@@ -433,7 +448,7 @@ func (g *GGSN) handleUplink(env *sim.Env, m gtp.TPDU) {
 		return
 	}
 	g.mu.Lock()
-	dst := g.recs.Get(g.byAddr.Get(pkt.Dst))
+	dst := g.byDst(pkt.Dst)
 	local := dst != nil
 	var med *ggsnMedia
 	var tid gtp.TID
@@ -473,7 +488,7 @@ func (g *GGSN) handleUplink(env *sim.Env, m gtp.TPDU) {
 // provisioned, feature enabled) or drops.
 func (g *GGSN) handleDownlink(env *sim.Env, pkt ipnet.Packet) {
 	g.mu.Lock()
-	r := g.recs.Get(g.byAddr.Get(pkt.Dst))
+	r := g.byDst(pkt.Dst)
 	active := r != nil
 	var tid gtp.TID
 	var sgsn sim.NodeID

@@ -286,6 +286,31 @@ func TestActivateStaticAddress(t *testing.T) {
 	}
 }
 
+// TestActivateNonIPv4AddressRefused: the GGSN's address index keys on the
+// 4-byte form, so a static IPv6 PDP address is refused where it enters, with
+// the cause a malformed address gets, and leaves nothing behind.
+func TestActivateNonIPv4AddressRefused(t *testing.T) {
+	f := newCoreFixture(t, GGSNConfig{}, SGSNConfig{})
+	f.attach(t)
+	for _, req := range []string{"2001:db8::1", "::ffff:10.1.1.200"} {
+		ok := true
+		if err := f.ms.Client.ActivatePDP(f.env, 5, gtp.SignallingQoS(), req,
+			func(_ netip.Addr, k bool) { ok = k }); err != nil {
+			t.Fatal(err)
+		}
+		f.env.Run()
+		if ok {
+			t.Fatalf("activation with PDP address %s accepted", req)
+		}
+	}
+	if n := f.ggsn.ActiveContexts() + f.sgsn.ActiveContexts() + f.ms.Client.ActiveContexts(); n != 0 {
+		t.Fatalf("%d contexts left behind", n)
+	}
+	if imb := f.ggsn.SlabImbalance() + f.sgsn.SlabImbalance(); imb != 0 {
+		t.Fatalf("slab imbalance = %d", imb)
+	}
+}
+
 func TestActivateDuplicateNSAPIRejected(t *testing.T) {
 	f := newCoreFixture(t, GGSNConfig{}, SGSNConfig{})
 	f.attach(t)

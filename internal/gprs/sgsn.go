@@ -46,10 +46,18 @@ type SGSNConfig struct {
 // sgsnShards is the slab fan-out; subscribers spread by IMSI hash.
 const sgsnShards = 8
 
-// mmRec is the SGSN's slab-resident per-subscriber mobility context:
-// fixed size, no heap pointers. The Gb peer and MS correlation handles are
-// interned symbols (their cardinality is the topology size); PDP contexts
-// hang off pdpHead as an intrusive list through a second slab.
+// gbPeerLimit is the most Gb peers (BSCs and VMSCs) one SGSN serves in any
+// topology built here, with room to spare. Symbols are never released, so a
+// peers table past it means per-subscriber values are being interned — it
+// held every MS name once — and SlabImbalance reports the excess.
+const gbPeerLimit = 1024
+
+// mmRec is the SGSN's slab-resident per-subscriber mobility context: fixed
+// size. The Gb peer and the serving cell are interned symbols (their
+// cardinality is the topology size); the MS correlation handle is one name
+// per subscriber, so it is held as the NodeID the Gb peer sent — the caller's
+// string, no copy, and released with the record. PDP contexts hang off
+// pdpHead as an intrusive list through a second slab.
 type mmRec struct {
 	imsi  gsmid.PackedDigits
 	ptmsi gsmid.PTMSI
@@ -60,8 +68,8 @@ type mmRec struct {
 	foreignTLLI gsmid.TLLI
 	// ms and peer record where downlink traffic goes: the Gb peer node
 	// (BSC or VMSC) and the MS correlation handle it needs.
-	ms   uint32 // symbol in SGSN.names
-	peer uint32 // symbol in SGSN.names
+	ms   sim.NodeID
+	peer uint32 // symbol in SGSN.peers
 	cell uint32 // symbol in SGSN.cells
 	// pdpHead/npdp anchor the subscriber's PDP contexts in SGSN.pdps.
 	pdpHead slab.Handle
@@ -81,18 +89,18 @@ type mmRec struct {
 // PCU simultaneously (the paper's Fig 2(b) shows both paths side by side),
 // and downlink traffic must follow each context's own path.
 type pdpRec struct {
-	nsapi uint8
-	tid   gtp.TID
-	addr  netip.Addr // zero when the GGSN assigned no address
-	qos   gtp.QoSProfile
-	peer  uint32 // symbol in SGSN.names
-	ms    uint32 // symbol in SGSN.names
-	next  slab.Handle
+	tid  gtp.TID
+	addr netip.Addr // zero when the GGSN assigned no address
+	ms   sim.NodeID
+	next slab.Handle
 	// media is the lazily-allocated reusable relay state for realtime
 	// (voice) contexts — it makes the per-frame Gb↔Gn relay
 	// allocation-free. Nil for signalling/data contexts; cleared when the
 	// context is freed so the slab slot retains nothing.
 	media *pdpMedia
+	peer  uint32 // symbol in SGSN.peers
+	qos   gtp.QoSProfile
+	nsapi uint8
 }
 
 // pdpMedia holds one voice context's reusable relay messages and downlink
@@ -143,8 +151,8 @@ type SGSN struct {
 	byTLLI  *slab.Index[uint32]
 	byIMSI  *slab.Index[gsmid.PackedDigits]
 	byTID   *slab.Index[uint64]
-	names   slab.Syms[string]    // Gb peer and MS correlation node names
-	cells   slab.Syms[gsmid.CGI] // serving cells
+	peers   slab.Syms[sim.NodeID] // Gb peer nodes (BSCs, VMSCs)
+	cells   slab.Syms[gsmid.CGI]  // serving cells
 	nextPT  uint32
 	nextSeq uint16
 	// gtp holds the outstanding GTP requests toward the GGSN by sequence
@@ -363,17 +371,27 @@ func (s *SGSN) TxnStats(report func(plane string, st txn.Stats)) {
 	report("GTP", gtpStats)
 }
 
+// Footprint is the memory the MM and PDP context stores hold, in bytes: slab
+// chunks plus index tables.
+func (s *SGSN) Footprint() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.mms.Bytes() + s.pdps.Bytes() + s.byTLLI.Bytes() + s.byIMSI.Bytes() + s.byTID.Bytes()
+}
+
 // SlabImbalance audits the slab storage: every index entry must resolve to
 // a live record that agrees with the key, per-shard occupancy must balance
 // (cap == live + free), and the PDP slab population must match the sum of
 // per-subscriber context lists and the TID index; the MAP and GTP
-// transaction tables must account for every record they allocated. Non-zero
-// means a context or record leaked or was lost; the soak/leak gates assert
-// zero.
+// transaction tables must account for every record they allocated; and the
+// never-released peer symbol table must stay topology-sized (gbPeerLimit).
+// Non-zero means a context or record leaked or was lost; the soak/leak gates
+// assert zero.
 func (s *SGSN) SlabImbalance() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	imb := s.dm.Occupancy().Imbalance() + s.gtp.Occupancy().Imbalance()
+	imb := s.dm.Occupancy().Imbalance() + s.gtp.Occupancy().Imbalance() +
+		max(0, s.peers.Len()-gbPeerLimit)
 	perShard := make([]int, sgsnShards)
 	pdpListed := 0
 	tlliExpected := 0
@@ -662,8 +680,8 @@ func (s *SGSN) handleAttach(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m A
 		s.mu.Unlock()
 		return
 	}
-	r.ms = s.names.ID(string(ul.MS))
-	r.peer = s.names.ID(string(peer))
+	r.ms = ul.MS
+	r.peer = s.peers.ID(peer)
 	r.cell = s.cells.ID(ul.Cell)
 	// Index under both the TLLI the request came with and the local TLLI
 	// the client derives from its new P-TMSI. A re-attach can arrive on a
@@ -731,7 +749,7 @@ func (s *SGSN) handleDetach(env *sim.Env, ul gb.ULUnitdata) {
 	var peer sim.NodeID
 	if r != nil {
 		tids = s.removeAllPDPs(r, tids)
-		peer = sim.NodeID(s.names.Val(r.peer))
+		peer = s.peers.Val(r.peer)
 		s.byIMSI.Delete(r.imsi)
 		s.unindexTLLIs(r)
 		s.byTLLI.Delete(uint32(ul.TLLI)) // covers a detach on an unusual alias
@@ -837,8 +855,8 @@ func (s *SGSN) finishActivate(env *sim.Env, t gtpTxn, resp sim.Message) {
 		}
 	}
 	p.qos = cr.QoS
-	p.peer = s.names.ID(string(t.peer))
-	p.ms = s.names.ID(string(t.ms))
+	p.peer = s.peers.ID(t.peer)
+	p.ms = t.ms
 	s.byTID.Put(uint64(cr.TID), t.mm)
 	s.mu.Unlock()
 	s.reply(env, t.peer, t.ms, t.tlli, ActivatePDPAccept{NSAPI: t.nsapi, Address: cr.Address, QoS: cr.QoS})
@@ -937,10 +955,10 @@ func (s *SGSN) handleDownlinkTPDU(env *sim.Env, m gtp.TPDU) {
 		tlli = gsmid.LocalTLLI(r.ptmsi)
 		s.dlPackets++
 		// Downlink follows the path the context was activated over.
-		peer, ms = sim.NodeID(s.names.Val(r.peer)), sim.NodeID(s.names.Val(r.ms))
+		peer, ms = s.peers.Val(r.peer), r.ms
 		pdp := s.findPDP(r, m.TID.NSAPI())
 		if pdp != nil && pdp.peer != 0 {
-			peer, ms = sim.NodeID(s.names.Val(pdp.peer)), sim.NodeID(s.names.Val(pdp.ms))
+			peer, ms = s.peers.Val(pdp.peer), pdp.ms
 		}
 		// Downlink media rides whatever context owns the destination
 		// address — the voice context, or the signalling context when an
@@ -983,10 +1001,9 @@ func (s *SGSN) handleRAUpdate(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m
 	_, r := s.lookupTLLI(ul.TLLI)
 	ok := r != nil
 	if ok {
-		peerSym := s.names.ID(string(peer))
-		msSym := s.names.ID(string(ul.MS))
+		peerSym := s.peers.ID(peer)
 		r.peer = peerSym
-		r.ms = msSym
+		r.ms = ul.MS
 		r.cell = s.cells.ID(ul.Cell)
 		// Contexts activated over the moving path follow the MS.
 		for h := r.pdpHead; !h.IsZero(); {
@@ -994,7 +1011,7 @@ func (s *SGSN) handleRAUpdate(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m
 			if p == nil {
 				break
 			}
-			if p.ms == msSym {
+			if p.ms == ul.MS {
 				p.peer = peerSym
 			}
 			h = p.next
@@ -1016,7 +1033,7 @@ func (s *SGSN) handlePDUNotify(env *sim.Env, from sim.NodeID, m gtp.PDUNotifyReq
 	var peer, ms sim.NodeID
 	if ok {
 		tlli = gsmid.LocalTLLI(r.ptmsi)
-		peer, ms = sim.NodeID(s.names.Val(r.peer)), sim.NodeID(s.names.Val(r.ms))
+		peer, ms = s.peers.Val(r.peer), r.ms
 	}
 	s.mu.Unlock()
 

@@ -1,11 +1,15 @@
 package gprs
 
 import (
+	"fmt"
 	"testing"
+	"unsafe"
 
 	"vgprs/internal/gb"
 	"vgprs/internal/gsmid"
+	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
+	"vgprs/internal/ss7"
 )
 
 // gbSink is a bare Gb peer: it absorbs DLUnitdata replies and remembers the
@@ -94,5 +98,63 @@ func TestReattachForeignTLLIDoesNotLeakIndex(t *testing.T) {
 	}
 	if got := sgsn.SlabImbalance(); got != 0 {
 		t.Fatalf("slab imbalance after detach = %d, want 0", got)
+	}
+}
+
+// TestMSNamesAreNotInterned pins the symbol-table leak: the SGSN interned
+// every subscriber's MS correlation name in a table whose symbols are never
+// released, so it grew with the population and survived cancel-all. Only the
+// Gb peers are symbols now; 2,000 subscribers with distinct MS names come and
+// go and the table still holds the one peer they arrived through.
+func TestMSNamesAreNotInterned(t *testing.T) {
+	const subs = 2000
+	env := sim.NewEnv(1)
+	sgsn := NewSGSN(SGSNConfig{ID: "SGSN-1", GGSN: "GGSN-1"}) // no HLR: attach accepts locally
+	env.AddNode(sgsn)
+	env.AddNode(&gbSink{id: "PEER"})
+	env.Connect("PEER", "SGSN-1", "Gb", 0)
+
+	imsi := func(i int) gsmid.IMSI { return gsmid.IMSI(fmt.Sprintf("4669200%08d", i)) }
+	for i := 0; i < subs; i++ {
+		pdu, err := WrapSM(AttachRequest{IMSI: imsi(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Send("PEER", "SGSN-1", gb.ULUnitdata{
+			TLLI: gsmid.TLLI(i + 1), MS: sim.NodeID(fmt.Sprintf("MS%05d", i)), PDU: pdu,
+		})
+	}
+	env.Run()
+	if got := sgsn.Attached(); got != subs {
+		t.Fatalf("attached = %d, want %d", got, subs)
+	}
+	for i := 0; i < subs; i++ {
+		env.Send("PEER", "SGSN-1", sigmap.CancelLocation{Invoke: ss7.InvokeID(i + 1), IMSI: imsi(i)})
+	}
+	env.Run()
+	if got := sgsn.Attached(); got != 0 {
+		t.Fatalf("attached after cancel-all = %d, want 0", got)
+	}
+	if got := sgsn.peers.Len(); got > 1 {
+		t.Fatalf("symbol table holds %d names for one Gb peer: MS names are being interned", got)
+	}
+	if got := sgsn.SlabImbalance(); got != 0 {
+		t.Fatalf("slab imbalance = %d, want 0", got)
+	}
+
+	// The audit must see a table that grows with the population.
+	for i := 0; i <= gbPeerLimit; i++ {
+		sgsn.peers.ID(sim.NodeID(fmt.Sprintf("MS%05d", i)))
+	}
+	if got := sgsn.SlabImbalance(); got == 0 {
+		t.Fatal("audit missed a symbol table past the Gb peer limit")
+	}
+}
+
+// TestClientStateSize pins the per-subscriber GMM/SM state the VMSC embeds in
+// every MS-table row.
+func TestClientStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(ClientState{}); got > 72 {
+		t.Fatalf("ClientState is %d bytes, budget 72", got)
 	}
 }

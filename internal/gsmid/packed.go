@@ -45,6 +45,12 @@ func (p PackedDigits) IsZero() bool { return p == PackedDigits{} }
 // Len returns the digit count.
 func (p PackedDigits) Len() int { return int(p[0] & 0x0F) }
 
+// Digit returns the i-th digit's ASCII character (0 <= i < Len).
+func (p PackedDigits) Digit(i int) byte {
+	nib := i + 1
+	return '0' + (p[nib/2]>>(4*uint(nib%2)))&0x0F
+}
+
 // String unpacks the digits, allocating a fresh string.
 func (p PackedDigits) String() string {
 	n := p.Len()
@@ -53,8 +59,7 @@ func (p PackedDigits) String() string {
 	}
 	var buf [15]byte
 	for i := 0; i < n; i++ {
-		nib := i + 1
-		buf[i] = '0' + (p[nib/2]>>(4*uint(nib%2)))&0x0F
+		buf[i] = p.Digit(i)
 	}
 	return string(buf[:n])
 }

@@ -18,41 +18,43 @@ import (
 // With one bound address per attached subscriber, the directory is itself a
 // per-subscriber surface, so it uses the same open-addressing index as the
 // subscriber stores: node names are interned once (the set of distinct
-// names is bounded by topology size) and each binding costs one index cell
-// holding the interned symbol, not a map entry with a string header.
+// names is bounded by topology size) and each binding costs one 12-byte
+// index cell — the address in its 4-byte IPv4 form and the interned symbol
+// — not a map entry with a string header.
 type Directory struct {
 	mu    sync.Mutex
-	idx   *slab.Index[netip.Addr]
+	idx   *slab.Index[uint32]
 	nodes slab.Syms[sim.NodeID]
 }
 
-func hashAddr(a netip.Addr) uint64 { return slab.HashBytes16(a.As16()) }
-
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{idx: slab.NewIndex[netip.Addr](hashAddr)}
+	return &Directory{idx: slab.NewIndex[uint32](slab.HashUint32)}
 }
 
-// Bind associates an address with a node for tracing.
+// Bind associates an address with a node for tracing. Only IPv4 addresses
+// exist on the simulated networks; anything else is ignored.
 func (d *Directory) Bind(addr netip.Addr, node sim.NodeID) {
-	if d == nil || node == "" {
+	key, v4 := ipnet.V4Key(addr)
+	if d == nil || node == "" || !v4 {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// The 1-based symbol doubles as the stored handle; it is never zero
 	// for a non-empty name, which is all Index.Put requires.
-	d.idx.Put(addr, slab.Handle(d.nodes.ID(node)))
+	d.idx.Put(key, slab.Handle(d.nodes.ID(node)))
 }
 
 // Unbind drops an address binding (subscriber purge).
 func (d *Directory) Unbind(addr netip.Addr) {
-	if d == nil {
+	key, v4 := ipnet.V4Key(addr)
+	if d == nil || !v4 {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.idx.Delete(addr)
+	d.idx.Delete(key)
 }
 
 // Bound returns the number of live address bindings.
@@ -65,14 +67,25 @@ func (d *Directory) Bound() int {
 	return d.idx.Len()
 }
 
+// Footprint is the memory the bindings hold, in bytes.
+func (d *Directory) Footprint() int {
+	if d == nil {
+		return 0
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.idx.Bytes()
+}
+
 // Resolve returns the node for an address, or a synthetic name.
 func (d *Directory) Resolve(addr netip.Addr) sim.NodeID {
-	if d == nil {
+	key, v4 := ipnet.V4Key(addr)
+	if d == nil || !v4 {
 		return sim.NodeID(addr.String())
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if h := d.idx.Get(addr); !h.IsZero() {
+	if h := d.idx.Get(key); !h.IsZero() {
 		return d.nodes.Val(uint32(h))
 	}
 	return sim.NodeID(addr.String())
@@ -88,39 +101,49 @@ type Endpoint struct {
 	// Addr is this endpoint's IP address.
 	Addr netip.Addr
 	// Send transmits an IP packet toward the network: a LAN-attached
-	// element sends to its router link; the VMSC sends into the MS's
-	// GPRS tunnel.
+	// element sends to its router link.
 	Send func(env *sim.Env, pkt ipnet.Packet)
-	// Via, when set, takes precedence over Send. An owner that manages
-	// many endpoints (the VMSC holds one per registered MS) implements
-	// Sender once instead of allocating a Send closure per endpoint.
-	Via Sender
+	// Via, when set, takes precedence over Send. An owner that speaks for
+	// many endpoints (the VMSC, one per registered MS, sending into the
+	// MS's GPRS tunnel) implements Sender once, builds an endpoint on its
+	// stack when it has something to send — the methods take the endpoint
+	// by value for that — and is told through Owner whose packet it is.
+	Via   Sender
+	Owner slab.Handle
 	// Dir resolves peer addresses for tracing (nil tolerated).
 	Dir *Directory
 }
 
 // Sender is the closure-free alternative to Endpoint.Send.
 type Sender interface {
-	SendIPPacket(env *sim.Env, pkt ipnet.Packet)
+	SendIPPacket(env *sim.Env, owner slab.Handle, pkt ipnet.Packet)
 }
 
 // transmit routes an outgoing packet through Via or Send.
-func (e *Endpoint) transmit(env *sim.Env, pkt ipnet.Packet) {
+func (e Endpoint) transmit(env *sim.Env, pkt ipnet.Packet) {
 	if e.Via != nil {
-		e.Via.SendIPPacket(env, pkt)
+		e.Via.SendIPPacket(env, e.Owner, pkt)
 		return
 	}
 	e.Send(env, pkt)
 }
 
+// note records the logical arrow of an outgoing message. The peer's name is
+// resolved only when somebody is listening.
+func (e Endpoint) note(env *sim.Env, to netip.Addr, iface string, msg sim.Message) {
+	if env.Tracer() != nil {
+		env.Note(e.Node, e.Dir.Resolve(to), iface, msg)
+	}
+}
+
 // SendRAS transmits a RAS message to a peer over UDP 1719 and notes the
 // logical arrow.
-func (e *Endpoint) SendRAS(env *sim.Env, to netip.Addr, msg sim.Message) {
+func (e Endpoint) SendRAS(env *sim.Env, to netip.Addr, msg sim.Message) {
 	body, err := MarshalRAS(msg)
 	if err != nil {
 		return
 	}
-	env.Note(e.Node, e.Dir.Resolve(to), "RAS", msg)
+	e.note(env, to, "RAS", msg)
 	e.transmit(env, ipnet.Packet{
 		Src: e.Addr, Dst: to,
 		Proto:   ipnet.ProtoUDP,
@@ -131,12 +154,12 @@ func (e *Endpoint) SendRAS(env *sim.Env, to netip.Addr, msg sim.Message) {
 
 // SendQ931 transmits a call-signalling message to a peer over TCP 1720 and
 // notes the logical arrow.
-func (e *Endpoint) SendQ931(env *sim.Env, to netip.Addr, msg sim.Message) {
+func (e Endpoint) SendQ931(env *sim.Env, to netip.Addr, msg sim.Message) {
 	body, err := q931.Marshal(msg)
 	if err != nil {
 		return
 	}
-	env.Note(e.Node, e.Dir.Resolve(to), "H.225", msg)
+	e.note(env, to, "H.225", msg)
 	e.transmit(env, ipnet.Packet{
 		Src: e.Addr, Dst: to,
 		Proto:   ipnet.ProtoTCP,
@@ -146,7 +169,7 @@ func (e *Endpoint) SendQ931(env *sim.Env, to netip.Addr, msg sim.Message) {
 }
 
 // SendRTP transmits a media packet to a peer media address.
-func (e *Endpoint) SendRTP(env *sim.Env, to q931.MediaAddr, body []byte) {
+func (e Endpoint) SendRTP(env *sim.Env, to q931.MediaAddr, body []byte) {
 	e.transmit(env, ipnet.Packet{
 		Src: e.Addr, Dst: to.Addr,
 		Proto:   ipnet.ProtoUDP,
@@ -168,8 +191,8 @@ type Inbound struct {
 }
 
 // Classify decodes an arriving packet by destination port. It returns
-// (zero, false) for packets this endpoint should ignore.
-func (e *Endpoint) Classify(pkt ipnet.Packet) (Inbound, bool) {
+// (zero, false) for packets an H.323 element should ignore.
+func Classify(pkt ipnet.Packet) (Inbound, bool) {
 	switch pkt.DstPort {
 	case ipnet.PortRAS:
 		msg, err := UnmarshalRAS(pkt.Payload)

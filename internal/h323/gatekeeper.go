@@ -275,6 +275,15 @@ func (g *Gatekeeper) Audit(report func(kind string, n int)) {
 	report("slab imbalance", g.SlabImbalance())
 }
 
+// Footprint is the memory the registration, call and IMSI tables hold, in
+// bytes: slab chunks plus index tables.
+func (g *Gatekeeper) Footprint() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.regs.Bytes() + g.byAlias.Bytes() + g.calls.Bytes() + g.byCall.Bytes() +
+		g.imsiTab.Bytes() + g.byIMSI.Bytes()
+}
+
 // SlabImbalance cross-checks every index against its slab: each index entry
 // must resolve to a live row carrying the same key, each slab shard's live
 // count must match what the indexes reference, and allocated capacity must
@@ -346,7 +355,7 @@ func (g *Gatekeeper) Receive(env *sim.Env, from sim.NodeID, iface string, msg si
 	if !ok {
 		return
 	}
-	in, ok := g.ep.Classify(pkt)
+	in, ok := Classify(pkt)
 	if !ok || in.RAS == nil {
 		return
 	}

@@ -229,7 +229,7 @@ func gwAdmitDone(env *sim.Env, p gwRASTxn, msg sim.Message) {
 }
 
 func (g *Gateway) handleIP(env *sim.Env, pkt ipnet.Packet) {
-	in, ok := g.ep.Classify(pkt)
+	in, ok := Classify(pkt)
 	if !ok {
 		return
 	}

@@ -10,6 +10,7 @@ import (
 
 	"vgprs/internal/gsmid"
 	"vgprs/internal/ipnet"
+	"vgprs/internal/q931"
 	"vgprs/internal/sim"
 	"vgprs/internal/trace"
 )
@@ -589,5 +590,59 @@ func TestTerminalScopesCallRefsPerPeer(t *testing.T) {
 	}
 	if ended != 1 || open != 1 {
 		t.Fatalf("charging records: %d ended, %d open; want 1/1", ended, open)
+	}
+}
+
+// TestDirectoryIsIPv4Only: bindings key on the 4-byte address form; anything
+// else is ignored on Bind and resolves to its synthetic name.
+func TestDirectoryIsIPv4Only(t *testing.T) {
+	dir := NewDirectory()
+	v4, v6 := ipnet.MustAddr("10.1.1.7"), ipnet.MustAddr("2001:db8::7")
+	dir.Bind(v4, "MS-7")
+	dir.Bind(v6, "MS-7")
+	if got := dir.Bound(); got != 1 {
+		t.Fatalf("bound = %d, want 1 (the IPv4 binding)", got)
+	}
+	if got := dir.Resolve(v4); got != "MS-7" {
+		t.Fatalf("Resolve(%s) = %q", v4, got)
+	}
+	if got := dir.Resolve(v6); got != sim.NodeID(v6.String()) {
+		t.Fatalf("Resolve(%s) = %q, want the synthetic name", v6, got)
+	}
+	dir.Unbind(v6)
+	dir.Unbind(v4)
+	if got := dir.Bound(); got != 0 {
+		t.Fatalf("bound after unbind = %d", got)
+	}
+	if got, cell := dir.Footprint(), 12; got%cell != 0 || got == 0 {
+		t.Fatalf("footprint = %d B, want a whole number of %d-byte cells", got, cell)
+	}
+}
+
+// TestSendWithoutTracerResolvesNothing: the directory lookup behind a logical
+// trace arrow (a mutex, a probe, a symbol read) is only worth doing when a
+// tracer will record the arrow.
+func TestSendWithoutTracerResolvesNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	sent := 0
+	ep := Endpoint{
+		Node: "TERM", Addr: ipnet.MustAddr("192.168.1.10"),
+		Send: func(*sim.Env, ipnet.Packet) { sent++ },
+		Dir:  NewDirectory(),
+	}
+	gk := ipnet.MustAddr("192.168.1.1")
+	ep.Dir.mu.Lock() // a Resolve would deadlock here
+	ep.SendRAS(env, gk, RRQ{Seq: 1, Alias: "85291110001"})
+	ep.SendQ931(env, gk, q931.ReleaseComplete{CallRef: 1})
+	ep.Dir.mu.Unlock()
+	if sent != 2 {
+		t.Fatalf("sent %d packets, want 2", sent)
+	}
+	rec := trace.NewRecorder()
+	env.SetTracer(rec)
+	ep.Dir.Bind(gk, "GK")
+	ep.SendRAS(env, gk, RRQ{Seq: 2, Alias: "85291110001"})
+	if e, ok := rec.First(RRQ{}.Name()); !ok || e.From != "TERM" || e.To != "GK" || e.Iface != "RAS" {
+		t.Fatalf("traced send did not note the arrow to the resolved peer:\n%s", rec.Dump())
 	}
 }

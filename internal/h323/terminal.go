@@ -441,7 +441,7 @@ func (t *Terminal) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.
 	if !ok {
 		return
 	}
-	in, ok := t.ep.Classify(pkt)
+	in, ok := Classify(pkt)
 	if !ok {
 		return
 	}

@@ -217,6 +217,14 @@ func (h *HLR) Audit(report func(kind string, n int)) {
 	report("slab imbalance", h.SlabImbalance())
 }
 
+// Footprint is the memory the subscriber store holds, in bytes: slab chunks
+// plus index tables.
+func (h *HLR) Footprint() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.recs.Bytes() + h.byIMSI.Bytes() + h.byMSISDN.Bytes()
+}
+
 // SlabImbalance audits the slab storage: both identity indexes must hold
 // exactly one entry per live record and per-shard occupancy must balance.
 // Non-zero means records were lost or leaked.

@@ -177,14 +177,13 @@ func NewPoolSize(prefix string, n int) (*Pool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ipnet: bad pool prefix: %w", err)
 	}
-	if !addr.Is4() {
+	base, v4 := V4Key(addr)
+	if !v4 {
 		return nil, fmt.Errorf("ipnet: pool prefix %s is not IPv4", prefix)
 	}
 	if n <= 0 {
 		n = 254
 	}
-	a4 := addr.As4()
-	base := uint32(a4[0])<<24 | uint32(a4[1])<<16 | uint32(a4[2])<<8 | uint32(a4[3])
 	if uint64(base)+uint64(n) > 0xFFFFFFFF {
 		return nil, fmt.Errorf("ipnet: pool %s+%d overflows the IPv4 space", prefix, n)
 	}
@@ -224,13 +223,9 @@ func (p *Pool) Allocate() (netip.Addr, error) {
 // Release returns an address to the pool. Releasing an address not allocated
 // from this pool is a no-op.
 func (p *Pool) Release(addr netip.Addr) {
-	if !addr.Is4() {
-		return
-	}
-	a4 := addr.As4()
-	v := uint32(a4[0])<<24 | uint32(a4[1])<<16 | uint32(a4[2])<<8 | uint32(a4[3])
+	v, v4 := V4Key(addr)
 	off := v - p.base
-	if v < p.base || off == 0 || off > p.cap || p.used[off/64]&(1<<(off%64)) == 0 {
+	if !v4 || v < p.base || off == 0 || off > p.cap || p.used[off/64]&(1<<(off%64)) == 0 {
 		return
 	}
 	p.used[off/64] &^= 1 << (off % 64)
@@ -240,6 +235,18 @@ func (p *Pool) Release(addr netip.Addr) {
 
 // InUse returns the number of allocated addresses.
 func (p *Pool) InUse() int { return p.n }
+
+// V4Key returns an IPv4 address as a 4-byte index key, most significant octet
+// first. Every address on the simulated networks is IPv4 (pools allocate
+// nothing else), so the per-address indexes key on this form instead of the
+// 24-byte netip.Addr; ok is false for anything else, 4-in-6 included.
+func V4Key(a netip.Addr) (key uint32, ok bool) {
+	if !a.Is4() {
+		return 0, false
+	}
+	b := a.As4()
+	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3]), true
+}
 
 // MustAddr parses an address, panicking on error; for fixture topologies.
 func MustAddr(s string) netip.Addr {

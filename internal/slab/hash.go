@@ -40,9 +40,3 @@ func HashUint32(v uint32) uint64 { return HashUint64(uint64(v)) }
 func HashBytes8(b [8]byte) uint64 {
 	return HashUint64(binary.LittleEndian.Uint64(b[:]))
 }
-
-// HashBytes16 mixes a 16-byte value such as a netip.Addr's As16 form.
-func HashBytes16(b [16]byte) uint64 {
-	return HashUint64(HashUint64(binary.LittleEndian.Uint64(b[:8])) ^
-		binary.LittleEndian.Uint64(b[8:]))
-}

@@ -1,5 +1,7 @@
 package slab
 
+import "unsafe"
+
 // Index is an open-addressing hash table from a pointer-free key to a slab
 // Handle. It replaces the `map[K]*T` constellations around subscriber
 // state: keys live by value in one flat array (no per-entry allocation, no
@@ -31,6 +33,12 @@ func NewIndex[K comparable](hash func(K) uint64) *Index[K] {
 
 // Len returns the number of entries.
 func (x *Index[K]) Len() int { return x.n }
+
+// Bytes returns the memory the table's key and handle arrays hold.
+func (x *Index[K]) Bytes() int {
+	var zero K
+	return len(x.vals) * (int(unsafe.Sizeof(zero)) + int(unsafe.Sizeof(Handle(0))))
+}
 
 // Get returns the handle stored under key, or the zero Handle.
 func (x *Index[K]) Get(key K) Handle {

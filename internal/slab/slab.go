@@ -13,7 +13,10 @@
 // tags so a stale handle can never resurrect a recycled slot.
 package slab
 
-import "math/bits"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // Handle names one live slot in a Sharded slab. The packed layout is
 //
@@ -174,6 +177,18 @@ func (s *Slab[T]) Cap() int { return len(s.gens) }
 // FreeLen returns the current free-list depth.
 func (s *Slab[T]) FreeLen() int { return len(s.free) }
 
+// Bytes returns the memory the slab holds: every chunk row, live or free,
+// plus the generation and free-list arrays at their capacity. It is what a
+// node's Footprint charges for a store, and what the heap shows for it.
+func (s *Slab[T]) Bytes() int {
+	var zero T
+	rows := 0
+	for _, c := range s.chunks {
+		rows += len(c)
+	}
+	return rows*int(unsafe.Sizeof(zero)) + 4*(cap(s.gens)+cap(s.free))
+}
+
 // Sharded is a fixed-fan-out set of slabs addressed through one Handle
 // space: the handle's shard bits route Get and Free to the owning shard.
 // Sharding here partitions storage (and lets audits localise a leak); the
@@ -231,6 +246,15 @@ func (s *Sharded[T]) Len() int {
 	n := 0
 	for i := range s.shards {
 		n += s.shards[i].live
+	}
+	return n
+}
+
+// Bytes returns the memory held across all shards (see Slab.Bytes).
+func (s *Sharded[T]) Bytes() int {
+	n := 0
+	for i := range s.shards {
+		n += s.shards[i].Bytes()
 	}
 	return n
 }

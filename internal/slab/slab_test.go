@@ -3,6 +3,7 @@ package slab
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 type rec struct {
@@ -268,5 +269,102 @@ func TestHandleFields(t *testing.T) {
 	if h.Shard() != 7 || h.slot() != 12345 || h.gen() != 0x00abcdef {
 		t.Fatalf("field round-trip failed: shard=%d slot=%d gen=%x",
 			h.Shard(), h.slot(), h.gen())
+	}
+}
+
+// TestShardedAgainstModel drives a sharded slab with random Alloc, Free and
+// Get — through live handles, handles retired by Free (some since recycled by
+// a later occupant of the slot), handles moved to another shard, and handles
+// that were never issued — against a map from live handle to the value stored
+// there. A stale or foreign handle must resolve to nothing and free nothing,
+// a fresh row must read zero, and the books (Len, per-shard Audit, Bytes)
+// must balance after every step.
+func TestShardedAgainstModel(t *testing.T) {
+	type row struct {
+		val  uint64
+		note string // a pointer field: Free must clear it
+	}
+	const shards = 4
+	rng := rand.New(rand.NewSource(11))
+	s := NewSharded[row](shards)
+	live := map[Handle]uint64{}
+	var order, retired []Handle // order: live handles, for picking one at random
+
+	pick := func(hs []Handle) Handle { return hs[rng.Intn(len(hs))] }
+	// mangle turns a real handle into one that must not resolve.
+	mangle := func(h Handle) Handle {
+		switch rng.Intn(3) {
+		case 0: // same slot and generation, another shard
+			return makeHandle((h.Shard()+1+rng.Intn(shards-1))%shards, h.slot(), h.gen())
+		case 1: // same shard and slot, a generation not in use there
+			return makeHandle(h.Shard(), h.slot(), h.gen()+2*uint32(1+rng.Intn(4)))
+		default: // a slot far past anything allocated
+			return makeHandle(h.Shard(), h.slot()+1<<20, h.gen())
+		}
+	}
+	for op := 0; op < 200000; op++ {
+		switch r := rng.Intn(10); {
+		case r < 4 || len(order) == 0:
+			shard := rng.Intn(shards)
+			h, p := s.Alloc(shard)
+			if *p != (row{}) {
+				t.Fatalf("op %d: Alloc returned a dirty row %+v", op, *p)
+			}
+			if _, dup := live[h]; dup || h.IsZero() || h.Shard() != shard {
+				t.Fatalf("op %d: Alloc(%d) returned handle %x (duplicate %v)", op, shard, h, dup)
+			}
+			p.val, p.note = rng.Uint64(), "x"
+			live[h] = p.val
+			order = append(order, h)
+		case r < 7:
+			i := rng.Intn(len(order))
+			h := order[i]
+			if !s.Free(h) {
+				t.Fatalf("op %d: Free(%x) of a live handle reported false", op, h)
+			}
+			delete(live, h)
+			order[i] = order[len(order)-1]
+			order = order[:len(order)-1]
+			retired = append(retired, h)
+		case r < 8:
+			h := pick(order)
+			if p := s.Get(h); p == nil || p.val != live[h] {
+				t.Fatalf("op %d: Get(%x) = %v, want value %d", op, h, p, live[h])
+			}
+		default:
+			h := mangle(pick(order))
+			if len(retired) > 0 && rng.Intn(2) == 0 {
+				h = pick(retired)
+			}
+			if _, isLive := live[h]; isLive {
+				continue // a mangled generation can land on nothing live, but be safe
+			}
+			if p := s.Get(h); p != nil {
+				t.Fatalf("op %d: stale handle %x resolved to %+v", op, h, *p)
+			}
+			if s.Free(h) {
+				t.Fatalf("op %d: stale handle %x freed a row", op, h)
+			}
+		}
+		if s.Len() != len(live) {
+			t.Fatalf("op %d: Len = %d, want %d", op, s.Len(), len(live))
+		}
+	}
+	perShard := make([]int, shards)
+	for h, want := range live {
+		if p := s.Get(h); p == nil || p.val != want {
+			t.Fatalf("final Get(%x) = %v, want value %d", h, p, want)
+		}
+		perShard[h.Shard()]++
+	}
+	rows := 0
+	for _, a := range s.Audit() {
+		if a.Imbalance() != 0 || a.Live != perShard[a.Shard] {
+			t.Fatalf("shard %d audit %+v, model has %d live", a.Shard, a, perShard[a.Shard])
+		}
+		rows += a.Cap
+	}
+	if min := rows * int(unsafe.Sizeof(row{})); s.Bytes() < min {
+		t.Fatalf("Bytes = %d, below the %d bytes of %d allocated rows", s.Bytes(), min, rows)
 	}
 }

@@ -242,6 +242,15 @@ func (v *VLR) Audit(report func(kind string, n int)) {
 	report("slab imbalance", v.SlabImbalance())
 }
 
+// Footprint is the memory the subscriber store holds, in bytes: slab chunks
+// (live rows and free ones alike) plus index tables. It is the VLR's share of
+// "who owns which bytes of a resident subscriber" (EXPERIMENTS.md).
+func (v *VLR) Footprint() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.recs.Bytes() + v.byIMSI.Bytes() + v.byTMSI.Bytes()
+}
+
 // SlabImbalance audits the slab storage: per-shard occupancy must balance
 // (cap == live + free) and every index entry must resolve to a live record
 // that agrees with the key. Non-zero means a context leaked out of — or

@@ -94,10 +94,10 @@ func (v *VMSC) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Mess
 
 // handleIP dispatches IP packets arriving through an MS's PDP contexts.
 func (v *VMSC) handleIP(env *sim.Env, entry *msEntry, pkt ipnet.Packet) {
-	if entry.endpoint.Via == nil {
-		return
+	if !entry.addr.IsValid() {
+		return // no signalling context has come up yet
 	}
-	in, ok := entry.endpoint.Classify(pkt)
+	in, ok := h323.Classify(pkt)
 	if !ok {
 		return
 	}
@@ -161,7 +161,7 @@ func (v *VMSC) h323Policy() txn.Policy {
 func (v *VMSC) rasTransmit(env *sim.Env, entry *msEntry, seq uint32, msg sim.Message,
 	fn func(env *sim.Env, p rasTxn, msg sim.Message), call *vCall) {
 	*v.ras.Begin(env, seq, v.h323Policy()) = rasTxn{v: v, fn: fn, entryH: entry.self, call: call, msg: msg}
-	entry.endpoint.SendRAS(env, v.cfg.Gatekeeper, msg)
+	v.endpoint(entry).SendRAS(env, v.cfg.Gatekeeper, msg)
 }
 
 // rasResend retransmits a RAS request while its subscriber row is live; a
@@ -171,7 +171,7 @@ func (v *VMSC) rasResend(env *sim.Env, p *rasTxn) bool {
 	if entry == nil {
 		return false
 	}
-	entry.endpoint.SendRAS(env, v.cfg.Gatekeeper, p.msg)
+	v.endpoint(entry).SendRAS(env, v.cfg.Gatekeeper, p.msg)
 	return true
 }
 
@@ -193,7 +193,7 @@ func (v *VMSC) armQ931(env *sim.Env, call *vCall, msg sim.Message) {
 	if entry == nil {
 		return
 	}
-	entry.endpoint.SendQ931(env, call.remoteSig, msg)
+	v.endpoint(entry).SendQ931(env, call.remoteSig, msg)
 	v.stopQ931(call) // a new cycle supersedes one still running
 	*v.q931.Begin(env, call, v.h323Policy()) = q931Txn{call: call, msg: msg}
 }
@@ -206,7 +206,7 @@ func (v *VMSC) q931Resend(env *sim.Env, t *q931Txn) bool {
 	if entry == nil {
 		return false
 	}
-	entry.endpoint.SendQ931(env, t.call.remoteSig, t.msg)
+	v.endpoint(entry).SendQ931(env, t.call.remoteSig, t.msg)
 	return true
 }
 
@@ -276,7 +276,7 @@ func (v *VMSC) admitMOCall(env *sim.Env, call *vCall, called gsmid.MSISDN) {
 	v.nextRAS++
 	seq := v.nextRAS
 	v.rasTransmit(env, entry, seq, h323.ARQ{
-		Seq: seq, CallerAlias: entry.msisdn, CalledAlias: called, CallRef: call.ref,
+		Seq: seq, CallerAlias: entry.msisdnKey.MSISDN(), CalledAlias: called, CallRef: call.ref,
 	}, rasMOAdmitDone, call)
 }
 
@@ -302,7 +302,7 @@ func rasMOAdmitDone(env *sim.Env, p rasTxn, msg sim.Message) {
 	// Step 2.4: Q.931 Setup through the GGSN to the terminal,
 	// retransmitted (T303) until the far end acknowledges.
 	v.armQ931(env, call, q931.Setup{
-		CallRef: call.ref, Called: call.remote, Calling: entry.msisdn,
+		CallRef: call.ref, Called: call.remote, Calling: entry.msisdnKey.MSISDN(),
 		Media: q931.MediaAddr{Addr: entry.addr, Port: ipnet.PortRTP},
 	})
 }
@@ -325,7 +325,7 @@ func (v *VMSC) handleQ931(env *sim.Env, entry *msEntry, pkt ipnet.Packet, msg si
 			call.mobileOriginated && call.state == callDelivering {
 			v.stopQ931(call)
 			call.state = callAlerting
-			env.Send(v.cfg.ID, entry.bsc, gsm.Alerting{
+			env.Send(v.cfg.ID, v.bscOf(entry), gsm.Alerting{
 				Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
 			})
 		}
@@ -335,14 +335,14 @@ func (v *VMSC) handleQ931(env *sim.Env, entry *msEntry, pkt ipnet.Packet, msg si
 		// answerer retransmits Connect until it sees the ack); only the
 		// first is processed.
 		if call := entry.call; call != nil && call.ref == m.CallRef && call.mobileOriginated {
-			entry.endpoint.SendQ931(env, call.remoteSig, q931.ConnectAck{CallRef: m.CallRef})
+			v.endpoint(entry).SendQ931(env, call.remoteSig, q931.ConnectAck{CallRef: m.CallRef})
 			if call.answered {
 				return
 			}
 			call.answered = true
 			v.stopQ931(call)
 			call.remoteMed = m.Media
-			env.Send(v.cfg.ID, entry.bsc, gsm.Connect{
+			env.Send(v.cfg.ID, v.bscOf(entry), gsm.Connect{
 				Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
 			})
 			v.activateVoicePDP(env, call)
@@ -372,10 +372,10 @@ func (v *VMSC) handleMTSetup(env *sim.Env, entry *msEntry, pkt ipnet.Packet, m q
 			// re-acknowledge so the caller's T303 stops; killing the
 			// call with UserBusy here would fail every MT call whose
 			// first CallProceeding was lost.
-			entry.endpoint.SendQ931(env, pkt.Src, q931.CallProceeding{CallRef: m.CallRef})
+			v.endpoint(entry).SendQ931(env, pkt.Src, q931.CallProceeding{CallRef: m.CallRef})
 			return
 		}
-		entry.endpoint.SendQ931(env, pkt.Src, q931.ReleaseComplete{
+		v.endpoint(entry).SendQ931(env, pkt.Src, q931.ReleaseComplete{
 			CallRef: m.CallRef, Cause: q931.CauseUserBusy,
 		})
 		return
@@ -388,13 +388,13 @@ func (v *VMSC) handleMTSetup(env *sim.Env, entry *msEntry, pkt ipnet.Packet, m q
 	v.active++
 
 	// Step 4.2 tail: Call Proceeding back to the caller.
-	entry.endpoint.SendQ931(env, pkt.Src, q931.CallProceeding{CallRef: m.CallRef})
+	v.endpoint(entry).SendQ931(env, pkt.Src, q931.CallProceeding{CallRef: m.CallRef})
 
 	// Step 4.3: ARQ/ACF with the gatekeeper.
 	v.nextRAS++
 	seq := v.nextRAS
 	v.rasTransmit(env, entry, seq, h323.ARQ{
-		Seq: seq, CallerAlias: entry.msisdn, CalledAlias: m.Calling,
+		Seq: seq, CallerAlias: entry.msisdnKey.MSISDN(), CalledAlias: m.Calling,
 		CallRef: m.CallRef, Answer: true,
 	}, rasMTAdmitDone, call)
 }
@@ -412,7 +412,7 @@ func rasMTAdmitDone(env *sim.Env, p rasTxn, msg sim.Message) {
 		return
 	}
 	if _, admitted := msg.(h323.ACF); !admitted { // ARJ or timeout
-		entry.endpoint.SendQ931(env, call.remoteSig, q931.ReleaseComplete{
+		v.endpoint(entry).SendQ931(env, call.remoteSig, q931.ReleaseComplete{
 			CallRef: call.ref, Cause: q931.CauseResourcesUnavail,
 		})
 		v.forget(call)
@@ -421,7 +421,7 @@ func rasMTAdmitDone(env *sim.Env, p rasTxn, msg sim.Message) {
 	// Step 4.4: page the MS. The timeout references the call directly
 	// (paging state holds the subscriber only through call.entryH); the
 	// paging response, or whatever releases the call first, cancels it.
-	env.Send(v.cfg.ID, entry.bsc, gsm.Paging{
+	env.Send(v.cfg.ID, v.bscOf(entry), gsm.Paging{
 		Leg: gsm.LegA, MS: entry.ms, Identity: gsmid.ByTMSI(entry.tmsi),
 	})
 	call.paging = call.env.AfterArg(v.cfg.PagingTimeout, pagingExpire, call)
@@ -435,7 +435,7 @@ func pagingExpire(arg any) {
 	}
 	v := call.v
 	if entry := call.ent(); entry != nil {
-		entry.endpoint.SendQ931(call.env, call.remoteSig, q931.ReleaseComplete{
+		v.endpoint(entry).SendQ931(call.env, call.remoteSig, q931.ReleaseComplete{
 			CallRef: call.ref, Cause: q931.CauseNoAnswer,
 		})
 	}
@@ -450,7 +450,7 @@ func (v *VMSC) pagingResponse(env *sim.Env, t gsm.PagingResponse) {
 		// the paging timer): release the channel the MS acquired to
 		// answer, or it would sit allocated forever.
 		if entry != nil {
-			env.Send(v.cfg.ID, entry.bsc, gsm.Release{Leg: gsm.LegA, MS: t.MS})
+			env.Send(v.cfg.ID, v.bscOf(entry), gsm.Release{Leg: gsm.LegA, MS: t.MS})
 		}
 		return
 	}
@@ -458,7 +458,7 @@ func (v *VMSC) pagingResponse(env *sim.Env, t gsm.PagingResponse) {
 	call.state = callDelivering
 	call.env.Cancel(call.paging)
 	// Step 4.5: Setup down the radio path.
-	env.Send(v.cfg.ID, entry.bsc, gsm.Setup{
+	env.Send(v.cfg.ID, v.bscOf(entry), gsm.Setup{
 		Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
 	})
 }
@@ -471,7 +471,7 @@ func (v *VMSC) radioAlerting(env *sim.Env, t gsm.Alerting) {
 	call := entry.call
 	call.state = callAlerting
 	// Step 4.6: Q.931 Alerting toward the calling terminal (ringback).
-	entry.endpoint.SendQ931(env, call.remoteSig, q931.Alerting{CallRef: call.ref})
+	v.endpoint(entry).SendQ931(env, call.remoteSig, q931.Alerting{CallRef: call.ref})
 }
 
 func (v *VMSC) radioConnect(env *sim.Env, t gsm.Connect) {
@@ -503,14 +503,14 @@ func (v *VMSC) activateVoicePDP(env *sim.Env, call *vCall) {
 		entry.voiceUp = true
 		v.stats.CallsEstablished++
 		if v.cfg.Hooks.OnCallEstablished != nil {
-			v.cfg.Hooks.OnCallEstablished(entry.imsi, call.mobileOriginated)
+			v.cfg.Hooks.OnCallEstablished(entry.imsiKey.IMSI(), call.mobileOriginated)
 		}
 	}
-	if _, active := entry.client.Context(NSAPIVoice); active {
+	if _, active := entry.gmm.Context(NSAPIVoice); active {
 		establish()
 		return
 	}
-	err := entry.client.ActivatePDP(env, NSAPIVoice, gtp.VoiceQoS(), "",
+	err := v.client(entry).ActivatePDP(env, NSAPIVoice, gtp.VoiceQoS(), "",
 		func(_ netip.Addr, ok bool) {
 			if !ok {
 				v.clearCall(env, call, true)
@@ -534,7 +534,7 @@ func (v *VMSC) radioDisconnect(env *sim.Env, t gsm.Disconnect) {
 	}
 	call := entry.call
 	// Step 3.2: release the H.323 leg.
-	entry.endpoint.SendQ931(env, call.remoteSig, q931.ReleaseComplete{
+	v.endpoint(entry).SendQ931(env, call.remoteSig, q931.ReleaseComplete{
 		CallRef: call.ref, Cause: q931.CauseNormal,
 	})
 	// Step 3.3: disengage with the gatekeeper (charging stops).
@@ -554,8 +554,8 @@ func (v *VMSC) disengage(env *sim.Env, call *vCall) {
 		return
 	}
 	v.nextRAS++
-	entry.endpoint.SendRAS(env, v.cfg.Gatekeeper, h323.DRQ{
-		Seq: v.nextRAS, Alias: entry.msisdn, CallRef: call.ref,
+	v.endpoint(entry).SendRAS(env, v.cfg.Gatekeeper, h323.DRQ{
+		Seq: v.nextRAS, Alias: entry.msisdnKey.MSISDN(), CallRef: call.ref,
 		Peer: call.remote,
 	})
 }
@@ -576,7 +576,7 @@ func (v *VMSC) releaseRadio(env *sim.Env, call *vCall) {
 	if entry == nil {
 		return
 	}
-	env.Send(v.cfg.ID, entry.bsc, gsm.Release{
+	env.Send(v.cfg.ID, v.bscOf(entry), gsm.Release{
 		Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
 	})
 }
@@ -585,8 +585,8 @@ func (v *VMSC) releaseRadio(env *sim.Env, call *vCall) {
 // mode, the signalling context too.
 func (v *VMSC) teardownVoicePDP(env *sim.Env, entry *msEntry) {
 	entry.voiceUp = false
-	if _, active := entry.client.Context(NSAPIVoice); active {
-		_ = entry.client.DeactivatePDP(env, NSAPIVoice, func() {
+	if _, active := entry.gmm.Context(NSAPIVoice); active {
+		_ = v.client(entry).DeactivatePDP(env, NSAPIVoice, func() {
 			if v.cfg.DeactivateIdlePDP {
 				v.deactivateSignalling(env, entry, func() {})
 			}
@@ -606,7 +606,7 @@ func (v *VMSC) clearCall(env *sim.Env, call *vCall, radio bool) {
 	}
 	entry := call.ent()
 	if call.remoteSig.IsValid() && entry != nil {
-		entry.endpoint.SendQ931(env, call.remoteSig, q931.ReleaseComplete{
+		v.endpoint(entry).SendQ931(env, call.remoteSig, q931.ReleaseComplete{
 			CallRef: call.ref, Cause: q931.CauseResourcesUnavail,
 		})
 		v.disengage(env, call)
@@ -627,7 +627,7 @@ func (v *VMSC) forget(call *vCall) {
 	v.stats.CallsReleased++
 	entry := call.ent()
 	if v.cfg.Hooks.OnCallReleased != nil && entry != nil {
-		v.cfg.Hooks.OnCallReleased(entry.imsi)
+		v.cfg.Hooks.OnCallReleased(entry.imsiKey.IMSI())
 	}
 	if entry != nil && entry.call == call {
 		entry.call = nil
@@ -649,12 +649,18 @@ func (v *VMSC) forget(call *vCall) {
 // per-frame allocation and no free step are needed. upBuf/dnFrame hold the
 // transcoded frame while the vocoder delay elapses; rtpBuf holds the
 // marshalled RTP packet whose bytes the SGSN/GGSN relay legs alias until
-// the far SGSN copies them (~4 ms + chaos jitter later). upJob/dnJob are
-// the pre-bound timer records that make the vocoder delay closure-free.
+// the far SGSN copies them (~4 ms + chaos jitter later); llcBuf and ulMsg
+// are the LLC framing buffer and Gb message every uplink RTP packet of the
+// call reuses, aliased the same way (total retention is the Gb+Gn+Gn latency,
+// well inside one frame interval; see chaos.MediaChaosPlan's jitter cap).
+// upJob/dnJob are the pre-bound timer records that make the vocoder delay
+// closure-free.
 type callMedia struct {
 	upBuf   [codec.FrameBytes]byte
 	upLen   int
 	rtpBuf  []byte
+	llcBuf  []byte
+	ulMsg   gb.ULUnitdata
 	dnFrame [codec.FrameBytes]byte
 	dnLen   int
 	upJob   frameJob
@@ -721,7 +727,7 @@ func uplinkFire(arg any) {
 		Payload:     call.med.upBuf[:call.med.upLen],
 	}
 	call.med.rtpBuf = p.AppendTo(call.med.rtpBuf[:0])
-	entry.endpoint.SendRTP(env, call.remoteMed, call.med.rtpBuf)
+	j.v.endpoint(entry).SendRTP(env, call.remoteMed, call.med.rtpBuf)
 }
 
 func (v *VMSC) downlinkVoice(env *sim.Env, entry *msEntry, payload []byte) {
@@ -769,7 +775,7 @@ func downlinkFire(arg any) {
 	if entry == nil {
 		return
 	}
-	env.Send(j.v.cfg.ID, entry.bsc, gsm.TCHFrame{
+	env.Send(j.v.cfg.ID, j.v.bscOf(entry), gsm.TCHFrame{
 		Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
 		Seq: call.seqDown, Downlink: true, Payload: call.med.dnFrame[:call.med.dnLen],
 	})
@@ -801,7 +807,7 @@ func (v *VMSC) trunkVoice(env *sim.Env, t isup.TrunkFrame) {
 			SSRC:        uint32(call.ref),
 			Payload:     payload,
 		}
-		entry.endpoint.SendRTP(env, call.remoteMed, p.Marshal())
+		v.endpoint(entry).SendRTP(env, call.remoteMed, p.Marshal())
 	})
 }
 
@@ -819,7 +825,7 @@ func (v *VMSC) trunkREL(env *sim.Env, from sim.NodeID, t isup.REL) {
 		call.hoTrunks.Release(call.hoCIC)
 	}
 	if entry := call.ent(); entry != nil {
-		entry.endpoint.SendQ931(env, call.remoteSig, q931.ReleaseComplete{
+		v.endpoint(entry).SendQ931(env, call.remoteSig, q931.ReleaseComplete{
 			CallRef: call.ref, Cause: q931.CauseNormal,
 		})
 		v.teardownVoicePDP(env, entry)

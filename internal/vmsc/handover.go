@@ -42,7 +42,7 @@ func (v *VMSC) handoverRequired(env *sim.Env, t gsm.HandoverRequired) {
 		v.buildHandoverTrunk(env, call, target, t.TargetCell, ack)
 	})
 	env.Send(v.cfg.ID, target.MSC, sigmap.PrepareHandover{
-		Invoke: invoke, IMSI: entry.imsi, CallRef: hoRef, TargetCell: t.TargetCell,
+		Invoke: invoke, IMSI: entry.imsiKey.IMSI(), CallRef: hoRef, TargetCell: t.TargetCell,
 	})
 }
 
@@ -69,7 +69,7 @@ func (v *VMSC) buildHandoverTrunk(env *sim.Env, call *vCall, target HandoverTarg
 		CIC: cic, CallRef: call.hoRef, Called: ack.HandoverNumber,
 	})
 	if entry := call.ent(); entry != nil {
-		env.Send(v.cfg.ID, entry.bsc, gsm.HandoverCommand{
+		env.Send(v.cfg.ID, v.bscOf(entry), gsm.HandoverCommand{
 			Leg: gsm.LegA, MS: entry.ms, CallRef: call.hoRef,
 			TargetCell: cell, TargetBTS: target.BTS, Channel: ack.RadioChannel,
 		})
@@ -101,7 +101,7 @@ func (v *VMSC) sendEndSignal(env *sim.Env, from sim.NodeID, t sigmap.SendEndSign
 	env.Send(v.cfg.ID, from, sigmap.SendEndSignalAck{Invoke: t.Invoke, CallRef: t.CallRef})
 	if v.cfg.Hooks.OnHandoverComplete != nil {
 		if entry := call.ent(); entry != nil {
-			v.cfg.Hooks.OnHandoverComplete(entry.imsi, from)
+			v.cfg.Hooks.OnHandoverComplete(entry.imsiKey.IMSI(), from)
 		}
 	}
 }
@@ -172,7 +172,7 @@ func (v *VMSC) subsequentHandover(env *sim.Env, from sim.NodeID, t sigmap.Prepar
 	})
 	var imsi gsmid.IMSI
 	if entry := call.ent(); entry != nil {
-		imsi = entry.imsi
+		imsi = entry.imsiKey.IMSI()
 	}
 	env.Send(v.cfg.ID, target.MSC, sigmap.PrepareHandover{
 		Invoke: invoke, IMSI: imsi, CallRef: call.hoRef,
@@ -195,11 +195,11 @@ func (v *VMSC) handoverComplete(env *sim.Env, from sim.NodeID, t gsm.HandoverCom
 	delete(v.hoCalls, t.CallRef)
 	entry := call.ent()
 	if entry != nil {
-		entry.bsc = from
+		entry.bsc = v.nodes.ID(from)
 	}
 	v.stats.Handovers++
 	if v.cfg.Hooks.OnHandoverComplete != nil && entry != nil {
-		v.cfg.Hooks.OnHandoverComplete(entry.imsi, v.cfg.ID)
+		v.cfg.Hooks.OnHandoverComplete(entry.imsiKey.IMSI(), v.cfg.ID)
 	}
 	return true
 }

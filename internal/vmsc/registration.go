@@ -16,11 +16,6 @@ import (
 	"vgprs/internal/slab"
 )
 
-// gbUL builds an uplink Gb frame for a virtual MS.
-func gbUL(tlli gsmid.TLLI, ms sim.NodeID, cell gsmid.CGI, pdu []byte) gb.ULUnitdata {
-	return gb.ULUnitdata{TLLI: tlli, MS: ms, Cell: cell, PDU: pdu}
-}
-
 // onVLROutcome continues the Fig 4 registration after the VLR accepted or
 // rejected the location update (end of step 1.2). On success the VMSC runs
 // steps 1.3-1.5 (GPRS attach, signalling-PDP activation, gatekeeper
@@ -36,8 +31,8 @@ func (v *VMSC) onVLROutcome(env *sim.Env, reg msc.Registration) {
 
 	entry := v.getOrCreateEntry(reg.IMSI)
 	entry.tmsi = reg.TMSI
-	entry.lai = reg.LAI
-	entry.bsc = reg.BSC
+	entry.lai = v.lais.ID(reg.LAI)
+	entry.bsc = v.nodes.ID(reg.BSC)
 	if entry.ms != reg.MS {
 		if entry.ms != "" {
 			v.byMS.Delete(entry.ms)
@@ -54,25 +49,20 @@ func (v *VMSC) onVLROutcome(env *sim.Env, reg msc.Registration) {
 		return
 	}
 
-	if entry.client == nil {
-		entry.client = v.newClient(entry)
-	}
-
-	// The chain below (attach → PDP → gatekeeper) threads the entry itself
-	// through package-level completion callbacks; entry.regEnv carries the
-	// env between steps.
-	entry.regEnv = env
+	// The chain below (attach → PDP → gatekeeper) runs through package-level
+	// completion callbacks that take the VMSC and find the row again by its
+	// handle: a row purged between two steps ends the chain.
 	entry.regAnnounce = true
 
 	// Step 1.3a: GPRS attach, just like a GPRS MS.
-	if err := entry.client.AttachArg(env, regAttachDone, entry); err != nil {
+	if err := v.client(entry).AttachArg(env, reg.IMSI, regAttachDone, v); err != nil {
 		v.failRegistration(env, entry, "gprs-attach")
 	}
 }
 
 // acceptLU answers the radio path with Location Update Accept (step 1.6).
 func (v *VMSC) acceptLU(env *sim.Env, entry *msEntry) {
-	env.Send(v.cfg.ID, entry.bsc, gsm.LocationUpdateAccept{
+	env.Send(v.cfg.ID, v.bscOf(entry), gsm.LocationUpdateAccept{
 		Leg: gsm.LegA, MS: entry.ms, TMSI: entry.tmsi,
 	})
 }
@@ -81,17 +71,20 @@ func (v *VMSC) acceptLU(env *sim.Env, entry *msEntry) {
 func (v *VMSC) failRegistration(env *sim.Env, entry *msEntry, stage string) {
 	v.stats.RegisterFailers++
 	if v.cfg.Hooks.OnMSRegisterFailed != nil {
-		v.cfg.Hooks.OnMSRegisterFailed(entry.imsi, stage)
+		v.cfg.Hooks.OnMSRegisterFailed(entry.imsiKey.IMSI(), stage)
 	}
-	env.Send(v.cfg.ID, entry.bsc, gsm.LocationUpdateReject{
+	env.Send(v.cfg.ID, v.bscOf(entry), gsm.LocationUpdateReject{
 		Leg: gsm.LegA, MS: entry.ms, Cause: 1,
 	})
 }
 
 // regAttachDone continues the registration chain after GPRS attach.
-func regAttachDone(arg any, ok bool) {
-	entry := arg.(*msEntry)
-	v, env := entry.v, entry.regEnv
+func regAttachDone(env *sim.Env, arg any, owner slab.Handle, ok bool) {
+	v := arg.(*VMSC)
+	entry := v.ents.Get(owner)
+	if entry == nil {
+		return
+	}
 	if !ok {
 		v.failRegistration(env, entry, "gprs-attach")
 		return
@@ -102,23 +95,25 @@ func regAttachDone(arg any, ok bool) {
 // activateSignallingPDP runs step 1.3b: a low-priority PDP context dedicated
 // to H.323 signalling.
 func (v *VMSC) activateSignallingPDP(env *sim.Env, entry *msEntry) {
-	err := entry.client.ActivatePDPArg(env, NSAPISignalling, gtp.SignallingQoS(),
-		v.staticAddrFor(entry.imsi), regSigPDPDone, entry)
+	err := v.client(entry).ActivatePDPArg(env, NSAPISignalling, gtp.SignallingQoS(),
+		v.staticAddrFor(entry), regSigPDPDone, v)
 	if err != nil {
 		v.failRegistration(env, entry, "pdp-activation")
 	}
 }
 
 // regSigPDPDone continues the chain once the signalling context is up.
-func regSigPDPDone(arg any, addr netip.Addr, ok bool) {
-	entry := arg.(*msEntry)
-	v, env := entry.v, entry.regEnv
+func regSigPDPDone(env *sim.Env, arg any, owner slab.Handle, addr netip.Addr, ok bool) {
+	v := arg.(*VMSC)
+	entry := v.ents.Get(owner)
+	if entry == nil {
+		return
+	}
 	if !ok {
 		v.failRegistration(env, entry, "pdp-activation")
 		return
 	}
 	entry.addr = addr
-	v.setupEndpoint(entry)
 	if v.cfg.Dir != nil {
 		v.cfg.Dir.Bind(addr, v.cfg.ID)
 	}
@@ -131,12 +126,11 @@ func regSigPDPDone(arg any, addr netip.Addr, ok bool) {
 // answers the radio path (initial registration) or stays silent (keepalive
 // re-registration).
 func (v *VMSC) registerWithGatekeeper(env *sim.Env, entry *msEntry, announce bool) {
-	entry.regEnv = env
 	entry.regAnnounce = announce
 	v.nextRAS++
 	seq := v.nextRAS
 	v.rasTransmit(env, entry, seq, h323.RRQ{
-		Seq: seq, Alias: entry.msisdn,
+		Seq: seq, Alias: entry.msisdnKey.MSISDN(),
 		SignalAddr: entry.addr, SignalPort: ipnet.PortQ931,
 	}, regRRQDone, nil)
 }
@@ -156,8 +150,8 @@ func regRRQDone(env *sim.Env, p rasTxn, msg sim.Message) {
 		return
 	}
 	entry.registered = true
-	if entry.msisdn != "" {
-		v.byMSISDN.Put(entry.msisdn.Pack(), entry.self)
+	if !entry.msisdnKey.IsZero() {
+		v.byMSISDN.Put(entry.msisdnKey, entry.self)
 	}
 	v.stats.Registrations++
 	if v.cfg.DeactivateIdlePDP {
@@ -176,16 +170,16 @@ func (v *VMSC) finishRegistration(env *sim.Env, entry *msEntry) {
 		v.acceptLU(env, entry)
 	}
 	if v.cfg.Hooks.OnMSRegistered != nil {
-		v.cfg.Hooks.OnMSRegistered(entry.imsi, entry.addr)
+		v.cfg.Hooks.OnMSRegistered(entry.imsiKey.IMSI(), entry.addr)
 	}
 }
 
 func (v *VMSC) deactivateSignalling(env *sim.Env, entry *msEntry, done func()) {
-	if _, active := entry.client.Context(NSAPISignalling); !active {
+	if _, active := entry.gmm.Context(NSAPISignalling); !active {
 		done()
 		return
 	}
-	if err := entry.client.DeactivatePDP(env, NSAPISignalling, done); err != nil {
+	if err := v.client(entry).DeactivatePDP(env, NSAPISignalling, done); err != nil {
 		done()
 	}
 }
@@ -193,12 +187,12 @@ func (v *VMSC) deactivateSignalling(env *sim.Env, entry *msEntry, done func()) {
 // ensureSignallingPDP re-activates the signalling context in
 // DeactivateIdlePDP mode before a call can proceed.
 func (v *VMSC) ensureSignallingPDP(env *sim.Env, entry *msEntry, done func(ok bool)) {
-	if _, active := entry.client.Context(NSAPISignalling); active {
+	if _, active := entry.gmm.Context(NSAPISignalling); active {
 		done(true)
 		return
 	}
-	err := entry.client.ActivatePDP(env, NSAPISignalling, gtp.SignallingQoS(),
-		v.staticAddrFor(entry.imsi),
+	err := v.client(entry).ActivatePDP(env, NSAPISignalling, gtp.SignallingQoS(),
+		v.staticAddrFor(entry),
 		func(addr netip.Addr, ok bool) {
 			if ok {
 				entry.addr = addr
@@ -215,14 +209,15 @@ func (v *VMSC) ensureSignallingPDP(env *sim.Env, entry *msEntry, done func(ok bo
 // call authorization — and topology builders may pre-provision it so the
 // alias is available at registration time.
 func (v *VMSC) setMSISDN(entry *msEntry, msisdn gsmid.MSISDN) {
-	if msisdn == "" || entry.msisdn == msisdn {
+	key := msisdn.Pack()
+	if key.IsZero() || entry.msisdnKey == key {
 		return
 	}
-	if entry.msisdn != "" {
-		v.byMSISDN.Delete(entry.msisdn.Pack())
+	if !entry.msisdnKey.IsZero() {
+		v.byMSISDN.Delete(entry.msisdnKey)
 	}
-	entry.msisdn = msisdn
-	v.byMSISDN.Put(msisdn.Pack(), entry.self)
+	entry.msisdnKey = key
+	v.byMSISDN.Put(key, entry.self)
 }
 
 // ProvisionMSISDN tells the VMSC a subscriber's MSISDN ahead of
@@ -235,10 +230,14 @@ func (v *VMSC) ProvisionMSISDN(imsi gsmid.IMSI, msisdn gsmid.MSISDN) {
 // handleDL feeds downlink Gb traffic into the right virtual client.
 func (v *VMSC) handleDL(env *sim.Env, dl gb.DLUnitdata) {
 	entry := v.entryByMS(dl.MS)
-	if entry == nil || entry.client == nil {
+	if entry == nil {
 		return
 	}
-	_ = entry.client.HandleDownlink(env, dl.PDU)
+	// The MS name only correlates the Gb leg; the TLLI says whose frame it
+	// is. A late answer to the name's previous subscriber stops here.
+	if c := v.client(entry); c.TLLI() == dl.TLLI {
+		_ = c.HandleDownlink(env, dl.PDU)
+	}
 }
 
 // handleIMSIDetach deregisters a powering-off MS: the gatekeeper row is
@@ -271,9 +270,8 @@ func (v *VMSC) handleCancelLocation(env *sim.Env, from sim.NodeID, m sigmap.Canc
 		v.deregister(env, entry) // frees the row when the chain completes
 		return
 	}
-	if entry.call == nil && (entry.client == nil ||
-		(!entry.client.Attached() && entry.client.PendingTransactions() == 0)) {
-		v.freeEntry(entry)
+	if entry.call == nil && !entry.gmm.Attached() {
+		v.freeEntry(entry) // with the attach it may have in flight
 	}
 	// Otherwise an in-flight detach chain observes purge and frees the row
 	// on completion.
@@ -284,8 +282,8 @@ func (v *VMSC) handleCancelLocation(env *sim.Env, from sim.NodeID, m sigmap.Canc
 // Fig 4 chain.
 func (v *VMSC) deregister(env *sim.Env, entry *msEntry) {
 	entry.registered = false
-	if entry.msisdn != "" {
-		v.byMSISDN.Delete(entry.msisdn.Pack())
+	if !entry.msisdnKey.IsZero() {
+		v.byMSISDN.Delete(entry.msisdnKey)
 	}
 
 	// Abort any call in progress.
@@ -295,16 +293,14 @@ func (v *VMSC) deregister(env *sim.Env, entry *msEntry) {
 
 	// Unregister the alias at the gatekeeper. The context may already be
 	// torn down in DeactivateIdlePDP mode; re-activate transiently if so.
-	if _, active := entry.client.Context(NSAPISignalling); active {
+	if _, active := entry.gmm.Context(NSAPISignalling); active {
 		v.unregisterGK(env, entry)
 		return
 	}
 	v.ensureSignallingPDP(env, entry, func(ok bool) {
-		if !ok {
-			return
+		if ok {
+			v.unregisterGK(env, entry)
 		}
-		v.setupEndpoint(entry)
-		v.unregisterGK(env, entry)
 	})
 }
 
@@ -314,7 +310,7 @@ func (v *VMSC) unregisterGK(env *sim.Env, entry *msEntry) {
 	v.nextRAS++
 	seq := v.nextRAS
 	v.rasTransmit(env, entry, seq, h323.URQ{
-		Seq: seq, Alias: entry.msisdn, SignalAddr: entry.addr,
+		Seq: seq, Alias: entry.msisdnKey.MSISDN(), SignalAddr: entry.addr,
 	}, rasURQDone, nil)
 }
 
@@ -327,9 +323,9 @@ func rasURQDone(env *sim.Env, p rasTxn, _ sim.Message) {
 	if entry == nil {
 		return
 	}
-	if entry.client != nil && entry.client.Attached() {
+	if entry.gmm.Attached() {
 		h := p.entryH
-		_ = entry.client.Detach(env, func() {
+		_ = v.client(entry).Detach(env, func() {
 			if e := v.ents.Get(h); e != nil && e.purge {
 				v.freeEntry(e)
 			}
@@ -358,16 +354,16 @@ func (v *VMSC) StartKeepAlive(env *sim.Env, interval time.Duration) {
 	tick = func() {
 		v.byIMSI.Range(func(_ gsmid.PackedDigits, h slab.Handle) bool {
 			entry := v.ents.Get(h)
-			if entry == nil || !entry.registered || entry.client == nil {
+			if entry == nil || !entry.registered {
 				return true
 			}
-			if _, active := entry.client.Context(NSAPISignalling); !active {
+			if _, active := entry.gmm.Context(NSAPISignalling); !active {
 				return true
 			}
 			v.nextRAS++
 			seq := v.nextRAS
 			v.rasTransmit(env, entry, seq, h323.RRQ{
-				Seq: seq, Alias: entry.msisdn,
+				Seq: seq, Alias: entry.msisdnKey.MSISDN(),
 				SignalAddr: entry.addr, SignalPort: ipnet.PortQ931,
 				KeepAlive: true,
 			}, rasKeepAliveDone, nil)

@@ -143,11 +143,15 @@ type VMSC struct {
 	byIMSI   *slab.Index[gsmid.PackedDigits]
 	byMS     *slab.Index[sim.NodeID]
 	byMSISDN *slab.Index[gsmid.PackedDigits]
+	// nodes and lais intern what rows reference by symbol: serving BSCs and
+	// location areas, both bounded by the topology.
+	nodes slab.Syms[sim.NodeID]
+	lais  slab.Syms[gsmid.LAI]
 
 	// One transaction table per plane beside the MAP dialogues in dm: RAS
 	// exchanges by sequence number, the Q.931 T303/T313 cycle of each call,
-	// and the GMM/SM procedures of every hosted GPRS client (see
-	// msEntry.Transactions). Their counters are this VMSC's pending and
+	// and the GMM/SM procedures of every row's GPRS client (see rowHost).
+	// Their counters are this VMSC's pending and
 	// retransmit totals.
 	ras     *txn.Table[uint32, rasTxn]
 	q931    *txn.Table[*vCall, q931Txn]
@@ -182,116 +186,137 @@ type Stats struct {
 	Handovers        uint64
 }
 
-// msEntry is one row of the MS table: the MM context plus the virtual GPRS
-// client holding the PDP contexts, plus the per-MS H.323 endpoint. The entry
-// itself is the hub of the per-MS machinery: it hosts the GPRS client
-// (gprs.Host), carries the H.323 endpoint's traffic (h323.Sender), and
-// threads through the registration chain's completion callbacks — so one
-// registering subscriber costs one slab slot instead of a heap object plus
-// a closure per wired-up callback.
+// msEntry is one row of the MS table: the MM context, the GMM/SM state of the
+// virtual GPRS client holding the PDP contexts, and the registration flags —
+// 160 bytes with nothing allocated beside it. Whatever is the same for every
+// row is the VMSC's, not the row's: the VMSC hosts the row's GPRS state
+// machine (rowHost), builds its H.323 endpoint on the stack (endpoint), and
+// is the argument of the registration chain's completion callbacks, which
+// find the row again through its handle. Identities are packed, node names
+// and location areas interned (DESIGN.md §8 lists what may sit in a row).
 type msEntry struct {
-	v *VMSC
 	// self is the row's own slab handle; index entries and cross-references
-	// (vCall.entryH, rasTxn.entryH) carry it instead of the pointer.
-	self    slab.Handle
-	imsi    gsmid.IMSI
-	imsiKey gsmid.PackedDigits
-	msisdn  gsmid.MSISDN
-	tmsi    gsmid.TMSI
-	lai     gsmid.LAI
-	ms      sim.NodeID
-	bsc     sim.NodeID
+	// (vCall.entryH, rasTxn.entryH, the GMM/SM procedure keys) carry it
+	// instead of the pointer.
+	self      slab.Handle
+	imsiKey   gsmid.PackedDigits
+	msisdnKey gsmid.PackedDigits
+	ms        sim.NodeID
+	call      *vCall
+	// addr is the signalling PDP address, the MS's H.323 identity; it stays
+	// valid while the context is down in DeactivateIdlePDP mode.
+	addr netip.Addr
+	gmm  gprs.ClientState
+	tmsi gsmid.TMSI
+	lai  uint32 // symbol in VMSC.lais
+	bsc  uint32 // symbol in VMSC.nodes
 
-	client *gprs.Client
-	addr   netip.Addr
-	// endpoint is valid once endpoint.Via is set (after the signalling PDP
-	// context comes up).
-	endpoint   h323.Endpoint
 	registered bool
 	voiceUp    bool
 	// purge marks a row whose subscriber left the area (CancelLocation):
 	// the slot is freed — handle invalidated, indexes dropped — once the
 	// deregistration chain (URQ, GPRS detach) completes.
 	purge bool
-
-	// regEnv and regAnnounce are registration-transaction state: the env
-	// the in-flight registration runs under, and whether its completion
-	// answers the radio path (initial registration) or stays silent
-	// (keepalive-driven re-registration).
-	regEnv      *sim.Env
+	// regAnnounce is whether the in-flight registration's completion answers
+	// the radio path (initial registration) or stays silent (keepalive-driven
+	// re-registration).
 	regAnnounce bool
-
-	call *vCall
-
-	// Voice fast path (allocation-free relay): the LLC framing buffer and
-	// Gb message reused for every uplink RTP packet this MS sends. The
-	// SGSN/GGSN relay legs alias these bytes (zero-copy) until the far
-	// SGSN's downlink step copies them into its own buffer at arrival —
-	// total retention is the Gb+Gn+Gn latency (a few ms plus any chaos
-	// jitter), well inside one 20 ms frame interval, so overwriting the
-	// buffer every frame is safe. See chaos.MediaChaosPlan's jitter cap.
-	llcBuf []byte
-	ulMsg  *gb.ULUnitdata
 }
 
-// Transactions implements gprs.Host: every hosted client runs its GMM/SM
-// procedures in the VMSC's one table.
-func (e *msEntry) Transactions() *gprs.Transactions { return e.v.gmm }
+// client binds a row's GMM/SM state to the VMSC's table for one call into the
+// shared gprs state machine.
+func (v *VMSC) client(e *msEntry) gprs.Session { return v.gmm.Session(e.self, e.imsiKey, &e.gmm) }
 
-// SendLLC implements gprs.Host: uplink LLC PDUs go straight onto the Gb
-// interface — the VMSC-specific twist on the shared gprs.Client state
-// machine.
-func (e *msEntry) SendLLC(env *sim.Env, tlli gsmid.TLLI, pdu []byte) {
-	env.Send(e.v.cfg.ID, e.v.cfg.SGSN, gbUL(tlli, e.ms, e.v.cfg.Cell, pdu))
+// bscOf returns the BSC currently serving a row's MS.
+func (v *VMSC) bscOf(e *msEntry) sim.NodeID { return v.nodes.Val(e.bsc) }
+
+// rowHost is the VMSC in the roles it plays for every row (gprs.Host,
+// h323.Sender): the row's GMM/SM procedures run in the VMSC's one table on its
+// signalling schedule, and its H.323 endpoint sends into its PDP contexts.
+type rowHost VMSC
+
+func (h *rowHost) Policy() txn.Policy {
+	return txn.Policy{RTO: h.cfg.SigRTO, Retries: h.cfg.SigRetries}
 }
 
-// PacketIn implements gprs.Host: downlink IP packets feed the H.323 side.
-func (e *msEntry) PacketIn(env *sim.Env, nsapi uint8, pkt ipnet.Packet) {
-	e.v.handleIP(env, e, pkt)
+func (h *rowHost) ClientState(owner slab.Handle) *gprs.ClientState {
+	if e := h.ents.Get(owner); e != nil {
+		return &e.gmm
+	}
+	return nil
 }
 
-// ActivationRequested implements gprs.Host: a network-requested PDP
-// activation (DeactivateIdlePDP mode) brings the signalling context back so
-// an incoming Setup can reach us.
-func (e *msEntry) ActivationRequested(env *sim.Env, address string) {
-	if _, active := e.client.Context(NSAPISignalling); active {
+// SendLLC puts uplink LLC PDUs straight onto the Gb interface — the
+// VMSC-specific twist on the shared state machine.
+func (h *rowHost) SendLLC(env *sim.Env, owner slab.Handle, tlli gsmid.TLLI, pdu []byte) {
+	if e := h.ents.Get(owner); e != nil {
+		env.Send(h.cfg.ID, h.cfg.SGSN, gb.ULUnitdata{TLLI: tlli, MS: e.ms, Cell: h.cfg.Cell, PDU: pdu})
+	}
+}
+
+// PacketIn feeds downlink IP packets to the H.323 side.
+func (h *rowHost) PacketIn(env *sim.Env, owner slab.Handle, _ uint8, pkt ipnet.Packet) {
+	if e := h.ents.Get(owner); e != nil {
+		(*VMSC)(h).handleIP(env, e, pkt)
+	}
+}
+
+// ActivationRequested brings the signalling context back on a
+// network-requested PDP activation (DeactivateIdlePDP mode) so an incoming
+// Setup can reach us.
+func (h *rowHost) ActivationRequested(env *sim.Env, owner slab.Handle, address string) {
+	v := (*VMSC)(h)
+	e := v.ents.Get(owner)
+	if e == nil {
 		return
 	}
-	_ = e.client.ActivatePDPArg(env, NSAPISignalling, gtp.SignallingQoS(), address,
-		reactivateSigDone, e)
+	if _, active := e.gmm.Context(NSAPISignalling); active {
+		return
+	}
+	_ = v.client(e).ActivatePDPArg(env, NSAPISignalling, gtp.SignallingQoS(), address,
+		reactivateSigDone, v)
 }
 
 // reactivateSigDone records the re-activated signalling context's address.
-func reactivateSigDone(arg any, addr netip.Addr, ok bool) {
-	if ok {
-		arg.(*msEntry).addr = addr
+func reactivateSigDone(_ *sim.Env, arg any, owner slab.Handle, addr netip.Addr, ok bool) {
+	if e := arg.(*VMSC).ents.Get(owner); ok && e != nil {
+		e.addr = addr
 	}
 }
 
-// SendIPPacket implements h323.Sender: the per-MS endpoint's traffic routes
-// through the MS's PDP contexts, choosing the voice context for RTP when it
-// is up — the traffic-flow-template role of GPRS.
-func (e *msEntry) SendIPPacket(env *sim.Env, pkt ipnet.Packet) {
+// endpoint is a row's H.323 endpoint, built on the caller's stack: only the
+// address is the row's own, and rowHost routes what it sends back to the row.
+func (v *VMSC) endpoint(e *msEntry) h323.Endpoint {
+	return h323.Endpoint{Node: v.cfg.ID, Addr: e.addr, Dir: v.cfg.Dir, Via: (*rowHost)(v), Owner: e.self}
+}
+
+// SendIPPacket implements h323.Sender: a row's H.323 traffic routes through
+// the MS's PDP contexts, choosing the voice context for RTP when it is up —
+// the traffic-flow-template role of GPRS.
+func (h *rowHost) SendIPPacket(env *sim.Env, owner slab.Handle, pkt ipnet.Packet) {
+	v := (*VMSC)(h)
+	e := v.ents.Get(owner)
+	if e == nil {
+		return
+	}
 	nsapi := NSAPISignalling
 	if e.voiceUp && (pkt.DstPort == ipnet.PortRTP || pkt.SrcPort == ipnet.PortRTP) {
 		// RTP rides the voice context on an allocation-free relay: frame
-		// the SNDCP PDU into the per-MS reusable buffer and put the
+		// the SNDCP PDU into the call's reusable buffer and put the call's
 		// reusable Gb message straight on the wire (pointer messages are
 		// not boxed by the interface conversion).
-		if _, active := e.client.Context(NSAPIVoice); active {
-			if e.ulMsg == nil {
-				e.ulMsg = &gb.ULUnitdata{}
+		if _, active := e.gmm.Context(NSAPIVoice); active && e.call != nil {
+			med := &e.call.med
+			med.llcBuf = gprs.AppendData(med.llcBuf[:0], NSAPIVoice, pkt)
+			med.ulMsg = gb.ULUnitdata{
+				TLLI: v.client(e).TLLI(), MS: e.ms, Cell: v.cfg.Cell, PDU: med.llcBuf,
 			}
-			e.llcBuf = gprs.AppendData(e.llcBuf[:0], NSAPIVoice, pkt)
-			*e.ulMsg = gb.ULUnitdata{
-				TLLI: e.client.TLLI(), MS: e.ms, Cell: e.v.cfg.Cell, PDU: e.llcBuf,
-			}
-			env.Send(e.v.cfg.ID, e.v.cfg.SGSN, e.ulMsg)
+			env.Send(v.cfg.ID, v.cfg.SGSN, &med.ulMsg)
 			return
 		}
 		nsapi = NSAPIVoice
 	}
-	_ = e.client.SendIP(env, nsapi, pkt)
+	_ = v.client(e).SendIP(env, nsapi, pkt)
 }
 
 type callState uint8
@@ -393,9 +418,9 @@ func New(cfg Config) *VMSC {
 		byIMSI:   slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
 		byMS:     slab.NewIndex[sim.NodeID](hashNodeID),
 		byMSISDN: slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
-		gmm:      gprs.NewTransactions(),
 		hoCalls:  make(map[uint32]*vCall),
 	}
+	v.gmm = gprs.NewTransactions((*rowHost)(v))
 	v.ras = txn.New[uint32](v.rasResend, rasExpired)
 	v.q931 = txn.New[*vCall](v.q931Resend, v.q931Expired)
 	v.registrar = msc.NewRegistrar(cfg.ID, cfg.VLR, v.onVLROutcome)
@@ -426,7 +451,7 @@ func (v *VMSC) getOrCreateEntry(imsi gsmid.IMSI) *msEntry {
 		return e
 	}
 	h, e := v.ents.Alloc(int(key.Hash() & (mscShards - 1)))
-	e.v, e.self, e.imsi, e.imsiKey = v, h, imsi, key
+	e.self, e.imsiKey = h, key
 	v.byIMSI.Put(key, h)
 	return e
 }
@@ -437,8 +462,8 @@ func (v *VMSC) getOrCreateEntry(imsi gsmid.IMSI) *msEntry {
 // transactions, paging timers, test probes) resolve to nil from now on.
 func (v *VMSC) freeEntry(entry *msEntry) {
 	v.byIMSI.Delete(entry.imsiKey)
-	if entry.msisdn != "" {
-		v.byMSISDN.Delete(entry.msisdn.Pack())
+	if !entry.msisdnKey.IsZero() {
+		v.byMSISDN.Delete(entry.msisdnKey)
 	}
 	if entry.ms != "" {
 		v.byMS.Delete(entry.ms)
@@ -543,6 +568,12 @@ func (v *VMSC) Audit(report func(kind string, n int)) {
 	report("slab imbalance", v.SlabImbalance())
 }
 
+// Footprint is the memory the MS table holds, in bytes: slab chunks plus
+// index tables — all a resident subscriber costs the VMSC.
+func (v *VMSC) Footprint() int {
+	return v.ents.Bytes() + v.byIMSI.Bytes() + v.byMS.Bytes() + v.byMSISDN.Bytes()
+}
+
 // SlabImbalance audits the MS-table storage: per-shard occupancy must
 // balance (cap == live + free) and every index entry must resolve to a
 // live row that agrees with the key, and the four transaction tables must
@@ -572,7 +603,7 @@ func (v *VMSC) SlabImbalance() int {
 		return true
 	})
 	v.byMSISDN.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
-		if e := v.ents.Get(h); e == nil || e.msisdn.Pack() != k {
+		if e := v.ents.Get(h); e == nil || e.msisdnKey != k {
 			imb++
 		}
 		return true
@@ -587,31 +618,20 @@ func absInt(d int) int {
 	return d
 }
 
-// staticAddrFor returns the provisioned static PDP address for an IMSI in
+// staticAddrFor returns the provisioned static PDP address for a row in
 // DeactivateIdlePDP mode ("" = dynamic).
-func (v *VMSC) staticAddrFor(imsi gsmid.IMSI) string {
+func (v *VMSC) staticAddrFor(e *msEntry) string {
 	if !v.cfg.DeactivateIdlePDP {
 		return ""
 	}
-	return v.cfg.StaticAddrs[imsi]
-}
-
-// newClient builds the virtual GPRS client for an MS, hosted by the entry
-// itself (no per-client callback closures).
-func (v *VMSC) newClient(entry *msEntry) *gprs.Client {
-	client := gprs.NewHostedClient(entry.imsi, entry)
-	client.Timeout = v.cfg.SigRTO
-	client.Retries = v.cfg.SigRetries
-	return client
+	return v.cfg.StaticAddrs[e.imsiKey.IMSI()]
 }
 
 // sigDeadline is the worst-case transaction lifetime under the capped RTO
 // schedule (attempts at 0, T, 3T, 7T…). One-shot MAP dialogues that do not
 // retransmit (the handover legs) use it so their timeout matches the
 // retried planes' failure horizon.
-func (v *VMSC) sigDeadline() time.Duration {
-	return txn.Policy{RTO: v.cfg.SigRTO, Retries: v.cfg.SigRetries}.Deadline()
-}
+func (v *VMSC) sigDeadline() time.Duration { return (*rowHost)(v).Policy().Deadline() }
 
 // Retransmits reports the total signalling retransmissions this VMSC has
 // performed across its MAP, RAS, Q.931 and GMM/SM planes. Each plane's count
@@ -629,15 +649,4 @@ func (v *VMSC) TxnStats(report func(plane string, s txn.Stats)) {
 	report("RAS", v.ras.Stats())
 	report("Q.931", v.q931.Stats())
 	report("GMM/SM", v.gmm.Stats())
-}
-
-// setupEndpoint (re)initialises the per-MS H.323 endpoint in place; the
-// entry routes its traffic (h323.Sender), so no closures are allocated.
-func (v *VMSC) setupEndpoint(entry *msEntry) {
-	entry.endpoint = h323.Endpoint{
-		Node: v.cfg.ID,
-		Addr: entry.addr,
-		Dir:  v.cfg.Dir,
-		Via:  entry,
-	}
 }

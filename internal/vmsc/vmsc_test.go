@@ -2,9 +2,11 @@ package vmsc_test
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
+	"vgprs/internal/gprs"
 	"vgprs/internal/gsm"
 	"vgprs/internal/gsmid"
 	"vgprs/internal/h323"
@@ -451,5 +453,59 @@ func TestVMSCKeepAliveUnderGatekeeperTTL(t *testing.T) {
 	k.Env.RunUntil(k.Env.Now() + 5*time.Second)
 	if k.VMSC.ActiveCalls() != 1 {
 		t.Fatal("MT call failed under keepalive")
+	}
+}
+
+// TestMSEntrySize pins the MS-table row: every resident subscriber costs the
+// VMSC this much slab and nothing beside it (DESIGN.md §8). What is the same
+// for every row — the VMSC itself, the hosted client's transport and policy,
+// the H.323 endpoint — or has a packed or interned form must not creep back
+// in, and no field may own a buffer.
+func TestMSEntrySize(t *testing.T) {
+	if got := vmsc.RowType.Size(); got > 160 {
+		t.Fatalf("msEntry is %d bytes, budget 160", got)
+	}
+	banned := []reflect.Type{
+		reflect.TypeOf((*vmsc.VMSC)(nil)), reflect.TypeOf((*gprs.Client)(nil)),
+		reflect.TypeOf(h323.Endpoint{}), reflect.TypeOf(gsmid.LAI{}),
+		reflect.TypeOf(gsmid.IMSI("")), reflect.TypeOf(gsmid.MSISDN("")),
+	}
+	for i := 0; i < vmsc.RowType.NumField(); i++ {
+		f := vmsc.RowType.Field(i)
+		for _, b := range banned {
+			if f.Type == b {
+				t.Errorf("msEntry.%s is a %v", f.Name, b)
+			}
+		}
+		if k := f.Type.Kind(); k == reflect.Slice || k == reflect.Map || k == reflect.Interface || k == reflect.Func {
+			t.Errorf("msEntry.%s is a %v: rows own no buffers, tables or callbacks", f.Name, k)
+		}
+	}
+}
+
+// TestVoiceBuffersDieWithCall: the uplink LLC framing buffer and Gb message
+// of the voice fast path belong to the call, not to the MS that made it, so
+// a subscriber who once talked keeps nothing for it after release.
+func TestVoiceBuffersDieWithCall(t *testing.T) {
+	n := registered(t, netsim.VGPRSOptions{Seed: 1, Talk: true})
+	ms, imsi := n.MSs[0], n.Subscribers[0].IMSI
+	for round := 0; round < 2; round++ {
+		if err := ms.Dial(n.Env, netsim.TerminalAlias(0)); err != nil {
+			t.Fatal(err)
+		}
+		n.Env.RunUntil(n.Env.Now() + 3*time.Second)
+		if got, inCall := n.VMSC.VoiceBufferCap(imsi); !inCall || got == 0 {
+			t.Fatalf("round %d: talking call holds a %d-byte voice buffer (in call %v)", round, got, inCall)
+		}
+		if err := ms.Hangup(n.Env); err != nil {
+			t.Fatal(err)
+		}
+		n.Env.RunUntil(n.Env.Now() + 3*time.Second)
+		if _, inCall := n.VMSC.VoiceBufferCap(imsi); inCall {
+			t.Fatalf("round %d: row still references its call after release", round)
+		}
+	}
+	if st := n.VMSC.Stats(); st.FramesUplink == 0 || st.CallsReleased != 2 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
