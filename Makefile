@@ -8,7 +8,7 @@ GO ?= go
 # under testdata/fuzz/.
 FUZZ_PKGS = ./internal/sigmap/ ./internal/gtp/ ./internal/q931/ ./internal/gb/ ./internal/isup/ ./internal/rtp/ ./internal/gsm/ ./internal/h323/
 
-.PHONY: all build vet test race check bench-smoke bench-e2e bench bench-sim bench-codec bench-registration bench-engine bench-scenarios bench-scale bench-scale-full bench-media bench-json fuzz-smoke fuzz soak soak-short
+.PHONY: all build vet test race check bench-smoke bench-e2e bench bench-sim bench-codec bench-registration bench-engine bench-scenarios bench-scale bench-scale-full heap-profile bench-media bench-json fuzz-smoke fuzz soak soak-short
 
 all: check
 
@@ -118,6 +118,15 @@ bench-scale:
 SCALE_FULL_SUBS ?= 100000
 bench-scale-full:
 	$(GO) run ./cmd/vgprs-bench -only scale -scale-subs none -scale-full-subs $(SCALE_FULL_SUBS) -json
+
+# "What is in the heap": the full-stack run writes a heap profile once the
+# whole population is resident and collected (MemProfileRate 512, so a
+# 100-byte row shows), and pprof lists who holds it. alloc_space in the same
+# file is everything allocated on the way there.
+HEAP_SUBS ?= 30000
+heap-profile:
+	$(GO) run ./cmd/vgprs-bench -only scale -scale-subs none -scale-full-subs $(HEAP_SUBS) -heapprofile heap.pprof
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=25 heap.pprof
 
 # Machine-readable experiment results (BENCH_<id>.json in the working dir).
 bench-json:

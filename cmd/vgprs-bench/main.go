@@ -5,6 +5,7 @@
 // Usage:
 //
 //	vgprs-bench [-seed N] [-calls N] [-only F4,C1,...] [-json] [-out DIR]
+//	vgprs-bench -only scale -scale-subs none -scale-full-subs N -heapprofile FILE
 //
 // With -json, each experiment additionally writes its raw results to
 // DIR/BENCH_<id>.json (machine-readable, stable field names), so the
@@ -18,6 +19,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"testing"
@@ -42,8 +45,15 @@ func run(args []string) int {
 		"comma-separated population sizes for the core scale sweep (none to skip)")
 	scaleFullSubs := fs.String("scale-full-subs", "100000",
 		"comma-separated population sizes for the full-stack scale sweep (none to skip)")
+	heapProfile := fs.String("heapprofile", "",
+		"write a heap profile to this file when the full-stack scale sweep reaches residency (its last size wins)")
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	var atResidency func() error
+	if *heapProfile != "" {
+		runtime.MemProfileRate = 512 // a 100-byte row must show; the default samples every 512 KB
+		atResidency = func() error { return writeHeapProfile(*heapProfile) }
 	}
 
 	wanted := map[string]bool{}
@@ -201,7 +211,7 @@ func run(args []string) int {
 				}
 			}
 			if len(fullSizes) > 0 {
-				if r.FullStack, err = experiments.RunScaleFullSweep(*seed, fullSizes); err != nil {
+				if r.FullStack, err = experiments.RunScaleFullSweep(*seed, fullSizes, atResidency); err != nil {
 					return nil, nil, err
 				}
 			}
@@ -232,6 +242,19 @@ func run(args []string) int {
 		return 1
 	}
 	return 0
+}
+
+// writeHeapProfile writes the in-use heap as of the last collection.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // registrationBenchMS is the population size the registration benchmark

@@ -56,8 +56,8 @@ type ScaleFullPoint struct {
 	CallSetupPerSec float64 `json:"call_setup_per_sec"`
 
 	// Who owns which bytes of a resident subscriber: each node's Footprint()
-	// (slab chunks plus index tables) at full residency, per subscriber. The
-	// split is exact accounting, not a heap measurement; what BytesPerSub
+	// (slab chunks, index tables, transaction tables) at full residency, per
+	// subscriber. The split is exact accounting, not a heap measurement; what BytesPerSub
 	// shows beyond its sum is heap outside the stores (MS-name strings, the
 	// address pool's bitset, allocator rounding).
 	Footprint NodeBytes `json:"footprint_bytes_per_sub"`
@@ -235,6 +235,23 @@ func (f *fullStack) attachWave(lo, hi int) error {
 	return nil
 }
 
+// cancelWave sends one CancelLocation per subscriber of [lo, hi) into the
+// VLR, which relays to the VMSC; the VMSC unwinds the gatekeeper alias, the
+// GPRS contexts and the directory binding, and frees the slab row.
+func (f *fullStack) cancelWave(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		f.env.Send("LOAD", "VLR-1", sigmap.CancelLocation{Invoke: ss7.InvokeID(i + 1), IMSI: scaleIMSI(i)})
+	}
+	f.env.Run()
+}
+
+// leftover counts records still resident anywhere in the stack.
+func (f *fullStack) leftover() int {
+	return f.vmsc.MSTable() + f.gk.Registered() + f.vlr.Registered() +
+		f.sgsn.Attached() + f.sgsn.ActiveContexts() + f.ggsn.ActiveContexts() +
+		(f.dir.Bound() - f.dirBase)
+}
+
 // footprint returns each node's Footprint() in bytes, times scale.
 func (f *fullStack) footprint(scale float64) NodeBytes {
 	return NodeBytes{
@@ -248,8 +265,10 @@ func (f *fullStack) footprint(scale float64) NodeBytes {
 // RunScaleFull attaches `subs` subscribers through the complete Fig 2(b)
 // topology and measures bytes/subscriber at full residency (with the
 // per-node split), registration throughput, end-to-end call-setup
-// throughput, and full recycling via CancelLocation.
-func RunScaleFull(seed int64, subs int) (ScaleFullPoint, error) {
+// throughput, and full recycling via CancelLocation. atResidency, if not
+// nil, runs once the whole population is resident and the heap collected —
+// the point a heap profile answers "what is in it".
+func RunScaleFull(seed int64, subs int, atResidency func() error) (ScaleFullPoint, error) {
 	var p ScaleFullPoint
 	p.Topology = "full-stack"
 	p.Subs = subs
@@ -296,6 +315,11 @@ func RunScaleFull(seed int64, subs int) (ScaleFullPoint, error) {
 	p.BytesPerSub = float64(p.HeapDeltaBytes) / float64(subs-warm)
 	p.AttachPerSec = float64(subs) / p.AttachWallSec
 	p.Footprint = f.footprint(1 / float64(subs))
+	if atResidency != nil {
+		if err := atResidency(); err != nil {
+			return p, err
+		}
+	}
 
 	p.RegisteredVMSC = f.vmsc.MSTable()
 	p.GKRegistered = f.gk.Registered()
@@ -337,34 +361,20 @@ func RunScaleFull(seed int64, subs int) (ScaleFullPoint, error) {
 			d.established, callOps, f.vmsc.ActiveCalls())
 	}
 
-	// Cancel-all: one CancelLocation per subscriber into the VLR, which
-	// relays to the VMSC; the VMSC unwinds the gatekeeper alias, the GPRS
-	// contexts, the directory binding, and frees the slab row.
 	for lo := 0; lo < subs; lo += scaleWave {
-		hi := lo + scaleWave
-		if hi > subs {
-			hi = subs
-		}
-		for i := lo; i < hi; i++ {
-			env.Send("LOAD", "VLR-1", sigmap.CancelLocation{
-				Invoke: ss7.InvokeID(i + 1), IMSI: scaleIMSI(i),
-			})
-		}
-		env.Run()
+		f.cancelWave(lo, min(lo+scaleWave, subs))
 	}
-	p.DetachLeftover = f.vmsc.MSTable() + f.gk.Registered() + f.vlr.Registered() +
-		f.sgsn.Attached() + f.sgsn.ActiveContexts() + f.ggsn.ActiveContexts() +
-		(f.dir.Bound() - f.dirBase)
+	p.DetachLeftover = f.leftover()
 	p.SlabImbalance = f.vmsc.SlabImbalance() + f.gk.SlabImbalance() + f.vlr.SlabImbalance() +
 		f.hlr.SlabImbalance() + f.sgsn.SlabImbalance() + f.ggsn.SlabImbalance()
 	return p, nil
 }
 
 // RunScaleFullSweep runs RunScaleFull at each population size.
-func RunScaleFullSweep(seed int64, sizes []int) ([]ScaleFullPoint, error) {
+func RunScaleFullSweep(seed int64, sizes []int, atResidency func() error) ([]ScaleFullPoint, error) {
 	var points []ScaleFullPoint
 	for _, n := range sizes {
-		pt, err := RunScaleFull(seed, n)
+		pt, err := RunScaleFull(seed, n, atResidency)
 		if err != nil {
 			return points, err
 		}
@@ -396,7 +406,7 @@ func ScaleFullTable(points []ScaleFullPoint) *metrics.Table {
 // the sum accounts for.
 func ScaleFootprintTable(points []ScaleFullPoint) *metrics.Table {
 	t := metrics.NewTable(
-		"SCALE-FULL: bytes of a resident subscriber by owning node (slab chunks + index tables)",
+		"SCALE-FULL: bytes of a resident subscriber by owning node (slab chunks + index tables + transaction tables)",
 		"subscribers", "VMSC", "VLR", "HLR", "SGSN", "GGSN", "GK", "directory", "stores", "heap")
 	for _, p := range points {
 		b := p.Footprint

@@ -92,22 +92,19 @@ type GGSN struct {
 	static  map[netip.Addr]gsmid.IMSI
 	queued  map[netip.Addr][]ipnet.Packet
 	nextSeq uint16
-	// pendingCreate dedupes in-flight context creations while the Gc
-	// lookup runs: the SGSN retransmits CreatePDPRequest with the same
-	// sequence number, and a duplicate must not spawn a second HLR
-	// dialogue.
-	pendingCreate map[createKey]struct{}
+	// creating dedupes in-flight context creations while the Gc lookup
+	// runs: a CreatePDPRequest retransmitted with the same sequence number
+	// must not spawn a second HLR dialogue. Sim goroutine only, like dm.
+	creating *txn.Table[createKey, struct{}]
 
 	ulPackets, dlPackets, dropped uint64
 	queueDrops                    uint64
 }
 
-// createKey identifies one in-flight PDP creation by requesting SGSN and
-// GTP sequence number (retransmissions reuse both).
-type createKey struct {
-	sgsn sim.NodeID
-	seq  uint16
-}
+// createKey identifies one in-flight PDP creation by requesting SGSN (its
+// symbol in GGSN.names, high half) and GTP sequence number (retransmissions
+// reuse both).
+type createKey uint64
 
 var _ sim.Node = (*GGSN)(nil)
 
@@ -135,27 +132,30 @@ func NewGGSN(cfg GGSNConfig) *GGSN {
 		panic(err)
 	}
 	return &GGSN{
-		cfg:           cfg,
-		pool:          pool,
-		dm:            ss7.NewDialogueManager(),
-		recs:          slab.NewSharded[ggsnRec](ggsnShards),
-		byTID:         slab.NewIndex[uint64](slab.HashUint64),
-		byAddr:        slab.NewIndex[uint32](slab.HashUint32),
-		static:        make(map[netip.Addr]gsmid.IMSI),
-		queued:        make(map[netip.Addr][]ipnet.Packet),
-		pendingCreate: make(map[createKey]struct{}),
+		cfg:      cfg,
+		pool:     pool,
+		dm:       ss7.NewDialogueManager(cfg.ID),
+		recs:     slab.NewSharded[ggsnRec](ggsnShards),
+		byTID:    slab.NewIndex[uint64](slab.HashUint64),
+		byAddr:   slab.NewIndex[uint32](slab.HashUint32),
+		static:   make(map[netip.Addr]gsmid.IMSI),
+		queued:   make(map[netip.Addr][]ipnet.Packet),
+		creating: txn.New[createKey, struct{}](nil, nil), // untimed: the hooks never run
 	}
 }
 
 // Retransmits returns the number of MAP request PDUs this GGSN has re-sent.
 func (g *GGSN) Retransmits() uint64 { return g.dm.Retransmits() }
 
-// TxnStats reports the MAP dialogue table's lifetime counters.
-func (g *GGSN) TxnStats(report func(plane string, s txn.Stats)) { report("MAP", g.dm.Stats()) }
+// TxnStats reports the MAP dialogue and create dedupe tables' lifetime counters.
+func (g *GGSN) TxnStats(report func(plane string, s txn.Stats)) {
+	report("MAP", g.dm.Stats())
+	report("PDP create", g.creating.Stats())
+}
 
 // PendingCreates returns in-flight context creations still waiting on the
 // Gc static-address lookup. Zero at quiescence.
-func (g *GGSN) PendingCreates() int { return len(g.pendingCreate) }
+func (g *GGSN) PendingCreates() int { return g.creating.InFlight() }
 
 // OutstandingDialogues returns un-answered MAP invokes toward the HLR.
 func (g *GGSN) OutstandingDialogues() int { return g.dm.Outstanding() }
@@ -227,11 +227,11 @@ func (g *GGSN) Audit(report func(kind string, n int)) {
 }
 
 // Footprint is the memory the PDP context store holds, in bytes: slab chunks
-// plus index tables.
+// plus index tables, and the two transaction tables.
 func (g *GGSN) Footprint() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.recs.Bytes() + g.byTID.Bytes() + g.byAddr.Bytes()
+	return g.recs.Bytes() + g.byTID.Bytes() + g.byAddr.Bytes() + g.dm.Bytes() + g.creating.Bytes()
 }
 
 // SlabImbalance audits the slab storage: per-shard occupancy must balance
@@ -240,7 +240,7 @@ func (g *GGSN) Footprint() int {
 func (g *GGSN) SlabImbalance() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	imb := g.dm.Occupancy().Imbalance()
+	imb := g.dm.Occupancy().Imbalance() + g.creating.Occupancy().Imbalance()
 	perShard := make([]int, ggsnShards)
 	g.byTID.Range(func(k uint64, h slab.Handle) bool {
 		r := g.recs.Get(h)
@@ -308,25 +308,21 @@ func (g *GGSN) handleCreate(env *sim.Env, sgsn sim.NodeID, m gtp.CreatePDPReques
 	// A retransmitted CreatePDPRequest (same SGSN, same sequence number)
 	// while the Gc lookup is in flight is dropped; the pending lookup will
 	// answer it.
-	key := createKey{sgsn: sgsn, seq: m.Seq}
 	g.mu.Lock()
-	if _, busy := g.pendingCreate[key]; busy {
-		g.mu.Unlock()
+	key := createKey(g.names.ID(string(sgsn)))<<32 | createKey(m.Seq)
+	g.mu.Unlock()
+	if g.creating.Begin(env, key, txn.Policy{}) == nil {
 		return
 	}
-	g.pendingCreate[key] = struct{}{}
-	g.mu.Unlock()
 	invoke := g.dm.InvokeRetry(func(resp sim.Message, ok bool) {
-		g.mu.Lock()
-		delete(g.pendingCreate, key)
-		g.mu.Unlock()
+		g.creating.Take(key)
 		static := ""
 		if ack, isAck := resp.(sigmap.SendRoutingInfoForGPRSAck); ok && isAck && ack.Cause == sigmap.CauseNone {
 			static = ack.StaticPDPAddress
 		}
 		finish(static)
 	})
-	g.dm.Transmit(env, invoke, g.cfg.ID, g.cfg.HLR,
+	g.dm.Transmit(env, invoke, g.cfg.HLR,
 		sigmap.SendRoutingInfoForGPRS{Invoke: invoke, IMSI: m.IMSI},
 		g.cfg.SigRTO, g.cfg.SigRetries)
 }
@@ -544,7 +540,7 @@ func (g *GGSN) handleDownlink(env *sim.Env, pkt ipnet.Packet) {
 			Seq: seq, IMSI: imsi, Address: pkt.Dst.String(),
 		})
 	})
-	g.dm.Transmit(env, invoke, g.cfg.ID, g.cfg.HLR,
+	g.dm.Transmit(env, invoke, g.cfg.HLR,
 		sigmap.SendRoutingInfoForGPRS{Invoke: invoke, IMSI: imsi},
 		g.cfg.SigRTO, g.cfg.SigRetries)
 }

@@ -143,7 +143,6 @@ func (p *pdpRec) addrString() string {
 // idle subscriber costs a bounded number of bytes.
 type SGSN struct {
 	cfg SGSNConfig
-	dm  *ss7.DialogueManager
 
 	mu      sync.Mutex
 	mms     *slab.Sharded[mmRec]
@@ -156,14 +155,13 @@ type SGSN struct {
 	nextPT  uint32
 	nextSeq uint16
 	// gtp holds the outstanding GTP requests toward the GGSN by sequence
-	// number.
-	gtp *txn.Table[uint16, gtpTxn]
+	// number, attach the UpdateGPRSLocation dialogues toward the HLR by MAP
+	// invoke ID.
+	gtp        *txn.Table[uint16, gtpTxn]
+	attach     *txn.Table[ss7.InvokeID, attachTxn]
+	nextInvoke ss7.InvokeID
 
 	ulPackets, dlPackets uint64
-
-	// Attach-dialogue records, recycled the same way (the HLR callback
-	// runs exactly once per dialogue).
-	attachFree []*attachTxn
 
 	// GTP path supervision state (see SGSNConfig.EchoInterval).
 	supervising  bool
@@ -196,33 +194,11 @@ const (
 	txnCleanup
 )
 
-// attachTxn carries one in-flight HLR attach dialogue: the subscriber as a
-// stale-safe handle plus the reply path captured at request time.
+// attachTxn is the payload of one in-flight HLR attach dialogue: the
+// subscriber as a slab handle, as in gtpTxn, whose row holds the reply path.
 type attachTxn struct {
-	s    *SGSN
-	env  *sim.Env
-	mm   slab.Handle
-	tlli gsmid.TLLI
-	peer sim.NodeID
-	ms   sim.NodeID
-}
-
-func (s *SGSN) getAttachTxn() *attachTxn {
-	if len(s.attachFree) == 0 {
-		recs := make([]attachTxn, 16)
-		for i := range recs {
-			s.attachFree = append(s.attachFree, &recs[i])
-		}
-	}
-	n := len(s.attachFree)
-	t := s.attachFree[n-1]
-	s.attachFree = s.attachFree[:n-1]
-	return t
-}
-
-func (s *SGSN) putAttachTxn(t *attachTxn) {
-	*t = attachTxn{}
-	s.attachFree = append(s.attachFree, t)
+	mm  slab.Handle
+	req sim.Message // retained for retransmission
 }
 
 // armGTP enters the request into the GTP table (which retransmits it on the
@@ -295,7 +271,6 @@ func NewSGSN(cfg SGSNConfig) *SGSN {
 	}
 	s := &SGSN{
 		cfg:    cfg,
-		dm:     ss7.NewDialogueManager(),
 		mms:    slab.NewSharded[mmRec](sgsnShards),
 		pdps:   slab.NewSharded[pdpRec](sgsnShards),
 		byTLLI: slab.NewIndex[uint32](slab.HashUint32),
@@ -305,6 +280,10 @@ func NewSGSN(cfg SGSNConfig) *SGSN {
 	s.gtp = txn.New[uint16](
 		func(env *sim.Env, t *gtpTxn) bool { env.Send(s.cfg.ID, s.cfg.GGSN, t.req); return true },
 		s.gtpExpired,
+	)
+	s.attach = txn.New[ss7.InvokeID](
+		func(env *sim.Env, t *attachTxn) bool { env.Send(s.cfg.ID, s.cfg.HLR, t.req); return true },
+		func(env *sim.Env, t *attachTxn) { s.finishAttach(env, t.mm, false) },
 	)
 	return s
 }
@@ -344,14 +323,14 @@ func (s *SGSN) PendingTransactions() int {
 }
 
 // OutstandingDialogues returns un-answered MAP invokes toward the HLR.
-func (s *SGSN) OutstandingDialogues() int { return s.dm.Outstanding() }
+func (s *SGSN) OutstandingDialogues() int { return s.attach.InFlight() }
 
 // Retransmits returns the number of signalling request PDUs (MAP + GTP)
 // this SGSN has re-sent.
 func (s *SGSN) Retransmits() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.dm.Retransmits() + s.gtp.Retransmits()
+	return s.attach.Retransmits() + s.gtp.Retransmits()
 }
 
 // Audit reports every transient record this SGSN holds, by kind, plus its
@@ -365,18 +344,19 @@ func (s *SGSN) Audit(report func(kind string, n int)) {
 // TxnStats reports the MAP and GTP tables' lifetime counters.
 func (s *SGSN) TxnStats(report func(plane string, st txn.Stats)) {
 	s.mu.Lock()
-	mapStats, gtpStats := s.dm.Stats(), s.gtp.Stats()
+	mapStats, gtpStats := s.attach.Stats(), s.gtp.Stats()
 	s.mu.Unlock()
 	report("MAP", mapStats)
 	report("GTP", gtpStats)
 }
 
 // Footprint is the memory the MM and PDP context stores hold, in bytes: slab
-// chunks plus index tables.
+// chunks plus index tables, and the two transaction tables.
 func (s *SGSN) Footprint() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.mms.Bytes() + s.pdps.Bytes() + s.byTLLI.Bytes() + s.byIMSI.Bytes() + s.byTID.Bytes()
+	return s.mms.Bytes() + s.pdps.Bytes() + s.byTLLI.Bytes() + s.byIMSI.Bytes() + s.byTID.Bytes() +
+		s.attach.Bytes() + s.gtp.Bytes()
 }
 
 // SlabImbalance audits the slab storage: every index entry must resolve to
@@ -390,7 +370,7 @@ func (s *SGSN) Footprint() int {
 func (s *SGSN) SlabImbalance() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	imb := s.dm.Occupancy().Imbalance() + s.gtp.Occupancy().Imbalance() +
+	imb := s.attach.Occupancy().Imbalance() + s.gtp.Occupancy().Imbalance() +
 		max(0, s.peers.Len()-gbPeerLimit)
 	perShard := make([]int, sgsnShards)
 	pdpListed := 0
@@ -565,7 +545,9 @@ func (s *SGSN) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Mess
 	case gtp.EchoResponse:
 		s.handleEchoResponse()
 	case sigmap.UpdateGPRSLocationAck:
-		s.dm.Resolve(m.Invoke, msg)
+		if t, ok := s.attach.Take(m.Invoke); ok {
+			s.finishAttach(env, t.mm, m.Cause == sigmap.CauseNone)
+		}
 	case sigmap.CancelLocation:
 		s.handleCancelLocation(env, from, m)
 	}
@@ -707,35 +689,29 @@ func (s *SGSN) handleAttach(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m A
 		s.reply(env, peer, ul.MS, ul.TLLI, AttachAccept{PTMSI: ptmsi})
 		return
 	}
-	t := s.getAttachTxn()
-	*t = attachTxn{s: s, env: env, mm: h, tlli: ul.TLLI, peer: peer, ms: ul.MS}
-	invoke := s.dm.InvokeRetryArg(attachHLRDone, t)
-	s.dm.Transmit(env, invoke, s.cfg.ID, s.cfg.HLR, sigmap.UpdateGPRSLocation{
-		Invoke: invoke, IMSI: m.IMSI, SGSN: string(s.cfg.ID),
-	}, s.cfg.SigRTO, s.cfg.SigRetries)
+	s.nextInvoke++
+	var req sim.Message = sigmap.UpdateGPRSLocation{Invoke: s.nextInvoke, IMSI: m.IMSI, SGSN: string(s.cfg.ID)}
+	*s.attach.Begin(env, s.nextInvoke, txn.Policy{RTO: s.cfg.SigRTO, Retries: s.cfg.SigRetries}) = attachTxn{mm: h, req: req}
+	env.Send(s.cfg.ID, s.cfg.HLR, req)
 }
 
-// attachHLRDone completes GPRS attach when the HLR answers (or the dialogue
-// times out). The subscriber rides through the dialogue as a slab handle:
-// if it was cancelled meanwhile the handle is stale and there is nobody to
-// answer.
-func attachHLRDone(arg any, resp sim.Message, ok bool) {
-	t := arg.(*attachTxn)
-	s, env, mm, tlli, peer, ms := t.s, t.env, t.mm, t.tlli, t.peer, t.ms
-	s.putAttachTxn(t)
+// finishAttach completes GPRS attach when the HLR answers (or the dialogue
+// times out), on the path the request arrived by. If the subscriber was
+// cancelled meanwhile the handle is stale and there is nobody to answer.
+func (s *SGSN) finishAttach(env *sim.Env, mm slab.Handle, accepted bool) {
 	s.mu.Lock()
 	r := s.mms.Get(mm)
-	var ptmsi gsmid.PTMSI
-	if r != nil {
-		r.attachPending = false
-		ptmsi = r.ptmsi
-	}
-	s.mu.Unlock()
 	if r == nil {
+		s.mu.Unlock()
 		return
 	}
-	ack, isAck := resp.(sigmap.UpdateGPRSLocationAck)
-	if !ok || !isAck || ack.Cause != sigmap.CauseNone {
+	r.attachPending = false
+	ptmsi, ms, peer, tlli := r.ptmsi, r.ms, s.peers.Val(r.peer), r.foreignTLLI
+	s.mu.Unlock()
+	if tlli == 0 {
+		tlli = gsmid.LocalTLLI(ptmsi)
+	}
+	if !accepted {
 		s.reply(env, peer, ms, tlli, AttachReject{Cause: SMCauseUnknownSubscriber})
 		return
 	}

@@ -166,7 +166,7 @@ func NewGatekeeper(cfg GatekeeperConfig) *Gatekeeper {
 	}
 	gk := &Gatekeeper{
 		cfg:     cfg,
-		dm:      ss7.NewDialogueManager(),
+		dm:      ss7.NewDialogueManager(cfg.ID),
 		regs:    slab.NewSharded[gkReg](gkShards),
 		byAlias: slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
 		calls:   slab.NewSharded[gkCall](gkShards),
@@ -276,12 +276,12 @@ func (g *Gatekeeper) Audit(report func(kind string, n int)) {
 }
 
 // Footprint is the memory the registration, call and IMSI tables hold, in
-// bytes: slab chunks plus index tables.
+// bytes: slab chunks plus index tables, and the MAP dialogue table.
 func (g *Gatekeeper) Footprint() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.regs.Bytes() + g.byAlias.Bytes() + g.calls.Bytes() + g.byCall.Bytes() +
-		g.imsiTab.Bytes() + g.byIMSI.Bytes()
+		g.imsiTab.Bytes() + g.byIMSI.Bytes() + g.dm.Bytes()
 }
 
 // SlabImbalance cross-checks every index against its slab: each index entry

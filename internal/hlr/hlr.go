@@ -105,7 +105,7 @@ func New(cfg Config) *HLR {
 	}
 	return &HLR{
 		cfg:      cfg,
-		dm:       ss7.NewDialogueManager(),
+		dm:       ss7.NewDialogueManager(cfg.ID),
 		recs:     slab.NewSharded[hlrRec](hlrShards),
 		byIMSI:   slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
 		byMSISDN: slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
@@ -218,11 +218,11 @@ func (h *HLR) Audit(report func(kind string, n int)) {
 }
 
 // Footprint is the memory the subscriber store holds, in bytes: slab chunks
-// plus index tables.
+// plus index tables, and the MAP dialogue table.
 func (h *HLR) Footprint() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.recs.Bytes() + h.byIMSI.Bytes() + h.byMSISDN.Bytes()
+	return h.recs.Bytes() + h.byIMSI.Bytes() + h.byMSISDN.Bytes() + h.dm.Bytes()
 }
 
 // SlabImbalance audits the slab storage: both identity indexes must hold
@@ -316,7 +316,7 @@ func (h *HLR) handleUpdateLocation(env *sim.Env, from sim.NodeID, m sigmap.Updat
 
 	if oldVLR != "" && oldVLR != m.VLR && env.HasLink(h.cfg.ID, sim.NodeID(oldVLR)) {
 		cancelInvoke := h.dm.InvokeRetry(func(sim.Message, bool) {})
-		h.dm.Transmit(env, cancelInvoke, h.cfg.ID, sim.NodeID(oldVLR), sigmap.CancelLocation{
+		h.dm.Transmit(env, cancelInvoke, sim.NodeID(oldVLR), sigmap.CancelLocation{
 			Invoke: cancelInvoke, IMSI: m.IMSI,
 		}, h.cfg.SigRTO, h.cfg.SigRetries)
 	}
@@ -328,7 +328,7 @@ func (h *HLR) handleUpdateLocation(env *sim.Env, from sim.NodeID, m sigmap.Updat
 		}
 		env.Send(h.cfg.ID, from, sigmap.UpdateLocationAck{Invoke: m.Invoke, Cause: cause})
 	})
-	h.dm.Transmit(env, isdInvoke, h.cfg.ID, from, sigmap.InsertSubscriberData{
+	h.dm.Transmit(env, isdInvoke, from, sigmap.InsertSubscriberData{
 		Invoke: isdInvoke, IMSI: m.IMSI, Profile: profile,
 	}, h.cfg.SigRTO, h.cfg.SigRetries)
 }
@@ -405,7 +405,7 @@ func (h *HLR) handleSendRoutingInfo(env *sim.Env, from sim.NodeID, m sigmap.Send
 		}
 		env.Send(h.cfg.ID, from, ack)
 	})
-	h.dm.Transmit(env, prnInvoke, h.cfg.ID, sim.NodeID(vlr), sigmap.ProvideRoamingNumber{
+	h.dm.Transmit(env, prnInvoke, sim.NodeID(vlr), sigmap.ProvideRoamingNumber{
 		Invoke: prnInvoke, IMSI: imsi, GMSC: string(from),
 	}, h.cfg.SigRTO, h.cfg.SigRetries)
 }
@@ -446,7 +446,7 @@ func (h *HLR) handleUpdateGPRSLocation(env *sim.Env, from sim.NodeID, m sigmap.U
 	// SGSN's MM and PDP contexts when a new SGSN takes over.
 	if ok && oldSGSN != "" && oldSGSN != m.SGSN && env.HasLink(h.cfg.ID, sim.NodeID(oldSGSN)) {
 		invoke := h.dm.InvokeRetry(func(sim.Message, bool) {})
-		h.dm.Transmit(env, invoke, h.cfg.ID, sim.NodeID(oldSGSN), sigmap.CancelLocation{
+		h.dm.Transmit(env, invoke, sim.NodeID(oldSGSN), sigmap.CancelLocation{
 			Invoke: invoke, IMSI: m.IMSI,
 		}, h.cfg.SigRTO, h.cfg.SigRetries)
 	}

@@ -91,7 +91,7 @@ func New(cfg Config) *MSC {
 	}
 	m := &MSC{
 		cfg:        cfg,
-		dm:         ss7.NewDialogueManager(),
+		dm:         ss7.NewDialogueManager(cfg.ID),
 		regs:       make(map[gsmid.IMSI]msInfo),
 		byMS:       make(map[sim.NodeID]*mscCall),
 		byTrunkRef: make(map[uint32]*mscCall),

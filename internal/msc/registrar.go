@@ -17,6 +17,7 @@ import (
 	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 	"vgprs/internal/ss7"
+	"vgprs/internal/txn"
 )
 
 // Registration describes a completed (or failed) location update.
@@ -58,11 +59,11 @@ type Registrar struct {
 	dm *ss7.DialogueManager
 	// byIdentity finds the pending transaction when the VLR addresses the
 	// MS by mobile identity (Authenticate, SetCipherMode). MobileIdentity
-	// is comparable, so it keys the map directly — no String() formatting
+	// is comparable, so it keys the table directly — no String() formatting
 	// on the hot path.
-	byIdentity map[gsmid.MobileIdentity]*regTxn
-	// byMS finds it when the radio path answers (AuthResponse, ...).
-	byMS map[sim.NodeID]*regTxn
+	byIdentity *txn.Table[gsmid.MobileIdentity, *regTxn]
+	// byMS finds it when the radio path answers, and dedupes LocationUpdates.
+	byMS *txn.Table[sim.NodeID, *regTxn]
 }
 
 type regTxn struct {
@@ -82,9 +83,9 @@ func NewRegistrar(node, vlr sim.NodeID, onOutcome func(*sim.Env, Registration)) 
 		RTO:        time.Second,
 		Retries:    3,
 		OnOutcome:  onOutcome,
-		dm:         ss7.NewDialogueManager(),
-		byIdentity: make(map[gsmid.MobileIdentity]*regTxn),
-		byMS:       make(map[sim.NodeID]*regTxn),
+		dm:         ss7.NewDialogueManager(node),
+		byIdentity: txn.New[gsmid.MobileIdentity, *regTxn](nil, nil), // untimed, as byMS
+		byMS:       txn.New[sim.NodeID, *regTxn](nil, nil),
 	}
 }
 
@@ -94,7 +95,14 @@ func (r *Registrar) Retransmits() uint64 { return r.dm.Retransmits() }
 
 // Pending returns in-flight location-update transactions plus un-answered
 // MAP invokes toward the VLR. Zero at quiescence.
-func (r *Registrar) Pending() int { return len(r.byMS) + r.dm.Outstanding() }
+func (r *Registrar) Pending() int { return r.byMS.InFlight() + r.dm.Outstanding() }
+
+// Bytes and Imbalance are the transaction tables' share of the owner's
+// Footprint and SlabImbalance audit.
+func (r *Registrar) Bytes() int { return r.dm.Bytes() + r.byIdentity.Bytes() + r.byMS.Bytes() }
+func (r *Registrar) Imbalance() int {
+	return r.dm.Occupancy().Imbalance() + r.byIdentity.Occupancy().Imbalance() + r.byMS.Occupancy().Imbalance()
+}
 
 // Handle processes a message if it belongs to a location-update
 // transaction, reporting whether it was consumed.
@@ -104,37 +112,37 @@ func (r *Registrar) Handle(env *sim.Env, from sim.NodeID, msg sim.Message) bool 
 		r.start(env, from, m)
 		return true
 	case sigmap.Authenticate:
-		txn, ok := r.byIdentity[m.Identity]
+		t, ok := r.byIdentity.Get(m.Identity)
 		if !ok {
 			return false
 		}
-		txn.authInvoke = m.Invoke
-		env.Send(r.Node, txn.reg.BSC, gsm.AuthRequest{Leg: gsm.LegA, MS: txn.reg.MS, RAND: m.RAND})
+		t.authInvoke = m.Invoke
+		env.Send(r.Node, t.reg.BSC, gsm.AuthRequest{Leg: gsm.LegA, MS: t.reg.MS, RAND: m.RAND})
 		return true
 	case gsm.AuthResponse:
-		txn, ok := r.byMS[m.MS]
+		t, ok := r.byMS.Get(m.MS)
 		if !ok {
 			return false
 		}
 		env.Send(r.Node, r.VLR, sigmap.AuthenticateAck{
-			Invoke: txn.authInvoke, Cause: sigmap.CauseNone, SRES: m.SRES,
+			Invoke: t.authInvoke, Cause: sigmap.CauseNone, SRES: m.SRES,
 		})
 		return true
 	case sigmap.SetCipherMode:
-		txn, ok := r.byIdentity[m.Identity]
+		t, ok := r.byIdentity.Get(m.Identity)
 		if !ok {
 			return false
 		}
-		txn.cipherInvoke = m.Invoke
-		env.Send(r.Node, txn.reg.BSC, gsm.CipherModeCommand{Leg: gsm.LegA, MS: txn.reg.MS})
+		t.cipherInvoke = m.Invoke
+		env.Send(r.Node, t.reg.BSC, gsm.CipherModeCommand{Leg: gsm.LegA, MS: t.reg.MS})
 		return true
 	case gsm.CipherModeComplete:
-		txn, ok := r.byMS[m.MS]
+		t, ok := r.byMS.Get(m.MS)
 		if !ok {
 			return false
 		}
 		env.Send(r.Node, r.VLR, sigmap.SetCipherModeAck{
-			Invoke: txn.cipherInvoke, Cause: sigmap.CauseNone,
+			Invoke: t.cipherInvoke, Cause: sigmap.CauseNone,
 		})
 		return true
 	case sigmap.UpdateLocationAreaAck:
@@ -147,18 +155,21 @@ func (r *Registrar) Handle(env *sim.Env, from sim.NodeID, msg sim.Message) bool 
 func (r *Registrar) start(env *sim.Env, bsc sim.NodeID, m gsm.LocationUpdate) {
 	// A retransmitted LocationUpdate from the radio side must not spawn a
 	// second VLR transaction while the first is in flight.
-	if _, busy := r.byMS[m.MS]; busy {
+	slot := r.byMS.Begin(env, m.MS, txn.Policy{})
+	if slot == nil {
 		return
 	}
-	txn := &regTxn{r: r, env: env, reg: Registration{
+	t := &regTxn{r: r, env: env, reg: Registration{
 		MS: m.MS, BSC: bsc, LAI: m.LAI, Identity: m.Identity,
 	}}
-	r.byIdentity[m.Identity] = txn
-	r.byMS[m.MS] = txn
+	*slot = t
+	if byID := r.byIdentity.Begin(env, m.Identity, txn.Policy{}); byID != nil {
+		*byID = t // two MSs claiming one identity: the VLR's challenge reaches the first
+	}
 
-	txn.vlrInvoke = r.dm.InvokeRetryArg(regVLRDone, txn)
-	r.dm.Transmit(env, txn.vlrInvoke, r.Node, r.VLR, sigmap.UpdateLocationArea{
-		Invoke: txn.vlrInvoke, Identity: m.Identity, LAI: m.LAI, MSC: string(r.Node),
+	t.vlrInvoke = r.dm.InvokeRetryArg(regVLRDone, t)
+	r.dm.Transmit(env, t.vlrInvoke, r.VLR, sigmap.UpdateLocationArea{
+		Invoke: t.vlrInvoke, Identity: m.Identity, LAI: m.LAI, MSC: string(r.Node),
 	}, r.RTO, r.Retries)
 }
 
@@ -166,12 +177,12 @@ func (r *Registrar) start(env *sim.Env, bsc sim.NodeID, m gsm.LocationUpdate) {
 // times out). The transaction record threads through InvokeArg, so starting
 // a registration costs one allocation rather than a closure per step.
 func regVLRDone(arg any, resp sim.Message, ok bool) {
-	txn := arg.(*regTxn)
-	r := txn.r
+	t := arg.(*regTxn)
+	r := t.r
 	ack, isAck := resp.(sigmap.UpdateLocationAreaAck)
-	delete(r.byIdentity, txn.reg.Identity)
-	delete(r.byMS, txn.reg.MS)
-	reg := txn.reg
+	r.byIdentity.Take(t.reg.Identity)
+	r.byMS.Take(t.reg.MS)
+	reg := t.reg
 	if !ok || !isAck {
 		reg.Cause = sigmap.CauseSystemFailure
 	} else {
@@ -181,6 +192,6 @@ func regVLRDone(arg any, resp sim.Message, ok bool) {
 		reg.MSISDN = ack.MSISDN
 	}
 	if r.OnOutcome != nil {
-		r.OnOutcome(txn.env, reg)
+		r.OnOutcome(t.env, reg)
 	}
 }

@@ -10,11 +10,14 @@ import (
 	"vgprs/internal/sim"
 )
 
-// silentVLR never answers — for timeout paths.
-type silentVLR struct{ id sim.NodeID }
+// silentVLR never answers — for timeout paths — and counts what it is sent.
+type silentVLR struct {
+	id  sim.NodeID
+	got int
+}
 
 func (v *silentVLR) ID() sim.NodeID                                    { return v.id }
-func (v *silentVLR) Receive(*sim.Env, sim.NodeID, string, sim.Message) {}
+func (v *silentVLR) Receive(*sim.Env, sim.NodeID, string, sim.Message) { v.got++ }
 
 // bscStub records downlink radio messages.
 type bscStub struct {
@@ -59,8 +62,41 @@ func TestRegistrarVLRTimeoutFails(t *testing.T) {
 		t.Fatalf("cause = %v", outcome.Cause)
 	}
 	// The transaction tables are clean for a retry.
-	if len(r.byIdentity) != 0 || len(r.byMS) != 0 {
+	if r.byIdentity.InFlight() != 0 || r.byMS.InFlight() != 0 || r.Imbalance() != 0 {
 		t.Fatal("registrar leaked transaction state")
+	}
+}
+
+// TestRegistrarDedupesLocationUpdate repeats a LocationUpdate from the radio
+// side while the VLR transaction is in flight: one UpdateLocationArea goes
+// out, both lookups hold one transaction, and the VLR's challenge finds it by
+// identity and the MS's answer by node name.
+func TestRegistrarDedupesLocationUpdate(t *testing.T) {
+	env := sim.NewEnv(1)
+	r := NewRegistrar("MSC-1", "VLR-SILENT", nil)
+	vlr := &silentVLR{id: "VLR-SILENT"}
+	env.AddNode(&registrarOwner{id: "MSC-1", r: r})
+	env.AddNode(vlr)
+	env.AddNode(&bscStub{id: "BSC-1"})
+	env.Connect("MSC-1", "VLR-SILENT", "B", time.Millisecond)
+	env.Connect("BSC-1", "MSC-1", "A", time.Millisecond)
+
+	id := gsmid.ByIMSI("466920000000001")
+	lu := gsm.LocationUpdate{Leg: gsm.LegA, MS: "MS-1", Identity: id}
+	env.Send("BSC-1", "MSC-1", lu)
+	env.Send("BSC-1", "MSC-1", lu)
+	env.RunUntil(10 * time.Millisecond)
+	if vlr.got != 1 || r.byMS.InFlight() != 1 || r.byIdentity.InFlight() != 1 || r.Pending() != 2 {
+		t.Fatalf("VLR saw %d requests; %d by MS, %d by identity, Pending %d",
+			vlr.got, r.byMS.InFlight(), r.byIdentity.InFlight(), r.Pending())
+	}
+	if !r.Handle(env, "VLR-SILENT", sigmap.Authenticate{Invoke: 9, Identity: id}) ||
+		!r.Handle(env, "BSC-1", gsm.AuthResponse{MS: "MS-1"}) {
+		t.Fatal("the in-flight transaction was not found by identity and by MS")
+	}
+	env.Run() // the silent VLR lets the invoke time out
+	if r.Pending() != 0 || r.Imbalance() != 0 {
+		t.Fatalf("after the timeout: Pending %d, imbalance %d", r.Pending(), r.Imbalance())
 	}
 }
 

@@ -79,7 +79,7 @@ func NewExchange(cfg ExchangeConfig) *Exchange {
 	if cfg.MAPTimeout == 0 {
 		cfg.MAPTimeout = 5 * time.Second
 	}
-	return &Exchange{cfg: cfg, dm: ss7.NewDialogueManager(), calls: make(map[uint32]*call)}
+	return &Exchange{cfg: cfg, dm: ss7.NewDialogueManager(cfg.ID), calls: make(map[uint32]*call)}
 }
 
 // ID implements sim.Node.

@@ -28,38 +28,33 @@ var ErrTimeout = errors.New("ss7: dialogue timed out")
 // callback shapes. It is driven entirely from the simulation goroutine, so
 // it needs no locking.
 type DialogueManager struct {
-	next InvokeID
-	txns *txn.Table[InvokeID, invoke]
+	owner sim.NodeID // the element every request is sent from
+	next  InvokeID
+	txns  *txn.Table[InvokeID, invoke]
 	// staged is the invoke allocated by InvokeRetry/InvokeRetryArg and not
 	// yet transmitted; Transmit enters it into the table.
 	staged   invoke
 	stagedID InvokeID
 }
 
-// invoke is one outstanding dialogue: its completion (exactly one of done or
-// doneArg+arg is set) and, for retransmitting invokes, the request PDU and
-// its route.
+// invoke is one outstanding dialogue: its completion fn(arg, ...) and, for
+// retransmitting invokes, the request PDU and its destination.
 type invoke struct {
-	done     func(msg sim.Message, ok bool)
-	doneArg  func(arg any, msg sim.Message, ok bool)
-	arg      any
-	from, to sim.NodeID
-	msg      sim.Message
+	fn  func(arg any, msg sim.Message, ok bool)
+	arg any
+	to  sim.NodeID
+	msg sim.Message
 }
 
-func (p *invoke) complete(msg sim.Message, ok bool) {
-	if p.doneArg != nil {
-		p.doneArg(p.arg, msg, ok)
-		return
-	}
-	p.done(msg, ok)
-}
+// callDone completes the closure forms: the closure itself rides in arg (a
+// func value is pointer-shaped, so boxing it does not allocate).
+func callDone(arg any, msg sim.Message, ok bool) { arg.(func(sim.Message, bool))(msg, ok) }
 
-// NewDialogueManager returns an empty manager.
-func NewDialogueManager() *DialogueManager {
-	return &DialogueManager{txns: txn.New[InvokeID](
-		func(env *sim.Env, p *invoke) bool { env.Send(p.from, p.to, p.msg); return true },
-		func(_ *sim.Env, p *invoke) { p.complete(nil, false) },
+// NewDialogueManager returns an empty manager for the element owner.
+func NewDialogueManager(owner sim.NodeID) *DialogueManager {
+	return &DialogueManager{owner: owner, txns: txn.New[InvokeID](
+		func(env *sim.Env, p *invoke) bool { env.Send(owner, p.to, p.msg); return true },
+		func(_ *sim.Env, p *invoke) { p.fn(p.arg, nil, false) },
 	)}
 }
 
@@ -68,7 +63,7 @@ func NewDialogueManager() *DialogueManager {
 // called with (nil, false). A timeout of zero disables expiry.
 func (d *DialogueManager) Invoke(env *sim.Env, timeout time.Duration, done func(msg sim.Message, ok bool)) InvokeID {
 	d.next++
-	d.txns.Begin(env, d.next, txn.Policy{RTO: timeout, Retries: -1}).done = done
+	*d.txns.Begin(env, d.next, txn.Policy{RTO: timeout, Retries: -1}) = invoke{fn: callDone, arg: done}
 	return d.next
 }
 
@@ -78,9 +73,7 @@ func (d *DialogueManager) Invoke(env *sim.Env, timeout time.Duration, done func(
 // Invoke, done fires exactly once — with the response, or with (nil, false)
 // after the retry budget is exhausted.
 func (d *DialogueManager) InvokeRetry(done func(msg sim.Message, ok bool)) InvokeID {
-	d.next++
-	d.staged, d.stagedID = invoke{done: done}, d.next
-	return d.next
+	return d.InvokeRetryArg(callDone, done)
 }
 
 // InvokeRetryArg is InvokeRetry routing completion through a package-level
@@ -89,7 +82,7 @@ func (d *DialogueManager) InvokeRetry(done func(msg sim.Message, ok bool)) Invok
 // record through all their invokes.
 func (d *DialogueManager) InvokeRetryArg(fn func(arg any, msg sim.Message, ok bool), arg any) InvokeID {
 	d.next++
-	d.staged, d.stagedID = invoke{doneArg: fn, arg: arg}, d.next
+	d.staged, d.stagedID = invoke{fn: fn, arg: arg}, d.next
 	return d.next
 }
 
@@ -99,15 +92,15 @@ func (d *DialogueManager) InvokeRetryArg(fn func(arg any, msg sim.Message, ok bo
 // schedule (retries as configured: zero means the default budget, negative
 // none). Responders must therefore treat a repeated invoke ID idempotently.
 // When the budget runs out the completion callback fires with (nil, false).
-func (d *DialogueManager) Transmit(env *sim.Env, id InvokeID, from, to sim.NodeID, msg sim.Message, rto time.Duration, retries int) {
+func (d *DialogueManager) Transmit(env *sim.Env, id InvokeID, to sim.NodeID, msg sim.Message, rto time.Duration, retries int) {
 	if id != d.stagedID {
 		return
 	}
 	p := d.txns.Begin(env, id, txn.Policy{RTO: rto, Retries: retries})
 	*p = d.staged
-	p.from, p.to, p.msg = from, to, msg
+	p.to, p.msg = to, msg
 	d.staged, d.stagedID = invoke{}, 0
-	env.Send(from, to, msg)
+	env.Send(d.owner, to, msg)
 }
 
 // Resolve delivers a response for the given invoke ID. It reports whether an
@@ -116,7 +109,7 @@ func (d *DialogueManager) Transmit(env *sim.Env, id InvokeID, from, to sim.NodeI
 func (d *DialogueManager) Resolve(id InvokeID, msg sim.Message) bool {
 	p, ok := d.txns.Take(id)
 	if ok {
-		p.complete(msg, true)
+		p.fn(p.arg, msg, true)
 	}
 	return ok
 }
@@ -134,3 +127,6 @@ func (d *DialogueManager) Stats() txn.Stats { return d.txns.Stats() }
 // Imbalance to their SlabImbalance audit, and leak tests assert a drained
 // manager has every record back on the free list.
 func (d *DialogueManager) Occupancy() txn.Occupancy { return d.txns.Occupancy() }
+
+// Bytes is the memory the invoke records hold, for the owner's Footprint.
+func (d *DialogueManager) Bytes() int { return d.txns.Bytes() }

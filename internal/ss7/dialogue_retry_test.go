@@ -43,7 +43,7 @@ func (c *retryClient) Receive(env *sim.Env, from sim.NodeID, iface string, msg s
 func retryPair(t *testing.T) (*sim.Env, *retryClient, *echoServer) {
 	t.Helper()
 	env := sim.NewEnv(1)
-	c := &retryClient{id: "client", dm: NewDialogueManager()}
+	c := &retryClient{id: "client", dm: NewDialogueManager("client")}
 	s := &echoServer{id: "server"}
 	env.AddNode(c)
 	env.AddNode(s)
@@ -71,7 +71,7 @@ func TestTransmitRetransmitsAfterDrop(t *testing.T) {
 	var got sim.Message
 	var ok, fired bool
 	id := c.dm.InvokeRetry(func(m sim.Message, k bool) { got, ok, fired = m, k, true })
-	c.dm.Transmit(env, id, "client", "server", reqMsg{id: id}, 100*time.Millisecond, 3)
+	c.dm.Transmit(env, id, "server", reqMsg{id: id}, 100*time.Millisecond, 3)
 
 	// Heal the link before the first RTO expires: the retransmission at
 	// t=100ms must get through.
@@ -107,7 +107,7 @@ func TestTransmitBudgetExhaustedFailsCleanly(t *testing.T) {
 	var ok, fired bool
 	var failedAt time.Duration
 	id := c.dm.InvokeRetry(func(m sim.Message, k bool) { ok, fired = k, true; failedAt = env.Now() })
-	c.dm.Transmit(env, id, "client", "server", reqMsg{id: id}, rto, retries)
+	c.dm.Transmit(env, id, "server", reqMsg{id: id}, rto, retries)
 	env.Run()
 
 	if !fired || ok {
@@ -146,7 +146,7 @@ func TestTransmitDuplicateResponsesResolveOnce(t *testing.T) {
 			t.Fatalf("arg = %v", arg)
 		}
 	}, "txn")
-	c.dm.Transmit(env, id, "client", "server", reqMsg{id: id}, 100*time.Millisecond, 3)
+	c.dm.Transmit(env, id, "server", reqMsg{id: id}, 100*time.Millisecond, 3)
 	env.Run()
 
 	if calls != 1 {

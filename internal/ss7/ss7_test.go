@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"vgprs/internal/sim"
+	"vgprs/internal/txn"
 )
 
 func TestMSURoundTrip(t *testing.T) {
@@ -65,7 +66,7 @@ func TestServiceIndicatorStrings(t *testing.T) {
 
 func TestDialogueResolve(t *testing.T) {
 	env := sim.NewEnv(1)
-	dm := NewDialogueManager()
+	dm := NewDialogueManager("client")
 	var got sim.Message
 	var ok bool
 	id := dm.Invoke(env, time.Second, func(m sim.Message, k bool) { got, ok = m, k })
@@ -89,7 +90,7 @@ func TestDialogueResolve(t *testing.T) {
 
 func TestDialogueTimeout(t *testing.T) {
 	env := sim.NewEnv(1)
-	dm := NewDialogueManager()
+	dm := NewDialogueManager("client")
 	calls := 0
 	var lastOK bool
 	id := dm.Invoke(env, 10*time.Millisecond, func(_ sim.Message, k bool) {
@@ -111,7 +112,7 @@ func TestDialogueTimeout(t *testing.T) {
 
 func TestDialogueZeroTimeoutNeverExpires(t *testing.T) {
 	env := sim.NewEnv(1)
-	dm := NewDialogueManager()
+	dm := NewDialogueManager("client")
 	fired := false
 	dm.Invoke(env, 0, func(_ sim.Message, _ bool) { fired = true })
 	env.Run()
@@ -125,7 +126,7 @@ func TestDialogueZeroTimeoutNeverExpires(t *testing.T) {
 
 func TestDialogueDistinctIDs(t *testing.T) {
 	env := sim.NewEnv(1)
-	dm := NewDialogueManager()
+	dm := NewDialogueManager("client")
 	seen := make(map[InvokeID]bool)
 	for range 100 {
 		id := dm.Invoke(env, 0, func(sim.Message, bool) {})
@@ -137,7 +138,7 @@ func TestDialogueDistinctIDs(t *testing.T) {
 }
 
 func TestDialogueResolveUnknown(t *testing.T) {
-	dm := NewDialogueManager()
+	dm := NewDialogueManager("client")
 	if dm.Resolve(42, fakeMsg{}) {
 		t.Fatal("Resolve of unknown ID should return false")
 	}
@@ -146,3 +147,12 @@ func TestDialogueResolveUnknown(t *testing.T) {
 type fakeMsg struct{}
 
 func (fakeMsg) Name() string { return "FAKE" }
+
+// TestInvokeRecordSize pins what one outstanding MAP invoke occupies in its
+// manager's table: a burst of dialogues allocates this much each, and gives
+// it back when the burst is over.
+func TestInvokeRecordSize(t *testing.T) {
+	if got := txn.RecordSize[InvokeID, invoke](); got > 112 {
+		t.Fatalf("invoke record is %d bytes, budget 112", got)
+	}
+}

@@ -8,11 +8,17 @@
 //
 // Records live by value in chunks that never move, and a record is its own
 // timer argument, so beginning a transaction costs no closure, no boxed
-// value and (past the first chunk) no allocation. A record keeps the
+// value and (while a free record exists) no allocation. A record keeps the
 // sim.Timer of the one timer that references it; Take cancels that timer and
 // frees the record at once, so an answered transaction leaves nothing behind
 // — no queue entry, no held record — and a record on the free list is never
 // reachable from the event queue.
+//
+// Chunks grow as slab.Slab's do — 32, 32, 64 ... 512 records, then 1,024
+// each — and a burst's capacity is given back when the burst is over: once
+// every record is free again, a table holding more than releaseFloor of them
+// drops the chunks past the floor and the map that grew to address them. A
+// table that never exceeds the floor never releases.
 //
 // Hooks run on the retransmission timer and may re-enter the table: expired
 // may Begin again (a keepalive failure starting a full registration), and
@@ -26,7 +32,10 @@
 package txn
 
 import (
+	"maps"
+	"math"
 	"time"
+	"unsafe"
 
 	"vgprs/internal/sim"
 )
@@ -63,17 +72,22 @@ func (p Policy) Budget() int {
 // running out.
 func (p Policy) Deadline() time.Duration { return sim.RetryDeadline(p.RTO, p.Budget()) }
 
-// chunk is the number of records allocated at a time.
-const chunk = 32
+// chunk is the size of a table's first two chunks; each later one doubles
+// the table, up to releaseFloor records a chunk — which is also what a drained
+// table keeps. Releasing from 32 up made 600-MS worlds regrow their tables
+// every wave (region_attach +9-14 % CPU); none holds 1,024 of a kind in flight.
+const chunk, releaseFloor = 32, 1024
 
 type record[K comparable, T any] struct {
 	data  T
-	key   K
+	next  *record[K, T] // the free list's link: growing it allocates nothing
 	env   *sim.Env
 	timer sim.Timer     // the pending retransmission timer; zero if untimed
-	rto   time.Duration // current timeout
-	rto0  time.Duration // initial timeout, bounds the backoff
-	left  int           // retransmissions remaining
+	rto0  time.Duration // initial timeout; the current one is rto0<<doubled
+	key   K
+	left  int16 // retransmissions remaining
+	// doubled counts the backoff steps so far, up to sim.NextRTO's cap.
+	doubled uint8
 }
 
 // Table is a set of in-flight transactions keyed by K, each carrying a
@@ -83,9 +97,11 @@ type Table[K comparable, T any] struct {
 	expired func(env *sim.Env, t *T)
 	fire    func(any)
 
-	byKey map[K]*record[K, T]
-	free  []*record[K, T]
-	cap   int
+	byKey     map[K]*record[K, T]
+	chunks    [][]record[K, T]
+	free      *record[K, T]
+	cap, idle int // records allocated, and how many of them are free
+	burst     int // cap at the last release
 
 	begun, resolved, timedOut, retransmits uint64
 }
@@ -110,24 +126,37 @@ func (tb *Table[K, T]) Begin(env *sim.Env, key K, p Policy) *T {
 	if _, dup := tb.byKey[key]; dup {
 		return nil
 	}
-	if len(tb.free) == 0 {
-		recs := make([]record[K, T], chunk)
-		for i := range recs {
-			tb.free = append(tb.free, &recs[i])
+	if tb.free == nil {
+		if tb.cap == releaseFloor && tb.burst > 0 {
+			// Bursts repeat: size the map for one like the last, once,
+			// rather than rehash it at every doubling on the way up.
+			m := make(map[K]*record[K, T], tb.burst)
+			maps.Copy(m, tb.byKey)
+			tb.byKey = m
 		}
-		tb.cap += chunk
+		tb.chunks = append(tb.chunks, make([]record[K, T], min(max(tb.cap, chunk), releaseFloor)))
+		tb.refill(len(tb.chunks) - 1)
 	}
-	n := len(tb.free) - 1
-	r := tb.free[n]
-	tb.free = tb.free[:n]
-	r.key, r.env = key, env
+	r := tb.free
+	tb.free, tb.idle = r.next, tb.idle-1
+	r.next, r.key, r.env = nil, key, env
 	tb.byKey[key] = r
 	tb.begun++
 	if p.RTO > 0 {
-		r.rto, r.rto0, r.left = p.RTO, p.RTO, p.Budget()
+		r.rto0, r.left = p.RTO, int16(min(p.Budget(), math.MaxInt16))
 		r.timer = env.AfterArg(p.RTO, tb.fire, r)
 	}
 	return &r.data
+}
+
+// refill puts the records of chunks[from:] on the free list.
+func (tb *Table[K, T]) refill(from int) {
+	for _, c := range tb.chunks[from:] {
+		for i := range c {
+			c[i].next, tb.free = tb.free, &c[i]
+		}
+		tb.cap, tb.idle = tb.cap+len(c), tb.idle+len(c)
+	}
 }
 
 // Take ends the transaction under key — its answer arrived, or the plane is
@@ -148,9 +177,33 @@ func (tb *Table[K, T]) Take(key K) (T, bool) {
 	return data, true
 }
 
+// Get returns the payload of the transaction in flight under key, which stays.
+func (tb *Table[K, T]) Get(key K) (data T, ok bool) {
+	if r := tb.byKey[key]; r != nil {
+		return r.data, true
+	}
+	return data, false
+}
+
+// put frees r. Every record idle means the table has drained, and put runs
+// last in whatever ended a transaction, so no record is in use when the
+// burst's capacity is let go. (A timer whose hook took its own record holds
+// it until onTimer returns, and only compares its zeroed timer.)
 func (tb *Table[K, T]) put(r *record[K, T]) {
-	*r = record[K, T]{}
-	tb.free = append(tb.free, r)
+	*r = record[K, T]{next: tb.free}
+	tb.free, tb.idle = r, tb.idle+1
+	if tb.idle < tb.cap || tb.cap <= releaseFloor {
+		return
+	}
+	keep := 0
+	for n := 0; n < releaseFloor; keep++ {
+		n += len(tb.chunks[keep])
+	}
+	clear(tb.chunks[keep:])
+	tb.chunks = tb.chunks[:keep]
+	tb.free, tb.burst, tb.cap, tb.idle = nil, tb.cap, 0, 0
+	tb.refill(0)
+	tb.byKey = make(map[K]*record[K, T])
 }
 
 func (tb *Table[K, T]) onTimer(arg any) {
@@ -165,8 +218,12 @@ func (tb *Table[K, T]) onTimer(arg any) {
 	if resent {
 		r.left--
 		tb.retransmits++
-		r.rto = sim.NextRTO(r.rto, r.rto0)
-		r.timer = r.env.AfterArg(r.rto, tb.fire, r)
+		cur := r.rto0 << r.doubled
+		rto := sim.NextRTO(cur, r.rto0)
+		if rto > cur {
+			r.doubled++
+		}
+		r.timer = r.env.AfterArg(rto, tb.fire, r)
 		return
 	}
 	delete(tb.byKey, r.key)
@@ -220,5 +277,16 @@ func (o Occupancy) Imbalance() int {
 // Occupancy returns the record accounting; owners fold its Imbalance into
 // their SlabImbalance audit.
 func (tb *Table[K, T]) Occupancy() Occupancy {
-	return Occupancy{Cap: tb.cap, Free: len(tb.free), InFlight: len(tb.byKey)}
+	return Occupancy{Cap: tb.cap, Free: tb.idle, InFlight: len(tb.byKey)}
 }
+
+// Bytes is the memory the table holds, for its owner's Footprint: records,
+// plus a key, a pointer and a control byte per map entry at 7/8 load.
+func (tb *Table[K, T]) Bytes() int {
+	var key K
+	return tb.cap*RecordSize[K, T]() + len(tb.byKey)*int(unsafe.Sizeof(key)+unsafe.Sizeof(&key)+1)*8/7
+}
+
+// RecordSize is what one transaction of a Table[K, T] occupies: the payload
+// and the header the table keeps beside it.
+func RecordSize[K comparable, T any]() int { return int(unsafe.Sizeof(record[K, T]{})) }

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -223,10 +224,13 @@ func TestTakeInsideResend(t *testing.T) {
 // TestTableMatchesModel drives one table and a map-and-deadline model with
 // the same random Begin/Take/advance-time script, timed and untimed policies
 // mixed, keys drawn from a small space so duplicates, late answers and
-// record reuse are common. After every step the table's books balance, the
-// event queue holds exactly one timer per timed transaction in flight, and
-// every hook call is one the model predicted at that instant — in particular
-// none for a transaction already taken.
+// record reuse are common. Now and then a burst of fresh keys pushes the
+// table below or above the release floor, and a drain step (or the burst's
+// own timers) empties it again. After every step the table's books balance,
+// the event queue holds exactly one timer per timed transaction in flight,
+// an empty table holds no more than the floor, and every hook call is one
+// the model predicted at that instant — in particular none for a transaction
+// already taken.
 func TestTableMatchesModel(t *testing.T) {
 	const rto = 10 * time.Millisecond
 	type entry struct {
@@ -269,32 +273,50 @@ func TestTableMatchesModel(t *testing.T) {
 			},
 		)
 		var begun uint64
-		for step := 0; step < 20000; step++ {
+		var step int
+		begin := func(key uint32) {
+			p := Policy{RTO: rto, Retries: rng.Intn(4) - 1}
+			if rng.Intn(8) == 0 {
+				p.RTO = 0
+			}
+			r := tb.Begin(env, key, p)
+			if _, dup := model[key]; dup != (r == nil) {
+				t.Fatalf("seed %d step %d: Begin(%d) = %v, model in flight: %v", seed, step, key, r, dup)
+			}
+			if r != nil {
+				r.id = key
+				begun++
+				model[key] = &entry{next: env.Now() + p.RTO, rto: p.RTO, left: p.Budget()}
+			}
+		}
+		take := func(key uint32) {
+			got, ok := tb.Take(key)
+			if _, want := model[key]; ok != want || (ok && got.id != key) {
+				t.Fatalf("seed %d step %d: Take(%d) = %+v, %v; model in flight: %v", seed, step, key, got, ok, want)
+			}
+			if ok {
+				delete(model, key)
+				resolved++
+			}
+		}
+		nextBurst := uint32(1000)
+		for step = 0; step < 20000; step++ {
 			key := uint32(rng.Intn(48))
-			switch op := rng.Intn(10); {
-			case op < 4:
-				p := Policy{RTO: rto, Retries: rng.Intn(4) - 1}
-				if rng.Intn(8) == 0 {
-					p.RTO = 0
+			switch op := rng.Intn(400); {
+			case op < 2: // a burst: half stay under the release floor, half cross it
+				n := uint32(releaseFloor/8 + op*(2*releaseFloor-releaseFloor/8))
+				for ; n > 0; n-- {
+					begin(nextBurst)
+					nextBurst++
 				}
-				r := tb.Begin(env, key, p)
-				if _, dup := model[key]; dup != (r == nil) {
-					t.Fatalf("seed %d step %d: Begin(%d) = %v, model in flight: %v", seed, step, key, r, dup)
+			case op < 6: // every answer arrives: drain to zero
+				for key := range model {
+					take(key)
 				}
-				if r != nil {
-					r.id = key
-					begun++
-					model[key] = &entry{next: env.Now() + p.RTO, rto: p.RTO, left: p.Budget()}
-				}
-			case op < 8:
-				got, ok := tb.Take(key)
-				if _, want := model[key]; ok != want || (ok && got.id != key) {
-					t.Fatalf("seed %d step %d: Take(%d) = %+v, %v; model in flight: %v", seed, step, key, got, ok, want)
-				}
-				if ok {
-					delete(model, key)
-					resolved++
-				}
+			case op < 160:
+				begin(key)
+			case op < 320:
+				take(key)
 			default:
 				env.RunUntil(env.Now() + time.Duration(rng.Intn(25))*time.Millisecond)
 			}
@@ -308,7 +330,7 @@ func TestTableMatchesModel(t *testing.T) {
 			if s := tb.Stats(); s != want || s.Begun != s.Resolved+s.TimedOut+uint64(s.InFlight) {
 				t.Fatalf("seed %d step %d: stats %+v, model %+v", seed, step, s, want)
 			}
-			if o := tb.Occupancy(); o.Imbalance() != 0 || o.InFlight != len(model) {
+			if o := tb.Occupancy(); o.Imbalance() != 0 || o.InFlight != len(model) || (o.InFlight == 0 && o.Cap > releaseFloor) {
 				t.Fatalf("seed %d step %d: occupancy %+v, model holds %d", seed, step, o, len(model))
 			}
 			if env.Pending() != armed {
@@ -456,5 +478,179 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if o := tb.Occupancy(); o.Cap != chunk || o.Free != o.Cap {
 		t.Fatalf("occupancy %+v, want one fully free chunk", o)
+	}
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestDrainedTableReleasesRecords runs two 5,000-transaction storms through
+// one table. The first is answered: the drained table is back at the floor —
+// books balanced, queue empty, and a collected heap no bigger than one full
+// chunk over what it was before the storm. The second is left to its timers
+// on the regrown table: every transaction is re-sent and expires exactly
+// when the schedule says, and the table drains to the floor again, this time
+// from the timer.
+func TestDrainedTableReleasesRecords(t *testing.T) {
+	const storm = 5000
+	policy := Policy{RTO: 100 * time.Millisecond, Retries: 1}
+	h := newHarness()
+	atFloor := func(when string) {
+		t.Helper()
+		h.assertDrained(t)
+		if o := h.tb.Occupancy(); o.Cap > releaseFloor {
+			t.Fatalf("%s: drained table holds %d records, floor is %d", when, o.Cap, releaseFloor)
+		}
+	}
+	answered := func() {
+		for id := uint32(1); id <= storm; id++ {
+			h.begin(t, id, policy)
+		}
+		if o := h.tb.Occupancy(); o.InFlight != storm || o.Cap < storm || h.env.Pending() != storm {
+			t.Fatalf("mid-storm: occupancy %+v, %d timers queued", o, h.env.Pending())
+		}
+		for id := uint32(1); id <= storm; id++ {
+			if got, ok := h.tb.Take(id); !ok || got.id != id {
+				t.Fatalf("Take(%d) = %+v, %v", id, got, ok)
+			}
+		}
+	}
+	// A storm on a table that is then discarded grows the event queue's own
+	// arrays, which are not this table's to give back.
+	answered()
+	h.tb = New[uint32](h.tb.resend, h.tb.expired)
+	before := liveHeap()
+	answered()
+	atFloor("answered storm")
+	oneChunk := float64(releaseFloor * RecordSize[uint32, req]())
+	if grew := float64(liveHeap()) - float64(before); grew > 1.2*oneChunk && !raceEnabled {
+		t.Errorf("answered storm left %.0f B on the heap, want at most the floor's %.0f B", grew, oneChunk)
+	}
+
+	start := h.env.Now()
+	for id := uint32(1); id <= storm; id++ {
+		h.begin(t, id, policy)
+	}
+	h.env.Run()
+	if len(h.resent) != storm || len(h.expired) != storm {
+		t.Fatalf("unanswered storm: %d resends, %d expiries, want %d each", len(h.resent), len(h.expired), storm)
+	}
+	for i, at := range h.resent {
+		if at != start+policy.RTO || h.expired[i] != uint32(i+1) {
+			t.Fatalf("transaction %d: re-sent at %v, expiry %d of id %d", i+1, at, i, h.expired[i])
+		}
+	}
+	if h.expireAt != start+policy.Deadline() {
+		t.Fatalf("last expiry at %v, want %v", h.expireAt, start+policy.Deadline())
+	}
+	if s := h.tb.Stats(); s.Begun != 2*storm || s.Resolved != storm || s.TimedOut != storm || s.Retransmits != storm {
+		t.Fatalf("stats %+v", s)
+	}
+	atFloor("expired storm")
+}
+
+// TestSmallBurstsNeverRelease is the guard for worlds of a few hundred
+// subscribers: a table cycling between empty and 600 in flight, under the
+// floor, keeps what its first burst allocated and never allocates again.
+func TestSmallBurstsNeverRelease(t *testing.T) {
+	h := newHarness()
+	policy := Policy{RTO: time.Second}
+	cycle := func() {
+		for id := uint32(0); id < 600; id++ {
+			h.tb.Begin(h.env, id, policy).id = id
+		}
+		for id := uint32(0); id < 600; id++ {
+			h.tb.Take(id)
+		}
+	}
+	cycle()
+	held := h.tb.Occupancy().Cap
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("a 600-transaction burst on a warmed table allocated %.1f objects, want 0", allocs)
+	}
+	if o := h.tb.Occupancy(); o.Cap != held || held > releaseFloor {
+		t.Fatalf("occupancy %+v after 1,000 bursts, first burst held %d", o, held)
+	}
+	h.assertDrained(t)
+}
+
+// TestReleaseFromInsideHook drains a table grown past the floor from its own
+// timer hooks. resend taking its own transaction — the last one — releases
+// while the timer still holds that record, wherever it lived: in a chunk the
+// table keeps (begun first) or in one it drops (begun last). expired taking
+// the last other transaction must not release under the record it was handed:
+// the payload stays intact until the hook returns. Run it under -race too.
+func TestReleaseFromInsideHook(t *testing.T) {
+	const burst, own, other = 2 * releaseFloor, 7, 8
+	timed := Policy{RTO: 100 * time.Millisecond}
+	for _, c := range []struct {
+		name       string
+		ownFirst   bool
+		retries    int // of the timed transaction
+		takeInHook uint32
+	}{
+		{"resend takes its own, kept chunk", true, 1, own},
+		{"resend takes its own, dropped chunk", false, 1, own},
+		{"expired takes the last other", true, -1, other},
+		{"expired takes the last other, dropped chunk", false, -1, other},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			var tb *Table[uint32, req]
+			hooks := 0
+			hook := func(_ *sim.Env, r *req) {
+				hooks++
+				if got, ok := tb.Take(c.takeInHook); !ok || got.id != c.takeInHook {
+					t.Fatalf("Take(%d) inside the hook = %+v, %v", c.takeInHook, got, ok)
+				}
+				if c.takeInHook != own && r.id != own {
+					t.Fatalf("payload handed to expired reads %+v after the hook drained the table", *r)
+				}
+			}
+			tb = New[uint32](
+				func(env *sim.Env, r *req) bool { hook(env, r); return true },
+				hook,
+			)
+			p := timed
+			p.Retries = c.retries
+			if c.ownFirst {
+				tb.Begin(env, own, p).id = own
+			}
+			for id := uint32(100); id < 100+burst; id++ {
+				tb.Begin(env, id, Policy{}).id = id
+			}
+			if !c.ownFirst {
+				tb.Begin(env, own, p).id = own
+			}
+			if c.takeInHook == other {
+				tb.Begin(env, other, Policy{}).id = other
+			}
+			for id := uint32(100); id < 100+burst; id++ {
+				tb.Take(id)
+			}
+			if o := tb.Occupancy(); o.Cap <= releaseFloor || o.InFlight == 0 {
+				t.Fatalf("before the timer: occupancy %+v, want a grown table still in use", o)
+			}
+			env.Run()
+			o, s := tb.Occupancy(), tb.Stats()
+			if hooks != 1 || o.Cap > releaseFloor || o.Free != o.Cap || o.Imbalance() != 0 || env.Pending() != 0 {
+				t.Fatalf("%d hook calls, occupancy %+v, %d events queued", hooks, o, env.Pending())
+			}
+			if s.InFlight != 0 || s.Begun != s.Resolved+s.TimedOut || s.Retransmits != 0 {
+				t.Fatalf("stats %+v", s)
+			}
+			// The table is whole: it takes the next burst.
+			for id := uint32(100); id < 100+burst; id++ {
+				tb.Begin(env, id, Policy{}).id = id
+			}
+			if tb.InFlight() != burst || tb.Occupancy().Imbalance() != 0 {
+				t.Fatalf("after regrowth: occupancy %+v", tb.Occupancy())
+			}
+		})
 	}
 }

@@ -109,19 +109,17 @@ type VLR struct {
 	nextTMSI uint32
 	nextMSRN uint32
 
-	// pendingULA dedupes in-flight location updates: the MSC retransmits
+	// updating dedupes in-flight location updates: the MSC retransmits
 	// UpdateLocationArea with the same invoke ID, and a duplicate must not
 	// spawn a parallel authentication chain (TMSI churn, doubled HLR
 	// updates). Driven only from the sim goroutine.
-	pendingULA map[ulaKey]struct{}
+	updating *txn.Table[ulaKey, struct{}]
 }
 
 // ulaKey identifies one in-flight location-update transaction by its
-// originating MSC and MAP invoke ID (retransmissions reuse both).
-type ulaKey struct {
-	msc    sim.NodeID
-	invoke ss7.InvokeID
-}
+// originating MSC (its symbol in VLR.names, high half) and MAP invoke ID
+// (retransmissions reuse both).
+type ulaKey uint64
 
 var _ sim.Node = (*VLR)(nil)
 
@@ -137,13 +135,13 @@ func New(cfg Config) *VLR {
 		cfg.MSRNPrefix = "88690000"
 	}
 	return &VLR{
-		cfg:        cfg,
-		dm:         ss7.NewDialogueManager(),
-		recs:       slab.NewSharded[mmRec](vlrShards),
-		byIMSI:     slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
-		byTMSI:     slab.NewIndex[uint32](slab.HashUint32),
-		msrn:       make(map[gsmid.MSISDN]gsmid.IMSI),
-		pendingULA: make(map[ulaKey]struct{}),
+		cfg:      cfg,
+		dm:       ss7.NewDialogueManager(cfg.ID),
+		recs:     slab.NewSharded[mmRec](vlrShards),
+		byIMSI:   slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
+		byTMSI:   slab.NewIndex[uint32](slab.HashUint32),
+		msrn:     make(map[gsmid.MSISDN]gsmid.IMSI),
+		updating: txn.New[ulaKey, struct{}](nil, nil), // untimed: the hooks never run
 	}
 }
 
@@ -195,12 +193,15 @@ func (v *VLR) export(r *mmRec) MMContext {
 // Retransmits returns the number of MAP request PDUs this VLR has re-sent.
 func (v *VLR) Retransmits() uint64 { return v.dm.Retransmits() }
 
-// TxnStats reports the MAP dialogue table's lifetime counters.
-func (v *VLR) TxnStats(report func(plane string, s txn.Stats)) { report("MAP", v.dm.Stats()) }
+// TxnStats reports the MAP dialogue and update dedupe tables' lifetime counters.
+func (v *VLR) TxnStats(report func(plane string, s txn.Stats)) {
+	report("MAP", v.dm.Stats())
+	report("location update", v.updating.Stats())
+}
 
 // PendingUpdates returns in-flight location-update transactions (not yet
 // answered toward the requesting MSC). Zero at quiescence.
-func (v *VLR) PendingUpdates() int { return len(v.pendingULA) }
+func (v *VLR) PendingUpdates() int { return v.updating.InFlight() }
 
 // OutstandingDialogues returns un-answered MAP invokes this VLR has open.
 func (v *VLR) OutstandingDialogues() int { return v.dm.Outstanding() }
@@ -243,12 +244,13 @@ func (v *VLR) Audit(report func(kind string, n int)) {
 }
 
 // Footprint is the memory the subscriber store holds, in bytes: slab chunks
-// (live rows and free ones alike) plus index tables. It is the VLR's share of
+// (live rows and free ones alike), index tables and the two transaction
+// tables, which a quiesced VLR holds at their floor. It is the VLR's share of
 // "who owns which bytes of a resident subscriber" (EXPERIMENTS.md).
 func (v *VLR) Footprint() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.recs.Bytes() + v.byIMSI.Bytes() + v.byTMSI.Bytes()
+	return v.recs.Bytes() + v.byIMSI.Bytes() + v.byTMSI.Bytes() + v.dm.Bytes() + v.updating.Bytes()
 }
 
 // SlabImbalance audits the slab storage: per-shard occupancy must balance
@@ -259,7 +261,7 @@ func (v *VLR) Footprint() int {
 func (v *VLR) SlabImbalance() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	imb := v.dm.Occupancy().Imbalance()
+	imb := v.dm.Occupancy().Imbalance() + v.updating.Occupancy().Imbalance()
 	perShard := make([]int, vlrShards)
 	v.byIMSI.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
 		r := v.recs.Get(h)
@@ -356,6 +358,7 @@ type ulaTxn struct {
 	v         *VLR
 	env       *sim.Env
 	msc       sim.NodeID
+	key       ulaKey
 	m         sigmap.UpdateLocationArea
 	imsi      gsmid.IMSI
 	challenge sigmap.AuthTriplet
@@ -363,7 +366,7 @@ type ulaTxn struct {
 }
 
 func (t *ulaTxn) finish() {
-	delete(t.v.pendingULA, ulaKey{msc: t.msc, invoke: t.m.Invoke})
+	t.v.updating.Take(t.key)
 }
 
 func (t *ulaTxn) reject(cause sigmap.Cause) {
@@ -380,18 +383,19 @@ func (v *VLR) handleUpdateLocationArea(env *sim.Env, msc sim.NodeID, m sigmap.Up
 	// The MSC retransmits a lost UpdateLocationArea with the same invoke
 	// ID; a duplicate of an in-flight transaction is dropped here — the
 	// original chain will answer it.
-	key := ulaKey{msc: msc, invoke: m.Invoke}
-	if _, busy := v.pendingULA[key]; busy {
+	v.mu.Lock()
+	key := ulaKey(v.names.ID(string(msc)))<<32 | ulaKey(m.Invoke)
+	v.mu.Unlock()
+	if v.updating.Begin(env, key, txn.Policy{}) == nil {
 		return
 	}
-	t := &ulaTxn{v: v, env: env, msc: msc, m: m}
+	t := &ulaTxn{v: v, env: env, msc: msc, key: key, m: m}
 	imsi, ok := v.resolveIdentity(m.Identity)
 	if !ok {
-		t.env.Send(v.cfg.ID, msc, sigmap.UpdateLocationAreaAck{Invoke: m.Invoke, Cause: sigmap.CauseUnknownSubscriber})
+		t.reject(sigmap.CauseUnknownSubscriber)
 		return
 	}
 	t.imsi = imsi
-	v.pendingULA[key] = struct{}{}
 
 	if v.cfg.AuthDisabled {
 		t.updateHLRAndConfirm()
@@ -399,7 +403,7 @@ func (v *VLR) handleUpdateLocationArea(env *sim.Env, msc sim.NodeID, m sigmap.Up
 	}
 
 	saiInvoke := v.dm.InvokeRetryArg(ulaAuthInfoDone, t)
-	v.dm.Transmit(env, saiInvoke, v.cfg.ID, v.cfg.HLR, sigmap.SendAuthenticationInfo{
+	v.dm.Transmit(env, saiInvoke, v.cfg.HLR, sigmap.SendAuthenticationInfo{
 		Invoke: saiInvoke, IMSI: imsi, Count: 3,
 	}, v.cfg.SigRTO, v.cfg.SigRetries)
 }
@@ -416,7 +420,7 @@ func ulaAuthInfoDone(arg any, resp sim.Message, ok bool) {
 	v := t.v
 	t.challenge = ack.Triplets[0]
 	authInvoke := v.dm.InvokeRetryArg(ulaAuthenticateDone, t)
-	v.dm.Transmit(t.env, authInvoke, v.cfg.ID, t.msc, sigmap.Authenticate{
+	v.dm.Transmit(t.env, authInvoke, t.msc, sigmap.Authenticate{
 		Invoke: authInvoke, Identity: t.m.Identity, RAND: t.challenge.RAND,
 	}, v.cfg.SigRTO, v.cfg.SigRetries)
 	// Remaining triplets are cached for later transactions, capped at the
@@ -444,7 +448,7 @@ func ulaAuthenticateDone(arg any, resp sim.Message, ok bool) {
 	}
 	v := t.v
 	cipherInvoke := v.dm.InvokeRetryArg(ulaCipherDone, t)
-	v.dm.Transmit(t.env, cipherInvoke, v.cfg.ID, t.msc, sigmap.SetCipherMode{
+	v.dm.Transmit(t.env, cipherInvoke, t.msc, sigmap.SetCipherMode{
 		Invoke: cipherInvoke, Identity: t.m.Identity, Kc: t.challenge.Kc,
 	}, v.cfg.SigRTO, v.cfg.SigRetries)
 }
@@ -466,7 +470,7 @@ func ulaCipherDone(arg any, resp sim.Message, ok bool) {
 func (t *ulaTxn) updateHLRAndConfirm() {
 	v := t.v
 	ulInvoke := v.dm.InvokeRetryArg(ulaHLRDone, t)
-	v.dm.Transmit(t.env, ulInvoke, v.cfg.ID, v.cfg.HLR, sigmap.UpdateLocation{
+	v.dm.Transmit(t.env, ulInvoke, v.cfg.HLR, sigmap.UpdateLocation{
 		Invoke: ulInvoke, IMSI: t.imsi, VLR: string(v.cfg.ID), MSC: t.m.MSC,
 	}, v.cfg.SigRTO, v.cfg.SigRetries)
 }

@@ -149,6 +149,42 @@ func TestLocationUpdateFullFlow(t *testing.T) {
 	}
 }
 
+// TestLocationUpdateRetransmitIsDeduped repeats an UpdateLocationArea — same
+// MSC, same invoke ID, as the registrar's retry timer would — while the first
+// is mid-chain: one transaction in flight, one authentication chain, one
+// answer; the same invoke from another MSC is its own transaction. Afterwards
+// the dedupe table is empty and balanced.
+func TestLocationUpdateRetransmitIsDeduped(t *testing.T) {
+	f := newFixture(t, Config{})
+	ula := sigmap.UpdateLocationArea{
+		Invoke: 1, Identity: gsmid.ByIMSI(testIMSI),
+		LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, MSC: "VMSC-1",
+	}
+	f.env.Send("VMSC-1", "VLR-1", ula)
+	f.env.RunUntil(1500 * time.Microsecond) // arrived; auth vectors requested
+	f.env.Send("VMSC-1", "VLR-1", ula)
+	f.env.RunUntil(2500 * time.Microsecond)
+	if n := f.vlr.PendingUpdates(); n != 1 {
+		t.Fatalf("%d location updates in flight after a retransmission, want 1", n)
+	}
+	f.env.Send("GMSC", "VLR-1", ula)
+	f.env.RunUntil(3500 * time.Microsecond)
+	if n := f.vlr.PendingUpdates(); n != 2 {
+		t.Fatalf("%d location updates in flight with a second MSC, want 2", n)
+	}
+	f.env.Run()
+	acks := 0
+	for _, m := range f.msc.got {
+		if _, ok := m.(sigmap.UpdateLocationAreaAck); ok {
+			acks++
+		}
+	}
+	if acks != 1 || f.vlr.PendingUpdates() != 0 || f.vlr.SlabImbalance() != 0 {
+		t.Fatalf("%d acks to the retransmitting MSC, %d still pending, imbalance %d",
+			acks, f.vlr.PendingUpdates(), f.vlr.SlabImbalance())
+	}
+}
+
 func TestLocationUpdateByTMSIAfterFirstRegistration(t *testing.T) {
 	f := newFixture(t, Config{})
 	first := f.register(t)

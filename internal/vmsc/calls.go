@@ -235,7 +235,7 @@ func (v *VMSC) handleMOSetup(env *sim.Env, bsc sim.NodeID, t gsm.Setup) {
 	// in vGPRS, which is the point of the §6 comparison). The invoke is
 	// retransmitted on loss per the SigRTO schedule.
 	invoke := v.dm.InvokeRetryArg(moSIFOCDone, call)
-	v.dm.Transmit(env, invoke, v.cfg.ID, v.cfg.VLR, sigmap.SendInfoForOutgoingCall{
+	v.dm.Transmit(env, invoke, v.cfg.VLR, sigmap.SendInfoForOutgoingCall{
 		Invoke: invoke, Identity: gsmid.ByTMSI(entry.tmsi), Called: t.Called,
 	}, v.cfg.SigRTO, v.cfg.SigRetries)
 }

@@ -413,7 +413,7 @@ func New(cfg Config) *VMSC {
 	}
 	v := &VMSC{
 		cfg:      cfg,
-		dm:       ss7.NewDialogueManager(),
+		dm:       ss7.NewDialogueManager(cfg.ID),
 		ents:     slab.NewSharded[msEntry](mscShards),
 		byIMSI:   slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
 		byMS:     slab.NewIndex[sim.NodeID](hashNodeID),
@@ -568,21 +568,23 @@ func (v *VMSC) Audit(report func(kind string, n int)) {
 	report("slab imbalance", v.SlabImbalance())
 }
 
-// Footprint is the memory the MS table holds, in bytes: slab chunks plus
-// index tables — all a resident subscriber costs the VMSC.
+// Footprint is the memory the VMSC holds, in bytes: the MS table's slab
+// chunks and index tables — all a resident subscriber costs it — plus the
+// transaction tables, which a quiesced VMSC holds at their floor.
 func (v *VMSC) Footprint() int {
-	return v.ents.Bytes() + v.byIMSI.Bytes() + v.byMS.Bytes() + v.byMSISDN.Bytes()
+	return v.ents.Bytes() + v.byIMSI.Bytes() + v.byMS.Bytes() + v.byMSISDN.Bytes() +
+		v.dm.Bytes() + v.registrar.Bytes() + v.ras.Bytes() + v.q931.Bytes() + v.gmm.Bytes()
 }
 
 // SlabImbalance audits the MS-table storage: per-shard occupancy must
 // balance (cap == live + free) and every index entry must resolve to a
-// live row that agrees with the key, and the four transaction tables must
-// account for every record they allocated. Non-zero means a row or record
+// live row that agrees with the key, and the transaction tables (the
+// registrar's included) must account for every record they allocated. Non-zero means a row or record
 // leaked out of — or was lost by — its store; the soak/leak gates assert
 // zero alongside the transient residuals.
 func (v *VMSC) SlabImbalance() int {
 	imb := v.dm.Occupancy().Imbalance() + v.ras.Occupancy().Imbalance() +
-		v.q931.Occupancy().Imbalance() + v.gmm.Occupancy().Imbalance()
+		v.q931.Occupancy().Imbalance() + v.gmm.Occupancy().Imbalance() + v.registrar.Imbalance()
 	perShard := make([]int, mscShards)
 	v.byIMSI.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
 		e := v.ents.Get(h)
