@@ -240,14 +240,12 @@ func (g *Gatekeeper) CallRecords() []CallRecord {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	out := make([]CallRecord, 0, g.byCall.Len())
-	g.byCall.Range(func(_ gkCallKey, h slab.Handle) bool {
-		if c := g.calls.Get(h); c != nil {
-			out = append(out, CallRecord{
-				Caller: c.caller.MSISDN(), Called: c.called.MSISDN(),
-				CallRef: c.ref, AdmittedAt: c.admittedAt,
-				EndedAt: c.endedAt, Ended: c.ended,
-			})
-		}
+	g.calls.Range(func(_ slab.Handle, c *gkCall) bool {
+		out = append(out, CallRecord{
+			Caller: c.caller.MSISDN(), Called: c.called.MSISDN(),
+			CallRef: c.ref, AdmittedAt: c.admittedAt,
+			EndedAt: c.endedAt, Ended: c.ended,
+		})
 		return true
 	})
 	return out
@@ -392,13 +390,11 @@ func (g *Gatekeeper) Receive(env *sim.Env, from sim.NodeID, iface string, msg si
 				rec.endedAt = env.Now()
 			}
 		} else {
-			// A gateway or legacy endpoint without a peer alias: find the
-			// open record for this reference. Index iteration order is
-			// deterministic, so so is the record chosen.
+			// A gateway or legacy endpoint without a peer alias: close the
+			// first open record for this reference in row order.
 			alias := m.Alias.Pack()
-			g.byCall.Range(func(k gkCallKey, h slab.Handle) bool {
-				rec := g.calls.Get(h)
-				if rec != nil && rec.ref == m.CallRef && !rec.ended &&
+			g.calls.Range(func(_ slab.Handle, rec *gkCall) bool {
+				if rec.ref == m.CallRef && !rec.ended &&
 					(m.Alias == "" || rec.called == alias) {
 					rec.ended = true
 					rec.endedAt = env.Now()

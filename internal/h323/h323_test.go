@@ -2,8 +2,11 @@ package h323
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"net/netip"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,6 +15,7 @@ import (
 	"vgprs/internal/ipnet"
 	"vgprs/internal/q931"
 	"vgprs/internal/sim"
+	"vgprs/internal/slab"
 	"vgprs/internal/trace"
 )
 
@@ -590,6 +594,70 @@ func TestTerminalScopesCallRefsPerPeer(t *testing.T) {
 	}
 	if ended != 1 || open != 1 {
 		t.Fatalf("charging records: %d ended, %d open; want 1/1", ended, open)
+	}
+}
+
+// TestLegacyDRQClosesRecordsInRowOrder: a DRQ that names neither the caller
+// nor a peer (a gateway, a pre-Peer endpoint) closes the first open record of
+// its reference in charging-table row order — shard, then slot — however the
+// by-call index happens to lay its keys out. Forty callers share one
+// reference toward one called party; each DRQ must close the next row.
+func TestLegacyDRQClosesRecordsInRowOrder(t *testing.T) {
+	f := newLAN(t, TerminalConfig{}, TerminalConfig{})
+	const callers, ref = 40, 7
+	called := gsmid.MSISDN("85291110002")
+	type row struct {
+		caller gsmid.MSISDN
+		h      slab.Handle
+	}
+	rows := make([]row, callers)
+	f.gk.mu.Lock()
+	for _, i := range rand.New(rand.NewSource(3)).Perm(callers) {
+		caller := gsmid.MSISDN(fmt.Sprintf("8869%08d", i+1))
+		f.gk.openCall(ARQ{CallerAlias: caller, CalledAlias: called, CallRef: ref}, 0)
+		rows[i] = row{caller, f.gk.byCall.Get(gkCallKey{caller.Pack(), ref})}
+	}
+	f.gk.mu.Unlock()
+	// A handle's low word is slot+1, so it orders the rows of one shard.
+	sort.Slice(rows, func(a, b int) bool {
+		if sa, sb := rows[a].h.Shard(), rows[b].h.Shard(); sa != sb {
+			return sa < sb
+		}
+		return uint32(rows[a].h) < uint32(rows[b].h)
+	})
+
+	probe := &rawProbe{id: "PROBE", addr: ipnet.MustAddr("192.168.1.50")}
+	f.env.AddNode(probe)
+	f.router.AddHost(probe.addr, "PROBE")
+	f.env.Connect("LAN", "PROBE", "IP", time.Millisecond)
+	for n := 1; n <= 3; n++ {
+		body, err := MarshalRAS(DRQ{Seq: uint32(n), Alias: called, CallRef: ref})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.env.Send("PROBE", "LAN", ipnet.Packet{
+			Src: probe.addr, Dst: ipnet.MustAddr("192.168.1.1"),
+			Proto: ipnet.ProtoUDP, SrcPort: ipnet.PortRAS, DstPort: ipnet.PortRAS,
+			Payload: body,
+		})
+		f.env.Run()
+		if dcf, ok := probe.lastRAS.(DCF); !ok || dcf.Seq != uint32(n) {
+			t.Fatalf("DRQ %d answered %#v", n, probe.lastRAS)
+		}
+		ended := map[gsmid.MSISDN]bool{}
+		for i, rec := range f.gk.CallRecords() {
+			if rec.Caller != rows[i].caller {
+				t.Fatalf("CallRecords[%d] is %s's, row order has %s", i, rec.Caller, rows[i].caller)
+			}
+			if rec.Ended {
+				ended[rec.Caller] = true
+			}
+		}
+		for i, r := range rows {
+			if ended[r.caller] != (i < n) {
+				t.Fatalf("after %d DRQs row %d (%s) ended = %v", n, i, r.caller, ended[r.caller])
+			}
+		}
 	}
 }
 

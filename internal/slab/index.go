@@ -1,6 +1,9 @@
 package slab
 
-import "unsafe"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // Index is an open-addressing hash table from a pointer-free key to a slab
 // Handle. It replaces the `map[K]*T` constellations around subscriber
@@ -12,17 +15,24 @@ import "unsafe"
 // walks the cluster after the vacated slot and shifts every entry whose
 // home position precedes the hole back into it, so lookups never need
 // tombstones and probe lengths stay proportional to load. The table grows
-// at 3/4 load, doubling capacity.
+// at 3/4 load: it doubles while it is small and grows by half from
+// indexTaper cells on, so a table sized by a population lives between 50 %
+// and 75 % full. Capacity is therefore any integer, not a power of two.
 type Index[K comparable] struct {
 	hash func(K) uint64
 	keys []K
 	vals []Handle
 	n    int
-	mask uint64
 }
 
-// indexMinSize is the initial table capacity (power of two).
-const indexMinSize = 16
+const (
+	// indexMinSize is the initial table capacity.
+	indexMinSize = 16
+	// indexTaper is the capacity from which growth is by half instead of
+	// doubling. The tables of a small world (a few hundred subscribers,
+	// built by the thousand in a sweep) never reach it.
+	indexTaper = 4096
+)
 
 // NewIndex returns an empty index using the given hash function. The hash
 // must be deterministic across runs — determinism tests replay traces, so
@@ -40,17 +50,36 @@ func (x *Index[K]) Bytes() int {
 	return len(x.vals) * (int(unsafe.Sizeof(zero)) + int(unsafe.Sizeof(Handle(0))))
 }
 
+// home returns key's home slot: the high word of mix(hash) × capacity, which
+// is uniform over any capacity. It reads the top bits of the hash, and
+// FNV-1a's top bits barely move across sequential names, so one
+// multiplicative mix carries the low bits up first. The mix lives here and
+// not in the hash functions: nodes pick a row's slab shard from
+// key.Hash() & (shards-1), and those values are part of the trace contract.
+func (x *Index[K]) home(key K) uint64 {
+	hi, _ := bits.Mul64(x.hash(key)*0x9E3779B97F4A7C15, uint64(len(x.vals)))
+	return hi
+}
+
+// next returns the slot after i, wrapping at capacity.
+func (x *Index[K]) next(i uint64) uint64 {
+	if i++; i == uint64(len(x.vals)) {
+		return 0
+	}
+	return i
+}
+
 // Get returns the handle stored under key, or the zero Handle.
 func (x *Index[K]) Get(key K) Handle {
 	if x.n == 0 {
 		return 0
 	}
-	i := x.hash(key) & x.mask
+	i := x.home(key)
 	for x.vals[i] != 0 {
 		if x.keys[i] == key {
 			return x.vals[i]
 		}
-		i = (i + 1) & x.mask
+		i = x.next(i)
 	}
 	return 0
 }
@@ -62,16 +91,20 @@ func (x *Index[K]) Put(key K, h Handle) {
 	}
 	if x.vals == nil {
 		x.grow(indexMinSize)
-	} else if 4*(x.n+1) > 3*len(x.vals) {
-		x.grow(2 * len(x.vals))
+	} else if c := len(x.vals); 4*(x.n+1) > 3*c {
+		if c < indexTaper {
+			x.grow(2 * c)
+		} else {
+			x.grow(c + c/2)
+		}
 	}
-	i := x.hash(key) & x.mask
+	i := x.home(key)
 	for x.vals[i] != 0 {
 		if x.keys[i] == key {
 			x.vals[i] = h
 			return
 		}
-		i = (i + 1) & x.mask
+		i = x.next(i)
 	}
 	x.keys[i] = key
 	x.vals[i] = h
@@ -85,12 +118,12 @@ func (x *Index[K]) Delete(key K) bool {
 	if x.n == 0 {
 		return false
 	}
-	i := x.hash(key) & x.mask
+	i := x.home(key)
 	for x.vals[i] != 0 {
 		if x.keys[i] == key {
 			break
 		}
-		i = (i + 1) & x.mask
+		i = x.next(i)
 	}
 	if x.vals[i] == 0 {
 		return false
@@ -98,15 +131,17 @@ func (x *Index[K]) Delete(key K) bool {
 	var zeroK K
 	j := i
 	for {
-		j = (j + 1) & x.mask
+		j = x.next(j)
 		if x.vals[j] == 0 {
 			break
 		}
-		h := x.hash(x.keys[j]) & x.mask
 		// Entry at j may move into the hole at i only if its home
 		// slot h does not lie strictly inside (i, j] — i.e. the probe
-		// from h to j wraps past i.
-		if (j-h)&x.mask >= (j-i)&x.mask {
+		// from h to j passes i. Both distances are taken modulo 2^64,
+		// not modulo capacity: a distance that wraps the end of the
+		// table gains the same 2^64 − capacity on either side, and one
+		// that wraps always exceeds one that does not, as it should.
+		if h := x.home(x.keys[j]); j-h >= j-i {
 			x.keys[i] = x.keys[j]
 			x.vals[i] = x.vals[j]
 			i = j
@@ -118,9 +153,9 @@ func (x *Index[K]) Delete(key K) bool {
 	return true
 }
 
-// Range calls fn for every entry in table order until fn returns false.
-// Iteration order is a function of insertion/deletion history only —
-// deterministic across runs, unlike Go map iteration.
+// Range calls fn for every entry until fn returns false. It is for audits
+// and sweeps; order unspecified. Anything that emits messages or chooses
+// among records walks the rows instead (Sharded.Range).
 func (x *Index[K]) Range(fn func(K, Handle) bool) {
 	for i, v := range x.vals {
 		if v != 0 && !fn(x.keys[i], v) {
@@ -133,7 +168,6 @@ func (x *Index[K]) grow(size int) {
 	oldKeys, oldVals := x.keys, x.vals
 	x.keys = make([]K, size)
 	x.vals = make([]Handle, size)
-	x.mask = uint64(size - 1)
 	x.n = 0
 	for i, v := range oldVals {
 		if v != 0 {

@@ -250,6 +250,22 @@ func (s *Sharded[T]) Len() int {
 	return n
 }
 
+// Range calls fn for every live record in (shard, slot) order until fn
+// returns false. The order depends on which slots are occupied and on
+// nothing else — not on a hash, a table capacity or the order keys went into
+// an Index — so it is the walk for anything that emits messages or picks one
+// record among several. fn must not Alloc or Free.
+func (s *Sharded[T]) Range(fn func(Handle, *T) bool) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		for slot, g := range sh.gens {
+			if g&1 != 0 && !fn(makeHandle(i, uint32(slot), g), sh.at(uint32(slot))) {
+				return
+			}
+		}
+	}
+}
+
 // Bytes returns the memory held across all shards (see Slab.Bytes).
 func (s *Sharded[T]) Bytes() int {
 	n := 0

@@ -170,54 +170,176 @@ func TestShardedRouting(t *testing.T) {
 	}
 }
 
-// TestIndexAgainstMap drives the open-addressing table and a reference map
-// through the same randomized Put/Delete/Get history and requires
-// identical answers throughout, catching backward-shift deletion bugs.
-func TestIndexAgainstMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	x := NewIndex[uint32](HashUint32)
-	ref := map[uint32]Handle{}
-	const keySpace = 512 // small space forces heavy collision + reuse
-	for op := 0; op < 200000; op++ {
-		k := uint32(rng.Intn(keySpace))
-		switch rng.Intn(3) {
-		case 0:
-			h := Handle(rng.Uint64() | 1) // non-zero
-			x.Put(k, h)
-			ref[k] = h
-		case 1:
-			got := x.Delete(k)
-			_, want := ref[k]
-			if got != want {
-				t.Fatalf("op %d: Delete(%d) = %v, want %v", op, k, got, want)
-			}
-			delete(ref, k)
-		case 2:
-			got := x.Get(k)
-			if got != ref[k] {
-				t.Fatalf("op %d: Get(%d) = %x, want %x", op, k, got, ref[k])
-			}
-		}
-		if x.Len() != len(ref) {
-			t.Fatalf("op %d: Len = %d, want %d", op, x.Len(), len(ref))
-		}
+// indexModel drives an Index and a reference map through the same history
+// and fails on the first answer that differs.
+type indexModel struct {
+	t   *testing.T
+	x   *Index[uint32]
+	ref map[uint32]Handle
+	ops int
+}
+
+func newIndexModel(t *testing.T) *indexModel {
+	return &indexModel{t: t, x: NewIndex[uint32](HashUint32), ref: map[uint32]Handle{}}
+}
+
+func (m *indexModel) put(k uint32, h Handle) {
+	m.ops++
+	m.x.Put(k, h)
+	m.ref[k] = h
+	m.lenAgrees()
+}
+
+func (m *indexModel) del(k uint32) {
+	m.ops++
+	_, want := m.ref[k]
+	if got := m.x.Delete(k); got != want {
+		m.t.Fatalf("op %d: Delete(%d) = %v, want %v", m.ops, k, got, want)
 	}
-	// Final sweep: every surviving key must still resolve.
-	for k, want := range ref {
-		if got := x.Get(k); got != want {
-			t.Fatalf("final Get(%d) = %x, want %x", k, got, want)
+	delete(m.ref, k)
+	m.lenAgrees()
+}
+
+func (m *indexModel) get(k uint32) {
+	m.ops++
+	if got := m.x.Get(k); got != m.ref[k] {
+		m.t.Fatalf("op %d: Get(%d) = %x, want %x", m.ops, k, got, m.ref[k])
+	}
+}
+
+func (m *indexModel) lenAgrees() {
+	if m.x.Len() != len(m.ref) {
+		m.t.Fatalf("op %d: Len = %d, want %d", m.ops, m.x.Len(), len(m.ref))
+	}
+}
+
+// sweep requires every key of the model to resolve and Range to visit
+// exactly the model's entries.
+func (m *indexModel) sweep() {
+	for k, want := range m.ref {
+		if got := m.x.Get(k); got != want {
+			m.t.Fatalf("after op %d: Get(%d) = %x, want %x", m.ops, k, got, want)
 		}
 	}
 	seen := 0
-	x.Range(func(k uint32, h Handle) bool {
-		if ref[k] != h {
-			t.Fatalf("Range yielded (%d,%x), want %x", k, h, ref[k])
+	m.x.Range(func(k uint32, h Handle) bool {
+		if want, ok := m.ref[k]; !ok || want != h {
+			m.t.Fatalf("after op %d: Range yielded (%d,%x), model has %x (present %v)", m.ops, k, h, want, ok)
 		}
 		seen++
 		return true
 	})
-	if seen != len(ref) {
-		t.Fatalf("Range visited %d entries, want %d", seen, len(ref))
+	if seen != len(m.ref) {
+		m.t.Fatalf("after op %d: Range visited %d entries, want %d", m.ops, seen, len(m.ref))
+	}
+}
+
+// TestIndexAgainstMap drives the open-addressing table and a reference map
+// through the same randomized Put/Delete/Get history and requires
+// identical answers throughout, catching backward-shift deletion bugs. Three
+// acts: heavy collision and reuse in a small table; a population that grows
+// the table six steps past the taper, where capacity stops being a power of
+// two; and deletions out of a cluster built across the end of that table,
+// the one place the wrap-around distance arithmetic decides anything.
+func TestIndexAgainstMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := newIndexModel(t)
+	random := func(ops, keySpace, putOf10 int) {
+		for i := 0; i < ops; i++ {
+			k := uint32(rng.Intn(keySpace))
+			switch r := rng.Intn(10); {
+			case r < putOf10:
+				m.put(k, Handle(rng.Uint64()|1)) // non-zero
+			case r < putOf10+(10-putOf10)/2:
+				m.del(k)
+			default:
+				m.get(k)
+			}
+		}
+	}
+	random(200000, 512, 4) // small space forces heavy collision + reuse
+	m.sweep()
+
+	steps, last := 0, m.x.Cap()
+	for len(m.ref) < 24000 {
+		random(1000, 40000, 8)
+		if c := m.x.Cap(); c != last {
+			if last >= indexTaper {
+				steps++
+				if c != last+last/2 {
+					t.Fatalf("table grew %d -> %d cells above the taper", last, c)
+				}
+			}
+			last = c
+		}
+	}
+	if steps < 6 {
+		t.Fatalf("script crossed %d growth steps above the taper, want >= 6", steps)
+	}
+	random(200000, 40000, 4)
+	m.sweep()
+
+	// Build a cluster across the end of the table from keys homed in its
+	// last cells, then take it apart in random order.
+	c := uint64(m.x.Cap())
+	if c&(c-1) == 0 {
+		t.Fatalf("capacity %d is a power of two; the wrap act needs one that is not", c)
+	}
+	var cluster []uint32
+	for k := uint32(1 << 20); len(cluster) < 24; k++ {
+		if m.x.home(k) >= c-4 {
+			cluster = append(cluster, k)
+			m.put(k, Handle(k))
+		}
+	}
+	wrapped := 0
+	for i := uint64(0); m.x.vals[i] != 0; i++ {
+		if m.x.home(m.x.keys[i]) >= c-4 {
+			wrapped++
+		}
+	}
+	if uint64(m.x.Cap()) != c || wrapped < 16 {
+		t.Fatalf("no cluster across the end of the table: %d entries wrapped, capacity %d -> %d", wrapped, c, m.x.Cap())
+	}
+	rng.Shuffle(len(cluster), func(i, j int) { cluster[i], cluster[j] = cluster[j], cluster[i] })
+	for _, k := range cluster {
+		m.del(k)
+		m.sweep() // every survivor, wrapped or not, still resolves
+	}
+}
+
+// TestIndexLoadBand grows a table one entry at a time and pins the growth
+// schedule: 16, 32 … 4,096 cells by doubling — what a small world's tables
+// have always been — then by half, so that from the first growth on the
+// table is never emptier than 3/8 below the taper and 1/2 above it (0.49:
+// capacity rounds down), and never fuller than 3/4.
+func TestIndexLoadBand(t *testing.T) {
+	x := NewIndex[uint32](HashUint32)
+	var caps []int
+	for n := 1; n <= 300000; n++ {
+		x.Put(uint32(n), Handle(n))
+		c := x.Cap()
+		if len(caps) == 0 || caps[len(caps)-1] != c {
+			caps = append(caps, c)
+		}
+		lo := 0.375
+		if c > indexTaper {
+			lo = 0.49
+		}
+		if c == indexMinSize {
+			lo = 0 // a table starts empty
+		}
+		if load := float64(n) / float64(c); load < lo || load > 0.75 {
+			t.Fatalf("%d entries in %d cells: load %.4f outside [%.3f, 0.75]", n, c, load, lo)
+		}
+	}
+	for i, want := 0, indexMinSize; want <= indexTaper; i, want = i+1, 2*want {
+		if caps[i] != want {
+			t.Fatalf("capacities %v: step %d is %d cells, want %d", caps[:i+1], i, caps[i], want)
+		}
+	}
+	if last := caps[len(caps)-1]; last&(last-1) == 0 {
+		t.Fatalf("capacities %v: expected growth by half past %d", caps, indexTaper)
 	}
 }
 
@@ -277,8 +399,8 @@ func TestHandleFields(t *testing.T) {
 // a later occupant of the slot), handles moved to another shard, and handles
 // that were never issued — against a map from live handle to the value stored
 // there. A stale or foreign handle must resolve to nothing and free nothing,
-// a fresh row must read zero, and the books (Len, per-shard Audit, Bytes)
-// must balance after every step.
+// a fresh row must read zero, the books (Len, per-shard Audit, Bytes) must
+// balance after every step, and Range must walk the survivors in row order.
 func TestShardedAgainstModel(t *testing.T) {
 	type row struct {
 		val  uint64
@@ -356,6 +478,26 @@ func TestShardedAgainstModel(t *testing.T) {
 			t.Fatalf("final Get(%x) = %v, want value %d", h, p, want)
 		}
 		perShard[h.Shard()]++
+	}
+	// Range: exactly the live rows, each once, in (shard, slot) order.
+	seen, prev := 0, Handle(0)
+	s.Range(func(h Handle, p *row) bool {
+		if want, ok := live[h]; !ok || p.val != want || s.Get(h) != p {
+			t.Fatalf("Range yielded %x -> %+v, model has %d (live %v)", h, *p, want, ok)
+		}
+		if seen > 0 && (h.Shard() < prev.Shard() || h.Shard() == prev.Shard() && h.slot() <= prev.slot()) {
+			t.Fatalf("Range yielded %x after %x: not in (shard, slot) order", h, prev)
+		}
+		seen, prev = seen+1, h
+		return true
+	})
+	if seen != len(live) {
+		t.Fatalf("Range visited %d rows, model has %d", seen, len(live))
+	}
+	stopped := 0
+	s.Range(func(Handle, *row) bool { stopped++; return false })
+	if stopped != 1 {
+		t.Fatalf("Range went on for %d rows after fn returned false", stopped)
 	}
 	rows := 0
 	for _, a := range s.Audit() {

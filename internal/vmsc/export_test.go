@@ -4,6 +4,7 @@ import (
 	"reflect"
 
 	"vgprs/internal/gsmid"
+	"vgprs/internal/slab"
 )
 
 // RowType is the MS-table row's type, for the size and field-type budgets.
@@ -18,4 +19,12 @@ func (v *VMSC) VoiceBufferCap(imsi gsmid.IMSI) (bytes int, inCall bool) {
 		return 0, false
 	}
 	return cap(e.call.med.llcBuf), true
+}
+
+// RowHandle returns the handle of a subscriber's MS-table row (zero if absent).
+func (v *VMSC) RowHandle(imsi gsmid.IMSI) slab.Handle {
+	if e := v.entryByIMSI(imsi); e != nil {
+		return e.self
+	}
+	return 0
 }

@@ -352,9 +352,10 @@ func (v *VMSC) StartKeepAlive(env *sim.Env, interval time.Duration) {
 	v.keepAlive = true
 	var tick func()
 	tick = func() {
-		v.byIMSI.Range(func(_ gsmid.PackedDigits, h slab.Handle) bool {
-			entry := v.ents.Get(h)
-			if entry == nil || !entry.registered {
+		// Row order, not index order: the RRQs of one tick leave in an
+		// order no table capacity or hash has a say in.
+		v.ents.Range(func(_ slab.Handle, entry *msEntry) bool {
+			if !entry.registered {
 				return true
 			}
 			if _, active := entry.gmm.Context(NSAPISignalling); !active {

@@ -1,8 +1,10 @@
 package vmsc_test
 
 import (
+	"math/rand"
 	"net/netip"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"vgprs/internal/netsim"
 	"vgprs/internal/q931"
 	"vgprs/internal/sim"
+	"vgprs/internal/slab"
 	"vgprs/internal/trace"
 	"vgprs/internal/vmsc"
 )
@@ -453,6 +456,68 @@ func TestVMSCKeepAliveUnderGatekeeperTTL(t *testing.T) {
 	k.Env.RunUntil(k.Env.Now() + 5*time.Second)
 	if k.VMSC.ActiveCalls() != 1 {
 		t.Fatal("MT call failed under keepalive")
+	}
+}
+
+// TestKeepAliveEmitsInRowOrder registers a population in shuffled order and
+// lets one keep-alive tick pass: the RRQs must leave in MS-table row order
+// (shard, then slot), which is fixed by who registered when and by nothing
+// about the by-IMSI index — its capacity, its slot function, its growth.
+func TestKeepAliveEmitsInRowOrder(t *testing.T) {
+	const population = 200
+	n := netsim.BuildVGPRS(netsim.VGPRSOptions{Seed: 5, NumMS: population, TCHCapacity: 256})
+	order := rand.New(rand.NewSource(5)).Perm(population)
+	for _, i := range order {
+		n.MSs[i].PowerOn(n.Env)
+		n.Env.RunUntil(n.Env.Now() + 2*time.Second)
+	}
+	if got := n.VMSC.Stats().Registrations; got != population {
+		t.Fatalf("%d of %d MS registered", got, population)
+	}
+
+	type row struct {
+		alias gsmid.MSISDN
+		h     slab.Handle
+	}
+	rows := make([]row, population)
+	for i, sub := range n.Subscribers {
+		rows[i] = row{sub.MSISDN, n.VMSC.RowHandle(sub.IMSI)}
+		if rows[i].h.IsZero() {
+			t.Fatalf("no MS-table row for %s", sub.IMSI)
+		}
+	}
+	// A handle's low word is slot+1 (slab.Handle), so within one shard the
+	// handle's low 32 bits order rows by slot.
+	sort.Slice(rows, func(a, b int) bool {
+		if sa, sb := rows[a].h.Shard(), rows[b].h.Shard(); sa != sb {
+			return sa < sb
+		}
+		return uint32(rows[a].h) < uint32(rows[b].h)
+	})
+	inProvisioningOrder := true
+	for i, r := range rows {
+		inProvisioningOrder = inProvisioningOrder && r.alias == n.Subscribers[i].MSISDN
+	}
+	if inProvisioningOrder {
+		t.Fatal("row order equals provisioning order: the shuffle tests nothing")
+	}
+
+	n.Rec.Reset()
+	n.VMSC.StartKeepAlive(n.Env, 10*time.Second)
+	n.Env.RunUntil(n.Env.Now() + 5*time.Second) // the tick at start, not the next one
+	var sent []gsmid.MSISDN
+	for _, e := range n.Rec.Entries() {
+		if rrq, ok := e.Msg.(h323.RRQ); ok && e.From == "VMSC-1" && rrq.KeepAlive {
+			sent = append(sent, rrq.Alias)
+		}
+	}
+	if len(sent) != population {
+		t.Fatalf("%d keep-alive RRQs for %d registered MS", len(sent), population)
+	}
+	for i, r := range rows {
+		if sent[i] != r.alias {
+			t.Fatalf("keep-alive %d is for %s, row order has %s", i, sent[i], r.alias)
+		}
 	}
 }
 
