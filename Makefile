@@ -9,7 +9,7 @@ GO ?= go
 # FuzzIndexAgainstMap (the index table against a map).
 FUZZ_PKGS = ./internal/sigmap/ ./internal/gtp/ ./internal/q931/ ./internal/gb/ ./internal/isup/ ./internal/rtp/ ./internal/gsm/ ./internal/h323/ ./internal/slab/
 
-.PHONY: all build vet test race check bench-smoke bench-e2e bench bench-sim bench-slab bench-codec bench-registration bench-engine bench-scenarios bench-scale bench-scale-full heap-profile bench-media bench-json fuzz-smoke fuzz soak soak-short
+.PHONY: all build vet test race check bench-smoke bench-e2e bench bench-sim bench-slab bench-codec bench-registration bench-scenarios bench-scale bench-scale-full heap-profile bench-media bench-json fuzz-smoke fuzz soak soak-short
 
 all: check
 
@@ -22,9 +22,11 @@ vet:
 test:
 	$(GO) test ./...
 
-# The sweep runner fans experiment points across worker goroutines (and
-# drives the netsim chaos scenarios from them); keep the race detector on
-# the packages that schedule or execute that work.
+# runSweep (internal/experiments) fans experiment points across worker
+# goroutines, each building and running its own Env — the one place the
+# repo runs simulation work concurrently — and drives the netsim chaos and
+# scenario workloads from them; keep the race detector on the packages that
+# schedule or execute that work.
 race:
 	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/netsim/...
 
@@ -93,13 +95,6 @@ bench-codec:
 # BENCH_registration.json in the working dir for per-run tracking.
 bench-registration:
 	$(GO) run ./cmd/vgprs-bench -only registration -json
-
-# Sharded event-engine scaling sweep (multi-region registration at shard
-# counts 1/2/4/8), written to BENCH_engine.json in the working dir. The
-# point records GOMAXPROCS/NumCPU: on a single-core host the sweep measures
-# synchronization overhead, not speedup.
-bench-engine:
-	$(GO) run ./cmd/vgprs-bench -only engine -json
 
 # Scenario workload sweep (mobility churn, flash crowd, day-in-the-life),
 # written to BENCH_scenarios.json in the working dir.

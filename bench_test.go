@@ -11,7 +11,6 @@
 package vgprs_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -269,32 +268,6 @@ func BenchmarkRegistrationThroughput(b *testing.B) {
 	b.ReportMetric(50, "registrations/op")
 }
 
-// BenchmarkShardedRegistrationThroughput measures the sharded engine on the
-// multi-region topology at increasing shard counts. Topology construction is
-// excluded from the timed section so the number isolates event processing
-// plus synchronization windows. On a multi-core host the higher shard counts
-// should scale; with GOMAXPROCS=1 the shards time-share and the benchmark
-// instead reports the (bounded) synchronization overhead.
-func BenchmarkShardedRegistrationThroughput(b *testing.B) {
-	const regions, msPerRegion = 4, 50
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				n := netsim.BuildMultiRegion(netsim.MultiRegionOptions{
-					Seed: int64(i + 1), Regions: regions,
-					MSPerRegion: msPerRegion, Shards: shards, NoTrace: true,
-				})
-				b.StartTimer()
-				if err := n.RegisterAll(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(regions*msPerRegion), "registrations/op")
-		})
-	}
-}
-
 // BenchmarkTRRegistrationThroughput is the TR-side equivalent.
 func BenchmarkTRRegistrationThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -330,8 +303,8 @@ func BenchmarkR1RegistrationStorm(b *testing.B) {
 // topology and registering every MS must stay under 5,200 heap allocations
 // (down from 10,308 before the codecs reused buffers). The measured cost is
 // 4,980 — 4,861 on the pooled path plus ~2 allocations per node for the
-// lazily-created per-node RNG streams the sharded engine's determinism
-// contract requires — and the ~4% headroom absorbs Go-version drift in map
+// lazily-created per-node RNG streams the engine's determinism contract
+// requires — and the ~4% headroom absorbs Go-version drift in map
 // growth.
 func TestRegistrationAllocBudget(t *testing.T) {
 	if testing.Short() {

@@ -173,14 +173,6 @@ func run(args []string) int {
 			r := runRegistrationBench(*seed)
 			return r, r, nil
 		}},
-		{"engine", func() (fmt.Stringer, any, error) {
-			points, err := experiments.RunEngineScaling(*seed,
-				engineRegions, engineMSPerRegion, engineReps, []int{1, 2, 4, 8})
-			if err != nil {
-				return nil, nil, err
-			}
-			return experiments.EngineTable(points), points, nil
-		}},
 		{"scenarios", func() (fmt.Stringer, any, error) {
 			points, err := experiments.RunScenarioSweep(*seed)
 			if err != nil {
@@ -260,15 +252,6 @@ func writeHeapProfile(path string) error {
 // registrationBenchMS is the population size the registration benchmark
 // drives, matching BenchmarkRegistrationThroughput in the test suite.
 const registrationBenchMS = 50
-
-// Engine-scaling workload: 4 regions of 150 MSs each keeps every shard busy
-// for hundreds of synchronization windows per run, so the per-window
-// barrier cost is amortized the way a production-size sweep would see it.
-const (
-	engineRegions     = 4
-	engineMSPerRegion = 150
-	engineReps        = 3
-)
 
 // RegistrationBenchResult is the real-CPU cost of the registration
 // machinery on the pooled codec path — an engineering number that sizes the

@@ -14,7 +14,6 @@ import (
 type MediaPoint struct {
 	Calls    int     `json:"calls"`
 	LossRate float64 `json:"loss_rate"`
-	Shards   int     `json:"shards"`
 
 	// Frames/FramesExpected are the listeners' played-out and
 	// sequence-implied totals; RTPLost the RTP-level loss the hairpin
@@ -35,17 +34,16 @@ type MediaPoint struct {
 	Residual int `json:"residual"`
 }
 
-// RunMediaSweep sweeps concurrent calls against per-link media loss on the
-// sharded engine. Loss rates are per media leg; a frame crosses the lossy
-// Gb and Gn legs four times end-to-end, so the effective frame-loss rate
-// is roughly 1-(1-p)^4. Jitter is held at 2 ms to keep the delay term
-// realistic without drowning the loss signal.
+// RunMediaSweep sweeps concurrent calls against per-link media loss. Loss
+// rates are per media leg; a frame crosses the lossy Gb and Gn legs four
+// times end-to-end, so the effective frame-loss rate is roughly
+// 1-(1-p)^4. Jitter is held at 2 ms to keep the delay term realistic
+// without drowning the loss signal.
 func RunMediaSweep(seed int64) ([]MediaPoint, error) {
 	type cell struct {
 		calls int
 		loss  float64
 	}
-	const shards = 4
 	var cells []cell
 	for _, calls := range []int{4, 8, 16} {
 		for _, loss := range []float64{0, 0.01, 0.02, 0.05} {
@@ -54,7 +52,7 @@ func RunMediaSweep(seed int64) ([]MediaPoint, error) {
 	}
 	return runSweep(cells, func(c cell) (MediaPoint, error) {
 		r, err := scenario.RunMedia(scenario.MediaConfig{
-			Seed: seed, Shards: shards, Calls: c.calls,
+			Seed: seed, Calls: c.calls,
 			TalkTime: 10 * time.Second, LossRate: c.loss,
 			Jitter: 2 * time.Millisecond,
 		})
@@ -62,7 +60,7 @@ func RunMediaSweep(seed int64) ([]MediaPoint, error) {
 			return MediaPoint{}, fmt.Errorf("media calls=%d loss=%g: %w", c.calls, c.loss, err)
 		}
 		return MediaPoint{
-			Calls: c.calls, LossRate: c.loss, Shards: shards,
+			Calls: c.calls, LossRate: c.loss,
 			Frames: r.Frames, FramesExpected: r.FramesExpected, RTPLost: r.RTPLost,
 			MOS: r.MOS, MeanDelay: r.MeanDelay, MeanJitter: r.MeanJitter,
 			Residual: r.Residual,

@@ -9,10 +9,9 @@ import (
 )
 
 // ScenarioPoint is one row of the scenario-diversity sweep: a named
-// workload run at a fixed shard count with its headline outcomes.
+// workload with its headline outcomes.
 type ScenarioPoint struct {
-	Name   string `json:"name"`
-	Shards int    `json:"shards"`
+	Name string `json:"name"`
 
 	// Signalling load and outcome headline numbers. Which are meaningful
 	// depends on the scenario; unused ones are zero.
@@ -29,20 +28,16 @@ type ScenarioPoint struct {
 
 // RunScenarioSweep runs every workload scenario at a bench-friendly size:
 // both mobility policies, the flash crowd (clean and under a transient
-// VLR<->HLR outage), and a compressed day-in-the-life. Each point runs on
-// the sharded engine (4 shards) — the per-scenario determinism tests
-// already pin shard-count equivalence, so the sweep measures the realistic
-// configuration.
+// VLR<->HLR outage), and a compressed day-in-the-life.
 func RunScenarioSweep(seed int64) ([]ScenarioPoint, error) {
 	type point struct {
 		name string
 		run  func() (ScenarioPoint, error)
 	}
-	const shards = 4
 	points := []point{
 		{"mobility/distance", func() (ScenarioPoint, error) {
 			r, err := scenario.RunMobility(scenario.MobilityConfig{
-				Seed: seed, Shards: shards, NumMS: 6,
+				Seed: seed, NumMS: 6,
 				Duration: 5 * time.Minute, Policy: scenario.PolicyDistance,
 			})
 			return ScenarioPoint{
@@ -54,7 +49,7 @@ func RunScenarioSweep(seed int64) ([]ScenarioPoint, error) {
 		}},
 		{"mobility/threshold", func() (ScenarioPoint, error) {
 			r, err := scenario.RunMobility(scenario.MobilityConfig{
-				Seed: seed, Shards: shards, NumMS: 6,
+				Seed: seed, NumMS: 6,
 				Duration: 5 * time.Minute, Policy: scenario.PolicyThreshold,
 			})
 			return ScenarioPoint{
@@ -66,7 +61,7 @@ func RunScenarioSweep(seed int64) ([]ScenarioPoint, error) {
 		}},
 		{"flashcrowd/clean", func() (ScenarioPoint, error) {
 			r, err := scenario.RunFlashCrowd(scenario.FlashCrowdConfig{
-				Seed: seed, Shards: shards, NumMS: 20,
+				Seed: seed, NumMS: 20,
 			})
 			return ScenarioPoint{
 				Recovered: r.Recovered, RecoveryTime: r.RecoveryTime,
@@ -75,7 +70,7 @@ func RunScenarioSweep(seed int64) ([]ScenarioPoint, error) {
 		}},
 		{"flashcrowd/outage", func() (ScenarioPoint, error) {
 			r, err := scenario.RunFlashCrowd(scenario.FlashCrowdConfig{
-				Seed: seed, Shards: shards, NumMS: 20,
+				Seed: seed, NumMS: 20,
 				Plan: scenario.TransientCoreOutage(5 * time.Second),
 			})
 			return ScenarioPoint{
@@ -85,7 +80,7 @@ func RunScenarioSweep(seed int64) ([]ScenarioPoint, error) {
 		}},
 		{"day/compressed", func() (ScenarioPoint, error) {
 			r, err := scenario.RunDay(scenario.DayConfig{
-				Seed: seed, Shards: shards, NumMS: 6, DataMS: 2,
+				Seed: seed, NumMS: 6, DataMS: 2,
 				Duration: 30 * time.Minute, HeapWindow: 10 * time.Minute,
 			})
 			return ScenarioPoint{
@@ -101,7 +96,6 @@ func RunScenarioSweep(seed int64) ([]ScenarioPoint, error) {
 			return r, fmt.Errorf("scenario %s: %w", p.name, err)
 		}
 		r.Name = p.name
-		r.Shards = shards
 		return r, nil
 	})
 	if err != nil {
@@ -113,7 +107,7 @@ func RunScenarioSweep(seed int64) ([]ScenarioPoint, error) {
 // ScenarioTable renders the sweep.
 func ScenarioTable(points []ScenarioPoint) *metrics.Table {
 	t := metrics.NewTable(
-		"Scenario diversity: workload outcomes on the sharded engine",
+		"Scenario diversity: workload outcomes",
 		"scenario", "LUs", "handovers", "recovered", "recovery", "calls (fail)", "data echoes", "retrans", "residual")
 	for _, p := range points {
 		recovery := "-"

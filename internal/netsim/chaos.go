@@ -50,11 +50,11 @@ type FaultPlan []LinkFault
 // fault references a link the topology does not have — a scripting bug,
 // surfaced rather than silently ignored.
 //
-// Under sharding, a link's fault fields are read by the sending shard, so a
-// fault's engage/heal toggles run on the shard owning the link (scheduled
-// with AfterNode on endpoint A); both endpoints must therefore live on the
-// same shard. The default BuildVGPRS partition keeps every core signalling
-// link on shard 0, so core fault plans shard transparently.
+// The engage/heal toggles run in endpoint A's scheduling context
+// (AfterNode), so a toggle that lands on the same instant as other events
+// orders among them by A's event key: after those scheduled by lower-indexed
+// nodes, before those of higher-indexed nodes and A's own later ones
+// (pinned by TestTraceDigests' fault-toggle-tie case).
 func (p FaultPlan) Apply(env *sim.Env) error {
 	for i := range p {
 		f := p[i]
@@ -63,22 +63,18 @@ func (p FaultPlan) Apply(env *sim.Env) error {
 		if ab == nil || ba == nil {
 			return fmt.Errorf("netsim: fault plan references missing link %s<->%s", f.A, f.B)
 		}
-		if env.ShardCount() > 1 && env.ShardOf(f.A) != env.ShardOf(f.B) {
-			return fmt.Errorf("netsim: fault plan targets cross-shard link %s<->%s (shards %d/%d); faults must stay within one shard",
-				f.A, f.B, env.ShardOf(f.A), env.ShardOf(f.B))
-		}
-		engage := func(*sim.Env) {
+		engage := func() {
 			for _, l := range [2]*sim.Link{ab, ba} {
 				l.Loss, l.Dup, l.Jitter, l.Down = f.Loss, f.Dup, f.Jitter, f.Down
 			}
 		}
-		heal := func(*sim.Env) {
+		heal := func() {
 			for _, l := range [2]*sim.Link{ab, ba} {
 				l.Loss, l.Dup, l.Jitter, l.Down = 0, 0, 0, false
 			}
 		}
 		if f.From <= 0 {
-			engage(nil)
+			engage()
 		} else {
 			env.AfterNode(f.A, f.From, engage)
 		}
@@ -120,9 +116,8 @@ func UniformLossPlan(rate float64) FaultPlan {
 }
 
 // MediaLinks lists the core legs the voice hairpin rides: Gb (VMSC↔SGSN)
-// and Gn (SGSN↔GGSN). Both stay on shard 0 under the default BuildVGPRS
-// partition, so media fault plans shard transparently. The radio legs are
-// excluded for the same reason as in CoreSignallingLinks.
+// and Gn (SGSN↔GGSN). The radio legs are excluded for the same reason as in
+// CoreSignallingLinks.
 func MediaLinks() [][2]sim.NodeID {
 	return [][2]sim.NodeID{
 		{"VMSC-1", "SGSN-1"},
@@ -199,16 +194,13 @@ func ChaosSigProfile() *SigProfile {
 }
 
 // chaosNet builds a BuildVGPRS network with the chaos retransmission
-// profile armed on every plane and the fault plan applied at t=0. A shards
-// value above 1 runs the scenario on the sharded engine with the default
-// core/radio partition.
-func chaosNet(seed int64, numMS, shards int, plan FaultPlan) (*VGPRSNet, error) {
+// profile armed on every plane and the fault plan applied at t=0.
+func chaosNet(seed int64, numMS int, plan FaultPlan) (*VGPRSNet, error) {
 	n := BuildVGPRS(VGPRSOptions{
 		Seed:    seed,
 		NumMS:   numMS,
 		NoTrace: true,
 		Sig:     ChaosSigProfile(),
-		Shards:  shards,
 	})
 	if err := plan.Apply(n.Env); err != nil {
 		return nil, err
@@ -264,24 +256,16 @@ func (n *VGPRSNet) registered() bool {
 // failed registration is returned as a *ProcedureError; the network never
 // hangs either way.
 func RunChaosRegistration(seed int64, plan FaultPlan) (ChaosResult, error) {
-	return RunChaosRegistrationSharded(seed, plan, 1)
-}
-
-// RunChaosRegistrationSharded is RunChaosRegistration on a sharded engine.
-// Results are identical at any shard count — the determinism tests compare
-// them directly.
-func RunChaosRegistrationSharded(seed int64, plan FaultPlan, shards int) (ChaosResult, error) {
-	_, res, err := runChaosRegistration(seed, plan, shards)
-	return res, err
-}
-
-// runChaosRegistration also returns the network, for tests that audit it
-// after the run.
-func runChaosRegistration(seed int64, plan FaultPlan, shards int) (*VGPRSNet, ChaosResult, error) {
-	n, err := chaosNet(seed, 1, shards, plan)
+	n, err := chaosNet(seed, 1, plan)
 	if err != nil {
-		return nil, ChaosResult{}, err
+		return ChaosResult{}, err
 	}
+	return n.chaosRegistration(seed)
+}
+
+// chaosRegistration is RunChaosRegistration's procedure on a network built
+// by chaosNet; tests call it directly to trace or audit the network.
+func (n *VGPRSNet) chaosRegistration(seed int64) (ChaosResult, error) {
 	start := n.Env.Now()
 	for _, term := range n.Terminals {
 		term.Register(n.Env)
@@ -296,12 +280,12 @@ func runChaosRegistration(seed int64, plan FaultPlan, shards int) (*VGPRSNet, Ch
 		Elapsed:     n.Env.Now() - start,
 	}
 	if !ok {
-		return n, res, &ProcedureError{
+		return res, &ProcedureError{
 			Procedure: "registration", Seed: seed,
 			Detail: fmt.Errorf("MS state %v after deadline", n.MSs[0].State()),
 		}
 	}
-	return n, res, nil
+	return res, nil
 }
 
 // RunChaosCall registers two MSs under the fault plan and then sets up an
@@ -309,22 +293,15 @@ func runChaosRegistration(seed int64, plan FaultPlan, shards int) (*VGPRSNet, Ch
 // within the window. Failures come back as *ProcedureError. Elapsed covers
 // dial to conversation, excluding the registration phase.
 func RunChaosCall(seed int64, plan FaultPlan) (ChaosResult, error) {
-	return RunChaosCallSharded(seed, plan, 1)
-}
-
-// RunChaosCallSharded is RunChaosCall on a sharded engine.
-func RunChaosCallSharded(seed int64, plan FaultPlan, shards int) (ChaosResult, error) {
-	_, res, err := runChaosCall(seed, plan, shards)
-	return res, err
-}
-
-// runChaosCall also returns the network, for tests that audit it after the
-// run.
-func runChaosCall(seed int64, plan FaultPlan, shards int) (*VGPRSNet, ChaosResult, error) {
-	n, err := chaosNet(seed, 2, shards, plan)
+	n, err := chaosNet(seed, 2, plan)
 	if err != nil {
-		return nil, ChaosResult{}, err
+		return ChaosResult{}, err
 	}
+	return n.chaosCall(seed)
+}
+
+// chaosCall is RunChaosCall's procedure on a network built by chaosNet.
+func (n *VGPRSNet) chaosCall(seed int64) (ChaosResult, error) {
 	for _, term := range n.Terminals {
 		term.Register(n.Env)
 	}
@@ -332,7 +309,7 @@ func runChaosCall(seed int64, plan FaultPlan, shards int) (*VGPRSNet, ChaosResul
 		ms.PowerOn(n.Env)
 	}
 	if !runUntilDone(n.Env, chaosWindow, n.registered) {
-		return n, ChaosResult{
+		return ChaosResult{
 				Retransmits: n.SignallingRetransmits(),
 				Elapsed:     n.Env.Now(),
 			}, &ProcedureError{
@@ -344,7 +321,7 @@ func runChaosCall(seed int64, plan FaultPlan, shards int) (*VGPRSNet, ChaosResul
 	caller, callee := n.MSs[0], n.MSs[1]
 	start := n.Env.Now()
 	if dialErr := caller.Dial(n.Env, n.Subscribers[1].MSISDN); dialErr != nil {
-		return n, ChaosResult{Registered: true},
+		return ChaosResult{Registered: true},
 			&ProcedureError{Procedure: "call-setup", Seed: seed, Detail: dialErr}
 	}
 	inCall := func() bool {
@@ -358,11 +335,11 @@ func runChaosCall(seed int64, plan FaultPlan, shards int) (*VGPRSNet, ChaosResul
 		Elapsed:       n.Env.Now() - start,
 	}
 	if !ok {
-		return n, res, &ProcedureError{
+		return res, &ProcedureError{
 			Procedure: "call-setup", Seed: seed,
 			Detail: fmt.Errorf("caller %v, callee %v after deadline",
 				caller.State(), callee.State()),
 		}
 	}
-	return n, res, nil
+	return res, nil
 }

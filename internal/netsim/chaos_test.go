@@ -129,62 +129,6 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosDeterminismAcrossShardCounts requires the loss/dup/outage fault
-// machinery to produce identical outcomes — registration success, call
-// success, retransmit counts, virtual elapsed time — whether the engine
-// runs sequentially or sharded. Fault draws come from the sending node's
-// seeded stream and fault toggles run on the shard owning the link, so the
-// shard count must be invisible.
-func TestChaosDeterminismAcrossShardCounts(t *testing.T) {
-	plans := []struct {
-		name string
-		plan FaultPlan
-	}{
-		{"uniform-loss", UniformLossPlan(0.10)},
-		{"dup", FaultPlan{{A: "VLR-1", B: "HLR", Dup: 0.3}, {A: "SGSN-1", B: "GGSN-1", Dup: 0.3}}},
-		{"outage-window", FaultPlan{{A: "VMSC-1", B: "VLR-1", Down: true, From: 100 * time.Millisecond, Until: 2 * time.Second}}},
-	}
-	for _, tc := range plans {
-		t.Run(tc.name, func(t *testing.T) {
-			regRef, err := RunChaosRegistrationSharded(42, tc.plan, 1)
-			if err != nil {
-				t.Fatalf("sequential registration: %v", err)
-			}
-			callRef, err := RunChaosCallSharded(42, tc.plan, 1)
-			if err != nil {
-				t.Fatalf("sequential call: %v", err)
-			}
-			for _, shards := range []int{2, 4} {
-				reg, err := RunChaosRegistrationSharded(42, tc.plan, shards)
-				if err != nil {
-					t.Fatalf("shards=%d registration: %v", shards, err)
-				}
-				if reg != regRef {
-					t.Errorf("shards=%d registration diverged:\n sharded:    %+v\n sequential: %+v", shards, reg, regRef)
-				}
-				call, err := RunChaosCallSharded(42, tc.plan, shards)
-				if err != nil {
-					t.Fatalf("shards=%d call: %v", shards, err)
-				}
-				if call != callRef {
-					t.Errorf("shards=%d call diverged:\n sharded:    %+v\n sequential: %+v", shards, call, callRef)
-				}
-			}
-		})
-	}
-}
-
-// TestChaosFaultPlanRejectsCrossShardLink guards the sharded scripting
-// surface: a fault on a link whose endpoints live on different shards
-// cannot be toggled race-free, so Apply must refuse it.
-func TestChaosFaultPlanRejectsCrossShardLink(t *testing.T) {
-	n := BuildVGPRS(VGPRSOptions{Seed: 1, Shards: 2})
-	plan := FaultPlan{{A: "BSC-1", B: "VMSC-1", Loss: 0.5}}
-	if err := plan.Apply(n.Env); err == nil {
-		t.Fatal("fault plan across shards applied cleanly")
-	}
-}
-
 // TestChaosFaultPlanRejectsUnknownLink guards the scripting surface: a
 // typo'd node name must surface as an error, not as a silently fault-free
 // run.

@@ -204,17 +204,6 @@ func BuildDay(opts DayOptions) *DayNet {
 	for _, ms := range n.DataMSs {
 		env.Connect(ms.ID(), "BTS-D", "Um", lat.Um)
 	}
-
-	// The radio side — roamer included — joins the RAN shard; the PSTN
-	// and Gi-LAN additions stay on shard 0 with the core.
-	if opts.Shards > 1 {
-		env.AssignShard("MS-ROAM", 1)
-		env.AssignShard("BTS-D", 1)
-		env.AssignShard("BSC-D", 1)
-		for _, ms := range n.DataMSs {
-			env.AssignShard(ms.ID(), 1)
-		}
-	}
 	return n
 }
 

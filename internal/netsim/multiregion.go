@@ -25,10 +25,7 @@ type MultiRegionOptions struct {
 	Regions int
 	// MSPerRegion is the subscriber population per region (default 1).
 	MSPerRegion int
-	// Shards partitions the event loop (0 or 1 = sequential): the HLR and
-	// SS7 plane stay on shard 0, region r runs on shard 1+(r mod shards-1).
-	// Regions only talk to each other through the HLR's MAP interfaces, so
-	// the SS7 latency is the cross-shard lookahead.
+	// Deprecated: Shards is accepted and ignored; there is one event loop.
 	Shards int
 	// Latencies is the delay profile (default DefaultLatencies).
 	Latencies *Latencies
@@ -48,9 +45,8 @@ type Region struct {
 }
 
 // MultiRegionNet is the paper's architecture scaled out: R independent
-// BSC/SGSN regions homed on one HLR. It exists for engine-scaling work —
-// the event population of different regions is nearly independent, so the
-// sharded engine can process regions in parallel between HLR interactions.
+// BSC/SGSN regions homed on one HLR, so registration load from every region
+// converges on one HLR's MAP interfaces.
 type MultiRegionNet struct {
 	// Audited is the leak gate over the HLR and every region's elements.
 	Audited
@@ -77,16 +73,12 @@ func BuildMultiRegion(opts MultiRegionOptions) *MultiRegionNet {
 	if opts.MSPerRegion == 0 {
 		opts.MSPerRegion = 1
 	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	lat := DefaultLatencies()
 	if opts.Latencies != nil {
 		lat = *opts.Latencies
 	}
 
-	env := sim.NewShardedEnv(opts.Seed, shards)
+	env := sim.NewEnv(opts.Seed)
 	n := &MultiRegionNet{Env: env}
 	if !opts.NoTrace {
 		n.Rec = trace.NewRecorder()
@@ -179,23 +171,6 @@ func BuildMultiRegion(opts MultiRegionOptions) *MultiRegionNet {
 			reg.VMSC.ProvisionMSISDN(sub.IMSI, sub.MSISDN)
 		}
 		n.Regions = append(n.Regions, reg)
-	}
-
-	// Partition: HLR (and with it the shared SS7 plane) on shard 0, each
-	// region wholly on one of the remaining shards. The only cross-shard
-	// links are then the MAP interfaces D/Gr/Gc into the HLR, making the
-	// SS7 latency the lookahead.
-	if shards > 1 {
-		for r := range n.Regions {
-			shard := 1 + r%(shards-1)
-			prefix := fmt.Sprintf("-R%d", r+1)
-			for _, role := range []string{"VLR", "SGSN", "GGSN", "GI", "GK", "VMSC", "BTS", "BSC"} {
-				env.AssignShard(sim.NodeID(role+prefix), shard)
-			}
-			for _, ms := range n.Regions[r].MSs {
-				env.AssignShard(ms.ID(), shard)
-			}
-		}
 	}
 	return n
 }

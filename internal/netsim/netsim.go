@@ -84,15 +84,6 @@ type VGPRSOptions struct {
 	SGSNMaxContexts int
 	// NoTrace disables trace recording (for large load benches).
 	NoTrace bool
-	// Shards partitions the event loop across goroutines (0 or 1 =
-	// sequential). The default partition keeps the SS7/GPRS core and the
-	// H.323 plane on shard 0 and moves the radio access network (BTS, BSC,
-	// MSs) to shard 1; the A interface is then the only cross-shard link
-	// and its latency the synchronization lookahead. Shard counts above 2
-	// leave the extra shards empty on this single-region topology — results
-	// are identical at any count, which is exactly what the determinism
-	// tests lock in. Multi-region scaling lives in BuildMultiRegion.
-	Shards int
 	// GKMutate, when set, adjusts the gatekeeper configuration before
 	// construction (e.g. to enforce a registration TTL).
 	GKMutate func(*h323.GatekeeperConfig)
@@ -192,11 +183,7 @@ func BuildVGPRS(opts VGPRSOptions) *VGPRSNet {
 		lat = *opts.Latencies
 	}
 
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	env := sim.NewShardedEnv(opts.Seed, shards)
+	env := sim.NewEnv(opts.Seed)
 	var rec *trace.Recorder
 	if !opts.NoTrace {
 		rec = trace.NewRecorder()
@@ -345,17 +332,6 @@ func BuildVGPRS(opts VGPRSOptions) *VGPRSNet {
 	// them up front keeps the MS table complete for inspection.
 	for _, sub := range n.Subscribers {
 		n.VMSC.ProvisionMSISDN(sub.IMSI, sub.MSISDN)
-	}
-
-	// Default shard partition: radio access on shard 1, everything else
-	// (SS7 core, GPRS core, H.323 plane) on shard 0. Assignment happens
-	// last, while nothing is scheduled yet.
-	if shards > 1 {
-		env.AssignShard("BTS-1", 1)
-		env.AssignShard("BSC-1", 1)
-		for _, ms := range n.MSs {
-			env.AssignShard(ms.ID(), 1)
-		}
 	}
 	return n
 }

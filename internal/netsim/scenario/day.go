@@ -18,8 +18,7 @@ import (
 // workload over the DayNet topology with Poisson arrivals in every traffic
 // class.
 type DayConfig struct {
-	Seed   int64
-	Shards int
+	Seed int64
 	// Duration is total simulated time (default 4h).
 	Duration time.Duration
 	// NumMS is the local subscriber population (default 4); DataMS how
@@ -56,9 +55,8 @@ func (c *DayConfig) norm() {
 
 // DayResult summarises one day-in-the-life run.
 type DayResult struct {
-	MSs    int           `json:"ms"`
-	Shards int           `json:"shards"`
-	Sim    time.Duration `json:"sim_duration"`
+	MSs int           `json:"ms"`
+	Sim time.Duration `json:"sim_duration"`
 
 	// CallAttempts counts every call the driver placed; Calls those that
 	// reached conversation. The per-class counters split the connected
@@ -119,11 +117,10 @@ func RunDay(cfg DayConfig) (DayResult, error) {
 			Seed:    cfg.Seed,
 			NumMS:   cfg.NumMS,
 			NoTrace: !cfg.Trace,
-			Shards:  cfg.Shards,
 		},
 		DataMS: cfg.DataMS,
 	})
-	res := DayResult{MSs: cfg.NumMS, Shards: cfg.Shards, Sim: cfg.Duration}
+	res := DayResult{MSs: cfg.NumMS, Sim: cfg.Duration}
 	env := n.Env
 	if err := n.RegisterAll(); err != nil {
 		return res, err

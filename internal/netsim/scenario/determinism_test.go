@@ -1,14 +1,12 @@
 package scenario
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 	"time"
 )
-
-// shardCounts are the engine configurations every scenario must agree
-// across, byte for byte.
-var shardCounts = []int{1, 2, 4}
 
 // firstTraceDiff locates the first divergent trace line for a readable
 // failure message.
@@ -42,112 +40,115 @@ func firstTraceDiff(a, b string) string {
 	return fmt.Sprintf("traces are prefixes of each other (len %d vs %d)", len(a), len(b))
 }
 
-// compareFingerprints asserts two runs produced identical outcomes.
-func compareFingerprints(t *testing.T, label string, shards int, base, got *Fingerprint) {
+// checkReplay asserts that two runs of one (config, seed) produced identical
+// outcomes, and that the outcome — trace, delivery count and final clock —
+// hashes to the committed digest. The digests were recorded when the engine
+// still had a sharded mode, where each was identical at shards 1, 2 and 4.
+func checkReplay(t *testing.T, label, digest string, base, got *Fingerprint) {
 	t.Helper()
 	if base.Delivered != got.Delivered {
-		t.Errorf("%s shards=%d: delivered %d, want %d", label, shards, got.Delivered, base.Delivered)
+		t.Errorf("%s replay: delivered %d, want %d", label, got.Delivered, base.Delivered)
 	}
 	if base.Now != got.Now {
-		t.Errorf("%s shards=%d: final time %v, want %v", label, shards, got.Now, base.Now)
+		t.Errorf("%s replay: final time %v, want %v", label, got.Now, base.Now)
 	}
 	if base.Entries != got.Entries {
-		t.Errorf("%s shards=%d: trace entries %d, want %d", label, shards, got.Entries, base.Entries)
+		t.Errorf("%s replay: trace entries %d, want %d", label, got.Entries, base.Entries)
 	}
 	if base.Trace != got.Trace {
-		t.Errorf("%s shards=%d: trace diverges: %s", label, shards, firstTraceDiff(base.Trace, got.Trace))
+		t.Errorf("%s replay: trace diverges: %s", label, firstTraceDiff(base.Trace, got.Trace))
+	}
+	sum := sha256.Sum256(fmt.Appendf(nil, "%s\ndelivered=%d now=%v\n", base.Trace, base.Delivered, base.Now))
+	if d := hex.EncodeToString(sum[:]); d != digest {
+		t.Errorf("%s: digest %s, want %s (%d entries, %d delivered, clock %v)",
+			label, d, digest, base.Entries, base.Delivered, base.Now)
 	}
 }
 
-func TestMobilityDeterministicAcrossShards(t *testing.T) {
+func TestMobilityDeterministic(t *testing.T) {
+	digests := map[MobilityPolicy]string{
+		PolicyDistance:  "f3c37f011228cbd5263a81abe35094975684b4e6f2b9a61b95acb03cbe8d9260",
+		PolicyThreshold: "0525938131230147113718ae2d1ba5e583ca3d1a1d0592150a42965fdf943cb6",
+	}
 	for _, policy := range []MobilityPolicy{PolicyDistance, PolicyThreshold} {
 		t.Run(policy.String(), func(t *testing.T) {
-			var base *MobilityResult
-			for _, shards := range shardCounts {
+			var runs [2]MobilityResult
+			for i := range runs {
 				res, err := RunMobility(MobilityConfig{
-					Seed: 7, Shards: shards, NumMS: 4,
+					Seed: 7, NumMS: 4,
 					Duration: 3 * time.Minute, Policy: policy,
 					StormEvery: 90 * time.Second, Trace: true,
 				})
 				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
+					t.Fatal(err)
 				}
-				if res.Moves == 0 || res.PolicyUpdates == 0 {
-					t.Fatalf("shards=%d: inert run: %+v", shards, res)
-				}
-				if res.HandoffAttempts == 0 || res.Handovers == 0 {
-					t.Fatalf("shards=%d: no handoffs exercised: %+v", shards, res)
-				}
-				if base == nil {
-					r := res
-					base = &r
-					continue
-				}
-				compareFingerprints(t, "mobility", shards, base.Fingerprint, res.Fingerprint)
-				if base.Moves != res.Moves || base.PolicyUpdates != res.PolicyUpdates ||
-					base.Relocations != res.Relocations || base.Handovers != res.Handovers {
-					t.Errorf("shards=%d: metrics diverge: base %+v, got %+v", shards, *base, res)
-				}
+				runs[i] = res
+			}
+			base, res := runs[0], runs[1]
+			if base.Moves == 0 || base.PolicyUpdates == 0 {
+				t.Fatalf("inert run: %+v", base)
+			}
+			if base.HandoffAttempts == 0 || base.Handovers == 0 {
+				t.Fatalf("no handoffs exercised: %+v", base)
+			}
+			checkReplay(t, "mobility", digests[policy], base.Fingerprint, res.Fingerprint)
+			if base.Moves != res.Moves || base.PolicyUpdates != res.PolicyUpdates ||
+				base.Relocations != res.Relocations || base.Handovers != res.Handovers {
+				t.Errorf("metrics diverge: base %+v, got %+v", base, res)
 			}
 		})
 	}
 }
 
-func TestFlashCrowdDeterministicAcrossShards(t *testing.T) {
-	var base *FlashCrowdResult
-	for _, shards := range shardCounts {
-		res, err := RunFlashCrowd(FlashCrowdConfig{
-			Seed: 11, Shards: shards, NumMS: 8, Trace: true,
-		})
+func TestFlashCrowdDeterministic(t *testing.T) {
+	var runs [2]FlashCrowdResult
+	for i := range runs {
+		res, err := RunFlashCrowd(FlashCrowdConfig{Seed: 11, NumMS: 8, Trace: true})
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatal(err)
 		}
-		if res.Recovered != 8 || res.Exhausted != 0 {
-			t.Fatalf("shards=%d: recovery incomplete: %+v", shards, res)
-		}
-		if res.RecoveryTime <= 0 {
-			t.Fatalf("shards=%d: zero recovery time", shards)
-		}
-		if base == nil {
-			r := res
-			base = &r
-			continue
-		}
-		compareFingerprints(t, "flash-crowd", shards, base.Fingerprint, res.Fingerprint)
-		if base.RecoveryTime != res.RecoveryTime || base.Retransmits != res.Retransmits {
-			t.Errorf("shards=%d: metrics diverge: base %+v, got %+v", shards, *base, res)
-		}
+		runs[i] = res
+	}
+	base, res := runs[0], runs[1]
+	if base.Recovered != 8 || base.Exhausted != 0 {
+		t.Fatalf("recovery incomplete: %+v", base)
+	}
+	if base.RecoveryTime <= 0 {
+		t.Fatal("zero recovery time")
+	}
+	checkReplay(t, "flash-crowd", "d1b811fbd6168bef0b262a7cd0bf3deb99a9b0908a754e25e767cf3d21eb1082",
+		base.Fingerprint, res.Fingerprint)
+	if base.RecoveryTime != res.RecoveryTime || base.Retransmits != res.Retransmits {
+		t.Errorf("metrics diverge: base %+v, got %+v", base, res)
 	}
 }
 
-func TestDayDeterministicAcrossShards(t *testing.T) {
-	var base *DayResult
-	for _, shards := range shardCounts {
+func TestDayDeterministic(t *testing.T) {
+	var runs [2]DayResult
+	for i := range runs {
 		res, err := RunDay(DayConfig{
-			Seed: 3, Shards: shards, NumMS: 4, DataMS: 1,
+			Seed: 3, NumMS: 4, DataMS: 1,
 			Duration: 10 * time.Minute, HeapWindow: 5 * time.Minute, Trace: true,
 		})
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatal(err)
 		}
-		if res.Calls == 0 || res.DataEchoes == 0 {
-			t.Fatalf("shards=%d: inert run: %+v", shards, res)
-		}
-		if res.MSCalls == 0 || res.BreakoutCalls == 0 || res.RoamerCalls == 0 || res.FallbackCalls == 0 {
-			t.Fatalf("shards=%d: a traffic class never connected: %+v", shards, res)
-		}
-		if res.Relocations == 0 || res.PowerCycles == 0 {
-			t.Fatalf("shards=%d: churn classes inert: %+v", shards, res)
-		}
-		if base == nil {
-			r := res
-			base = &r
-			continue
-		}
-		compareFingerprints(t, "day", shards, base.Fingerprint, res.Fingerprint)
-		if base.Calls != res.Calls || base.DataEchoes != res.DataEchoes ||
-			base.RoamerCalls != res.RoamerCalls || base.FallbackCalls != res.FallbackCalls {
-			t.Errorf("shards=%d: metrics diverge: base %+v, got %+v", shards, *base, res)
-		}
+		runs[i] = res
+	}
+	base, res := runs[0], runs[1]
+	if base.Calls == 0 || base.DataEchoes == 0 {
+		t.Fatalf("inert run: %+v", base)
+	}
+	if base.MSCalls == 0 || base.BreakoutCalls == 0 || base.RoamerCalls == 0 || base.FallbackCalls == 0 {
+		t.Fatalf("a traffic class never connected: %+v", base)
+	}
+	if base.Relocations == 0 || base.PowerCycles == 0 {
+		t.Fatalf("churn classes inert: %+v", base)
+	}
+	checkReplay(t, "day", "9f5f2008b8257780900e5ee4e981ead6526f716ba56763501a3699bb46dcb12e",
+		base.Fingerprint, res.Fingerprint)
+	if base.Calls != res.Calls || base.DataEchoes != res.DataEchoes ||
+		base.RoamerCalls != res.RoamerCalls || base.FallbackCalls != res.FallbackCalls {
+		t.Errorf("metrics diverge: base %+v, got %+v", base, res)
 	}
 }

@@ -11,8 +11,7 @@ import (
 // FlashCrowdConfig parameterises the flash-crowd scenario: a feigned VMSC
 // restart that forces the whole population to re-register at once.
 type FlashCrowdConfig struct {
-	Seed   int64
-	Shards int
+	Seed int64
 	// NumMS is the population size (default 20).
 	NumMS int
 	// TCHCapacity bounds the BSC's traffic channels (0 = unlimited).
@@ -40,8 +39,7 @@ func (c *FlashCrowdConfig) norm() {
 
 // FlashCrowdResult summarises one flash-crowd run.
 type FlashCrowdResult struct {
-	MSs    int `json:"ms"`
-	Shards int `json:"shards"`
+	MSs int `json:"ms"`
 
 	// Recovered/Exhausted partition the population at the deadline:
 	// re-registered versus stuck after exhausting their retry budgets.
@@ -84,9 +82,8 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (FlashCrowdResult, error) {
 		NoTrace:     !cfg.Trace,
 		Sig:         netsim.ChaosSigProfile(),
 		TCHCapacity: cfg.TCHCapacity,
-		Shards:      cfg.Shards,
 	})
-	res := FlashCrowdResult{MSs: cfg.NumMS, Shards: cfg.Shards}
+	res := FlashCrowdResult{MSs: cfg.NumMS}
 	if err := n.RegisterAll(); err != nil {
 		return res, err
 	}

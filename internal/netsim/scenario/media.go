@@ -15,8 +15,7 @@ import (
 // GGSN and back down the far leg), with per-call E-model scoring from the
 // listeners' mouth-to-ear statistics.
 type MediaConfig struct {
-	Seed   int64
-	Shards int
+	Seed int64
 	// Calls is the number of concurrent MS-to-MS calls per wave
 	// (default 4); the build provisions 2*Calls mobiles.
 	Calls int
@@ -62,9 +61,8 @@ func (c *MediaConfig) norm() {
 
 // MediaResult summarises one media run.
 type MediaResult struct {
-	Calls  int `json:"calls"`
-	Waves  int `json:"waves"`
-	Shards int `json:"shards"`
+	Calls int `json:"calls"`
+	Waves int `json:"waves"`
 
 	// Frames/FramesExpected total the listeners' played-out and
 	// sequence-implied frame counts across all waves and both directions.
@@ -109,9 +107,8 @@ func RunMedia(cfg MediaConfig) (MediaResult, error) {
 		DTX:     cfg.DTX,
 		NoTrace: !cfg.Trace,
 		Sig:     netsim.ChaosSigProfile(),
-		Shards:  cfg.Shards,
 	})
-	res := MediaResult{Calls: cfg.Calls, Waves: cfg.Waves, Shards: cfg.Shards}
+	res := MediaResult{Calls: cfg.Calls, Waves: cfg.Waves}
 	if err := n.RegisterAll(); err != nil {
 		return res, err
 	}

@@ -7,44 +7,42 @@ import (
 	"vgprs/internal/netsim"
 )
 
-// TestMediaDeterministicAcrossShards locks the talk path itself — every
-// 20 ms frame through the hairpin, including the reusable-message fast
-// path and the chaos loss/jitter draws — to a byte-identical trace and
-// bit-identical per-call MOS at every shard count.
-func TestMediaDeterministicAcrossShards(t *testing.T) {
-	var base *MediaResult
-	for _, shards := range shardCounts {
+// TestMediaDeterministic locks the talk path itself — every 20 ms frame
+// through the hairpin, including the reusable-message fast path and the
+// chaos loss/jitter draws — to a byte-identical trace and bit-identical
+// per-call MOS on replay, and the trace to its committed digest.
+func TestMediaDeterministic(t *testing.T) {
+	var runs [2]MediaResult
+	for i := range runs {
 		res, err := RunMedia(MediaConfig{
-			Seed: 5, Shards: shards, Calls: 3, Waves: 2,
+			Seed: 5, Calls: 3, Waves: 2,
 			TalkTime: 5 * time.Second, LossRate: 0.02,
 			Jitter: 2 * time.Millisecond, Trace: true,
 		})
 		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatal(err)
 		}
-		if res.Frames == 0 || res.FramesExpected == 0 {
-			t.Fatalf("shards=%d: inert run: %+v", shards, res)
-		}
-		if res.RTPLost == 0 {
-			t.Fatalf("shards=%d: loss matrix never dropped a frame: %+v", shards, res)
-		}
-		if len(res.PerCallMOS) != 6 {
-			t.Fatalf("shards=%d: scored %d calls, want 6", shards, len(res.PerCallMOS))
-		}
-		if base == nil {
-			r := res
-			base = &r
-			continue
-		}
-		compareFingerprints(t, "media", shards, base.Fingerprint, res.Fingerprint)
-		if base.Frames != res.Frames || base.RTPLost != res.RTPLost ||
-			base.RTPReordered != res.RTPReordered {
-			t.Errorf("shards=%d: frame counters diverge: base %+v, got %+v", shards, *base, res)
-		}
-		for i, mos := range res.PerCallMOS {
-			if mos != base.PerCallMOS[i] {
-				t.Errorf("shards=%d: call %d MOS %v, want exactly %v", shards, i, mos, base.PerCallMOS[i])
-			}
+		runs[i] = res
+	}
+	base, res := runs[0], runs[1]
+	if base.Frames == 0 || base.FramesExpected == 0 {
+		t.Fatalf("inert run: %+v", base)
+	}
+	if base.RTPLost == 0 {
+		t.Fatalf("loss matrix never dropped a frame: %+v", base)
+	}
+	if len(base.PerCallMOS) != 6 {
+		t.Fatalf("scored %d calls, want 6", len(base.PerCallMOS))
+	}
+	checkReplay(t, "media", "9509ee25e209e5f9003f22cc7ef783637902893b4a470fe8348bfb6b9448dde0",
+		base.Fingerprint, res.Fingerprint)
+	if base.Frames != res.Frames || base.RTPLost != res.RTPLost ||
+		base.RTPReordered != res.RTPReordered {
+		t.Errorf("frame counters diverge: base %+v, got %+v", base, res)
+	}
+	for i, mos := range res.PerCallMOS {
+		if mos != base.PerCallMOS[i] {
+			t.Errorf("call %d MOS %v, want exactly %v", i, mos, base.PerCallMOS[i])
 		}
 	}
 }

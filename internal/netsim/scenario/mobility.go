@@ -38,8 +38,7 @@ func (p MobilityPolicy) String() string {
 
 // MobilityConfig parameterises the mobility-churn scenario.
 type MobilityConfig struct {
-	Seed   int64
-	Shards int
+	Seed int64
 	// NumMS is the roaming population (default 4, rounded up to even so
 	// the handoff storm can pair callers).
 	NumMS int
@@ -97,7 +96,6 @@ func (c *MobilityConfig) norm() {
 type MobilityResult struct {
 	Policy string `json:"policy"`
 	MSs    int    `json:"ms"`
-	Shards int    `json:"shards"`
 
 	// Moves counts grid steps taken; BoundaryCrossings those that changed
 	// service area.
@@ -142,9 +140,8 @@ func RunMobility(cfg MobilityConfig) (MobilityResult, error) {
 		Seed:    cfg.Seed,
 		NumMS:   cfg.NumMS,
 		NoTrace: !cfg.Trace,
-		Shards:  cfg.Shards,
 	})
-	res := MobilityResult{Policy: cfg.Policy.String(), MSs: cfg.NumMS, Shards: cfg.Shards}
+	res := MobilityResult{Policy: cfg.Policy.String(), MSs: cfg.NumMS}
 	if err := n.RegisterAll(); err != nil {
 		return res, err
 	}

@@ -6,8 +6,8 @@
 //
 // Every scenario drives the simulation from a driver-owned seeded RNG and
 // advances virtual time in fixed steps, so a (config, seed) pair replays
-// byte-identically at any shard count — the determinism tests compare the
-// full event trace at shards 1, 2 and 4.
+// byte-identically — the determinism tests run each scenario twice and
+// check the trace against a committed digest.
 package scenario
 
 import (
@@ -18,7 +18,7 @@ import (
 	"vgprs/internal/sim"
 )
 
-// Fingerprint captures a run's deterministic outcome for cross-shard
+// Fingerprint captures a run's deterministic outcome for replay
 // comparison: the full event trace plus the engine's delivery counters.
 type Fingerprint struct {
 	Trace     string
@@ -40,7 +40,7 @@ func fingerprintOf(n *netsim.VGPRSNet) *Fingerprint {
 
 // tick is the driver's decision interval: scenario logic runs between
 // RunUntil steps of this size, so every driver action lands on a fixed
-// virtual-time grid regardless of shard count.
+// virtual-time grid.
 const tick = time.Second
 
 // runFor advances env through whole ticks until d has elapsed.

@@ -56,37 +56,3 @@ func TestDaySoakLeakProof(t *testing.T) {
 	t.Logf("soak: %v simulated, %d calls (%d failures), %d data echoes, %d relocations, %d power cycles, heap windows %v",
 		dur, res.Calls, res.CallFailures, res.DataEchoes, res.Relocations, res.PowerCycles, res.HeapWindows)
 }
-
-// TestDaySoakShardedMatchesSerial reruns a shorter soak at shard counts 1
-// and 4 and requires identical workload outcomes — the soak must not be a
-// single-engine special case.
-func TestDaySoakShardedMatchesSerial(t *testing.T) {
-	dur := time.Hour
-	if testing.Short() {
-		dur = 20 * time.Minute
-	}
-	var base *DayResult
-	for _, shards := range []int{1, 4} {
-		res, err := RunDay(DayConfig{
-			Seed: 42, NumMS: 6, DataMS: 2, Shards: shards,
-			Duration: dur, HeapWindow: dur / 3,
-		})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if base == nil {
-			r := res
-			base = &r
-			continue
-		}
-		if base.Fingerprint.Delivered != res.Fingerprint.Delivered ||
-			base.Fingerprint.Now != res.Fingerprint.Now {
-			t.Errorf("shards=%d: engine outcome diverged: %+v vs %+v",
-				shards, *base.Fingerprint, *res.Fingerprint)
-		}
-		if base.Calls != res.Calls || base.CallFailures != res.CallFailures ||
-			base.DataEchoes != res.DataEchoes || base.Relocations != res.Relocations {
-			t.Errorf("shards=%d: workload diverged: base %+v, got %+v", shards, *base, res)
-		}
-	}
-}

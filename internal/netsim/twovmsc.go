@@ -39,9 +39,7 @@ type TwoVMSCNet struct {
 
 // BuildTwoVMSC wires the two-area topology. Area 1 is the standard
 // BuildVGPRS network; area 2 adds BTS-2/BSC-2/VMSC-2/VLR-2/SGSN-2 with
-// links mirroring area 1's, plus Um links from every MS to BTS-2. Under
-// sharding (opts.Shards >= 3) the second area's elements run on shard 2;
-// at Shards == 2 they share shard 0 with the rest of the core.
+// links mirroring area 1's, plus Um links from every MS to BTS-2.
 func BuildTwoVMSC(opts VGPRSOptions) *TwoVMSCNet {
 	area1Cell := gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1}
 	area2LAI := gsmid.LAI{MCC: "466", MNC: "92", LAC: 2}
@@ -137,16 +135,6 @@ func BuildTwoVMSC(opts VGPRSOptions) *TwoVMSCNet {
 	}
 	for _, sub := range base.Subscribers {
 		n.VMSC2.ProvisionMSISDN(sub.IMSI, sub.MSISDN)
-	}
-
-	// With three or more shards the second area gets its own: every link
-	// into it (A, E, D, Gn, Gr, Um) has non-zero latency, so the
-	// conservative lookahead stays positive. At exactly two shards the
-	// area-2 elements stay on shard 0 with the rest of the core.
-	if opts.Shards >= 3 {
-		for _, id := range []sim.NodeID{"VLR-2", "SGSN-2", "VMSC-2", "BTS-2", "BSC-2"} {
-			env.AssignShard(id, 2)
-		}
 	}
 	return n
 }

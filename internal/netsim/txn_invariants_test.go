@@ -21,58 +21,58 @@ func TestTransactionInvariantsUnderLoss(t *testing.T) {
 		seeds = 4
 	}
 	scenarios := []struct {
-		name string
-		run  func(seed int64, plan FaultPlan, shards int) (*VGPRSNet, ChaosResult, error)
+		name  string
+		numMS int
+		run   func(n *VGPRSNet, seed int64) (ChaosResult, error)
 	}{
-		{"registration", runChaosRegistration},
-		{"call", runChaosCall},
+		{"registration", 1, (*VGPRSNet).chaosRegistration},
+		{"call", 2, (*VGPRSNet).chaosCall},
 	}
 	for _, sc := range scenarios {
-		for _, shards := range []int{1, 2, 4} {
-			for seed := int64(1); seed <= int64(seeds); seed++ {
-				name := fmt.Sprintf("%s/shards=%d/seed=%d", sc.name, shards, seed)
-				// A procedure that fails cleanly under loss is a legal
-				// outcome; its transactions must still all have ended.
-				n, _, _ := sc.run(seed, UniformLossPlan(0.10), shards)
-				if n == nil {
-					t.Fatalf("%s: no network", name)
-				}
-				// Drain: the longest budget (H.323) exhausts ~28 s after a
-				// first send.
-				n.Env.RunUntil(n.Env.Now() + 2*chaosWindow)
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			name := fmt.Sprintf("%s/seed=%d", sc.name, seed)
+			n, err := chaosNet(seed, sc.numMS, UniformLossPlan(0.10))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			// A procedure that fails cleanly under loss is a legal
+			// outcome; its transactions must still all have ended.
+			sc.run(n, seed)
+			// Drain: the longest budget (H.323) exhausts ~28 s after a
+			// first send.
+			n.Env.RunUntil(n.Env.Now() + 2*chaosWindow)
 
-				tables := 0
-				var retransmits uint64
-				for _, e := range n.elements {
-					node, ok := e.node.(interface {
-						TxnStats(report func(plane string, s txn.Stats))
-					})
-					if !ok {
-						continue
+			tables := 0
+			var retransmits uint64
+			for _, e := range n.elements {
+				node, ok := e.node.(interface {
+					TxnStats(report func(plane string, s txn.Stats))
+				})
+				if !ok {
+					continue
+				}
+				node.TxnStats(func(plane string, s txn.Stats) {
+					tables++
+					retransmits += s.Retransmits
+					if s.InFlight != 0 || s.Begun != s.Resolved+s.TimedOut {
+						t.Errorf("%s: %s %s table %+v: want begun == resolved + timedOut, none in flight",
+							name, e.name, plane, s)
 					}
-					node.TxnStats(func(plane string, s txn.Stats) {
-						tables++
-						retransmits += s.Retransmits
-						if s.InFlight != 0 || s.Begun != s.Resolved+s.TimedOut {
-							t.Errorf("%s: %s %s table %+v: want begun == resolved + timedOut, none in flight",
-								name, e.name, plane, s)
-						}
-					})
+				})
+			}
+			if tables < 10 {
+				t.Fatalf("%s: only %d transaction tables audited", name, tables)
+			}
+			if got := n.SignallingRetransmits(); got != retransmits {
+				t.Errorf("%s: SignallingRetransmits = %d, tables sum to %d", name, got, retransmits)
+			}
+			for _, it := range n.Residual().Items {
+				// Durable call state (the chaos call is left up) is not a
+				// transaction leak; record imbalance and pending counts are.
+				if it.Kind == "active calls" || it.Kind == "channels in use" {
+					continue
 				}
-				if tables < 10 {
-					t.Fatalf("%s: only %d transaction tables audited", name, tables)
-				}
-				if got := n.SignallingRetransmits(); got != retransmits {
-					t.Errorf("%s: SignallingRetransmits = %d, tables sum to %d", name, got, retransmits)
-				}
-				for _, it := range n.Residual().Items {
-					// Durable call state (the chaos call is left up) is not a
-					// transaction leak; record imbalance and pending counts are.
-					if it.Kind == "active calls" || it.Kind == "channels in use" {
-						continue
-					}
-					t.Errorf("%s: residual %s: %d %s", name, it.Node, it.Count, it.Kind)
-				}
+				t.Errorf("%s: residual %s: %d %s", name, it.Node, it.Count, it.Kind)
 			}
 		}
 	}

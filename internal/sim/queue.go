@@ -15,10 +15,9 @@ const (
 )
 
 // event is a scheduled occurrence: 72 bytes, stored by value in the queue's
-// arena (or a cross-shard outbox), never individually on the heap. Ties on
-// timestamp break on the event key (seq): the scheduling context's index in
-// the high bits, its private emission counter below, so the total order is
-// identical at any shard count.
+// arena, never individually on the heap. Ties on timestamp break on the
+// event key (seq): the scheduling context's index in the high bits, its
+// private emission counter below.
 //
 // A delivery names its endpoints and interface through link (link.From,
 // link.To, link.Iface) rather than carrying copies. An evTimer keeps its
@@ -105,15 +104,6 @@ func (q *eventQueue) peekAt() (time.Duration, bool) {
 		return 0, false
 	}
 	return q.heap[0].at, true
-}
-
-// peekKey reports the full (timestamp, key) order of the earliest event, if
-// any — the cross-shard comparison Step uses to find the global minimum.
-func (q *eventQueue) peekKey() (time.Duration, uint64, bool) {
-	if len(q.heap) == 0 {
-		return 0, 0, false
-	}
-	return q.heap[0].at, q.heap[0].seq, true
 }
 
 // pop removes the earliest event into *out and reports whether there was

@@ -63,8 +63,8 @@ func TestQueueMatchesSortedModel(t *testing.T) {
 		}
 		want := model[0]
 		model = model[1:]
-		if at, seq, ok := q.peekKey(); !ok || at != want.at || seq != want.seq {
-			t.Fatalf("op %d: peekKey = (%v, %#x, %v), want (%v, %#x)", op, at, seq, ok, want.at, want.seq)
+		if at, ok := q.peekAt(); !ok || at != want.at || q.heap[0].seq != want.seq {
+			t.Fatalf("op %d: head = (%v, %v), want (%v, %#x)", op, at, ok, want.at, want.seq)
 		}
 		if !q.pop(&got) || got.at != want.at || got.seq != want.seq || got.ctx != want.ctx {
 			t.Fatalf("op %d: pop = (%v, %#x, ctx %d), want (%v, %#x, ctx %d)",

@@ -11,14 +11,10 @@ import "math/rand"
 //
 // where golden is 2^64/phi (the splitmix64 gamma) and mix64 is the
 // splitmix64 finalizer. The stream itself is a splitmix64 generator over
-// that seed. Two properties matter:
-//
-//  1. The derivation depends only on the root seed and the node's
-//     registration index — never on shard assignment or goroutine
-//     interleaving — so draw sequences are identical at any shard count.
-//  2. Each context owns its stream exclusively (a node's dispatches are
-//     serialized on its shard), so Env.Rand() is race-free under sharding
-//     without locks.
+// that seed. The derivation depends only on the root seed and the node's
+// registration index, and each context owns its stream exclusively, so a
+// node's draw sequence is a function of its own history alone: extra draws
+// in one node never shift another's.
 //
 // A stream is 8 bytes of state and is created lazily on first draw, so
 // large populations of nodes that never draw cost nothing — unlike

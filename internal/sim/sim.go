@@ -7,32 +7,15 @@
 // clock, so latency measurements are exact and runs are reproducible from a
 // seed.
 //
-// # Sharding
+// # Determinism
 //
-// The engine can partition its event loop across shards (NewShardedEnv),
-// each with its own event heap, clock, and worker goroutine. Shards
-// synchronize conservatively: the minimum latency of any cross-shard link is
-// the lookahead, and every shard may safely process all events strictly
-// earlier than the globally earliest pending event plus that lookahead,
-// because no message sent during the window can arrive inside it. Cross-
-// shard deliveries are exchanged through per-shard outboxes at the barrier
-// between windows, so the hot path stays lock-free and allocation-free.
-//
-// Determinism is independent of the shard count. Every event carries a
-// 64-bit key combining the scheduling context (the node whose dispatch
-// created it, or the root context for events scheduled from outside a run)
-// with that context's private emission counter; ties on the timestamp break
-// on the key. Random draws likewise come from per-node streams derived from
-// the root seed (see rng.go). Both the key and the draw sequence depend only
-// on the topology and the seed — never on how nodes are assigned to shards —
-// so the same seed produces a byte-identical trace and identical metrics at
-// any shard count, including one. Node state is only ever touched from its
-// own shard; nodes on different shards must share no mutable state outside
-// the message layer.
-//
-// Concurrency-sensitive state inside nodes (tables shared with inspection
-// APIs) is still guarded by mutexes so nodes remain safe to inspect from
-// tests while an Env is not running.
+// Events run in a total order: by timestamp, then by a 64-bit key combining
+// the scheduling context (the node whose dispatch created the event, or the
+// root context for events scheduled from outside a run) with that context's
+// private emission counter. Random draws come from per-context streams
+// derived from the root seed (see rng.go). Both depend only on the topology,
+// the seed and each context's own history, so the same seed produces a
+// byte-identical trace and identical metrics.
 package sim
 
 import (
@@ -57,8 +40,8 @@ type Node interface {
 	// ID returns the node's unique identifier within its Env.
 	ID() NodeID
 	// Receive handles a message delivered over the named interface.
-	// It runs on the node's shard goroutine; implementations may call back
-	// into the Env (Send, After) but must not block.
+	// It runs inside the event loop; implementations may call back into
+	// the Env (Send, After) but must not block.
 	Receive(env *Env, from NodeID, iface string, msg Message)
 }
 
@@ -73,46 +56,27 @@ type Tracer interface {
 // 2^40 emissions per context bound a single simulation.
 const ctrBits = 40
 
-// world is the state shared by every shard view of one simulation: node and
-// link registries, per-context key counters and RNG streams, and the shard
-// runtime. Exactly one *Env exists per shard; the value returned by
-// NewEnv/NewShardedEnv is shard 0's view and the user-facing handle.
-type world struct {
-	seed    int64
-	list    []Node           // dense context index -> node; [0] is the root context
-	idx     map[NodeID]int32 // node ID -> context index
-	ctr     []uint64         // per-context emission counters (event key tie-break)
-	rngs    []*rand.Rand     // per-context RNG streams, created on first draw
-	shardOf []int32          // per-context home shard
+// Env is a simulation environment: the node and link registries, the event
+// queue and the virtual clock.
+type Env struct {
+	seed int64
+	list []Node           // dense context index -> node; [0] is the root context
+	idx  map[NodeID]int32 // node ID -> context index
+	ctr  []uint64         // per-context emission counters (event key tie-break)
+	rngs []*rand.Rand     // per-context RNG streams, created on first draw
 	// out is the per-context adjacency: every link leaving the context's
 	// node, sorted by To — the one record of the topology. Send resolves
 	// its link in the dispatching context's row, so the steady state hashes
 	// no NodeID; by-name queries (LinkBetween, HasLink) and sends made on
 	// another node's behalf find the row through idx.
-	out     [][]*Link
-	tracer  Tracer
-	shards  []*Env
-	running bool
-	started bool
-}
+	out    [][]*Link
+	tracer Tracer
 
-// Env is one shard's view of a simulation environment. All views share the
-// node/link registries and the tracer; the event queue, clock, and delivery
-// counter are per-shard. Topology construction and scheduling from outside a
-// run may use any view (they are single-threaded); during a run each view is
-// owned by its shard goroutine.
-type Env struct {
-	w      *world
-	shard  int32
-	queue  eventQueue
-	now    time.Duration
-	cur    int32  // context (node index) of the event being dispatched
-	curKey uint64 // key of the event being dispatched (trace ordering)
-	emit   uint32 // trace emissions within the current dispatch
-
+	queue     eventQueue
+	now       time.Duration
+	cur       int32 // context (node index) of the event being dispatched
+	running   bool
 	delivered uint64
-	outbox    [][]event  // cross-shard sends buffered during a window, per dst shard
-	trbuf     []traceRec // trace entries buffered during a sharded run
 }
 
 // Link is a unidirectional edge between two nodes. Connect creates both
@@ -140,143 +104,73 @@ type Link struct {
 	Dup float64
 
 	// toIdx caches the destination's context index so the delivery hot
-	// path resolves the node and its shard without a map lookup.
+	// path resolves the node without a map lookup.
 	toIdx int32
 }
 
-// NewEnv creates an empty single-shard simulation environment seeded for
+// NewEnv creates an empty simulation environment seeded for
 // reproducibility.
 func NewEnv(seed int64) *Env {
-	return NewShardedEnv(seed, 1)
-}
-
-// NewShardedEnv creates an empty simulation environment whose event loop is
-// partitioned across the given number of shards. The returned Env is shard
-// 0's view and the handle all topology and run calls go through. Nodes
-// default to shard 0; AssignShard moves them before the first run.
-func NewShardedEnv(seed int64, shards int) *Env {
-	if shards < 1 {
-		shards = 1
+	return &Env{
+		seed: seed,
+		idx:  make(map[NodeID]int32),
+		list: []Node{nil},
+		ctr:  make([]uint64, 1),
+		rngs: make([]*rand.Rand, 1),
+		out:  make([][]*Link, 1),
 	}
-	w := &world{
-		seed:    seed,
-		idx:     make(map[NodeID]int32),
-		list:    []Node{nil},
-		ctr:     make([]uint64, 1),
-		rngs:    make([]*rand.Rand, 1),
-		shardOf: []int32{0},
-		out:     make([][]*Link, 1),
-		shards:  make([]*Env, shards),
-	}
-	for i := range w.shards {
-		sh := &Env{w: w, shard: int32(i)}
-		if shards > 1 {
-			sh.outbox = make([][]event, shards)
-		}
-		w.shards[i] = sh
-	}
-	return w.shards[0]
 }
 
 // SetTracer installs the message tracer. Passing nil disables tracing.
-func (e *Env) SetTracer(t Tracer) { e.w.tracer = t }
+func (e *Env) SetTracer(t Tracer) { e.tracer = t }
 
 // Tracer returns the currently installed tracer, or nil.
-func (e *Env) Tracer() Tracer { return e.w.tracer }
+func (e *Env) Tracer() Tracer { return e.tracer }
 
 // Rand returns the seeded random stream of the current scheduling context:
 // the node whose event is being dispatched, or the root stream outside a
 // run. Streams are derived per node from the root seed (see rng.go), so
-// draws are reproducible and independent of the shard count.
+// draws are reproducible and one node's draws never shift another's.
 func (e *Env) Rand() *rand.Rand { return e.ctxRand() }
 
 func (e *Env) ctxRand() *rand.Rand {
-	w := e.w
-	r := w.rngs[e.cur]
+	r := e.rngs[e.cur]
 	if r == nil {
 		// Lazy creation keeps populations of nodes that never draw (the
-		// common case) from paying a stream each. The slot is only ever
-		// touched from the context's own shard, so this is race-free.
-		r = rand.New(newStream(w.seed, e.cur))
-		w.rngs[e.cur] = r
+		// common case) from paying a stream each.
+		r = rand.New(newStream(e.seed, e.cur))
+		e.rngs[e.cur] = r
 	}
 	return r
 }
 
-// Now returns the current virtual time of this shard. Outside a run all
-// shard clocks are synchronized, so the root view reports the global time.
+// Now returns the current virtual time.
 func (e *Env) Now() time.Duration { return e.now }
 
-// Delivered returns the total number of messages delivered so far across
-// all shards.
-func (e *Env) Delivered() uint64 {
-	var total uint64
-	for _, sh := range e.w.shards {
-		total += sh.delivered
-	}
-	return total
-}
+// Delivered returns the number of messages delivered so far.
+func (e *Env) Delivered() uint64 { return e.delivered }
 
-// AddNode registers a node on shard 0. It panics if the node's ID is
-// already taken: topology construction errors are programming errors, not
-// runtime conditions.
+// AddNode registers a node. It panics if the node's ID is already taken:
+// topology construction errors are programming errors, not runtime
+// conditions.
 func (e *Env) AddNode(n Node) {
-	w := e.w
 	id := n.ID()
-	if _, ok := w.idx[id]; ok {
+	if _, ok := e.idx[id]; ok {
 		panic(fmt.Sprintf("sim: duplicate node ID %q", id))
 	}
-	w.idx[id] = int32(len(w.list))
-	w.list = append(w.list, n)
-	w.ctr = append(w.ctr, 0)
-	w.rngs = append(w.rngs, nil)
-	w.shardOf = append(w.shardOf, 0)
-	w.out = append(w.out, nil)
+	e.idx[id] = int32(len(e.list))
+	e.list = append(e.list, n)
+	e.ctr = append(e.ctr, 0)
+	e.rngs = append(e.rngs, nil)
+	e.out = append(e.out, nil)
 }
 
 // Node returns the registered node with the given ID, or nil.
 func (e *Env) Node(id NodeID) Node {
-	if i, ok := e.w.idx[id]; ok {
-		return e.w.list[i]
+	if i, ok := e.idx[id]; ok {
+		return e.list[i]
 	}
 	return nil
-}
-
-// ShardCount returns the number of shards the event loop is partitioned
-// across (1 for a sequential environment).
-func (e *Env) ShardCount() int { return len(e.w.shards) }
-
-// ShardOf returns the shard the node is assigned to. It panics on an
-// unknown node.
-func (e *Env) ShardOf(id NodeID) int {
-	i, ok := e.w.idx[id]
-	if !ok {
-		panic(fmt.Sprintf("sim: ShardOf unknown node %q", id))
-	}
-	return int(e.w.shardOf[i])
-}
-
-// AssignShard moves a node to the given shard. Assignments must be complete
-// before anything is scheduled: a node's pending events live in its shard's
-// queue, so reassigning later would strand them. Timers the node schedules
-// run on its shard; nodes on different shards must not share mutable state
-// outside the message layer.
-func (e *Env) AssignShard(id NodeID, shard int) {
-	w := e.w
-	i, ok := w.idx[id]
-	if !ok {
-		panic(fmt.Sprintf("sim: AssignShard of unknown node %q", id))
-	}
-	if shard < 0 || shard >= len(w.shards) {
-		panic(fmt.Sprintf("sim: AssignShard %q to shard %d of %d", id, shard, len(w.shards)))
-	}
-	if w.started {
-		panic("sim: AssignShard after the simulation has started")
-	}
-	if e.Pending() > 0 {
-		panic("sim: AssignShard with events already scheduled")
-	}
-	w.shardOf[i] = int32(shard)
 }
 
 // Connect creates a bidirectional link between a and b over the named
@@ -284,9 +178,8 @@ func (e *Env) AssignShard(id NodeID, shard int) {
 // registered. It returns the two unidirectional links so callers can adjust
 // jitter or fail one direction.
 func (e *Env) Connect(a, b NodeID, iface string, latency time.Duration) (ab, ba *Link) {
-	w := e.w
-	ia, oka := w.idx[a]
-	ib, okb := w.idx[b]
+	ia, oka := e.idx[a]
+	ib, okb := e.idx[b]
 	switch {
 	case !oka:
 		panic(fmt.Sprintf("sim: Connect references unknown node %q", a))
@@ -298,8 +191,8 @@ func (e *Env) Connect(a, b NodeID, iface string, latency time.Duration) (ab, ba 
 		{From: b, To: a, Iface: iface, Latency: latency, toIdx: ia},
 	}
 	ab, ba = &pair[0], &pair[1]
-	w.out[ia] = putLink(w.out[ia], ab)
-	w.out[ib] = putLink(w.out[ib], ba)
+	e.out[ia] = putLink(e.out[ia], ab)
+	e.out[ib] = putLink(e.out[ib], ba)
 	return ab, ba
 }
 
@@ -334,9 +227,9 @@ func putLink(adj []*Link, l *Link) []*Link {
 
 // LinkBetween returns the unidirectional link from a to b, or nil.
 func (e *Env) LinkBetween(a, b NodeID) *Link {
-	if ia, ok := e.w.idx[a]; ok {
-		if i, found := findLink(e.w.out[ia], b); found {
-			return e.w.out[ia][i]
+	if ia, ok := e.idx[a]; ok {
+		if i, found := findLink(e.out[ia], b); found {
+			return e.out[ia][i]
 		}
 	}
 	return nil
@@ -351,12 +244,12 @@ func (e *Env) HasLink(a, b NodeID) bool {
 // lexicographically so the result is deterministic regardless of link
 // insertion order.
 func (e *Env) Neighbors(id NodeID) []NodeID {
-	i, ok := e.w.idx[id]
+	i, ok := e.idx[id]
 	if !ok {
 		return nil
 	}
 	var out []NodeID
-	for _, l := range e.w.out[i] {
+	for _, l := range e.out[i] {
 		out = append(out, l.To)
 	}
 	return out
@@ -365,22 +258,10 @@ func (e *Env) Neighbors(id NodeID) []NodeID {
 // nextKey mints the total-order key for an event scheduled by the given
 // context: the context index in the high bits, its private emission counter
 // below. Keys depend only on the deterministic per-context dispatch
-// sequence, never on shard assignment, which is what makes the engine's
-// event order identical at any shard count.
-func (w *world) nextKey(ctx int32) uint64 {
-	w.ctr[ctx]++
-	return uint64(ctx)<<ctrBits | w.ctr[ctx]
-}
-
-// push routes a scheduled event to the destination shard's queue. During a
-// run, cross-shard events go through this shard's outbox and are merged at
-// the next window barrier; everything else lands in the heap directly.
-func (e *Env) push(ev *event, dst int32) {
-	if dst == e.shard || !e.w.running {
-		e.w.shards[dst].queue.push(ev)
-		return
-	}
-	e.outbox[dst] = append(e.outbox[dst], *ev)
+// sequence.
+func (e *Env) nextKey(ctx int32) uint64 {
+	e.ctr[ctx]++
+	return uint64(ctx)<<ctrBits | e.ctr[ctx]
 }
 
 // linkFrom resolves the link a Send travels. A node sending under its own
@@ -390,7 +271,7 @@ func (e *Env) push(ev *event, dst int32) {
 // of another (a VMSC-hosted client) finds none of that name or one with the
 // wrong From; both look the sender's adjacency up by name.
 func (e *Env) linkFrom(from, to NodeID) *Link {
-	adj := e.w.out[e.cur]
+	adj := e.out[e.cur]
 	if i, ok := findLink(adj, to); ok && adj[i].From == from {
 		return adj[i]
 	}
@@ -402,14 +283,13 @@ func (e *Env) linkFrom(from, to NodeID) *Link {
 // Send panics if no link exists: sending over a nonexistent interface is a
 // topology bug the figure tests must surface loudly.
 func (e *Env) Send(from, to NodeID, msg Message) {
-	w := e.w
 	link := e.linkFrom(from, to)
 	if link == nil {
 		panic(fmt.Sprintf("sim: no link %s -> %s for message %s", from, to, msg.Name()))
 	}
 	if link.Down || (link.Loss > 0 && e.ctxRand().Float64() < link.Loss) {
-		if w.tracer != nil {
-			e.trace(e.now, from, to, "drop:"+link.Iface, msg)
+		if e.tracer != nil {
+			e.tracer.Trace(e.now, from, to, "drop:"+link.Iface, msg)
 		}
 		return
 	}
@@ -427,27 +307,25 @@ func (e *Env) Send(from, to NodeID, msg Message) {
 		// Delivery is the engine's steady state: schedule a typed record
 		// rather than a closure so the hot path performs zero heap
 		// allocations.
-		e.push(&event{
-			at: e.now + delay, seq: w.nextKey(e.cur), kind: evDeliver,
+		e.queue.push(&event{
+			at: e.now + delay, seq: e.nextKey(e.cur), kind: evDeliver,
 			ctx: link.toIdx, link: link, msg: msg,
-		}, w.shardOf[link.toIdx])
+		})
 	}
 }
 
-// dispatch runs one popped event on its shard.
+// dispatch runs one popped event.
 func (e *Env) dispatch(ev *event) {
 	e.cur = ev.ctx
-	e.curKey = ev.seq
-	e.emit = 0
 	switch ev.kind {
 	case evDeliver:
-		dst := e.w.list[ev.ctx]
+		dst := e.list[ev.ctx]
 		if dst == nil {
 			return
 		}
 		l := ev.link
-		if e.w.tracer != nil {
-			e.trace(e.now, l.From, l.To, l.Iface, ev.msg)
+		if e.tracer != nil {
+			e.tracer.Trace(e.now, l.From, l.To, l.Iface, ev.msg)
 		}
 		e.delivered++
 		dst.Receive(e, l.From, l.Iface, ev.msg)
@@ -465,24 +343,35 @@ func (e *Env) dispatch(ev *event) {
 // the paper's logical arrows (VMSC -> GK "RAS RRQ") alongside the physical
 // encapsulation hops.
 func (e *Env) Note(from, to NodeID, iface string, msg Message) {
-	e.trace(e.now, from, to, iface, msg)
+	if e.tracer != nil {
+		e.tracer.Trace(e.now, from, to, iface, msg)
+	}
 }
 
-// After schedules fn to run at Now()+d on the scheduling context's shard.
+// After schedules fn to run at Now()+d in the current scheduling context.
 // Nodes use it for protocol timers (paging response timers, PDP activation
-// timeouts, RTP packetisation ticks); a timer scheduled during a node's
-// dispatch runs on that node's shard. Timers scheduled from outside a run
-// belong to the root context and run on shard 0 — in a sharded environment
-// their callbacks must only touch shard-0 state (see AfterNode).
-func (e *Env) After(d time.Duration, fn func()) {
+// timeouts, RTP packetisation ticks).
+func (e *Env) After(d time.Duration, fn func()) { e.timer(e.cur, d, fn) }
+
+// AfterNode schedules fn to run at Now()+d in the named node's scheduling
+// context: the event's tie-break key comes from that node's counter, so it
+// orders among same-instant events as one of the node's own would.
+// Scenario drivers use it from outside a run to script state changes that
+// belong to a node (the chaos harness toggling a link's faults from its A
+// endpoint, for example).
+func (e *Env) AfterNode(id NodeID, d time.Duration, fn func()) {
+	i, ok := e.idx[id]
+	if !ok {
+		panic(fmt.Sprintf("sim: AfterNode of unknown node %q", id))
+	}
+	e.timer(i, d, fn)
+}
+
+func (e *Env) timer(ctx int32, d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e.schedule(e.now+d, fn)
-}
-
-func (e *Env) schedule(at time.Duration, fn func()) {
-	e.queue.push(&event{at: at, seq: e.w.nextKey(e.cur), kind: evTimer, ctx: e.cur, arg: fn})
+	e.queue.push(&event{at: e.now + d, seq: e.nextKey(ctx), kind: evTimer, ctx: ctx, arg: fn})
 }
 
 // Timer is a handle to one timer scheduled by AfterArg, good for cancelling
@@ -502,42 +391,15 @@ func (e *Env) AfterArg(d time.Duration, fn func(any), arg any) Timer {
 	if d < 0 {
 		d = 0
 	}
-	seq := e.w.nextKey(e.cur)
+	seq := e.nextKey(e.cur)
 	idx := e.queue.push(&event{at: e.now + d, seq: seq, kind: evTimerArg, ctx: e.cur, argFn: fn, arg: arg})
 	return Timer{seq: seq, idx: idx}
 }
 
 // Cancel removes a pending timer from the queue, releasing its callback and
 // argument, and reports whether it did: false means the timer has already
-// fired (its own callback included) or been cancelled. A timer lives in the
-// queue of the Env view that scheduled it and is cancelled through that same
-// view — during a run, from its own shard.
+// fired (its own callback included) or been cancelled.
 func (e *Env) Cancel(t Timer) bool { return e.queue.remove(t.idx, t.seq) }
-
-// AfterNode schedules fn to run at Now()+d on the named node's shard, in
-// that node's scheduling context. The callback receives that shard's Env
-// view — the one it must use for any Send/After calls, since the caller's
-// view may belong to a different shard. Scenario drivers use AfterNode from
-// outside a run to script state changes that must be ordered with a
-// specific shard's clock (the chaos harness toggling link faults, for
-// example). During a run it may only target the calling shard.
-func (e *Env) AfterNode(id NodeID, d time.Duration, fn func(*Env)) {
-	w := e.w
-	i, ok := w.idx[id]
-	if !ok {
-		panic(fmt.Sprintf("sim: AfterNode of unknown node %q", id))
-	}
-	dst := w.shardOf[i]
-	if w.running && dst != e.shard {
-		panic("sim: AfterNode across shards during a run")
-	}
-	if d < 0 {
-		d = 0
-	}
-	sh := w.shards[dst]
-	sh.queue.push(&event{at: e.now + d, seq: w.nextKey(i), kind: evTimer, ctx: i,
-		arg: func() { fn(sh) }})
-}
 
 // NextRTO advances a retransmission timeout one step: binary exponential
 // backoff capped at 8x the initial value (TCP-style bounded backoff, so
@@ -576,27 +438,12 @@ func (e *Env) Run() time.Duration {
 // RunUntil processes events with timestamps <= deadline. A negative deadline
 // means run to quiescence. Events scheduled during the run are processed if
 // they fall within the deadline. It returns the current virtual time.
-//
-// On a sharded environment this runs the conservative-lookahead parallel
-// loop: see shard.go.
 func (e *Env) RunUntil(deadline time.Duration) time.Duration {
-	w := e.w
-	if w.running {
+	if e.running {
 		panic("sim: re-entrant Run")
 	}
-	w.running = true
-	w.started = true
-	defer func() { w.running = false }()
-	if len(w.shards) == 1 {
-		e.runLocal(deadline)
-	} else {
-		w.runSharded(deadline)
-	}
-	return e.now
-}
-
-// runLocal is the sequential event loop used by single-shard environments.
-func (e *Env) runLocal(deadline time.Duration) {
+	e.running = true
+	defer func() { e.running = false }()
 	var ev event
 	for {
 		at, ok := e.queue.peekAt()
@@ -620,49 +467,24 @@ func (e *Env) runLocal(deadline time.Duration) {
 		e.dispatch(&ev)
 	}
 	e.cur = 0
+	return e.now
 }
 
-// Step processes exactly one pending event — the globally earliest by
-// (timestamp, key) across all shards — returning false if none remain. Step
-// is sequential regardless of the shard count: it is the debugging and
+// Step processes exactly one pending event — the earliest by (timestamp,
+// key) — returning false if none remain. It is the debugging and
 // test-harness interface, not the performance path.
 func (e *Env) Step() bool {
-	w := e.w
-	best := (*Env)(nil)
-	var bat time.Duration
-	var bseq uint64
-	for _, sh := range w.shards {
-		at, seq, ok := sh.queue.peekKey()
-		if !ok {
-			continue
-		}
-		if best == nil || at < bat || (at == bat && seq < bseq) {
-			best, bat, bseq = sh, at, seq
-		}
-	}
-	if best == nil {
+	var ev event
+	if !e.queue.pop(&ev) {
 		return false
 	}
-	var ev event
-	best.queue.pop(&ev)
-	// Sequential stepping keeps one logical clock: every shard observes the
-	// event's time.
-	for _, sh := range w.shards {
-		if ev.at > sh.now {
-			sh.now = ev.at
-		}
+	if ev.at > e.now {
+		e.now = ev.at
 	}
-	best.dispatch(&ev)
-	best.cur = 0
-	w.started = true
+	e.dispatch(&ev)
+	e.cur = 0
 	return true
 }
 
-// Pending returns the number of queued events across all shards.
-func (e *Env) Pending() int {
-	total := 0
-	for _, sh := range e.w.shards {
-		total += sh.queue.len()
-	}
-	return total
-}
+// Pending returns the number of queued events.
+func (e *Env) Pending() int { return e.queue.len() }

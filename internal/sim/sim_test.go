@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -542,5 +543,227 @@ func TestSendOutsideOwnContext(t *testing.T) {
 	if len(peer.got) != 2 || peer.lastFrom != "guest" || peer.lastIf != "gp" {
 		t.Fatalf("peer got %v, last from %q over %q, want the timer's send from guest over gp",
 			peer.got, peer.lastFrom, peer.lastIf)
+	}
+}
+
+// TestSameTimestampOrderFollowsEventKey: bursts from four senders all fire
+// at t=10ms and arrive at t=13ms. The total order at equal timestamps is
+// (context index, per-context counter): senders in registration order, each
+// sender's messages in send order — whatever order the bursts were scheduled
+// in.
+func TestSameTimestampOrderFollowsEventKey(t *testing.T) {
+	env := NewEnv(42)
+	sink := &recorderNode{id: "sink"}
+	env.AddNode(sink)
+	for i := 0; i < 4; i++ {
+		id := NodeID(fmt.Sprintf("n%d", i))
+		env.AddNode(&recorderNode{id: id})
+		env.Connect(id, "sink", "tie", 3*time.Millisecond)
+	}
+	for i := 3; i >= 0; i-- {
+		id := NodeID(fmt.Sprintf("n%d", i))
+		env.AfterNode(id, 10*time.Millisecond, func() {
+			for k := 0; k < 3; k++ {
+				env.Send(id, "sink", testMsg{fmt.Sprintf("m-%s-%d", id, k)})
+			}
+		})
+	}
+	env.Run()
+	var want []string
+	for i := 0; i < 4; i++ {
+		for k := 0; k < 3; k++ {
+			want = append(want, fmt.Sprintf("m-n%d-%d", i, k))
+		}
+	}
+	if got := strings.Join(sink.got, ","); got != strings.Join(want, ",") {
+		t.Fatalf("arrival order = %s, want %s", got, strings.Join(want, ","))
+	}
+	for _, at := range sink.gotAt {
+		if at != 13*time.Millisecond {
+			t.Fatalf("arrival at %v, want 13ms", at)
+		}
+	}
+}
+
+// TestStepPicksEarliestByKey: Step runs the earliest event by timestamp,
+// and two events at the same instant by key — s1's context index is lower
+// than s2's, so s1's 3ms timer runs first although s2's was scheduled
+// earlier.
+func TestStepPicksEarliestByKey(t *testing.T) {
+	env := NewEnv(7)
+	var order []string
+	for _, id := range []NodeID{"s0", "s1", "s2"} {
+		env.AddNode(&recorderNode{id: id})
+	}
+	env.AfterNode("s2", 3*time.Millisecond, func() { order = append(order, "s2@3") })
+	env.AfterNode("s2", 1*time.Millisecond, func() { order = append(order, "s2@1") })
+	env.AfterNode("s1", 3*time.Millisecond, func() { order = append(order, "s1@3") })
+	env.AfterNode("s0", 2*time.Millisecond, func() { order = append(order, "s0@2") })
+
+	want := []string{"s2@1", "s0@2", "s1@3", "s2@3"}
+	for i, w := range want {
+		if !env.Step() {
+			t.Fatalf("Step %d: no event, want %s", i, w)
+		}
+		if order[len(order)-1] != w {
+			t.Fatalf("Step %d ran %s, want %s", i, order[len(order)-1], w)
+		}
+	}
+	if env.Step() {
+		t.Fatal("Step returned true on drained env")
+	}
+	if env.Now() != 3*time.Millisecond {
+		t.Fatalf("Now = %v after stepping, want 3ms", env.Now())
+	}
+}
+
+// TestPending counts every queued kind of event — deliveries, root timers,
+// node-context timers — and follows Step, Cancel and Run down to zero.
+func TestPending(t *testing.T) {
+	env, _, _ := newPair(t, time.Millisecond)
+	if env.Pending() != 0 {
+		t.Fatalf("Pending = %d on empty env", env.Pending())
+	}
+	env.Send("a", "b", testMsg{"m"})
+	env.After(time.Millisecond, func() {})
+	env.AfterNode("b", 2*time.Millisecond, func() {})
+	tm := env.AfterArg(time.Second, nopArg, nil)
+	if env.Pending() != 4 {
+		t.Fatalf("Pending = %d, want 4", env.Pending())
+	}
+	env.Step()
+	env.Cancel(tm)
+	if env.Pending() != 2 {
+		t.Fatalf("Pending = %d after one Step and one Cancel, want 2", env.Pending())
+	}
+	env.Run()
+	if env.Pending() != 0 {
+		t.Fatalf("Pending = %d after Run, want 0", env.Pending())
+	}
+}
+
+// watchdog is a node that restarts a 5 ms timer on every message and reports
+// to the sender when it runs out — a transaction table's use of the queue in
+// miniature.
+type watchdog struct {
+	id, peer  NodeID
+	env       *Env
+	timer     Timer
+	cancelled int
+	expired   int
+}
+
+func (w *watchdog) ID() NodeID { return w.id }
+func (w *watchdog) Receive(env *Env, from NodeID, _ string, _ Message) {
+	w.env, w.peer = env, from
+	if env.Cancel(w.timer) {
+		w.cancelled++
+	}
+	w.timer = env.AfterArg(5*time.Millisecond, w.expire, nil)
+}
+
+func (w *watchdog) expire(any) {
+	w.expired++
+	w.env.Send(w.id, w.peer, testMsg{"timeout"})
+}
+
+// TestCancelFromNodeContext arms and cancels timers from inside a node's
+// dispatch: pings 2 ms apart each cancel the timer the one before armed, two
+// 20 ms silences let it run out, and the trace shows a timeout exactly where
+// a timer fired.
+func TestCancelFromNodeContext(t *testing.T) {
+	env := NewEnv(9)
+	tr := &captureTracer{}
+	env.SetTracer(tr)
+	dog := &watchdog{id: "dog"}
+	env.AddNode(&recorderNode{id: "src"})
+	env.AddNode(dog)
+	env.Connect("src", "dog", "wd", time.Millisecond)
+	at := time.Duration(0)
+	for i := 0; i < 30; i++ {
+		at += 2 * time.Millisecond
+		if i == 10 || i == 20 {
+			at += 20 * time.Millisecond
+		}
+		env.AfterNode("src", at, func() { env.Send("src", "dog", testMsg{"ping"}) })
+	}
+	end := env.Run()
+
+	// 30 pings arm 30 timers: three run out (two silences and the end),
+	// the other 27 are cancelled by the next ping.
+	if dog.cancelled != 27 || dog.expired != 3 || env.Pending() != 0 {
+		t.Fatalf("%d cancelled, %d expired, %d pending; want 27, 3, 0",
+			dog.cancelled, dog.expired, env.Pending())
+	}
+	if want := at + 7*time.Millisecond; end != want {
+		t.Fatalf("quiesced at %v, want %v (last ping + latency + timeout + latency)", end, want)
+	}
+	// Pings 11, 21 and 30 each leave a timeout behind them in the trace.
+	trace := strings.Join(tr.lines, ",")
+	if n := strings.Count(trace, "wd:ping,wd:timeout"); n != 3 || len(tr.lines) != 33 {
+		t.Fatalf("trace shows %d timeouts after pings in %d lines, want 3 in 33: %s", n, len(tr.lines), trace)
+	}
+}
+
+// TestIndependentIslandsQuiesce: two disconnected pairs each exchange one
+// message; Run drains both and stops at the last delivery.
+func TestIndependentIslandsQuiesce(t *testing.T) {
+	env := NewEnv(5)
+	for s := 0; s < 2; s++ {
+		a := NodeID(fmt.Sprintf("a%d", s))
+		b := NodeID(fmt.Sprintf("b%d", s))
+		env.AddNode(&recorderNode{id: a})
+		env.AddNode(&recorderNode{id: b})
+		env.Connect(a, b, "isl", time.Duration(s+1)*time.Millisecond)
+		env.AfterNode(a, 0, func() { env.Send(a, b, testMsg{"hi"}) })
+	}
+	if end := env.Run(); end != 2*time.Millisecond {
+		t.Fatalf("quiesced at %v, want 2ms", end)
+	}
+	if env.Delivered() != 2 {
+		t.Fatalf("Delivered = %d, want 2", env.Delivered())
+	}
+}
+
+// TestPerNodeRandStreams: each node draws from its own stream, a function
+// of the seed and the node's registration index only. Two runs with the same
+// seed agree; r0 drawing extra values shifts nobody else's sequence; and no
+// two nodes share a sequence.
+func TestPerNodeRandStreams(t *testing.T) {
+	draw := func(extra int) [][]int64 {
+		env := NewEnv(1234)
+		outs := make([][]int64, 4)
+		for i := range outs {
+			env.AddNode(&recorderNode{id: NodeID(fmt.Sprintf("r%d", i))})
+		}
+		for i := range outs {
+			n := 2
+			if i == 0 {
+				n += extra
+			}
+			env.AfterNode(NodeID(fmt.Sprintf("r%d", i)), time.Millisecond, func() {
+				for k := 0; k < n; k++ {
+					outs[i] = append(outs[i], env.Rand().Int63())
+				}
+			})
+		}
+		env.Run()
+		return outs
+	}
+	ref := draw(0)
+	if again := draw(0); fmt.Sprint(again) != fmt.Sprint(ref) {
+		t.Fatalf("same seed drew %v, then %v", ref, again)
+	}
+	shifted := draw(3)
+	if !slices.Equal(shifted[0][:2], ref[0]) {
+		t.Fatalf("r0's first draws %v changed with extra draws, want %v", shifted[0][:2], ref[0])
+	}
+	for i := 1; i < 4; i++ {
+		if !slices.Equal(shifted[i], ref[i]) {
+			t.Fatalf("r%d drew %v after r0 drew more, want %v", i, shifted[i], ref[i])
+		}
+		if ref[i][0] == ref[0][0] {
+			t.Fatalf("r%d and r0 share a stream", i)
+		}
 	}
 }
