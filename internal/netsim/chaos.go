@@ -54,7 +54,7 @@ type FaultPlan []LinkFault
 // (AfterNode), so a toggle that lands on the same instant as other events
 // orders among them by A's event key: after those scheduled by lower-indexed
 // nodes, before those of higher-indexed nodes and A's own later ones
-// (pinned by TestTraceDigests' fault-toggle-tie case).
+// (pinned by TestTraceDigestsUnderChaos' fault-toggle-tie case).
 func (p FaultPlan) Apply(env *sim.Env) error {
 	for i := range p {
 		f := p[i]
