@@ -9,7 +9,7 @@ GO ?= go
 # FuzzIndexAgainstMap (the index table against a map).
 FUZZ_PKGS = ./internal/sigmap/ ./internal/gtp/ ./internal/q931/ ./internal/gb/ ./internal/isup/ ./internal/rtp/ ./internal/gsm/ ./internal/h323/ ./internal/slab/
 
-.PHONY: all build vet test race check bench-smoke bench-e2e bench bench-sim bench-slab bench-codec bench-registration bench-scenarios bench-scale bench-scale-full heap-profile bench-media bench-json fuzz-smoke fuzz soak soak-short
+.PHONY: all build vet test race check bench-smoke bench-e2e bench bench-sim bench-slab bench-codec bench-scenarios bench-scale heap-profile bench-media bench-json fuzz-smoke fuzz soak soak-short
 
 all: check
 
@@ -91,11 +91,6 @@ bench-codec:
 	$(GO) test -run '^$$' -bench . -benchmem \
 		./internal/wire/ ./internal/sigmap/ ./internal/gtp/ ./internal/q931/ ./internal/gsm/
 
-# Full-stack registration throughput (ns/op, B/op, allocs/op), written to
-# BENCH_registration.json in the working dir for per-run tracking.
-bench-registration:
-	$(GO) run ./cmd/vgprs-bench -only registration -json
-
 # Scenario workload sweep (mobility churn, flash crowd, day-in-the-life),
 # written to BENCH_scenarios.json in the working dir.
 bench-scenarios:
@@ -107,30 +102,23 @@ bench-scenarios:
 bench-media:
 	$(GO) run ./cmd/vgprs-bench -only media -json
 
-# Slab-backed core scale point (bytes/subscriber, attach and call-setup
-# throughput at full residency), written to BENCH_scale.json in the working
-# dir. CI runs the 100k point; the committed artifact also carries 500k and
-# 1M (make bench-scale SCALE_SUBS=100000,500000,1000000).
+# Scale sweep through the complete Fig 2(b) topology (VMSC, VLR, HLR, SGSN,
+# GGSN, gatekeeper, directory): bytes/subscriber with each node's share,
+# attach and end-to-end call-setup throughput at full residency, and the
+# cancel-all recycle audit, written to BENCH_scale.json in the working dir.
+# CI runs the 100k point; the committed artifact also carries 500k and 1M
+# (make bench-scale SCALE_SUBS=100000,500000,1000000).
 SCALE_SUBS ?= 100000
 bench-scale:
-	$(GO) run ./cmd/vgprs-bench -only scale -scale-subs $(SCALE_SUBS) -scale-full-subs none -json
+	$(GO) run ./cmd/vgprs-bench -only scale -scale-subs $(SCALE_SUBS) -json
 
-# Full-stack scale point: the same populations attached through the complete
-# Fig 2(b) topology (VMSC, VLR, HLR, SGSN, GGSN, gatekeeper, directory) with
-# end-to-end call setup at full residency. CI runs the 100k point; the
-# committed artifact also carries 500k and 1M (make bench-scale-full
-# SCALE_FULL_SUBS=100000,500000,1000000).
-SCALE_FULL_SUBS ?= 100000
-bench-scale-full:
-	$(GO) run ./cmd/vgprs-bench -only scale -scale-subs none -scale-full-subs $(SCALE_FULL_SUBS) -json
-
-# "What is in the heap": the full-stack run writes a heap profile once the
+# "What is in the heap": the scale run writes a heap profile once the
 # whole population is resident and collected (MemProfileRate 512, so a
 # 100-byte row shows), and pprof lists who holds it. alloc_space in the same
 # file is everything allocated on the way there.
 HEAP_SUBS ?= 30000
 heap-profile:
-	$(GO) run ./cmd/vgprs-bench -only scale -scale-subs none -scale-full-subs $(HEAP_SUBS) -heapprofile heap.pprof
+	$(GO) run ./cmd/vgprs-bench -only scale -scale-subs $(HEAP_SUBS) -heapprofile heap.pprof
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=25 heap.pprof
 
 # Machine-readable experiment results (BENCH_<id>.json in the working dir).

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	vgprs-bench [-seed N] [-calls N] [-only F4,C1,...] [-json] [-out DIR]
-//	vgprs-bench -only scale -scale-subs none -scale-full-subs N -heapprofile FILE
+//	vgprs-bench -only scale -scale-subs N -heapprofile FILE
 //
 // With -json, each experiment additionally writes its raw results to
 // DIR/BENCH_<id>.json (machine-readable, stable field names), so the
@@ -23,11 +23,9 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"testing"
 	"time"
 
 	"vgprs/internal/experiments"
-	"vgprs/internal/netsim"
 )
 
 func main() {
@@ -42,11 +40,9 @@ func run(args []string) int {
 	jsonOut := fs.Bool("json", false, "also write per-experiment results to BENCH_<id>.json")
 	outDir := fs.String("out", ".", "directory for -json output files")
 	scaleSubs := fs.String("scale-subs", "100000",
-		"comma-separated population sizes for the core scale sweep (none to skip)")
-	scaleFullSubs := fs.String("scale-full-subs", "100000",
-		"comma-separated population sizes for the full-stack scale sweep (none to skip)")
+		"comma-separated population sizes for the scale sweep")
 	heapProfile := fs.String("heapprofile", "",
-		"write a heap profile to this file when the full-stack scale sweep reaches residency (its last size wins)")
+		"write a heap profile to this file when the scale sweep reaches residency (its last size wins)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -169,10 +165,6 @@ func run(args []string) int {
 			}
 			return experiments.LossTable(points), points, nil
 		}},
-		{"registration", func() (fmt.Stringer, any, error) {
-			r := runRegistrationBench(*seed)
-			return r, r, nil
-		}},
 		{"scenarios", func() (fmt.Stringer, any, error) {
 			points, err := experiments.RunScenarioSweep(*seed)
 			if err != nil {
@@ -188,26 +180,16 @@ func run(args []string) int {
 			return experiments.MediaTable(points), points, nil
 		}},
 		{"scale", func() (fmt.Stringer, any, error) {
-			coreSizes, err := parseSizes(*scaleSubs)
+			sizes, err := parseSizes(*scaleSubs)
 			if err != nil {
 				return nil, nil, err
 			}
-			fullSizes, err := parseSizes(*scaleFullSubs)
+			points, err := experiments.RunScaleFullSweep(*seed, sizes, atResidency)
 			if err != nil {
 				return nil, nil, err
 			}
-			var r scaleBenchResult
-			if len(coreSizes) > 0 {
-				if r.Core, err = experiments.RunScaleSweep(*seed, coreSizes); err != nil {
-					return nil, nil, err
-				}
-			}
-			if len(fullSizes) > 0 {
-				if r.FullStack, err = experiments.RunScaleFullSweep(*seed, fullSizes, atResidency); err != nil {
-					return nil, nil, err
-				}
-			}
-			return r, r, nil
+			return text(experiments.ScaleFullTable(points).String() + "\n\n" +
+				experiments.ScaleFootprintTable(points).String()), points, nil
 		}},
 	}
 
@@ -249,87 +231,13 @@ func writeHeapProfile(path string) error {
 	return f.Close()
 }
 
-// registrationBenchMS is the population size the registration benchmark
-// drives, matching BenchmarkRegistrationThroughput in the test suite.
-const registrationBenchMS = 50
+// text is a report that is already rendered.
+type text string
 
-// RegistrationBenchResult is the real-CPU cost of the registration
-// machinery on the pooled codec path — an engineering number that sizes the
-// simulator itself, not a paper reproduction.
-type RegistrationBenchResult struct {
-	Registrations int     `json:"registrations_per_op"`
-	NsPerOp       int64   `json:"ns_per_op"`
-	BytesPerOp    int64   `json:"bytes_per_op"`
-	AllocsPerOp   int64   `json:"allocs_per_op"`
-	RegsPerSec    float64 `json:"registrations_per_sec"`
-}
+func (t text) String() string { return string(t) }
 
-// String renders the result as a small report table.
-func (r RegistrationBenchResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "registration throughput (%d MS, pooled codec path)\n", r.Registrations)
-	fmt.Fprintf(&b, "  ns/op       %12d\n", r.NsPerOp)
-	fmt.Fprintf(&b, "  B/op        %12d\n", r.BytesPerOp)
-	fmt.Fprintf(&b, "  allocs/op   %12d\n", r.AllocsPerOp)
-	fmt.Fprintf(&b, "  regs/sec    %12.0f", r.RegsPerSec)
-	return b.String()
-}
-
-// runRegistrationBench measures full-stack registration cost with the
-// standard benchmark driver: build a topology, register every MS, repeat.
-func runRegistrationBench(seed int64) RegistrationBenchResult {
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n := netsim.BuildVGPRS(netsim.VGPRSOptions{
-				Seed: seed + int64(i), NumMS: registrationBenchMS, NoTrace: true,
-			})
-			if err := n.RegisterAll(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	out := RegistrationBenchResult{
-		Registrations: registrationBenchMS,
-		NsPerOp:       res.NsPerOp(),
-		BytesPerOp:    res.AllocedBytesPerOp(),
-		AllocsPerOp:   res.AllocsPerOp(),
-	}
-	if res.NsPerOp() > 0 {
-		out.RegsPerSec = float64(registrationBenchMS) / (float64(res.NsPerOp()) / 1e9)
-	}
-	return out
-}
-
-// scaleBenchResult is the combined payload of the scale experiment: the
-// core-topology sweep and the full Fig 2(b) stack sweep, either of which can
-// be skipped with "none" so bench-scale and bench-scale-full stay
-// independently schedulable.
-type scaleBenchResult struct {
-	Core      []experiments.ScalePoint     `json:"core,omitempty"`
-	FullStack []experiments.ScaleFullPoint `json:"full_stack,omitempty"`
-}
-
-// String renders whichever sweeps ran as their report tables.
-func (r scaleBenchResult) String() string {
-	var parts []string
-	if len(r.Core) > 0 {
-		parts = append(parts, experiments.ScaleTable(r.Core).String())
-	}
-	if len(r.FullStack) > 0 {
-		parts = append(parts, experiments.ScaleFullTable(r.FullStack).String(),
-			experiments.ScaleFootprintTable(r.FullStack).String())
-	}
-	return strings.Join(parts, "\n\n")
-}
-
-// parseSizes parses a population-size list; "none" (or empty) selects no
-// sizes, skipping that sweep.
+// parseSizes parses a comma-separated population-size list.
 func parseSizes(s string) ([]int, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || strings.EqualFold(s, "none") {
-		return nil, nil
-	}
 	var sizes []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))

@@ -8,9 +8,10 @@ import (
 )
 
 // TestRunAllExperiments smoke-tests the whole CLI: every experiment table
-// must build and print without error.
+// must build and print without error. The scale sweep runs a small
+// population; its 100k gate is experiments.TestFullStackBytesPerSubscriberBudget.
 func TestRunAllExperiments(t *testing.T) {
-	if code := run([]string{"-calls", "2"}); code != 0 {
+	if code := run([]string{"-calls", "2", "-scale-subs", "2000"}); code != 0 {
 		t.Fatalf("run() = %d", code)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"vgprs/internal/hlr"
 	"vgprs/internal/ipnet"
 	"vgprs/internal/metrics"
+	"vgprs/internal/netsim"
 	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 	"vgprs/internal/ss7"
@@ -24,13 +25,12 @@ import (
 // the complete Fig 2(b) signalling chain — VMSC registration (Fig 4: VLR
 // location update, GPRS attach, signalling-PDP activation, gatekeeper RRQ)
 // and end-to-end MS-to-MS call setup (Figs 5-6) — with the whole population
-// resident in one process. Where ScalePoint isolates the core databases,
-// this point charges every per-subscriber surface at once: the VMSC's MS
-// table with its hosted GPRS clients, the VLR/HLR records, the SGSN/GGSN
-// contexts, the gatekeeper registration table, and the H.323 directory.
+// resident in one process. It charges every per-subscriber surface at once:
+// the VMSC's MS table with its hosted GPRS clients, the VLR/HLR records, the
+// SGSN/GGSN contexts, the gatekeeper registration table, and the H.323
+// directory.
 type ScaleFullPoint struct {
-	Topology string `json:"topology"` // always "full-stack"
-	Subs     int    `json:"subs"`
+	Subs int `json:"subs"`
 
 	// Registration: LocationUpdate in, LocationUpdateAccept out, with the
 	// whole Fig 4 chain (VLR, HLR, SGSN, GGSN, gatekeeper) in between.
@@ -62,7 +62,8 @@ type ScaleFullPoint struct {
 	// address pool's bitset, allocator rounding).
 	Footprint NodeBytes `json:"footprint_bytes_per_sub"`
 
-	// Host parallelism at measurement time (as BENCH_engine.json records).
+	// Host parallelism at measurement time: attach/s and call setup/s are
+	// wall-clock rates.
 	GoMaxProcs int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
 
@@ -74,6 +75,13 @@ type ScaleFullPoint struct {
 
 // fullGKAddr is the gatekeeper's IP on the simulated H.323 LAN.
 var fullGKAddr = ipnet.MustAddr("192.168.1.1")
+
+// scaleCell is the VMSC's one cell: every subscriber registers in it.
+var scaleCell = gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1}
+
+// scaleWave is how many subscribers attach (or call, or cancel) between two
+// quiescent points.
+const scaleWave = 10_000
 
 // fullMS names the i-th subscriber's MS node. The name is carried in radio
 // messages and retained by the VMSC's MS table, so it is part of the
@@ -206,17 +214,18 @@ func newFullStack(seed int64, subs int) *fullStack {
 // attach provisions subscriber i and sends its LocationUpdate from the given
 // MS node.
 func (f *fullStack) attach(i int, ms sim.NodeID) error {
+	sub := netsim.SubscriberN(i)
 	if err := f.hlr.Provision(hlr.Subscriber{
-		IMSI: scaleIMSI(i), MSISDN: scaleMSISDN(i), Ki: [16]byte{byte(i), byte(i >> 8), 0x5A},
+		IMSI: sub.IMSI, MSISDN: sub.MSISDN, Ki: sub.Ki,
 		Profile: sigmap.SubscriberProfile{
-			MSISDN: scaleMSISDN(i), InternationalAllowed: true, VoIPQoS: 1,
+			MSISDN: sub.MSISDN, InternationalAllowed: true, VoIPQoS: 1,
 		},
 	}); err != nil {
 		return err
 	}
 	f.env.Send("LOAD", "VMSC-1", gsm.LocationUpdate{
 		Leg: gsm.LegA, MS: ms,
-		Identity: gsmid.MobileIdentity{Kind: gsmid.IdentityIMSI, IMSI: scaleIMSI(i)},
+		Identity: gsmid.MobileIdentity{Kind: gsmid.IdentityIMSI, IMSI: sub.IMSI},
 		LAI:      scaleCell.LAI,
 	})
 	return nil
@@ -240,7 +249,7 @@ func (f *fullStack) attachWave(lo, hi int) error {
 // GPRS contexts and the directory binding, and frees the slab row.
 func (f *fullStack) cancelWave(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		f.env.Send("LOAD", "VLR-1", sigmap.CancelLocation{Invoke: ss7.InvokeID(i + 1), IMSI: scaleIMSI(i)})
+		f.env.Send("LOAD", "VLR-1", sigmap.CancelLocation{Invoke: ss7.InvokeID(i + 1), IMSI: netsim.SubscriberN(i).IMSI})
 	}
 	f.env.Run()
 }
@@ -270,7 +279,6 @@ func (f *fullStack) footprint(scale float64) NodeBytes {
 // the point a heap profile answers "what is in it".
 func RunScaleFull(seed int64, subs int, atResidency func() error) (ScaleFullPoint, error) {
 	var p ScaleFullPoint
-	p.Topology = "full-stack"
 	p.Subs = subs
 	p.GoMaxProcs = runtime.GOMAXPROCS(0)
 	p.NumCPU = runtime.NumCPU()
@@ -348,7 +356,7 @@ func RunScaleFull(seed int64, subs int, atResidency func() error) (ScaleFullPoin
 			caller := k * stride
 			env.Send("LOAD", "VMSC-1", gsm.Setup{
 				Leg: gsm.LegA, MS: fullMS(caller), CallRef: uint32(k + 1),
-				Called: scaleMSISDN(caller + subs/2),
+				Called: netsim.SubscriberN(caller + subs/2).MSISDN,
 			})
 		}
 		done = hi

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"maps"
 	"time"
 
 	"vgprs/internal/gsm"
@@ -50,17 +51,13 @@ func BuildHandoff(opts VGPRSOptions) *HandoffNet {
 	n.ETrunks = isup.NewTrunkGroup("VMSC<->MSC (E)", isup.TrunkNational, 8)
 	n.ETrunks3 = isup.NewTrunkGroup("VMSC<->MSC-3 (E)", isup.TrunkNational, 8)
 
-	base := buildVGPRSWith(opts, func(vcfg *vmsc.Config) {
-		vcfg.HandoverTargets = map[gsmid.CGI]vmsc.HandoverTarget{
+	base := BuildVGPRS(withHandoverPeers(opts,
+		map[gsmid.CGI]vmsc.HandoverTarget{
 			n.TargetCell: {MSC: "MSC-2", BTS: "BTS-2"},
 			n.ThirdCell:  {MSC: "MSC-3", BTS: "BTS-3"},
-		}
-		vcfg.ETrunks = map[sim.NodeID]*isup.TrunkGroup{
-			"MSC-2": n.ETrunks,
-			"MSC-3": n.ETrunks3,
-		}
-		vcfg.HandbackCells = map[gsmid.CGI]sim.NodeID{n.HomeCell: "BTS-1"}
-	})
+		},
+		map[sim.NodeID]*isup.TrunkGroup{"MSC-2": n.ETrunks, "MSC-3": n.ETrunks3},
+		map[gsmid.CGI]sim.NodeID{n.HomeCell: "BTS-1"}))
 	n.VGPRSNet = base
 	env := base.Env
 	lat := DefaultLatencies()
@@ -109,12 +106,30 @@ func BuildHandoff(opts VGPRSOptions) *HandoffNet {
 	return n
 }
 
-// buildVGPRSWith is BuildVGPRS plus a VMSC-config mutator, used by the
-// extended scenarios to add handover targets and trunks without duplicating
-// the topology code.
-func buildVGPRSWith(opts VGPRSOptions, mutate func(*vmsc.Config)) *VGPRSNet {
-	opts.VMSCMutate = mutate
-	return BuildVGPRS(opts)
+// withHandoverPeers returns opts with a VMSC mutator that runs the caller's
+// own VMSCMutate first and then adds handover targets, E-interface trunk
+// groups and handback cells to VMSC-1's configuration.
+func withHandoverPeers(opts VGPRSOptions, targets map[gsmid.CGI]vmsc.HandoverTarget,
+	trunks map[sim.NodeID]*isup.TrunkGroup, handback map[gsmid.CGI]sim.NodeID) VGPRSOptions {
+	callerMutate := opts.VMSCMutate
+	opts.VMSCMutate = func(vcfg *vmsc.Config) {
+		if callerMutate != nil {
+			callerMutate(vcfg)
+		}
+		if vcfg.HandoverTargets == nil {
+			vcfg.HandoverTargets = map[gsmid.CGI]vmsc.HandoverTarget{}
+		}
+		maps.Copy(vcfg.HandoverTargets, targets)
+		if vcfg.ETrunks == nil {
+			vcfg.ETrunks = map[sim.NodeID]*isup.TrunkGroup{}
+		}
+		maps.Copy(vcfg.ETrunks, trunks)
+		if vcfg.HandbackCells == nil {
+			vcfg.HandbackCells = map[gsmid.CGI]sim.NodeID{}
+		}
+		maps.Copy(vcfg.HandbackCells, handback)
+	}
+	return opts
 }
 
 // VMSCHandoffNet is the VMSC-to-VMSC variant of the Fig 9 scenario — the
@@ -141,15 +156,10 @@ func BuildHandoffVMSC(opts VGPRSOptions) *VMSCHandoffNet {
 	}}
 	n.ETrunks = isup.NewTrunkGroup("VMSC<->VMSC (E)", isup.TrunkNational, 8)
 
-	base := buildVGPRSWith(opts, func(vcfg *vmsc.Config) {
-		vcfg.HandoverTargets = map[gsmid.CGI]vmsc.HandoverTarget{
-			n.TargetCell: {MSC: "VMSC-2", BTS: "BTS-2"},
-		}
-		vcfg.ETrunks = map[sim.NodeID]*isup.TrunkGroup{"VMSC-2": n.ETrunks}
-		vcfg.HandbackCells = map[gsmid.CGI]sim.NodeID{
-			{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1}: "BTS-1",
-		}
-	})
+	base := BuildVGPRS(withHandoverPeers(opts,
+		map[gsmid.CGI]vmsc.HandoverTarget{n.TargetCell: {MSC: "VMSC-2", BTS: "BTS-2"}},
+		map[sim.NodeID]*isup.TrunkGroup{"VMSC-2": n.ETrunks},
+		map[gsmid.CGI]sim.NodeID{{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1}: "BTS-1"}))
 	n.VGPRSNet = base
 	env := base.Env
 	lat := DefaultLatencies()
@@ -182,20 +192,7 @@ func BuildHandoffVMSC(opts VGPRSOptions) *VMSCHandoffNet {
 
 // RunHandoff drives the VMSC-to-VMSC handoff like HandoffNet.RunHandoff.
 func (n *VMSCHandoffNet) RunHandoff(ms *gsm.MS, deadline time.Duration) bool {
-	done := false
-	prev := n.VMSC.Stats().Handovers
-	ms.ReportNeighbor(n.Env, n.TargetCell)
-	end := n.Env.Now() + deadline
-	for n.Env.Now() < end {
-		if n.VMSC.Stats().Handovers > prev {
-			done = true
-			break
-		}
-		if !n.Env.Step() {
-			break
-		}
-	}
-	return done
+	return runHandoff(n.VGPRSNet, ms, n.TargetCell, deadline)
 }
 
 // RunHandoff drives the Fig 9 scenario on an established call: the MS
@@ -203,18 +200,21 @@ func (n *VMSCHandoffNet) RunHandoff(ms *gsm.MS, deadline time.Duration) bool {
 // completes (or the deadline passes). It returns whether the handover
 // finished.
 func (n *HandoffNet) RunHandoff(ms *gsm.MS, deadline time.Duration) bool {
-	done := false
+	return runHandoff(n.VGPRSNet, ms, n.TargetCell, deadline)
+}
+
+// runHandoff has ms report cell and steps the simulation until the anchor
+// VMSC counts one more completed handover, or deadline passes.
+func runHandoff(n *VGPRSNet, ms *gsm.MS, cell gsmid.CGI, deadline time.Duration) bool {
 	prev := n.VMSC.Stats().Handovers
-	ms.ReportNeighbor(n.Env, n.TargetCell)
-	end := n.Env.Now() + deadline
-	for n.Env.Now() < end {
+	ms.ReportNeighbor(n.Env, cell)
+	for end := n.Env.Now() + deadline; n.Env.Now() < end; {
 		if n.VMSC.Stats().Handovers > prev {
-			done = true
-			break
+			return true
 		}
 		if !n.Env.Step() {
 			break
 		}
 	}
-	return done
+	return false
 }

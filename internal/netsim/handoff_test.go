@@ -6,7 +6,9 @@ import (
 
 	"vgprs/internal/gsm"
 	"vgprs/internal/gsmid"
+	"vgprs/internal/sim"
 	"vgprs/internal/trace"
+	"vgprs/internal/vmsc"
 )
 
 func establishedCall(t *testing.T, n *HandoffNet) *gsm.MS {
@@ -380,5 +382,49 @@ func TestSubsequentHandoverToUnknownCellRefused(t *testing.T) {
 	n.Env.RunUntil(n.Env.Now() + 2*time.Second)
 	if n.VMSC.Stats().Handovers != 2 || n.ETrunks.InUse() != 0 {
 		t.Fatal("handback after a refused attempt failed")
+	}
+}
+
+// TestHandoffBuildersKeepCallerMutator passes a VMSCMutate to both Fig 9
+// builders: it must run before the builder adds its handover peers, so the
+// caller's hook reaches VMSC-1 and the builder's targets still carry the
+// call across.
+func TestHandoffBuildersKeepCallerMutator(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		target sim.NodeID
+		build  func(VGPRSOptions) (*VGPRSNet, func(*gsm.MS, time.Duration) bool)
+	}{
+		{"msc", "MSC-2", func(o VGPRSOptions) (*VGPRSNet, func(*gsm.MS, time.Duration) bool) {
+			n := BuildHandoff(o)
+			return n.VGPRSNet, n.RunHandoff
+		}},
+		{"vmsc", "VMSC-2", func(o VGPRSOptions) (*VGPRSNet, func(*gsm.MS, time.Duration) bool) {
+			n := BuildHandoffVMSC(o)
+			return n.VGPRSNet, n.RunHandoff
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var completed []sim.NodeID
+			n, runHandoff := tc.build(VGPRSOptions{Seed: 1, VMSCMutate: func(cfg *vmsc.Config) {
+				cfg.Hooks.OnHandoverComplete = func(_ gsmid.IMSI, target sim.NodeID) {
+					completed = append(completed, target)
+				}
+			}})
+			if err := n.RegisterAll(); err != nil {
+				t.Fatal(err)
+			}
+			ms := n.MSs[0]
+			if err := ms.Dial(n.Env, TerminalAlias(0)); err != nil {
+				t.Fatal(err)
+			}
+			n.Env.RunUntil(n.Env.Now() + 3*time.Second)
+			if !runHandoff(ms, 10*time.Second) {
+				t.Fatal("handover did not complete")
+			}
+			if len(completed) != 1 || completed[0] != tc.target {
+				t.Fatalf("caller's OnHandoverComplete saw %v, want [%s]", completed, tc.target)
+			}
+		})
 	}
 }

@@ -48,26 +48,10 @@ func BuildTwoVMSC(opts VGPRSOptions) *TwoVMSCNet {
 
 	// VMSC-1 learns area 2 as a handover target (and its own cell as the
 	// handback destination) on top of whatever the caller's mutator set.
-	callerMutate := opts.VMSCMutate
-	opts.VMSCMutate = func(vcfg *vmsc.Config) {
-		if callerMutate != nil {
-			callerMutate(vcfg)
-		}
-		if vcfg.HandoverTargets == nil {
-			vcfg.HandoverTargets = map[gsmid.CGI]vmsc.HandoverTarget{}
-		}
-		vcfg.HandoverTargets[area2Cell] = vmsc.HandoverTarget{MSC: "VMSC-2", BTS: "BTS-2"}
-		if vcfg.ETrunks == nil {
-			vcfg.ETrunks = map[sim.NodeID]*isup.TrunkGroup{}
-		}
-		vcfg.ETrunks["VMSC-2"] = eTrunks
-		if vcfg.HandbackCells == nil {
-			vcfg.HandbackCells = map[gsmid.CGI]sim.NodeID{}
-		}
-		vcfg.HandbackCells[area1Cell] = "BTS-1"
-	}
-
-	base := BuildVGPRS(opts)
+	base := BuildVGPRS(withHandoverPeers(opts,
+		map[gsmid.CGI]vmsc.HandoverTarget{area2Cell: {MSC: "VMSC-2", BTS: "BTS-2"}},
+		map[sim.NodeID]*isup.TrunkGroup{"VMSC-2": eTrunks},
+		map[gsmid.CGI]sim.NodeID{area1Cell: "BTS-1"}))
 	env := base.Env
 	lat := DefaultLatencies()
 	if opts.Latencies != nil {
