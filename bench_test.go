@@ -300,17 +300,20 @@ func BenchmarkR1RegistrationStorm(b *testing.B) {
 
 // TestRegistrationAllocBudget is the allocation budget for the full
 // registration stack on the pooled codec path: building the standard 50-MS
-// topology and registering every MS must stay under 5,200 heap allocations
+// topology and registering every MS must stay under 4,900 heap allocations
 // (down from 10,308 before the codecs reused buffers). The measured cost is
-// 4,980 — 4,861 on the pooled path plus ~2 allocations per node for the
-// lazily-created per-node RNG streams the engine's determinism contract
-// requires — and the ~4% headroom absorbs Go-version drift in map
-// growth.
+// 4,686 (go1.24, BenchmarkRegistrationThroughput), including ~2 allocations
+// per node for the lazily-created per-node RNG streams the engine's
+// determinism contract requires; the ~4% headroom absorbs Go-version drift
+// in map growth.
 func TestRegistrationAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget needs steady-state measurement")
 	}
-	const budget = 5200
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates (~5,070 objects/op)")
+	}
+	const budget = 4900
 	allocs := testing.AllocsPerRun(5, func() {
 		n := netsim.BuildVGPRS(netsim.VGPRSOptions{
 			Seed: 1, NumMS: 50, NoTrace: true,

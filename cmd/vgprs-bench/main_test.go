@@ -1,11 +1,37 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 )
+
+// TestCommittedResultsReproduce regenerates the loss, scenario and media
+// sweeps and compares each file byte for byte with the BENCH_<id>.json at the
+// repository root: every value in them is simulated, so any difference is a
+// behaviour change that must be committed along with its explanation.
+func TestCommittedResultsReproduce(t *testing.T) {
+	dir := t.TempDir()
+	if code := run([]string{"-only", "loss,scenarios,media", "-json", "-out", dir}); code != 0 {
+		t.Fatalf("run() = %d", code)
+	}
+	for _, id := range []string{"loss", "scenarios", "media"} {
+		name := "BENCH_" + id + ".json"
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the committed file (regenerate with: go run ./cmd/vgprs-bench -only %s -json)", name, id)
+		}
+	}
+}
 
 // TestRunAllExperiments smoke-tests the whole CLI: every experiment table
 // must build and print without error. The scale sweep runs a small

@@ -2,23 +2,17 @@ package experiments
 
 import (
 	"fmt"
-	"net/netip"
 	"runtime"
 	"time"
 
-	"vgprs/internal/gprs"
 	"vgprs/internal/gsm"
 	"vgprs/internal/gsmid"
-	"vgprs/internal/h323"
 	"vgprs/internal/hlr"
-	"vgprs/internal/ipnet"
 	"vgprs/internal/metrics"
 	"vgprs/internal/netsim"
 	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 	"vgprs/internal/ss7"
-	"vgprs/internal/vlr"
-	"vgprs/internal/vmsc"
 )
 
 // ScaleFullPoint is one population size of the full-stack scale experiment:
@@ -72,9 +66,6 @@ type ScaleFullPoint struct {
 	DetachLeftover int `json:"detach_leftover"`
 	SlabImbalance  int `json:"slab_imbalance"`
 }
-
-// fullGKAddr is the gatekeeper's IP on the simulated H.323 LAN.
-var fullGKAddr = ipnet.MustAddr("192.168.1.1")
 
 // scaleCell is the VMSC's one cell: every subscriber registers in it.
 var scaleCell = gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1}
@@ -149,73 +140,25 @@ func (b NodeBytes) Sum() float64 {
 	return b.VMSC + b.VLR + b.HLR + b.SGSN + b.GGSN + b.Gatekeeper + b.Directory
 }
 
-// fullStack is the complete Fig 2(b) topology — real VMSC, VLR, HLR, SGSN,
-// GGSN, GI router and gatekeeper — behind the stateless LOAD driver.
+// fullStack is netsim's core topology behind the stateless LOAD driver.
 type fullStack struct {
-	env     *sim.Env
-	dir     *h323.Directory
-	hlr     *hlr.HLR
-	vlr     *vlr.VLR
-	sgsn    *gprs.SGSN
-	ggsn    *gprs.GGSN
-	gk      *h323.Gatekeeper
-	vmsc    *vmsc.VMSC
+	*netsim.CoreNet
 	load    *fullDriver
 	dirBase int
 }
 
 // newFullStack builds the topology with an address pool for subs subscribers.
 func newFullStack(seed int64, subs int) *fullStack {
-	f := &fullStack{
-		env: sim.NewEnv(seed),
-		dir: h323.NewDirectory(),
-		hlr: hlr.New(hlr.Config{ID: "HLR"}),
-		vlr: vlr.New(vlr.Config{
-			ID: "VLR-1", HLR: "HLR", HomeCountryCode: "886", MSRNPrefix: "88690000",
-			AuthDisabled: true,
-		}),
-		sgsn: gprs.NewSGSN(gprs.SGSNConfig{ID: "SGSN-1", GGSN: "GGSN-1", HLR: "HLR"}),
-		// The pool base sits on a /8 so a million dynamic PDP addresses count
-		// up without leaving the routed prefix.
-		ggsn: gprs.NewGGSN(gprs.GGSNConfig{
-			ID: "GGSN-1", PoolPrefix: "10.0.0.0", PoolSize: subs + 2, Gi: "GI", HLR: "HLR",
-		}),
-		load: &fullDriver{vmsc: "VMSC-1", hold: 100 * time.Millisecond},
-	}
-	router := ipnet.NewRouter("GI")
-	f.gk = h323.NewGatekeeper(h323.GatekeeperConfig{ID: "GK", Addr: fullGKAddr, Router: "GI", Dir: f.dir})
-	router.AddHost(fullGKAddr, "GK")
-	router.AddPrefix(netip.MustParsePrefix("10.0.0.0/8"), "GGSN-1")
-	f.dir.Bind(fullGKAddr, "GK")
-	f.vmsc = vmsc.New(vmsc.Config{
-		ID: "VMSC-1", VLR: "VLR-1", SGSN: "SGSN-1",
-		Cell: scaleCell, Gatekeeper: fullGKAddr, Dir: f.dir,
-	})
-
-	env := f.env
-	for _, node := range []sim.Node{f.hlr, f.vlr, f.vmsc, f.sgsn, f.ggsn, router, f.gk, f.load} {
-		env.AddNode(node)
-	}
-	const lat = 50 * time.Microsecond
-	env.Connect("LOAD", "VMSC-1", "A", lat)
-	env.Connect("LOAD", "VLR-1", "B", lat) // plays the HLR's cancel role
-	env.Connect("VMSC-1", "VLR-1", "B", lat)
-	env.Connect("VLR-1", "HLR", "D", lat)
-	env.Connect("VMSC-1", "SGSN-1", "Gb", lat)
-	env.Connect("SGSN-1", "GGSN-1", "Gn", lat)
-	env.Connect("SGSN-1", "HLR", "Gr", lat)
-	env.Connect("GGSN-1", "HLR", "Gc", lat)
-	env.Connect("GGSN-1", "GI", "Gi", lat)
-	env.Connect("GI", "GK", "IP", lat)
-	f.dirBase = f.dir.Bound()
-	return f
+	load := &fullDriver{vmsc: "VMSC-1", hold: 100 * time.Millisecond}
+	n := netsim.BuildCore(seed, subs, load)
+	return &fullStack{CoreNet: n, load: load, dirBase: n.Dir.Bound()}
 }
 
 // attach provisions subscriber i and sends its LocationUpdate from the given
 // MS node.
 func (f *fullStack) attach(i int, ms sim.NodeID) error {
 	sub := netsim.SubscriberN(i)
-	if err := f.hlr.Provision(hlr.Subscriber{
+	if err := f.HLR.Provision(hlr.Subscriber{
 		IMSI: sub.IMSI, MSISDN: sub.MSISDN, Ki: sub.Ki,
 		Profile: sigmap.SubscriberProfile{
 			MSISDN: sub.MSISDN, InternationalAllowed: true, VoIPQoS: 1,
@@ -223,7 +166,7 @@ func (f *fullStack) attach(i int, ms sim.NodeID) error {
 	}); err != nil {
 		return err
 	}
-	f.env.Send("LOAD", "VMSC-1", gsm.LocationUpdate{
+	f.Env.Send("LOAD", "VMSC-1", gsm.LocationUpdate{
 		Leg: gsm.LegA, MS: ms,
 		Identity: gsmid.MobileIdentity{Kind: gsmid.IdentityIMSI, IMSI: sub.IMSI},
 		LAI:      scaleCell.LAI,
@@ -240,7 +183,7 @@ func (f *fullStack) attachWave(lo, hi int) error {
 			return err
 		}
 	}
-	f.env.Run()
+	f.Env.Run()
 	return nil
 }
 
@@ -249,25 +192,25 @@ func (f *fullStack) attachWave(lo, hi int) error {
 // GPRS contexts and the directory binding, and frees the slab row.
 func (f *fullStack) cancelWave(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		f.env.Send("LOAD", "VLR-1", sigmap.CancelLocation{Invoke: ss7.InvokeID(i + 1), IMSI: netsim.SubscriberN(i).IMSI})
+		f.Env.Send("LOAD", "VLR-1", sigmap.CancelLocation{Invoke: ss7.InvokeID(i + 1), IMSI: netsim.SubscriberN(i).IMSI})
 	}
-	f.env.Run()
+	f.Env.Run()
 }
 
 // leftover counts records still resident anywhere in the stack.
 func (f *fullStack) leftover() int {
-	return f.vmsc.MSTable() + f.gk.Registered() + f.vlr.Registered() +
-		f.sgsn.Attached() + f.sgsn.ActiveContexts() + f.ggsn.ActiveContexts() +
-		(f.dir.Bound() - f.dirBase)
+	return f.VMSC.MSTable() + f.GK.Registered() + f.VLR.Registered() +
+		f.SGSN.Attached() + f.SGSN.ActiveContexts() + f.GGSN.ActiveContexts() +
+		(f.Dir.Bound() - f.dirBase)
 }
 
 // footprint returns each node's Footprint() in bytes, times scale.
 func (f *fullStack) footprint(scale float64) NodeBytes {
 	return NodeBytes{
-		VMSC: scale * float64(f.vmsc.Footprint()), VLR: scale * float64(f.vlr.Footprint()),
-		HLR: scale * float64(f.hlr.Footprint()), SGSN: scale * float64(f.sgsn.Footprint()),
-		GGSN: scale * float64(f.ggsn.Footprint()), Gatekeeper: scale * float64(f.gk.Footprint()),
-		Directory: scale * float64(f.dir.Footprint()),
+		VMSC: scale * float64(f.VMSC.Footprint()), VLR: scale * float64(f.VLR.Footprint()),
+		HLR: scale * float64(f.HLR.Footprint()), SGSN: scale * float64(f.SGSN.Footprint()),
+		GGSN: scale * float64(f.GGSN.Footprint()), Gatekeeper: scale * float64(f.GK.Footprint()),
+		Directory: scale * float64(f.Dir.Footprint()),
 	}
 }
 
@@ -286,7 +229,7 @@ func RunScaleFull(seed int64, subs int, atResidency func() error) (ScaleFullPoin
 		return p, fmt.Errorf("experiments: full-stack scale needs at least 8 subscribers, got %d", subs)
 	}
 	f := newFullStack(seed, subs)
-	env, d := f.env, f.load
+	env, d := f.Env, f.load
 
 	// Flat attach, wave by wave, with the DESIGN.md §8 warm-wave baseline.
 	warm := subs / 10
@@ -329,9 +272,9 @@ func RunScaleFull(seed int64, subs int, atResidency func() error) (ScaleFullPoin
 		}
 	}
 
-	p.RegisteredVMSC = f.vmsc.MSTable()
-	p.GKRegistered = f.gk.Registered()
-	p.ActivePDP = f.ggsn.ActiveContexts()
+	p.RegisteredVMSC = f.VMSC.MSTable()
+	p.GKRegistered = f.GK.Registered()
+	p.ActivePDP = f.GGSN.ActiveContexts()
 	p.Rejects = d.rejects
 	if d.accepts != subs || p.RegisteredVMSC != subs || p.GKRegistered != subs || p.ActivePDP != subs {
 		return p, fmt.Errorf("experiments: full-stack population incomplete: accepts %d VMSC %d GK %d GGSN %d of %d (%d rejects)",
@@ -364,17 +307,17 @@ func RunScaleFull(seed int64, subs int, atResidency func() error) (ScaleFullPoin
 	}
 	p.CallSetupOps = callOps
 	p.CallSetupPerSec = float64(callOps) / time.Since(start).Seconds()
-	if d.established != callOps || f.vmsc.ActiveCalls() != 0 {
+	if d.established != callOps || f.VMSC.ActiveCalls() != 0 {
 		return p, fmt.Errorf("experiments: full-stack calls incomplete: %d of %d established, %d still active",
-			d.established, callOps, f.vmsc.ActiveCalls())
+			d.established, callOps, f.VMSC.ActiveCalls())
 	}
 
 	for lo := 0; lo < subs; lo += scaleWave {
 		f.cancelWave(lo, min(lo+scaleWave, subs))
 	}
 	p.DetachLeftover = f.leftover()
-	p.SlabImbalance = f.vmsc.SlabImbalance() + f.gk.SlabImbalance() + f.vlr.SlabImbalance() +
-		f.hlr.SlabImbalance() + f.sgsn.SlabImbalance() + f.ggsn.SlabImbalance()
+	p.SlabImbalance = f.VMSC.SlabImbalance() + f.GK.SlabImbalance() + f.VLR.SlabImbalance() +
+		f.HLR.SlabImbalance() + f.SGSN.SlabImbalance() + f.GGSN.SlabImbalance()
 	return p, nil
 }
 

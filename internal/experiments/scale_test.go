@@ -123,11 +123,11 @@ func TestScaleSmall(t *testing.T) {
 	if f.load.accepts != subs || f.load.rejects != 0 {
 		t.Fatalf("%d accepts, %d rejects, want %d and 0", f.load.accepts, f.load.rejects, subs)
 	}
-	if f.vlr.Registered() != subs || f.hlr.Subscribers() != subs || f.sgsn.Attached() != subs ||
-		f.sgsn.ActiveContexts() != subs || f.ggsn.ActiveContexts() != subs {
+	if f.VLR.Registered() != subs || f.HLR.Subscribers() != subs || f.SGSN.Attached() != subs ||
+		f.SGSN.ActiveContexts() != subs || f.GGSN.ActiveContexts() != subs {
 		t.Fatalf("population incomplete: VLR %d HLR %d SGSN attached %d contexts %d GGSN %d, want %d each",
-			f.vlr.Registered(), f.hlr.Subscribers(), f.sgsn.Attached(), f.sgsn.ActiveContexts(),
-			f.ggsn.ActiveContexts(), subs)
+			f.VLR.Registered(), f.HLR.Subscribers(), f.SGSN.Attached(), f.SGSN.ActiveContexts(),
+			f.GGSN.ActiveContexts(), subs)
 	}
 	b := f.footprint(1.0 / subs)
 	for node, bytes := range map[string]float64{"VLR": b.VLR, "HLR": b.HLR, "SGSN": b.SGSN, "GGSN": b.GGSN} {
@@ -136,10 +136,10 @@ func TestScaleSmall(t *testing.T) {
 		}
 	}
 	f.cancelWave(0, subs)
-	if n := f.vlr.Registered() + f.sgsn.Attached() + f.sgsn.ActiveContexts() + f.ggsn.ActiveContexts(); n != 0 {
+	if n := f.VLR.Registered() + f.SGSN.Attached() + f.SGSN.ActiveContexts() + f.GGSN.ActiveContexts(); n != 0 {
 		t.Fatalf("leak after cancel-all: %d VLR/SGSN/GGSN records still live", n)
 	}
-	if n := f.vlr.SlabImbalance() + f.hlr.SlabImbalance() + f.sgsn.SlabImbalance() + f.ggsn.SlabImbalance(); n != 0 {
+	if n := f.VLR.SlabImbalance() + f.HLR.SlabImbalance() + f.SGSN.SlabImbalance() + f.GGSN.SlabImbalance(); n != 0 {
 		t.Fatalf("slab imbalance after cancel-all: %d", n)
 	}
 }
@@ -212,15 +212,8 @@ func TestQuiescedHeapIsFootprint(t *testing.T) {
 		// outside is the collected heap beyond the nodes' footprints, checked
 		// to belong to a quiesced network.
 		outside := func() float64 {
-			for _, node := range []interface {
-				ID() sim.NodeID
-				Audit(report func(kind string, n int))
-			}{f.vmsc, f.vlr, f.hlr, f.sgsn, f.ggsn, f.gk} {
-				node.Audit(func(kind string, n int) {
-					if n != 0 {
-						t.Fatalf("not quiesced: %s holds %d %s", node.ID(), n, kind)
-					}
-				})
+			if res := f.Residual(); res.Total() != 0 {
+				t.Fatalf("not quiesced:\n%s", res.String())
 			}
 			var m runtime.MemStats
 			runtime.GC()
@@ -240,8 +233,8 @@ func TestQuiescedHeapIsFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if f.load.accepts != resident+wave || f.vmsc.MSTable() != resident {
-			t.Fatalf("%d accepts, %d resident, want %d and %d", f.load.accepts, f.vmsc.MSTable(), resident+wave, resident)
+		if f.load.accepts != resident+wave || f.VMSC.MSTable() != resident {
+			t.Fatalf("%d accepts, %d resident, want %d and %d", f.load.accepts, f.VMSC.MSTable(), resident+wave, resident)
 		}
 		return (outside()-empty)/resident - nameBytes
 	}
@@ -275,9 +268,9 @@ func TestRecycledRowIgnoresLateAccept(t *testing.T) {
 		b++ // rows route to one of 8 shards by IMSI hash; a slot is reused within its shard
 	}
 	f := newFullStack(1, 16)
-	f.env.Connect("VMSC-1", "SGSN-1", "Gb", gbDelay) // answers stay in flight long enough to act
-	vm := f.vmsc
-	at := func(d time.Duration) { f.env.RunUntil(d) }
+	f.Env.Connect("VMSC-1", "SGSN-1", "Gb", gbDelay) // answers stay in flight long enough to act
+	vm := f.VMSC
+	at := func(d time.Duration) { f.Env.RunUntil(d) }
 
 	if err := f.attach(a, phone); err != nil {
 		t.Fatal(err)
@@ -287,7 +280,7 @@ func TestRecycledRowIgnoresLateAccept(t *testing.T) {
 	if rowA.IsZero() || vm.PendingTransactions() == 0 {
 		t.Fatalf("first subscriber not mid-attach: row %x, %d pending", rowA, vm.PendingTransactions())
 	}
-	f.env.Send("LOAD", "VLR-1", sigmap.CancelLocation{Invoke: 1, IMSI: imsi(a)})
+	f.Env.Send("LOAD", "VLR-1", sigmap.CancelLocation{Invoke: 1, IMSI: imsi(a)})
 	at(2 * time.Millisecond)
 	if vm.EntryAlive(rowA) || vm.MSTable() != 0 {
 		t.Fatalf("cancel mid-attach left the row: alive %v, table %d", vm.EntryAlive(rowA), vm.MSTable())
@@ -310,27 +303,27 @@ func TestRecycledRowIgnoresLateAccept(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.env.Send("SGSN-1", "VMSC-1", gb.DLUnitdata{
+		f.Env.Send("SGSN-1", "VMSC-1", gb.DLUnitdata{
 			TLLI: gprs.NewClient(imsi(a), nil).TLLI(), MS: phone, PDU: pdu,
 		})
 	}
 	at(2*gbDelay + time.Millisecond)
-	if f.sgsn.Attached() != 2 {
-		t.Fatalf("SGSN saw %d attaches, want both", f.sgsn.Attached())
+	if f.SGSN.Attached() != 2 {
+		t.Fatalf("SGSN saw %d attaches, want both", f.SGSN.Attached())
 	}
 	stray()
-	f.env.Run()
+	f.Env.Run()
 	stray()
-	f.env.Run()
+	f.Env.Run()
 
 	addr, registered, ok := vm.Entry(imsi(b))
-	want, _ := f.ggsn.AddressOf(gtp.MakeTID(imsi(b), vmsc.NSAPISignalling))
+	want, _ := f.GGSN.AddressOf(gtp.MakeTID(imsi(b), vmsc.NSAPISignalling))
 	if !ok || !registered || !addr.IsValid() || addr != want {
 		t.Fatalf("second subscriber: registered %v at %v, its own PDP address is %v", registered, addr, want)
 	}
-	if f.load.accepts != 1 || f.load.rejects != 0 || f.gk.Registered() != 1 || vm.MSTable() != 1 {
+	if f.load.accepts != 1 || f.load.rejects != 0 || f.GK.Registered() != 1 || vm.MSTable() != 1 {
 		t.Fatalf("accepts %d rejects %d gatekeeper %d table %d, want 1 0 1 1",
-			f.load.accepts, f.load.rejects, f.gk.Registered(), vm.MSTable())
+			f.load.accepts, f.load.rejects, f.GK.Registered(), vm.MSTable())
 	}
 	if vm.EntryAlive(rowA) || vm.PendingTransactions() != 0 || vm.SlabImbalance() != 0 {
 		t.Fatalf("leftovers: old row alive %v, %d pending, imbalance %d",

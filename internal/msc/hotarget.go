@@ -77,6 +77,17 @@ func (h *HandoverTarget) Completed() uint64 {
 	return h.completed
 }
 
+// Open returns the handover legs this target holds: numbers allocated and
+// awaiting the anchor's trunk, plus legs whose trunk arrived — in call, or
+// waiting for the anchor's release after the MS moved on. A leg between
+// Prepare and the trunk's IAM counts in both. Zero once every handed-in call
+// has cleared.
+func (h *HandoverTarget) Open() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.pending) + len(h.byRef)
+}
+
 // Prepare handles MAP_PREPARE_HANDOVER: reserve a radio channel, allocate a
 // handover number, and acknowledge the anchor.
 func (h *HandoverTarget) Prepare(env *sim.Env, anchor sim.NodeID, t sigmap.PrepareHandover) {

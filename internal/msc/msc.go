@@ -118,6 +118,14 @@ func (m *MSC) ActiveCalls() int {
 	return len(m.byMS)
 }
 
+// Audit reports the MSC's transient state for netsim's leak gate: calls in
+// progress and handed-in legs it serves as a handover target. Registrations
+// are durable and not counted.
+func (m *MSC) Audit(report func(kind string, n int)) {
+	report("active calls", m.ActiveCalls())
+	report("handover-target legs", m.hoTarget.Open())
+}
+
 func (m *MSC) onRegistration(env *sim.Env, reg Registration) {
 	if !reg.OK() {
 		env.Send(m.cfg.ID, reg.BSC, gsm.LocationUpdateReject{

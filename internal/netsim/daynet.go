@@ -7,13 +7,10 @@ import (
 
 	"vgprs/internal/gprs"
 	"vgprs/internal/gsm"
-	"vgprs/internal/gsmid"
 	"vgprs/internal/h323"
-	"vgprs/internal/hlr"
 	"vgprs/internal/ipnet"
 	"vgprs/internal/isup"
 	"vgprs/internal/pstn"
-	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 )
 
@@ -92,26 +89,19 @@ func BuildDay(opts DayOptions) *DayNet {
 		cfg.PSTNPrefixes = append(cfg.PSTNPrefixes, "852")
 	}
 
-	base := BuildTwoVMSC(opts.VGPRSOptions)
-	env := base.Env
-	lat := DefaultLatencies()
-	if opts.Latencies != nil {
-		lat = *opts.Latencies
-	}
-
-	n := &DayNet{
-		TwoVMSCNet:  base,
-		LocalTrunks: isup.NewTrunkGroup("LE-1<->GW-1", isup.TrunkLocal, 16),
-		IntlTrunks:  isup.NewTrunkGroup("LE-1<->GMSC-UK", isup.TrunkInternational, 16),
-	}
+	n := &DayNet{TwoVMSCNet: &TwoVMSCNet{VGPRSNet: &VGPRSNet{}}}
+	b := newBuilder(opts.Seed, opts.Latencies, opts.Sig, &n.Audited)
+	n.LocalTrunks = b.trunks("LE-1<->GW-1", isup.TrunkLocal, 16)
+	n.IntlTrunks = b.trunks("LE-1<->GMSC-UK", isup.TrunkInternational, 16)
+	buildTwoVMSC(n.TwoVMSCNet, b, opts.VGPRSOptions)
 
 	// PSTN side: local exchange, VoIP gateway, international fallback.
 	n.Gateway = h323.NewGateway(h323.GatewayConfig{
 		ID: "GW-1", Addr: gatewayAddr, Router: "GI", Gatekeeper: gkAddr,
-		Dir: base.Dir, Exchange: "LE-1", Trunks: n.LocalTrunks,
+		Dir: n.Dir, Exchange: "LE-1", Trunks: n.LocalTrunks,
 	})
 	n.Router.AddHost(gatewayAddr, "GW-1")
-	base.Dir.Bind(gatewayAddr, "GW-1")
+	n.Dir.Bind(gatewayAddr, "GW-1")
 
 	n.GMSC = pstn.NewExchange(pstn.ExchangeConfig{
 		ID: "GMSC-UK", HLR: "HLR", MobilePrefixes: []string{"0447"},
@@ -139,71 +129,47 @@ func BuildDay(opts DayOptions) *DayNet {
 	})
 
 	// The visiting UK subscriber, provisioned in the shared HLR.
-	mustProvision(n.HLR, hlr.Subscriber{
-		IMSI: RoamerIMSI, MSISDN: RoamerMSISDN, Ki: roamerKi,
-		Profile: sigmap.SubscriberProfile{
-			MSISDN: RoamerMSISDN, InternationalAllowed: true, VoIPQoS: 1,
-		},
-	})
+	provision(n.HLR, roamer)
 	n.VMSC.ProvisionMSISDN(RoamerIMSI, RoamerMSISDN)
 	n.VMSC2.ProvisionMSISDN(RoamerIMSI, RoamerMSISDN)
 	n.Roamer = gsm.NewMS(gsm.MSConfig{
-		ID: "MS-ROAM", IMSI: RoamerIMSI, MSISDN: RoamerMSISDN, Ki: roamerKi,
-		BTS: "BTS-1", LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1},
+		ID: "MS-ROAM", IMSI: roamer.IMSI, MSISDN: roamer.MSISDN, Ki: roamer.Ki,
+		BTS: "BTS-1", LAI: homeCell.LAI,
 		Talk: opts.Talk, DTX: opts.DTX,
 		AutoAnswer: true, AnswerDelay: answerDelay,
 	})
+	n.Echo = &EchoHost{Node: "ECHO", Addr: echoAddr}
+	n.Router.AddHost(echoAddr, "ECHO")
+	b.add(n.Gateway, n.GMSC, n.PhoneUK, n.LE, n.PhoneY, n.Roamer, n.Echo)
 
 	// Background data: packet-only handsets for the first subscribers,
 	// attached over a dedicated PCU radio leg (BuildVGPRS's BSC-1 carries
 	// no SGSN link), plus the echo host they ping.
-	n.Echo = &EchoHost{Node: "ECHO", Addr: echoAddr}
-	n.Router.AddHost(echoAddr, "ECHO")
-	btsD := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-D", BSC: "BSC-D"})
-	bscD := gsm.NewBSC(gsm.BSCConfig{
+	b.add(gsm.NewBTS(gsm.BTSConfig{ID: "BTS-D", BSC: "BSC-D"}), gsm.NewBSC(gsm.BSCConfig{
 		ID: "BSC-D", MSC: "VMSC-1", SGSN: "SGSN-1", BTSs: []sim.NodeID{"BTS-D"},
-	})
+	}))
 	for i := 0; i < opts.DataMS; i++ {
-		id := sim.NodeID(fmt.Sprintf("MS-%d-data", i+1))
-		n.DataMSs = append(n.DataMSs, gprs.NewMS(gprs.MSConfig{
-			ID: id, IMSI: base.Subscribers[i].IMSI, BTS: "BTS-D",
-		}))
+		ms := gprs.NewMS(gprs.MSConfig{
+			ID: sim.NodeID(fmt.Sprintf("MS-%d-data", i+1)), IMSI: n.Subscribers[i].IMSI, BTS: "BTS-D",
+		})
+		n.DataMSs = append(n.DataMSs, ms)
+		b.add(ms)
+		b.env.Connect(ms.ID(), "BTS-D", "Um", b.lat.Um)
 	}
 
-	nodes := []sim.Node{
-		n.Gateway, n.GMSC, n.PhoneUK, n.LE, n.PhoneY, n.Roamer,
-		n.Echo, btsD, bscD,
-	}
-	for _, ms := range n.DataMSs {
-		nodes = append(nodes, ms)
-	}
-	for _, node := range nodes {
-		env.AddNode(node)
-	}
-	n.audit("GW-1", n.Gateway)
-	n.audit("PHONE-Y", n.PhoneY)
-	n.audit("PHONE-UK", n.PhoneUK)
-	n.audit("LE-1<->GW-1", n.LocalTrunks)
-	n.audit("LE-1<->GMSC-UK", n.IntlTrunks)
-	for _, ms := range n.DataMSs {
-		n.audit(string(ms.ID()), ms)
-	}
-
-	env.Connect("GI", "GW-1", "IP", lat.LAN)
-	env.Connect("GI", "ECHO", "IP", lat.LAN)
-	env.Connect("LE-1", "GW-1", "ISUP", lat.Natl)
-	env.Connect("LE-1", "GMSC-UK", "ISUP", lat.Intl)
-	env.Connect("GMSC-UK", "HLR", "C", lat.SS7)
-	env.Connect("PHONE-Y", "LE-1", "Line", lat.LAN)
-	env.Connect("PHONE-UK", "GMSC-UK", "Line", lat.LAN)
-	env.Connect("MS-ROAM", "BTS-1", "Um", lat.Um)
-	env.Connect("MS-ROAM", "BTS-2", "Um", lat.Um)
-	env.Connect("BTS-D", "BSC-D", "Abis", lat.Abis)
-	env.Connect("BSC-D", "VMSC-1", "A", lat.A)
-	env.Connect("BSC-D", "SGSN-1", "Gb", lat.Gb)
-	for _, ms := range n.DataMSs {
-		env.Connect(ms.ID(), "BTS-D", "Um", lat.Um)
-	}
+	lat := b.lat
+	b.env.Connect("GI", "GW-1", "IP", lat.LAN)
+	b.env.Connect("GI", "ECHO", "IP", lat.LAN)
+	b.env.Connect("LE-1", "GW-1", "ISUP", lat.Natl)
+	b.env.Connect("LE-1", "GMSC-UK", "ISUP", lat.Intl)
+	b.env.Connect("GMSC-UK", "HLR", "C", lat.SS7)
+	b.env.Connect("PHONE-Y", "LE-1", "Line", lat.LAN)
+	b.env.Connect("PHONE-UK", "GMSC-UK", "Line", lat.LAN)
+	b.env.Connect("MS-ROAM", "BTS-1", "Um", lat.Um)
+	b.env.Connect("MS-ROAM", "BTS-2", "Um", lat.Um)
+	b.env.Connect("BTS-D", "BSC-D", "Abis", lat.Abis)
+	b.env.Connect("BSC-D", "VMSC-1", "A", lat.A)
+	b.env.Connect("BSC-D", "SGSN-1", "Gb", lat.Gb)
 	return n
 }
 

@@ -43,66 +43,43 @@ type HandoffNet struct {
 // the VMSC (a common configuration: one VLR serving several MSC areas).
 func BuildHandoff(opts VGPRSOptions) *HandoffNet {
 	n := &HandoffNet{
+		VGPRSNet:   &VGPRSNet{},
 		TargetCell: gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 2}, CI: 0x20},
-		HomeCell:   gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1},
+		HomeCell:   homeCell,
 		ThirdCell:  gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 4}, CI: 0x40},
 	}
-
-	n.ETrunks = isup.NewTrunkGroup("VMSC<->MSC (E)", isup.TrunkNational, 8)
-	n.ETrunks3 = isup.NewTrunkGroup("VMSC<->MSC-3 (E)", isup.TrunkNational, 8)
-
-	base := BuildVGPRS(withHandoverPeers(opts,
+	b := newBuilder(opts.Seed, opts.Latencies, opts.Sig, &n.Audited)
+	n.ETrunks = b.trunks("VMSC<->MSC (E)", isup.TrunkNational, 8)
+	n.ETrunks3 = b.trunks("VMSC<->MSC-3 (E)", isup.TrunkNational, 8)
+	buildVGPRS(n.VGPRSNet, b, withHandoverPeers(opts,
 		map[gsmid.CGI]vmsc.HandoverTarget{
 			n.TargetCell: {MSC: "MSC-2", BTS: "BTS-2"},
 			n.ThirdCell:  {MSC: "MSC-3", BTS: "BTS-3"},
 		},
 		map[sim.NodeID]*isup.TrunkGroup{"MSC-2": n.ETrunks, "MSC-3": n.ETrunks3},
 		map[gsmid.CGI]sim.NodeID{n.HomeCell: "BTS-1"}))
-	n.VGPRSNet = base
-	env := base.Env
-	lat := DefaultLatencies()
-	if opts.Latencies != nil {
-		lat = *opts.Latencies
-	}
 
-	// Legacy radio subsystem and MSC.
-	bts2 := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-2", BSC: "BSC-2"})
-	n.TargetBSC = gsm.NewBSC(gsm.BSCConfig{
-		ID: "BSC-2", MSC: "MSC-2", BTSs: []sim.NodeID{"BTS-2"},
-	})
-	n.MSC = msc.New(msc.Config{
-		ID: "MSC-2", VLR: "VLR-1",
-		Trunks:               map[sim.NodeID]*isup.TrunkGroup{"VMSC-1": n.ETrunks},
-		HandoverNumberPrefix: "88698",
-	})
-	bts3 := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-3", BSC: "BSC-3"})
-	bsc3 := gsm.NewBSC(gsm.BSCConfig{
-		ID: "BSC-3", MSC: "MSC-3", BTSs: []sim.NodeID{"BTS-3"},
-	})
-	n.MSC3 = msc.New(msc.Config{
-		ID: "MSC-3", VLR: "VLR-1",
-		Trunks:               map[sim.NodeID]*isup.TrunkGroup{"VMSC-1": n.ETrunks3},
-		HandoverNumberPrefix: "88696",
-	})
-	for _, node := range []sim.Node{bts2, n.TargetBSC, n.MSC, bts3, bsc3, n.MSC3} {
-		env.AddNode(node)
+	// Two legacy MSCs with their radio subsystems. They are E-interface
+	// peers of the anchor only; a subsequent handover between them still
+	// runs through the anchor.
+	legacy := func(id, bts, bsc sim.NodeID, trunks *isup.TrunkGroup, prefix string) (*msc.MSC, *gsm.BSC) {
+		m := msc.New(msc.Config{
+			ID: id, VLR: "VLR-1",
+			Trunks:               map[sim.NodeID]*isup.TrunkGroup{"VMSC-1": trunks},
+			HandoverNumberPrefix: prefix,
+		})
+		b.add(m)
+		c := b.bss(bts, bsc, id, 0)
+		b.env.Connect(id, "VLR-1", "B", b.lat.SS7)
+		b.env.Connect("VMSC-1", id, "E", b.lat.SS7)
+		// Every MS can reach the target cell's BTS (neighbouring coverage).
+		for _, ms := range n.MSs {
+			b.env.Connect(ms.ID(), bts, "Um", b.lat.Um)
+		}
+		return m, c
 	}
-	env.Connect("BTS-2", "BSC-2", "Abis", lat.Abis)
-	env.Connect("BSC-2", "MSC-2", "A", lat.A)
-	env.Connect("MSC-2", "VLR-1", "B", lat.SS7)
-	env.Connect("VMSC-1", "MSC-2", "E", lat.SS7)
-	env.Connect("BTS-3", "BSC-3", "Abis", lat.Abis)
-	env.Connect("BSC-3", "MSC-3", "A", lat.A)
-	env.Connect("MSC-3", "VLR-1", "B", lat.SS7)
-	env.Connect("VMSC-1", "MSC-3", "E", lat.SS7)
-	// The two legacy MSCs are E-interface peers of the anchor only; a
-	// subsequent handover between them still runs through the anchor.
-
-	// Every MS can reach both target cells' BTSs (neighbouring coverage).
-	for _, ms := range base.MSs {
-		env.Connect(ms.ID(), "BTS-2", "Um", lat.Um)
-		env.Connect(ms.ID(), "BTS-3", "Um", lat.Um)
-	}
+	n.MSC, n.TargetBSC = legacy("MSC-2", "BTS-2", "BSC-2", n.ETrunks, "88698")
+	n.MSC3, _ = legacy("MSC-3", "BTS-3", "BSC-3", n.ETrunks3, "88696")
 	return n
 }
 
@@ -151,41 +128,28 @@ type VMSCHandoffNet struct {
 // shares the VLR; it needs no GPRS or H.323 attachments for the target
 // role, since the anchor keeps the VoIP leg.
 func BuildHandoffVMSC(opts VGPRSOptions) *VMSCHandoffNet {
-	n := &VMSCHandoffNet{TargetCell: gsmid.CGI{
+	n := &VMSCHandoffNet{VGPRSNet: &VGPRSNet{}, TargetCell: gsmid.CGI{
 		LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 3}, CI: 0x30,
 	}}
-	n.ETrunks = isup.NewTrunkGroup("VMSC<->VMSC (E)", isup.TrunkNational, 8)
-
-	base := BuildVGPRS(withHandoverPeers(opts,
+	b := newBuilder(opts.Seed, opts.Latencies, opts.Sig, &n.Audited)
+	n.ETrunks = b.trunks("VMSC<->VMSC (E)", isup.TrunkNational, 8)
+	buildVGPRS(n.VGPRSNet, b, withHandoverPeers(opts,
 		map[gsmid.CGI]vmsc.HandoverTarget{n.TargetCell: {MSC: "VMSC-2", BTS: "BTS-2"}},
 		map[sim.NodeID]*isup.TrunkGroup{"VMSC-2": n.ETrunks},
-		map[gsmid.CGI]sim.NodeID{{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1}: "BTS-1"}))
-	n.VGPRSNet = base
-	env := base.Env
-	lat := DefaultLatencies()
-	if opts.Latencies != nil {
-		lat = *opts.Latencies
-	}
+		map[gsmid.CGI]sim.NodeID{homeCell: "BTS-1"}))
 
-	bts2 := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-2", BSC: "BSC-2"})
-	n.TargetBSC = gsm.NewBSC(gsm.BSCConfig{
-		ID: "BSC-2", MSC: "VMSC-2", BTSs: []sim.NodeID{"BTS-2"},
-	})
 	n.Target = vmsc.New(vmsc.Config{
 		ID: "VMSC-2", VLR: "VLR-1", SGSN: "SGSN-1",
 		Cell:       n.TargetCell,
-		Gatekeeper: gkAddr, Dir: base.Dir,
+		Gatekeeper: gkAddr, Dir: n.Dir,
 	})
-	for _, node := range []sim.Node{bts2, n.TargetBSC, n.Target} {
-		env.AddNode(node)
-	}
-	env.Connect("BTS-2", "BSC-2", "Abis", lat.Abis)
-	env.Connect("BSC-2", "VMSC-2", "A", lat.A)
-	env.Connect("VMSC-2", "VLR-1", "B", lat.SS7)
-	env.Connect("VMSC-2", "SGSN-1", "Gb", lat.Gb)
-	env.Connect("VMSC-1", "VMSC-2", "E", lat.SS7)
-	for _, ms := range base.MSs {
-		env.Connect(ms.ID(), "BTS-2", "Um", lat.Um)
+	b.add(n.Target)
+	n.TargetBSC = b.bss("BTS-2", "BSC-2", "VMSC-2", 0)
+	b.env.Connect("VMSC-2", "VLR-1", "B", b.lat.SS7)
+	b.env.Connect("VMSC-2", "SGSN-1", "Gb", b.lat.Gb)
+	b.env.Connect("VMSC-1", "VMSC-2", "E", b.lat.SS7)
+	for _, ms := range n.MSs {
+		b.env.Connect(ms.ID(), "BTS-2", "Um", b.lat.Um)
 	}
 	return n
 }

@@ -11,6 +11,64 @@ import (
 	"vgprs/internal/vmsc"
 )
 
+// expectDrained fails t unless res is empty: a call that cleared left no
+// transient record anywhere in the topology.
+func expectDrained(t *testing.T, res Residual) {
+	t.Helper()
+	if res.Total() != 0 {
+		t.Fatalf("residual after the call cleared:\n%s", res.String())
+	}
+}
+
+// TestResidualSeesHandoverTargets holds a call on a handover target and reads
+// the leak gate: the target switch — VMSC-2 after a VMSC-to-VMSC handoff,
+// MSC-3 after a subsequent handover from MSC-2 — must show the handed-in
+// leg, and the leg it left must be gone.
+func TestResidualSeesHandoverTargets(t *testing.T) {
+	targetLegs := func(res Residual) map[string]int {
+		legs := map[string]int{}
+		for _, it := range res.Items {
+			if it.Kind == "handover-target legs" {
+				legs[it.Node] += it.Count
+			}
+		}
+		return legs
+	}
+	t.Run("vmsc", func(t *testing.T) {
+		n := BuildHandoffVMSC(VGPRSOptions{Seed: 1})
+		if err := n.RegisterAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.MSs[0].Dial(n.Env, TerminalAlias(0)); err != nil {
+			t.Fatal(err)
+		}
+		n.Env.RunUntil(n.Env.Now() + 3*time.Second)
+		if !n.RunHandoff(n.MSs[0], 10*time.Second) {
+			t.Fatal("handover did not complete")
+		}
+		res := n.Residual()
+		if legs := targetLegs(res); len(legs) != 1 || legs["VMSC-2"] != 1 {
+			t.Fatalf("mid-call target legs %v, want VMSC-2: 1; residual:\n%s", legs, res.String())
+		}
+	})
+	t.Run("third-msc", func(t *testing.T) {
+		n := BuildHandoff(VGPRSOptions{Seed: 1})
+		ms := establishedCall(t, n)
+		if !n.RunHandoff(ms, 10*time.Second) {
+			t.Fatal("handover did not complete")
+		}
+		ms.ReportNeighbor(n.Env, n.ThirdCell)
+		n.Env.RunUntil(n.Env.Now() + 2*time.Second)
+		if n.MSC3.HandoversIn() != 1 {
+			t.Fatalf("MSC-3 handovers in = %d", n.MSC3.HandoversIn())
+		}
+		res := n.Residual()
+		if legs := targetLegs(res); len(legs) != 1 || legs["MSC-3"] != 1 {
+			t.Fatalf("mid-call target legs %v, want MSC-3: 1; residual:\n%s", legs, res.String())
+		}
+	})
+}
+
 func establishedCall(t *testing.T, n *HandoffNet) *gsm.MS {
 	t.Helper()
 	if err := n.RegisterAll(); err != nil {
@@ -79,6 +137,7 @@ func TestInterSystemHandoff(t *testing.T) {
 	if n.VMSC.ActiveCalls() != 0 {
 		t.Fatal("VMSC call state leaked")
 	}
+	expectDrained(t, n.Residual())
 }
 
 func TestHandoffTerminalHangsUpAfter(t *testing.T) {
@@ -103,6 +162,7 @@ func TestHandoffTerminalHangsUpAfter(t *testing.T) {
 	if n.ETrunks.InUse() != 0 {
 		t.Fatalf("E trunk leaked: %d", n.ETrunks.InUse())
 	}
+	expectDrained(t, n.Residual())
 }
 
 // TestVMSCToVMSCHandoff covers the paper's §7 remark: "inter-system handoff
@@ -156,6 +216,7 @@ func TestVMSCToVMSCHandoff(t *testing.T) {
 	if n.ETrunks.InUse() != 0 || term.ActiveCalls() != 0 {
 		t.Fatalf("post-clear trunks=%d terminal-calls=%d", n.ETrunks.InUse(), term.ActiveCalls())
 	}
+	expectDrained(t, n.Residual())
 }
 
 func TestHandoffToUnknownCellIgnored(t *testing.T) {
@@ -231,6 +292,7 @@ func TestSubsequentHandback(t *testing.T) {
 	if term.ActiveCalls() != 0 || n.VMSC.ActiveCalls() != 0 {
 		t.Fatal("call state leaked after post-handback hangup")
 	}
+	expectDrained(t, n.Residual())
 }
 
 // TestSubsequentHandoffToThirdMSC moves the MS a second time, from the
@@ -297,6 +359,7 @@ func TestSubsequentHandoffToThirdMSC(t *testing.T) {
 	if term.ActiveCalls() != 0 || n.VMSC.ActiveCalls() != 0 {
 		t.Fatal("call state leaked after hangup on MSC-3")
 	}
+	expectDrained(t, n.Residual())
 }
 
 // TestSubsequentHandbackBetweenVMSCs is the handback with a VMSC as the
@@ -343,6 +406,7 @@ func TestSubsequentHandbackBetweenVMSCs(t *testing.T) {
 	if n.VMSC.ActiveCalls() != 0 || n.Terminals[0].ActiveCalls() != 0 {
 		t.Fatal("call state leaked")
 	}
+	expectDrained(t, n.Residual())
 }
 
 // TestSubsequentHandoverToUnknownCellRefused covers the refusal path: the

@@ -9,7 +9,6 @@ import (
 	"vgprs/internal/h323"
 	"vgprs/internal/hlr"
 	"vgprs/internal/ipnet"
-	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 	"vgprs/internal/trace"
 	"vgprs/internal/vlr"
@@ -73,101 +72,39 @@ func BuildMultiRegion(opts MultiRegionOptions) *MultiRegionNet {
 	if opts.MSPerRegion == 0 {
 		opts.MSPerRegion = 1
 	}
-	lat := DefaultLatencies()
-	if opts.Latencies != nil {
-		lat = *opts.Latencies
-	}
-
-	env := sim.NewEnv(opts.Seed)
-	n := &MultiRegionNet{Env: env}
+	n := &MultiRegionNet{}
+	b := newBuilder(opts.Seed, opts.Latencies, nil, &n.Audited)
+	n.Env = b.env
 	if !opts.NoTrace {
-		n.Rec = trace.NewRecorder()
-		env.SetTracer(n.Rec)
+		n.Rec = b.record()
 	}
-
-	n.HLR = hlr.New(hlr.Config{ID: "HLR"})
-	env.AddNode(n.HLR)
-	n.audit("HLR", n.HLR)
+	n.HLR = b.hlr("HLR")
 
 	global := 0
 	for r := 0; r < opts.Regions; r++ {
-		id := func(role string) sim.NodeID {
-			return sim.NodeID(fmt.Sprintf("%s-R%d", role, r+1))
-		}
-		dir := h323.NewDirectory()
-		reg := Region{}
-
-		reg.VLR = vlr.New(vlr.Config{
-			ID: id("VLR"), HLR: "HLR", HomeCountryCode: "886",
-			MSRNPrefix: fmt.Sprintf("8869%04d", r+1),
+		suffix := fmt.Sprintf("-R%d", r+1)
+		id := nodeIDs(suffix, suffix)
+		cell := gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: uint16(r + 1)}, CI: 1}
+		a := b.area(areaSpec{
+			id: id, hlr: "HLR", cc: "886",
+			msrn: fmt.Sprintf("8869%04d", r+1), cell: cell,
+			pool: fmt.Sprintf("10.%d.1.0", r+1), poolBits: 24,
+			gk: ipnet.MustAddr(fmt.Sprintf("192.168.%d.1", r+1)), dir: h323.NewDirectory(),
 		})
-		sgsn, ggsn := buildGPRSCore(gprsCoreConfig{
-			SGSNID: id("SGSN"), GGSNID: id("GGSN"), HLR: "HLR", Gi: id("GI"),
-			PoolPrefix: fmt.Sprintf("10.%d.1.0", r+1),
-		})
-		reg.SGSN, reg.GGSN = SGSNHandle{sgsn}, GGSNHandle{ggsn}
-
-		router := ipnet.NewRouter(id("GI"))
-		gkAddr := ipnet.MustAddr(fmt.Sprintf("192.168.%d.1", r+1))
-		reg.GK = h323.NewGatekeeper(h323.GatekeeperConfig{
-			ID: id("GK"), Addr: gkAddr, Router: id("GI"), Dir: dir,
-		})
-		router.AddHost(gkAddr, id("GK"))
-		router.AddPrefix(mustPrefix(fmt.Sprintf("10.%d.1.0/24", r+1)), id("GGSN"))
-		dir.Bind(gkAddr, id("GK"))
-
-		lai := gsmid.LAI{MCC: "466", MNC: "92", LAC: uint16(r + 1)}
-		reg.VMSC = vmsc.New(vmsc.Config{
-			ID: id("VMSC"), VLR: id("VLR"), SGSN: id("SGSN"),
-			Cell:       gsmid.CGI{LAI: lai, CI: 1},
-			Gatekeeper: gkAddr, Dir: dir,
-		})
-
-		btsID := id("BTS")
-		bts := gsm.NewBTS(gsm.BTSConfig{ID: btsID, BSC: id("BSC")})
-		reg.BSC = gsm.NewBSC(gsm.BSCConfig{
-			ID: id("BSC"), MSC: id("VMSC"), BTSs: []sim.NodeID{btsID},
-		})
-
-		for _, node := range []sim.Node{reg.VLR, sgsn, ggsn, router, reg.GK, reg.VMSC, bts, reg.BSC} {
-			env.AddNode(node)
-		}
-		n.audit(string(id("VMSC")), reg.VMSC)
-		n.audit(string(id("VLR")), reg.VLR)
-		n.audit(string(id("SGSN")), sgsn)
-		n.audit(string(id("GGSN")), ggsn)
-		n.audit(string(id("GK")), reg.GK)
-		n.audit(string(id("BSC")), reg.BSC)
-
-		env.Connect(btsID, id("BSC"), "Abis", lat.Abis)
-		env.Connect(id("BSC"), id("VMSC"), "A", lat.A)
-		env.Connect(id("VMSC"), id("VLR"), "B", lat.SS7)
-		env.Connect(id("VLR"), "HLR", "D", lat.SS7)
-		env.Connect(id("VMSC"), id("SGSN"), "Gb", lat.Gb)
-		env.Connect(id("SGSN"), id("GGSN"), "Gn", lat.Gn)
-		env.Connect(id("SGSN"), "HLR", "Gr", lat.SS7)
-		env.Connect(id("GGSN"), "HLR", "Gc", lat.SS7)
-		env.Connect(id("GGSN"), id("GI"), "Gi", lat.Gi)
-		env.Connect(id("GI"), id("GK"), "IP", lat.LAN)
-
+		reg := Region{VMSC: a.vmsc, VLR: a.vlr, SGSN: a.sgsn, GGSN: a.ggsn, GK: a.gk, BSC: a.bsc}
 		for i := 0; i < opts.MSPerRegion; i++ {
 			sub := SubscriberN(global)
 			global++
 			n.Subscribers = append(n.Subscribers, sub)
-			mustProvision(n.HLR, hlr.Subscriber{
-				IMSI: sub.IMSI, MSISDN: sub.MSISDN, Ki: sub.Ki,
-				Profile: sigmap.SubscriberProfile{
-					MSISDN: sub.MSISDN, InternationalAllowed: true, VoIPQoS: 1,
-				},
-			})
+			provision(n.HLR, sub)
 			msID := sim.NodeID(fmt.Sprintf("MS-R%d-%d", r+1, i+1))
 			ms := gsm.NewMS(gsm.MSConfig{
 				ID: msID, IMSI: sub.IMSI, MSISDN: sub.MSISDN, Ki: sub.Ki,
-				BTS: btsID, LAI: lai,
+				BTS: id.bts, LAI: cell.LAI,
 			})
 			reg.MSs = append(reg.MSs, ms)
-			env.AddNode(ms)
-			env.Connect(msID, btsID, "Um", lat.Um)
+			b.add(ms)
+			b.env.Connect(msID, id.bts, "Um", b.lat.Um)
 			reg.VMSC.ProvisionMSISDN(sub.IMSI, sub.MSISDN)
 		}
 		n.Regions = append(n.Regions, reg)

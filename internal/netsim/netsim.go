@@ -10,6 +10,7 @@ package netsim
 
 import (
 	"fmt"
+	"net/netip"
 	"time"
 
 	"vgprs/internal/gsm"
@@ -17,7 +18,6 @@ import (
 	"vgprs/internal/h323"
 	"vgprs/internal/hlr"
 	"vgprs/internal/ipnet"
-	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 	"vgprs/internal/trace"
 	"vgprs/internal/vlr"
@@ -161,14 +161,22 @@ func TerminalAlias(n int) gsmid.MSISDN {
 // gkAddr is the gatekeeper's IP on the H.323 LAN.
 var gkAddr = ipnet.MustAddr("192.168.1.1")
 
-// terminalAddr is the n-th terminal's IP.
-func terminalAddr(n int) string { return fmt.Sprintf("192.168.1.%d", 10+n) }
+// homeCell is VMSC-1's one cell, in location area 1.
+var homeCell = gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1}
 
 // BuildVGPRS wires the complete vGPRS network of Fig 2(b):
 //
 //	MS ~Um~ BTS ~Abis~ BSC ~A~ VMSC ~Gb~ SGSN ~Gn~ GGSN ~Gi~ [GK, terminals]
 //	         VMSC ~B~ VLR ~D~ HLR;  SGSN ~Gr~ HLR;  GGSN ~Gc~ HLR
 func BuildVGPRS(opts VGPRSOptions) *VGPRSNet {
+	n := &VGPRSNet{}
+	buildVGPRS(n, newBuilder(opts.Seed, opts.Latencies, opts.Sig, &n.Audited), opts)
+	return n
+}
+
+// buildVGPRS wires BuildVGPRS's network into n with b, which the topologies
+// extending it go on using.
+func buildVGPRS(n *VGPRSNet, b *builder, opts VGPRSOptions) {
 	if opts.NumMS == 0 {
 		opts.NumMS = 1
 	}
@@ -178,143 +186,56 @@ func BuildVGPRS(opts VGPRSOptions) *VGPRSNet {
 	if opts.AutoAnswerDelay == 0 {
 		opts.AutoAnswerDelay = 200 * time.Millisecond
 	}
-	lat := DefaultLatencies()
-	if opts.Latencies != nil {
-		lat = *opts.Latencies
-	}
-
-	env := sim.NewEnv(opts.Seed)
-	var rec *trace.Recorder
+	n.Env, n.Dir = b.env, h323.NewDirectory()
 	if !opts.NoTrace {
-		rec = trace.NewRecorder()
-		env.SetTracer(rec)
+		n.Rec = b.record()
 	}
-	dir := h323.NewDirectory()
-
-	n := &VGPRSNet{Env: env, Rec: rec, Dir: dir}
-
-	var sig SigProfile
-	if opts.Sig != nil {
-		sig = *opts.Sig
+	var static map[gsmid.IMSI]string
+	if opts.DeactivateIdlePDP {
+		static = make(map[gsmid.IMSI]string)
 	}
-
-	// GSM core databases.
-	n.HLR = hlr.New(hlr.Config{ID: "HLR", SigRTO: sig.RTO, SigRetries: sig.Retries})
-	n.VLR = vlr.New(vlr.Config{
-		ID: "VLR-1", HLR: "HLR", HomeCountryCode: "886", MSRNPrefix: "88690000",
-		AuthDisabled: opts.AuthDisabled,
-		SigRTO:       sig.RTO, SigRetries: sig.Retries,
+	n.HLR = b.hlr("HLR")
+	a := b.area(areaSpec{
+		id: homeIDs, hlr: "HLR", cc: "886", msrn: "88690000", cell: homeCell,
+		pool: "10.1.1.0", poolBits: 24, gk: gkAddr, dir: n.Dir, static: static, opts: opts,
 	})
-
-	// GPRS core.
-	sgsn, ggsn := buildGPRSCore(gprsCoreConfig{
-		SGSNID: "SGSN-1", GGSNID: "GGSN-1", HLR: "HLR", Gi: "GI",
-		PoolPrefix:  "10.1.1.0",
-		NetworkInit: opts.DeactivateIdlePDP,
-		MaxContexts: opts.SGSNMaxContexts,
-		SigRTO:      sig.RTO, SigRetries: sig.Retries,
-	})
-	n.SGSN = SGSNHandle{sgsn}
-	n.GGSN = GGSNHandle{ggsn}
-
-	// H.323 network.
-	n.Router = ipnet.NewRouter("GI")
-	gkCfg := h323.GatekeeperConfig{ID: "GK", Addr: gkAddr, Router: "GI", Dir: dir}
-	if opts.GKMutate != nil {
-		opts.GKMutate(&gkCfg)
-	}
-	n.GK = h323.NewGatekeeper(gkCfg)
-	n.Router.AddHost(gkAddr, "GK")
-	n.Router.AddPrefix(mustPrefix("10.1.1.0/24"), "GGSN-1")
-	dir.Bind(gkAddr, "GK")
-
-	// The VMSC — the paper's new element, replacing the MSC.
-	staticAddrs := make(map[gsmid.IMSI]string)
-	vcfg := vmsc.Config{
-		ID: "VMSC-1", VLR: "VLR-1", SGSN: "SGSN-1",
-		Cell:       gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1},
-		Gatekeeper: gkAddr, Dir: dir,
-		DeactivateIdlePDP: opts.DeactivateIdlePDP,
-		StaticAddrs:       staticAddrs,
-		SigRTO:            sig.RTO,
-		SigRetries:        sig.Retries,
-		H323Retries:       sig.H323Retries,
-	}
-	if opts.VMSCMutate != nil {
-		opts.VMSCMutate(&vcfg)
-	}
-	n.VMSC = vmsc.New(vcfg)
-
-	// Radio access.
-	bts := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-1", BSC: "BSC-1"})
-	n.BSC = gsm.NewBSC(gsm.BSCConfig{
-		ID: "BSC-1", MSC: "VMSC-1", BTSs: []sim.NodeID{"BTS-1"},
-		TCHCapacity: opts.TCHCapacity,
-	})
-
-	for _, node := range []sim.Node{n.HLR, n.VLR, n.VMSC, sgsn, ggsn, n.Router, n.GK, bts, n.BSC} {
-		env.AddNode(node)
-	}
-	n.audit("VMSC-1", n.VMSC)
-	n.audit("VLR-1", n.VLR)
-	n.audit("HLR", n.HLR)
-	n.audit("SGSN-1", sgsn)
-	n.audit("GGSN-1", ggsn)
-	n.audit("GK", n.GK)
-	n.audit("BSC-1", n.BSC)
-
-	env.Connect("BTS-1", "BSC-1", "Abis", lat.Abis)
-	env.Connect("BSC-1", "VMSC-1", "A", lat.A)
-	env.Connect("VMSC-1", "VLR-1", "B", lat.SS7)
-	env.Connect("VLR-1", "HLR", "D", lat.SS7)
-	env.Connect("VMSC-1", "SGSN-1", "Gb", lat.Gb)
-	env.Connect("SGSN-1", "GGSN-1", "Gn", lat.Gn)
-	env.Connect("SGSN-1", "HLR", "Gr", lat.SS7)
-	env.Connect("GGSN-1", "HLR", "Gc", lat.SS7)
-	env.Connect("GGSN-1", "GI", "Gi", lat.Gi)
-	env.Connect("GI", "GK", "IP", lat.LAN)
+	n.VLR, n.VMSC, n.SGSN, n.GGSN, n.Router, n.GK, n.BSC = a.vlr, a.vmsc, a.sgsn, a.ggsn, a.gi, a.gk, a.bsc
 
 	// Subscribers and their MSs.
 	for i := 0; i < opts.NumMS; i++ {
 		sub := SubscriberN(i)
 		n.Subscribers = append(n.Subscribers, sub)
-		mustProvision(n.HLR, hlr.Subscriber{
-			IMSI: sub.IMSI, MSISDN: sub.MSISDN, Ki: sub.Ki,
-			Profile: sigmap.SubscriberProfile{
-				MSISDN: sub.MSISDN, InternationalAllowed: true, VoIPQoS: 1,
-			},
-		})
+		provision(n.HLR, sub)
 		if opts.DeactivateIdlePDP {
 			// The ablation needs static addresses for network-initiated
 			// activation (GSM 03.60 requirement the paper cites).
 			addr := ipnet.MustAddr(fmt.Sprintf("10.1.2.%d", i+1))
-			staticAddrs[sub.IMSI] = addr.String()
-			ggsn.ProvisionStatic(addr, sub.IMSI)
-			n.Router.AddPrefix(mustPrefix(addr.String()+"/32"), "GGSN-1")
+			static[sub.IMSI] = addr.String()
+			n.GGSN.ProvisionStatic(addr, sub.IMSI)
+			n.Router.AddPrefix(netip.PrefixFrom(addr, 32), "GGSN-1")
 		}
 		msID := sim.NodeID(fmt.Sprintf("MS-%d", i+1))
 		ms := gsm.NewMS(gsm.MSConfig{
 			ID: msID, IMSI: sub.IMSI, MSISDN: sub.MSISDN, Ki: sub.Ki,
-			BTS:  "BTS-1",
-			LAI:  gsmid.LAI{MCC: "466", MNC: "92", LAC: 1},
+			BTS: "BTS-1", LAI: homeCell.LAI,
 			Talk: opts.Talk, DTX: opts.DTX,
 			AutoAnswer: true, AnswerDelay: opts.AutoAnswerDelay,
 		})
 		n.MSs = append(n.MSs, ms)
-		env.AddNode(ms)
-		env.Connect(msID, "BTS-1", "Um", lat.Um)
+		b.add(ms)
+		b.env.Connect(msID, "BTS-1", "Um", b.lat.Um)
 	}
 
 	// H.323 terminals.
 	for i := 0; i < opts.NumTerminals; i++ {
 		termID := sim.NodeID(fmt.Sprintf("TERM-%d", i+1))
-		addr := ipnet.MustAddr(terminalAddr(i))
+		addr := ipnet.MustAddr(fmt.Sprintf("192.168.1.%d", 10+i))
 		tcfg := h323.TerminalConfig{
 			ID: termID, Alias: TerminalAlias(i), Addr: addr,
-			Router: "GI", Gatekeeper: gkAddr, Dir: dir,
+			Router: "GI", Gatekeeper: gkAddr, Dir: n.Dir,
 			AutoAnswer: true, AnswerDelay: opts.AutoAnswerDelay,
 			Talk:   opts.Talk,
-			SigRTO: sig.RTO, SigRetries: sig.H323Retries,
+			SigRTO: b.sig.RTO, SigRetries: b.sig.H323Retries,
 		}
 		if opts.TerminalMutate != nil {
 			opts.TerminalMutate(&tcfg)
@@ -322,10 +243,9 @@ func BuildVGPRS(opts VGPRSOptions) *VGPRSNet {
 		term := h323.NewTerminal(tcfg)
 		n.Terminals = append(n.Terminals, term)
 		n.Router.AddHost(addr, termID)
-		dir.Bind(addr, termID)
-		env.AddNode(term)
-		n.audit(string(termID), term)
-		env.Connect("GI", termID, "IP", lat.LAN)
+		n.Dir.Bind(addr, termID)
+		b.add(term)
+		b.env.Connect("GI", termID, "IP", b.lat.LAN)
 	}
 
 	// The VMSC learns MSISDNs from the VLR at registration, but knowing
@@ -333,7 +253,6 @@ func BuildVGPRS(opts VGPRSOptions) *VGPRSNet {
 	for _, sub := range n.Subscribers {
 		n.VMSC.ProvisionMSISDN(sub.IMSI, sub.MSISDN)
 	}
-	return n
 }
 
 // RegisterAll powers on every MS and every terminal and runs the simulation
@@ -358,10 +277,4 @@ func (n *VGPRSNet) RegisterAll() error {
 		}
 	}
 	return nil
-}
-
-func mustProvision(h *hlr.HLR, s hlr.Subscriber) {
-	if err := h.Provision(s); err != nil {
-		panic(err)
-	}
 }

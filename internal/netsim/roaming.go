@@ -12,7 +12,6 @@ import (
 	"vgprs/internal/isup"
 	"vgprs/internal/msc"
 	"vgprs/internal/pstn"
-	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 	"vgprs/internal/trace"
 	"vgprs/internal/vlr"
@@ -32,12 +31,29 @@ var (
 	UKFixedNumber = gsmid.MSISDN("044612340001")
 )
 
-var roamerKi = [16]byte{0x77, 0x01}
+// roamer is subscriber x as provisioned in its home HLR.
+var roamer = Subscriber{IMSI: RoamerIMSI, MSISDN: RoamerMSISDN, Ki: [16]byte{0x77, 0x01}}
+
+// hkCell is the Hong Kong network's one cell.
+var hkCell = gsmid.CGI{LAI: gsmid.LAI{MCC: "454", MNC: "00", LAC: 1}, CI: 1}
+
+// roamerMS is x's handset camped on BTS-HK, answering after 200 ms and
+// talking once in a call.
+func roamerMS() *gsm.MS {
+	return gsm.NewMS(gsm.MSConfig{
+		ID: "MS-X", IMSI: roamer.IMSI, MSISDN: roamer.MSISDN, Ki: roamer.Ki,
+		BTS: "BTS-HK", LAI: hkCell.LAI,
+		AutoAnswer: true, AnswerDelay: 200 * time.Millisecond, Talk: true,
+	})
+}
 
 // RoamingGSMNet is the Fig 7 baseline: subscriber x roams in Hong Kong
 // under a classic GSM MSC; a local call from y becomes two international
 // trunks (the tromboning the paper eliminates).
 type RoamingGSMNet struct {
+	// Audited is the leak gate over every stateful element built below.
+	Audited
+
 	Env *sim.Env
 	Rec *trace.Recorder
 
@@ -57,22 +73,14 @@ type RoamingGSMNet struct {
 
 // BuildRoamingGSM wires the Fig 7 configuration.
 func BuildRoamingGSM(seed int64) *RoamingGSMNet {
-	env := sim.NewEnv(seed)
-	rec := trace.NewRecorder()
-	env.SetTracer(rec)
-	lat := DefaultLatencies()
+	n := &RoamingGSMNet{}
+	b := newBuilder(seed, nil, nil, &n.Audited)
+	n.Env, n.Rec = b.env, b.record()
+	n.IntlToUK = b.trunks("LE-HK<->GMSC-UK", isup.TrunkInternational, 16)
+	n.IntlToHK = b.trunks("GMSC-UK<->MSC-HK", isup.TrunkInternational, 16)
 
-	n := &RoamingGSMNet{
-		Env: env, Rec: rec,
-		IntlToUK: isup.NewTrunkGroup("LE-HK<->GMSC-UK", isup.TrunkInternational, 16),
-		IntlToHK: isup.NewTrunkGroup("GMSC-UK<->MSC-HK", isup.TrunkInternational, 16),
-	}
-
-	n.HLRUK = hlr.New(hlr.Config{ID: "HLR-UK"})
-	mustProvision(n.HLRUK, hlr.Subscriber{
-		IMSI: RoamerIMSI, MSISDN: RoamerMSISDN, Ki: roamerKi,
-		Profile: sigmap.SubscriberProfile{MSISDN: RoamerMSISDN, InternationalAllowed: true},
-	})
+	n.HLRUK = b.hlr("HLR-UK")
+	provision(n.HLRUK, roamer)
 	n.VLRHK = vlr.New(vlr.Config{
 		ID: "VLR-HK", HLR: "HLR-UK", HomeCountryCode: "852", MSRNPrefix: "85290000",
 	})
@@ -97,29 +105,19 @@ func BuildRoamingGSM(seed int64) *RoamingGSMNet {
 	n.PhoneY = pstn.NewPhone(pstn.PhoneConfig{
 		ID: "PHONE-Y", Number: CallerNumber, Exchange: "LE-HK", Talk: true,
 	})
+	b.add(n.VLRHK, n.MSCHK, n.GMSCUK, n.LEHK, n.PhoneY)
+	b.bss("BTS-HK", "BSC-HK", "MSC-HK", 0)
+	n.MS = roamerMS()
+	b.add(n.MS)
 
-	bts := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-HK", BSC: "BSC-HK"})
-	bsc := gsm.NewBSC(gsm.BSCConfig{ID: "BSC-HK", MSC: "MSC-HK", BTSs: []sim.NodeID{"BTS-HK"}})
-	n.MS = gsm.NewMS(gsm.MSConfig{
-		ID: "MS-X", IMSI: RoamerIMSI, MSISDN: RoamerMSISDN, Ki: roamerKi,
-		BTS: "BTS-HK", LAI: gsmid.LAI{MCC: "454", MNC: "00", LAC: 1},
-		AutoAnswer: true, AnswerDelay: 200 * time.Millisecond, Talk: true,
-	})
-
-	for _, node := range []sim.Node{
-		n.HLRUK, n.VLRHK, n.MSCHK, n.GMSCUK, n.LEHK, n.PhoneY, bts, bsc, n.MS,
-	} {
-		env.AddNode(node)
-	}
-	env.Connect("MS-X", "BTS-HK", "Um", lat.Um)
-	env.Connect("BTS-HK", "BSC-HK", "Abis", lat.Abis)
-	env.Connect("BSC-HK", "MSC-HK", "A", lat.A)
-	env.Connect("MSC-HK", "VLR-HK", "B", lat.SS7)
-	env.Connect("VLR-HK", "HLR-UK", "D", lat.Intl) // international SS7
-	env.Connect("GMSC-UK", "HLR-UK", "C", lat.SS7)
-	env.Connect("PHONE-Y", "LE-HK", "Line", lat.LAN)
-	env.Connect("LE-HK", "GMSC-UK", "ISUP", lat.Intl)
-	env.Connect("GMSC-UK", "MSC-HK", "ISUP", lat.Intl)
+	lat := b.lat
+	b.env.Connect("MS-X", "BTS-HK", "Um", lat.Um)
+	b.env.Connect("MSC-HK", "VLR-HK", "B", lat.SS7)
+	b.env.Connect("VLR-HK", "HLR-UK", "D", lat.Intl) // international SS7
+	b.env.Connect("GMSC-UK", "HLR-UK", "C", lat.SS7)
+	b.env.Connect("PHONE-Y", "LE-HK", "Line", lat.LAN)
+	b.env.Connect("LE-HK", "GMSC-UK", "ISUP", lat.Intl)
+	b.env.Connect("GMSC-UK", "MSC-HK", "ISUP", lat.Intl)
 	return n
 }
 
@@ -144,6 +142,9 @@ func (n *RoamingGSMNet) InternationalSeizures() int {
 // gatekeeper's address-translation table; y's call goes local exchange ->
 // H.323 gateway -> VoIP -> VMSC -> x, never leaving Hong Kong.
 type RoamingVGPRSNet struct {
+	// Audited is the leak gate over every stateful element built below.
+	Audited
+
 	Env *sim.Env
 	Rec *trace.Recorder
 	Dir *h323.Directory
@@ -167,70 +168,40 @@ type RoamingVGPRSNet struct {
 	IntlTrunks  *isup.TrunkGroup
 }
 
-// BuildRoamingVGPRS wires the Fig 8 configuration.
+// BuildRoamingVGPRS wires the Fig 8 configuration: a Hong Kong service area
+// whose VLR, SGSN and GGSN reach the roamer's UK HLR over international
+// links.
 func BuildRoamingVGPRS(seed int64) *RoamingVGPRSNet {
-	env := sim.NewEnv(seed)
-	rec := trace.NewRecorder()
-	env.SetTracer(rec)
-	dir := h323.NewDirectory()
-	lat := DefaultLatencies()
+	n := &RoamingVGPRSNet{Dir: h323.NewDirectory()}
+	b := newBuilder(seed, nil, nil, &n.Audited)
+	n.Env, n.Rec = b.env, b.record()
+	n.LocalTrunks = b.trunks("LE-HK<->GW-HK", isup.TrunkLocal, 16)
+	n.IntlTrunks = b.trunks("LE-HK<->GMSC-UK", isup.TrunkInternational, 16)
 
-	n := &RoamingVGPRSNet{
-		Env: env, Rec: rec, Dir: dir,
-		LocalTrunks: isup.NewTrunkGroup("LE-HK<->GW-HK", isup.TrunkLocal, 16),
-		IntlTrunks:  isup.NewTrunkGroup("LE-HK<->GMSC-UK", isup.TrunkInternational, 16),
-	}
-
-	n.HLRUK = hlr.New(hlr.Config{ID: "HLR-UK"})
-	mustProvision(n.HLRUK, hlr.Subscriber{
-		IMSI: RoamerIMSI, MSISDN: RoamerMSISDN, Ki: roamerKi,
-		Profile: sigmap.SubscriberProfile{MSISDN: RoamerMSISDN, InternationalAllowed: true},
-	})
-	n.VLRHK = vlr.New(vlr.Config{
-		ID: "VLR-HK", HLR: "HLR-UK", HomeCountryCode: "852", MSRNPrefix: "85290000",
-	})
-
-	sgsn, ggsn := buildGPRSCore(gprsCoreConfig{
-		SGSNID: "SGSN-HK", GGSNID: "GGSN-HK", HLR: "HLR-UK", Gi: "GI-HK",
-		PoolPrefix: "10.2.1.0",
-	})
-	n.SGSN = SGSNHandle{sgsn}
-	n.GGSN = GGSNHandle{ggsn}
-
-	router := ipnet.NewRouter("GI-HK")
+	n.HLRUK = b.hlr("HLR-UK")
+	provision(n.HLRUK, roamer)
 	gkHK := ipnet.MustAddr("192.168.2.1")
 	gwAddr := ipnet.MustAddr("192.168.2.2")
-	n.GK = h323.NewGatekeeper(h323.GatekeeperConfig{
-		ID: "GK-HK", Addr: gkHK, Router: "GI-HK", Dir: dir,
-		// Unregistered Hong Kong numbers route out through the gateway —
-		// the paper §4's "traditional telephone set in the PSTN,
-		// connected indirectly through the H.323 network".
-		PSTNGateway: gwAddr, PSTNPrefixes: []string{"852"},
+	a := b.area(areaSpec{
+		id: nodeIDs("-HK", "-HK"), hlr: "HLR-UK", intl: true, cc: "852", msrn: "85290000",
+		cell: hkCell, pool: "10.2.1.0", poolBits: 24, gk: gkHK, dir: n.Dir,
+		opts: VGPRSOptions{GKMutate: func(cfg *h323.GatekeeperConfig) {
+			// Unregistered Hong Kong numbers route out through the gateway —
+			// the paper §4's "traditional telephone set in the PSTN,
+			// connected indirectly through the H.323 network".
+			cfg.PSTNGateway, cfg.PSTNPrefixes = gwAddr, []string{"852"}
+		}},
 	})
-	n.Gateway = h323.NewGateway(h323.GatewayConfig{
-		ID: "GW-HK", Addr: gwAddr, Router: "GI-HK", Gatekeeper: gkHK, Dir: dir,
-		Exchange: "LE-HK", Trunks: n.LocalTrunks,
-	})
-	router.AddHost(gkHK, "GK-HK")
-	router.AddHost(gwAddr, "GW-HK")
-	router.AddPrefix(mustPrefix("10.2.1.0/24"), "GGSN-HK")
-	dir.Bind(gkHK, "GK-HK")
-	dir.Bind(gwAddr, "GW-HK")
-
-	n.VMSC = vmsc.New(vmsc.Config{
-		ID: "VMSC-HK", VLR: "VLR-HK", SGSN: "SGSN-HK",
-		Cell:       gsmid.CGI{LAI: gsmid.LAI{MCC: "454", MNC: "00", LAC: 1}, CI: 1},
-		Gatekeeper: gkHK, Dir: dir,
-	})
+	n.VLRHK, n.VMSC, n.SGSN, n.GGSN, n.GK = a.vlr, a.vmsc, a.sgsn, a.ggsn, a.gk
 	n.VMSC.ProvisionMSISDN(RoamerIMSI, RoamerMSISDN)
 
-	bts := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-HK", BSC: "BSC-HK"})
-	bsc := gsm.NewBSC(gsm.BSCConfig{ID: "BSC-HK", MSC: "VMSC-HK", BTSs: []sim.NodeID{"BTS-HK"}})
-	n.MS = gsm.NewMS(gsm.MSConfig{
-		ID: "MS-X", IMSI: RoamerIMSI, MSISDN: RoamerMSISDN, Ki: roamerKi,
-		BTS: "BTS-HK", LAI: gsmid.LAI{MCC: "454", MNC: "00", LAC: 1},
-		AutoAnswer: true, AnswerDelay: 200 * time.Millisecond, Talk: true,
+	n.Gateway = h323.NewGateway(h323.GatewayConfig{
+		ID: "GW-HK", Addr: gwAddr, Router: "GI-HK", Gatekeeper: gkHK, Dir: n.Dir,
+		Exchange: "LE-HK", Trunks: n.LocalTrunks,
 	})
+	a.gi.AddHost(gwAddr, "GW-HK")
+	n.Dir.Bind(gwAddr, "GW-HK")
+	n.MS = roamerMS()
 
 	// The PSTN side: y's local exchange prefers the VoIP gateway for UK
 	// numbers and falls back to the international route.
@@ -255,30 +226,16 @@ func BuildRoamingVGPRS(seed int64) *RoamingVGPRSNet {
 	n.PhoneY = pstn.NewPhone(pstn.PhoneConfig{
 		ID: "PHONE-Y", Number: CallerNumber, Exchange: "LE-HK", Talk: true,
 	})
+	b.add(n.Gateway, n.MS, n.GMSCUK, n.PhoneUK, n.LEHK, n.PhoneY)
 
-	for _, node := range []sim.Node{
-		n.HLRUK, n.VLRHK, sgsn, ggsn, router, n.GK, n.Gateway, n.VMSC,
-		bts, bsc, n.MS, n.GMSCUK, n.PhoneUK, n.LEHK, n.PhoneY,
-	} {
-		env.AddNode(node)
-	}
-	env.Connect("MS-X", "BTS-HK", "Um", lat.Um)
-	env.Connect("BTS-HK", "BSC-HK", "Abis", lat.Abis)
-	env.Connect("BSC-HK", "VMSC-HK", "A", lat.A)
-	env.Connect("VMSC-HK", "VLR-HK", "B", lat.SS7)
-	env.Connect("VLR-HK", "HLR-UK", "D", lat.Intl)
-	env.Connect("VMSC-HK", "SGSN-HK", "Gb", lat.Gb)
-	env.Connect("SGSN-HK", "GGSN-HK", "Gn", lat.Gn)
-	env.Connect("SGSN-HK", "HLR-UK", "Gr", lat.Intl)
-	env.Connect("GGSN-HK", "HLR-UK", "Gc", lat.Intl)
-	env.Connect("GGSN-HK", "GI-HK", "Gi", lat.Gi)
-	env.Connect("GI-HK", "GK-HK", "IP", lat.LAN)
-	env.Connect("GI-HK", "GW-HK", "IP", lat.LAN)
-	env.Connect("PHONE-Y", "LE-HK", "Line", lat.LAN)
-	env.Connect("LE-HK", "GW-HK", "ISUP", lat.Natl)
-	env.Connect("LE-HK", "GMSC-UK", "ISUP", lat.Intl)
-	env.Connect("GMSC-UK", "HLR-UK", "C", lat.SS7)
-	env.Connect("PHONE-UK", "GMSC-UK", "Line", lat.LAN)
+	lat := b.lat
+	b.env.Connect("MS-X", "BTS-HK", "Um", lat.Um)
+	b.env.Connect("GI-HK", "GW-HK", "IP", lat.LAN)
+	b.env.Connect("PHONE-Y", "LE-HK", "Line", lat.LAN)
+	b.env.Connect("LE-HK", "GW-HK", "ISUP", lat.Natl)
+	b.env.Connect("LE-HK", "GMSC-UK", "ISUP", lat.Intl)
+	b.env.Connect("GMSC-UK", "HLR-UK", "C", lat.SS7)
+	b.env.Connect("PHONE-UK", "GMSC-UK", "Line", lat.LAN)
 	return n
 }
 

@@ -58,6 +58,7 @@ func TestFig7TrombonedGSMCall(t *testing.T) {
 	if n.IntlToUK.InUse() != 0 || n.IntlToHK.InUse() != 0 {
 		t.Fatalf("trunks leaked UK=%d HK=%d", n.IntlToUK.InUse(), n.IntlToHK.InUse())
 	}
+	expectDrained(t, n.Residual())
 }
 
 func TestFig8TromboneEliminated(t *testing.T) {
@@ -114,6 +115,7 @@ func TestFig8TromboneEliminated(t *testing.T) {
 	if n.PhoneY.InCall() {
 		t.Fatal("phone still in call")
 	}
+	expectDrained(t, n.Residual())
 }
 
 // TestMSCallsPSTNPhoneThroughGateway covers the paper §4 statement that the

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"vgprs/internal/gprs"
 	"vgprs/internal/gsm"
 	"vgprs/internal/gsmid"
 	"vgprs/internal/isup"
@@ -41,84 +40,39 @@ type TwoVMSCNet struct {
 // BuildVGPRS network; area 2 adds BTS-2/BSC-2/VMSC-2/VLR-2/SGSN-2 with
 // links mirroring area 1's, plus Um links from every MS to BTS-2.
 func BuildTwoVMSC(opts VGPRSOptions) *TwoVMSCNet {
-	area1Cell := gsmid.CGI{LAI: gsmid.LAI{MCC: "466", MNC: "92", LAC: 1}, CI: 1}
-	area2LAI := gsmid.LAI{MCC: "466", MNC: "92", LAC: 2}
-	area2Cell := gsmid.CGI{LAI: area2LAI, CI: 2}
-	eTrunks := isup.NewTrunkGroup("VMSC-1<->VMSC-2 (E)", isup.TrunkNational, 16)
+	n := &TwoVMSCNet{VGPRSNet: &VGPRSNet{}}
+	buildTwoVMSC(n, newBuilder(opts.Seed, opts.Latencies, opts.Sig, &n.Audited), opts)
+	return n
+}
 
-	// VMSC-1 learns area 2 as a handover target (and its own cell as the
-	// handback destination) on top of whatever the caller's mutator set.
-	base := BuildVGPRS(withHandoverPeers(opts,
-		map[gsmid.CGI]vmsc.HandoverTarget{area2Cell: {MSC: "VMSC-2", BTS: "BTS-2"}},
-		map[sim.NodeID]*isup.TrunkGroup{"VMSC-2": eTrunks},
-		map[gsmid.CGI]sim.NodeID{area1Cell: "BTS-1"}))
-	env := base.Env
-	lat := DefaultLatencies()
-	if opts.Latencies != nil {
-		lat = *opts.Latencies
-	}
-	var sig SigProfile
-	if opts.Sig != nil {
-		sig = *opts.Sig
-	}
+// buildTwoVMSC wires BuildTwoVMSC's network into n with b.
+func buildTwoVMSC(n *TwoVMSCNet, b *builder, opts VGPRSOptions) {
+	n.Area1Cell, n.Area2LAI = homeCell, gsmid.LAI{MCC: "466", MNC: "92", LAC: 2}
+	n.Area2Cell = gsmid.CGI{LAI: n.Area2LAI, CI: 2}
+	n.ETrunks = b.trunks("VMSC-1<->VMSC-2 (E)", isup.TrunkNational, 16)
 
-	n := &TwoVMSCNet{
-		VGPRSNet:  base,
-		Area2LAI:  area2LAI,
-		Area1Cell: area1Cell,
-		Area2Cell: area2Cell,
-		ETrunks:   eTrunks,
-	}
-
-	n.VLR2 = vlr.New(vlr.Config{
-		ID: "VLR-2", HLR: "HLR", HomeCountryCode: "886", MSRNPrefix: "88690001",
-		AuthDisabled: opts.AuthDisabled,
-		SigRTO:       sig.RTO, SigRetries: sig.Retries,
+	// Each VMSC learns the other area as a handover target (and its own
+	// cell as the handback destination); VMSC-1 on top of whatever the
+	// caller's mutator set.
+	buildVGPRS(n.VGPRSNet, b, withHandoverPeers(opts,
+		map[gsmid.CGI]vmsc.HandoverTarget{n.Area2Cell: {MSC: "VMSC-2", BTS: "BTS-2"}},
+		map[sim.NodeID]*isup.TrunkGroup{"VMSC-2": n.ETrunks},
+		map[gsmid.CGI]sim.NodeID{n.Area1Cell: "BTS-1"}))
+	a := b.area(areaSpec{
+		id: nodeIDs("-2", ""), hlr: "HLR", cc: "886", msrn: "88690001", cell: n.Area2Cell,
+		gk: gkAddr, dir: n.Dir, ggsn: n.GGSN,
+		opts: withHandoverPeers(VGPRSOptions{AuthDisabled: opts.AuthDisabled, TCHCapacity: opts.TCHCapacity},
+			map[gsmid.CGI]vmsc.HandoverTarget{n.Area1Cell: {MSC: "VMSC-1", BTS: "BTS-1"}},
+			map[sim.NodeID]*isup.TrunkGroup{"VMSC-1": n.ETrunks},
+			map[gsmid.CGI]sim.NodeID{n.Area2Cell: "BTS-2"}),
 	})
-	sgsn2 := gprs.NewSGSN(gprs.SGSNConfig{
-		ID: "SGSN-2", GGSN: "GGSN-1", HLR: "HLR",
-		SigRTO: sig.RTO, SigRetries: sig.Retries,
-	})
-	n.SGSN2 = SGSNHandle{sgsn2}
-	n.VMSC2 = vmsc.New(vmsc.Config{
-		ID: "VMSC-2", VLR: "VLR-2", SGSN: "SGSN-2",
-		Cell:       area2Cell,
-		Gatekeeper: gkAddr, Dir: base.Dir,
-		SigRTO: sig.RTO, SigRetries: sig.Retries, H323Retries: sig.H323Retries,
-		HandoverTargets: map[gsmid.CGI]vmsc.HandoverTarget{
-			area1Cell: {MSC: "VMSC-1", BTS: "BTS-1"},
-		},
-		ETrunks:       map[sim.NodeID]*isup.TrunkGroup{"VMSC-1": eTrunks},
-		HandbackCells: map[gsmid.CGI]sim.NodeID{area2Cell: "BTS-2"},
-	})
-	bts2 := gsm.NewBTS(gsm.BTSConfig{ID: "BTS-2", BSC: "BSC-2"})
-	n.BSC2 = gsm.NewBSC(gsm.BSCConfig{
-		ID: "BSC-2", MSC: "VMSC-2", BTSs: []sim.NodeID{"BTS-2"},
-		TCHCapacity: opts.TCHCapacity,
-	})
+	n.VLR2, n.VMSC2, n.SGSN2, n.BSC2 = a.vlr, a.vmsc, a.sgsn, a.bsc
+	b.env.Connect("VMSC-1", "VMSC-2", "E", b.lat.SS7)
 
-	for _, node := range []sim.Node{n.VLR2, sgsn2, n.VMSC2, bts2, n.BSC2} {
-		env.AddNode(node)
+	for _, ms := range n.MSs {
+		b.env.Connect(ms.ID(), "BTS-2", "Um", b.lat.Um)
 	}
-	n.audit("VMSC-2", n.VMSC2)
-	n.audit("VLR-2", n.VLR2)
-	n.audit("SGSN-2", sgsn2)
-	n.audit("BSC-2", n.BSC2)
-	n.audit("VMSC-1<->VMSC-2", eTrunks)
-	env.Connect("BTS-2", "BSC-2", "Abis", lat.Abis)
-	env.Connect("BSC-2", "VMSC-2", "A", lat.A)
-	env.Connect("VMSC-2", "VLR-2", "B", lat.SS7)
-	env.Connect("VLR-2", "HLR", "D", lat.SS7)
-	env.Connect("VMSC-2", "SGSN-2", "Gb", lat.Gb)
-	env.Connect("SGSN-2", "GGSN-1", "Gn", lat.Gn)
-	env.Connect("SGSN-2", "HLR", "Gr", lat.SS7)
-	env.Connect("VMSC-1", "VMSC-2", "E", lat.SS7)
-
-	for _, ms := range base.MSs {
-		env.Connect(ms.ID(), "BTS-2", "Um", lat.Um)
-	}
-	for _, sub := range base.Subscribers {
+	for _, sub := range n.Subscribers {
 		n.VMSC2.ProvisionMSISDN(sub.IMSI, sub.MSISDN)
 	}
-	return n
 }

@@ -564,6 +564,7 @@ func (v *VMSC) Audit(report func(kind string, n int)) {
 	report("pending transactions", v.PendingTransactions())
 	report("active calls", v.ActiveCalls())
 	report("handoff trunk calls", v.HandoffCalls())
+	report("handover-target legs", v.hoTarget.Open())
 	report("in-flight media frames", v.InflightFrames())
 	report("slab imbalance", v.SlabImbalance())
 }
