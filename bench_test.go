@@ -305,15 +305,16 @@ func BenchmarkR1RegistrationStorm(b *testing.B) {
 // 4,686 (go1.24, BenchmarkRegistrationThroughput), including ~2 allocations
 // per node for the lazily-created per-node RNG streams the engine's
 // determinism contract requires; the ~4% headroom absorbs Go-version drift
-// in map growth.
+// in map growth. The race detector's instrumentation allocates more (~5,070),
+// so race builds keep the earlier 5,200 budget.
 func TestRegistrationAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget needs steady-state measurement")
 	}
+	budget := 4900.0
 	if raceEnabled {
-		t.Skip("the race detector's instrumentation allocates (~5,070 objects/op)")
+		budget = 5200
 	}
-	const budget = 4900
 	allocs := testing.AllocsPerRun(5, func() {
 		n := netsim.BuildVGPRS(netsim.VGPRSOptions{
 			Seed: 1, NumMS: 50, NoTrace: true,
@@ -323,6 +324,6 @@ func TestRegistrationAllocBudget(t *testing.T) {
 		}
 	})
 	if allocs > budget {
-		t.Fatalf("50-MS registration allocated %.0f objects/op, budget %d", allocs, budget)
+		t.Fatalf("50-MS registration allocated %.0f objects/op, budget %.0f", allocs, budget)
 	}
 }

@@ -79,13 +79,19 @@ func (h *HandoverTarget) Completed() uint64 {
 
 // Open returns the handover legs this target holds: numbers allocated and
 // awaiting the anchor's trunk, plus legs whose trunk arrived — in call, or
-// waiting for the anchor's release after the MS moved on. A leg between
-// Prepare and the trunk's IAM counts in both. Zero once every handed-in call
-// has cleared.
+// waiting for the anchor's release after the MS moved on. Each leg counts
+// once, though one between Prepare and the trunk's IAM sits in both tables.
+// Zero once every handed-in call has cleared.
 func (h *HandoverTarget) Open() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.pending) + len(h.byRef)
+	n := len(h.byRef)
+	for _, ctx := range h.pending {
+		if h.byRef[ctx.callRef] != ctx {
+			n++
+		}
+	}
+	return n
 }
 
 // Prepare handles MAP_PREPARE_HANDOVER: reserve a radio channel, allocate a

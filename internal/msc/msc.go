@@ -118,10 +118,11 @@ func (m *MSC) ActiveCalls() int {
 	return len(m.byMS)
 }
 
-// Audit reports the MSC's transient state for netsim's leak gate: calls in
-// progress and handed-in legs it serves as a handover target. Registrations
-// are durable and not counted.
+// Audit reports the MSC's transient state for netsim's leak gate: open MAP
+// transactions, calls in progress and handed-in legs it serves as a handover
+// target. Registrations are durable and not counted.
 func (m *MSC) Audit(report func(kind string, n int)) {
+	report("pending transactions", m.registrar.Pending()+m.dm.Outstanding())
 	report("active calls", m.ActiveCalls())
 	report("handover-target legs", m.hoTarget.Open())
 }

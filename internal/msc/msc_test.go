@@ -268,6 +268,10 @@ func TestHandoverTarget(t *testing.T) {
 	if anchor.ack.HandoverNumber == "" || anchor.ack.Cause != sigmap.CauseNone {
 		t.Fatalf("PrepareHandoverAck = %+v", anchor.ack)
 	}
+	// A prepared leg sits in both of the target's tables but is one leg.
+	if n := f.msc.hoTarget.Open(); n != 1 {
+		t.Fatalf("prepared: Open() = %d, want 1", n)
+	}
 
 	// Anchor sets up the trunk to the handover number.
 	f.env.Send("ANCHOR", "MSC-1", isup.IAM{
@@ -276,6 +280,9 @@ func TestHandoverTarget(t *testing.T) {
 	f.env.Run()
 	if !anchor.answered {
 		t.Fatal("handover trunk not answered")
+	}
+	if n := f.msc.hoTarget.Open(); n != 1 {
+		t.Fatalf("trunk answered: Open() = %d, want 1", n)
 	}
 
 	// The MS arrives on the target BSC.
@@ -294,6 +301,13 @@ func TestHandoverTarget(t *testing.T) {
 	}
 	if anchor.frames != 1 {
 		t.Fatalf("anchor frames = %d", anchor.frames)
+	}
+
+	// The anchor releases the trunk: the target holds nothing.
+	f.env.Send("ANCHOR", "MSC-1", isup.REL{CIC: 7, CallRef: 555, Cause: isup.CauseNormalClearing})
+	f.env.Run()
+	if n := f.msc.hoTarget.Open(); n != 0 {
+		t.Fatalf("released: Open() = %d, want 0", n)
 	}
 }
 

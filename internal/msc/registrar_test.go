@@ -100,6 +100,40 @@ func TestRegistrarDedupesLocationUpdate(t *testing.T) {
 	}
 }
 
+// TestAuditSeesLocationUpdateInFlight checks that the MSC's leak-gate audit
+// reports a location update its VLR has not answered, and nothing once the
+// invoke has timed out.
+func TestAuditSeesLocationUpdateInFlight(t *testing.T) {
+	env := sim.NewEnv(1)
+	m := New(Config{ID: "MSC-1", VLR: "VLR-SILENT"})
+	env.AddNode(m)
+	env.AddNode(&silentVLR{id: "VLR-SILENT"})
+	env.AddNode(&bscStub{id: "BSC-1"})
+	env.Connect("MSC-1", "VLR-SILENT", "B", time.Millisecond)
+	env.Connect("BSC-1", "MSC-1", "A", time.Millisecond)
+	pending := func() int {
+		n := 0
+		m.Audit(func(kind string, c int) {
+			if kind == "pending transactions" {
+				n += c
+			}
+		})
+		return n
+	}
+
+	env.Send("BSC-1", "MSC-1", gsm.LocationUpdate{
+		Leg: gsm.LegA, MS: "MS-1", Identity: gsmid.ByIMSI("466920000000001"),
+	})
+	env.RunUntil(10 * time.Millisecond)
+	if n := pending(); n == 0 {
+		t.Fatal("in-flight location update not in the audit")
+	}
+	env.Run()
+	if n := pending(); n != 0 {
+		t.Fatalf("after the timeout: %d pending transactions", n)
+	}
+}
+
 // registrarOwner is a minimal node driving a Registrar.
 type registrarOwner struct {
 	id sim.NodeID

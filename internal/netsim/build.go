@@ -95,12 +95,13 @@ func (b *builder) bss(bts, bsc, sw sim.NodeID, tch int) *gsm.BSC {
 	return c
 }
 
-// provision enters a subscriber in an HLR with the standard profile:
-// international calls allowed, VoIP QoS class 1.
-func provision(h *hlr.HLR, sub Subscriber) {
+// provision enters a subscriber in an HLR with international calls allowed
+// and VoIP QoS class qos (1 for the vGPRS subscribers, 0 for the Fig 7/8
+// roamer's plain GSM profile).
+func provision(h *hlr.HLR, sub Subscriber, qos uint8) {
 	if err := h.Provision(hlr.Subscriber{
 		IMSI: sub.IMSI, MSISDN: sub.MSISDN, Ki: sub.Ki,
-		Profile: sigmap.SubscriberProfile{MSISDN: sub.MSISDN, InternationalAllowed: true, VoIPQoS: 1},
+		Profile: sigmap.SubscriberProfile{MSISDN: sub.MSISDN, InternationalAllowed: true, VoIPQoS: qos},
 	}); err != nil {
 		panic(err)
 	}

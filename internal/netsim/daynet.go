@@ -129,7 +129,7 @@ func BuildDay(opts DayOptions) *DayNet {
 	})
 
 	// The visiting UK subscriber, provisioned in the shared HLR.
-	provision(n.HLR, roamer)
+	provision(n.HLR, roamer, 1)
 	n.VMSC.ProvisionMSISDN(RoamerIMSI, RoamerMSISDN)
 	n.VMSC2.ProvisionMSISDN(RoamerIMSI, RoamerMSISDN)
 	n.Roamer = gsm.NewMS(gsm.MSConfig{

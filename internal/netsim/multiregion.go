@@ -96,7 +96,7 @@ func BuildMultiRegion(opts MultiRegionOptions) *MultiRegionNet {
 			sub := SubscriberN(global)
 			global++
 			n.Subscribers = append(n.Subscribers, sub)
-			provision(n.HLR, sub)
+			provision(n.HLR, sub, 1)
 			msID := sim.NodeID(fmt.Sprintf("MS-R%d-%d", r+1, i+1))
 			ms := gsm.NewMS(gsm.MSConfig{
 				ID: msID, IMSI: sub.IMSI, MSISDN: sub.MSISDN, Ki: sub.Ki,

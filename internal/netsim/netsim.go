@@ -205,7 +205,7 @@ func buildVGPRS(n *VGPRSNet, b *builder, opts VGPRSOptions) {
 	for i := 0; i < opts.NumMS; i++ {
 		sub := SubscriberN(i)
 		n.Subscribers = append(n.Subscribers, sub)
-		provision(n.HLR, sub)
+		provision(n.HLR, sub, 1)
 		if opts.DeactivateIdlePDP {
 			// The ablation needs static addresses for network-initiated
 			// activation (GSM 03.60 requirement the paper cites).

@@ -80,7 +80,7 @@ func BuildRoamingGSM(seed int64) *RoamingGSMNet {
 	n.IntlToHK = b.trunks("GMSC-UK<->MSC-HK", isup.TrunkInternational, 16)
 
 	n.HLRUK = b.hlr("HLR-UK")
-	provision(n.HLRUK, roamer)
+	provision(n.HLRUK, roamer, 0)
 	n.VLRHK = vlr.New(vlr.Config{
 		ID: "VLR-HK", HLR: "HLR-UK", HomeCountryCode: "852", MSRNPrefix: "85290000",
 	})
@@ -179,7 +179,7 @@ func BuildRoamingVGPRS(seed int64) *RoamingVGPRSNet {
 	n.IntlTrunks = b.trunks("LE-HK<->GMSC-UK", isup.TrunkInternational, 16)
 
 	n.HLRUK = b.hlr("HLR-UK")
-	provision(n.HLRUK, roamer)
+	provision(n.HLRUK, roamer, 0)
 	gkHK := ipnet.MustAddr("192.168.2.1")
 	gwAddr := ipnet.MustAddr("192.168.2.2")
 	a := b.area(areaSpec{

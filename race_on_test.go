@@ -3,5 +3,5 @@
 package vgprs_test
 
 // raceEnabled reports whether the race detector is compiled in; its
-// instrumentation allocates, so allocation budgets do not hold under it.
+// instrumentation allocates, so allocation budgets are looser under it.
 const raceEnabled = true
