@@ -9,7 +9,7 @@ GO ?= go
 # FuzzIndexAgainstMap (the index table against a map).
 FUZZ_PKGS = ./internal/sigmap/ ./internal/gtp/ ./internal/q931/ ./internal/gb/ ./internal/isup/ ./internal/rtp/ ./internal/gsm/ ./internal/h323/ ./internal/slab/
 
-.PHONY: all build vet test race check bench-smoke bench-e2e bench bench-sim bench-slab bench-codec bench-scenarios bench-scale heap-profile bench-media bench-json fuzz-smoke fuzz soak soak-short
+.PHONY: all build vet test race check bench-smoke bench-e2e bench bench-sim bench-slab bench-codec bench-scenarios bench-scale heap-profile bench-media bench-json loc fuzz-smoke fuzz soak soak-short
 
 all: check
 
@@ -120,6 +120,13 @@ HEAP_SUBS ?= 30000
 heap-profile:
 	$(GO) run ./cmd/vgprs-bench -only scale -scale-subs $(HEAP_SUBS) -heapprofile heap.pprof
 	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=25 heap.pprof
+
+# Non-test Go lines per package directory and their total, outside the bench/
+# module: the size figure a simplification is measured by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
 # Machine-readable experiment results (BENCH_<id>.json in the working dir).
 bench-json:

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -16,7 +19,8 @@ import (
 	"vgprs/internal/vmsc"
 )
 
-// budgetRun is the one large full-stack run both budget gates read: 100k
+// budgetRun is the one large full-stack run both budget gates and the
+// committed-point check read: 100k
 // subscribers attached through a real VMSC (MS table with the GPRS client
 // state inline), VLR, HLR, SGSN, GGSN, gatekeeper, and directory at once; 10k
 // under -short and the race detector. The run itself asserts completeness
@@ -89,6 +93,48 @@ func TestFullStackBytesPerSubscriberBudget(t *testing.T) {
 	if p.BytesPerSub > budget {
 		t.Errorf("bytes/subscriber = %.0f, budget %.0f", p.BytesPerSub, budget)
 	}
+}
+
+// TestBudgetRunMatchesCommittedScale holds the 100k budget run to the 100k
+// point committed in BENCH_scale.json on every field a seed and a host cannot
+// move: each node's Footprint() share (exact accounting: seeds 1 and 7 read
+// the same bytes), the populations, rejects, call count and the cancel-all
+// audit. Wall-clock rates and the heap delta are the host's and are not
+// compared. Under -short and the race detector the run is 10k, which has no
+// committed point.
+func TestBudgetRunMatchesCommittedScale(t *testing.T) {
+	p := checkBudgetRun(t)
+	if p.Subs != 100_000 {
+		t.Skipf("budget run is %d subscribers; the committed point is 100k", p.Subs)
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_scale.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed struct {
+		Data []ScaleFullPoint `json:"data"`
+	}
+	if err := json.Unmarshal(raw, &committed); err != nil {
+		t.Fatal(err)
+	}
+	type exact struct {
+		Footprint                                      NodeBytes
+		RegisteredVMSC, GKRegistered, ActivePDP        int
+		Rejects, CallSetupOps, Leftover, SlabImbalance int
+	}
+	pick := func(q ScaleFullPoint) exact {
+		return exact{q.Footprint, q.RegisteredVMSC, q.GKRegistered, q.ActivePDP,
+			q.Rejects, q.CallSetupOps, q.DetachLeftover, q.SlabImbalance}
+	}
+	for _, c := range committed.Data {
+		if c.Subs == p.Subs {
+			if got, want := pick(p), pick(c); got != want {
+				t.Errorf("budget run differs from BENCH_scale.json at %d subscribers:\n got  %+v\n want %+v", p.Subs, got, want)
+			}
+			return
+		}
+	}
+	t.Fatalf("BENCH_scale.json has no %d-subscriber point", p.Subs)
 }
 
 // TestScaleFullSmall is the fast canary for the full-stack harness: a

@@ -240,30 +240,12 @@ func (g *GGSN) Footprint() int {
 func (g *GGSN) SlabImbalance() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	imb := g.dm.Occupancy().Imbalance() + g.creating.Occupancy().Imbalance()
-	perShard := make([]int, ggsnShards)
-	g.byTID.Range(func(k uint64, h slab.Handle) bool {
-		r := g.recs.Get(h)
-		if r == nil || uint64(r.tid) != k {
-			imb++
-			return true
-		}
-		perShard[h.Shard()]++
-		return true
-	})
-	for _, a := range g.recs.Audit() {
-		imb += a.Imbalance() + abs(perShard[a.Shard]-a.Live)
-	}
-	g.byAddr.Range(func(k uint32, h slab.Handle) bool {
-		r := g.recs.Get(h)
-		if r == nil {
-			imb++
-		} else if key, v4 := ipnet.V4Key(r.address); !v4 || key != k {
-			imb++
-		}
-		return true
-	})
-	return imb
+	return g.dm.Occupancy().Imbalance() + g.creating.Occupancy().Imbalance() +
+		slab.Audit(g.recs, g.byTID, func(k uint64, r *ggsnRec) bool { return uint64(r.tid) == k }) +
+		slab.Stale(g.recs, g.byAddr, func(k uint32, r *ggsnRec) bool {
+			key, v4 := ipnet.V4Key(r.address)
+			return v4 && key == k
+		})
 }
 
 // Receive implements sim.Node.

@@ -359,29 +359,33 @@ func (s *SGSN) Footprint() int {
 		s.attach.Bytes() + s.gtp.Bytes()
 }
 
-// SlabImbalance audits the slab storage: every index entry must resolve to
-// a live record that agrees with the key, per-shard occupancy must balance
-// (cap == live + free), and the PDP slab population must match the sum of
-// per-subscriber context lists and the TID index; the MAP and GTP
-// transaction tables must account for every record they allocated; and the
-// never-released peer symbol table must stay topology-sized (gbPeerLimit).
-// Non-zero means a context or record leaked or was lost; the soak/leak gates
-// assert zero.
+// SlabImbalance audits the slab storage: the IMSI index must own the MM rows
+// (slab.Audit), every TLLI entry must name its row's local TLLI or foreign
+// alias and every TID entry a context on its row's list, and the PDP slab
+// population must match the sum of per-subscriber context lists and the TID
+// index; the MAP and GTP transaction tables must account for every record
+// they allocated; and the never-released peer symbol table must stay
+// topology-sized (gbPeerLimit). Non-zero means a context or record leaked or
+// was lost; the soak/leak gates assert zero.
 func (s *SGSN) SlabImbalance() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	imb := s.attach.Occupancy().Imbalance() + s.gtp.Occupancy().Imbalance() +
-		max(0, s.peers.Len()-gbPeerLimit)
-	perShard := make([]int, sgsnShards)
-	pdpListed := 0
-	tlliExpected := 0
-	s.byIMSI.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
-		r := s.mms.Get(h)
-		if r == nil || r.imsi != k {
-			imb++
-			return true
-		}
-		perShard[h.Shard()]++
+		max(0, s.peers.Len()-gbPeerLimit) + s.pdps.Imbalance() +
+		slab.Audit(s.mms, s.byIMSI, func(k gsmid.PackedDigits, r *mmRec) bool { return r.imsi == k }) +
+		slab.Stale(s.mms, s.byTLLI, func(k uint32, r *mmRec) bool {
+			return gsmid.TLLI(k) == gsmid.LocalTLLI(r.ptmsi) || gsmid.TLLI(k) == r.foreignTLLI
+		}) +
+		slab.Stale(s.mms, s.byTID, func(k uint64, r *mmRec) bool {
+			for p := s.pdps.Get(r.pdpHead); p != nil; p = s.pdps.Get(p.next) {
+				if uint64(p.tid) == k {
+					return true
+				}
+			}
+			return false
+		})
+	pdpListed, tlliExpected := 0, 0
+	s.mms.Range(func(_ slab.Handle, r *mmRec) bool {
 		// Each subscriber owns its local TLLI entry plus, when roaming in
 		// on a foreign TLLI, exactly one alias — a re-attach that forgets
 		// to unindex the old alias shows up as excess byTLLI population.
@@ -406,35 +410,10 @@ func (s *SGSN) SlabImbalance() int {
 		pdpListed += n
 		return true
 	})
-	for _, a := range s.mms.Audit() {
-		imb += a.Imbalance() + abs(perShard[a.Shard]-a.Live)
+	for _, d := range []int{pdpListed - s.pdps.Len(), s.byTID.Len() - s.pdps.Len(), tlliExpected - s.byTLLI.Len()} {
+		imb += max(d, -d)
 	}
-	for _, a := range s.pdps.Audit() {
-		imb += a.Imbalance()
-	}
-	imb += abs(pdpListed - s.pdps.Len())
-	imb += abs(s.byTID.Len() - s.pdps.Len())
-	imb += abs(tlliExpected - s.byTLLI.Len())
-	s.byTLLI.Range(func(_ uint32, h slab.Handle) bool {
-		if s.mms.Get(h) == nil {
-			imb++
-		}
-		return true
-	})
-	s.byTID.Range(func(_ uint64, h slab.Handle) bool {
-		if s.mms.Get(h) == nil {
-			imb++
-		}
-		return true
-	})
 	return imb
-}
-
-func abs(d int) int {
-	if d < 0 {
-		return -d
-	}
-	return d
 }
 
 // lookupTLLI resolves a TLLI to the subscriber's record. Callers hold s.mu.

@@ -7,8 +7,10 @@ import (
 
 	"vgprs/internal/gb"
 	"vgprs/internal/gsmid"
+	"vgprs/internal/gtp"
 	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
+	"vgprs/internal/slab"
 	"vgprs/internal/ss7"
 )
 
@@ -99,6 +101,69 @@ func TestReattachForeignTLLIDoesNotLeakIndex(t *testing.T) {
 	if got := sgsn.SlabImbalance(); got != 0 {
 		t.Fatalf("slab imbalance after detach = %d, want 0", got)
 	}
+}
+
+// TestAuditSeesSwappedEntries swaps two subscribers' TLLI entries, then their
+// TID entries. Every entry still resolves to a live row and every count still
+// adds up, so an audit that asks only "does the entry resolve to some row"
+// reads zero; the row each entry names must carry the key.
+func TestAuditSeesSwappedEntries(t *testing.T) {
+	env := sim.NewEnv(1)
+	sgsn := NewSGSN(SGSNConfig{ID: "SGSN-1", GGSN: "GGSN-1"}) // no HLR: attach accepts locally
+	env.AddNode(sgsn)
+	env.AddNode(NewGGSN(GGSNConfig{ID: "GGSN-1", Gi: "GI"}))
+	env.AddNode(&gbSink{id: "PEER"})
+	env.Connect("PEER", "SGSN-1", "Gb", 0)
+	env.Connect("SGSN-1", "GGSN-1", "Gn", 0)
+
+	send := func(tlli uint32, m sim.Message) {
+		pdu, err := WrapSM(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Send("PEER", "SGSN-1", gb.ULUnitdata{TLLI: gsmid.TLLI(tlli), MS: "PEER", PDU: pdu})
+		env.Run()
+	}
+	imsis := []gsmid.IMSI{"466920000000001", "466920000000002"}
+	for i, imsi := range imsis {
+		send(uint32(i+1), AttachRequest{IMSI: imsi})
+		send(uint32(i+1), ActivatePDPRequest{NSAPI: 5})
+	}
+	if sgsn.Attached() != 2 || sgsn.ActiveContexts() != 2 {
+		t.Fatalf("attached %d, contexts %d, want 2 and 2", sgsn.Attached(), sgsn.ActiveContexts())
+	}
+	if got := sgsn.SlabImbalance(); got != 0 {
+		t.Fatalf("slab imbalance = %d with two subscribers, want 0", got)
+	}
+
+	tidA, tidB := uint64(gtp.MakeTID(imsis[0], 5)), uint64(gtp.MakeTID(imsis[1], 5))
+	for _, c := range []struct {
+		what string
+		swap func()
+	}{
+		{"TLLI", func() { swapEntries(sgsn.byTLLI, 1, 2) }}, // the foreign TLLIs the attaches arrived on
+		{"TID", func() { swapEntries(sgsn.byTID, tidA, tidB) }},
+	} {
+		sgsn.mu.Lock()
+		c.swap()
+		sgsn.mu.Unlock()
+		if got := sgsn.SlabImbalance(); got == 0 {
+			t.Errorf("audit missed two subscribers' swapped %s entries", c.what)
+		}
+		sgsn.mu.Lock()
+		c.swap()
+		sgsn.mu.Unlock()
+		if got := sgsn.SlabImbalance(); got != 0 {
+			t.Fatalf("slab imbalance = %d with the %s entries swapped back, want 0", got, c.what)
+		}
+	}
+}
+
+// swapEntries exchanges the handles two keys map to.
+func swapEntries[K comparable](x *slab.Index[K], a, b K) {
+	ha, hb := x.Get(a), x.Get(b)
+	x.Put(a, hb)
+	x.Put(b, ha)
 }
 
 // TestMSNamesAreNotInterned pins the symbol-table leak: the SGSN interned

@@ -282,65 +282,19 @@ func (g *Gatekeeper) Footprint() int {
 		g.imsiTab.Bytes() + g.byIMSI.Bytes() + g.dm.Bytes()
 }
 
-// SlabImbalance cross-checks every index against its slab: each index entry
-// must resolve to a live row carrying the same key, each slab shard's live
-// count must match what the indexes reference, and allocated capacity must
-// be fully accounted as live or free. Zero means no leaked rows, no stale
-// handles, and no books that disagree — the soak gate's invariant.
+// SlabImbalance cross-checks each slab against the index that owns its rows
+// (slab.Audit): each entry must resolve to a live row carrying the same key,
+// each shard's live count must match the entries resolving into it, and
+// allocated capacity must be fully accounted as live or free. Zero means no
+// leaked rows, no stale handles, and no books that disagree — the soak
+// gate's invariant.
 func (g *Gatekeeper) SlabImbalance() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	imb := g.dm.Occupancy().Imbalance()
-
-	perShard := make(map[int]int)
-	g.byAlias.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
-		r := g.regs.Get(h)
-		if r == nil || r.alias != k {
-			imb++
-			return true
-		}
-		perShard[h.Shard()]++
-		return true
-	})
-	for _, a := range g.regs.Audit() {
-		imb += a.Imbalance() + absInt(perShard[a.Shard]-a.Live)
-	}
-
-	clear(perShard)
-	g.byCall.Range(func(k gkCallKey, h slab.Handle) bool {
-		c := g.calls.Get(h)
-		if c == nil || c.caller != k.caller || c.ref != k.ref {
-			imb++
-			return true
-		}
-		perShard[h.Shard()]++
-		return true
-	})
-	for _, a := range g.calls.Audit() {
-		imb += a.Imbalance() + absInt(perShard[a.Shard]-a.Live)
-	}
-
-	clear(perShard)
-	g.byIMSI.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
-		r := g.imsiTab.Get(h)
-		if r == nil || r.alias != k {
-			imb++
-			return true
-		}
-		perShard[h.Shard()]++
-		return true
-	})
-	for _, a := range g.imsiTab.Audit() {
-		imb += a.Imbalance() + absInt(perShard[a.Shard]-a.Live)
-	}
-	return imb
-}
-
-func absInt(d int) int {
-	if d < 0 {
-		return -d
-	}
-	return d
+	return g.dm.Occupancy().Imbalance() +
+		slab.Audit(g.regs, g.byAlias, func(k gsmid.PackedDigits, r *gkReg) bool { return r.alias == k }) +
+		slab.Audit(g.calls, g.byCall, func(k gkCallKey, c *gkCall) bool { return c.caller == k.caller && c.ref == k.ref }) +
+		slab.Audit(g.imsiTab, g.byIMSI, func(k gsmid.PackedDigits, r *gkIMSI) bool { return r.alias == k })
 }
 
 // Receive implements sim.Node.
@@ -553,9 +507,9 @@ func (g *Gatekeeper) SweepExpired(now time.Duration) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	var lapsed []gsmid.PackedDigits
-	g.byAlias.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
-		if r := g.regs.Get(h); r != nil && g.expired(r, now) {
-			lapsed = append(lapsed, k)
+	g.regs.Range(func(_ slab.Handle, r *gkReg) bool {
+		if g.expired(r, now) {
+			lapsed = append(lapsed, r.alias)
 		}
 		return true
 	})

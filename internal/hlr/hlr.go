@@ -231,34 +231,9 @@ func (h *HLR) Footprint() int {
 func (h *HLR) SlabImbalance() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	imb := h.dm.Occupancy().Imbalance()
-	perShard := make([]int, hlrShards)
-	h.byIMSI.Range(func(k gsmid.PackedDigits, hd slab.Handle) bool {
-		r := h.recs.Get(hd)
-		if r == nil || r.imsi != k {
-			imb++
-			return true
-		}
-		perShard[hd.Shard()]++
-		return true
-	})
-	for _, a := range h.recs.Audit() {
-		imb += a.Imbalance() + abs(perShard[a.Shard]-a.Live)
-	}
-	h.byMSISDN.Range(func(k gsmid.PackedDigits, hd slab.Handle) bool {
-		if r := h.recs.Get(hd); r == nil || r.msisdn != k {
-			imb++
-		}
-		return true
-	})
-	return imb
-}
-
-func abs(d int) int {
-	if d < 0 {
-		return -d
-	}
-	return d
+	return h.dm.Occupancy().Imbalance() +
+		slab.Audit(h.recs, h.byIMSI, func(k gsmid.PackedDigits, r *hlrRec) bool { return r.imsi == k }) +
+		slab.Stale(h.recs, h.byMSISDN, func(k gsmid.PackedDigits, r *hlrRec) bool { return r.msisdn == k })
 }
 
 // Receive implements sim.Node: the MAP server side of the HLR.

@@ -153,13 +153,14 @@ func (x *Index[K]) Delete(key K) bool {
 	return true
 }
 
-// Range calls fn for every entry until fn returns false. It is for audits
-// and sweeps; order unspecified. Anything that emits messages or chooses
-// among records walks the rows instead (Sharded.Range).
-func (x *Index[K]) Range(fn func(K, Handle) bool) {
+// each calls fn for every entry, in table order — a hash order. It is
+// unexported so that only the audits in this package can walk an index:
+// anything that emits messages or chooses among records walks the rows
+// (Sharded.Range).
+func (x *Index[K]) each(fn func(K, Handle)) {
 	for i, v := range x.vals {
-		if v != 0 && !fn(x.keys[i], v) {
-			return
+		if v != 0 {
+			fn(x.keys[i], v)
 		}
 	}
 }

@@ -275,38 +275,50 @@ func (s *Sharded[T]) Bytes() int {
 	return n
 }
 
-// ShardAudit is one shard's occupancy accounting. In a healthy slab
-// Cap == Live + Free on every shard; any difference means slots have been
-// lost to the free-list (a leak inside the slab itself, distinct from a
-// node forgetting to Free a handle, which shows up as Live exceeding the
-// node's own population count).
-type ShardAudit struct {
-	Shard int
-	Live  int
-	Free  int
-	Cap   int
-}
-
-// Imbalance returns the number of slots unaccounted for in this shard.
-func (a ShardAudit) Imbalance() int {
-	d := a.Cap - a.Live - a.Free
-	if d < 0 {
-		return -d
-	}
-	return d
-}
-
-// Audit returns per-shard occupancy counters for free-list integrity
-// checks.
-func (s *Sharded[T]) Audit() []ShardAudit {
-	out := make([]ShardAudit, len(s.shards))
+// Imbalance returns the number of slots that are neither live nor on the
+// free-list, summed over the shards. In a healthy slab every slot is one or
+// the other; a difference means slots were lost inside the slab itself,
+// which is distinct from a node forgetting to Free a handle (see Audit).
+func (s *Sharded[T]) Imbalance() int {
+	n := 0
 	for i := range s.shards {
-		out[i] = ShardAudit{
-			Shard: i,
-			Live:  s.shards[i].live,
-			Free:  len(s.shards[i].free),
-			Cap:   len(s.shards[i].gens),
-		}
+		sh := &s.shards[i]
+		d := len(sh.gens) - sh.live - len(sh.free)
+		n += max(d, -d)
 	}
-	return out
+	return n
+}
+
+// Audit checks the index that owns s's rows — the one every row is entered
+// in exactly once — against them, and returns the number of disagreements:
+// entries that do not resolve to a live row match accepts, the gap between
+// each shard's live count and the entries resolving into it, and
+// s.Imbalance(). Zero means no leaked row, no stale handle and no slot lost.
+func Audit[T any, K comparable](s *Sharded[T], idx *Index[K], match func(K, *T) bool) int {
+	n := s.Imbalance()
+	perShard := make([]int, len(s.shards))
+	idx.each(func(k K, h Handle) {
+		if p := s.Get(h); p == nil || !match(k, p) {
+			n++
+		} else {
+			perShard[h.Shard()]++
+		}
+	})
+	for i := range s.shards {
+		d := perShard[i] - s.shards[i].live
+		n += max(d, -d)
+	}
+	return n
+}
+
+// Stale checks any further index over s's rows: it returns the number of
+// entries that do not resolve to a live row match accepts.
+func Stale[T any, K comparable](s *Sharded[T], idx *Index[K], match func(K, *T) bool) int {
+	n := 0
+	idx.each(func(k K, h Handle) {
+		if p := s.Get(h); p == nil || !match(k, p) {
+			n++
+		}
+	})
+	return n
 }

@@ -143,6 +143,9 @@ func TestShardedRouting(t *testing.T) {
 		}
 		p.id = uint64(i)
 		entries = append(entries, entry{h, uint64(i)})
+		if n := s.Imbalance(); n != 0 {
+			t.Fatalf("after %d allocs: Imbalance = %d", i+1, n)
+		}
 	}
 	if s.Len() != 1000 {
 		t.Fatalf("Len = %d, want 1000", s.Len())
@@ -152,20 +155,21 @@ func TestShardedRouting(t *testing.T) {
 			t.Fatalf("Get(%x) = %v, want id %d", e.h, got, e.v)
 		}
 	}
-	for _, e := range entries {
+	for i, e := range entries {
 		if !s.Free(e.h) {
 			t.Fatalf("Free(%x) = false", e.h)
+		}
+		if n := s.Imbalance(); n != 0 {
+			t.Fatalf("after %d frees: Imbalance = %d", i+1, n)
 		}
 	}
 	if s.Len() != 0 {
 		t.Fatalf("Len after free-all = %d, want 0", s.Len())
 	}
-	for _, a := range s.Audit() {
-		if a.Imbalance() != 0 {
-			t.Fatalf("shard %d imbalance %d: %+v", a.Shard, a.Imbalance(), a)
-		}
-		if a.Live != 0 || a.Free != a.Cap {
-			t.Fatalf("shard %d free-list did not fully recycle: %+v", a.Shard, a)
+	for i := range s.shards {
+		if sh := &s.shards[i]; sh.live != 0 || len(sh.free) != len(sh.gens) {
+			t.Fatalf("shard %d free-list did not fully recycle: live %d free %d cap %d",
+				i, sh.live, len(sh.free), len(sh.gens))
 		}
 	}
 }
@@ -213,7 +217,7 @@ func (m *indexModel) lenAgrees() {
 	}
 }
 
-// sweep requires every key of the model to resolve and Range to visit
+// sweep requires every key of the model to resolve and each to visit
 // exactly the model's entries.
 func (m *indexModel) sweep() {
 	for k, want := range m.ref {
@@ -222,15 +226,14 @@ func (m *indexModel) sweep() {
 		}
 	}
 	seen := 0
-	m.x.Range(func(k uint32, h Handle) bool {
+	m.x.each(func(k uint32, h Handle) {
 		if want, ok := m.ref[k]; !ok || want != h {
-			m.t.Fatalf("after op %d: Range yielded (%d,%x), model has %x (present %v)", m.ops, k, h, want, ok)
+			m.t.Fatalf("after op %d: each yielded (%d,%x), model has %x (present %v)", m.ops, k, h, want, ok)
 		}
 		seen++
-		return true
 	})
 	if seen != len(m.ref) {
-		m.t.Fatalf("after op %d: Range visited %d entries, want %d", m.ops, seen, len(m.ref))
+		m.t.Fatalf("after op %d: each visited %d entries, want %d", m.ops, seen, len(m.ref))
 	}
 }
 
@@ -399,8 +402,9 @@ func TestHandleFields(t *testing.T) {
 // a later occupant of the slot), handles moved to another shard, and handles
 // that were never issued — against a map from live handle to the value stored
 // there. A stale or foreign handle must resolve to nothing and free nothing,
-// a fresh row must read zero, the books (Len, per-shard Audit, Bytes) must
-// balance after every step, and Range must walk the survivors in row order.
+// a fresh row must read zero, the books (Len, Imbalance) must balance after
+// every step, per-shard live/free/cap and Bytes at the end, and Range must
+// walk the survivors in row order.
 func TestShardedAgainstModel(t *testing.T) {
 	type row struct {
 		val  uint64
@@ -468,8 +472,8 @@ func TestShardedAgainstModel(t *testing.T) {
 				t.Fatalf("op %d: stale handle %x freed a row", op, h)
 			}
 		}
-		if s.Len() != len(live) {
-			t.Fatalf("op %d: Len = %d, want %d", op, s.Len(), len(live))
+		if s.Len() != len(live) || s.Imbalance() != 0 {
+			t.Fatalf("op %d: Len = %d, want %d; Imbalance = %d", op, s.Len(), len(live), s.Imbalance())
 		}
 	}
 	perShard := make([]int, shards)
@@ -500,11 +504,13 @@ func TestShardedAgainstModel(t *testing.T) {
 		t.Fatalf("Range went on for %d rows after fn returned false", stopped)
 	}
 	rows := 0
-	for _, a := range s.Audit() {
-		if a.Imbalance() != 0 || a.Live != perShard[a.Shard] {
-			t.Fatalf("shard %d audit %+v, model has %d live", a.Shard, a, perShard[a.Shard])
+	for i := range s.shards {
+		sh := &s.shards[i]
+		if sh.live != perShard[i] || sh.live+len(sh.free) != len(sh.gens) {
+			t.Fatalf("shard %d: live %d free %d cap %d, model has %d live",
+				i, sh.live, len(sh.free), len(sh.gens), perShard[i])
 		}
-		rows += a.Cap
+		rows += len(sh.gens)
 	}
 	if min := rows * int(unsafe.Sizeof(row{})); s.Bytes() < min {
 		t.Fatalf("Bytes = %d, below the %d bytes of %d allocated rows", s.Bytes(), min, rows)

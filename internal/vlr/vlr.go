@@ -261,34 +261,9 @@ func (v *VLR) Footprint() int {
 func (v *VLR) SlabImbalance() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	imb := v.dm.Occupancy().Imbalance() + v.updating.Occupancy().Imbalance()
-	perShard := make([]int, vlrShards)
-	v.byIMSI.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
-		r := v.recs.Get(h)
-		if r == nil || r.imsi != k {
-			imb++
-			return true
-		}
-		perShard[h.Shard()]++
-		return true
-	})
-	for _, a := range v.recs.Audit() {
-		imb += a.Imbalance() + abs(perShard[a.Shard]-a.Live)
-	}
-	v.byTMSI.Range(func(k uint32, h slab.Handle) bool {
-		if r := v.recs.Get(h); r == nil || uint32(r.tmsi) != k {
-			imb++
-		}
-		return true
-	})
-	return imb
-}
-
-func abs(d int) int {
-	if d < 0 {
-		return -d
-	}
-	return d
+	return v.dm.Occupancy().Imbalance() + v.updating.Occupancy().Imbalance() +
+		slab.Audit(v.recs, v.byIMSI, func(k gsmid.PackedDigits, r *mmRec) bool { return r.imsi == k }) +
+		slab.Stale(v.recs, v.byTMSI, func(k uint32, r *mmRec) bool { return uint32(r.tmsi) == k })
 }
 
 // Receive implements sim.Node.

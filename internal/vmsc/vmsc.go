@@ -584,41 +584,11 @@ func (v *VMSC) Footprint() int {
 // leaked out of — or was lost by — its store; the soak/leak gates assert
 // zero alongside the transient residuals.
 func (v *VMSC) SlabImbalance() int {
-	imb := v.dm.Occupancy().Imbalance() + v.ras.Occupancy().Imbalance() +
-		v.q931.Occupancy().Imbalance() + v.gmm.Occupancy().Imbalance() + v.registrar.Imbalance()
-	perShard := make([]int, mscShards)
-	v.byIMSI.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
-		e := v.ents.Get(h)
-		if e == nil || e.imsiKey != k {
-			imb++
-			return true
-		}
-		perShard[h.Shard()]++
-		return true
-	})
-	for _, a := range v.ents.Audit() {
-		imb += a.Imbalance() + absInt(perShard[a.Shard]-a.Live)
-	}
-	v.byMS.Range(func(k sim.NodeID, h slab.Handle) bool {
-		if e := v.ents.Get(h); e == nil || e.ms != k {
-			imb++
-		}
-		return true
-	})
-	v.byMSISDN.Range(func(k gsmid.PackedDigits, h slab.Handle) bool {
-		if e := v.ents.Get(h); e == nil || e.msisdnKey != k {
-			imb++
-		}
-		return true
-	})
-	return imb
-}
-
-func absInt(d int) int {
-	if d < 0 {
-		return -d
-	}
-	return d
+	return v.dm.Occupancy().Imbalance() + v.ras.Occupancy().Imbalance() +
+		v.q931.Occupancy().Imbalance() + v.gmm.Occupancy().Imbalance() + v.registrar.Imbalance() +
+		slab.Audit(v.ents, v.byIMSI, func(k gsmid.PackedDigits, e *msEntry) bool { return e.imsiKey == k }) +
+		slab.Stale(v.ents, v.byMS, func(k sim.NodeID, e *msEntry) bool { return e.ms == k }) +
+		slab.Stale(v.ents, v.byMSISDN, func(k gsmid.PackedDigits, e *msEntry) bool { return e.msisdnKey == k })
 }
 
 // staticAddrFor returns the provisioned static PDP address for a row in
