@@ -63,7 +63,9 @@ fuzz:
 		$(GO) test $$pkg -fuzz=Fuzz -fuzztime=5m || exit 1; \
 	done
 
-# Full benchmark suite (paper artifacts + engine micro-benchmarks).
+# Every testing.B benchmark: host-time cost of the simulator (registration
+# throughput, engine, slab, codecs). The paper's numbers are virtual time and
+# are the committed BENCH_<id>.json files (bench-json).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 

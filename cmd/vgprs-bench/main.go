@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	vgprs-bench [-seed N] [-calls N] [-only F4,C1,...] [-json] [-out DIR]
+//	vgprs-bench [-seed N] [-only F4,C1,...] [-json] [-out DIR]
 //	vgprs-bench -only scale -scale-subs N -heapprofile FILE
 //
 // With -json, each experiment additionally writes its raw results to
@@ -35,7 +35,6 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("vgprs-bench", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "simulation seed")
-	calls := fs.Int("calls", 5, "calls per setup-latency series (C1)")
 	only := fs.String("only", "", "comma-separated experiment IDs to run (default: all)")
 	jsonOut := fs.Bool("json", false, "also write per-experiment results to BENCH_<id>.json")
 	outDir := fs.String("out", ".", "directory for -json output files")
@@ -82,7 +81,7 @@ func run(args []string) int {
 			return experiments.F4Table(r), r, nil
 		}},
 		{"C1", func() (fmt.Stringer, any, error) {
-			r, err := experiments.RunC1SetupComparison(*seed, *calls)
+			r, err := experiments.RunC1SetupComparison(*seed, 5)
 			if err != nil {
 				return nil, nil, err
 			}

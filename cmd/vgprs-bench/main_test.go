@@ -5,19 +5,23 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestCommittedResultsReproduce regenerates the loss, scenario and media
-// sweeps and compares each file byte for byte with the BENCH_<id>.json at the
-// repository root: every value in them is simulated, so any difference is a
-// behaviour change that must be committed along with its explanation.
+// TestCommittedResultsReproduce regenerates the paper's figures and
+// comparisons and the loss, scenario and media sweeps, and compares each file
+// byte for byte with the BENCH_<id>.json at the repository root: every value
+// in them is simulated, so any difference is a behaviour change that must be
+// committed along with its explanation.
 func TestCommittedResultsReproduce(t *testing.T) {
+	ids := []string{"F1", "F4", "C1", "C2", "C3", "C5", "F7F8", "F9", "A1", "A2", "A3", "R1",
+		"loss", "scenarios", "media"}
 	dir := t.TempDir()
-	if code := run([]string{"-only", "loss,scenarios,media", "-json", "-out", dir}); code != 0 {
+	if code := run([]string{"-only", strings.Join(ids, ","), "-json", "-out", dir}); code != 0 {
 		t.Fatalf("run() = %d", code)
 	}
-	for _, id := range []string{"loss", "scenarios", "media"} {
+	for _, id := range ids {
 		name := "BENCH_" + id + ".json"
 		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -37,7 +41,7 @@ func TestCommittedResultsReproduce(t *testing.T) {
 // must build and print without error. The scale sweep runs a small
 // population; its 100k gate is experiments.TestFullStackBytesPerSubscriberBudget.
 func TestRunAllExperiments(t *testing.T) {
-	if code := run([]string{"-calls", "2", "-scale-subs", "2000"}); code != 0 {
+	if code := run([]string{"-scale-subs", "2000"}); code != 0 {
 		t.Fatalf("run() = %d", code)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"vgprs/internal/netsim"
-	"vgprs/internal/tr23923"
 	"vgprs/internal/trace"
 )
 
@@ -194,14 +193,14 @@ func runScenario(name string, seed int64) (*trace.Recorder, error) {
 		return n.Rec, nil
 
 	case "tr-registration":
-		n := tr23923.BuildNet(tr23923.Options{Seed: seed})
+		n := netsim.BuildTR23923(netsim.TR23923Options{Seed: seed})
 		if err := n.RegisterAll(); err != nil {
 			return nil, err
 		}
 		return n.Rec, nil
 
 	case "tr-mo-call":
-		n := tr23923.BuildNet(tr23923.Options{Seed: seed})
+		n := netsim.BuildTR23923(netsim.TR23923Options{Seed: seed})
 		if err := n.RegisterAll(); err != nil {
 			return nil, err
 		}
@@ -219,13 +218,13 @@ func runScenario(name string, seed int64) (*trace.Recorder, error) {
 		return n.Rec, nil
 
 	case "tr-mt-call":
-		n := tr23923.BuildNet(tr23923.Options{Seed: seed})
+		n := netsim.BuildTR23923(netsim.TR23923Options{Seed: seed})
 		if err := n.RegisterAll(); err != nil {
 			return nil, err
 		}
 		n.Env.RunUntil(n.Env.Now() + 10*time.Second)
 		n.Rec.Reset()
-		if _, err := n.Terminals[0].Call(n.Env, n.Subscribers[0].MSISDN); err != nil {
+		if _, err := n.Terminal.Call(n.Env, n.Subscribers[0].MSISDN); err != nil {
 			return nil, err
 		}
 		n.Env.RunUntil(n.Env.Now() + 10*time.Second)

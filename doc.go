@@ -13,8 +13,8 @@
 // Start with internal/netsim to build complete networks, internal/vmsc for
 // the paper's contribution, and internal/experiments for the harness that
 // regenerates every figure and comparison. The runnable entry points are
-// cmd/vgprs-sim (message traces), cmd/vgprs-bench (measured tables), and
-// the programs under examples/.
+// cmd/vgprs-sim (message traces) and cmd/vgprs-bench (measured tables, and
+// the BENCH_<id>.json files at the repository root that record them).
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.

@@ -1,9 +1,8 @@
 // Package experiments implements the reproduction harness: one function per
 // paper artifact (Figs 1-9) and per §6 comparison (C1-C5), each running the
 // relevant scenario on virtual time and returning both raw measurements and
-// a rendered table. cmd/vgprs-bench prints the tables; bench_test.go wraps
-// the same functions in testing.B benchmarks so `go test -bench` regenerates
-// every number.
+// a rendered table. cmd/vgprs-bench prints the tables and, with -json,
+// writes the BENCH_<id>.json files committed at the repository root.
 package experiments
 
 import (
@@ -14,7 +13,6 @@ import (
 	"vgprs/internal/h323"
 	"vgprs/internal/metrics"
 	"vgprs/internal/netsim"
-	"vgprs/internal/tr23923"
 	"vgprs/internal/trace"
 )
 
@@ -124,7 +122,7 @@ func measureVGPRSCallsAt(seed int64, calls int, mobileOriginated, deactivateIdle
 		}
 		n.Env.RunUntil(n.Env.Now() + 10*time.Second)
 	}
-	return series, nil
+	return series, drained(label, n.Residual())
 }
 
 // measureTRCalls runs `calls` MO or MT calls on a TR 23.923 network.
@@ -144,7 +142,7 @@ func measureTRCallsAt(seed int64, calls int, mobileOriginated, keepActive bool, 
 	}
 	series := metrics.NewSeries(label + " " + kind)
 
-	n := tr23923.BuildNet(tr23923.Options{
+	n := netsim.BuildTR23923(netsim.TR23923Options{
 		Seed: seed, KeepPDPActive: keepActive, NoTrace: true,
 		AutoAnswer: time.Millisecond, Latencies: lat,
 	})
@@ -152,7 +150,7 @@ func measureTRCallsAt(seed int64, calls int, mobileOriginated, keepActive bool, 
 		return nil, err
 	}
 	ms := n.MSs[0]
-	term := n.Terminals[0]
+	term := n.Terminal
 
 	for i := 0; i < calls; i++ {
 		start := n.Env.Now()
@@ -198,7 +196,16 @@ func measureTRCallsAt(seed int64, calls int, mobileOriginated, keepActive bool, 
 		// Quiesce past the TR linger + deactivation.
 		n.Env.RunUntil(n.Env.Now() + 15*time.Second)
 	}
-	return series, nil
+	return series, drained(label, n.Residual())
+}
+
+// drained is the leak gate at the end of a measurement: it returns an error
+// naming every transient record the network still holds.
+func drained(what string, r netsim.Residual) error {
+	if r.Total() != 0 {
+		return fmt.Errorf("experiments: %s left residual state:\n%s", what, r.String())
+	}
+	return nil
 }
 
 // C1Result is the §6 call-setup comparison.

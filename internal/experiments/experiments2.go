@@ -8,7 +8,6 @@ import (
 	"vgprs/internal/h323"
 	"vgprs/internal/metrics"
 	"vgprs/internal/netsim"
-	"vgprs/internal/tr23923"
 )
 
 // C2Point is one population size in the context-residency trade-off.
@@ -41,7 +40,7 @@ func RunC2ContextResidency(seed int64, sizes []int) ([]C2Point, error) {
 		}
 		p.VGPRSMOSetup = d
 
-		tn := tr23923.BuildNet(tr23923.Options{
+		tn := netsim.BuildTR23923(netsim.TR23923Options{
 			Seed: seed, NumMS: size, NoTrace: true, AutoAnswer: time.Millisecond,
 		})
 		if err := tn.RegisterAll(); err != nil {
@@ -80,7 +79,7 @@ func oneVGPRSMOCall(n *netsim.VGPRSNet) (time.Duration, error) {
 	return established - start, nil
 }
 
-func oneTRMOCall(n *tr23923.Net) (time.Duration, error) {
+func oneTRMOCall(n *netsim.TR23923Net) (time.Duration, error) {
 	ms := n.MSs[0]
 	start := n.Env.Now()
 	var established time.Duration
@@ -160,7 +159,7 @@ func RunC3VoiceQuality(seed int64, talkFor time.Duration, psJitters []time.Durat
 	return runSweep(arms, func(a c3Arm) (C3Point, error) {
 		var term *h323.Terminal
 		if a.tr {
-			tn := tr23923.BuildNet(tr23923.Options{
+			tn := netsim.BuildTR23923(netsim.TR23923Options{
 				Seed: seed, Talk: true, PSJitter: a.pj, KeepPDPActive: true, NoTrace: true,
 			})
 			if err := tn.RegisterAll(); err != nil {
@@ -170,7 +169,7 @@ func RunC3VoiceQuality(seed int64, talkFor time.Duration, psJitters []time.Durat
 				return C3Point{}, err
 			}
 			tn.Env.RunUntil(tn.Env.Now() + 3*time.Second + talkFor)
-			term = tn.Terminals[0]
+			term = tn.Terminal
 		} else {
 			vn := netsim.BuildVGPRS(netsim.VGPRSOptions{
 				Seed: seed, Talk: true, DTX: a.dtx, NoTrace: true,

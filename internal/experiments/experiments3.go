@@ -9,7 +9,6 @@ import (
 	"vgprs/internal/isup"
 	"vgprs/internal/metrics"
 	"vgprs/internal/netsim"
-	"vgprs/internal/tr23923"
 	"vgprs/internal/trace"
 )
 
@@ -61,9 +60,12 @@ func RunC5SignallingLoad(seed int64) ([]C5Result, error) {
 		return nil, err
 	}
 	count("vGPRS", "MO call + release", vn.Rec)
+	if err := drained("vGPRS", vn.Residual()); err != nil {
+		return nil, err
+	}
 
 	// TR 23.923 registration.
-	tn := tr23923.BuildNet(tr23923.Options{Seed: seed})
+	tn := netsim.BuildTR23923(netsim.TR23923Options{Seed: seed})
 	if err := tn.RegisterAll(); err != nil {
 		return nil, err
 	}
@@ -76,8 +78,7 @@ func RunC5SignallingLoad(seed int64) ([]C5Result, error) {
 	}
 	tn.Env.RunUntil(tn.Env.Now() + 10*time.Second)
 	count("TR 23.923", "MO call + release", tn.Rec)
-
-	return out, nil
+	return out, drained("TR 23.923", tn.Residual())
 }
 
 // C5Table renders the signalling-load comparison.

@@ -2,10 +2,10 @@
 // the vGPRS architecture of paper Fig 2(b) (BuildVGPRS), the international
 // roaming configurations of Figs 7-8 (BuildRoamingGSM, BuildRoamingVGPRS),
 // the inter-system handoff configurations of Fig 9 (BuildHandoff to a
-// legacy MSC, BuildHandoffVMSC between two VMSCs), and — in the tr23923
-// package, on the same substrate — the TR 23.923 baseline. Builders return
-// handles to every element so tests and benches can drive calls and inspect
-// state.
+// legacy MSC, BuildHandoffVMSC between two VMSCs), and the TR 23.923
+// baseline of §6 (BuildTR23923). One builder wires them all and puts every
+// stateful element behind each network's leak gate. Builders return handles
+// to every element so tests and benches can drive calls and inspect state.
 package netsim
 
 import (

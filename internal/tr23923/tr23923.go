@@ -14,6 +14,8 @@
 //     activation, which requires a static PDP address (GSM 03.60) —
 //     experiments C1/C2.
 //   - The gatekeeper must speak GSM MAP and memorize IMSIs (experiment C4).
+//
+// netsim.BuildTR23923 wires these mobiles into a network.
 package tr23923
 
 import (
@@ -154,6 +156,15 @@ func (m *MS) Registered() bool { return m.registered }
 
 // Dropped returns packets lost because no PDP context was active.
 func (m *MS) Dropped() uint64 { return m.dropped }
+
+// Audit reports the MS's transient state for netsim's leak gate: the GPRS
+// client's open GMM/SM transactions, the packets held for a context still
+// being activated, and the embedded terminal's own state.
+func (m *MS) Audit(report func(kind string, n int)) {
+	report("pending GMM/SM transactions", m.Client.PendingTransactions())
+	report("packets awaiting a context", len(m.pendingSend))
+	m.Term.Audit(report)
+}
 
 // deactivateLater schedules the context teardown after a short linger, so
 // in-flight signalling (the DRQ/DCF pair) and straggler media drain first —

@@ -1,4 +1,4 @@
-package tr23923
+package tr23923_test
 
 import (
 	"testing"
@@ -10,7 +10,7 @@ import (
 )
 
 func TestRegistrationDeactivatesContext(t *testing.T) {
-	n := BuildNet(Options{Seed: 1})
+	n := netsim.BuildTR23923(netsim.TR23923Options{Seed: 1})
 	if err := n.RegisterAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +29,13 @@ func TestRegistrationDeactivatesContext(t *testing.T) {
 	if n.Rec.CountMessages("MAP_SEND_IMSI") == 0 {
 		t.Fatal("no MAP_SEND_IMSI in trace; the GK should have queried the HLR")
 	}
+	if r := n.Residual(); r.Total() != 0 {
+		t.Fatalf("residual after registration:\n%s", r.String())
+	}
 }
 
 func TestKeepActiveAblation(t *testing.T) {
-	n := BuildNet(Options{Seed: 1, KeepPDPActive: true})
+	n := netsim.BuildTR23923(netsim.TR23923Options{Seed: 1, KeepPDPActive: true})
 	if err := n.RegisterAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -42,15 +45,13 @@ func TestKeepActiveAblation(t *testing.T) {
 }
 
 func TestMOCallReactivatesContext(t *testing.T) {
-	n := BuildNet(Options{Seed: 1, Talk: true})
+	n := netsim.BuildTR23923(netsim.TR23923Options{Seed: 1, Talk: true})
 	if err := n.RegisterAll(); err != nil {
 		t.Fatal(err)
 	}
 	ms := n.MSs[0]
 
-	connected := false
 	ref, err := ms.Call(n.Env, netsim.TerminalAlias(0))
-	_ = ref
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +59,6 @@ func TestMOCallReactivatesContext(t *testing.T) {
 	if st, _ := ms.Term.CallState(ref); st != h323.CallConnected {
 		t.Fatalf("call state = %v", st)
 	}
-	connected = true
-	_ = connected
 	// During the call exactly one context is active.
 	if n.SGSN.ActiveContexts() != 1 {
 		t.Fatalf("contexts during call = %d", n.SGSN.ActiveContexts())
@@ -76,8 +75,8 @@ func TestMOCallReactivatesContext(t *testing.T) {
 	}
 	// Media flows (PS radio path).
 	n.Env.RunUntil(n.Env.Now() + 2*time.Second)
-	if n.Terminals[0].Media.Received() == 0 || ms.Term.Media.Received() == 0 {
-		t.Fatalf("media term=%d ms=%d", n.Terminals[0].Media.Received(), ms.Term.Media.Received())
+	if n.Terminal.Media.Received() == 0 || ms.Term.Media.Received() == 0 {
+		t.Fatalf("media term=%d ms=%d", n.Terminal.Media.Received(), ms.Term.Media.Received())
 	}
 
 	if err := ms.Hangup(n.Env, ref); err != nil {
@@ -88,15 +87,17 @@ func TestMOCallReactivatesContext(t *testing.T) {
 	if n.SGSN.ActiveContexts() != 0 {
 		t.Fatalf("contexts after call = %d", n.SGSN.ActiveContexts())
 	}
+	if r := n.Residual(); r.Total() != 0 {
+		t.Fatalf("residual after hang-up:\n%s", r.String())
+	}
 }
 
 func TestMTCallNeedsNetworkInitiatedActivation(t *testing.T) {
-	n := BuildNet(Options{Seed: 1, Talk: true})
+	n := netsim.BuildTR23923(netsim.TR23923Options{Seed: 1, Talk: true})
 	if err := n.RegisterAll(); err != nil {
 		t.Fatal(err)
 	}
-	_ = n.MSs[0]
-	term := n.Terminals[0]
+	term := n.Terminal
 
 	ref, err := term.Call(n.Env, n.Subscribers[0].MSISDN)
 	if err != nil {
@@ -121,20 +122,18 @@ func TestMTCallNeedsNetworkInitiatedActivation(t *testing.T) {
 
 func TestPSJitterDegradesMedia(t *testing.T) {
 	run := func(jitter time.Duration) time.Duration {
-		n := BuildNet(Options{Seed: 7, Talk: true, PSJitter: jitter, KeepPDPActive: true})
+		n := netsim.BuildTR23923(netsim.TR23923Options{Seed: 7, Talk: true, PSJitter: jitter, KeepPDPActive: true})
 		if err := n.RegisterAll(); err != nil {
 			t.Fatal(err)
 		}
-		ref, err := n.MSs[0].Call(n.Env, netsim.TerminalAlias(0))
-		if err != nil {
+		if _, err := n.MSs[0].Call(n.Env, netsim.TerminalAlias(0)); err != nil {
 			t.Fatal(err)
 		}
-		_ = ref
 		n.Env.RunUntil(n.Env.Now() + 10*time.Second)
-		if n.Terminals[0].Media.Received() == 0 {
+		if n.Terminal.Media.Received() == 0 {
 			t.Fatal("no media")
 		}
-		return n.Terminals[0].Media.Jitter()
+		return n.Terminal.Media.Jitter()
 	}
 	smooth := run(0)
 	rough := run(30 * time.Millisecond)
@@ -144,7 +143,7 @@ func TestPSJitterDegradesMedia(t *testing.T) {
 }
 
 func TestTransportDropsWhenContextDown(t *testing.T) {
-	n := BuildNet(Options{Seed: 1})
+	n := netsim.BuildTR23923(netsim.TR23923Options{Seed: 1})
 	if err := n.RegisterAll(); err != nil {
 		t.Fatal(err)
 	}
