@@ -10,6 +10,7 @@ import (
 	"vgprs/internal/q931"
 	"vgprs/internal/rtp"
 	"vgprs/internal/sim"
+	"vgprs/internal/slab"
 	"vgprs/internal/txn"
 )
 
@@ -67,10 +68,10 @@ type Gateway struct {
 
 	nextSeq uint32
 	nextRef uint16
-	// rasTxns holds outstanding RAS transactions by sequence number. They are
-	// one-shot: sent once and never expired.
-	rasTxns *txn.Table[uint32, gwRASTxn]
-	byISUP  map[uint32]*gwCall
+	// txns holds the outstanding RAS requests. They are one-shot: sent once
+	// and never expired.
+	txns   *Transactions[*gwHost, *gwCall]
+	byISUP map[uint32]*gwCall
 	// byQ931 keys calls by (peer signalling address, wire reference):
 	// Q.931 references are scoped per signalling connection, so two
 	// peers may use the same value concurrently.
@@ -84,11 +85,11 @@ var _ sim.Node = (*Gateway)(nil)
 // NewGateway returns a gateway.
 func NewGateway(cfg GatewayConfig) *Gateway {
 	g := &Gateway{
-		cfg:     cfg,
-		rasTxns: txn.New[uint32, gwRASTxn](nil, nil), // untimed: the hooks never run
-		byISUP:  make(map[uint32]*gwCall),
-		byQ931:  make(map[gwQKey]*gwCall),
+		cfg:    cfg,
+		byISUP: make(map[uint32]*gwCall),
+		byQ931: make(map[gwQKey]*gwCall),
 	}
+	g.txns = NewTransactions[*gwHost, *gwCall]((*gwHost)(g), cfg.Gatekeeper, txn.Policy{})
 	g.ep = &Endpoint{
 		Node: cfg.ID,
 		Addr: cfg.Addr,
@@ -136,29 +137,26 @@ func (g *Gateway) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.M
 	}
 }
 
-// gwRASTxn is one outstanding RAS transaction: a package-level completion
-// function plus the call it concerns.
-type gwRASTxn struct {
-	g    *Gateway
-	fn   func(env *sim.Env, p gwRASTxn, msg sim.Message)
-	call *gwCall
+// gwHost is the gateway as the host of its own transactions. Its RAS
+// requests are untimed and it sends its Setup once, so no hook ever
+// retransmits or expires anything.
+type gwHost Gateway
+
+// gwRAS is one of the gateway's RAS requests in flight.
+type gwRAS = RAS[*gwHost, *gwCall]
+
+func (h *gwHost) Endpoint(slab.Handle) (Endpoint, bool) { return *h.ep, true }
+
+func (h *gwHost) CallEndpoint(call *gwCall) (Endpoint, netip.Addr, bool) {
+	return *h.ep, call.remoteSig, true
 }
 
-// PendingRAS returns RAS transactions still awaiting a gatekeeper answer.
-func (g *Gateway) PendingRAS() int { return g.rasTxns.InFlight() }
+func (h *gwHost) Q931Expired(*sim.Env, *gwCall) {}
 
 // Audit reports the gateway's transient state for netsim's leak gate.
 func (g *Gateway) Audit(report func(kind string, n int)) {
-	report("pending RAS", g.PendingRAS())
-	report("transaction record imbalance", g.rasTxns.Occupancy().Imbalance())
-}
-
-// ras registers fn as the completion for seq, bound to call, and sends the
-// request to the gatekeeper.
-func (g *Gateway) ras(env *sim.Env, seq uint32, msg sim.Message,
-	fn func(*sim.Env, gwRASTxn, sim.Message), call *gwCall) {
-	*g.rasTxns.Begin(env, seq, txn.Policy{}) = gwRASTxn{g: g, fn: fn, call: call}
-	g.ep.SendRAS(env, g.cfg.Gatekeeper, msg)
+	report("pending RAS", g.txns.PendingRAS())
+	report("transaction record imbalance", g.txns.Imbalance())
 }
 
 // handleIAM is Fig 8 steps (1)-(2): the local exchange routes the call in;
@@ -171,14 +169,13 @@ func (g *Gateway) handleIAM(env *sim.Env, exchange sim.NodeID, m isup.IAM) {
 	g.byISUP[m.CallRef] = call
 
 	g.nextSeq++
-	seq := g.nextSeq
-	g.ras(env, seq, LRQ{Seq: seq, Alias: m.Called}, gwLocateDone, call)
+	g.txns.SendRAS(env, 0, call, LRQ{Seq: g.nextSeq, Alias: m.Called}, gwLocateDone)
 }
 
 // gwLocateDone consumes the gatekeeper's answer to the Fig 8 step (2)
 // address-translation probe.
-func gwLocateDone(env *sim.Env, p gwRASTxn, msg sim.Message) {
-	g, call := p.g, p.call
+func gwLocateDone(env *sim.Env, r gwRAS, msg sim.Message) {
+	g, call := (*Gateway)(r.Host), r.Call
 	switch lm := msg.(type) {
 	case LCF:
 		g.placeVoIPCall(env, call, lm)
@@ -202,16 +199,15 @@ func (g *Gateway) placeVoIPCall(env *sim.Env, call *gwCall, lcf LCF) {
 	g.byQ931[gwQKey{call.remoteSig, call.q931Ref}] = call
 
 	g.nextSeq++
-	seq := g.nextSeq
-	g.ras(env, seq, ARQ{
-		Seq: seq, CallerAlias: call.calling, CalledAlias: call.called, CallRef: call.q931Ref,
-	}, gwAdmitDone, call)
+	g.txns.SendRAS(env, 0, call, ARQ{
+		Seq: g.nextSeq, CallerAlias: call.calling, CalledAlias: call.called, CallRef: call.q931Ref,
+	}, gwAdmitDone)
 }
 
 // gwAdmitDone completes the inbound call's admission: setup toward the
 // registered endpoint, or release back to the exchange.
-func gwAdmitDone(env *sim.Env, p gwRASTxn, msg sim.Message) {
-	g, call := p.g, p.call
+func gwAdmitDone(env *sim.Env, r gwRAS, msg sim.Message) {
+	g, call := (*Gateway)(r.Host), r.Call
 	switch msg.(type) {
 	case ACF:
 		g.ep.SendQ931(env, call.remoteSig, q931.Setup{
@@ -235,32 +231,11 @@ func (g *Gateway) handleIP(env *sim.Env, pkt ipnet.Packet) {
 	}
 	switch {
 	case in.RAS != nil:
-		g.handleRAS(env, in.RAS)
+		g.txns.AnswerRAS(env, in.RAS)
 	case in.Q931 != nil:
 		g.handleQ931(env, pkt, in.Q931)
 	case in.RTPPayload != nil:
 		g.downlinkVoice(env, pkt.Src, in.RTPPayload)
-	}
-}
-
-func (g *Gateway) handleRAS(env *sim.Env, msg sim.Message) {
-	var seq uint32
-	switch m := msg.(type) {
-	case LCF:
-		seq = m.Seq
-	case LRJ:
-		seq = m.Seq
-	case ACF:
-		seq = m.Seq
-	case ARJ:
-		seq = m.Seq
-	case DCF:
-		seq = m.Seq
-	default:
-		return
-	}
-	if p, ok := g.rasTxns.Take(seq); ok {
-		p.fn(env, p, msg)
 	}
 }
 

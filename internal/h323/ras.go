@@ -239,6 +239,40 @@ var (
 	_ sim.Message = LRJ{}
 )
 
+// rasSeq returns a RAS message's sequence number and whether the message is
+// an answer (a confirm or reject) rather than a request.
+func rasSeq(msg sim.Message) (seq uint32, answer bool) {
+	switch m := msg.(type) {
+	case RRQ:
+		return m.Seq, false
+	case URQ:
+		return m.Seq, false
+	case ARQ:
+		return m.Seq, false
+	case DRQ:
+		return m.Seq, false
+	case LRQ:
+		return m.Seq, false
+	case RCF:
+		return m.Seq, true
+	case RRJ:
+		return m.Seq, true
+	case UCF:
+		return m.Seq, true
+	case ACF:
+		return m.Seq, true
+	case ARJ:
+		return m.Seq, true
+	case DCF:
+		return m.Seq, true
+	case LCF:
+		return m.Seq, true
+	case LRJ:
+		return m.Seq, true
+	}
+	return 0, false
+}
+
 const (
 	opRRQ uint8 = iota + 1
 	opRCF

@@ -11,6 +11,7 @@ import (
 	"vgprs/internal/q931"
 	"vgprs/internal/rtp"
 	"vgprs/internal/sim"
+	"vgprs/internal/slab"
 	"vgprs/internal/txn"
 )
 
@@ -132,10 +133,7 @@ type Terminal struct {
 	nextSeq    uint32
 	nextRef    uint16
 	calls      map[uint16]*termCall
-	// rasTxns holds outstanding RAS transactions by sequence number; q931 the
-	// running T303/T313 cycle of each call.
-	rasTxns *txn.Table[uint32, termRASTxn]
-	q931    *txn.Table[*termCall, termQ931Txn]
+	txns       *Transactions[*termHost, *termCall]
 
 	// Media is the RTP receive-side statistics collector.
 	Media *rtp.Receiver
@@ -153,11 +151,8 @@ func NewTerminal(cfg TerminalConfig) *Terminal {
 		calls: make(map[uint16]*termCall),
 		Media: rtp.NewReceiver(),
 	}
-	t.rasTxns = txn.New[uint32](
-		func(env *sim.Env, p *termRASTxn) bool { t.ep.SendRAS(env, t.cfg.Gatekeeper, p.msg); return true },
-		func(env *sim.Env, p *termRASTxn) { p.fn(env, *p, nil) },
-	)
-	t.q931 = txn.New[*termCall](t.q931Resend, t.q931Expired)
+	t.txns = NewTransactions[*termHost, *termCall]((*termHost)(t), cfg.Gatekeeper,
+		txn.Policy{RTO: cfg.SigRTO, Retries: cfg.SigRetries})
 	send := cfg.Transport
 	if send == nil {
 		send = func(env *sim.Env, pkt ipnet.Packet) {
@@ -219,87 +214,54 @@ func (t *Terminal) ActiveCalls() int {
 	return n
 }
 
-// termRASTxn is one outstanding RAS transaction: a package-level completion
-// function plus the transaction's subject (the call, if any). With SigRTO
-// enabled, msg is retained for retransmission; on budget exhaustion the
-// completion fires with a nil message.
-type termRASTxn struct {
-	t       *Terminal
-	fn      func(env *sim.Env, p termRASTxn, msg sim.Message)
-	call    *termCall
-	calling gsmid.MSISDN // incoming-admission's caller, for the hooks
-	msg     sim.Message
+// termHost is the terminal as the host of its own transactions: every
+// request leaves from its one endpoint.
+type termHost Terminal
+
+// termRAS is one of the terminal's RAS requests in flight.
+type termRAS = RAS[*termHost, *termCall]
+
+func (h *termHost) Endpoint(slab.Handle) (Endpoint, bool) { return *h.ep, true }
+
+func (h *termHost) CallEndpoint(call *termCall) (Endpoint, netip.Addr, bool) {
+	return *h.ep, call.remoteSig, true
 }
 
-// sigPolicy is the RAS and Q.931 retransmission schedule; with SigRTO zero
-// transactions never expire.
-func (t *Terminal) sigPolicy() txn.Policy {
-	return txn.Policy{RTO: t.cfg.SigRTO, Retries: t.cfg.SigRetries}
+// Q931Expired releases the call cleanly on both sides once the budget is
+// exhausted, rather than hang in a signalling state forever.
+func (h *termHost) Q931Expired(env *sim.Env, call *termCall) {
+	t := (*Terminal)(h)
+	t.ep.SendQ931(env, call.remoteSig, q931.ReleaseComplete{
+		CallRef: call.wireRef, Cause: q931.CauseRecoveryOnTimerExpiry,
+	})
+	t.finishCall(env, call)
 }
 
 // Retransmits reports how many RAS and Q.931 requests this terminal has
 // re-sent.
-func (t *Terminal) Retransmits() uint64 { return t.rasTxns.Retransmits() + t.q931.Retransmits() }
+func (t *Terminal) Retransmits() uint64 { return t.txns.Retransmits() }
 
 // TxnStats reports the RAS and Q.931 tables' lifetime counters.
-func (t *Terminal) TxnStats(report func(plane string, s txn.Stats)) {
-	report("RAS", t.rasTxns.Stats())
-	report("Q.931", t.q931.Stats())
-}
-
-// PendingRAS returns RAS transactions still awaiting a gatekeeper answer.
-func (t *Terminal) PendingRAS() int { return t.rasTxns.InFlight() }
+func (t *Terminal) TxnStats(report func(plane string, s txn.Stats)) { t.txns.TxnStats(report) }
 
 // Audit reports the terminal's transient state for netsim's leak gate.
 func (t *Terminal) Audit(report func(kind string, n int)) {
-	report("pending RAS", t.PendingRAS())
+	report("pending RAS", t.txns.PendingRAS())
 	report("active calls", t.ActiveCalls())
-	report("transaction record imbalance",
-		t.rasTxns.Occupancy().Imbalance()+t.q931.Occupancy().Imbalance())
-}
-
-// ras sends a RAS request; with a completion it registers a pending
-// transaction for the answer, bound to call if the transaction concerns
-// one. The record is returned so callers can attach extra subject fields.
-func (t *Terminal) ras(env *sim.Env, msg sim.Message,
-	fn func(*sim.Env, termRASTxn, sim.Message), call *termCall) *termRASTxn {
-	var p *termRASTxn
-	if fn != nil {
-		p = t.rasTxns.Begin(env, rasSeq(msg), t.sigPolicy())
-		*p = termRASTxn{t: t, fn: fn, call: call, msg: msg}
-	}
-	t.ep.SendRAS(env, t.cfg.Gatekeeper, msg)
-	return p
-}
-
-func rasSeq(msg sim.Message) uint32 {
-	switch m := msg.(type) {
-	case RRQ:
-		return m.Seq
-	case URQ:
-		return m.Seq
-	case ARQ:
-		return m.Seq
-	case DRQ:
-		return m.Seq
-	case LRQ:
-		return m.Seq
-	default:
-		return 0
-	}
+	report("transaction record imbalance", t.txns.Imbalance())
 }
 
 // Register performs endpoint registration with the gatekeeper.
 func (t *Terminal) Register(env *sim.Env) {
 	t.nextSeq++
-	t.ras(env, RRQ{
+	t.txns.SendRAS(env, 0, nil, RRQ{
 		Seq: t.nextSeq, Alias: t.cfg.Alias,
 		SignalAddr: t.cfg.Addr, SignalPort: ipnet.PortQ931,
-	}, termRegisterDone, nil)
+	}, termRegisterDone)
 }
 
-func termRegisterDone(env *sim.Env, p termRASTxn, msg sim.Message) {
-	t := p.t
+func termRegisterDone(env *sim.Env, r termRAS, msg sim.Message) {
+	t := (*Terminal)(r.Host)
 	switch m := msg.(type) {
 	case RCF:
 		t.registered = true
@@ -334,21 +296,21 @@ func (t *Terminal) StartKeepAlive(env *sim.Env, interval time.Duration) {
 	tick = func() {
 		if t.registered {
 			t.nextSeq++
-			t.ras(env, RRQ{
+			t.txns.SendRAS(env, 0, nil, RRQ{
 				Seq: t.nextSeq, Alias: t.cfg.Alias,
 				SignalAddr: t.cfg.Addr, SignalPort: ipnet.PortQ931,
 				KeepAlive: true,
-			}, termKeepAliveDone, nil)
+			}, termKeepAliveDone)
 		}
 		env.After(interval, tick)
 	}
 	tick()
 }
 
-func termKeepAliveDone(env *sim.Env, p termRASTxn, msg sim.Message) {
+func termKeepAliveDone(env *sim.Env, r termRAS, msg sim.Message) {
 	if rrj, isRRJ := msg.(RRJ); isRRJ &&
 		rrj.Reason == RejectFullRegistrationRequired {
-		p.t.Register(env)
+		(*Terminal)(r.Host).Register(env)
 	}
 }
 
@@ -364,21 +326,21 @@ func (t *Terminal) Call(env *sim.Env, called gsmid.MSISDN) (uint16, error) {
 	t.calls[ref] = call
 
 	t.nextSeq++
-	t.ras(env, ARQ{
+	t.txns.SendRAS(env, 0, call, ARQ{
 		Seq: t.nextSeq, CallerAlias: t.cfg.Alias, CalledAlias: called, CallRef: ref,
-	}, termCallAdmitDone, call)
+	}, termCallAdmitDone)
 	return ref, nil
 }
 
 // termCallAdmitDone continues an outgoing call once the gatekeeper admits
 // it (or rejects/times out).
-func termCallAdmitDone(env *sim.Env, p termRASTxn, msg sim.Message) {
-	t, call := p.t, p.call
+func termCallAdmitDone(env *sim.Env, r termRAS, msg sim.Message) {
+	t, call := (*Terminal)(r.Host), r.Call
 	switch m := msg.(type) {
 	case ACF:
 		call.remoteSig = m.SignalAddr
 		call.state = CallSetupSent
-		t.armQ931(env, call, q931.Setup{
+		t.txns.SendQ931(env, call, q931.Setup{
 			CallRef: call.wireRef, Called: call.remote, Calling: t.cfg.Alias,
 			Media: q931.MediaAddr{Addr: t.cfg.Addr, Port: ipnet.PortRTP},
 		})
@@ -403,7 +365,7 @@ func (t *Terminal) Answer(env *sim.Env, ref uint16) {
 		return
 	}
 	call.state = CallConnected
-	t.armQ931(env, call, q931.Connect{
+	t.txns.SendQ931(env, call, q931.Connect{
 		CallRef: call.wireRef,
 		Media:   q931.MediaAddr{Addr: t.cfg.Addr, Port: ipnet.PortRTP},
 	})
@@ -427,9 +389,9 @@ func (t *Terminal) Hangup(env *sim.Env, ref uint16) error {
 func (t *Terminal) finishCall(env *sim.Env, call *termCall) {
 	call.state = CallCleared
 	call.sending = false
-	t.q931.Take(call) // stop any retransmission cycle
+	t.txns.StopQ931(call)
 	t.nextSeq++
-	t.ras(env, DRQ{Seq: t.nextSeq, Alias: t.cfg.Alias, CallRef: call.wireRef, Peer: call.remote}, nil, nil)
+	t.ep.SendRAS(env, t.cfg.Gatekeeper, DRQ{Seq: t.nextSeq, Alias: t.cfg.Alias, CallRef: call.wireRef, Peer: call.remote})
 	if t.cfg.Hooks.OnReleased != nil {
 		t.cfg.Hooks.OnReleased(call.ref)
 	}
@@ -447,68 +409,12 @@ func (t *Terminal) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.
 	}
 	switch {
 	case in.RAS != nil:
-		t.handleRAS(env, in.RAS)
+		t.txns.AnswerRAS(env, in.RAS)
 	case in.Q931 != nil:
 		t.handleQ931(env, pkt, in.Q931)
 	case in.RTPPayload != nil:
 		t.handleRTP(env, in.RTPPayload)
 	}
-}
-
-func (t *Terminal) handleRAS(env *sim.Env, msg sim.Message) {
-	var seq uint32
-	switch m := msg.(type) {
-	case RCF:
-		seq = m.Seq
-	case RRJ:
-		seq = m.Seq
-	case ACF:
-		seq = m.Seq
-	case ARJ:
-		seq = m.Seq
-	case DCF:
-		seq = m.Seq
-	case UCF:
-		seq = m.Seq
-	default:
-		return
-	}
-	if p, ok := t.rasTxns.Take(seq); ok {
-		p.fn(env, p, msg)
-	}
-}
-
-// --- Q.931 retransmission (T303 for Setup, T313 for Connect) ---
-
-// termQ931Txn is a call's running Q.931 retransmission cycle.
-type termQ931Txn struct {
-	call *termCall
-	msg  sim.Message
-}
-
-// armQ931 sends a Q.931 message that expects an answer and, with SigRTO
-// enabled, starts its retransmission cycle.
-func (t *Terminal) armQ931(env *sim.Env, call *termCall, msg sim.Message) {
-	t.ep.SendQ931(env, call.remoteSig, msg)
-	if t.cfg.SigRTO <= 0 {
-		return
-	}
-	t.q931.Take(call) // a new cycle supersedes one still running
-	*t.q931.Begin(env, call, t.sigPolicy()) = termQ931Txn{call: call, msg: msg}
-}
-
-func (t *Terminal) q931Resend(env *sim.Env, r *termQ931Txn) bool {
-	t.ep.SendQ931(env, r.call.remoteSig, r.msg)
-	return true
-}
-
-// q931Expired releases the call cleanly on both sides once the budget is
-// exhausted, rather than hang in a signalling state forever.
-func (t *Terminal) q931Expired(env *sim.Env, r *termQ931Txn) {
-	t.ep.SendQ931(env, r.call.remoteSig, q931.ReleaseComplete{
-		CallRef: r.call.wireRef, Cause: q931.CauseRecoveryOnTimerExpiry,
-	})
-	t.finishCall(env, r.call)
 }
 
 func (t *Terminal) handleQ931(env *sim.Env, pkt ipnet.Packet, msg sim.Message) {
@@ -518,14 +424,14 @@ func (t *Terminal) handleQ931(env *sim.Env, pkt ipnet.Packet, msg sim.Message) {
 	case q931.CallProceeding:
 		if call := t.findCall(pkt.Src, m.CallRef); call != nil && call.state == CallSetupSent {
 			call.state = CallProceeding
-			t.q931.Take(call) // far end holds our Setup; stop T303
+			t.txns.StopQ931(call) // far end holds our Setup; stop T303
 		}
 	case q931.Alerting:
 		// Guard against a late duplicate regressing an answered call.
 		if call := t.findCall(pkt.Src, m.CallRef); call != nil &&
 			(call.state == CallSetupSent || call.state == CallProceeding) {
 			call.state = CallAlerting
-			t.q931.Take(call) // stop T303
+			t.txns.StopQ931(call) // stop T303
 			if t.cfg.Hooks.OnAlerting != nil {
 				t.cfg.Hooks.OnAlerting(call.ref)
 			}
@@ -539,7 +445,7 @@ func (t *Terminal) handleQ931(env *sim.Env, pkt ipnet.Packet, msg sim.Message) {
 				return
 			}
 			call.state = CallConnected
-			t.q931.Take(call) // stop T303
+			t.txns.StopQ931(call) // stop T303
 			call.remoteMed = m.Media
 			t.startMedia(env, call)
 			if t.cfg.Hooks.OnConnected != nil {
@@ -549,7 +455,7 @@ func (t *Terminal) handleQ931(env *sim.Env, pkt ipnet.Packet, msg sim.Message) {
 	case q931.ConnectAck:
 		// The caller saw our Connect: stop T313.
 		if call := t.findCall(pkt.Src, m.CallRef); call != nil {
-			t.q931.Take(call)
+			t.txns.StopQ931(call)
 		}
 	case q931.ReleaseComplete:
 		if call := t.findCall(pkt.Src, m.CallRef); call != nil && call.state != CallCleared {
@@ -592,24 +498,22 @@ func (t *Terminal) handleIncomingSetup(env *sim.Env, pkt ipnet.Packet, m q931.Se
 
 	// Step 2.5: admission for the incoming call.
 	t.nextSeq++
-	if p := t.ras(env, ARQ{
+	t.txns.SendRAS(env, 0, call, ARQ{
 		Seq: t.nextSeq, CallerAlias: t.cfg.Alias, CalledAlias: m.Calling,
 		CallRef: m.CallRef, Answer: true,
-	}, termIncomingAdmitDone, call); p != nil {
-		p.calling = m.Calling
-	}
+	}, termIncomingAdmitDone)
 }
 
 // termIncomingAdmitDone alerts the local user once the gatekeeper admits an
 // incoming call; rejection or timeout releases the caller.
-func termIncomingAdmitDone(env *sim.Env, p termRASTxn, msg sim.Message) {
-	t, call := p.t, p.call
+func termIncomingAdmitDone(env *sim.Env, r termRAS, msg sim.Message) {
+	t, call := (*Terminal)(r.Host), r.Call
 	switch msg.(type) {
 	case ACF:
 		call.state = CallRinging
 		t.ep.SendQ931(env, call.remoteSig, q931.Alerting{CallRef: call.wireRef})
 		if t.cfg.Hooks.OnIncoming != nil {
-			t.cfg.Hooks.OnIncoming(call.ref, p.calling)
+			t.cfg.Hooks.OnIncoming(call.ref, call.remote)
 		}
 		if t.cfg.AutoAnswer {
 			ref := call.ref

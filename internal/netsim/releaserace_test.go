@@ -11,7 +11,7 @@ import (
 // the day-in-the-life soak exposed: the caller abandons while the callee is
 // still being paged, so the far-end ReleaseComplete and the paging timer
 // both reach the MT call. The second path must be a no-op — before the
-// vCall.released guard, the VMSC double-booked the release and its
+// guard on a released call, the VMSC double-booked the release and its
 // active-call count went negative.
 func TestCallerAbandonDuringPagingReleasesOnce(t *testing.T) {
 	// One traffic channel: the caller holds it, so the callee can never

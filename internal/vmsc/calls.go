@@ -16,8 +16,6 @@ import (
 	"vgprs/internal/rtp"
 	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
-	"vgprs/internal/slab"
-	"vgprs/internal/txn"
 )
 
 // Receive implements sim.Node: the VMSC's five faces (A interface, MAP,
@@ -103,116 +101,13 @@ func (v *VMSC) handleIP(env *sim.Env, entry *msEntry, pkt ipnet.Packet) {
 	}
 	switch {
 	case in.RAS != nil:
-		v.handleRAS(env, in.RAS)
+		v.h225.AnswerRAS(env, in.RAS)
 	case in.Q931 != nil:
 		v.handleQ931(env, entry, pkt, in.Q931)
 	case in.RTPPayload != nil:
 		v.downlinkVoice(env, entry, in.RTPPayload)
 	}
 }
-
-func (v *VMSC) handleRAS(env *sim.Env, msg sim.Message) {
-	var seq uint32
-	switch m := msg.(type) {
-	case h323.RCF:
-		seq = m.Seq
-	case h323.RRJ:
-		seq = m.Seq
-	case h323.ACF:
-		seq = m.Seq
-	case h323.ARJ:
-		seq = m.Seq
-	case h323.DCF:
-		seq = m.Seq
-	case h323.UCF:
-		seq = m.Seq
-	default:
-		return
-	}
-	if p, ok := v.ras.Take(seq); ok {
-		p.fn(env, p, msg)
-	}
-}
-
-// rasTxn is one outstanding RAS transaction: a package-level completion
-// function plus the transaction's subject — the MS-table row by generational
-// handle and, for admissions, the call — and the request retained for
-// retransmission.
-type rasTxn struct {
-	v      *VMSC
-	fn     func(env *sim.Env, p rasTxn, msg sim.Message)
-	entryH slab.Handle
-	call   *vCall
-	msg    sim.Message
-}
-
-// h323Policy is the RAS and Q.931 retransmission schedule.
-func (v *VMSC) h323Policy() txn.Policy {
-	return txn.Policy{RTO: v.cfg.SigRTO, Retries: v.cfg.H323Retries}
-}
-
-// rasTransmit registers fn as the completion for the RAS transaction with
-// sequence seq and sends the request through the MS's signalling context.
-// call, if non-nil, is the admission's call; fn reads the subject back off
-// the record (p.entryH, p.call). An unanswered transaction is retried per
-// the SigRTO/H323Retries schedule and then fails with a nil message —
-// callers treat that as failure, so a dead gatekeeper (or severed tunnel)
-// fails procedures instead of wedging them.
-func (v *VMSC) rasTransmit(env *sim.Env, entry *msEntry, seq uint32, msg sim.Message,
-	fn func(env *sim.Env, p rasTxn, msg sim.Message), call *vCall) {
-	*v.ras.Begin(env, seq, v.h323Policy()) = rasTxn{v: v, fn: fn, entryH: entry.self, call: call, msg: msg}
-	v.endpoint(entry).SendRAS(env, v.cfg.Gatekeeper, msg)
-}
-
-// rasResend retransmits a RAS request while its subscriber row is live; a
-// purged subscriber fails the transaction at once.
-func (v *VMSC) rasResend(env *sim.Env, p *rasTxn) bool {
-	entry := v.ents.Get(p.entryH)
-	if entry == nil {
-		return false
-	}
-	v.endpoint(entry).SendRAS(env, v.cfg.Gatekeeper, p.msg)
-	return true
-}
-
-func rasExpired(env *sim.Env, p *rasTxn) { p.fn(env, *p, nil) }
-
-// --- Q.931 retransmission (T303 for Setup, T313 for Connect) ---
-
-// q931Txn is a call's running Q.931 retransmission cycle.
-type q931Txn struct {
-	call *vCall
-	msg  sim.Message
-}
-
-// armQ931 sends a Q.931 message that expects an answer and starts its
-// retransmission cycle: re-sent on the H.323 schedule until an answer stops
-// the cycle (stopQ931) or the budget runs out, which tears the call down.
-func (v *VMSC) armQ931(env *sim.Env, call *vCall, msg sim.Message) {
-	entry := call.ent()
-	if entry == nil {
-		return
-	}
-	v.endpoint(entry).SendQ931(env, call.remoteSig, msg)
-	v.stopQ931(call) // a new cycle supersedes one still running
-	*v.q931.Begin(env, call, v.h323Policy()) = q931Txn{call: call, msg: msg}
-}
-
-// stopQ931 ends the call's current retransmission cycle (answer arrived).
-func (v *VMSC) stopQ931(call *vCall) { v.q931.Take(call) }
-
-func (v *VMSC) q931Resend(env *sim.Env, t *q931Txn) bool {
-	entry := t.call.ent()
-	if entry == nil {
-		return false
-	}
-	v.endpoint(entry).SendQ931(env, t.call.remoteSig, t.msg)
-	return true
-}
-
-// q931Expired clears the call everywhere rather than hang once the budget
-// is exhausted (or the subscriber was purged).
-func (v *VMSC) q931Expired(env *sim.Env, t *q931Txn) { v.clearCall(env, t.call, true) }
 
 // --- Mobile-originated calls (Fig 5, steps 2.1-2.9) ---
 
@@ -274,17 +169,16 @@ func (v *VMSC) admitMOCall(env *sim.Env, call *vCall, called gsmid.MSISDN) {
 		return
 	}
 	v.nextRAS++
-	seq := v.nextRAS
-	v.rasTransmit(env, entry, seq, h323.ARQ{
-		Seq: seq, CallerAlias: entry.msisdnKey.MSISDN(), CalledAlias: called, CallRef: call.ref,
-	}, rasMOAdmitDone, call)
+	v.h225.SendRAS(env, entry.self, call, h323.ARQ{
+		Seq: v.nextRAS, CallerAlias: entry.msisdnKey.MSISDN(), CalledAlias: called, CallRef: call.ref,
+	}, rasMOAdmitDone)
 }
 
 // rasMOAdmitDone continues an MO call once the gatekeeper admits it (ACF
 // carrying the destination's signalling address) or rejects/times out.
-func rasMOAdmitDone(env *sim.Env, p rasTxn, msg sim.Message) {
-	v, call := p.v, p.call
-	if call == nil || call.released {
+func rasMOAdmitDone(env *sim.Env, r rasReq, msg sim.Message) {
+	v, call := (*VMSC)(r.Host), r.Call
+	if call.state == callReleased {
 		return
 	}
 	m, admitted := msg.(h323.ACF)
@@ -301,7 +195,7 @@ func rasMOAdmitDone(env *sim.Env, p rasTxn, msg sim.Message) {
 	call.state = callDelivering
 	// Step 2.4: Q.931 Setup through the GGSN to the terminal,
 	// retransmitted (T303) until the far end acknowledges.
-	v.armQ931(env, call, q931.Setup{
+	v.h225.SendQ931(env, call, q931.Setup{
 		CallRef: call.ref, Called: call.remote, Calling: entry.msisdnKey.MSISDN(),
 		Media: q931.MediaAddr{Addr: entry.addr, Port: ipnet.PortRTP},
 	})
@@ -315,7 +209,7 @@ func (v *VMSC) handleQ931(env *sim.Env, entry *msEntry, pkt ipnet.Packet, msg si
 		// Step 2.4 tail: no more routing information expected — the far
 		// end holds our Setup, so its retransmission cycle can stop.
 		if call := entry.call; call != nil && call.ref == m.CallRef && call.mobileOriginated {
-			v.stopQ931(call)
+			v.h225.StopQ931(call)
 		}
 	case q931.Alerting:
 		// Step 2.7: relay the alerting indication down the radio path to
@@ -323,7 +217,7 @@ func (v *VMSC) handleQ931(env *sim.Env, entry *msEntry, pkt ipnet.Packet, msg si
 		// an answered call, hence the state guard.
 		if call := entry.call; call != nil && call.ref == m.CallRef &&
 			call.mobileOriginated && call.state == callDelivering {
-			v.stopQ931(call)
+			v.h225.StopQ931(call)
 			call.state = callAlerting
 			env.Send(v.cfg.ID, v.bscOf(entry), gsm.Alerting{
 				Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
@@ -340,7 +234,7 @@ func (v *VMSC) handleQ931(env *sim.Env, entry *msEntry, pkt ipnet.Packet, msg si
 				return
 			}
 			call.answered = true
-			v.stopQ931(call)
+			v.h225.StopQ931(call)
 			call.remoteMed = m.Media
 			env.Send(v.cfg.ID, v.bscOf(entry), gsm.Connect{
 				Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
@@ -350,7 +244,7 @@ func (v *VMSC) handleQ931(env *sim.Env, entry *msEntry, pkt ipnet.Packet, msg si
 	case q931.ConnectAck:
 		// The far end saw our Connect (MT answer): stop T313.
 		if call := entry.call; call != nil && call.ref == m.CallRef {
-			v.stopQ931(call)
+			v.h225.StopQ931(call)
 		}
 	case q931.ReleaseComplete:
 		// Far party cleared (or step 3.2's mirror for MT calls).
@@ -392,18 +286,17 @@ func (v *VMSC) handleMTSetup(env *sim.Env, entry *msEntry, pkt ipnet.Packet, m q
 
 	// Step 4.3: ARQ/ACF with the gatekeeper.
 	v.nextRAS++
-	seq := v.nextRAS
-	v.rasTransmit(env, entry, seq, h323.ARQ{
-		Seq: seq, CallerAlias: entry.msisdnKey.MSISDN(), CalledAlias: m.Calling,
+	v.h225.SendRAS(env, entry.self, call, h323.ARQ{
+		Seq: v.nextRAS, CallerAlias: entry.msisdnKey.MSISDN(), CalledAlias: m.Calling,
 		CallRef: m.CallRef, Answer: true,
-	}, rasMTAdmitDone, call)
+	}, rasMTAdmitDone)
 }
 
 // rasMTAdmitDone pages the MS once the gatekeeper admits the terminating
 // call; rejection (or timeout) releases the caller.
-func rasMTAdmitDone(env *sim.Env, p rasTxn, msg sim.Message) {
-	v, call := p.v, p.call
-	if call == nil || call.released {
+func rasMTAdmitDone(env *sim.Env, r rasReq, msg sim.Message) {
+	v, call := (*VMSC)(r.Host), r.Call
+	if call.state == callReleased {
 		return
 	}
 	entry := call.ent()
@@ -430,7 +323,7 @@ func rasMTAdmitDone(env *sim.Env, p rasTxn, msg sim.Message) {
 // pagingExpire releases an MT call whose page went unanswered.
 func pagingExpire(arg any) {
 	call := arg.(*vCall)
-	if call.released || call.state != callPaging {
+	if call.state != callPaging {
 		return
 	}
 	v := call.v
@@ -482,7 +375,7 @@ func (v *VMSC) radioConnect(env *sim.Env, t gsm.Connect) {
 	call := entry.call
 	// Step 4.7: Connect toward the caller, with the MS's media address,
 	// retransmitted (T313) until the caller's ConnectAck.
-	v.armQ931(env, call, q931.Connect{
+	v.h225.SendQ931(env, call, q931.Connect{
 		CallRef: call.ref,
 		Media:   q931.MediaAddr{Addr: entry.addr, Port: ipnet.PortRTP},
 	})
@@ -512,6 +405,14 @@ func (v *VMSC) activateVoicePDP(env *sim.Env, call *vCall) {
 	}
 	err := v.client(entry).ActivatePDP(env, NSAPIVoice, gtp.VoiceQoS(), "",
 		func(_ netip.Addr, ok bool) {
+			if call.state == callReleased {
+				// Hung up while the context came up: hand it back unless
+				// the row's next call already holds it.
+				if e := call.ent(); ok && e != nil && e.call == nil {
+					_ = v.client(e).DeactivatePDP(env, NSAPIVoice, nil)
+				}
+				return
+			}
 			if !ok {
 				v.clearCall(env, call, true)
 				return
@@ -618,11 +519,11 @@ func (v *VMSC) clearCall(env *sim.Env, call *vCall, radio bool) {
 }
 
 func (v *VMSC) forget(call *vCall) {
-	if call.released {
+	if call.state == callReleased {
 		return
 	}
-	call.released = true
-	v.stopQ931(call) // a live retry timer must not resurrect the call
+	call.state = callReleased
+	v.h225.StopQ931(call) // a live retry timer must not resurrect the call
 	call.env.Cancel(call.paging)
 	v.stats.CallsReleased++
 	entry := call.ent()
@@ -710,7 +611,7 @@ func uplinkFire(arg any) {
 	j := arg.(*frameJob)
 	j.v.frameJobs--
 	call := j.call
-	if call.released || call.state != callActive || !call.remoteMed.Valid() {
+	if call.state != callActive || !call.remoteMed.Valid() {
 		return
 	}
 	entry := call.ent()
@@ -757,7 +658,7 @@ func downlinkFire(arg any) {
 	j := arg.(*frameJob)
 	j.v.frameJobs--
 	call := j.call
-	if call.released {
+	if call.state == callReleased {
 		return
 	}
 	env := call.env

@@ -4,6 +4,7 @@ import (
 	"reflect"
 
 	"vgprs/internal/gsmid"
+	"vgprs/internal/h323"
 	"vgprs/internal/slab"
 )
 
@@ -28,3 +29,7 @@ func (v *VMSC) RowHandle(imsi gsmid.IMSI) slab.Handle {
 	}
 	return 0
 }
+
+// RASRecordSize and Q931RecordSize are what one RAS request and one Q.931
+// cycle of a row occupy in the VMSC's H.225.0 tables.
+var RASRecordSize, Q931RecordSize = h323.RecordSizes[*rowHost, *vCall]()

@@ -128,18 +128,17 @@ func regSigPDPDone(env *sim.Env, arg any, owner slab.Handle, addr netip.Addr, ok
 func (v *VMSC) registerWithGatekeeper(env *sim.Env, entry *msEntry, announce bool) {
 	entry.regAnnounce = announce
 	v.nextRAS++
-	seq := v.nextRAS
-	v.rasTransmit(env, entry, seq, h323.RRQ{
-		Seq: seq, Alias: entry.msisdnKey.MSISDN(),
+	v.h225.SendRAS(env, entry.self, nil, h323.RRQ{
+		Seq: v.nextRAS, Alias: entry.msisdnKey.MSISDN(),
 		SignalAddr: entry.addr, SignalPort: ipnet.PortQ931,
-	}, regRRQDone, nil)
+	}, regRRQDone)
 }
 
 // regRRQDone completes the registration when the gatekeeper answers (or the
 // RAS transaction times out).
-func regRRQDone(env *sim.Env, p rasTxn, msg sim.Message) {
-	v := p.v
-	entry := v.ents.Get(p.entryH)
+func regRRQDone(env *sim.Env, r rasReq, msg sim.Message) {
+	v := (*VMSC)(r.Host)
+	entry := v.ents.Get(r.Owner)
 	if entry == nil {
 		return // subscriber purged while the RRQ was in flight
 	}
@@ -308,23 +307,22 @@ func (v *VMSC) deregister(env *sim.Env, entry *msEntry) {
 // for purged rows, frees the slab slot).
 func (v *VMSC) unregisterGK(env *sim.Env, entry *msEntry) {
 	v.nextRAS++
-	seq := v.nextRAS
-	v.rasTransmit(env, entry, seq, h323.URQ{
-		Seq: seq, Alias: entry.msisdnKey.MSISDN(), SignalAddr: entry.addr,
-	}, rasURQDone, nil)
+	v.h225.SendRAS(env, entry.self, nil, h323.URQ{
+		Seq: v.nextRAS, Alias: entry.msisdnKey.MSISDN(), SignalAddr: entry.addr,
+	}, rasURQDone)
 }
 
 // rasURQDone finishes a deregistration: whether the gatekeeper confirmed
 // (UCF) or the transaction timed out, the GPRS attachment is released, and
 // a purged row is freed once the detach completes.
-func rasURQDone(env *sim.Env, p rasTxn, _ sim.Message) {
-	v := p.v
-	entry := v.ents.Get(p.entryH)
+func rasURQDone(env *sim.Env, r rasReq, _ sim.Message) {
+	v := (*VMSC)(r.Host)
+	entry := v.ents.Get(r.Owner)
 	if entry == nil {
 		return
 	}
 	if entry.gmm.Attached() {
-		h := p.entryH
+		h := r.Owner
 		_ = v.client(entry).Detach(env, func() {
 			if e := v.ents.Get(h); e != nil && e.purge {
 				v.freeEntry(e)
@@ -362,12 +360,11 @@ func (v *VMSC) StartKeepAlive(env *sim.Env, interval time.Duration) {
 				return true
 			}
 			v.nextRAS++
-			seq := v.nextRAS
-			v.rasTransmit(env, entry, seq, h323.RRQ{
-				Seq: seq, Alias: entry.msisdnKey.MSISDN(),
+			v.h225.SendRAS(env, entry.self, nil, h323.RRQ{
+				Seq: v.nextRAS, Alias: entry.msisdnKey.MSISDN(),
 				SignalAddr: entry.addr, SignalPort: ipnet.PortQ931,
 				KeepAlive: true,
-			}, rasKeepAliveDone, nil)
+			}, rasKeepAliveDone)
 			return true
 		})
 		env.After(interval, tick)
@@ -378,9 +375,9 @@ func (v *VMSC) StartKeepAlive(env *sim.Env, interval time.Duration) {
 // rasKeepAliveDone handles the keepalive RRQ's answer: a gatekeeper that
 // lost the row (TTL lapse, restart) demands a full registration, which the
 // VMSC performs silently.
-func rasKeepAliveDone(env *sim.Env, p rasTxn, msg sim.Message) {
-	v := p.v
-	entry := v.ents.Get(p.entryH)
+func rasKeepAliveDone(env *sim.Env, r rasReq, msg sim.Message) {
+	v := (*VMSC)(r.Host)
+	entry := v.ents.Get(r.Owner)
 	if entry == nil {
 		return
 	}

@@ -148,13 +148,11 @@ type VMSC struct {
 	nodes slab.Syms[sim.NodeID]
 	lais  slab.Syms[gsmid.LAI]
 
-	// One transaction table per plane beside the MAP dialogues in dm: RAS
-	// exchanges by sequence number, the Q.931 T303/T313 cycle of each call,
-	// and the GMM/SM procedures of every row's GPRS client (see rowHost).
-	// Their counters are this VMSC's pending and
-	// retransmit totals.
-	ras     *txn.Table[uint32, rasTxn]
-	q931    *txn.Table[*vCall, q931Txn]
+	// The transactions of every row beside the MAP dialogues in dm: H.225.0
+	// (RAS exchanges and the Q.931 T303/T313 cycle of each call) and the
+	// GMM/SM procedures of the row's GPRS client, both hosted by rowHost.
+	// Their counters are this VMSC's pending and retransmit totals.
+	h225    *h323.Transactions[*rowHost, *vCall]
 	gmm     *gprs.Transactions
 	nextRAS uint32
 
@@ -196,8 +194,8 @@ type Stats struct {
 // and location areas interned (DESIGN.md §8 lists what may sit in a row).
 type msEntry struct {
 	// self is the row's own slab handle; index entries and cross-references
-	// (vCall.entryH, rasTxn.entryH, the GMM/SM procedure keys) carry it
-	// instead of the pointer.
+	// (vCall.entryH, the RAS and GMM/SM transaction owners) carry it instead
+	// of the pointer.
 	self      slab.Handle
 	imsiKey   gsmid.PackedDigits
 	msisdnKey gsmid.PackedDigits
@@ -231,9 +229,13 @@ func (v *VMSC) client(e *msEntry) gprs.Session { return v.gmm.Session(e.self, e.
 func (v *VMSC) bscOf(e *msEntry) sim.NodeID { return v.nodes.Val(e.bsc) }
 
 // rowHost is the VMSC in the roles it plays for every row (gprs.Host,
-// h323.Sender): the row's GMM/SM procedures run in the VMSC's one table on its
-// signalling schedule, and its H.323 endpoint sends into its PDP contexts.
+// h323.Host, h323.Sender): the row's GMM/SM procedures and H.225.0
+// transactions run in the VMSC's tables on its signalling schedules, and its
+// H.323 endpoint sends into its PDP contexts.
 type rowHost VMSC
+
+// rasReq is one of the rows' RAS requests in flight.
+type rasReq = h323.RAS[*rowHost, *vCall]
 
 func (h *rowHost) Policy() txn.Policy {
 	return txn.Policy{RTO: h.cfg.SigRTO, Retries: h.cfg.SigRetries}
@@ -290,6 +292,25 @@ func (v *VMSC) endpoint(e *msEntry) h323.Endpoint {
 	return h323.Endpoint{Node: v.cfg.ID, Addr: e.addr, Dir: v.cfg.Dir, Via: (*rowHost)(v), Owner: e.self}
 }
 
+// Endpoint resolves a row's H.323 endpoint for a RAS retransmission; a
+// purged subscriber fails the transaction at once.
+func (h *rowHost) Endpoint(owner slab.Handle) (h323.Endpoint, bool) {
+	if e := h.ents.Get(owner); e != nil {
+		return (*VMSC)(h).endpoint(e), true
+	}
+	return h323.Endpoint{}, false
+}
+
+// CallEndpoint resolves a call's row for its Q.931 messages.
+func (h *rowHost) CallEndpoint(call *vCall) (h323.Endpoint, netip.Addr, bool) {
+	ep, ok := h.Endpoint(call.entryH)
+	return ep, call.remoteSig, ok
+}
+
+// Q931Expired clears the call everywhere rather than hang once the budget
+// is exhausted (or the subscriber was purged).
+func (h *rowHost) Q931Expired(env *sim.Env, call *vCall) { (*VMSC)(h).clearCall(env, call, true) }
+
 // SendIPPacket implements h323.Sender: a row's H.323 traffic routes through
 // the MS's PDP contexts, choosing the voice context for RTP when it is up —
 // the traffic-flow-template role of GPRS.
@@ -327,7 +348,11 @@ const (
 	callDelivering
 	callAlerting
 	callActive
-	callClearing
+	// callReleased marks a call already passed to forget. Release can reach
+	// a call from two directions at once (a far-end ReleaseComplete racing
+	// the paging timeout, say); the second path must be a no-op or the
+	// active-call count and release stats double-book.
+	callReleased
 )
 
 // vCall is one call through the VMSC.
@@ -348,11 +373,6 @@ type vCall struct {
 	// answered dedupes retransmitted Q.931 Connects: the answer is
 	// processed once, later copies are only re-acknowledged.
 	answered bool
-	// released marks a call already passed to forget. Release can reach a
-	// call from two directions at once (a far-end ReleaseComplete racing
-	// the paging timeout, say); the second path must be a no-op or the
-	// active-call count and release stats double-book.
-	released bool
 	// paging is the page-response timer of an MT call, cancelled when the
 	// MS answers the page or the call is released, so the event queue does
 	// not hold a finished call for the rest of PagingTimeout.
@@ -421,8 +441,8 @@ func New(cfg Config) *VMSC {
 		hoCalls:  make(map[uint32]*vCall),
 	}
 	v.gmm = gprs.NewTransactions((*rowHost)(v))
-	v.ras = txn.New[uint32](v.rasResend, rasExpired)
-	v.q931 = txn.New[*vCall](v.q931Resend, v.q931Expired)
+	v.h225 = h323.NewTransactions[*rowHost, *vCall]((*rowHost)(v), cfg.Gatekeeper,
+		txn.Policy{RTO: cfg.SigRTO, Retries: cfg.H323Retries})
 	v.registrar = msc.NewRegistrar(cfg.ID, cfg.VLR, v.onVLROutcome)
 	v.registrar.RTO = cfg.SigRTO
 	v.registrar.Retries = cfg.SigRetries
@@ -543,9 +563,6 @@ func (v *VMSC) CallMedia(ms sim.NodeID) (MediaStats, bool) {
 	}, true
 }
 
-// PendingRAS returns RAS transactions still awaiting a gatekeeper answer.
-func (v *VMSC) PendingRAS() int { return v.ras.InFlight() }
-
 // HandoffCalls returns calls currently relayed over an E-interface trunk
 // (this VMSC as the anchor of an inter-system handover).
 func (v *VMSC) HandoffCalls() int { return len(v.hoCalls) }
@@ -555,7 +572,7 @@ func (v *VMSC) HandoffCalls() int { return len(v.hoCalls) }
 // RAS transactions, and the per-MS GPRS clients' GMM/SM transactions. A
 // quiesced VMSC reports zero; the scenario soak asserts on it.
 func (v *VMSC) PendingTransactions() int {
-	return v.dm.Outstanding() + v.registrar.Pending() + v.ras.InFlight() + v.gmm.InFlight()
+	return v.dm.Outstanding() + v.registrar.Pending() + v.h225.PendingRAS() + v.gmm.InFlight()
 }
 
 // Audit reports every transient record this VMSC holds, by kind, plus its
@@ -574,7 +591,7 @@ func (v *VMSC) Audit(report func(kind string, n int)) {
 // transaction tables, which a quiesced VMSC holds at their floor.
 func (v *VMSC) Footprint() int {
 	return v.ents.Bytes() + v.byIMSI.Bytes() + v.byMS.Bytes() + v.byMSISDN.Bytes() +
-		v.dm.Bytes() + v.registrar.Bytes() + v.ras.Bytes() + v.q931.Bytes() + v.gmm.Bytes()
+		v.dm.Bytes() + v.registrar.Bytes() + v.h225.Bytes() + v.gmm.Bytes()
 }
 
 // SlabImbalance audits the MS-table storage: per-shard occupancy must
@@ -584,8 +601,8 @@ func (v *VMSC) Footprint() int {
 // leaked out of — or was lost by — its store; the soak/leak gates assert
 // zero alongside the transient residuals.
 func (v *VMSC) SlabImbalance() int {
-	return v.dm.Occupancy().Imbalance() + v.ras.Occupancy().Imbalance() +
-		v.q931.Occupancy().Imbalance() + v.gmm.Occupancy().Imbalance() + v.registrar.Imbalance() +
+	return v.dm.Occupancy().Imbalance() + v.h225.Imbalance() +
+		v.gmm.Occupancy().Imbalance() + v.registrar.Imbalance() +
 		slab.Audit(v.ents, v.byIMSI, func(k gsmid.PackedDigits, e *msEntry) bool { return e.imsiKey == k }) +
 		slab.Stale(v.ents, v.byMS, func(k sim.NodeID, e *msEntry) bool { return e.ms == k }) +
 		slab.Stale(v.ents, v.byMSISDN, func(k gsmid.PackedDigits, e *msEntry) bool { return e.msisdnKey == k })
@@ -611,7 +628,7 @@ func (v *VMSC) sigDeadline() time.Duration { return (*rowHost)(v).Policy().Deadl
 // lives in its table, not on the subscriber, so the total never decreases
 // when a subscriber is purged.
 func (v *VMSC) Retransmits() uint64 {
-	return v.dm.Retransmits() + v.ras.Retransmits() + v.q931.Retransmits() + v.gmm.Retransmits()
+	return v.dm.Retransmits() + v.h225.Retransmits() + v.gmm.Retransmits()
 }
 
 // TxnStats reports the lifetime counters of the four tables Retransmits
@@ -619,7 +636,6 @@ func (v *VMSC) Retransmits() uint64 {
 // manager, which neither covers.)
 func (v *VMSC) TxnStats(report func(plane string, s txn.Stats)) {
 	report("MAP", v.dm.Stats())
-	report("RAS", v.ras.Stats())
-	report("Q.931", v.q931.Stats())
+	v.h225.TxnStats(report)
 	report("GMM/SM", v.gmm.Stats())
 }

@@ -548,6 +548,19 @@ func TestMSEntrySize(t *testing.T) {
 	}
 }
 
+// TestH225RecordSizes pins what one RAS request and one Q.931 cycle occupy
+// in the VMSC's transaction tables: a 48- and a 24-byte payload beside the
+// table's own header. The tables sit in Footprint at their floor, so a larger
+// record moves the committed bytes per subscriber (BENCH_scale.json).
+func TestH225RecordSizes(t *testing.T) {
+	if vmsc.RASRecordSize > 96 {
+		t.Errorf("RAS record is %d bytes, budget 96", vmsc.RASRecordSize)
+	}
+	if vmsc.Q931RecordSize > 80 {
+		t.Errorf("Q.931 record is %d bytes, budget 80", vmsc.Q931RecordSize)
+	}
+}
+
 // TestVoiceBuffersDieWithCall: the uplink LLC framing buffer and Gb message
 // of the voice fast path belong to the call, not to the MS that made it, so
 // a subscriber who once talked keeps nothing for it after release.
