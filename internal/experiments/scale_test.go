@@ -58,14 +58,14 @@ func checkBudgetRun(t *testing.T) ScaleFullPoint {
 // standard core nodes, the paper's §6 trade-off: what a registered mobile's
 // VLR and HLR records, GPRS attach and signalling PDP context cost, read as
 // VLR + HLR + SGSN + GGSN Footprint() on the full-stack run. It is exact
-// accounting, the same on every run: 639.9 B/sub at 100k, 871.9 at 10k (a
+// accounting, the same on every run: 575.4 B/sub at 100k, 815.2 at 10k (a
 // smaller population amortises the index tables over fewer subscribers).
 // Both ceilings sit ~60 B above, so 64 more bytes per subscriber in any one
 // node trips the gate.
 func TestBytesPerSubscriberBudget(t *testing.T) {
-	budget := 700.0
+	budget := 640.0
 	if testing.Short() || raceEnabled {
-		budget = 930.0
+		budget = 875.0
 	}
 	p := checkBudgetRun(t)
 	b := p.Footprint
@@ -79,12 +79,12 @@ func TestBytesPerSubscriberBudget(t *testing.T) {
 
 // TestFullStackBytesPerSubscriberBudget is the memory gate for the whole
 // Fig 2(b) stack: the measured heap delta per subscriber on the budget run,
-// with ~1.17x headroom over the 985 B/sub measured at 100k.
+// with ~1.3x headroom over the 888 B/sub measured at 100k.
 func TestFullStackBytesPerSubscriberBudget(t *testing.T) {
 	budget := 1_150.0
 	if testing.Short() || raceEnabled {
 		// Slab chunks dominate the full-stack cost, so race instrumentation
-		// does not move it (measured 1,674 B/sub plain and race at 10k).
+		// does not move it (measured 1,591 B/sub plain and 1,592 race at 10k).
 		budget = 2_000.0
 	}
 	p := checkBudgetRun(t)

@@ -86,9 +86,9 @@ type GGSN struct {
 
 	mu      sync.Mutex
 	recs    *slab.Sharded[ggsnRec]
-	byTID   *slab.Index[uint64]
-	byAddr  *slab.Index[uint32] // PDP address in its ipnet.V4Key form
-	names   slab.Syms[string]   // SGSN node names
+	byTID   *slab.RowIndex[uint64, ggsnRec]
+	byAddr  *slab.RowIndex[uint32, ggsnRec] // PDP address in its ipnet.V4Key form
+	names   slab.Syms[string]               // SGSN node names
 	static  map[netip.Addr]gsmid.IMSI
 	queued  map[netip.Addr][]ipnet.Packet
 	nextSeq uint16
@@ -115,7 +115,8 @@ func (g *GGSN) byDst(dst netip.Addr) *ggsnRec {
 	if !v4 {
 		return nil
 	}
-	return g.recs.Get(g.byAddr.Get(key))
+	_, r := g.byAddr.Get(key)
+	return r
 }
 
 // NewGGSN returns a GGSN. It panics on an invalid pool prefix (topology
@@ -131,13 +132,17 @@ func NewGGSN(cfg GGSNConfig) *GGSN {
 	if err != nil {
 		panic(err)
 	}
+	recs := slab.NewSharded[ggsnRec](ggsnShards)
 	return &GGSN{
-		cfg:      cfg,
-		pool:     pool,
-		dm:       ss7.NewDialogueManager(cfg.ID),
-		recs:     slab.NewSharded[ggsnRec](ggsnShards),
-		byTID:    slab.NewIndex[uint64](slab.HashUint64),
-		byAddr:   slab.NewIndex[uint32](slab.HashUint32),
+		cfg:   cfg,
+		pool:  pool,
+		dm:    ss7.NewDialogueManager(cfg.ID),
+		recs:  recs,
+		byTID: slab.NewRowIndex(recs, slab.HashUint64, func(k uint64, r *ggsnRec) bool { return uint64(r.tid) == k }),
+		byAddr: slab.NewRowIndex(recs, slab.HashUint32, func(k uint32, r *ggsnRec) bool {
+			key, v4 := ipnet.V4Key(r.address)
+			return v4 && key == k
+		}),
 		static:   make(map[netip.Addr]gsmid.IMSI),
 		queued:   make(map[netip.Addr][]ipnet.Packet),
 		creating: txn.New[createKey, struct{}](nil, nil), // untimed: the hooks never run
@@ -183,7 +188,7 @@ func (g *GGSN) ActiveContexts() int {
 func (g *GGSN) AddressOf(tid gtp.TID) (netip.Addr, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	r := g.recs.Get(g.byTID.Get(uint64(tid)))
+	_, r := g.byTID.Get(uint64(tid))
 	if r == nil {
 		return netip.Addr{}, false
 	}
@@ -241,11 +246,7 @@ func (g *GGSN) SlabImbalance() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.dm.Occupancy().Imbalance() + g.creating.Occupancy().Imbalance() +
-		slab.Audit(g.recs, g.byTID, func(k uint64, r *ggsnRec) bool { return uint64(r.tid) == k }) +
-		slab.Stale(g.recs, g.byAddr, func(k uint32, r *ggsnRec) bool {
-			key, v4 := ipnet.V4Key(r.address)
-			return v4 && key == k
-		})
+		g.byTID.Audit() + g.byAddr.Stale()
 }
 
 // Receive implements sim.Node.
@@ -332,7 +333,7 @@ func (g *GGSN) finishCreate(env *sim.Env, sgsn sim.NodeID, m gtp.CreatePDPReques
 	tid := gtp.MakeTID(m.IMSI, m.NSAPI)
 	negotiated := gtp.Negotiate(m.QoS, g.cfg.MaxKbps)
 	g.mu.Lock()
-	if existing := g.recs.Get(g.byTID.Get(uint64(tid))); existing != nil {
+	if _, existing := g.byTID.Get(uint64(tid)); existing != nil {
 		sameSGSN := g.names.Val(existing.sgsn) == string(sgsn)
 		exAddr, exQoS := existing.address, existing.qos
 		g.mu.Unlock()
@@ -379,8 +380,7 @@ func (g *GGSN) finishCreate(env *sim.Env, sgsn sim.NodeID, m gtp.CreatePDPReques
 
 func (g *GGSN) handleDelete(env *sim.Env, sgsn sim.NodeID, m gtp.DeletePDPRequest) {
 	g.mu.Lock()
-	h := g.byTID.Get(uint64(m.TID))
-	r := g.recs.Get(h)
+	h, r := g.byTID.Get(uint64(m.TID))
 	ok := r != nil
 	var release netip.Addr
 	if ok {
@@ -414,7 +414,7 @@ func (g *GGSN) handleUplink(env *sim.Env, m gtp.TPDU) {
 		return
 	}
 	g.mu.Lock()
-	src := g.recs.Get(g.byTID.Get(uint64(m.TID)))
+	_, src := g.byTID.Get(uint64(m.TID))
 	known := src != nil
 	if known {
 		g.ulPackets++

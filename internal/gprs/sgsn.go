@@ -139,7 +139,7 @@ func (p *pdpRec) addrString() string {
 // SGSN is the serving GPRS support node: it terminates the Gb interface,
 // manages attach and PDP-context state, and tunnels user traffic to the
 // GGSN over GTP (Gn). Subscriber state lives in slab shards addressed by
-// open-addressing indexes (TLLI, IMSI, TID → handle) so an attached-but-
+// open-addressing indexes (TLLI, IMSI, TID → row) so an attached-but-
 // idle subscriber costs a bounded number of bytes.
 type SGSN struct {
 	cfg SGSNConfig
@@ -147,9 +147,9 @@ type SGSN struct {
 	mu      sync.Mutex
 	mms     *slab.Sharded[mmRec]
 	pdps    *slab.Sharded[pdpRec]
-	byTLLI  *slab.Index[uint32]
-	byIMSI  *slab.Index[gsmid.PackedDigits]
-	byTID   *slab.Index[uint64]
+	byTLLI  *slab.RowIndex[uint32, mmRec]
+	byIMSI  *slab.RowIndex[gsmid.PackedDigits, mmRec]
+	byTID   *slab.RowIndex[uint64, mmRec]
 	peers   slab.Syms[sim.NodeID] // Gb peer nodes (BSCs, VMSCs)
 	cells   slab.Syms[gsmid.CGI]  // serving cells
 	nextPT  uint32
@@ -269,14 +269,19 @@ func NewSGSN(cfg SGSNConfig) *SGSN {
 	if cfg.SigRTO == 0 {
 		cfg.SigRTO = time.Second
 	}
+	mms := slab.NewSharded[mmRec](sgsnShards)
 	s := &SGSN{
-		cfg:    cfg,
-		mms:    slab.NewSharded[mmRec](sgsnShards),
-		pdps:   slab.NewSharded[pdpRec](sgsnShards),
-		byTLLI: slab.NewIndex[uint32](slab.HashUint32),
-		byIMSI: slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
-		byTID:  slab.NewIndex[uint64](slab.HashUint64),
+		cfg:  cfg,
+		mms:  mms,
+		pdps: slab.NewSharded[pdpRec](sgsnShards),
+		// A subscriber is entered under its local TLLI and, when it
+		// roamed in on one, its foreign TLLI.
+		byTLLI: slab.NewRowIndex(mms, slab.HashUint32, func(k uint32, r *mmRec) bool {
+			return gsmid.TLLI(k) == gsmid.LocalTLLI(r.ptmsi) || gsmid.TLLI(k) == r.foreignTLLI
+		}),
+		byIMSI: slab.NewRowIndex(mms, gsmid.PackedDigits.Hash, func(k gsmid.PackedDigits, r *mmRec) bool { return r.imsi == k }),
 	}
+	s.byTID = slab.NewRowIndex(mms, slab.HashUint64, s.hasTID)
 	s.gtp = txn.New[uint16](
 		func(env *sim.Env, t *gtpTxn) bool { env.Send(s.cfg.ID, s.cfg.GGSN, t.req); return true },
 		s.gtpExpired,
@@ -360,7 +365,7 @@ func (s *SGSN) Footprint() int {
 }
 
 // SlabImbalance audits the slab storage: the IMSI index must own the MM rows
-// (slab.Audit), every TLLI entry must name its row's local TLLI or foreign
+// (RowIndex.Audit), every TLLI entry must name its row's local TLLI or foreign
 // alias and every TID entry a context on its row's list, and the PDP slab
 // population must match the sum of per-subscriber context lists and the TID
 // index; the MAP and GTP transaction tables must account for every record
@@ -372,18 +377,7 @@ func (s *SGSN) SlabImbalance() int {
 	defer s.mu.Unlock()
 	imb := s.attach.Occupancy().Imbalance() + s.gtp.Occupancy().Imbalance() +
 		max(0, s.peers.Len()-gbPeerLimit) + s.pdps.Imbalance() +
-		slab.Audit(s.mms, s.byIMSI, func(k gsmid.PackedDigits, r *mmRec) bool { return r.imsi == k }) +
-		slab.Stale(s.mms, s.byTLLI, func(k uint32, r *mmRec) bool {
-			return gsmid.TLLI(k) == gsmid.LocalTLLI(r.ptmsi) || gsmid.TLLI(k) == r.foreignTLLI
-		}) +
-		slab.Stale(s.mms, s.byTID, func(k uint64, r *mmRec) bool {
-			for p := s.pdps.Get(r.pdpHead); p != nil; p = s.pdps.Get(p.next) {
-				if uint64(p.tid) == k {
-					return true
-				}
-			}
-			return false
-		})
+		s.byIMSI.Audit() + s.byTLLI.Stale() + s.byTID.Stale()
 	pdpListed, tlliExpected := 0, 0
 	s.mms.Range(func(_ slab.Handle, r *mmRec) bool {
 		// Each subscriber owns its local TLLI entry plus, when roaming in
@@ -416,10 +410,15 @@ func (s *SGSN) SlabImbalance() int {
 	return imb
 }
 
-// lookupTLLI resolves a TLLI to the subscriber's record. Callers hold s.mu.
-func (s *SGSN) lookupTLLI(tlli gsmid.TLLI) (slab.Handle, *mmRec) {
-	h := s.byTLLI.Get(uint32(tlli))
-	return h, s.mms.Get(h)
+// hasTID is byTID's identity: a TID names the subscriber that has a context
+// with it on its list. Callers hold s.mu.
+func (s *SGSN) hasTID(k uint64, r *mmRec) bool {
+	for p := s.pdps.Get(r.pdpHead); p != nil; p = s.pdps.Get(p.next) {
+		if uint64(p.tid) == k {
+			return true
+		}
+	}
+	return false
 }
 
 // findPDP walks the subscriber's context list for an NSAPI. Callers hold
@@ -537,9 +536,9 @@ func (s *SGSN) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Mess
 // context and every PDP context go, including the GGSN-side tunnels.
 func (s *SGSN) handleCancelLocation(env *sim.Env, from sim.NodeID, m sigmap.CancelLocation) {
 	s.mu.Lock()
-	h := s.byIMSI.Get(m.IMSI.Pack())
+	h, r := s.byIMSI.Get(m.IMSI.Pack())
 	var tids []gtp.TID
-	if r := s.mms.Get(h); r != nil {
+	if r != nil {
 		tids = s.removeAllPDPs(r, tids)
 		s.byIMSI.Delete(r.imsi)
 		s.unindexTLLIs(r)
@@ -626,8 +625,7 @@ func (s *SGSN) handleUL(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata) {
 func (s *SGSN) handleAttach(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m AttachRequest) {
 	packed := m.IMSI.Pack()
 	s.mu.Lock()
-	h := s.byIMSI.Get(packed)
-	r := s.mms.Get(h)
+	h, r := s.byIMSI.Get(packed)
 	if r == nil {
 		s.nextPT++
 		h, r = s.mms.Alloc(int(packed.Hash() & (sgsnShards - 1)))
@@ -699,7 +697,7 @@ func (s *SGSN) finishAttach(env *sim.Env, mm slab.Handle, accepted bool) {
 
 func (s *SGSN) handleDetach(env *sim.Env, ul gb.ULUnitdata) {
 	s.mu.Lock()
-	h, r := s.lookupTLLI(ul.TLLI)
+	h, r := s.byTLLI.Get(uint32(ul.TLLI))
 	var tids []gtp.TID
 	var peer sim.NodeID
 	if r != nil {
@@ -724,7 +722,7 @@ func (s *SGSN) handleDetach(env *sim.Env, ul gb.ULUnitdata) {
 
 func (s *SGSN) handleActivate(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m ActivatePDPRequest) {
 	s.mu.Lock()
-	h, r := s.lookupTLLI(ul.TLLI)
+	h, r := s.byTLLI.Get(uint32(ul.TLLI))
 	ok := r != nil
 	var full, inFlight bool
 	var dupAddr string
@@ -819,7 +817,7 @@ func (s *SGSN) finishActivate(env *sim.Env, t gtpTxn, resp sim.Message) {
 
 func (s *SGSN) handleDeactivate(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m DeactivatePDPRequest) {
 	s.mu.Lock()
-	h, r := s.lookupTLLI(ul.TLLI)
+	h, r := s.byTLLI.Get(uint32(ul.TLLI))
 	ok := r != nil
 	var pdp *pdpRec
 	var inFlight bool
@@ -868,7 +866,7 @@ func (s *SGSN) finishDeactivate(env *sim.Env, t gtpTxn) {
 
 func (s *SGSN) handleUplinkData(env *sim.Env, ul gb.ULUnitdata, nsapi uint8, payload []byte) {
 	s.mu.Lock()
-	_, r := s.lookupTLLI(ul.TLLI)
+	_, r := s.byTLLI.Get(uint32(ul.TLLI))
 	var pdp *pdpRec
 	if r != nil {
 		pdp = s.findPDP(r, nsapi)
@@ -901,7 +899,7 @@ func (s *SGSN) handleUplinkData(env *sim.Env, ul gb.ULUnitdata, nsapi uint8, pay
 
 func (s *SGSN) handleDownlinkTPDU(env *sim.Env, m gtp.TPDU) {
 	s.mu.Lock()
-	r := s.mms.Get(s.byTID.Get(uint64(m.TID)))
+	_, r := s.byTID.Get(uint64(m.TID))
 	ok := r != nil
 	var tlli gsmid.TLLI
 	var med *pdpMedia
@@ -953,7 +951,7 @@ func (s *SGSN) handleDownlinkTPDU(env *sim.Env, m gtp.TPDU) {
 // re-activated.
 func (s *SGSN) handleRAUpdate(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m RAUpdateRequest) {
 	s.mu.Lock()
-	_, r := s.lookupTLLI(ul.TLLI)
+	_, r := s.byTLLI.Get(uint32(ul.TLLI))
 	ok := r != nil
 	if ok {
 		peerSym := s.peers.ID(peer)
@@ -982,7 +980,7 @@ func (s *SGSN) handleRAUpdate(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m
 // (TR 23.923 MT-call path).
 func (s *SGSN) handlePDUNotify(env *sim.Env, from sim.NodeID, m gtp.PDUNotifyRequest) {
 	s.mu.Lock()
-	r := s.mms.Get(s.byIMSI.Get(m.IMSI.Pack()))
+	_, r := s.byIMSI.Get(m.IMSI.Pack())
 	ok := r != nil
 	var tlli gsmid.TLLI
 	var peer, ms sim.NodeID

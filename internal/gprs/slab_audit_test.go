@@ -76,9 +76,13 @@ func TestReattachForeignTLLIDoesNotLeakIndex(t *testing.T) {
 	// The audit must actually see planted garbage, or the zeros above
 	// prove nothing: inject a dangling alias and expect a violation.
 	sgsn.mu.Lock()
-	h := sgsn.byTLLI.Get(3)
+	h, _ := sgsn.byTLLI.Get(3)
 	sgsn.byTLLI.Put(99, h)
+	_, aliased := sgsn.byTLLI.Get(99)
 	sgsn.mu.Unlock()
+	if aliased != nil {
+		t.Fatal("TLLI 99 resolved to a row that carries neither it nor a foreign alias of it")
+	}
 	if got := sgsn.SlabImbalance(); got == 0 {
 		t.Fatal("audit missed a planted stale TLLI alias")
 	}
@@ -104,9 +108,10 @@ func TestReattachForeignTLLIDoesNotLeakIndex(t *testing.T) {
 }
 
 // TestAuditSeesSwappedEntries swaps two subscribers' TLLI entries, then their
-// TID entries. Every entry still resolves to a live row and every count still
-// adds up, so an audit that asks only "does the entry resolve to some row"
-// reads zero; the row each entry names must carry the key.
+// TID entries. Every entry still names a live row and every count still adds
+// up, so an audit that asks only "does the entry name some row" reads zero;
+// the row each entry names must carry the key, and a lookup through a
+// swapped entry finds nothing.
 func TestAuditSeesSwappedEntries(t *testing.T) {
 	env := sim.NewEnv(1)
 	sgsn := NewSGSN(SGSNConfig{ID: "SGSN-1", GGSN: "GGSN-1"}) // no HLR: attach accepts locally
@@ -139,31 +144,55 @@ func TestAuditSeesSwappedEntries(t *testing.T) {
 	tidA, tidB := uint64(gtp.MakeTID(imsis[0], 5)), uint64(gtp.MakeTID(imsis[1], 5))
 	for _, c := range []struct {
 		what string
-		swap func()
+		swap func(swapped bool) (found int)
 	}{
-		{"TLLI", func() { swapEntries(sgsn.byTLLI, 1, 2) }}, // the foreign TLLIs the attaches arrived on
-		{"TID", func() { swapEntries(sgsn.byTID, tidA, tidB) }},
+		{"TLLI", entrySwapper(sgsn.byTLLI, 1, 2)}, // the foreign TLLIs the attaches arrived on
+		{"TID", entrySwapper(sgsn.byTID, tidA, tidB)},
 	} {
 		sgsn.mu.Lock()
-		c.swap()
+		found := c.swap(true)
 		sgsn.mu.Unlock()
+		if found != 0 {
+			t.Errorf("%d lookups through swapped %s entries found a row", found, c.what)
+		}
 		if got := sgsn.SlabImbalance(); got == 0 {
 			t.Errorf("audit missed two subscribers' swapped %s entries", c.what)
 		}
 		sgsn.mu.Lock()
-		c.swap()
+		found = c.swap(false)
 		sgsn.mu.Unlock()
+		if found != 2 {
+			t.Errorf("%d of 2 lookups found their row with the %s entries swapped back", found, c.what)
+		}
 		if got := sgsn.SlabImbalance(); got != 0 {
 			t.Fatalf("slab imbalance = %d with the %s entries swapped back, want 0", got, c.what)
 		}
 	}
 }
 
-// swapEntries exchanges the handles two keys map to.
-func swapEntries[K comparable](x *slab.Index[K], a, b K) {
-	ha, hb := x.Get(a), x.Get(b)
-	x.Put(a, hb)
-	x.Put(b, ha)
+// entrySwapper returns a function that enters a and b under each other's rows
+// (swapped) or under their own, and reports how many of the two lookups then
+// find a row. It takes the rows' handles while the entries are still right:
+// a swapped entry no longer looks up.
+func entrySwapper[K comparable](x *slab.RowIndex[K, mmRec], a, b K) func(swapped bool) int {
+	ha, _ := x.Get(a)
+	hb, _ := x.Get(b)
+	return func(swapped bool) int {
+		if swapped {
+			x.Put(a, hb)
+			x.Put(b, ha)
+		} else {
+			x.Put(a, ha)
+			x.Put(b, hb)
+		}
+		found := 0
+		for _, k := range []K{a, b} {
+			if _, r := x.Get(k); r != nil {
+				found++
+			}
+		}
+		return found
+	}
 }
 
 // TestMSNamesAreNotInterned pins the symbol-table leak: the SGSN interned

@@ -16,20 +16,20 @@ import (
 // no protocol role.
 //
 // With one bound address per attached subscriber, the directory is itself a
-// per-subscriber surface, so it uses the same open-addressing index as the
+// per-subscriber surface, so it uses the same open-addressing table as the
 // subscriber stores: node names are interned once (the set of distinct
-// names is bounded by topology size) and each binding costs one 12-byte
-// index cell — the address in its 4-byte IPv4 form and the interned symbol
-// — not a map entry with a string header.
+// names is bounded by topology size) and each binding costs one 8-byte
+// table cell — the address in its 4-byte IPv4 form and the 4-byte interned
+// symbol — not a map entry with a string header.
 type Directory struct {
 	mu    sync.Mutex
-	idx   *slab.Index[uint32]
+	idx   *slab.Table[uint32, uint32]
 	nodes slab.Syms[sim.NodeID]
 }
 
 // NewDirectory returns an empty directory.
 func NewDirectory() *Directory {
-	return &Directory{idx: slab.NewIndex[uint32](slab.HashUint32)}
+	return &Directory{idx: slab.NewTable[uint32, uint32](slab.HashUint32)}
 }
 
 // Bind associates an address with a node for tracing. Only IPv4 addresses
@@ -41,9 +41,9 @@ func (d *Directory) Bind(addr netip.Addr, node sim.NodeID) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// The 1-based symbol doubles as the stored handle; it is never zero
-	// for a non-empty name, which is all Index.Put requires.
-	d.idx.Put(key, slab.Handle(d.nodes.ID(node)))
+	// The symbol is 1-based: never zero for a non-empty name, which is
+	// all Table.Put requires.
+	d.idx.Put(key, d.nodes.ID(node))
 }
 
 // Unbind drops an address binding (subscriber purge).
@@ -85,8 +85,8 @@ func (d *Directory) Resolve(addr netip.Addr) sim.NodeID {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if h := d.idx.Get(key); !h.IsZero() {
-		return d.nodes.Val(uint32(h))
+	if sym := d.idx.Get(key); sym != 0 {
+		return d.nodes.Val(sym)
 	}
 	return sim.NodeID(addr.String())
 }

@@ -147,11 +147,11 @@ type Gatekeeper struct {
 
 	mu      sync.Mutex
 	regs    *slab.Sharded[gkReg]
-	byAlias *slab.Index[gsmid.PackedDigits]
+	byAlias *slab.RowIndex[gsmid.PackedDigits, gkReg]
 	calls   *slab.Sharded[gkCall]
-	byCall  *slab.Index[gkCallKey]
+	byCall  *slab.RowIndex[gkCallKey, gkCall]
 	imsiTab *slab.Sharded[gkIMSI] // TR 23.923 mode only
-	byIMSI  *slab.Index[gsmid.PackedDigits]
+	byIMSI  *slab.RowIndex[gsmid.PackedDigits, gkIMSI]
 	nextEP  uint32
 	admits  uint64
 	rejects uint64
@@ -164,15 +164,18 @@ func NewGatekeeper(cfg GatekeeperConfig) *Gatekeeper {
 	if cfg.MAPTimeout == 0 {
 		cfg.MAPTimeout = 5 * time.Second
 	}
+	regs := slab.NewSharded[gkReg](gkShards)
+	calls := slab.NewSharded[gkCall](gkShards)
+	imsiTab := slab.NewSharded[gkIMSI](gkShards)
 	gk := &Gatekeeper{
 		cfg:     cfg,
 		dm:      ss7.NewDialogueManager(cfg.ID),
-		regs:    slab.NewSharded[gkReg](gkShards),
-		byAlias: slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
-		calls:   slab.NewSharded[gkCall](gkShards),
-		byCall:  slab.NewIndex[gkCallKey](hashCallKey),
-		imsiTab: slab.NewSharded[gkIMSI](gkShards),
-		byIMSI:  slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
+		regs:    regs,
+		byAlias: slab.NewRowIndex(regs, gsmid.PackedDigits.Hash, func(k gsmid.PackedDigits, r *gkReg) bool { return r.alias == k }),
+		calls:   calls,
+		byCall:  slab.NewRowIndex(calls, hashCallKey, func(k gkCallKey, c *gkCall) bool { return c.caller == k.caller && c.ref == k.ref }),
+		imsiTab: imsiTab,
+		byIMSI:  slab.NewRowIndex(imsiTab, gsmid.PackedDigits.Hash, func(k gsmid.PackedDigits, r *gkIMSI) bool { return r.alias == k }),
 	}
 	gk.ep = &Endpoint{
 		Node: cfg.ID,
@@ -190,13 +193,14 @@ func (g *Gatekeeper) ID() sim.NodeID { return g.cfg.ID }
 
 // reg resolves an alias to its resident row (callers hold g.mu).
 func (g *Gatekeeper) reg(key gsmid.PackedDigits) *gkReg {
-	return g.regs.Get(g.byAlias.Get(key))
+	_, r := g.byAlias.Get(key)
+	return r
 }
 
 // dropReg removes a registration row and its index entry (callers hold
 // g.mu).
 func (g *Gatekeeper) dropReg(key gsmid.PackedDigits) {
-	if h := g.byAlias.Get(key); !h.IsZero() {
+	if h, _ := g.byAlias.Get(key); !h.IsZero() {
 		g.byAlias.Delete(key)
 		g.regs.Free(h)
 	}
@@ -218,7 +222,8 @@ func (g *Gatekeeper) Lookup(alias gsmid.MSISDN) (Registration, bool) {
 func (g *Gatekeeper) RegHandle(alias gsmid.MSISDN) slab.Handle {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.byAlias.Get(alias.Pack())
+	h, _ := g.byAlias.Get(alias.Pack())
+	return h
 }
 
 // RegAlive reports whether a previously obtained handle still resolves.
@@ -283,18 +288,16 @@ func (g *Gatekeeper) Footprint() int {
 }
 
 // SlabImbalance cross-checks each slab against the index that owns its rows
-// (slab.Audit): each entry must resolve to a live row carrying the same key,
-// each shard's live count must match the entries resolving into it, and
+// (RowIndex.Audit): each entry must resolve to a live row carrying the same
+// key, each shard's live count must match the entries resolving into it, and
 // allocated capacity must be fully accounted as live or free. Zero means no
-// leaked rows, no stale handles, and no books that disagree — the soak
-// gate's invariant.
+// leaked rows, no stale or misdirected entries, and no books that disagree
+// — the soak gate's invariant.
 func (g *Gatekeeper) SlabImbalance() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.dm.Occupancy().Imbalance() +
-		slab.Audit(g.regs, g.byAlias, func(k gsmid.PackedDigits, r *gkReg) bool { return r.alias == k }) +
-		slab.Audit(g.calls, g.byCall, func(k gkCallKey, c *gkCall) bool { return c.caller == k.caller && c.ref == k.ref }) +
-		slab.Audit(g.imsiTab, g.byIMSI, func(k gsmid.PackedDigits, r *gkIMSI) bool { return r.alias == k })
+		g.byAlias.Audit() + g.byCall.Audit() + g.byIMSI.Audit()
 }
 
 // Receive implements sim.Node.
@@ -331,7 +334,7 @@ func (g *Gatekeeper) Receive(env *sim.Env, from sim.NodeID, iface string, msg si
 		g.handleARQ(env, pkt.Src, m)
 	case DRQ:
 		g.mu.Lock()
-		if rec := g.calls.Get(g.byCall.Get(gkCallKey{m.Alias.Pack(), m.CallRef})); rec != nil && !rec.ended {
+		if _, rec := g.byCall.Get(gkCallKey{m.Alias.Pack(), m.CallRef}); rec != nil && !rec.ended {
 			// The caller disengaging: direct hit.
 			rec.ended = true
 			rec.endedAt = env.Now()
@@ -339,7 +342,7 @@ func (g *Gatekeeper) Receive(env *sim.Env, from sim.NodeID, iface string, msg si
 			// The called side disengaging, naming the caller. The key is
 			// exact; if the caller already disengaged there is nothing
 			// further to close.
-			if rec := g.calls.Get(g.byCall.Get(gkCallKey{m.Peer.Pack(), m.CallRef})); rec != nil && !rec.ended {
+			if _, rec := g.byCall.Get(gkCallKey{m.Peer.Pack(), m.CallRef}); rec != nil && !rec.ended {
 				rec.ended = true
 				rec.endedAt = env.Now()
 			}
@@ -401,7 +404,7 @@ func (g *Gatekeeper) resolveIMSIThen(env *sim.Env, src netip.Addr, m RRQ) {
 		}
 		key := m.Alias.Pack()
 		g.mu.Lock()
-		if row := g.imsiTab.Get(g.byIMSI.Get(key)); row != nil {
+		if _, row := g.byIMSI.Get(key); row != nil {
 			row.imsi = ack.IMSI.Pack()
 		} else {
 			h, row := g.imsiTab.Alloc(int(key.Hash() & (gkShards - 1)))
@@ -554,7 +557,7 @@ func (g *Gatekeeper) handleARQ(env *sim.Env, src netip.Addr, m ARQ) {
 // first admission of the (caller, reference) pair (callers hold g.mu).
 func (g *Gatekeeper) openCall(m ARQ, now time.Duration) {
 	key := gkCallKey{m.CallerAlias.Pack(), m.CallRef}
-	if !g.byCall.Get(key).IsZero() {
+	if h, _ := g.byCall.Get(key); !h.IsZero() {
 		return
 	}
 	h, rec := g.calls.Alloc(int(hashCallKey(key) & (gkShards - 1)))

@@ -615,7 +615,8 @@ func TestLegacyDRQClosesRecordsInRowOrder(t *testing.T) {
 	for _, i := range rand.New(rand.NewSource(3)).Perm(callers) {
 		caller := gsmid.MSISDN(fmt.Sprintf("8869%08d", i+1))
 		f.gk.openCall(ARQ{CallerAlias: caller, CalledAlias: called, CallRef: ref}, 0)
-		rows[i] = row{caller, f.gk.byCall.Get(gkCallKey{caller.Pack(), ref})}
+		h, _ := f.gk.byCall.Get(gkCallKey{caller.Pack(), ref})
+		rows[i] = row{caller, h}
 	}
 	f.gk.mu.Unlock()
 	// A handle's low word is slot+1, so it orders the rows of one shard.
@@ -662,7 +663,8 @@ func TestLegacyDRQClosesRecordsInRowOrder(t *testing.T) {
 }
 
 // TestDirectoryIsIPv4Only: bindings key on the 4-byte address form; anything
-// else is ignored on Bind and resolves to its synthetic name.
+// else is ignored on Bind and resolves to its synthetic name. A cell is that
+// address and a 4-byte node symbol: 8 bytes.
 func TestDirectoryIsIPv4Only(t *testing.T) {
 	dir := NewDirectory()
 	v4, v6 := ipnet.MustAddr("10.1.1.7"), ipnet.MustAddr("2001:db8::7")
@@ -682,8 +684,8 @@ func TestDirectoryIsIPv4Only(t *testing.T) {
 	if got := dir.Bound(); got != 0 {
 		t.Fatalf("bound after unbind = %d", got)
 	}
-	if got, cell := dir.Footprint(), 12; got%cell != 0 || got == 0 {
-		t.Fatalf("footprint = %d B, want a whole number of %d-byte cells", got, cell)
+	if got, cells, cell := dir.Footprint(), 16, 8; got != cells*cell {
+		t.Fatalf("footprint = %d B, want the first %d cells of %d bytes", got, cells, cell)
 	}
 }
 

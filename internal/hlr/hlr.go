@@ -91,8 +91,8 @@ type HLR struct {
 
 	mu       sync.Mutex
 	recs     *slab.Sharded[hlrRec]
-	byIMSI   *slab.Index[gsmid.PackedDigits]
-	byMSISDN *slab.Index[gsmid.PackedDigits]
+	byIMSI   *slab.RowIndex[gsmid.PackedDigits, hlrRec]
+	byMSISDN *slab.RowIndex[gsmid.PackedDigits, hlrRec]
 	strs     slab.Syms[string] // node names + static PDP addresses
 }
 
@@ -103,12 +103,13 @@ func New(cfg Config) *HLR {
 	if cfg.SigRTO == 0 {
 		cfg.SigRTO = time.Second
 	}
+	recs := slab.NewSharded[hlrRec](hlrShards)
 	return &HLR{
 		cfg:      cfg,
 		dm:       ss7.NewDialogueManager(cfg.ID),
-		recs:     slab.NewSharded[hlrRec](hlrShards),
-		byIMSI:   slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
-		byMSISDN: slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
+		recs:     recs,
+		byIMSI:   slab.NewRowIndex(recs, gsmid.PackedDigits.Hash, func(k gsmid.PackedDigits, r *hlrRec) bool { return r.imsi == k }),
+		byMSISDN: slab.NewRowIndex(recs, gsmid.PackedDigits.Hash, func(k gsmid.PackedDigits, r *hlrRec) bool { return r.msisdn == k }),
 	}
 }
 
@@ -133,7 +134,8 @@ func (h *HLR) Subscribers() int {
 
 // lookupRec resolves an IMSI to its slab record. Callers hold h.mu.
 func (h *HLR) lookupRec(imsi gsmid.IMSI) *hlrRec {
-	return h.recs.Get(h.byIMSI.Get(imsi.Pack()))
+	_, r := h.byIMSI.Get(imsi.Pack())
+	return r
 }
 
 // export copies a slab record out into the public Record view.
@@ -163,10 +165,10 @@ func (h *HLR) Provision(s Subscriber) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	imsi, msisdn := s.IMSI.Pack(), s.MSISDN.Pack()
-	if !h.byIMSI.Get(imsi).IsZero() {
+	if _, r := h.byIMSI.Get(imsi); r != nil {
 		return fmt.Errorf("hlr: duplicate IMSI %s", s.IMSI)
 	}
-	if !h.byMSISDN.Get(msisdn).IsZero() {
+	if _, r := h.byMSISDN.Get(msisdn); r != nil {
 		return fmt.Errorf("hlr: duplicate MSISDN %s", s.MSISDN)
 	}
 	shard := int(imsi.Hash() & (hlrShards - 1))
@@ -203,7 +205,7 @@ func (h *HLR) Lookup(imsi gsmid.IMSI) (Record, bool) {
 func (h *HLR) LookupByMSISDN(msisdn gsmid.MSISDN) (Record, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	r := h.recs.Get(h.byMSISDN.Get(msisdn.Pack()))
+	_, r := h.byMSISDN.Get(msisdn.Pack())
 	if r == nil {
 		return Record{}, false
 	}
@@ -232,8 +234,7 @@ func (h *HLR) SlabImbalance() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.dm.Occupancy().Imbalance() +
-		slab.Audit(h.recs, h.byIMSI, func(k gsmid.PackedDigits, r *hlrRec) bool { return r.imsi == k }) +
-		slab.Stale(h.recs, h.byMSISDN, func(k gsmid.PackedDigits, r *hlrRec) bool { return r.msisdn == k })
+		h.byIMSI.Audit() + h.byMSISDN.Stale()
 }
 
 // Receive implements sim.Node: the MAP server side of the HLR.
@@ -347,7 +348,7 @@ func (h *HLR) handleSendAuthInfo(env *sim.Env, from sim.NodeID, m sigmap.SendAut
 // an MSRN and returns it.
 func (h *HLR) handleSendRoutingInfo(env *sim.Env, from sim.NodeID, m sigmap.SendRoutingInformation) {
 	h.mu.Lock()
-	rec := h.recs.Get(h.byMSISDN.Get(m.MSISDN.Pack()))
+	_, rec := h.byMSISDN.Get(m.MSISDN.Pack())
 	ok := rec != nil
 	var imsi gsmid.IMSI
 	var vlr string
@@ -391,7 +392,7 @@ func (h *HLR) handleSendRoutingInfo(env *sim.Env, from sim.NodeID, m sigmap.Send
 // point.
 func (h *HLR) handleSendIMSI(env *sim.Env, from sim.NodeID, m sigmap.SendIMSI) {
 	h.mu.Lock()
-	rec := h.recs.Get(h.byMSISDN.Get(m.MSISDN.Pack()))
+	_, rec := h.byMSISDN.Get(m.MSISDN.Pack())
 	h.mu.Unlock()
 	ack := sigmap.SendIMSIAck{Invoke: m.Invoke}
 	if rec == nil {

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"vgprs/internal/gsm"
+	"vgprs/internal/sigmap"
+	"vgprs/internal/sim"
 )
 
 // TestCallerAbandonDuringPagingReleasesOnce pins the double-release race
@@ -85,5 +87,62 @@ func TestCallerAbandonDuringPagingReleasesOnce(t *testing.T) {
 	}
 	if res := n.Residual(); res.Total() != 0 {
 		t.Fatalf("reverse call leaked state:\n%s", res.String())
+	}
+}
+
+// sifocSeen records when the VLR receives MAP_SEND_INFO_FOR_OUTGOING_CALL.
+type sifocSeen struct {
+	vlr  sim.NodeID
+	seen bool
+}
+
+func (s *sifocSeen) Trace(_ time.Duration, _, to sim.NodeID, _ string, msg sim.Message) {
+	if _, ok := msg.(sigmap.SendInfoForOutgoingCall); ok && to == s.vlr {
+		s.seen = true
+	}
+}
+
+// TestHangupDuringSIFOC hangs the caller up while the VMSC waits for the
+// VLR to authorise the call (Fig 5 step 2.2). With 20 ms MAP links the
+// Disconnect reaches the VMSC before the VLR's answer does, so the call is
+// released first; the answer must then end the procedure, not go on to ask
+// the gatekeeper to admit a call nobody will ever disengage.
+func TestHangupDuringSIFOC(t *testing.T) {
+	lat := DefaultLatencies()
+	lat.SS7 = 20 * time.Millisecond
+	n := BuildVGPRS(VGPRSOptions{Seed: 1, Latencies: &lat})
+	if err := n.RegisterAll(); err != nil {
+		t.Fatal(err)
+	}
+	ms := n.MSs[0]
+	tr := &sifocSeen{vlr: n.VLR.ID()}
+	n.Env.SetTracer(tr)
+	if err := ms.Dial(n.Env, TerminalAlias(0)); err != nil {
+		t.Fatal(err)
+	}
+	for !tr.seen && n.Env.Step() {
+	}
+	if !tr.seen {
+		t.Fatal("the call never asked the VLR for authorisation")
+	}
+	if err := ms.Hangup(n.Env); err != nil {
+		t.Fatal(err)
+	}
+	n.Env.RunUntil(n.Env.Now() + 10*time.Second)
+
+	if admitted, rejected := n.GK.Admissions(); admitted != 0 || rejected != 0 {
+		t.Errorf("gatekeeper admissions = %d admitted, %d rejected, want none", admitted, rejected)
+	}
+	if recs := n.GK.CallRecords(); len(recs) != 0 {
+		t.Errorf("gatekeeper holds %d call records, want 0: %+v", len(recs), recs)
+	}
+	if got := n.VMSC.ActiveCalls(); got != 0 {
+		t.Errorf("VMSC active calls = %d, want 0", got)
+	}
+	if ms.State() != gsm.MSIdle {
+		t.Errorf("MS state = %v, want idle", ms.State())
+	}
+	if res := n.Residual(); res.Total() != 0 {
+		t.Fatalf("hang-up during SIFOC leaked state:\n%s", res.String())
 	}
 }

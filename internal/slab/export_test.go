@@ -1,14 +1,17 @@
 package slab
 
-// Test-only views of the table layout, for the external tests that fill an
-// Index with the nodes' real key types (gsmid imports this package).
+// Test-only views of the table layout, for the external tests that fill a
+// Table with the nodes' real key types (gsmid imports this package).
 
 // Cap returns the table's cell count.
-func (x *Index[K]) Cap() int { return len(x.vals) }
+func (x *Table[K, V]) Cap() int { return len(x.vals) }
+
+// Cap returns the index's cell count.
+func (x *RowIndex[K, T]) Cap() int { return x.refs.Cap() }
 
 // ProbeStats returns the mean number of cells a successful lookup reads and
 // the longest run of occupied cells, taken around the wrap.
-func (x *Index[K]) ProbeStats() (mean float64, cluster int) {
+func (x *Table[K, V]) ProbeStats() (mean float64, cluster int) {
 	c := uint64(len(x.vals))
 	if x.n == 0 {
 		return 0, 0

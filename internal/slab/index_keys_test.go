@@ -88,45 +88,89 @@ func TestIndexProbeLengths(t *testing.T) {
 	}
 }
 
+// benchRow stands in for a subscriber row: the key it was entered under and
+// a cache line of payload.
+type benchRow[K comparable] struct {
+	key  K
+	data [48]byte
+}
+
 // benchCycle measures one Delete + Get + Put on a table holding n entries —
 // a subscriber leaving, a lookup, a subscriber arriving — with keys taken in
-// a scattered order. The population is constant, so the table never grows
-// inside the loop and the cycle must not allocate; B/entry is what the
-// table's arrays cost per resident key at that population.
-func benchCycle[K comparable](b *testing.B, n int, hash func(K) uint64, key func(i int) K) {
+// a scattered order. The lookup reads the row, as every node's does: through
+// an unbound Index it is Index.Get then Sharded.Get, through a RowIndex one
+// Get that checks the slot and the row's key. The population is constant,
+// so the table never grows inside the loop and the cycle must not allocate;
+// B/entry is what the table's arrays cost per resident key at that
+// population.
+func benchCycle[K comparable](b *testing.B, n int, hash func(K) uint64, key func(i int) K, bound bool) {
 	keys := make([]K, n)
-	x := slab.NewIndex[K](hash)
+	hs := make([]slab.Handle, n)
+	rows := slab.NewSharded[benchRow[K]](8)
 	for i := range keys {
 		keys[i] = key(i)
-		x.Put(keys[i], slab.Handle(i+1))
+		h, r := rows.Alloc(i % 8)
+		r.key, hs[i] = keys[i], h
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := keys[(i*7919)%n]
-		x.Delete(k)
-		if x.Get(keys[(i*104729)%n]) == 0 && x.Get(k) != 0 {
-			b.Fatal("lookup disagrees with the cycle")
+	var bytes, cells int
+	if bound {
+		x := slab.NewRowIndex(rows, hash, func(k K, r *benchRow[K]) bool { return r.key == k })
+		for i, k := range keys {
+			x.Put(k, hs[i])
 		}
-		x.Put(k, slab.Handle(i+1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j, m := (i*7919)%n, (i*104729)%n
+			x.Delete(keys[j])
+			if _, r := x.Get(keys[m]); (r == nil) != (m == j) {
+				b.Fatal("lookup disagrees with the cycle")
+			}
+			x.Put(keys[j], hs[j])
+		}
+		bytes, cells = x.Bytes(), x.Cap()
+	} else {
+		x := slab.NewIndex[K](hash)
+		for i, k := range keys {
+			x.Put(k, hs[i])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j, m := (i*7919)%n, (i*104729)%n
+			x.Delete(keys[j])
+			if r := rows.Get(x.Get(keys[m])); (r == nil) != (m == j) || r != nil && r.key != keys[m] {
+				b.Fatal("lookup disagrees with the cycle")
+			}
+			x.Put(keys[j], hs[j])
+		}
+		bytes, cells = x.Bytes(), x.Cap()
 	}
-	b.ReportMetric(float64(x.Bytes())/float64(n), "B/entry")
-	b.ReportMetric(100*float64(n)/float64(x.Cap()), "%load")
+	b.ReportMetric(float64(bytes)/float64(n), "B/entry")
+	b.ReportMetric(100*float64(n)/float64(cells), "%load")
 }
 
 // BenchmarkIndexCycle is `make bench-slab`: the number to beat for the next
 // change to index.go, at a small world's population, attach_storm's, and the
-// headline one.
+// headline one, for the unbound Index (a full Handle a cell, the row read
+// after) and the RowIndex the nodes use (a 32-bit row reference a cell, the
+// row read and checked inside Get).
 func BenchmarkIndexCycle(b *testing.B) {
 	for _, n := range []int{600, 30000, 1000000} {
-		b.Run(fmt.Sprintf("uint32/%d", n), func(b *testing.B) {
-			benchCycle(b, n, slab.HashUint32, func(i int) uint32 { return uint32(gsmid.LocalTLLI(gsmid.PTMSI(i + 1))) })
-		})
-		b.Run(fmt.Sprintf("packed/%d", n), func(b *testing.B) {
-			benchCycle(b, n, gsmid.PackedDigits.Hash, func(i int) gsmid.PackedDigits { return imsi(i).Pack() })
-		})
-		b.Run(fmt.Sprintf("string/%d", n), func(b *testing.B) {
-			benchCycle(b, n, slab.HashString, func(i int) string { return fmt.Sprintf("MS%07d", i+1) })
-		})
+		for _, bound := range []bool{false, true} {
+			suffix := ""
+			if bound {
+				suffix = "/bound"
+			}
+			b.Run(fmt.Sprintf("uint32/%d%s", n, suffix), func(b *testing.B) {
+				benchCycle(b, n, slab.HashUint32, func(i int) uint32 { return uint32(gsmid.LocalTLLI(gsmid.PTMSI(i + 1))) }, bound)
+			})
+			b.Run(fmt.Sprintf("packed/%d%s", n, suffix), func(b *testing.B) {
+				benchCycle(b, n, gsmid.PackedDigits.Hash, func(i int) gsmid.PackedDigits { return imsi(i).Pack() }, bound)
+			})
+			b.Run(fmt.Sprintf("string/%d%s", n, suffix), func(b *testing.B) {
+				benchCycle(b, n, slab.HashString, func(i int) string { return fmt.Sprintf("MS%07d", i+1) }, bound)
+			})
+		}
 	}
 }

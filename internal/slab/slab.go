@@ -1,16 +1,18 @@
 // Package slab provides the arena-backed storage primitives behind the
 // million-subscriber core: chunked value slabs with generational free-lists,
-// open-addressing index tables from identity keys to slab handles, and
+// open-addressing index tables from identity keys to slab rows, and
 // small interners for low-cardinality values (node names, location areas).
 //
 // The design goal is a bounded, measurable bytes/subscriber figure. A
 // subscriber context lives by value inside a slab chunk — no per-record
 // heap object, no interior pointers for the GC to trace — and every lookup
-// structure that used to be a `map[K]*T` becomes an Index mapping a
-// pointer-free key to a Handle. The slab idiom (index-based records with a
-// free-list) is the same one the event heap in internal/sim and the ss7
-// timer records already use; this package generalises it with generation
-// tags so a stale handle can never resurrect a recycled slot.
+// structure that used to be a `map[K]*T` becomes a RowIndex mapping a
+// pointer-free key to a 32-bit reference to the row that carries it. The
+// slab idiom (index-based records with a free-list) is the same one the
+// event heap in internal/sim and the ss7 timer records already use; this
+// package generalises it with generation tags so a stale handle can never
+// resurrect a recycled slot, and an index lookup checks the row's identity
+// for the same reason.
 package slab
 
 import (
@@ -65,7 +67,7 @@ func makeHandle(shard int, slot uint32, gen uint32) Handle {
 const (
 	chunkBits  = 10
 	chunkSize  = 1 << chunkBits
-	firstBits  = 5
+	firstBits  = 3
 	firstChunk = 1 << firstBits
 	// smallChunks is how many chunks the first chunkSize slots occupy.
 	smallChunks = chunkBits - firstBits + 1
@@ -114,7 +116,7 @@ func (s *Slab[T]) Alloc() (Handle, *T) {
 	k, off := locate(slot)
 	if int(k) == len(s.chunks) {
 		// A small chunk after the first starts at the slot equal to its
-		// size: 32 rows from slot 32, 64 from 64, ... 512 from 512.
+		// size: 8 rows from slot 8, 16 from 16, ... 512 from 512.
 		rows := min(max(slot, firstChunk), chunkSize)
 		s.chunks = append(s.chunks, make([]T, rows))
 	}
@@ -278,7 +280,8 @@ func (s *Sharded[T]) Bytes() int {
 // Imbalance returns the number of slots that are neither live nor on the
 // free-list, summed over the shards. In a healthy slab every slot is one or
 // the other; a difference means slots were lost inside the slab itself,
-// which is distinct from a node forgetting to Free a handle (see Audit).
+// which is distinct from a node forgetting to Free a handle (see
+// RowIndex.Audit).
 func (s *Sharded[T]) Imbalance() int {
 	n := 0
 	for i := range s.shards {
@@ -286,39 +289,5 @@ func (s *Sharded[T]) Imbalance() int {
 		d := len(sh.gens) - sh.live - len(sh.free)
 		n += max(d, -d)
 	}
-	return n
-}
-
-// Audit checks the index that owns s's rows — the one every row is entered
-// in exactly once — against them, and returns the number of disagreements:
-// entries that do not resolve to a live row match accepts, the gap between
-// each shard's live count and the entries resolving into it, and
-// s.Imbalance(). Zero means no leaked row, no stale handle and no slot lost.
-func Audit[T any, K comparable](s *Sharded[T], idx *Index[K], match func(K, *T) bool) int {
-	n := s.Imbalance()
-	perShard := make([]int, len(s.shards))
-	idx.each(func(k K, h Handle) {
-		if p := s.Get(h); p == nil || !match(k, p) {
-			n++
-		} else {
-			perShard[h.Shard()]++
-		}
-	})
-	for i := range s.shards {
-		d := perShard[i] - s.shards[i].live
-		n += max(d, -d)
-	}
-	return n
-}
-
-// Stale checks any further index over s's rows: it returns the number of
-// entries that do not resolve to a live row match accepts.
-func Stale[T any, K comparable](s *Sharded[T], idx *Index[K], match func(K, *T) bool) int {
-	n := 0
-	idx.each(func(k K, h Handle) {
-		if p := s.Get(h); p == nil || !match(k, p) {
-			n++
-		}
-	})
 	return n
 }

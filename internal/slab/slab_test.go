@@ -58,7 +58,7 @@ func TestSlabZeroHandle(t *testing.T) {
 }
 
 // TestSlabStablePointers fills a slab one record at a time across every
-// chunk boundary (31/32, 63/64, ... 1023/1024, 2047/2048, ...) and checks at
+// chunk boundary (7/8, 15/16, ... 1023/1024, 2047/2048, ...) and checks at
 // each boundary, and again at the end, that no earlier record moved, every
 // handle still resolves to the pointer Alloc returned, and no two slots
 // share storage.
@@ -103,7 +103,7 @@ func TestSlabStablePointers(t *testing.T) {
 
 // TestSlabSmallStoreStaysSmall is the reason for the geometric first
 // chunks: a 40-record population spread over an 8-shard store occupies one
-// 32-row chunk per shard, not a 1,024-row chunk each.
+// 8-row chunk per shard, not a 1,024-row chunk each.
 func TestSlabSmallStoreStaysSmall(t *testing.T) {
 	s := NewSharded[rec](8)
 	for i := 0; i < 40; i++ {

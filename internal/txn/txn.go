@@ -14,7 +14,7 @@
 // — no queue entry, no held record — and a record on the free list is never
 // reachable from the event queue.
 //
-// Chunks grow as slab.Slab's do — 32, 32, 64 ... 512 records, then 1,024
+// Chunks grow as slab.Slab's do — 8, 8, 16 ... 512 records, then 1,024
 // each — and a burst's capacity is given back when the burst is over: once
 // every record is free again, a table holding more than releaseFloor of them
 // drops the chunks past the floor and the map that grew to address them. A
@@ -76,7 +76,7 @@ func (p Policy) Deadline() time.Duration { return sim.RetryDeadline(p.RTO, p.Bud
 // the table, up to releaseFloor records a chunk — which is also what a drained
 // table keeps. Releasing from 32 up made 600-MS worlds regrow their tables
 // every wave (region_attach +9-14 % CPU); none holds 1,024 of a kind in flight.
-const chunk, releaseFloor = 32, 1024
+const chunk, releaseFloor = 8, 1024
 
 type record[K comparable, T any] struct {
 	data  T

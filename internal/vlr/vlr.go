@@ -101,8 +101,8 @@ type VLR struct {
 
 	mu       sync.Mutex
 	recs     *slab.Sharded[mmRec]
-	byIMSI   *slab.Index[gsmid.PackedDigits]
-	byTMSI   *slab.Index[uint32]
+	byIMSI   *slab.RowIndex[gsmid.PackedDigits, mmRec]
+	byTMSI   *slab.RowIndex[uint32, mmRec]
 	names    slab.Syms[string]    // MSC node names
 	lais     slab.Syms[gsmid.LAI] // location areas
 	msrn     map[gsmid.MSISDN]gsmid.IMSI
@@ -134,12 +134,13 @@ func New(cfg Config) *VLR {
 	if cfg.MSRNPrefix == "" {
 		cfg.MSRNPrefix = "88690000"
 	}
+	recs := slab.NewSharded[mmRec](vlrShards)
 	return &VLR{
 		cfg:      cfg,
 		dm:       ss7.NewDialogueManager(cfg.ID),
-		recs:     slab.NewSharded[mmRec](vlrShards),
-		byIMSI:   slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
-		byTMSI:   slab.NewIndex[uint32](slab.HashUint32),
+		recs:     recs,
+		byIMSI:   slab.NewRowIndex(recs, gsmid.PackedDigits.Hash, func(k gsmid.PackedDigits, r *mmRec) bool { return r.imsi == k }),
+		byTMSI:   slab.NewRowIndex(recs, slab.HashUint32, func(k uint32, r *mmRec) bool { return uint32(r.tmsi) == k }),
 		msrn:     make(map[gsmid.MSISDN]gsmid.IMSI),
 		updating: txn.New[ulaKey, struct{}](nil, nil), // untimed: the hooks never run
 	}
@@ -150,17 +151,11 @@ func shardOf(p gsmid.PackedDigits) int {
 	return int(p.Hash() & (vlrShards - 1))
 }
 
-// lookupRec resolves an IMSI to its slab record. Callers hold v.mu.
-func (v *VLR) lookupRec(imsi gsmid.IMSI) (slab.Handle, *mmRec) {
-	h := v.byIMSI.Get(imsi.Pack())
-	return h, v.recs.Get(h)
-}
-
 // getOrCreateRec returns the record for an IMSI, allocating a fresh slab
 // slot when the subscriber is new. Callers hold v.mu.
 func (v *VLR) getOrCreateRec(imsi gsmid.IMSI) *mmRec {
 	packed := imsi.Pack()
-	if r := v.recs.Get(v.byIMSI.Get(packed)); r != nil {
+	if _, r := v.byIMSI.Get(packed); r != nil {
 		return r
 	}
 	h, r := v.recs.Alloc(shardOf(packed))
@@ -213,7 +208,7 @@ func (v *VLR) ID() sim.NodeID { return v.cfg.ID }
 func (v *VLR) Lookup(imsi gsmid.IMSI) (MMContext, bool) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	_, r := v.lookupRec(imsi)
+	_, r := v.byIMSI.Get(imsi.Pack())
 	if r == nil {
 		return MMContext{}, false
 	}
@@ -262,8 +257,7 @@ func (v *VLR) SlabImbalance() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.dm.Occupancy().Imbalance() + v.updating.Occupancy().Imbalance() +
-		slab.Audit(v.recs, v.byIMSI, func(k gsmid.PackedDigits, r *mmRec) bool { return r.imsi == k }) +
-		slab.Stale(v.recs, v.byTMSI, func(k uint32, r *mmRec) bool { return uint32(r.tmsi) == k })
+		v.byIMSI.Audit() + v.byTMSI.Stale()
 }
 
 // Receive implements sim.Node.
@@ -315,7 +309,7 @@ func (v *VLR) resolveIdentity(id gsmid.MobileIdentity) (gsmid.IMSI, bool) {
 	case gsmid.IdentityTMSI:
 		v.mu.Lock()
 		defer v.mu.Unlock()
-		r := v.recs.Get(v.byTMSI.Get(uint32(id.TMSI)))
+		_, r := v.byTMSI.Get(uint32(id.TMSI))
 		if r == nil {
 			return "", false
 		}
@@ -401,7 +395,7 @@ func ulaAuthInfoDone(arg any, resp sim.Message, ok bool) {
 	// Remaining triplets are cached for later transactions, capped at the
 	// record's fixed-size cache (overflow vectors are simply refetched).
 	v.mu.Lock()
-	if _, r := v.lookupRec(t.imsi); r != nil {
+	if _, r := v.byIMSI.Get(t.imsi.Pack()); r != nil {
 		for _, trip := range ack.Triplets[1:] {
 			if int(r.ntrip) >= maxCachedTriplets {
 				break
@@ -489,7 +483,8 @@ func (v *VLR) createContext(imsi gsmid.IMSI, lai gsmid.LAI, msc string, ciphered
 	} else {
 		r.flags &^= mmCiphered
 	}
-	v.byTMSI.Put(uint32(r.tmsi), v.byIMSI.Get(r.imsi))
+	h, _ := v.byIMSI.Get(r.imsi)
+	v.byTMSI.Put(uint32(r.tmsi), h)
 	return r.tmsi, r.profMSISDN.MSISDN()
 }
 
@@ -514,7 +509,7 @@ func (v *VLR) handleInsertSubscriberData(env *sim.Env, from sim.NodeID, m sigmap
 func (v *VLR) handleCancelLocation(env *sim.Env, from sim.NodeID, m sigmap.CancelLocation) {
 	v.mu.Lock()
 	var servingMSC string
-	if h, r := v.lookupRec(m.IMSI); r != nil {
+	if h, r := v.byIMSI.Get(m.IMSI.Pack()); r != nil {
 		servingMSC = v.names.Val(r.msc)
 		if r.tmsi != 0 {
 			v.byTMSI.Delete(uint32(r.tmsi))
@@ -546,7 +541,7 @@ func (v *VLR) handleOutgoingCall(env *sim.Env, from sim.NodeID, m sigmap.SendInf
 		return
 	}
 	v.mu.Lock()
-	_, r := v.lookupRec(imsi)
+	_, r := v.byIMSI.Get(imsi.Pack())
 	var msisdn gsmid.MSISDN
 	var barred, intl bool
 	if r != nil {
@@ -575,7 +570,7 @@ func (v *VLR) isInternational(called gsmid.MSISDN) bool {
 // interrogation path, Figs 6-7).
 func (v *VLR) handleProvideRoamingNumber(env *sim.Env, from sim.NodeID, m sigmap.ProvideRoamingNumber) {
 	v.mu.Lock()
-	_, r := v.lookupRec(m.IMSI)
+	_, r := v.byIMSI.Get(m.IMSI.Pack())
 	ok := r != nil
 	var msrn gsmid.MSISDN
 	if ok {
@@ -610,7 +605,7 @@ func (v *VLR) handleIncomingCall(env *sim.Env, from sim.NodeID, m sigmap.SendInf
 	var msisdn gsmid.MSISDN
 	if ok {
 		delete(v.msrn, m.MSRN) // single use
-		if _, r := v.lookupRec(imsi); r != nil {
+		if _, r := v.byIMSI.Get(imsi.Pack()); r != nil {
 			msisdn = r.profMSISDN.MSISDN()
 		}
 	}

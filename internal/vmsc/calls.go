@@ -136,9 +136,14 @@ func (v *VMSC) handleMOSetup(env *sim.Env, bsc sim.NodeID, t gsm.Setup) {
 }
 
 // moSIFOCDone continues an MO call after the VLR authorises it (or the
-// retried dialogue finally fails).
+// retried dialogue finally fails). A call released meanwhile — the MS hung
+// up during the dialogue — goes no further: admitting it now would leave a
+// charging record at the gatekeeper that nothing ever disengages.
 func moSIFOCDone(arg any, resp sim.Message, ok bool) {
 	call := arg.(*vCall)
+	if call.state == callReleased {
+		return
+	}
 	v, env := call.v, call.env
 	entry := call.ent()
 	if entry == nil {
@@ -152,6 +157,9 @@ func moSIFOCDone(arg any, resp sim.Message, ok bool) {
 	}
 	v.setMSISDN(entry, ack.MSISDN)
 	v.ensureSignallingPDP(env, entry, func(ok bool) {
+		if call.state == callReleased {
+			return
+		}
 		if !ok {
 			v.clearCall(env, call, true)
 			return

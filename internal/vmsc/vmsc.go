@@ -140,9 +140,9 @@ type VMSC struct {
 	// timers) references the row by generational Handle instead, so a
 	// freed subscriber can never be resurrected through a stale pointer.
 	ents     *slab.Sharded[msEntry]
-	byIMSI   *slab.Index[gsmid.PackedDigits]
-	byMS     *slab.Index[sim.NodeID]
-	byMSISDN *slab.Index[gsmid.PackedDigits]
+	byIMSI   *slab.RowIndex[gsmid.PackedDigits, msEntry]
+	byMS     *slab.RowIndex[sim.NodeID, msEntry]
+	byMSISDN *slab.RowIndex[gsmid.PackedDigits, msEntry]
 	// nodes and lais intern what rows reference by symbol: serving BSCs and
 	// location areas, both bounded by the topology.
 	nodes slab.Syms[sim.NodeID]
@@ -431,13 +431,14 @@ func New(cfg Config) *VMSC {
 	if cfg.H323Retries == 0 {
 		cfg.H323Retries = cfg.SigRetries
 	}
+	ents := slab.NewSharded[msEntry](mscShards)
 	v := &VMSC{
 		cfg:      cfg,
 		dm:       ss7.NewDialogueManager(cfg.ID),
-		ents:     slab.NewSharded[msEntry](mscShards),
-		byIMSI:   slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
-		byMS:     slab.NewIndex[sim.NodeID](hashNodeID),
-		byMSISDN: slab.NewIndex[gsmid.PackedDigits](gsmid.PackedDigits.Hash),
+		ents:     ents,
+		byIMSI:   slab.NewRowIndex(ents, gsmid.PackedDigits.Hash, func(k gsmid.PackedDigits, e *msEntry) bool { return e.imsiKey == k }),
+		byMS:     slab.NewRowIndex(ents, hashNodeID, func(k sim.NodeID, e *msEntry) bool { return e.ms == k }),
+		byMSISDN: slab.NewRowIndex(ents, gsmid.PackedDigits.Hash, func(k gsmid.PackedDigits, e *msEntry) bool { return e.msisdnKey == k }),
 		hoCalls:  make(map[uint32]*vCall),
 	}
 	v.gmm = gprs.NewTransactions((*rowHost)(v))
@@ -455,19 +456,21 @@ func hashNodeID(n sim.NodeID) uint64 { return slab.HashString(string(n)) }
 
 // entryByIMSI resolves a subscriber row by IMSI (nil if absent).
 func (v *VMSC) entryByIMSI(imsi gsmid.IMSI) *msEntry {
-	return v.ents.Get(v.byIMSI.Get(imsi.Pack()))
+	_, e := v.byIMSI.Get(imsi.Pack())
+	return e
 }
 
 // entryByMS resolves a subscriber row by its radio node (nil if absent).
 func (v *VMSC) entryByMS(ms sim.NodeID) *msEntry {
-	return v.ents.Get(v.byMS.Get(ms))
+	_, e := v.byMS.Get(ms)
+	return e
 }
 
 // getOrCreateEntry returns the row for imsi, allocating a slab slot and
 // indexing it on first sight.
 func (v *VMSC) getOrCreateEntry(imsi gsmid.IMSI) *msEntry {
 	key := imsi.Pack()
-	if e := v.ents.Get(v.byIMSI.Get(key)); e != nil {
+	if _, e := v.byIMSI.Get(key); e != nil {
 		return e
 	}
 	h, e := v.ents.Alloc(int(key.Hash() & (mscShards - 1)))
@@ -521,7 +524,8 @@ func (v *VMSC) Entry(imsi gsmid.IMSI) (addr netip.Addr, registered bool, ok bool
 // table row (zero if absent). Test instrumentation for handle-invalidation
 // checks; production cross-references mint their own handles.
 func (v *VMSC) EntryHandle(imsi gsmid.IMSI) slab.Handle {
-	return v.byIMSI.Get(imsi.Pack())
+	h, _ := v.byIMSI.Get(imsi.Pack())
+	return h
 }
 
 // EntryAlive reports whether a handle still resolves to a live MS table
@@ -603,9 +607,7 @@ func (v *VMSC) Footprint() int {
 func (v *VMSC) SlabImbalance() int {
 	return v.dm.Occupancy().Imbalance() + v.h225.Imbalance() +
 		v.gmm.Occupancy().Imbalance() + v.registrar.Imbalance() +
-		slab.Audit(v.ents, v.byIMSI, func(k gsmid.PackedDigits, e *msEntry) bool { return e.imsiKey == k }) +
-		slab.Stale(v.ents, v.byMS, func(k sim.NodeID, e *msEntry) bool { return e.ms == k }) +
-		slab.Stale(v.ents, v.byMSISDN, func(k gsmid.PackedDigits, e *msEntry) bool { return e.msisdnKey == k })
+		v.byIMSI.Audit() + v.byMS.Stale() + v.byMSISDN.Stale()
 }
 
 // staticAddrFor returns the provisioned static PDP address for a row in
