@@ -376,3 +376,40 @@ func TestRecycledRowIgnoresLateAccept(t *testing.T) {
 			vm.EntryAlive(rowA), vm.PendingTransactions(), vm.SlabImbalance())
 	}
 }
+
+// TestCancelDuringAttachDetachesSGSN cancels a subscriber while its GPRS
+// attach crosses a slow Gb link. The VMSC frees the row at once, so the
+// AttachAccept that comes back later finds no row; the SGSN, which attached
+// the subscriber on the request, must not keep that record for good: the
+// VMSC detaches the stray TLLI, and at quiescence nothing in the stack holds
+// the subscriber.
+func TestCancelDuringAttachDetachesSGSN(t *testing.T) {
+	f := newFullStack(1, 16)
+	f.Env.Connect("VMSC-1", "SGSN-1", "Gb", 5*time.Millisecond)
+	if err := f.attach(0, "MS-X"); err != nil {
+		t.Fatal(err)
+	}
+	f.Env.RunUntil(time.Millisecond)
+	if f.VMSC.PendingTransactions() == 0 || f.VMSC.MSTable() != 1 {
+		t.Fatalf("subscriber not mid-attach: %d pending, %d rows", f.VMSC.PendingTransactions(), f.VMSC.MSTable())
+	}
+	f.Env.Send("LOAD", "VLR-1", sigmap.CancelLocation{Invoke: 1, IMSI: netsim.SubscriberN(0).IMSI})
+	f.Env.RunUntil(2 * time.Millisecond)
+	if f.VMSC.MSTable() != 0 || f.SGSN.Attached() != 0 {
+		t.Fatalf("cancel did not land mid-attach: %d rows, SGSN %d attached", f.VMSC.MSTable(), f.SGSN.Attached())
+	}
+	f.Env.Run()
+	if got := f.SGSN.Attached(); got != 0 {
+		t.Errorf("SGSN holds %d attached subscribers the VMSC freed, want 0", got)
+	}
+	if f.VMSC.MSTable() != 0 || f.GK.Registered() != 0 || f.GGSN.ActiveContexts() != 0 {
+		t.Errorf("rows %d, gatekeeper %d, GGSN contexts %d, want none",
+			f.VMSC.MSTable(), f.GK.Registered(), f.GGSN.ActiveContexts())
+	}
+	if f.load.accepts != 0 {
+		t.Errorf("%d location updates accepted for a cancelled subscriber", f.load.accepts)
+	}
+	if res := f.Residual(); res.Total() != 0 {
+		t.Fatalf("cancel mid-attach leaked state:\n%s", res.String())
+	}
+}

@@ -4,9 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"vgprs/internal/gprs"
 	"vgprs/internal/gsm"
+	"vgprs/internal/h323"
 	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
+	"vgprs/internal/trace"
 )
 
 // TestCallerAbandonDuringPagingReleasesOnce pins the double-release race
@@ -144,5 +147,83 @@ func TestHangupDuringSIFOC(t *testing.T) {
 	}
 	if res := n.Residual(); res.Total() != 0 {
 		t.Fatalf("hang-up during SIFOC leaked state:\n%s", res.String())
+	}
+}
+
+// stepSeen records when a node sends a message of one kind.
+type stepSeen struct {
+	from sim.NodeID
+	is   func(sim.Message) bool
+	seen bool
+}
+
+func (s *stepSeen) Trace(_ time.Duration, from, _ sim.NodeID, _ string, msg sim.Message) {
+	s.seen = s.seen || (from == s.from && s.is(msg))
+}
+
+// TestCancelBetweenAttachAndRCF cancels a subscriber whose registration has
+// passed the GPRS attach but not yet heard the gatekeeper's RCF (Fig 4
+// between steps 1.3 and 1.5): once while the signalling PDP context comes up,
+// once while the RRQ is out. With 20 ms LAN links the HLR's cancel, relayed
+// by the VLR, reaches the VMSC before the step in flight completes, so its
+// completion finds a row being purged. The chain must unwind instead of going
+// on: the alias comes off the gatekeeper if the RCF put it there, the GPRS
+// attachment and its signalling context go, the MS hears a reject, and the
+// row is freed.
+func TestCancelBetweenAttachAndRCF(t *testing.T) {
+	for _, tc := range []struct {
+		step string
+		is   func(sim.Message) bool
+		urq  bool
+	}{
+		{"pdp-activation", func(m sim.Message) bool { _, ok := m.(gprs.ActivatePDPRequest); return ok }, false},
+		{"gatekeeper-registration", func(m sim.Message) bool { _, ok := m.(h323.RRQ); return ok }, true},
+	} {
+		t.Run(tc.step, func(t *testing.T) {
+			lat := DefaultLatencies()
+			lat.LAN = 20 * time.Millisecond
+			n := BuildVGPRS(VGPRSOptions{Seed: 1, Latencies: &lat})
+			n.Terminals[0].Register(n.Env)
+			n.Env.Run()
+			tr := &stepSeen{from: n.VMSC.ID(), is: tc.is}
+			n.Env.SetTracer(tr)
+			n.MSs[0].PowerOn(n.Env)
+			for !tr.seen && n.Env.Step() {
+			}
+			if !tr.seen {
+				t.Fatalf("the registration never reached %s", tc.step)
+			}
+			n.Env.SetTracer(n.Rec)
+			n.Rec.Reset()
+			n.Env.Send("HLR", "VLR-1", sigmap.CancelLocation{Invoke: 99, IMSI: n.Subscribers[0].IMSI})
+			n.Env.Run()
+
+			cancel, _ := n.Rec.FirstMatch(trace.ExpectStep{Msg: "MAP_CANCEL_LOCATION", To: "VMSC-1"})
+			rcf, rcfSent := n.Rec.FirstMatch(trace.ExpectStep{Msg: "RAS RCF", To: "VMSC-1"})
+			if rcfSent != tc.urq || (rcfSent && rcf.At <= cancel.At) {
+				t.Fatalf("RCF sent %v (at %v, want %v and after the cancel at %v)", rcfSent, rcf.At, tc.urq, cancel.At)
+			}
+			if _, urq := n.Rec.FirstMatch(trace.ExpectStep{Msg: "RAS URQ", From: "VMSC-1"}); urq != tc.urq {
+				t.Errorf("URQ sent %v, want %v", urq, tc.urq)
+			}
+			if got := n.VMSC.MSTable(); got != 0 {
+				t.Errorf("VMSC holds %d rows, want 0", got)
+			}
+			if got := n.GK.Registered(); got != 1 {
+				t.Errorf("gatekeeper holds %d registrations, want the terminal's alone", got)
+			}
+			if got := n.SGSN.Attached(); got != 0 {
+				t.Errorf("SGSN holds %d attached subscribers, want 0", got)
+			}
+			if got := n.GGSN.ActiveContexts(); got != 0 {
+				t.Errorf("GGSN holds %d PDP contexts, want 0", got)
+			}
+			if got := n.MSs[0].State(); got != gsm.MSDetached {
+				t.Errorf("MS state = %v, want detached (registration refused)", got)
+			}
+			if res := n.Residual(); res.Total() != 0 {
+				t.Fatalf("cancel mid-registration leaked state:\n%s", res.String())
+			}
+		})
 	}
 }

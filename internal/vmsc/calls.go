@@ -41,8 +41,6 @@ func (v *VMSC) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Mess
 		v.radioConnect(env, t)
 	case gsm.Disconnect:
 		v.radioDisconnect(env, t)
-	case gsm.ReleaseComplete:
-		// Radio channel freed at the BSC; nothing more to do.
 	case gsm.IMSIDetach:
 		v.handleIMSIDetach(env, t)
 	case sigmap.CancelLocation:
@@ -57,8 +55,6 @@ func (v *VMSC) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Mess
 	case sigmap.PrepareSubsequentHandoverAck:
 		// This VMSC is the relay of a handed-in MS (VMSC-to-VMSC case).
 		v.hoTarget.SubsequentAck(env, t)
-	case gsm.HandoverAccess:
-		// First burst on the target cell; wait for HandoverComplete.
 	case gsm.HandoverComplete:
 		// A handback onto this VMSC's own system first; otherwise this
 		// VMSC is a handover target for another anchor.
@@ -68,8 +64,6 @@ func (v *VMSC) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Mess
 	case sigmap.PrepareHandover:
 		// This VMSC is the handover TARGET (VMSC-to-VMSC handoff).
 		v.hoTarget.Prepare(env, from, t)
-	case sigmap.SendEndSignalAck:
-		// The anchor acknowledged our end signal; nothing further.
 	case isup.IAM:
 		// Only handover trunks terminate at a VMSC.
 		v.hoTarget.TrunkArrived(env, from, t)
@@ -79,14 +73,14 @@ func (v *VMSC) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Mess
 		v.dm.Resolve(t.Invoke, t)
 	case sigmap.SendEndSignal:
 		v.sendEndSignal(env, from, t)
-	case isup.ACM, isup.RLC:
-		// Trunk progress on the handover leg needs no action.
-	case isup.ANM:
-		// Handover trunk answered; the HandoverCommand was already sent.
 	case isup.REL:
 		v.trunkREL(env, from, t)
 	case isup.TrunkFrame:
 		v.trunkVoice(env, t)
+	case gsm.ReleaseComplete, gsm.HandoverAccess, sigmap.SendEndSignalAck, isup.ACM, isup.RLC, isup.ANM:
+		// Nothing to do: the BSC freed the channel, the handed-in MS's first
+		// burst precedes its HandoverComplete, the anchor saw our end
+		// signal, and trunk progress follows the HandoverCommand already sent.
 	}
 }
 
@@ -113,7 +107,7 @@ func (v *VMSC) handleIP(env *sim.Env, entry *msEntry, pkt ipnet.Packet) {
 
 func (v *VMSC) handleMOSetup(env *sim.Env, bsc sim.NodeID, t gsm.Setup) {
 	entry := v.entryByMS(t.MS)
-	if entry == nil || !entry.registered || entry.call != nil {
+	if entry == nil || !entry.registered() || entry.call != nil {
 		env.Send(v.cfg.ID, bsc, gsm.Release{Leg: gsm.LegA, MS: t.MS, CallRef: t.CallRef})
 		return
 	}
@@ -141,15 +135,11 @@ func (v *VMSC) handleMOSetup(env *sim.Env, bsc sim.NodeID, t gsm.Setup) {
 // charging record at the gatekeeper that nothing ever disengages.
 func moSIFOCDone(arg any, resp sim.Message, ok bool) {
 	call := arg.(*vCall)
-	if call.state == callReleased {
+	entry := call.row()
+	if entry == nil {
 		return
 	}
 	v, env := call.v, call.env
-	entry := call.ent()
-	if entry == nil {
-		v.forget(call)
-		return
-	}
 	ack, isAck := resp.(sigmap.SendInfoForOutgoingCallAck)
 	if !ok || !isAck || ack.Cause != sigmap.CauseNone {
 		v.clearCall(env, call, true)
@@ -157,46 +147,33 @@ func moSIFOCDone(arg any, resp sim.Message, ok bool) {
 	}
 	v.setMSISDN(entry, ack.MSISDN)
 	v.ensureSignallingPDP(env, entry, func(ok bool) {
-		if call.state == callReleased {
-			return
-		}
-		if !ok {
+		entry := call.row()
+		switch {
+		case entry == nil:
+		case !ok:
 			v.clearCall(env, call, true)
-			return
+		default:
+			// Step 2.3: the ARQ/ACF exchange that yields the destination's
+			// call signalling channel transport address.
+			v.nextRAS++
+			v.h225.SendRAS(env, entry.self, call, h323.ARQ{
+				Seq: v.nextRAS, CallerAlias: entry.msisdnKey.MSISDN(), CalledAlias: call.remote, CallRef: call.ref,
+			}, rasMOAdmitDone)
 		}
-		v.admitMOCall(env, call, call.remote)
 	})
-}
-
-// admitMOCall runs step 2.3: the ARQ/ACF exchange that yields the
-// destination's call signalling channel transport address.
-func (v *VMSC) admitMOCall(env *sim.Env, call *vCall, called gsmid.MSISDN) {
-	entry := call.ent()
-	if entry == nil {
-		v.forget(call)
-		return
-	}
-	v.nextRAS++
-	v.h225.SendRAS(env, entry.self, call, h323.ARQ{
-		Seq: v.nextRAS, CallerAlias: entry.msisdnKey.MSISDN(), CalledAlias: called, CallRef: call.ref,
-	}, rasMOAdmitDone)
 }
 
 // rasMOAdmitDone continues an MO call once the gatekeeper admits it (ACF
 // carrying the destination's signalling address) or rejects/times out.
 func rasMOAdmitDone(env *sim.Env, r rasReq, msg sim.Message) {
 	v, call := (*VMSC)(r.Host), r.Call
-	if call.state == callReleased {
+	entry := call.row()
+	if entry == nil {
 		return
 	}
 	m, admitted := msg.(h323.ACF)
 	if !admitted { // ARJ or timeout
 		v.clearCall(env, call, true)
-		return
-	}
-	entry := call.ent()
-	if entry == nil {
-		v.forget(call)
 		return
 	}
 	call.remoteSig = m.SignalAddr
@@ -210,21 +187,26 @@ func rasMOAdmitDone(env *sim.Env, r rasReq, msg sim.Message) {
 }
 
 func (v *VMSC) handleQ931(env *sim.Env, entry *msEntry, pkt ipnet.Packet, msg sim.Message) {
-	switch m := msg.(type) {
-	case q931.Setup:
+	if m, isSetup := msg.(q931.Setup); isSetup {
 		v.handleMTSetup(env, entry, pkt, m)
+		return
+	}
+	call := entry.call
+	if ref, _ := q931.CallRefOf(msg); call == nil || call.ref != ref {
+		return
+	}
+	switch m := msg.(type) {
 	case q931.CallProceeding:
 		// Step 2.4 tail: no more routing information expected — the far
 		// end holds our Setup, so its retransmission cycle can stop.
-		if call := entry.call; call != nil && call.ref == m.CallRef && call.mobileOriginated {
+		if call.mobileOriginated {
 			v.h225.StopQ931(call)
 		}
 	case q931.Alerting:
 		// Step 2.7: relay the alerting indication down the radio path to
 		// trigger ringback at the MS. A late duplicate must not regress
 		// an answered call, hence the state guard.
-		if call := entry.call; call != nil && call.ref == m.CallRef &&
-			call.mobileOriginated && call.state == callDelivering {
+		if call.mobileOriginated && call.state == callDelivering {
 			v.h225.StopQ931(call)
 			call.state = callAlerting
 			env.Send(v.cfg.ID, v.bscOf(entry), gsm.Alerting{
@@ -235,33 +217,30 @@ func (v *VMSC) handleQ931(env *sim.Env, entry *msEntry, pkt ipnet.Packet, msg si
 		// Step 2.8 + 2.9: answer reaches the MS; then activate the
 		// real-time voice PDP context. Every copy is acknowledged (the
 		// answerer retransmits Connect until it sees the ack); only the
-		// first is processed.
-		if call := entry.call; call != nil && call.ref == m.CallRef && call.mobileOriginated {
-			v.endpoint(entry).SendQ931(env, call.remoteSig, q931.ConnectAck{CallRef: m.CallRef})
-			if call.answered {
-				return
-			}
-			call.answered = true
-			v.h225.StopQ931(call)
-			call.remoteMed = m.Media
-			env.Send(v.cfg.ID, v.bscOf(entry), gsm.Connect{
-				Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
-			})
-			v.activateVoicePDP(env, call)
+		// first is processed, and none before our Setup went out.
+		if !call.mobileOriginated || call.state < callDelivering {
+			return
 		}
+		v.endpoint(entry).SendQ931(env, call.remoteSig, q931.ConnectAck{CallRef: m.CallRef})
+		if call.state >= callConnecting {
+			return
+		}
+		call.state = callConnecting
+		v.h225.StopQ931(call)
+		call.remoteMed = m.Media
+		env.Send(v.cfg.ID, v.bscOf(entry), gsm.Connect{
+			Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
+		})
+		v.activateVoicePDP(env, call)
 	case q931.ConnectAck:
 		// The far end saw our Connect (MT answer): stop T313.
-		if call := entry.call; call != nil && call.ref == m.CallRef {
-			v.h225.StopQ931(call)
-		}
+		v.h225.StopQ931(call)
 	case q931.ReleaseComplete:
 		// Far party cleared (or step 3.2's mirror for MT calls).
-		if call := entry.call; call != nil && call.ref == m.CallRef {
-			v.disengage(env, call)
-			v.releaseRadio(env, call)
-			v.teardownVoicePDP(env, entry)
-			v.forget(call)
-		}
+		v.disengage(env, call)
+		v.releaseRadio(env, call)
+		v.teardownVoicePDP(env, entry)
+		v.forget(call)
 	}
 }
 
@@ -304,12 +283,8 @@ func (v *VMSC) handleMTSetup(env *sim.Env, entry *msEntry, pkt ipnet.Packet, m q
 // call; rejection (or timeout) releases the caller.
 func rasMTAdmitDone(env *sim.Env, r rasReq, msg sim.Message) {
 	v, call := (*VMSC)(r.Host), r.Call
-	if call.state == callReleased {
-		return
-	}
-	entry := call.ent()
+	entry := call.row()
 	if entry == nil {
-		v.forget(call)
 		return
 	}
 	if _, admitted := msg.(h323.ACF); !admitted { // ARJ or timeout
@@ -331,15 +306,14 @@ func rasMTAdmitDone(env *sim.Env, r rasReq, msg sim.Message) {
 // pagingExpire releases an MT call whose page went unanswered.
 func pagingExpire(arg any) {
 	call := arg.(*vCall)
-	if call.state != callPaging {
+	entry := call.row()
+	if entry == nil || call.state != callPaging {
 		return
 	}
 	v := call.v
-	if entry := call.ent(); entry != nil {
-		v.endpoint(entry).SendQ931(call.env, call.remoteSig, q931.ReleaseComplete{
-			CallRef: call.ref, Cause: q931.CauseNoAnswer,
-		})
-	}
+	v.endpoint(entry).SendQ931(call.env, call.remoteSig, q931.ReleaseComplete{
+		CallRef: call.ref, Cause: q931.CauseNoAnswer,
+	})
 	v.disengage(call.env, call)
 	v.forget(call)
 }
@@ -377,10 +351,12 @@ func (v *VMSC) radioAlerting(env *sim.Env, t gsm.Alerting) {
 
 func (v *VMSC) radioConnect(env *sim.Env, t gsm.Connect) {
 	entry := v.entryByMS(t.MS)
-	if entry == nil || entry.call == nil || entry.call.mobileOriginated {
-		return
+	if entry == nil || entry.call == nil || entry.call.mobileOriginated ||
+		(entry.call.state != callDelivering && entry.call.state != callAlerting) {
+		return // the answer of an MT call set up on the radio path counts once
 	}
 	call := entry.call
+	call.state = callConnecting
 	// Step 4.7: Connect toward the caller, with the MS's media address,
 	// retransmitted (T313) until the caller's ConnectAck.
 	v.h225.SendQ931(env, call, q931.Connect{
@@ -391,44 +367,44 @@ func (v *VMSC) radioConnect(env *sim.Env, t gsm.Connect) {
 	v.activateVoicePDP(env, call)
 }
 
-// activateVoicePDP runs step 2.9/4.8: a second, real-time PDP context for
-// the voice packets. The call is active once it completes.
+// activateVoicePDP runs step 2.9/4.8 for an answered (callConnecting) call:
+// a second, real-time PDP context for the voice packets. The call is active
+// once it completes.
 func (v *VMSC) activateVoicePDP(env *sim.Env, call *vCall) {
-	entry := call.ent()
+	entry := call.row()
 	if entry == nil {
-		v.forget(call)
 		return
 	}
-	establish := func() {
-		call.state = callActive
-		entry.voiceUp = true
-		v.stats.CallsEstablished++
-		if v.cfg.Hooks.OnCallEstablished != nil {
-			v.cfg.Hooks.OnCallEstablished(entry.imsiKey.IMSI(), call.mobileOriginated)
-		}
-	}
 	if _, active := entry.gmm.Context(NSAPIVoice); active {
-		establish()
+		v.establish(call, entry)
 		return
 	}
 	err := v.client(entry).ActivatePDP(env, NSAPIVoice, gtp.VoiceQoS(), "",
 		func(_ netip.Addr, ok bool) {
-			if call.state == callReleased {
+			entry := call.row()
+			switch {
+			case entry == nil:
 				// Hung up while the context came up: hand it back unless
 				// the row's next call already holds it.
 				if e := call.ent(); ok && e != nil && e.call == nil {
 					_ = v.client(e).DeactivatePDP(env, NSAPIVoice, nil)
 				}
-				return
-			}
-			if !ok {
+			case !ok:
 				v.clearCall(env, call, true)
-				return
+			default:
+				v.establish(call, entry)
 			}
-			establish()
 		})
 	if err != nil {
 		v.clearCall(env, call, true)
+	}
+}
+
+func (v *VMSC) establish(call *vCall, entry *msEntry) {
+	call.state = callActive
+	v.stats.CallsEstablished++
+	if v.cfg.Hooks.OnCallEstablished != nil {
+		v.cfg.Hooks.OnCallEstablished(entry.imsiKey.IMSI(), call.mobileOriginated)
 	}
 }
 
@@ -470,15 +446,10 @@ func (v *VMSC) disengage(env *sim.Env, call *vCall) {
 }
 
 func (v *VMSC) releaseRadio(env *sim.Env, call *vCall) {
-	if call.hoActive {
+	if call.state == callHandedOver {
 		// After inter-system handover the radio leg lives at the target
 		// MSC; release it over the trunk instead.
-		env.Send(v.cfg.ID, call.hoPeer, isup.REL{
-			CIC: call.hoCIC, CallRef: call.hoRef, Cause: isup.CauseNormalClearing,
-		})
-		if call.hoTrunks != nil {
-			call.hoTrunks.Release(call.hoCIC)
-		}
+		v.releaseHOLeg(env, call)
 		return
 	}
 	entry := call.ent()
@@ -493,7 +464,6 @@ func (v *VMSC) releaseRadio(env *sim.Env, call *vCall) {
 // teardownVoicePDP deactivates the voice context and, in DeactivateIdlePDP
 // mode, the signalling context too.
 func (v *VMSC) teardownVoicePDP(env *sim.Env, entry *msEntry) {
-	entry.voiceUp = false
 	if _, active := entry.gmm.Context(NSAPIVoice); active {
 		_ = v.client(entry).DeactivatePDP(env, NSAPIVoice, func() {
 			if v.cfg.DeactivateIdlePDP {
@@ -595,7 +565,7 @@ func (v *VMSC) uplinkVoice(env *sim.Env, t gsm.TCHFrame) {
 		return
 	}
 	call := entry.call
-	if call.state != callActive || !call.remoteMed.Valid() {
+	if !call.talking() || !call.remoteMed.Valid() {
 		v.stats.FramesClipped++
 		return
 	}
@@ -618,25 +588,29 @@ func (v *VMSC) uplinkVoice(env *sim.Env, t gsm.TCHFrame) {
 func uplinkFire(arg any) {
 	j := arg.(*frameJob)
 	j.v.frameJobs--
-	call := j.call
-	if call.state != callActive || !call.remoteMed.Valid() {
-		return
+	if call := j.call; call.talking() && call.remoteMed.Valid() {
+		call.med.rtpBuf = j.v.sendRTP(call, call.med.upBuf[:call.med.upLen], call.med.rtpBuf[:0])
 	}
+}
+
+// sendRTP sends a transcoded frame to the far party as the call's next RTP
+// packet, marshalled onto buf, which it returns.
+func (v *VMSC) sendRTP(call *vCall, payload, buf []byte) []byte {
 	entry := call.ent()
 	if entry == nil {
-		return
+		return buf
 	}
-	env := call.env
 	call.rtpSeq++
 	p := rtp.Packet{
 		PayloadType: rtp.PayloadTypeGSM,
 		Seq:         call.rtpSeq,
-		Timestamp:   rtp.TimestampAt(env.Now()),
+		Timestamp:   rtp.TimestampAt(call.env.Now()),
 		SSRC:        uint32(call.ref),
-		Payload:     call.med.upBuf[:call.med.upLen],
+		Payload:     payload,
 	}
-	call.med.rtpBuf = p.AppendTo(call.med.rtpBuf[:0])
-	j.v.endpoint(entry).SendRTP(env, call.remoteMed, call.med.rtpBuf)
+	buf = p.AppendTo(buf)
+	v.endpoint(entry).SendRTP(call.env, call.remoteMed, buf)
+	return buf
 }
 
 func (v *VMSC) downlinkVoice(env *sim.Env, entry *msEntry, payload []byte) {
@@ -671,11 +645,11 @@ func downlinkFire(arg any) {
 	}
 	env := call.env
 	call.seqDown++
-	if call.hoActive {
+	if call.state == callHandedOver {
 		// Post-handover: the radio leg is behind the E trunk.
 		call.hoSeq++
-		env.Send(j.v.cfg.ID, call.hoPeer, isup.TrunkFrame{
-			CIC: call.hoCIC, CallRef: call.hoRef, Seq: call.hoSeq,
+		env.Send(j.v.cfg.ID, call.ho.peer, isup.TrunkFrame{
+			CIC: call.ho.cic, CallRef: call.hoRef, Seq: call.hoSeq,
 			Payload: call.med.dnFrame[:call.med.dnLen],
 		})
 		return
@@ -698,26 +672,12 @@ func (v *VMSC) trunkVoice(env *sim.Env, t isup.TrunkFrame) {
 		v.hoTarget.TrunkVoice(env, t)
 		return
 	}
-	if !call.hoActive || call.state != callActive || !call.remoteMed.Valid() {
+	if call.state != callHandedOver || !call.remoteMed.Valid() {
 		return
 	}
 	v.stats.FramesUplink++
 	payload := codec.Transcode(t.Payload)
-	env.After(v.transcodeCost(), func() {
-		entry := call.ent()
-		if entry == nil {
-			return
-		}
-		call.rtpSeq++
-		p := rtp.Packet{
-			PayloadType: rtp.PayloadTypeGSM,
-			Seq:         call.rtpSeq,
-			Timestamp:   rtp.TimestampAt(env.Now()),
-			SSRC:        uint32(call.ref),
-			Payload:     payload,
-		}
-		v.endpoint(entry).SendRTP(env, call.remoteMed, p.Marshal())
-	})
+	env.After(v.transcodeCost(), func() { v.sendRTP(call, payload, nil) })
 }
 
 // trunkREL handles release of the handover trunk from the target side (the
@@ -730,8 +690,8 @@ func (v *VMSC) trunkREL(env *sim.Env, from sim.NodeID, t isup.REL) {
 		v.hoTarget.TrunkREL(env, t)
 		return
 	}
-	if call.hoTrunks != nil {
-		call.hoTrunks.Release(call.hoCIC)
+	if call.ho.trunks != nil {
+		call.ho.trunks.Release(call.ho.cic)
 	}
 	if entry := call.ent(); entry != nil {
 		v.endpoint(entry).SendQ931(env, call.remoteSig, q931.ReleaseComplete{

@@ -52,21 +52,13 @@ func (v *VMSC) handoverRequired(env *sim.Env, t gsm.HandoverRequired) {
 // follow the IAM without waiting.
 func (v *VMSC) buildHandoverTrunk(env *sim.Env, call *vCall, target HandoverTarget,
 	cell gsmid.CGI, ack sigmap.PrepareHandoverAck) {
-	trunks := v.cfg.ETrunks[target.MSC]
-	var cic isup.CIC
-	if trunks != nil {
-		seized, err := trunks.Seize()
-		if err != nil {
-			return // no circuit; abandon the handover, keep the call
-		}
-		cic = seized
+	leg, seized := v.seizeLeg(target.MSC)
+	if !seized {
+		return // no circuit; abandon the handover, keep the call
 	}
-	call.hoPeer = target.MSC
-	call.hoCIC = cic
-	call.hoTrunks = trunks
-
+	call.ho = leg
 	env.Send(v.cfg.ID, target.MSC, isup.IAM{
-		CIC: cic, CallRef: call.hoRef, Called: ack.HandoverNumber,
+		CIC: leg.cic, CallRef: call.hoRef, Called: ack.HandoverNumber,
 	})
 	if entry := call.ent(); entry != nil {
 		env.Send(v.cfg.ID, v.bscOf(entry), gsm.HandoverCommand{
@@ -85,15 +77,13 @@ func (v *VMSC) sendEndSignal(env *sim.Env, from sim.NodeID, t sigmap.SendEndSign
 		return
 	}
 	switch {
-	case call.hoNext != nil && call.hoNext.peer == from:
+	case call.hoNext.peer == from:
 		// Subsequent handover to a third MSC confirmed: the old relay's
 		// leg is released and the new leg becomes the active one.
 		v.releaseHOLeg(env, call)
-		call.hoPeer, call.hoCIC, call.hoTrunks =
-			call.hoNext.peer, call.hoNext.cic, call.hoNext.trunks
-		call.hoNext = nil
-	case call.hoPeer == from && !call.hoActive:
-		call.hoActive = true
+		call.ho, call.hoNext = call.hoNext, hoLeg{}
+	case call.ho.peer == from && call.state == callActive:
+		call.state = callHandedOver
 	default:
 		return
 	}
@@ -118,7 +108,7 @@ func (v *VMSC) subsequentHandover(env *sim.Env, from sim.NodeID, t sigmap.Prepar
 		})
 	}
 	call := v.hoCalls[t.CallRef]
-	if call == nil || !call.hoActive || call.hoPeer != from || call.hoNext != nil {
+	if call == nil || call.state != callHandedOver || call.ho.peer != from || call.hoNext.peer != "" {
 		refuse()
 		return
 	}
@@ -150,19 +140,14 @@ func (v *VMSC) subsequentHandover(env *sim.Env, from sim.NodeID, t sigmap.Prepar
 			refuse()
 			return
 		}
-		trunks := v.cfg.ETrunks[target.MSC]
-		var cic isup.CIC
-		if trunks != nil {
-			seized, err := trunks.Seize()
-			if err != nil {
-				refuse()
-				return
-			}
-			cic = seized
+		leg, seized := v.seizeLeg(target.MSC)
+		if !seized {
+			refuse()
+			return
 		}
-		call.hoNext = &hoLeg{peer: target.MSC, cic: cic, trunks: trunks}
+		call.hoNext = leg
 		env.Send(v.cfg.ID, target.MSC, isup.IAM{
-			CIC: cic, CallRef: call.hoRef, Called: ack.HandoverNumber,
+			CIC: leg.cic, CallRef: call.hoRef, Called: ack.HandoverNumber,
 		})
 		env.Send(v.cfg.ID, from, sigmap.PrepareSubsequentHandoverAck{
 			Invoke: t.Invoke, Cause: sigmap.CauseNone, CallRef: t.CallRef,
@@ -185,12 +170,12 @@ func (v *VMSC) subsequentHandover(env *sim.Env, from sim.NodeID, t sigmap.Prepar
 // belonged to a handback (otherwise the caller tries the target role).
 func (v *VMSC) handoverComplete(env *sim.Env, from sim.NodeID, t gsm.HandoverComplete) bool {
 	call := v.hoCalls[t.CallRef]
-	if call == nil || !call.hoActive {
+	if call == nil || call.state != callHandedOver {
 		return false
 	}
 	// The MS is home: drop the relay leg and bridge to the A interface.
 	v.releaseHOLeg(env, call)
-	call.hoActive = false
+	call.state = callActive
 	call.hoRef = 0
 	delete(v.hoCalls, t.CallRef)
 	entry := call.ent()
@@ -204,13 +189,27 @@ func (v *VMSC) handoverComplete(env *sim.Env, from sim.NodeID, t gsm.HandoverCom
 	return true
 }
 
+// seizeLeg takes an E-interface circuit toward a target MSC (none without a
+// trunk group); false if every circuit is busy.
+func (v *VMSC) seizeLeg(peer sim.NodeID) (hoLeg, bool) {
+	leg := hoLeg{peer: peer, trunks: v.cfg.ETrunks[peer]}
+	if leg.trunks != nil {
+		cic, err := leg.trunks.Seize()
+		if err != nil {
+			return hoLeg{}, false
+		}
+		leg.cic = cic
+	}
+	return leg, true
+}
+
 // releaseHOLeg releases the current handover circuit toward the relay MSC.
 func (v *VMSC) releaseHOLeg(env *sim.Env, call *vCall) {
-	env.Send(v.cfg.ID, call.hoPeer, isup.REL{
-		CIC: call.hoCIC, CallRef: call.hoRef, Cause: isup.CauseNormalClearing,
+	env.Send(v.cfg.ID, call.ho.peer, isup.REL{
+		CIC: call.ho.cic, CallRef: call.hoRef, Cause: isup.CauseNormalClearing,
 	})
-	if call.hoTrunks != nil {
-		call.hoTrunks.Release(call.hoCIC)
+	if call.ho.trunks != nil {
+		call.ho.trunks.Release(call.ho.cic)
 	}
-	call.hoPeer, call.hoCIC, call.hoTrunks = "", 0, nil
+	call.ho = hoLeg{}
 }

@@ -14,8 +14,8 @@
 // The MS table required by the paper ("the VMSC maintains an MS table...
 // MM and PDP contexts such as TMSI, IMSI, and the QoS profile requested")
 // is the ents slab below: rows live by value in slab chunks addressed by
-// generational handles, with open-addressing indexes for the IMSI, MSISDN
-// and radio-node lookups — the same storage treatment the HLR/VLR/SGSN/GGSN
+// generational handles, with open-addressing indexes for the IMSI and
+// radio-node lookups — the same storage treatment the HLR/VLR/SGSN/GGSN
 // already use, so a million-subscriber population is flat arrays rather
 // than a million map-of-pointer entries.
 package vmsc
@@ -133,16 +133,15 @@ type VMSC struct {
 
 	keepAlive bool
 
-	// ents is the paper's MS table: rows by value in slab chunks, indexed
-	// by packed IMSI, serving radio node, and packed MSISDN. Chunks never
-	// move, so an *msEntry stays valid until the row is freed; everything
-	// that outlives a procedure step (calls, RAS transactions, paging
-	// timers) references the row by generational Handle instead, so a
-	// freed subscriber can never be resurrected through a stale pointer.
-	ents     *slab.Sharded[msEntry]
-	byIMSI   *slab.RowIndex[gsmid.PackedDigits, msEntry]
-	byMS     *slab.RowIndex[sim.NodeID, msEntry]
-	byMSISDN *slab.RowIndex[gsmid.PackedDigits, msEntry]
+	// ents is the paper's MS table: rows by value in slab chunks, indexed by
+	// packed IMSI and serving radio node. Chunks never move, so an *msEntry
+	// stays valid until the row is freed; everything that outlives a
+	// procedure step (calls, RAS transactions, paging timers) references the
+	// row by generational Handle instead, so a freed subscriber can never be
+	// resurrected through a stale pointer.
+	ents   *slab.Sharded[msEntry]
+	byIMSI *slab.RowIndex[gsmid.PackedDigits, msEntry]
+	byMS   *slab.RowIndex[sim.NodeID, msEntry]
 	// nodes and lais intern what rows reference by symbol: serving BSCs and
 	// location areas, both bounded by the topology.
 	nodes slab.Syms[sim.NodeID]
@@ -185,7 +184,7 @@ type Stats struct {
 }
 
 // msEntry is one row of the MS table: the MM context, the GMM/SM state of the
-// virtual GPRS client holding the PDP contexts, and the registration flags —
+// virtual GPRS client holding the PDP contexts, and the registration state —
 // 160 bytes with nothing allocated beside it. Whatever is the same for every
 // row is the VMSC's, not the row's: the VMSC hosts the row's GPRS state
 // machine (rowHost), builds its H.323 endpoint on the stack (endpoint), and
@@ -208,17 +207,9 @@ type msEntry struct {
 	tmsi gsmid.TMSI
 	lai  uint32 // symbol in VMSC.lais
 	bsc  uint32 // symbol in VMSC.nodes
-
-	registered bool
-	voiceUp    bool
-	// purge marks a row whose subscriber left the area (CancelLocation):
-	// the slot is freed — handle invalidated, indexes dropped — once the
-	// deregistration chain (URQ, GPRS detach) completes.
-	purge bool
-	// regAnnounce is whether the in-flight registration's completion answers
-	// the radio path (initial registration) or stays silent (keepalive-driven
-	// re-registration).
-	regAnnounce bool
+	// state is where the row stands in the Fig 4 procedure and its reverse
+	// (registration.go).
+	state rowState
 }
 
 // client binds a row's GMM/SM state to the VMSC's table for one call into the
@@ -265,23 +256,18 @@ func (h *rowHost) PacketIn(env *sim.Env, owner slab.Handle, _ uint8, pkt ipnet.P
 
 // ActivationRequested brings the signalling context back on a
 // network-requested PDP activation (DeactivateIdlePDP mode) so an incoming
-// Setup can reach us.
+// Setup can reach us. A context already up (or coming up) refuses it.
 func (h *rowHost) ActivationRequested(env *sim.Env, owner slab.Handle, address string) {
 	v := (*VMSC)(h)
-	e := v.ents.Get(owner)
-	if e == nil {
-		return
+	if e := v.ents.Get(owner); e != nil {
+		_ = v.client(e).ActivatePDPArg(env, NSAPISignalling, gtp.SignallingQoS(), address,
+			reactivateSigDone, v)
 	}
-	if _, active := e.gmm.Context(NSAPISignalling); active {
-		return
-	}
-	_ = v.client(e).ActivatePDPArg(env, NSAPISignalling, gtp.SignallingQoS(), address,
-		reactivateSigDone, v)
 }
 
 // reactivateSigDone records the re-activated signalling context's address.
 func reactivateSigDone(_ *sim.Env, arg any, owner slab.Handle, addr netip.Addr, ok bool) {
-	if e := arg.(*VMSC).ents.Get(owner); ok && e != nil {
+	if e := arg.(*VMSC).row(owner); ok && e != nil {
 		e.addr = addr
 	}
 }
@@ -321,13 +307,13 @@ func (h *rowHost) SendIPPacket(env *sim.Env, owner slab.Handle, pkt ipnet.Packet
 		return
 	}
 	nsapi := NSAPISignalling
-	if e.voiceUp && (pkt.DstPort == ipnet.PortRTP || pkt.SrcPort == ipnet.PortRTP) {
+	if c := e.call; c != nil && c.talking() && (pkt.DstPort == ipnet.PortRTP || pkt.SrcPort == ipnet.PortRTP) {
 		// RTP rides the voice context on an allocation-free relay: frame
 		// the SNDCP PDU into the call's reusable buffer and put the call's
 		// reusable Gb message straight on the wire (pointer messages are
 		// not boxed by the interface conversion).
-		if _, active := e.gmm.Context(NSAPIVoice); active && e.call != nil {
-			med := &e.call.med
+		if _, active := e.gmm.Context(NSAPIVoice); active {
+			med := &c.med
 			med.llcBuf = gprs.AppendData(med.llcBuf[:0], NSAPIVoice, pkt)
 			med.ulMsg = gb.ULUnitdata{
 				TLLI: v.client(e).TLLI(), MS: e.ms, Cell: v.cfg.Cell, PDU: med.llcBuf,
@@ -340,18 +326,21 @@ func (h *rowHost) SendIPPacket(env *sim.Env, owner slab.Handle, pkt ipnet.Packet
 	_ = v.client(e).SendIP(env, nsapi, pkt)
 }
 
+// callState is where a call stands. The order matters: every state from
+// callConnecting on has been answered.
 type callState uint8
 
 const (
-	callRouting callState = iota + 1
-	callPaging
-	callDelivering
-	callAlerting
-	callActive
-	// callReleased marks a call already passed to forget. Release can reach
-	// a call from two directions at once (a far-end ReleaseComplete racing
-	// the paging timeout, say); the second path must be a no-op or the
-	// active-call count and release stats double-book.
+	callRouting    callState = iota + 1 // MO: VLR authorisation and admission (Fig 5 steps 2.2-2.3)
+	callPaging                          // MT: admitted, the MS is paged (Fig 6 step 4.4)
+	callDelivering                      // Setup sent toward the called party
+	callAlerting                        // the called party rings
+	callConnecting                      // answered; the voice PDP context is coming up
+	callActive                          // conversation over the voice context
+	callHandedOver                      // conversation; the radio leg is behind an E trunk (Fig 9)
+	// callReleased: passed to forget. Release can reach a call from two
+	// directions at once (a far-end ReleaseComplete racing the paging
+	// timeout); the second must be a no-op or the counts double-book.
 	callReleased
 )
 
@@ -370,9 +359,6 @@ type vCall struct {
 	radioRef         uint32
 	state            callState
 	mobileOriginated bool
-	// answered dedupes retransmitted Q.931 Connects: the answer is
-	// processed once, later copies are only re-acknowledged.
-	answered bool
 	// paging is the page-response timer of an MT call, cancelled when the
 	// MS answers the page or the call is released, so the event queue does
 	// not hold a finished call for the rest of PagingTimeout.
@@ -393,23 +379,37 @@ type vCall struct {
 	// longer than the pipeline latency (see callMedia).
 	med callMedia
 
-	// Inter-system handover leg (Fig 9), once active.
-	hoActive bool
-	hoRef    uint32
-	hoPeer   sim.NodeID
-	hoCIC    isup.CIC
-	hoTrunks *isup.TrunkGroup
-	hoSeq    uint32
-	// hoNext is the prepared-but-not-yet-confirmed leg of a subsequent
-	// handover to a third MSC; it replaces hoPeer/hoCIC/hoTrunks when
-	// the new target reports the MS's arrival.
-	hoNext *hoLeg
+	// Inter-system handover (Fig 9): the anchor's trunk call reference, the
+	// leg toward the relay MSC (seized first, carrying the call once
+	// callHandedOver), and a subsequent handover's prepared leg to a third
+	// MSC, which replaces ho on the MS's arrival there. A zero leg is none.
+	hoRef  uint32
+	ho     hoLeg
+	hoNext hoLeg
+	hoSeq  uint32
 }
 
 // ent resolves the call's MS-table row. A nil result means the row was
 // freed since the call started (generational-handle invalidation); callers
 // treat it as "subscriber gone" and wind the call down.
 func (c *vCall) ent() *msEntry { return c.v.ents.Get(c.entryH) }
+
+// row resolves the row for a continuation of the call: nil once the call is
+// released, which happens here if the row was freed or is leaving.
+func (c *vCall) row() *msEntry {
+	if c.state == callReleased {
+		return nil
+	}
+	e := c.ent()
+	if e == nil || e.leaving() {
+		c.v.forget(c)
+		return nil
+	}
+	return e
+}
+
+// talking reports a call in conversation, its RTP on the voice context.
+func (c *vCall) talking() bool { return c.state == callActive || c.state == callHandedOver }
 
 // hoLeg is one circuit leg of the inter-system handover path.
 type hoLeg struct {
@@ -433,13 +433,12 @@ func New(cfg Config) *VMSC {
 	}
 	ents := slab.NewSharded[msEntry](mscShards)
 	v := &VMSC{
-		cfg:      cfg,
-		dm:       ss7.NewDialogueManager(cfg.ID),
-		ents:     ents,
-		byIMSI:   slab.NewRowIndex(ents, gsmid.PackedDigits.Hash, func(k gsmid.PackedDigits, e *msEntry) bool { return e.imsiKey == k }),
-		byMS:     slab.NewRowIndex(ents, hashNodeID, func(k sim.NodeID, e *msEntry) bool { return e.ms == k }),
-		byMSISDN: slab.NewRowIndex(ents, gsmid.PackedDigits.Hash, func(k gsmid.PackedDigits, e *msEntry) bool { return e.msisdnKey == k }),
-		hoCalls:  make(map[uint32]*vCall),
+		cfg:     cfg,
+		dm:      ss7.NewDialogueManager(cfg.ID),
+		ents:    ents,
+		byIMSI:  slab.NewRowIndex(ents, gsmid.PackedDigits.Hash, func(k gsmid.PackedDigits, e *msEntry) bool { return e.imsiKey == k }),
+		byMS:    slab.NewRowIndex(ents, hashNodeID, func(k sim.NodeID, e *msEntry) bool { return e.ms == k }),
+		hoCalls: make(map[uint32]*vCall),
 	}
 	v.gmm = gprs.NewTransactions((*rowHost)(v))
 	v.h225 = h323.NewTransactions[*rowHost, *vCall]((*rowHost)(v), cfg.Gatekeeper,
@@ -453,12 +452,6 @@ func New(cfg Config) *VMSC {
 
 // hashNodeID keys the radio-node index (deterministic, unseeded).
 func hashNodeID(n sim.NodeID) uint64 { return slab.HashString(string(n)) }
-
-// entryByIMSI resolves a subscriber row by IMSI (nil if absent).
-func (v *VMSC) entryByIMSI(imsi gsmid.IMSI) *msEntry {
-	_, e := v.byIMSI.Get(imsi.Pack())
-	return e
-}
 
 // entryByMS resolves a subscriber row by its radio node (nil if absent).
 func (v *VMSC) entryByMS(ms sim.NodeID) *msEntry {
@@ -485,9 +478,6 @@ func (v *VMSC) getOrCreateEntry(imsi gsmid.IMSI) *msEntry {
 // transactions, paging timers, test probes) resolve to nil from now on.
 func (v *VMSC) freeEntry(entry *msEntry) {
 	v.byIMSI.Delete(entry.imsiKey)
-	if !entry.msisdnKey.IsZero() {
-		v.byMSISDN.Delete(entry.msisdnKey)
-	}
 	if entry.ms != "" {
 		v.byMS.Delete(entry.ms)
 	}
@@ -513,11 +503,11 @@ func (v *VMSC) MSTable() int { return v.ents.Len() }
 
 // Entry reports a subscriber's registration state and PDP address.
 func (v *VMSC) Entry(imsi gsmid.IMSI) (addr netip.Addr, registered bool, ok bool) {
-	e := v.entryByIMSI(imsi)
+	_, e := v.byIMSI.Get(imsi.Pack())
 	if e == nil {
 		return netip.Addr{}, false, false
 	}
-	return e.addr, e.registered, true
+	return e.addr, e.registered(), true
 }
 
 // EntryHandle returns the generational slab handle of a subscriber's MS
@@ -567,10 +557,6 @@ func (v *VMSC) CallMedia(ms sim.NodeID) (MediaStats, bool) {
 	}, true
 }
 
-// HandoffCalls returns calls currently relayed over an E-interface trunk
-// (this VMSC as the anchor of an inter-system handover).
-func (v *VMSC) HandoffCalls() int { return len(v.hoCalls) }
-
 // PendingTransactions sums every transient signalling record this VMSC
 // holds: open MAP dialogues, in-flight location updates at the registrar,
 // RAS transactions, and the per-MS GPRS clients' GMM/SM transactions. A
@@ -584,7 +570,7 @@ func (v *VMSC) PendingTransactions() int {
 func (v *VMSC) Audit(report func(kind string, n int)) {
 	report("pending transactions", v.PendingTransactions())
 	report("active calls", v.ActiveCalls())
-	report("handoff trunk calls", v.HandoffCalls())
+	report("handoff trunk calls", len(v.hoCalls)) // this VMSC as the anchor of a handover
 	report("handover-target legs", v.hoTarget.Open())
 	report("in-flight media frames", v.InflightFrames())
 	report("slab imbalance", v.SlabImbalance())
@@ -594,7 +580,7 @@ func (v *VMSC) Audit(report func(kind string, n int)) {
 // chunks and index tables — all a resident subscriber costs it — plus the
 // transaction tables, which a quiesced VMSC holds at their floor.
 func (v *VMSC) Footprint() int {
-	return v.ents.Bytes() + v.byIMSI.Bytes() + v.byMS.Bytes() + v.byMSISDN.Bytes() +
+	return v.ents.Bytes() + v.byIMSI.Bytes() + v.byMS.Bytes() +
 		v.dm.Bytes() + v.registrar.Bytes() + v.h225.Bytes() + v.gmm.Bytes()
 }
 
@@ -607,7 +593,7 @@ func (v *VMSC) Footprint() int {
 func (v *VMSC) SlabImbalance() int {
 	return v.dm.Occupancy().Imbalance() + v.h225.Imbalance() +
 		v.gmm.Occupancy().Imbalance() + v.registrar.Imbalance() +
-		v.byIMSI.Audit() + v.byMS.Stale() + v.byMSISDN.Stale()
+		v.byIMSI.Audit() + v.byMS.Stale()
 }
 
 // staticAddrFor returns the provisioned static PDP address for a row in
