@@ -88,9 +88,9 @@ func (r *gkReg) public() Registration {
 	}
 }
 
-// gkCallKey identifies a charging record: the call reference alone is not
-// unique (references are scoped to the originating endpoint), so the
-// caller's alias disambiguates.
+// gkCallKey identifies an open call: the call reference alone is not unique
+// (references are scoped to the originating endpoint), so the caller's alias
+// disambiguates.
 type gkCallKey struct {
 	caller gsmid.PackedDigits
 	ref    uint16
@@ -100,25 +100,12 @@ func hashCallKey(k gkCallKey) uint64 {
 	return slab.HashUint64(k.caller.Hash() ^ uint64(k.ref))
 }
 
-// CallRecord is the public copy-out of the per-call accounting row the
-// gatekeeper keeps for charging (paper step 3.3).
-type CallRecord struct {
-	Caller     gsmid.MSISDN
-	Called     gsmid.MSISDN
-	CallRef    uint16
-	AdmittedAt time.Duration
-	EndedAt    time.Duration
-	Ended      bool
-}
-
-// gkCall is the resident (pointer-free) charging row.
+// gkCall is the resident (pointer-free) row of an admitted call. It lives
+// from the caller's admission to the first DRQ that names the call.
 type gkCall struct {
 	caller     gsmid.PackedDigits
-	called     gsmid.PackedDigits
 	ref        uint16
 	admittedAt time.Duration
-	endedAt    time.Duration
-	ended      bool
 }
 
 // gkIMSI is one memorized (alias, IMSI) pair — TR 23.923 mode only.
@@ -135,8 +122,8 @@ const gkShards = 8
 // architectural property the paper's §6 contrasts with TR 23.923 and that
 // test C4 audits.
 //
-// All three per-subscriber tables (registrations, charging records, and the
-// TR-mode IMSI cache) live in sharded value slabs reached through
+// Its two per-subscriber tables (registrations and the TR-mode IMSI cache)
+// and its open calls live in sharded value slabs reached through
 // open-addressing indexes keyed by BCD-packed aliases, the same treatment
 // the core's VLR/HLR/SGSN stores use: GSM-scale populations cost the GC
 // nothing and iteration order is deterministic.
@@ -155,6 +142,10 @@ type Gatekeeper struct {
 	nextEP  uint32
 	admits  uint64
 	rejects uint64
+	// disengaged and held are the calls closed by a DRQ and their summed
+	// time from admission to disengage.
+	disengaged uint64
+	held       time.Duration
 }
 
 var _ sim.Node = (*Gatekeeper)(nil)
@@ -240,20 +231,13 @@ func (g *Gatekeeper) Registered() int {
 	return g.byAlias.Len()
 }
 
-// CallRecords returns a copy of the charging records (paper step 3.3).
-func (g *Gatekeeper) CallRecords() []CallRecord {
+// Calls returns the admitted calls no DRQ has closed yet, and how many a DRQ
+// has closed with their total held time, admission to disengage (paper step
+// 3.3: charging stops).
+func (g *Gatekeeper) Calls() (active int, disengaged uint64, held time.Duration) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]CallRecord, 0, g.byCall.Len())
-	g.calls.Range(func(_ slab.Handle, c *gkCall) bool {
-		out = append(out, CallRecord{
-			Caller: c.caller.MSISDN(), Called: c.called.MSISDN(),
-			CallRef: c.ref, AdmittedAt: c.admittedAt,
-			EndedAt: c.endedAt, Ended: c.ended,
-		})
-		return true
-	})
-	return out
+	return g.byCall.Len(), g.disengaged, g.held
 }
 
 // Admissions returns (admitted, rejected) counts.
@@ -275,10 +259,12 @@ func (g *Gatekeeper) KnownIMSIs() int {
 // Audit reports every transient record this gatekeeper holds, by kind, plus its
 // storage audit — all zero at quiescence. netsim's leak gate walks it.
 func (g *Gatekeeper) Audit(report func(kind string, n int)) {
+	active, _, _ := g.Calls()
+	report("active calls", active)
 	report("slab imbalance", g.SlabImbalance())
 }
 
-// Footprint is the memory the registration, call and IMSI tables hold, in
+// Footprint is the memory the registration, open-call and IMSI tables hold, in
 // bytes: slab chunks plus index tables, and the MAP dialogue table.
 func (g *Gatekeeper) Footprint() int {
 	g.mu.Lock()
@@ -333,32 +319,18 @@ func (g *Gatekeeper) Receive(env *sim.Env, from sim.NodeID, iface string, msg si
 	case ARQ:
 		g.handleARQ(env, pkt.Src, m)
 	case DRQ:
+		// The caller disengaging names its own call; the called side, or
+		// the gateway speaking for a PSTN callee, names the caller as Peer.
 		g.mu.Lock()
-		if _, rec := g.byCall.Get(gkCallKey{m.Alias.Pack(), m.CallRef}); rec != nil && !rec.ended {
-			// The caller disengaging: direct hit.
-			rec.ended = true
-			rec.endedAt = env.Now()
-		} else if m.Peer != "" {
-			// The called side disengaging, naming the caller. The key is
-			// exact; if the caller already disengaged there is nothing
-			// further to close.
-			if _, rec := g.byCall.Get(gkCallKey{m.Peer.Pack(), m.CallRef}); rec != nil && !rec.ended {
-				rec.ended = true
-				rec.endedAt = env.Now()
+		for _, caller := range [2]gsmid.MSISDN{m.Alias, m.Peer} {
+			key := gkCallKey{caller.Pack(), m.CallRef}
+			if h, rec := g.byCall.Get(key); rec != nil {
+				g.disengaged++
+				g.held += env.Now() - rec.admittedAt
+				g.byCall.Delete(key)
+				g.calls.Free(h)
+				break
 			}
-		} else {
-			// A gateway or legacy endpoint without a peer alias: close the
-			// first open record for this reference in row order.
-			alias := m.Alias.Pack()
-			g.calls.Range(func(_ slab.Handle, rec *gkCall) bool {
-				if rec.ref == m.CallRef && !rec.ended &&
-					(m.Alias == "" || rec.called == alias) {
-					rec.ended = true
-					rec.endedAt = env.Now()
-					return false
-				}
-				return true
-			})
 		}
 		g.mu.Unlock()
 		g.ep.SendRAS(env, pkt.Src, DCF{Seq: m.Seq})
@@ -553,16 +525,15 @@ func (g *Gatekeeper) handleARQ(env *sim.Env, src netip.Addr, m ARQ) {
 	g.ep.SendRAS(env, src, response)
 }
 
-// openCall creates the charging record for an admitted call if this is the
-// first admission of the (caller, reference) pair (callers hold g.mu).
+// openCall creates the row of an admitted call if this is the first
+// admission of the (caller, reference) pair (callers hold g.mu).
 func (g *Gatekeeper) openCall(m ARQ, now time.Duration) {
 	key := gkCallKey{m.CallerAlias.Pack(), m.CallRef}
 	if h, _ := g.byCall.Get(key); !h.IsZero() {
 		return
 	}
 	h, rec := g.calls.Alloc(int(hashCallKey(key) & (gkShards - 1)))
-	rec.caller, rec.called = key.caller, m.CalledAlias.Pack()
-	rec.ref, rec.admittedAt = m.CallRef, now
+	rec.caller, rec.ref, rec.admittedAt = key.caller, m.CallRef, now
 	g.byCall.Put(key, h)
 }
 

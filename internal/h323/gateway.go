@@ -45,10 +45,11 @@ type gwCall struct {
 	exchange  sim.NodeID
 	remoteSig netip.Addr
 	remoteMed q931.MediaAddr
-	// called/calling carry the call's aliases so the RAS completion
-	// functions need no closure over the originating IAM.
-	called   gsmid.MSISDN
-	calling  gsmid.MSISDN
+	// pstn is the PSTN party the gateway stands in for (the caller of a
+	// call from the PSTN, the called party of a call to it), remote the
+	// H.323 party: the RAS requests, Setup and IAM name the call by them.
+	pstn     gsmid.MSISDN
+	remote   gsmid.MSISDN
 	answered bool
 	// trunks is set on outbound (H.323->PSTN) calls, where the gateway
 	// seized the circuit and must release it.
@@ -164,12 +165,12 @@ func (g *Gateway) Audit(report func(kind string, n int)) {
 func (g *Gateway) handleIAM(env *sim.Env, exchange sim.NodeID, m isup.IAM) {
 	call := &gwCall{
 		ref: m.CallRef, cic: m.CIC, exchange: exchange,
-		called: m.Called, calling: m.Calling,
+		pstn: m.Calling, remote: m.Called,
 	}
 	g.byISUP[m.CallRef] = call
 
 	g.nextSeq++
-	g.txns.SendRAS(env, 0, call, LRQ{Seq: g.nextSeq, Alias: m.Called}, gwLocateDone)
+	g.txns.SendRAS(env, 0, call, LRQ{Seq: g.nextSeq, Alias: call.remote}, gwLocateDone)
 }
 
 // gwLocateDone consumes the gatekeeper's answer to the Fig 8 step (2)
@@ -200,7 +201,7 @@ func (g *Gateway) placeVoIPCall(env *sim.Env, call *gwCall, lcf LCF) {
 
 	g.nextSeq++
 	g.txns.SendRAS(env, 0, call, ARQ{
-		Seq: g.nextSeq, CallerAlias: call.calling, CalledAlias: call.called, CallRef: call.q931Ref,
+		Seq: g.nextSeq, CallerAlias: call.pstn, CalledAlias: call.remote, CallRef: call.q931Ref,
 	}, gwAdmitDone)
 }
 
@@ -211,7 +212,7 @@ func gwAdmitDone(env *sim.Env, r gwRAS, msg sim.Message) {
 	switch msg.(type) {
 	case ACF:
 		g.ep.SendQ931(env, call.remoteSig, q931.Setup{
-			CallRef: call.q931Ref, Called: call.called, Calling: call.calling,
+			CallRef: call.q931Ref, Called: call.remote, Calling: call.pstn,
 			Media: q931.MediaAddr{Addr: g.cfg.Addr, Port: ipnet.PortRTP},
 		})
 	case ARJ:
@@ -331,19 +332,23 @@ func (g *Gateway) handleOutboundSetup(env *sim.Env, pkt ipnet.Packet, m q931.Set
 		exchange:  g.cfg.Exchange,
 		remoteSig: pkt.Src,
 		remoteMed: m.Media,
+		pstn:      m.Called,
+		remote:    m.Calling,
 		trunks:    g.cfg.Trunks,
 	}
 	g.byISUP[call.ref] = call
 	g.byQ931[gwQKey{call.remoteSig, call.q931Ref}] = call
 	g.ep.SendQ931(env, pkt.Src, q931.CallProceeding{CallRef: m.CallRef})
 	env.Send(g.cfg.ID, g.cfg.Exchange, isup.IAM{
-		CIC: cic, CallRef: call.ref, Called: m.Called, Calling: m.Calling,
+		CIC: cic, CallRef: call.ref, Called: call.pstn, Calling: call.remote,
 	})
 }
 
+// disengage names the call as an endpoint does, with the gateway in the
+// PSTN party's place.
 func (g *Gateway) disengage(env *sim.Env, call *gwCall) {
 	g.nextSeq++
-	g.ep.SendRAS(env, g.cfg.Gatekeeper, DRQ{Seq: g.nextSeq, CallRef: call.q931Ref})
+	g.ep.SendRAS(env, g.cfg.Gatekeeper, DRQ{Seq: g.nextSeq, Alias: call.pstn, CallRef: call.q931Ref, Peer: call.remote})
 }
 
 func (g *Gateway) drop(call *gwCall) {

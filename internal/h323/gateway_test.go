@@ -1,11 +1,13 @@
 package h323
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
 
 	"vgprs/internal/codec"
+	"vgprs/internal/gsmid"
 	"vgprs/internal/ipnet"
 	"vgprs/internal/isup"
 	"vgprs/internal/rtp"
@@ -206,12 +208,18 @@ func (e *answeringExchange) Receive(env *sim.Env, from sim.NodeID, _ string, msg
 	}
 }
 
-// TestGatewayScopesCallRefsPerPeer is the gateway-side regression for the
-// Q.931 call-reference collision: two endpoints place their *first* call
-// (both use reference 1) toward PSTN numbers through the same gateway. The
-// gateway must treat them as distinct calls — references are scoped per
-// signalling connection — and connect both.
-func TestGatewayScopesCallRefsPerPeer(t *testing.T) {
+// pstnLAN: two terminals on a LAN whose gatekeeper routes 8522... to a
+// gateway with four trunks toward an always-answering exchange.
+type pstnLAN struct {
+	env    *sim.Env
+	gk     *Gatekeeper
+	a, b   *Terminal
+	le     *answeringExchange
+	trunks *isup.TrunkGroup
+}
+
+func newPSTNLAN(t *testing.T) *pstnLAN {
+	t.Helper()
 	env := sim.NewEnv(1)
 	dir := NewDirectory()
 	gkAddr := ipnet.MustAddr("192.168.9.1")
@@ -251,6 +259,20 @@ func TestGatewayScopesCallRefsPerPeer(t *testing.T) {
 	a.Register(env)
 	b.Register(env)
 	env.Run()
+	if !a.Registered() || !b.Registered() {
+		t.Fatal("registration failed")
+	}
+	return &pstnLAN{env: env, gk: gk, a: a, b: b, le: le, trunks: trunks}
+}
+
+// TestGatewayScopesCallRefsPerPeer is the gateway-side regression for the
+// Q.931 call-reference collision: two endpoints place their *first* call
+// (both use reference 1) toward PSTN numbers through the same gateway. The
+// gateway must treat them as distinct calls — references are scoped per
+// signalling connection — and connect both.
+func TestGatewayScopesCallRefsPerPeer(t *testing.T) {
+	p := newPSTNLAN(t)
+	env, a, b, le, trunks := p.env, p.a, p.b, p.le, p.trunks
 
 	refA, err := a.Call(env, "85221110001")
 	if err != nil {
@@ -346,5 +368,55 @@ func TestGatewayTwoConcurrentInboundCalls(t *testing.T) {
 	// growth without misrouting errors.
 	if f.exchange.frames == 0 {
 		t.Fatal("no trunk frames from terminal RTP")
+	}
+}
+
+// TestGatewayDRQClosesOnlyItsCall: the gateway's DRQ names its call, so it
+// closes that call and no other. A second call from another caller is held
+// open under the same wire reference, in a row that comes first in the
+// gatekeeper's table; releasing A's call through the gateway (A's DRQ, then
+// the gateway's) must leave it open.
+func TestGatewayDRQClosesOnlyItsCall(t *testing.T) {
+	p := newPSTNLAN(t)
+	const ref = 1
+	shardOf := func(caller gsmid.MSISDN) uint64 {
+		return hashCallKey(gkCallKey{caller.Pack(), ref}) & (gkShards - 1)
+	}
+	var other gsmid.MSISDN
+	for i := 0; other == ""; i++ {
+		if c := gsmid.MSISDN(fmt.Sprintf("0447800%05d", i)); shardOf(c) <= shardOf("044781110001") {
+			other = c
+		}
+	}
+	p.gk.mu.Lock()
+	p.gk.openCall(ARQ{CallerAlias: other, CalledAlias: "85221119999", CallRef: ref}, 0)
+	p.gk.mu.Unlock()
+
+	refA, err := p.a.Call(p.env, "85221110001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refA != ref {
+		t.Fatalf("test premise broken: A's reference is %d, want %d", refA, ref)
+	}
+	p.env.Run()
+	if st, _ := p.a.CallState(refA); st != CallConnected {
+		t.Fatalf("A's call is %v, want connected", st)
+	}
+	if active, _, _ := p.gk.Calls(); active != 2 {
+		t.Fatalf("gatekeeper holds %d active calls, want A's and the other caller's", active)
+	}
+	if err := p.a.Hangup(p.env, refA); err != nil {
+		t.Fatal(err)
+	}
+	p.env.Run()
+	if p.trunks.InUse() != 0 {
+		t.Fatal("trunk leaked")
+	}
+	p.gk.mu.Lock()
+	_, held := p.gk.byCall.Get(gkCallKey{other.Pack(), ref})
+	p.gk.mu.Unlock()
+	if active, _, _ := p.gk.Calls(); held == nil || active != 1 {
+		t.Fatalf("the other caller's call was closed (%d active calls)", active)
 	}
 }

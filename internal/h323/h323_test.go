@@ -2,11 +2,8 @@ package h323
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
 	"net/netip"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -15,7 +12,6 @@ import (
 	"vgprs/internal/ipnet"
 	"vgprs/internal/q931"
 	"vgprs/internal/sim"
-	"vgprs/internal/slab"
 	"vgprs/internal/trace"
 )
 
@@ -270,10 +266,9 @@ func TestFullCallBetweenTerminals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Charging record closed (paper step 3.3).
-	recs := f.gk.CallRecords()
-	if len(recs) != 1 || !recs[0].Ended || recs[0].EndedAt <= recs[0].AdmittedAt {
-		t.Fatalf("call records = %+v", recs)
+	// Charging stopped at the DRQ (paper step 3.3), and the call is gone.
+	if active, calls, held := f.gk.Calls(); active != 0 || calls != 1 || held <= 0 {
+		t.Fatalf("gatekeeper: %d active, %d disengaged held %v; want 0, 1 held > 0", active, calls, held)
 	}
 }
 
@@ -332,37 +327,15 @@ func TestLocationRequest(t *testing.T) {
 	f.registerBoth(t)
 
 	// Drive LRQ directly at the gatekeeper (the gateway's Fig 8 probe).
-	probe := &rawProbe{id: "PROBE", addr: ipnet.MustAddr("192.168.1.50")}
-	f.env.AddNode(probe)
-	f.router.AddHost(probe.addr, "PROBE")
-	f.env.Connect("LAN", "PROBE", "IP", time.Millisecond)
-
-	body, err := MarshalRAS(LRQ{Seq: 9, Alias: "85291110001"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.env.Send("PROBE", "LAN", ipnet.Packet{
-		Src: probe.addr, Dst: ipnet.MustAddr("192.168.1.1"),
-		Proto: ipnet.ProtoUDP, SrcPort: ipnet.PortRAS, DstPort: ipnet.PortRAS,
-		Payload: body,
-	})
-	f.env.Run()
+	probe := f.addProbe()
+	f.sendRAS(t, probe, LRQ{Seq: 9, Alias: "85291110001"})
 	lcf, ok := probe.lastRAS.(LCF)
 	if !ok || lcf.SignalAddr != ipnet.MustAddr("192.168.1.10") {
 		t.Fatalf("LRQ answer = %#v", probe.lastRAS)
 	}
 
 	// Unknown alias gets LRJ.
-	body, err = MarshalRAS(LRQ{Seq: 10, Alias: "10000000000"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.env.Send("PROBE", "LAN", ipnet.Packet{
-		Src: probe.addr, Dst: ipnet.MustAddr("192.168.1.1"),
-		Proto: ipnet.ProtoUDP, SrcPort: ipnet.PortRAS, DstPort: ipnet.PortRAS,
-		Payload: body,
-	})
-	f.env.Run()
+	f.sendRAS(t, probe, LRQ{Seq: 10, Alias: "10000000000"})
 	if _, ok := probe.lastRAS.(LRJ); !ok {
 		t.Fatalf("unknown alias answer = %#v", probe.lastRAS)
 	}
@@ -391,6 +364,30 @@ type rawProbe struct {
 	id      sim.NodeID
 	addr    netip.Addr
 	lastRAS sim.Message
+}
+
+// addProbe attaches a rawProbe to the LAN.
+func (f *lanFixture) addProbe() *rawProbe {
+	probe := &rawProbe{id: "PROBE", addr: ipnet.MustAddr("192.168.1.50")}
+	f.env.AddNode(probe)
+	f.router.AddHost(probe.addr, "PROBE")
+	f.env.Connect("LAN", "PROBE", "IP", time.Millisecond)
+	return probe
+}
+
+// sendRAS sends msg from probe to the gatekeeper and runs until quiet.
+func (f *lanFixture) sendRAS(t *testing.T, probe *rawProbe, msg sim.Message) {
+	t.Helper()
+	body, err := MarshalRAS(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.env.Send(probe.id, "LAN", ipnet.Packet{
+		Src: probe.addr, Dst: ipnet.MustAddr("192.168.1.1"),
+		Proto: ipnet.ProtoUDP, SrcPort: ipnet.PortRAS, DstPort: ipnet.PortRAS,
+		Payload: body,
+	})
+	f.env.Run()
 }
 
 func (p *rawProbe) ID() sim.NodeID { return p.id }
@@ -582,83 +579,90 @@ func TestTerminalScopesCallRefsPerPeer(t *testing.T) {
 		t.Fatal("clearing A's call disturbed B's")
 	}
 
-	// The gatekeeper charged two distinct records despite the shared
+	// The gatekeeper admitted two distinct calls despite the shared
 	// reference, and only A's is closed.
-	var open, ended int
-	for _, rec := range f.gk.CallRecords() {
-		if rec.Ended {
-			ended++
-		} else {
-			open++
-		}
+	if active, calls, _ := f.gk.Calls(); active != 1 || calls != 1 {
+		t.Fatalf("gatekeeper: %d active, %d disengaged; want 1/1", active, calls)
 	}
-	if ended != 1 || open != 1 {
-		t.Fatalf("charging records: %d ended, %d open; want 1/1", ended, open)
+
+	// A DRQ that names no open call — no alias, B's reference — is still
+	// confirmed, and closes nothing.
+	probe := f.addProbe()
+	f.sendRAS(t, probe, DRQ{Seq: 77, CallRef: refB})
+	if dcf, ok := probe.lastRAS.(DCF); !ok || dcf.Seq != 77 {
+		t.Fatalf("DRQ answered %#v, want DCF 77", probe.lastRAS)
+	}
+	if active, calls, _ := f.gk.Calls(); active != 1 || calls != 1 {
+		t.Fatalf("stray DRQ closed a call: %d active, %d disengaged", active, calls)
 	}
 }
 
-// TestLegacyDRQClosesRecordsInRowOrder: a DRQ that names neither the caller
-// nor a peer (a gateway, a pre-Peer endpoint) closes the first open record of
-// its reference in charging-table row order — shard, then slot — however the
-// by-call index happens to lay its keys out. Forty callers share one
-// reference toward one called party; each DRQ must close the next row.
-func TestLegacyDRQClosesRecordsInRowOrder(t *testing.T) {
-	f := newLAN(t, TerminalConfig{}, TerminalConfig{})
-	const callers, ref = 40, 7
-	called := gsmid.MSISDN("85291110002")
-	type row struct {
-		caller gsmid.MSISDN
-		h      slab.Handle
-	}
-	rows := make([]row, callers)
-	f.gk.mu.Lock()
-	for _, i := range rand.New(rand.NewSource(3)).Perm(callers) {
-		caller := gsmid.MSISDN(fmt.Sprintf("8869%08d", i+1))
-		f.gk.openCall(ARQ{CallerAlias: caller, CalledAlias: called, CallRef: ref}, 0)
-		h, _ := f.gk.byCall.Get(gkCallKey{caller.Pack(), ref})
-		rows[i] = row{caller, h}
-	}
-	f.gk.mu.Unlock()
-	// A handle's low word is slot+1, so it orders the rows of one shard.
-	sort.Slice(rows, func(a, b int) bool {
-		if sa, sb := rows[a].h.Shard(), rows[b].h.Shard(); sa != sb {
-			return sa < sb
-		}
-		return uint32(rows[a].h) < uint32(rows[b].h)
-	})
-
-	probe := &rawProbe{id: "PROBE", addr: ipnet.MustAddr("192.168.1.50")}
-	f.env.AddNode(probe)
-	f.router.AddHost(probe.addr, "PROBE")
-	f.env.Connect("LAN", "PROBE", "IP", time.Millisecond)
-	for n := 1; n <= 3; n++ {
-		body, err := MarshalRAS(DRQ{Seq: uint32(n), Alias: called, CallRef: ref})
+// TestHangupDuringAdmission hangs the caller up while its ARQ is still in
+// flight. The call has no far end yet: no Setup may follow the ACF, and the
+// gatekeeper must end with the call it admitted closed — also when the first
+// ARQ is lost and only its retransmission, sent after the hang-up, admits
+// the call.
+func TestHangupDuringAdmission(t *testing.T) {
+	for _, loseARQ := range []bool{false, true} {
+		f := newLAN(t, TerminalConfig{SigRTO: 100 * time.Millisecond}, TerminalConfig{AutoAnswer: true})
+		f.registerBoth(t)
+		up := f.env.LinkBetween("TERM-A", "LAN")
+		up.Down = loseARQ
+		ref, err := f.a.Call(f.env, "85291110002")
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.env.Send("PROBE", "LAN", ipnet.Packet{
-			Src: probe.addr, Dst: ipnet.MustAddr("192.168.1.1"),
-			Proto: ipnet.ProtoUDP, SrcPort: ipnet.PortRAS, DstPort: ipnet.PortRAS,
-			Payload: body,
-		})
+		up.Down = false
+		if err := f.a.Hangup(f.env, ref); err != nil {
+			t.Fatal(err)
+		}
 		f.env.Run()
-		if dcf, ok := probe.lastRAS.(DCF); !ok || dcf.Seq != uint32(n) {
-			t.Fatalf("DRQ %d answered %#v", n, probe.lastRAS)
+		if f.a.ActiveCalls() != 0 || f.b.ActiveCalls() != 0 {
+			t.Fatalf("lost ARQ %v: calls a=%d b=%d", loseARQ, f.a.ActiveCalls(), f.b.ActiveCalls())
 		}
-		ended := map[gsmid.MSISDN]bool{}
-		for i, rec := range f.gk.CallRecords() {
-			if rec.Caller != rows[i].caller {
-				t.Fatalf("CallRecords[%d] is %s's, row order has %s", i, rec.Caller, rows[i].caller)
-			}
-			if rec.Ended {
-				ended[rec.Caller] = true
-			}
+		if e, sent := f.rec.First(q931.Setup{}.Name()); sent {
+			t.Fatalf("lost ARQ %v: a Setup was sent at %v", loseARQ, e.At)
 		}
-		for i, r := range rows {
-			if ended[r.caller] != (i < n) {
-				t.Fatalf("after %d DRQs row %d (%s) ended = %v", n, i, r.caller, ended[r.caller])
-			}
+		if _, sent := f.rec.First(q931.ReleaseComplete{}.Name()); sent {
+			t.Fatalf("lost ARQ %v: a Release Complete was sent before there was a far end", loseARQ)
 		}
+		if active, calls, _ := f.gk.Calls(); active != 0 || calls != 1 {
+			t.Fatalf("lost ARQ %v: gatekeeper %d active, %d disengaged; want 0/1", loseARQ, active, calls)
+		}
+	}
+}
+
+// TestClearedCallsLeaveTerminal: a terminal holds only live calls. After
+// calls in both directions, each cleared from either side, neither
+// terminal's map nor the gatekeeper holds anything.
+func TestClearedCallsLeaveTerminal(t *testing.T) {
+	f := newLAN(t, TerminalConfig{AutoAnswer: true}, TerminalConfig{AutoAnswer: true})
+	f.registerBoth(t)
+	const n = 50
+	for i := 0; i < 2*n; i++ {
+		from, to, alias := f.a, f.b, gsmid.MSISDN("85291110002")
+		if i%2 == 1 {
+			from, to, alias = f.b, f.a, "85291110001"
+		}
+		ref, err := from.Call(f.env, alias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.env.Run()
+		hanger := from
+		if i%4 >= 2 {
+			hanger, ref = to, to.CallRefs()[0]
+		}
+		if err := hanger.Hangup(f.env, ref); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		f.env.Run()
+	}
+	if len(f.a.calls) != 0 || len(f.b.calls) != 0 {
+		t.Fatalf("terminals hold %d and %d calls after %d cleared", len(f.a.calls), len(f.b.calls), 2*n)
+	}
+	if active, calls, _ := f.gk.Calls(); active != 0 || calls != 2*n {
+		t.Fatalf("gatekeeper: %d active, %d disengaged; want 0/%d", active, calls, 2*n)
 	}
 }
 

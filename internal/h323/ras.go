@@ -174,10 +174,10 @@ type DRQ struct {
 	Seq     uint32
 	Alias   gsmid.MSISDN
 	CallRef uint16
-	// Peer is the remote party's alias. The called side sets it so the
-	// gatekeeper can find the charging record, which is keyed by the
-	// CALLER's (alias, reference) — the reference alone is ambiguous
-	// when one endpoint holds calls from several peers.
+	// Peer is the remote party's alias. The gatekeeper keys an open call
+	// by the CALLER's (alias, reference), so the called side, or a gateway
+	// speaking for a PSTN callee, names the caller here — the reference
+	// alone is ambiguous when one endpoint holds calls from several peers.
 	Peer gsmid.MSISDN
 }
 

@@ -116,9 +116,7 @@ type termCall struct {
 	remote    gsmid.MSISDN
 	remoteSig netip.Addr
 	remoteMed q931.MediaAddr
-	outgoing  bool
 	mediaSeq  uint16
-	sending   bool
 }
 
 // Terminal is an H.323 terminal: a native VoIP endpoint on the external
@@ -129,10 +127,9 @@ type Terminal struct {
 
 	registered bool
 	keepAlive  bool
-	endpointID string
 	nextSeq    uint32
 	nextRef    uint16
-	calls      map[uint16]*termCall
+	calls      map[uint16]*termCall // live calls by local reference
 	txns       *Transactions[*termHost, *termCall]
 
 	// Media is the RTP receive-side statistics collector.
@@ -170,49 +167,33 @@ func (t *Terminal) HandlePacket(env *sim.Env, pkt ipnet.Packet) {
 	t.Receive(env, t.cfg.ID, "tunnel", pkt)
 }
 
-// SetAddr updates the terminal's transport address (the TR 23.923 MS learns
-// its PDP address at activation time). Must be called before Register.
-func (t *Terminal) SetAddr(addr netip.Addr) {
-	t.cfg.Addr = addr
-	t.ep.Addr = addr
-}
-
 // ID implements sim.Node.
 func (t *Terminal) ID() sim.NodeID { return t.cfg.ID }
 
 // Registered reports gatekeeper registration state.
 func (t *Terminal) Registered() bool { return t.registered }
 
-// CallState returns the state of a call by reference.
+// CallState returns the state of a call by reference. A call the terminal
+// does not hold — cleared, or never placed — reads CallCleared, false.
 func (t *Terminal) CallState(ref uint16) (CallState, bool) {
 	c, ok := t.calls[ref]
 	if !ok {
-		return 0, false
+		return CallCleared, false
 	}
 	return c.state, true
 }
 
-// CallRefs returns the references of all non-cleared calls.
+// CallRefs returns the references of all live calls.
 func (t *Terminal) CallRefs() []uint16 {
-	var out []uint16
-	for ref, c := range t.calls {
-		if c.state != CallCleared {
-			out = append(out, ref)
-		}
+	out := make([]uint16, 0, len(t.calls))
+	for ref := range t.calls {
+		out = append(out, ref)
 	}
 	return out
 }
 
-// ActiveCalls returns the number of non-cleared calls.
-func (t *Terminal) ActiveCalls() int {
-	n := 0
-	for _, c := range t.calls {
-		if c.state != CallCleared {
-			n++
-		}
-	}
-	return n
-}
+// ActiveCalls returns the number of live calls.
+func (t *Terminal) ActiveCalls() int { return len(t.calls) }
 
 // termHost is the terminal as the host of its own transactions: every
 // request leaves from its one endpoint.
@@ -265,7 +246,6 @@ func termRegisterDone(env *sim.Env, r termRAS, msg sim.Message) {
 	switch m := msg.(type) {
 	case RCF:
 		t.registered = true
-		t.endpointID = m.EndpointID
 		if t.cfg.Hooks.OnRegistered != nil {
 			t.cfg.Hooks.OnRegistered()
 		}
@@ -322,7 +302,7 @@ func (t *Terminal) Call(env *sim.Env, called gsmid.MSISDN) (uint16, error) {
 	}
 	t.nextRef++
 	ref := t.nextRef
-	call := &termCall{ref: ref, wireRef: ref, state: CallAdmitting, remote: called, outgoing: true}
+	call := &termCall{ref: ref, wireRef: ref, state: CallAdmitting, remote: called}
 	t.calls[ref] = call
 
 	t.nextSeq++
@@ -333,9 +313,16 @@ func (t *Terminal) Call(env *sim.Env, called gsmid.MSISDN) (uint16, error) {
 }
 
 // termCallAdmitDone continues an outgoing call once the gatekeeper admits
-// it (or rejects/times out).
+// it (or rejects/times out). A call hung up meanwhile goes no further, but
+// disengages if admitted: the gatekeeper has just opened it.
 func termCallAdmitDone(env *sim.Env, r termRAS, msg sim.Message) {
 	t, call := (*Terminal)(r.Host), r.Call
+	if call.state == CallCleared {
+		if _, admitted := msg.(ACF); admitted {
+			t.disengage(env, call)
+		}
+		return
+	}
 	switch m := msg.(type) {
 	case ACF:
 		call.remoteSig = m.SignalAddr
@@ -345,23 +332,22 @@ func termCallAdmitDone(env *sim.Env, r termRAS, msg sim.Message) {
 			Media: q931.MediaAddr{Addr: t.cfg.Addr, Port: ipnet.PortRTP},
 		})
 	case ARJ:
-		call.state = CallCleared
+		t.forget(call)
 		if t.cfg.Hooks.OnRejected != nil {
 			t.cfg.Hooks.OnRejected(call.ref, m.Reason)
 		}
 	case nil:
 		// Admission never answered: fail the call attempt cleanly.
-		call.state = CallCleared
+		t.forget(call)
 		if t.cfg.Hooks.OnRejected != nil {
 			t.cfg.Hooks.OnRejected(call.ref, RejectTimeout)
 		}
 	}
 }
 
-// Answer accepts a ringing incoming call.
-func (t *Terminal) Answer(env *sim.Env, ref uint16) {
-	call, ok := t.calls[ref]
-	if !ok || call.state != CallRinging {
+// answer accepts a ringing incoming call.
+func (t *Terminal) answer(env *sim.Env, call *termCall) {
+	if call.state != CallRinging {
 		return
 	}
 	call.state = CallConnected
@@ -371,30 +357,48 @@ func (t *Terminal) Answer(env *sim.Env, ref uint16) {
 	})
 	t.startMedia(env, call)
 	if t.cfg.Hooks.OnConnected != nil {
-		t.cfg.Hooks.OnConnected(ref)
+		t.cfg.Hooks.OnConnected(call.ref)
 	}
 }
 
-// Hangup clears a call from this side.
+// Hangup clears a call from this side. A call still waiting for admission
+// has no far end yet, so only the gatekeeper hears of it.
 func (t *Terminal) Hangup(env *sim.Env, ref uint16) error {
 	call, ok := t.calls[ref]
-	if !ok || call.state == CallCleared {
+	if !ok {
 		return fmt.Errorf("h323: terminal %s has no active call %d", t.cfg.ID, ref)
 	}
-	t.ep.SendQ931(env, call.remoteSig, q931.ReleaseComplete{CallRef: call.wireRef, Cause: q931.CauseNormal})
+	if call.state != CallAdmitting {
+		t.ep.SendQ931(env, call.remoteSig, q931.ReleaseComplete{CallRef: call.wireRef, Cause: q931.CauseNormal})
+	}
 	t.finishCall(env, call)
 	return nil
 }
 
+// finishCall clears a live call. The DRQ of a call still waiting for
+// admission is left to termCallAdmitDone: an ACF may yet open the call.
 func (t *Terminal) finishCall(env *sim.Env, call *termCall) {
-	call.state = CallCleared
-	call.sending = false
+	if call.state != CallAdmitting {
+		t.disengage(env, call)
+	}
+	t.forget(call)
 	t.txns.StopQ931(call)
-	t.nextSeq++
-	t.ep.SendRAS(env, t.cfg.Gatekeeper, DRQ{Seq: t.nextSeq, Alias: t.cfg.Alias, CallRef: call.wireRef, Peer: call.remote})
 	if t.cfg.Hooks.OnReleased != nil {
 		t.cfg.Hooks.OnReleased(call.ref)
 	}
+}
+
+// forget drops a call from the live set. A continuation still holding it
+// sees CallCleared, and its media ticks stop.
+func (t *Terminal) forget(call *termCall) {
+	call.state = CallCleared
+	delete(t.calls, call.ref)
+}
+
+// disengage tells the gatekeeper the call is over (paper step 3.3).
+func (t *Terminal) disengage(env *sim.Env, call *termCall) {
+	t.nextSeq++
+	t.ep.SendRAS(env, t.cfg.Gatekeeper, DRQ{Seq: t.nextSeq, Alias: t.cfg.Alias, CallRef: call.wireRef, Peer: call.remote})
 }
 
 // Receive implements sim.Node.
@@ -458,18 +462,18 @@ func (t *Terminal) handleQ931(env *sim.Env, pkt ipnet.Packet, msg sim.Message) {
 			t.txns.StopQ931(call)
 		}
 	case q931.ReleaseComplete:
-		if call := t.findCall(pkt.Src, m.CallRef); call != nil && call.state != CallCleared {
+		if call := t.findCall(pkt.Src, m.CallRef); call != nil {
 			t.finishCall(env, call)
 		}
 	}
 }
 
-// findCall resolves an incoming Q.931 message to a call: the reference is
-// scoped to the peer that sent it, so both the source address and the wire
-// reference must match.
+// findCall resolves an incoming Q.931 message to a live call: the reference
+// is scoped to the peer that sent it, so both the source address and the
+// wire reference must match.
 func (t *Terminal) findCall(src netip.Addr, wireRef uint16) *termCall {
 	for _, call := range t.calls {
-		if call.wireRef == wireRef && call.remoteSig == src && call.state != CallCleared {
+		if call.wireRef == wireRef && call.remoteSig == src {
 			return call
 		}
 	}
@@ -505,9 +509,13 @@ func (t *Terminal) handleIncomingSetup(env *sim.Env, pkt ipnet.Packet, m q931.Se
 }
 
 // termIncomingAdmitDone alerts the local user once the gatekeeper admits an
-// incoming call; rejection or timeout releases the caller.
+// incoming call; rejection or timeout releases the caller. A call cleared
+// meanwhile goes no further.
 func termIncomingAdmitDone(env *sim.Env, r termRAS, msg sim.Message) {
 	t, call := (*Terminal)(r.Host), r.Call
+	if call.state == CallCleared {
+		return
+	}
 	switch msg.(type) {
 	case ACF:
 		call.state = CallRinging
@@ -516,32 +524,30 @@ func termIncomingAdmitDone(env *sim.Env, r termRAS, msg sim.Message) {
 			t.cfg.Hooks.OnIncoming(call.ref, call.remote)
 		}
 		if t.cfg.AutoAnswer {
-			ref := call.ref
-			env.After(t.cfg.AnswerDelay, func() { t.Answer(env, ref) })
+			env.After(t.cfg.AnswerDelay, func() { t.answer(env, call) })
 		}
 	case ARJ:
 		// Step 2.5's failure arm: release the call.
 		t.ep.SendQ931(env, call.remoteSig, q931.ReleaseComplete{
 			CallRef: call.wireRef, Cause: q931.CauseResourcesUnavail,
 		})
-		call.state = CallCleared
+		t.forget(call)
 	case nil:
 		// Admission never answered: release toward the caller.
 		t.ep.SendQ931(env, call.remoteSig, q931.ReleaseComplete{
 			CallRef: call.wireRef, Cause: q931.CauseRecoveryOnTimerExpiry,
 		})
-		call.state = CallCleared
+		t.forget(call)
 	}
 }
 
 func (t *Terminal) startMedia(env *sim.Env, call *termCall) {
-	if !t.cfg.Talk || call.sending {
+	if !t.cfg.Talk {
 		return
 	}
-	call.sending = true
 	var tick func()
 	tick = func() {
-		if !call.sending || call.state != CallConnected {
+		if call.state != CallConnected {
 			return
 		}
 		if call.remoteMed.Valid() {

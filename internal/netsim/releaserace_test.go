@@ -136,8 +136,8 @@ func TestHangupDuringSIFOC(t *testing.T) {
 	if admitted, rejected := n.GK.Admissions(); admitted != 0 || rejected != 0 {
 		t.Errorf("gatekeeper admissions = %d admitted, %d rejected, want none", admitted, rejected)
 	}
-	if recs := n.GK.CallRecords(); len(recs) != 0 {
-		t.Errorf("gatekeeper holds %d call records, want 0: %+v", len(recs), recs)
+	if active, calls, _ := n.GK.Calls(); active != 0 || calls != 0 {
+		t.Errorf("gatekeeper: %d calls active, %d disengaged, want none", active, calls)
 	}
 	if got := n.VMSC.ActiveCalls(); got != 0 {
 		t.Errorf("VMSC active calls = %d, want 0", got)

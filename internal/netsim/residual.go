@@ -107,3 +107,13 @@ func (a *Audited) SignallingRetransmits() uint64 {
 	}
 	return total
 }
+
+// Footprints reports the Footprint, in bytes, of every registered element
+// that has one.
+func (a *Audited) Footprints(report func(node string, bytes int)) {
+	for _, e := range a.elements {
+		if f, ok := e.node.(interface{ Footprint() int }); ok {
+			report(e.name, f.Footprint())
+		}
+	}
+}

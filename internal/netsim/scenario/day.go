@@ -87,6 +87,10 @@ type DayResult struct {
 	// HeapWindow of simulated time. Flat consecutive windows mean no
 	// real-memory leak; the soak test asserts it.
 	HeapWindows []uint64 `json:"heap_windows"`
+	// FootprintWindows is the audited nodes' summed Footprint at each heap
+	// sample taken under traffic (all but the post-drain one); the soak
+	// test asserts its last two are equal.
+	FootprintWindows []int `json:"footprint_windows"`
 
 	Fingerprint *Fingerprint `json:"-"`
 }
@@ -393,6 +397,9 @@ func RunDay(cfg DayConfig) (DayResult, error) {
 		if now >= nextHeap {
 			nextHeap += cfg.HeapWindow
 			sampleHeap()
+			total := 0
+			n.Footprints(func(_ string, bytes int) { total += bytes })
+			res.FootprintWindows = append(res.FootprintWindows, total)
 		}
 	}
 

@@ -16,8 +16,9 @@ func soakDuration(t *testing.T) (time.Duration, time.Duration) {
 }
 
 // TestDaySoakLeakProof is the soak gate: a day-in-the-life run long enough
-// to shake out state leaks must end with zero residual transient state and
-// a flat post-GC heap across the final two sampling windows.
+// to shake out state leaks must end with zero residual transient state, a
+// flat post-GC heap and equal node footprints across the final two sampling
+// windows.
 func TestDaySoakLeakProof(t *testing.T) {
 	dur, window := soakDuration(t)
 	res, err := RunDay(DayConfig{
@@ -53,6 +54,13 @@ func TestDaySoakLeakProof(t *testing.T) {
 				growth, prev, last, res.HeapWindows)
 		}
 	}
-	t.Logf("soak: %v simulated, %d calls (%d failures), %d data echoes, %d relocations, %d power cycles, heap windows %v",
-		dur, res.Calls, res.CallFailures, res.DataEchoes, res.Relocations, res.PowerCycles, res.HeapWindows)
+	// Resident tables follow the population, not the traffic: the audited
+	// nodes' footprints read exactly the same across the final window of
+	// traffic.
+	if fp := res.FootprintWindows; fp[len(fp)-1] != fp[len(fp)-2] {
+		t.Fatalf("footprints grew between final windows (%d -> %d B); full series: %v",
+			fp[len(fp)-2], fp[len(fp)-1], fp)
+	}
+	t.Logf("soak: %v simulated, %d calls (%d failures), %d data echoes, %d relocations, %d power cycles, heap windows %v, footprint windows %v",
+		dur, res.Calls, res.CallFailures, res.DataEchoes, res.Relocations, res.PowerCycles, res.HeapWindows, res.FootprintWindows)
 }

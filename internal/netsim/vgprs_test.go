@@ -88,10 +88,9 @@ func TestMOCallToTerminal(t *testing.T) {
 	if n.VMSC.ActiveCalls() != 0 {
 		t.Fatal("VMSC call state leaked")
 	}
-	// The gatekeeper recorded and closed the charging record.
-	recs := n.GK.CallRecords()
-	if len(recs) != 1 || !recs[0].Ended {
-		t.Fatalf("GK call records = %+v", recs)
+	// The gatekeeper admitted the call and closed it at the DRQ.
+	if active, calls, _ := n.GK.Calls(); active != 0 || calls != 1 {
+		t.Fatalf("GK: %d calls active, %d disengaged; want 0/1", active, calls)
 	}
 }
 
@@ -134,6 +133,56 @@ func TestMTCallFromTerminal(t *testing.T) {
 	}
 	if n.SGSN.ActiveContexts() != 1 {
 		t.Fatalf("SGSN contexts after call = %d", n.SGSN.ActiveContexts())
+	}
+}
+
+// TestFootprintFlatOverCalls: the resident tables follow the population, not
+// the calls placed. A terminal calls MS-1 and hangs up K times, then 10·K
+// more; every footprint in the leak gate must read exactly the same after
+// both runs, and the network must drain. K covers the warm-up: a slab shard
+// allocates its first chunk on first use, and the terminal's first 26 call
+// references reach all eight of the gatekeeper's call shards.
+func TestFootprintFlatOverCalls(t *testing.T) {
+	const k = 100
+	n := BuildVGPRS(VGPRSOptions{Seed: 1, NoTrace: true})
+	if err := n.RegisterAll(); err != nil {
+		t.Fatal(err)
+	}
+	term, ms := n.Terminals[0], n.Subscribers[0].MSISDN
+	callsThenFootprints := func(calls int) map[string]int {
+		for i := 0; i < calls; i++ {
+			ref, err := term.Call(n.Env, ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.Env.Run()
+			if st, _ := term.CallState(ref); st != h323.CallConnected {
+				t.Fatalf("call %d: terminal state %v", i, st)
+			}
+			if err := term.Hangup(n.Env, ref); err != nil {
+				t.Fatal(err)
+			}
+			n.Env.Run()
+		}
+		fp := map[string]int{}
+		n.Footprints(func(node string, bytes int) { fp[node] = bytes })
+		return fp
+	}
+	after := callsThenFootprints(k)
+	if len(after) == 0 {
+		t.Fatal("no element reports a footprint")
+	}
+	later := callsThenFootprints(10 * k)
+	for node, bytes := range after {
+		if later[node] != bytes {
+			t.Errorf("%s footprint %d B after %d calls, %d B after %d", node, bytes, k, later[node], 11*k)
+		}
+	}
+	if _, calls, _ := n.GK.Calls(); calls != 11*k {
+		t.Errorf("gatekeeper disengaged %d calls, want %d", calls, 11*k)
+	}
+	if res := n.Residual(); res.Total() != 0 {
+		t.Fatalf("residual after %d calls:\n%s", 11*k, res.String())
 	}
 }
 
