@@ -213,12 +213,13 @@ func (h *hubNode) Receive(env *Env, from NodeID, _ string, msg Message) {
 }
 
 // newDeepHub builds a hub with 64 spokes on equal-latency links and injects
-// depth tokens at time zero. Every event then ties on its timestamp with
-// the rest of its generation, the queue stands depth entries deep forever,
-// and every second Send resolves its link among the hub's 64 neighbours —
-// the engine as the full stack drives it, which one token in an empty queue
-// does not show.
-func newDeepHub(depth int) *Env {
+// depth tokens, spacing apart. At spacing 0 every event ties on its
+// timestamp with the rest of its generation; at a positive spacing below
+// the link latency over depth, every queued event has its own timestamp.
+// Either way the queue stands depth entries deep forever, and every second
+// Send resolves its link among the hub's 64 neighbours — the engine as the
+// full stack drives it, which one token in an empty queue does not show.
+func newDeepHub(depth int, spacing time.Duration) *Env {
 	const spokes = 64
 	env := NewEnv(1)
 	env.AddNode(&hubNode{id: "hub"})
@@ -231,6 +232,9 @@ func newDeepHub(depth int) *Env {
 	msg := &benchMsg{}
 	for i := 0; i < depth; i++ {
 		env.Send("hub", ids[i%spokes], msg)
+		if spacing > 0 {
+			env.RunUntil(env.Now() + spacing)
+		}
 	}
 	// Two generations: tokens now leave from hub and spoke dispatches, and
 	// the arena is at its high-water mark.
@@ -241,31 +245,59 @@ func newDeepHub(depth int) *Env {
 }
 
 // BenchmarkSendDeliverDeep measures one pop + dispatch + Send + push against
-// a standing queue at the two depths the stack runs at: ~200 entries (the
-// media relay) and ~25,000 (an attach storm).
+// a standing queue at the two depths the stack runs at, ~200 entries (the
+// media relay) and ~25,000 (an attach storm), with events tied on a handful
+// of timestamps as the stack's whole-millisecond links tie them; and, as
+// sparse, 1,000 entries each at its own timestamp (a multi-region
+// registration, where the queue groups next to nothing).
 func BenchmarkSendDeliverDeep(b *testing.B) {
-	for _, depth := range []int{200, 25000} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			env := newDeepHub(depth)
+	for _, c := range []struct {
+		name    string
+		depth   int
+		spacing time.Duration
+	}{
+		{"depth=200", 200, 0},
+		{"depth=25000", 25000, 0},
+		{"sparse", sparseDepth, time.Millisecond / sparseDepth},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			env := newDeepHub(c.depth, c.spacing)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				env.Step()
 			}
 			b.StopTimer()
-			if env.Pending() != depth {
-				b.Fatalf("queue holds %d events, want a standing %d", env.Pending(), depth)
+			if env.Pending() != c.depth {
+				b.Fatalf("queue holds %d events, want a standing %d", env.Pending(), c.depth)
 			}
 		})
 	}
 }
 
+const sparseDepth = 1000
+
 // TestSendDeliverDeepZeroAlloc is the allocation budget for a send made
 // during a dispatch — the adjacency lookup — against a deep queue.
 func TestSendDeliverDeepZeroAlloc(t *testing.T) {
-	env := newDeepHub(200)
+	env := newDeepHub(200, 0)
 	allocs := testing.AllocsPerRun(1000, func() { env.Step() })
 	if allocs != 0 {
 		t.Fatalf("deep-queue delivery allocated %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestSendDeliverSparseZeroAlloc is the same budget when every queued event
+// has its own timestamp, so each push heaps a group of one and each pop
+// takes one off. It also checks the timestamps are distinct, which is what
+// sparse means.
+func TestSendDeliverSparseZeroAlloc(t *testing.T) {
+	env := newDeepHub(sparseDepth, time.Millisecond/sparseDepth)
+	if len(env.queue.heap) != sparseDepth {
+		t.Fatalf("%d events queued on %d timestamps, want one each", env.Pending(), len(env.queue.heap))
+	}
+	allocs := testing.AllocsPerRun(1000, func() { env.Step() })
+	if allocs != 0 {
+		t.Fatalf("sparse-queue delivery allocated %.1f objects/op, want 0", allocs)
 	}
 }

@@ -447,17 +447,7 @@ func (e *Env) RunUntil(deadline time.Duration) time.Duration {
 	var ev event
 	for {
 		at, ok := e.queue.peekAt()
-		if !ok {
-			// Idle time still passes: a bounded run leaves the clock at
-			// the deadline so time-based state (expiries, TTLs) observes
-			// the full interval.
-			if deadline >= 0 && deadline > e.now {
-				e.now = deadline
-			}
-			break
-		}
-		if deadline >= 0 && at > deadline {
-			e.now = deadline
+		if !ok || (deadline >= 0 && at > deadline) {
 			break
 		}
 		e.queue.pop(&ev)
@@ -466,14 +456,25 @@ func (e *Env) RunUntil(deadline time.Duration) time.Duration {
 		}
 		e.dispatch(&ev)
 	}
+	// Idle time still passes: a bounded run leaves the clock at the
+	// deadline so time-based state (expiries, TTLs) observes the full
+	// interval. A deadline already passed leaves it where it is: the clock
+	// never runs backwards.
+	if deadline > e.now {
+		e.now = deadline
+	}
 	e.cur = 0
 	return e.now
 }
 
 // Step processes exactly one pending event — the earliest by (timestamp,
 // key) — returning false if none remain. It is the debugging and
-// test-harness interface, not the performance path.
+// test-harness interface, not the performance path. Like RunUntil it
+// panics when called from inside a dispatch.
 func (e *Env) Step() bool {
+	if e.running {
+		panic("sim: re-entrant Step")
+	}
 	var ev event
 	if !e.queue.pop(&ev) {
 		return false
@@ -481,8 +482,9 @@ func (e *Env) Step() bool {
 	if ev.at > e.now {
 		e.now = ev.at
 	}
+	e.running = true
+	defer func() { e.running, e.cur = false, 0 }()
 	e.dispatch(&ev)
-	e.cur = 0
 	return true
 }
 

@@ -406,6 +406,52 @@ func TestRunUntilIdleEmptyQueueAdvancesToDeadline(t *testing.T) {
 	}
 }
 
+// TestRunUntilPastDeadlineKeepsClock: a bounded run whose deadline has
+// already passed, with events still pending, leaves the clock where it is,
+// so an event scheduled afterwards never runs in the past.
+func TestRunUntilPastDeadlineKeepsClock(t *testing.T) {
+	env := NewEnv(1)
+	env.After(30*time.Millisecond, func() {})
+	if got := env.RunUntil(20 * time.Millisecond); got != 20*time.Millisecond {
+		t.Fatalf("first RunUntil returned %v, want 20ms", got)
+	}
+	if got := env.RunUntil(5 * time.Millisecond); got != 20*time.Millisecond {
+		t.Fatalf("RunUntil(5ms) with an event pending moved the clock to %v", got)
+	}
+	var firedAt time.Duration
+	env.After(0, func() { firedAt = env.Now() })
+	env.Run()
+	if firedAt != 20*time.Millisecond {
+		t.Fatalf("After(0) ran at %v, want 20ms", firedAt)
+	}
+}
+
+// TestReentrantStepPanics: Step from inside a handler, whether the handler
+// was dispatched by Step or by RunUntil, panics as RunUntil's own re-entry
+// does, and the engine is usable again afterwards.
+func TestReentrantStepPanics(t *testing.T) {
+	for _, outer := range []string{"Step", "RunUntil"} {
+		env := NewEnv(1)
+		env.After(time.Millisecond, func() { env.Step() })
+		env.After(2*time.Millisecond, func() {})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Step inside a %s dispatch did not panic", outer)
+				}
+			}()
+			if outer == "Step" {
+				env.Step()
+			} else {
+				env.Run()
+			}
+		}()
+		if !env.Step() || env.Now() != 2*time.Millisecond || env.Pending() != 0 {
+			t.Fatalf("after the panic in %s: Now %v, %d pending", outer, env.Now(), env.Pending())
+		}
+	}
+}
+
 func TestStepInterleavedWithRunUntil(t *testing.T) {
 	env := NewEnv(1)
 	var order []string
