@@ -1,6 +1,6 @@
 # Development entry points. `make check` is the tier-1 gate plus the race
-# detector over the packages that now run work on goroutines (the parallel
-# sweep runner); CI should run exactly this target.
+# detector over the packages that run worlds on goroutines; CI should run
+# exactly this target.
 
 GO ?= go
 
@@ -22,11 +22,12 @@ vet:
 test:
 	$(GO) test ./...
 
-# runSweep (internal/experiments) fans experiment points across worker
-# goroutines, each building and running its own Env — the one place the
-# repo runs simulation work concurrently — and drives the netsim chaos and
-# scenario workloads from them; keep the race detector on the packages that
-# schedule or execute that work.
+# One goroutine drives each world (an Env and its nodes), so no node takes a
+# lock; what makes that safe is that worlds share no mutable state. The race
+# detector checks it where worlds run concurrently: runSweep
+# (internal/experiments) fans experiment points, each building its own Env,
+# across worker goroutines, and netsim.TestWorldsShareNoState runs every
+# topology builder twice at once.
 race:
 	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/netsim/...
 

@@ -2,7 +2,6 @@ package gprs
 
 import (
 	"net/netip"
-	"sync"
 	"time"
 
 	"vgprs/internal/gsmid"
@@ -84,7 +83,6 @@ type GGSN struct {
 	pool *ipnet.Pool
 	dm   *ss7.DialogueManager
 
-	mu      sync.Mutex
 	recs    *slab.Sharded[ggsnRec]
 	byTID   *slab.RowIndex[uint64, ggsnRec]
 	byAddr  *slab.RowIndex[uint32, ggsnRec] // PDP address in its ipnet.V4Key form
@@ -94,7 +92,7 @@ type GGSN struct {
 	nextSeq uint16
 	// creating dedupes in-flight context creations while the Gc lookup
 	// runs: a CreatePDPRequest retransmitted with the same sequence number
-	// must not spawn a second HLR dialogue. Sim goroutine only, like dm.
+	// must not spawn a second HLR dialogue.
 	creating *txn.Table[createKey, struct{}]
 
 	ulPackets, dlPackets, dropped uint64
@@ -108,8 +106,7 @@ type createKey uint64
 
 var _ sim.Node = (*GGSN)(nil)
 
-// byDst resolves the context that owns a destination address. Callers hold
-// g.mu.
+// byDst resolves the context that owns a destination address.
 func (g *GGSN) byDst(dst netip.Addr) *ggsnRec {
 	key, v4 := ipnet.V4Key(dst)
 	if !v4 {
@@ -171,23 +168,17 @@ func (g *GGSN) ID() sim.NodeID { return g.cfg.ID }
 // ProvisionStatic records a static PDP address for a subscriber, enabling
 // network-initiated activation toward it.
 func (g *GGSN) ProvisionStatic(addr netip.Addr, imsi gsmid.IMSI) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.static[addr] = imsi
 }
 
 // ActiveContexts returns the number of PDP contexts — the GGSN-side
 // residency cost measured by experiment C2.
 func (g *GGSN) ActiveContexts() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.recs.Len()
 }
 
 // AddressOf returns the PDP address of a context by TID.
 func (g *GGSN) AddressOf(tid gtp.TID) (netip.Addr, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	_, r := g.byTID.Get(uint64(tid))
 	if r == nil {
 		return netip.Addr{}, false
@@ -197,24 +188,18 @@ func (g *GGSN) AddressOf(tid gtp.TID) (netip.Addr, bool) {
 
 // Stats returns (uplink, downlink, dropped) packet counts.
 func (g *GGSN) Stats() (ul, dl, dropped uint64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.ulPackets, g.dlPackets, g.dropped
 }
 
 // QueueDrops returns the number of downlink packets rejected because a
 // destination's activation queue was already at maxQueuedPerAddr.
 func (g *GGSN) QueueDrops() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.queueDrops
 }
 
 // QueuedPackets returns the number of downlink packets currently parked
 // awaiting network-initiated activation. Zero at quiescence.
 func (g *GGSN) QueuedPackets() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	n := 0
 	for _, q := range g.queued {
 		n += len(q)
@@ -234,8 +219,6 @@ func (g *GGSN) Audit(report func(kind string, n int)) {
 // Footprint is the memory the PDP context store holds, in bytes: slab chunks
 // plus index tables, and the two transaction tables.
 func (g *GGSN) Footprint() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.recs.Bytes() + g.byTID.Bytes() + g.byAddr.Bytes() + g.dm.Bytes() + g.creating.Bytes()
 }
 
@@ -243,8 +226,6 @@ func (g *GGSN) Footprint() int {
 // and both indexes must resolve to live records that agree with the key.
 // Non-zero means a context leaked or was lost.
 func (g *GGSN) SlabImbalance() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.dm.Occupancy().Imbalance() + g.creating.Occupancy().Imbalance() +
 		g.byTID.Audit() + g.byAddr.Stale()
 }
@@ -291,9 +272,7 @@ func (g *GGSN) handleCreate(env *sim.Env, sgsn sim.NodeID, m gtp.CreatePDPReques
 	// A retransmitted CreatePDPRequest (same SGSN, same sequence number)
 	// while the Gc lookup is in flight is dropped; the pending lookup will
 	// answer it.
-	g.mu.Lock()
 	key := createKey(g.names.ID(string(sgsn)))<<32 | createKey(m.Seq)
-	g.mu.Unlock()
 	if g.creating.Begin(env, key, txn.Policy{}) == nil {
 		return
 	}
@@ -332,21 +311,17 @@ func (g *GGSN) finishCreate(env *sim.Env, sgsn sim.NodeID, m gtp.CreatePDPReques
 
 	tid := gtp.MakeTID(m.IMSI, m.NSAPI)
 	negotiated := gtp.Negotiate(m.QoS, g.cfg.MaxKbps)
-	g.mu.Lock()
 	if _, existing := g.byTID.Get(uint64(tid)); existing != nil {
-		sameSGSN := g.names.Val(existing.sgsn) == string(sgsn)
-		exAddr, exQoS := existing.address, existing.qos
-		g.mu.Unlock()
 		if dynamic {
 			g.pool.Release(addr)
 		}
-		if sameSGSN {
+		if g.names.Val(existing.sgsn) == string(sgsn) {
 			// Retransmitted create whose response was lost: re-acknowledge
 			// the context already installed instead of failing it (GSM
 			// 09.60 §7.4.1 treats a repeated request as the same one).
 			env.Send(g.cfg.ID, sgsn, gtp.CreatePDPResponse{
 				Seq: m.Seq, Cause: gtp.CauseAccepted, TID: tid,
-				Address: exAddr.String(), QoS: exQoS,
+				Address: existing.address.String(), QoS: existing.qos,
 			})
 			return
 		}
@@ -366,7 +341,6 @@ func (g *GGSN) finishCreate(env *sim.Env, sgsn sim.NodeID, m gtp.CreatePDPReques
 	g.byAddr.Put(key, h)
 	queued := g.queued[addr]
 	delete(g.queued, addr)
-	g.mu.Unlock()
 
 	env.Send(g.cfg.ID, sgsn, gtp.CreatePDPResponse{
 		Seq: m.Seq, Cause: gtp.CauseAccepted, TID: tid, Address: addr.String(),
@@ -379,30 +353,20 @@ func (g *GGSN) finishCreate(env *sim.Env, sgsn sim.NodeID, m gtp.CreatePDPReques
 }
 
 func (g *GGSN) handleDelete(env *sim.Env, sgsn sim.NodeID, m gtp.DeletePDPRequest) {
-	g.mu.Lock()
 	h, r := g.byTID.Get(uint64(m.TID))
-	ok := r != nil
-	var release netip.Addr
-	if ok {
-		g.byTID.Delete(uint64(m.TID))
-		key, _ := ipnet.V4Key(r.address)
-		g.byAddr.Delete(key)
-		if r.dynamic {
-			release = r.address
-		}
-		r.media = nil
-		g.recs.Free(h)
+	if r == nil {
+		env.Send(g.cfg.ID, sgsn, gtp.DeletePDPResponse{Seq: m.Seq, Cause: gtp.CauseNotFound})
+		return
 	}
-	g.mu.Unlock()
-	if release.IsValid() {
-		g.pool.Release(release)
+	g.byTID.Delete(uint64(m.TID))
+	key, _ := ipnet.V4Key(r.address)
+	g.byAddr.Delete(key)
+	if r.dynamic {
+		g.pool.Release(r.address)
 	}
-
-	cause := gtp.CauseAccepted
-	if !ok {
-		cause = gtp.CauseNotFound
-	}
-	env.Send(g.cfg.ID, sgsn, gtp.DeletePDPResponse{Seq: m.Seq, Cause: cause})
+	r.media = nil
+	g.recs.Free(h)
+	env.Send(g.cfg.ID, sgsn, gtp.DeletePDPResponse{Seq: m.Seq, Cause: gtp.CauseAccepted})
 }
 
 // handleUplink decapsulates a T-PDU and forwards the inner packet to Gi —
@@ -413,25 +377,18 @@ func (g *GGSN) handleUplink(env *sim.Env, m gtp.TPDU) {
 	if err != nil {
 		return
 	}
-	g.mu.Lock()
 	_, src := g.byTID.Get(uint64(m.TID))
-	known := src != nil
-	if known {
-		g.ulPackets++
-	} else {
+	if src == nil {
 		g.dropped++
-	}
-	g.mu.Unlock()
-	if !known {
 		return
 	}
-	g.mu.Lock()
+	g.ulPackets++
 	dst := g.byDst(pkt.Dst)
-	local := dst != nil
-	var med *ggsnMedia
-	var tid gtp.TID
-	var sgsn sim.NodeID
-	if local && src.qos.Realtime &&
+	if dst == nil {
+		env.Send(g.cfg.ID, g.cfg.Gi, pkt)
+		return
+	}
+	if src.qos.Realtime &&
 		(pkt.DstPort == ipnet.PortRTP || pkt.SrcPort == ipnet.PortRTP) {
 		// Voice-to-voice hairpin: forward the uplink T-PDU bytes as-is
 		// (they already are the canonically encoded inner packet) through
@@ -445,81 +402,51 @@ func (g *GGSN) handleUplink(env *sim.Env, m gtp.TPDU) {
 		if dst.media == nil {
 			dst.media = &ggsnMedia{}
 		}
-		med, tid, sgsn = dst.media, dst.tid, sim.NodeID(g.names.Val(dst.sgsn))
 		g.dlPackets++
-	}
-	g.mu.Unlock()
-	if med != nil {
-		med.tpdu = gtp.TPDU{TID: tid, Payload: m.Payload}
-		env.Send(g.cfg.ID, sgsn, &med.tpdu)
+		dst.media.tpdu = gtp.TPDU{TID: dst.tid, Payload: m.Payload}
+		env.Send(g.cfg.ID, sim.NodeID(g.names.Val(dst.sgsn)), &dst.media.tpdu)
 		return
 	}
-	if local {
-		g.handleDownlink(env, pkt)
-		return
-	}
-	env.Send(g.cfg.ID, g.cfg.Gi, pkt)
+	g.handleDownlink(env, pkt)
 }
 
 // handleDownlink routes a Gi-side packet into the right tunnel; with no
 // active context it either triggers network-initiated activation (static,
 // provisioned, feature enabled) or drops.
 func (g *GGSN) handleDownlink(env *sim.Env, pkt ipnet.Packet) {
-	g.mu.Lock()
-	r := g.byDst(pkt.Dst)
-	active := r != nil
-	var tid gtp.TID
-	var sgsn sim.NodeID
-	if active {
-		tid = r.tid
-		sgsn = sim.NodeID(g.names.Val(r.sgsn))
+	if r := g.byDst(pkt.Dst); r != nil {
 		g.dlPackets++
-	}
-	g.mu.Unlock()
-
-	if active {
-		env.Send(g.cfg.ID, sgsn, gtp.TPDU{TID: tid, Payload: pkt.Marshal()})
+		env.Send(g.cfg.ID, sim.NodeID(g.names.Val(r.sgsn)), gtp.TPDU{TID: r.tid, Payload: pkt.Marshal()})
 		return
 	}
 
-	g.mu.Lock()
 	imsi, isStatic := g.static[pkt.Dst]
-	canNotify := g.cfg.NetworkInitiatedActivation && isStatic && g.cfg.HLR != ""
-	if canNotify {
-		if len(g.queued[pkt.Dst]) >= maxQueuedPerAddr {
-			// Queue full: shed the newest packet rather than grow without
-			// bound while the subscriber is paged.
-			g.queueDrops++
-			g.dropped++
-			g.mu.Unlock()
-			return
-		}
-		g.queued[pkt.Dst] = append(g.queued[pkt.Dst], pkt)
-	} else {
+	if !g.cfg.NetworkInitiatedActivation || !isStatic || g.cfg.HLR == "" {
 		g.dropped++
-	}
-	alreadyNotifying := canNotify && len(g.queued[pkt.Dst]) > 1
-	g.mu.Unlock()
-
-	if !canNotify || alreadyNotifying {
 		return
+	}
+	if len(g.queued[pkt.Dst]) >= maxQueuedPerAddr {
+		// Queue full: shed the newest packet rather than grow without
+		// bound while the subscriber is paged.
+		g.queueDrops++
+		g.dropped++
+		return
+	}
+	g.queued[pkt.Dst] = append(g.queued[pkt.Dst], pkt)
+	if len(g.queued[pkt.Dst]) > 1 {
+		return // an activation is already under way
 	}
 	// Gc: find the serving SGSN, then ask it to have the MS activate.
 	invoke := g.dm.InvokeRetry(func(resp sim.Message, ok bool) {
 		ack, isAck := resp.(sigmap.SendRoutingInfoForGPRSAck)
 		if !ok || !isAck || ack.Cause != sigmap.CauseNone || ack.SGSN == "" {
-			g.mu.Lock()
 			g.dropped += uint64(len(g.queued[pkt.Dst]))
 			delete(g.queued, pkt.Dst)
-			g.mu.Unlock()
 			return
 		}
-		g.mu.Lock()
 		g.nextSeq++
-		seq := g.nextSeq
-		g.mu.Unlock()
 		env.Send(g.cfg.ID, sim.NodeID(ack.SGSN), gtp.PDUNotifyRequest{
-			Seq: seq, IMSI: imsi, Address: pkt.Dst.String(),
+			Seq: g.nextSeq, IMSI: imsi, Address: pkt.Dst.String(),
 		})
 	})
 	g.dm.Transmit(env, invoke, g.cfg.HLR,

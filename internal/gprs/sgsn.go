@@ -2,7 +2,6 @@ package gprs
 
 import (
 	"net/netip"
-	"sync"
 	"time"
 
 	"vgprs/internal/gb"
@@ -144,7 +143,6 @@ func (p *pdpRec) addrString() string {
 type SGSN struct {
 	cfg SGSNConfig
 
-	mu      sync.Mutex
 	mms     *slab.Sharded[mmRec]
 	pdps    *slab.Sharded[pdpRec]
 	byTLLI  *slab.RowIndex[uint32, mmRec]
@@ -205,16 +203,12 @@ type attachTxn struct {
 // SigRTO/SigRetries schedule) and sends the first copy toward the GGSN.
 func (s *SGSN) armGTP(env *sim.Env, seq uint16, t gtpTxn, req sim.Message) {
 	t.req = req
-	s.mu.Lock()
 	p := s.gtp.Begin(env, seq, txn.Policy{RTO: s.cfg.SigRTO, Retries: s.cfg.SigRetries})
-	if p != nil {
-		*p = t
-		s.markInFlight(p, true)
-	}
-	s.mu.Unlock()
 	if p == nil {
 		return // the whole 16-bit sequence space is in flight; the MS retries
 	}
+	*p = t
+	s.markInFlight(p, true)
 	env.Send(s.cfg.ID, s.cfg.GGSN, req)
 }
 
@@ -222,7 +216,7 @@ func (s *SGSN) armGTP(env *sim.Env, seq uint16, t gtpTxn, req sim.Message) {
 func nsapiBit(nsapi uint8) uint16 { return 1 << (nsapi & 0x0F) }
 
 // markInFlight sets or clears the subscriber's dedupe bit for an activate or
-// deactivate request; a stale subscriber has none to keep. Callers hold s.mu.
+// deactivate request; a stale subscriber has none to keep.
 func (s *SGSN) markInFlight(t *gtpTxn, on bool) {
 	r := s.mms.Get(t.mm)
 	if r == nil {
@@ -248,9 +242,7 @@ func (s *SGSN) markInFlight(t *gtpTxn, on bool) {
 // transaction fails gracefully: activations are rejected back to the client,
 // deactivations tear down locally, cleanups are abandoned.
 func (s *SGSN) gtpExpired(env *sim.Env, t *gtpTxn) {
-	s.mu.Lock()
 	s.markInFlight(t, false)
-	s.mu.Unlock()
 	switch t.kind {
 	case txnActivate:
 		s.reply(env, t.peer, t.ms, t.tlli, ActivatePDPReject{NSAPI: t.nsapi, Cause: SMCauseNetworkFailure})
@@ -298,23 +290,17 @@ func (s *SGSN) ID() sim.NodeID { return s.cfg.ID }
 
 // Attached returns the number of attached subscribers.
 func (s *SGSN) Attached() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.mms.Len()
 }
 
 // ActiveContexts returns the number of active PDP contexts — the SGSN-side
 // residency cost measured by experiment C2.
 func (s *SGSN) ActiveContexts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.pdps.Len()
 }
 
 // Forwarded returns (uplink, downlink) user-plane packet counts.
 func (s *SGSN) Forwarded() (ul, dl uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.ulPackets, s.dlPackets
 }
 
@@ -322,8 +308,6 @@ func (s *SGSN) Forwarded() (ul, dl uint64) {
 // toward the GGSN (creates, deletes and cleanups still awaiting a response
 // or a retry-budget verdict). Zero at quiescence.
 func (s *SGSN) PendingTransactions() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.gtp.InFlight()
 }
 
@@ -333,8 +317,6 @@ func (s *SGSN) OutstandingDialogues() int { return s.attach.InFlight() }
 // Retransmits returns the number of signalling request PDUs (MAP + GTP)
 // this SGSN has re-sent.
 func (s *SGSN) Retransmits() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.attach.Retransmits() + s.gtp.Retransmits()
 }
 
@@ -348,18 +330,13 @@ func (s *SGSN) Audit(report func(kind string, n int)) {
 
 // TxnStats reports the MAP and GTP tables' lifetime counters.
 func (s *SGSN) TxnStats(report func(plane string, st txn.Stats)) {
-	s.mu.Lock()
-	mapStats, gtpStats := s.attach.Stats(), s.gtp.Stats()
-	s.mu.Unlock()
-	report("MAP", mapStats)
-	report("GTP", gtpStats)
+	report("MAP", s.attach.Stats())
+	report("GTP", s.gtp.Stats())
 }
 
 // Footprint is the memory the MM and PDP context stores hold, in bytes: slab
 // chunks plus index tables, and the two transaction tables.
 func (s *SGSN) Footprint() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.mms.Bytes() + s.pdps.Bytes() + s.byTLLI.Bytes() + s.byIMSI.Bytes() + s.byTID.Bytes() +
 		s.attach.Bytes() + s.gtp.Bytes()
 }
@@ -373,8 +350,6 @@ func (s *SGSN) Footprint() int {
 // topology-sized (gbPeerLimit). Non-zero means a context or record leaked or
 // was lost; the soak/leak gates assert zero.
 func (s *SGSN) SlabImbalance() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	imb := s.attach.Occupancy().Imbalance() + s.gtp.Occupancy().Imbalance() +
 		max(0, s.peers.Len()-gbPeerLimit) + s.pdps.Imbalance() +
 		s.byIMSI.Audit() + s.byTLLI.Stale() + s.byTID.Stale()
@@ -411,7 +386,7 @@ func (s *SGSN) SlabImbalance() int {
 }
 
 // hasTID is byTID's identity: a TID names the subscriber that has a context
-// with it on its list. Callers hold s.mu.
+// with it on its list.
 func (s *SGSN) hasTID(k uint64, r *mmRec) bool {
 	for p := s.pdps.Get(r.pdpHead); p != nil; p = s.pdps.Get(p.next) {
 		if uint64(p.tid) == k {
@@ -421,8 +396,7 @@ func (s *SGSN) hasTID(k uint64, r *mmRec) bool {
 	return false
 }
 
-// findPDP walks the subscriber's context list for an NSAPI. Callers hold
-// s.mu.
+// findPDP walks the subscriber's context list for an NSAPI.
 func (s *SGSN) findPDP(r *mmRec, nsapi uint8) *pdpRec {
 	for h := r.pdpHead; !h.IsZero(); {
 		p := s.pdps.Get(h)
@@ -437,7 +411,7 @@ func (s *SGSN) findPDP(r *mmRec, nsapi uint8) *pdpRec {
 	return nil
 }
 
-// addPDP links a new context record onto the subscriber. Callers hold s.mu.
+// addPDP links a new context record onto the subscriber.
 func (s *SGSN) addPDP(mm slab.Handle, r *mmRec) (slab.Handle, *pdpRec) {
 	h, p := s.pdps.Alloc(mm.Shard())
 	p.next = r.pdpHead
@@ -447,7 +421,7 @@ func (s *SGSN) addPDP(mm slab.Handle, r *mmRec) (slab.Handle, *pdpRec) {
 }
 
 // removePDP unlinks and frees the context with the given NSAPI, returning
-// its TID. Callers hold s.mu.
+// its TID.
 func (s *SGSN) removePDP(r *mmRec, nsapi uint8) (gtp.TID, bool) {
 	prev := &r.pdpHead
 	for h := *prev; !h.IsZero(); h = *prev {
@@ -470,7 +444,7 @@ func (s *SGSN) removePDP(r *mmRec, nsapi uint8) (gtp.TID, bool) {
 }
 
 // removeAllPDPs tears down every context of a subscriber, appending the
-// TIDs to tids. Callers hold s.mu.
+// TIDs to tids.
 func (s *SGSN) removeAllPDPs(r *mmRec, tids []gtp.TID) []gtp.TID {
 	for h := r.pdpHead; !h.IsZero(); {
 		p := s.pdps.Get(h)
@@ -491,7 +465,6 @@ func (s *SGSN) removeAllPDPs(r *mmRec, tids []gtp.TID) []gtp.TID {
 
 // unindexTLLIs removes every TLLI alias of a subscriber — the local TLLI
 // derived from its P-TMSI and the foreign TLLI its last attach arrived on.
-// Callers hold s.mu.
 func (s *SGSN) unindexTLLIs(r *mmRec) {
 	s.byTLLI.Delete(uint32(gsmid.LocalTLLI(r.ptmsi)))
 	if r.foreignTLLI != 0 {
@@ -535,7 +508,6 @@ func (s *SGSN) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Mess
 // SGSN (HLR-driven, GSM 03.60 inter-SGSN routing-area update): the MM
 // context and every PDP context go, including the GGSN-side tunnels.
 func (s *SGSN) handleCancelLocation(env *sim.Env, from sim.NodeID, m sigmap.CancelLocation) {
-	s.mu.Lock()
 	h, r := s.byIMSI.Get(m.IMSI.Pack())
 	var tids []gtp.TID
 	if r != nil {
@@ -544,7 +516,6 @@ func (s *SGSN) handleCancelLocation(env *sim.Env, from sim.NodeID, m sigmap.Canc
 		s.unindexTLLIs(r)
 		s.mms.Free(h)
 	}
-	s.mu.Unlock()
 	for _, tid := range tids {
 		s.cleanupTunnel(env, tid)
 	}
@@ -554,24 +525,18 @@ func (s *SGSN) handleCancelLocation(env *sim.Env, from sim.NodeID, m sigmap.Canc
 // cleanupTunnel tears a GGSN-side tunnel down with retransmission but no
 // GMM reply (detach and HLR-cancel paths).
 func (s *SGSN) cleanupTunnel(env *sim.Env, tid gtp.TID) {
-	s.mu.Lock()
 	s.nextSeq++
 	seq := s.nextSeq
-	s.mu.Unlock()
 	s.armGTP(env, seq, gtpTxn{kind: txnCleanup, tid: tid},
 		gtp.DeletePDPRequest{Seq: seq, TID: tid})
 }
 
 func (s *SGSN) resolve(env *sim.Env, seq uint16, resp sim.Message) {
-	s.mu.Lock()
 	t, ok := s.gtp.Take(seq)
-	if ok {
-		s.markInFlight(&t, false)
-	}
-	s.mu.Unlock()
 	if !ok {
 		return
 	}
+	s.markInFlight(&t, false)
 	switch t.kind {
 	case txnActivate:
 		s.finishActivate(env, t, resp)
@@ -624,7 +589,6 @@ func (s *SGSN) handleUL(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata) {
 
 func (s *SGSN) handleAttach(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m AttachRequest) {
 	packed := m.IMSI.Pack()
-	s.mu.Lock()
 	h, r := s.byIMSI.Get(packed)
 	if r == nil {
 		s.nextPT++
@@ -636,7 +600,6 @@ func (s *SGSN) handleAttach(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m A
 	// A retransmitted AttachRequest while the HLR dialogue is in flight
 	// must not spawn a second one; the pending dialogue will answer.
 	if r.attachPending {
-		s.mu.Unlock()
 		return
 	}
 	r.ms = ul.MS
@@ -656,16 +619,11 @@ func (s *SGSN) handleAttach(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m A
 	}
 	s.byTLLI.Put(uint32(ul.TLLI), h)
 	s.byTLLI.Put(uint32(local), h)
-	ptmsi := r.ptmsi
-	if s.cfg.HLR != "" {
-		r.attachPending = true
-	}
-	s.mu.Unlock()
-
 	if s.cfg.HLR == "" {
-		s.reply(env, peer, ul.MS, ul.TLLI, AttachAccept{PTMSI: ptmsi})
+		s.reply(env, peer, ul.MS, ul.TLLI, AttachAccept{PTMSI: r.ptmsi})
 		return
 	}
+	r.attachPending = true
 	s.nextInvoke++
 	var req sim.Message = sigmap.UpdateGPRSLocation{Invoke: s.nextInvoke, IMSI: m.IMSI, SGSN: string(s.cfg.ID)}
 	*s.attach.Begin(env, s.nextInvoke, txn.Policy{RTO: s.cfg.SigRTO, Retries: s.cfg.SigRetries}) = attachTxn{mm: h, req: req}
@@ -676,42 +634,33 @@ func (s *SGSN) handleAttach(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m A
 // times out), on the path the request arrived by. If the subscriber was
 // cancelled meanwhile the handle is stale and there is nobody to answer.
 func (s *SGSN) finishAttach(env *sim.Env, mm slab.Handle, accepted bool) {
-	s.mu.Lock()
 	r := s.mms.Get(mm)
 	if r == nil {
-		s.mu.Unlock()
 		return
 	}
 	r.attachPending = false
-	ptmsi, ms, peer, tlli := r.ptmsi, r.ms, s.peers.Val(r.peer), r.foreignTLLI
-	s.mu.Unlock()
+	tlli := r.foreignTLLI
 	if tlli == 0 {
-		tlli = gsmid.LocalTLLI(ptmsi)
+		tlli = gsmid.LocalTLLI(r.ptmsi)
 	}
 	if !accepted {
-		s.reply(env, peer, ms, tlli, AttachReject{Cause: SMCauseUnknownSubscriber})
+		s.reply(env, s.peers.Val(r.peer), r.ms, tlli, AttachReject{Cause: SMCauseUnknownSubscriber})
 		return
 	}
-	s.reply(env, peer, ms, tlli, AttachAccept{PTMSI: ptmsi})
+	s.reply(env, s.peers.Val(r.peer), r.ms, tlli, AttachAccept{PTMSI: r.ptmsi})
 }
 
 func (s *SGSN) handleDetach(env *sim.Env, ul gb.ULUnitdata) {
-	s.mu.Lock()
 	h, r := s.byTLLI.Get(uint32(ul.TLLI))
-	var tids []gtp.TID
-	var peer sim.NodeID
-	if r != nil {
-		tids = s.removeAllPDPs(r, tids)
-		peer = s.peers.Val(r.peer)
-		s.byIMSI.Delete(r.imsi)
-		s.unindexTLLIs(r)
-		s.byTLLI.Delete(uint32(ul.TLLI)) // covers a detach on an unusual alias
-		s.mms.Free(h)
-	}
-	s.mu.Unlock()
 	if r == nil {
 		return
 	}
+	tids := s.removeAllPDPs(r, nil)
+	peer := s.peers.Val(r.peer)
+	s.byIMSI.Delete(r.imsi)
+	s.unindexTLLIs(r)
+	s.byTLLI.Delete(uint32(ul.TLLI)) // covers a detach on an unusual alias
+	s.mms.Free(h)
 	// Tear the tunnels down at the GGSN too, or a later re-attach would
 	// collide with the stale TIDs (GSM 03.60 detach deletes all contexts).
 	for _, tid := range tids {
@@ -721,61 +670,41 @@ func (s *SGSN) handleDetach(env *sim.Env, ul gb.ULUnitdata) {
 }
 
 func (s *SGSN) handleActivate(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m ActivatePDPRequest) {
-	s.mu.Lock()
 	h, r := s.byTLLI.Get(uint32(ul.TLLI))
-	ok := r != nil
-	var full, inFlight bool
-	var dupAddr string
-	var dupQoS gtp.QoSProfile
-	var dup bool
-	var imsi gsmid.IMSI
-	if ok {
-		imsi = r.imsi.IMSI()
-		if p := s.findPDP(r, m.NSAPI); p != nil {
-			dup = true
-			dupAddr = p.addrString()
-			dupQoS = p.qos
-		}
-		full = s.cfg.MaxContexts > 0 && s.pdps.Len() >= s.cfg.MaxContexts
-		// A retransmitted ActivatePDPRequest while the GTP create is in
-		// flight must not issue a second CreatePDPRequest.
-		inFlight = r.activating&nsapiBit(m.NSAPI) != 0
-	}
-	pathDown := s.pathDown
-	s.mu.Unlock()
-
-	switch {
-	case !ok:
+	if r == nil {
 		return // not attached: no reply channel is even known
-	case inFlight:
+	}
+	// A retransmitted ActivatePDPRequest while the GTP create is in
+	// flight must not issue a second CreatePDPRequest.
+	if r.activating&nsapiBit(m.NSAPI) != 0 {
 		return // duplicate of a pending activation: the original will answer
-	case pathDown:
+	}
+	if s.pathDown {
 		// Path supervision has declared the GGSN unreachable: fail fast
 		// instead of letting the create request vanish into the tunnel.
 		s.reply(env, peer, ul.MS, ul.TLLI, ActivatePDPReject{NSAPI: m.NSAPI, Cause: SMCauseNetworkFailure})
 		return
-	case dup:
+	}
+	if p := s.findPDP(r, m.NSAPI); p != nil {
 		// The NSAPI is already active: this is a retransmission whose
 		// Accept was lost. Re-ack with the existing binding — rejecting
 		// here would turn one dropped downlink frame into a permanent
 		// activation failure.
-		s.reply(env, peer, ul.MS, ul.TLLI, ActivatePDPAccept{NSAPI: m.NSAPI, Address: dupAddr, QoS: dupQoS})
+		s.reply(env, peer, ul.MS, ul.TLLI, ActivatePDPAccept{NSAPI: m.NSAPI, Address: p.addrString(), QoS: p.qos})
 		return
-	case full:
+	}
+	if s.cfg.MaxContexts > 0 && s.pdps.Len() >= s.cfg.MaxContexts {
 		s.reply(env, peer, ul.MS, ul.TLLI, ActivatePDPReject{NSAPI: m.NSAPI, Cause: SMCauseNoResources})
 		return
 	}
 
-	s.mu.Lock()
 	s.nextSeq++
 	seq := s.nextSeq
-	s.mu.Unlock()
-
 	s.armGTP(env, seq, gtpTxn{
 		kind: txnActivate, nsapi: m.NSAPI,
 		peer: peer, ms: ul.MS, tlli: ul.TLLI, mm: h,
 	}, gtp.CreatePDPRequest{
-		Seq: seq, IMSI: imsi, NSAPI: m.NSAPI, QoS: m.QoS,
+		Seq: seq, IMSI: r.imsi.IMSI(), NSAPI: m.NSAPI, QoS: m.QoS,
 		SGSN: string(s.cfg.ID), RequestedAddress: m.RequestedAddress,
 	})
 }
@@ -786,7 +715,6 @@ func (s *SGSN) finishActivate(env *sim.Env, t gtpTxn, resp sim.Message) {
 		s.reply(env, t.peer, t.ms, t.tlli, ActivatePDPReject{NSAPI: t.nsapi, Cause: SMCauseNetworkFailure})
 		return
 	}
-	s.mu.Lock()
 	r := s.mms.Get(t.mm)
 	if r == nil {
 		// The subscriber detached (or the HLR cancelled it) while the
@@ -795,7 +723,6 @@ func (s *SGSN) finishActivate(env *sim.Env, t gtpTxn, resp sim.Message) {
 		// context the MM index no longer references. Reclaim the freshly
 		// built GGSN-side tunnel instead and stay silent; there is no
 		// subscriber to answer.
-		s.mu.Unlock()
 		s.cleanupTunnel(env, cr.TID)
 		return
 	}
@@ -811,28 +738,15 @@ func (s *SGSN) finishActivate(env *sim.Env, t gtpTxn, resp sim.Message) {
 	p.peer = s.peers.ID(t.peer)
 	p.ms = t.ms
 	s.byTID.Put(uint64(cr.TID), t.mm)
-	s.mu.Unlock()
 	s.reply(env, t.peer, t.ms, t.tlli, ActivatePDPAccept{NSAPI: t.nsapi, Address: cr.Address, QoS: cr.QoS})
 }
 
 func (s *SGSN) handleDeactivate(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m DeactivatePDPRequest) {
-	s.mu.Lock()
 	h, r := s.byTLLI.Get(uint32(ul.TLLI))
-	ok := r != nil
-	var pdp *pdpRec
-	var inFlight bool
-	if ok {
-		pdp = s.findPDP(r, m.NSAPI)
-		inFlight = r.deactivating&nsapiBit(m.NSAPI) != 0
-	}
-	var tid gtp.TID
-	if pdp != nil {
-		tid = pdp.tid
-	}
-	s.mu.Unlock()
-	if !ok || inFlight {
+	if r == nil || r.deactivating&nsapiBit(m.NSAPI) != 0 {
 		return
 	}
+	pdp := s.findPDP(r, m.NSAPI)
 	if pdp == nil {
 		// Already deactivated: the Accept was lost and this is the
 		// client's retransmission. Re-ack so its timer stops.
@@ -840,19 +754,15 @@ func (s *SGSN) handleDeactivate(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata,
 		return
 	}
 
-	s.mu.Lock()
 	s.nextSeq++
 	seq := s.nextSeq
-	s.mu.Unlock()
-
 	s.armGTP(env, seq, gtpTxn{
 		kind: txnDeactivate, nsapi: m.NSAPI,
-		peer: peer, ms: ul.MS, tlli: ul.TLLI, tid: tid, mm: h,
-	}, gtp.DeletePDPRequest{Seq: seq, TID: tid})
+		peer: peer, ms: ul.MS, tlli: ul.TLLI, tid: pdp.tid, mm: h,
+	}, gtp.DeletePDPRequest{Seq: seq, TID: pdp.tid})
 }
 
 func (s *SGSN) finishDeactivate(env *sim.Env, t gtpTxn) {
-	s.mu.Lock()
 	// A detach or HLR cancel that raced the in-flight delete has already
 	// released this context (the handle went stale with it); removePDP on
 	// a live record is naturally idempotent because the NSAPI entry is
@@ -860,79 +770,58 @@ func (s *SGSN) finishDeactivate(env *sim.Env, t gtpTxn) {
 	if r := s.mms.Get(t.mm); r != nil {
 		s.removePDP(r, t.nsapi)
 	}
-	s.mu.Unlock()
 	s.reply(env, t.peer, t.ms, t.tlli, DeactivatePDPAccept{NSAPI: t.nsapi})
 }
 
 func (s *SGSN) handleUplinkData(env *sim.Env, ul gb.ULUnitdata, nsapi uint8, payload []byte) {
-	s.mu.Lock()
 	_, r := s.byTLLI.Get(uint32(ul.TLLI))
-	var pdp *pdpRec
-	if r != nil {
-		pdp = s.findPDP(r, nsapi)
+	if r == nil {
+		return
 	}
-	var tid gtp.TID
-	var med *pdpMedia
-	if pdp != nil {
-		s.ulPackets++
-		tid = pdp.tid
-		if pdp.qos.Realtime && isRTP(payload) {
-			if pdp.media == nil {
-				pdp.media = &pdpMedia{}
-			}
-			med = pdp.media
-		}
-	}
-	s.mu.Unlock()
+	pdp := s.findPDP(r, nsapi)
 	if pdp == nil {
 		return
 	}
-	if med != nil {
+	s.ulPackets++
+	if pdp.qos.Realtime && isRTP(payload) {
 		// Realtime context: reuse the context's GTP message (the GGSN
 		// consumes the previous one within the Gn latency).
-		med.tpdu = gtp.TPDU{TID: tid, Payload: payload}
-		env.Send(s.cfg.ID, s.cfg.GGSN, &med.tpdu)
+		if pdp.media == nil {
+			pdp.media = &pdpMedia{}
+		}
+		pdp.media.tpdu = gtp.TPDU{TID: pdp.tid, Payload: payload}
+		env.Send(s.cfg.ID, s.cfg.GGSN, &pdp.media.tpdu)
 		return
 	}
-	env.Send(s.cfg.ID, s.cfg.GGSN, gtp.TPDU{TID: tid, Payload: payload})
+	env.Send(s.cfg.ID, s.cfg.GGSN, gtp.TPDU{TID: pdp.tid, Payload: payload})
 }
 
 func (s *SGSN) handleDownlinkTPDU(env *sim.Env, m gtp.TPDU) {
-	s.mu.Lock()
 	_, r := s.byTID.Get(uint64(m.TID))
-	ok := r != nil
-	var tlli gsmid.TLLI
-	var med *pdpMedia
-	peer, ms := sim.NodeID(""), sim.NodeID("")
-	if ok {
-		tlli = gsmid.LocalTLLI(r.ptmsi)
-		s.dlPackets++
-		// Downlink follows the path the context was activated over.
-		peer, ms = s.peers.Val(r.peer), r.ms
-		pdp := s.findPDP(r, m.TID.NSAPI())
-		if pdp != nil && pdp.peer != 0 {
-			peer, ms = s.peers.Val(pdp.peer), pdp.ms
-		}
-		// Downlink media rides whatever context owns the destination
-		// address — the voice context, or the signalling context when an
-		// endpoint registers its media address there — so the fast path
-		// gates on the RTP port alone, not the QoS profile.
-		if pdp != nil && isRTP(m.Payload) {
-			if pdp.media == nil {
-				pdp.media = &pdpMedia{}
-			}
-			med = pdp.media
-		}
-	}
-	s.mu.Unlock()
-	if !ok {
+	if r == nil {
 		return
 	}
-	if med != nil {
+	s.dlPackets++
+	tlli := gsmid.LocalTLLI(r.ptmsi)
+	// Downlink follows the path the context was activated over.
+	peer, ms := s.peers.Val(r.peer), r.ms
+	pdp := s.findPDP(r, m.TID.NSAPI())
+	if pdp != nil && pdp.peer != 0 {
+		peer, ms = s.peers.Val(pdp.peer), pdp.ms
+	}
+	// Downlink media rides whatever context owns the destination
+	// address — the voice context, or the signalling context when an
+	// endpoint registers its media address there — so the fast path
+	// gates on the RTP port alone, not the QoS profile.
+	if pdp != nil && isRTP(m.Payload) {
 		// Realtime context: frame the LLC PDU into the context's reusable
 		// buffer and send the reusable Gb message by pointer. The Gb peer
 		// (VMSC or PCU) copies the frame at arrival, within the link
 		// latency.
+		if pdp.media == nil {
+			pdp.media = &pdpMedia{}
+		}
+		med := pdp.media
 		med.dlBuf = append(med.dlBuf[:0], sapiData, m.TID.NSAPI())
 		med.dlBuf = append(med.dlBuf, m.Payload...)
 		med.dl = gb.DLUnitdata{TLLI: tlli, MS: ms, PDU: med.dlBuf}
@@ -950,56 +839,40 @@ func (s *SGSN) handleDownlinkTPDU(env *sim.Env, m gtp.TPDU) {
 // context keeps routing downlink over the path it was activated on until
 // re-activated.
 func (s *SGSN) handleRAUpdate(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m RAUpdateRequest) {
-	s.mu.Lock()
 	_, r := s.byTLLI.Get(uint32(ul.TLLI))
-	ok := r != nil
-	if ok {
-		peerSym := s.peers.ID(peer)
-		r.peer = peerSym
-		r.ms = ul.MS
-		r.cell = s.cells.ID(ul.Cell)
-		// Contexts activated over the moving path follow the MS.
-		for h := r.pdpHead; !h.IsZero(); {
-			p := s.pdps.Get(h)
-			if p == nil {
-				break
-			}
-			if p.ms == ul.MS {
-				p.peer = peerSym
-			}
-			h = p.next
+	if r == nil {
+		return
+	}
+	peerSym := s.peers.ID(peer)
+	r.peer = peerSym
+	r.ms = ul.MS
+	r.cell = s.cells.ID(ul.Cell)
+	// Contexts activated over the moving path follow the MS.
+	for h := r.pdpHead; !h.IsZero(); {
+		p := s.pdps.Get(h)
+		if p == nil {
+			break
 		}
+		if p.ms == ul.MS {
+			p.peer = peerSym
+		}
+		h = p.next
 	}
-	s.mu.Unlock()
-	if ok {
-		s.reply(env, peer, ul.MS, ul.TLLI, RAUpdateAccept{RAI: m.RAI})
-	}
+	s.reply(env, peer, ul.MS, ul.TLLI, RAUpdateAccept{RAI: m.RAI})
 }
 
 // handlePDUNotify relays the GGSN's network-requested activation to the MS
 // (TR 23.923 MT-call path).
 func (s *SGSN) handlePDUNotify(env *sim.Env, from sim.NodeID, m gtp.PDUNotifyRequest) {
-	s.mu.Lock()
 	_, r := s.byIMSI.Get(m.IMSI.Pack())
-	ok := r != nil
-	var tlli gsmid.TLLI
-	var peer, ms sim.NodeID
-	if ok {
-		tlli = gsmid.LocalTLLI(r.ptmsi)
-		peer, ms = s.peers.Val(r.peer), r.ms
+	if r == nil {
+		env.Send(s.cfg.ID, from, gtp.PDUNotifyResponse{Seq: m.Seq, Cause: gtp.CauseNotFound})
+		return
 	}
-	s.mu.Unlock()
-
-	cause := gtp.CauseAccepted
-	if !ok {
-		cause = gtp.CauseNotFound
-	}
-	env.Send(s.cfg.ID, from, gtp.PDUNotifyResponse{Seq: m.Seq, Cause: cause})
-	if ok {
-		// Unsolicited requests use the subscriber's most recent attach
-		// path (the only one the SGSN can assume is listening).
-		s.reply(env, peer, ms, tlli, RequestPDPActivation{Address: m.Address})
-	}
+	env.Send(s.cfg.ID, from, gtp.PDUNotifyResponse{Seq: m.Seq, Cause: gtp.CauseAccepted})
+	// Unsolicited requests use the subscriber's most recent attach path
+	// (the only one the SGSN can assume is listening).
+	s.reply(env, s.peers.Val(r.peer), r.ms, gsmid.LocalTLLI(r.ptmsi), RequestPDPActivation{Address: m.Address})
 }
 
 // StartPathSupervision begins periodic GTP Echo probing of the Gn path.
@@ -1007,26 +880,20 @@ func (s *SGSN) handlePDUNotify(env *sim.Env, from sim.NodeID, m gtp.PDUNotifyReq
 // keeps the event queue non-empty, so drive the simulation with RunUntil
 // rather than Run once it is started.
 func (s *SGSN) StartPathSupervision(env *sim.Env) {
-	s.mu.Lock()
 	if s.supervising || s.cfg.EchoInterval <= 0 {
-		s.mu.Unlock()
 		return
 	}
 	s.supervising = true
-	s.mu.Unlock()
 	s.echoTick(env)
 }
 
 // PathUp reports whether the Gn path toward the GGSN is considered alive.
 // It is true until supervision observes the miss threshold.
 func (s *SGSN) PathUp() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return !s.pathDown
 }
 
 func (s *SGSN) echoTick(env *sim.Env) {
-	s.mu.Lock()
 	if s.echoAwaiting {
 		s.echoMissed++
 		limit := s.cfg.EchoMisses
@@ -1039,19 +906,14 @@ func (s *SGSN) echoTick(env *sim.Env) {
 	}
 	s.echoAwaiting = true
 	s.nextSeq++
-	seq := s.nextSeq
-	s.mu.Unlock()
-
-	env.Send(s.cfg.ID, s.cfg.GGSN, gtp.EchoRequest{Seq: seq})
+	env.Send(s.cfg.ID, s.cfg.GGSN, gtp.EchoRequest{Seq: s.nextSeq})
 	env.After(s.cfg.EchoInterval, func() { s.echoTick(env) })
 }
 
 // handleEchoResponse marks the Gn path alive again: any response clears
 // the miss counter and a down verdict (peer restart recovery).
 func (s *SGSN) handleEchoResponse() {
-	s.mu.Lock()
 	s.echoAwaiting = false
 	s.echoMissed = 0
 	s.pathDown = false
-	s.mu.Unlock()
 }

@@ -75,20 +75,16 @@ func TestReattachForeignTLLIDoesNotLeakIndex(t *testing.T) {
 
 	// The audit must actually see planted garbage, or the zeros above
 	// prove nothing: inject a dangling alias and expect a violation.
-	sgsn.mu.Lock()
 	h, _ := sgsn.byTLLI.Get(3)
 	sgsn.byTLLI.Put(99, h)
 	_, aliased := sgsn.byTLLI.Get(99)
-	sgsn.mu.Unlock()
 	if aliased != nil {
 		t.Fatal("TLLI 99 resolved to a row that carries neither it nor a foreign alias of it")
 	}
 	if got := sgsn.SlabImbalance(); got == 0 {
 		t.Fatal("audit missed a planted stale TLLI alias")
 	}
-	sgsn.mu.Lock()
 	sgsn.byTLLI.Delete(99)
-	sgsn.mu.Unlock()
 
 	// Detach must return the record and both TLLI entries.
 	pdu, err := WrapSM(DetachRequest{})
@@ -149,18 +145,14 @@ func TestAuditSeesSwappedEntries(t *testing.T) {
 		{"TLLI", entrySwapper(sgsn.byTLLI, 1, 2)}, // the foreign TLLIs the attaches arrived on
 		{"TID", entrySwapper(sgsn.byTID, tidA, tidB)},
 	} {
-		sgsn.mu.Lock()
 		found := c.swap(true)
-		sgsn.mu.Unlock()
 		if found != 0 {
 			t.Errorf("%d lookups through swapped %s entries found a row", found, c.what)
 		}
 		if got := sgsn.SlabImbalance(); got == 0 {
 			t.Errorf("audit missed two subscribers' swapped %s entries", c.what)
 		}
-		sgsn.mu.Lock()
 		found = c.swap(false)
-		sgsn.mu.Unlock()
 		if found != 2 {
 			t.Errorf("%d of 2 lookups found their row with the %s entries swapped back", found, c.what)
 		}

@@ -2,7 +2,6 @@ package h323
 
 import (
 	"net/netip"
-	"sync"
 
 	"vgprs/internal/ipnet"
 	"vgprs/internal/q931"
@@ -22,7 +21,6 @@ import (
 // table cell — the address in its 4-byte IPv4 form and the 4-byte interned
 // symbol — not a map entry with a string header.
 type Directory struct {
-	mu    sync.Mutex
 	idx   *slab.Table[uint32, uint32]
 	nodes slab.Syms[sim.NodeID]
 }
@@ -39,8 +37,6 @@ func (d *Directory) Bind(addr netip.Addr, node sim.NodeID) {
 	if d == nil || node == "" || !v4 {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	// The symbol is 1-based: never zero for a non-empty name, which is
 	// all Table.Put requires.
 	d.idx.Put(key, d.nodes.ID(node))
@@ -52,8 +48,6 @@ func (d *Directory) Unbind(addr netip.Addr) {
 	if d == nil || !v4 {
 		return
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.idx.Delete(key)
 }
 
@@ -62,8 +56,6 @@ func (d *Directory) Bound() int {
 	if d == nil {
 		return 0
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.idx.Len()
 }
 
@@ -72,8 +64,6 @@ func (d *Directory) Footprint() int {
 	if d == nil {
 		return 0
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.idx.Bytes()
 }
 
@@ -83,8 +73,6 @@ func (d *Directory) Resolve(addr netip.Addr) sim.NodeID {
 	if d == nil || !v4 {
 		return sim.NodeID(addr.String())
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if sym := d.idx.Get(key); sym != 0 {
 		return d.nodes.Val(sym)
 	}

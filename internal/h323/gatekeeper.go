@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
-	"sync"
 	"time"
 
 	"vgprs/internal/gsmid"
@@ -132,7 +131,6 @@ type Gatekeeper struct {
 	ep  *Endpoint
 	dm  *ss7.DialogueManager
 
-	mu      sync.Mutex
 	regs    *slab.Sharded[gkReg]
 	byAlias *slab.RowIndex[gsmid.PackedDigits, gkReg]
 	calls   *slab.Sharded[gkCall]
@@ -182,14 +180,13 @@ func NewGatekeeper(cfg GatekeeperConfig) *Gatekeeper {
 // ID implements sim.Node.
 func (g *Gatekeeper) ID() sim.NodeID { return g.cfg.ID }
 
-// reg resolves an alias to its resident row (callers hold g.mu).
+// reg resolves an alias to its resident row.
 func (g *Gatekeeper) reg(key gsmid.PackedDigits) *gkReg {
 	_, r := g.byAlias.Get(key)
 	return r
 }
 
-// dropReg removes a registration row and its index entry (callers hold
-// g.mu).
+// dropReg removes a registration row and its index entry.
 func (g *Gatekeeper) dropReg(key gsmid.PackedDigits) {
 	if h, _ := g.byAlias.Get(key); !h.IsZero() {
 		g.byAlias.Delete(key)
@@ -199,8 +196,6 @@ func (g *Gatekeeper) dropReg(key gsmid.PackedDigits) {
 
 // Lookup returns the registration for an alias.
 func (g *Gatekeeper) Lookup(alias gsmid.MSISDN) (Registration, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	r := g.reg(alias.Pack())
 	if r == nil {
 		return Registration{}, false
@@ -211,23 +206,17 @@ func (g *Gatekeeper) Lookup(alias gsmid.MSISDN) (Registration, bool) {
 // RegHandle returns the slab handle behind an alias's registration (zero if
 // none) — a test hook for generational-invalidation checks.
 func (g *Gatekeeper) RegHandle(alias gsmid.MSISDN) slab.Handle {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	h, _ := g.byAlias.Get(alias.Pack())
 	return h
 }
 
 // RegAlive reports whether a previously obtained handle still resolves.
 func (g *Gatekeeper) RegAlive(h slab.Handle) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.regs.Get(h) != nil
 }
 
 // Registered returns the number of table entries.
 func (g *Gatekeeper) Registered() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.byAlias.Len()
 }
 
@@ -235,15 +224,11 @@ func (g *Gatekeeper) Registered() int {
 // has closed with their total held time, admission to disengage (paper step
 // 3.3: charging stops).
 func (g *Gatekeeper) Calls() (active int, disengaged uint64, held time.Duration) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.byCall.Len(), g.disengaged, g.held
 }
 
 // Admissions returns (admitted, rejected) counts.
 func (g *Gatekeeper) Admissions() (admitted, rejected uint64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.admits, g.rejects
 }
 
@@ -251,8 +236,6 @@ func (g *Gatekeeper) Admissions() (admitted, rejected uint64) {
 // a standard gatekeeper; one per subscriber in the TR 23.923 mode. This is
 // the C4 experiment's headline counter.
 func (g *Gatekeeper) KnownIMSIs() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.byIMSI.Len()
 }
 
@@ -267,8 +250,6 @@ func (g *Gatekeeper) Audit(report func(kind string, n int)) {
 // Footprint is the memory the registration, open-call and IMSI tables hold, in
 // bytes: slab chunks plus index tables, and the MAP dialogue table.
 func (g *Gatekeeper) Footprint() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.regs.Bytes() + g.byAlias.Bytes() + g.calls.Bytes() + g.byCall.Bytes() +
 		g.imsiTab.Bytes() + g.byIMSI.Bytes() + g.dm.Bytes()
 }
@@ -280,8 +261,6 @@ func (g *Gatekeeper) Footprint() int {
 // leaked rows, no stale or misdirected entries, and no books that disagree
 // — the soak gate's invariant.
 func (g *Gatekeeper) SlabImbalance() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.dm.Occupancy().Imbalance() +
 		g.byAlias.Audit() + g.byCall.Audit() + g.byIMSI.Audit()
 }
@@ -309,19 +288,16 @@ func (g *Gatekeeper) Receive(env *sim.Env, from sim.NodeID, iface string, msg si
 		g.handleRRQ(env, pkt.Src, m)
 	case URQ:
 		key := m.Alias.Pack()
-		g.mu.Lock()
 		if reg := g.reg(key); reg != nil &&
 			(!m.SignalAddr.IsValid() || reg.signalAddr == m.SignalAddr) {
 			g.dropReg(key)
 		}
-		g.mu.Unlock()
 		g.ep.SendRAS(env, pkt.Src, UCF{Seq: m.Seq})
 	case ARQ:
 		g.handleARQ(env, pkt.Src, m)
 	case DRQ:
 		// The caller disengaging names its own call; the called side, or
 		// the gateway speaking for a PSTN callee, names the caller as Peer.
-		g.mu.Lock()
 		for _, caller := range [2]gsmid.MSISDN{m.Alias, m.Peer} {
 			key := gkCallKey{caller.Pack(), m.CallRef}
 			if h, rec := g.byCall.Get(key); rec != nil {
@@ -332,22 +308,14 @@ func (g *Gatekeeper) Receive(env *sim.Env, from sim.NodeID, iface string, msg si
 				break
 			}
 		}
-		g.mu.Unlock()
 		g.ep.SendRAS(env, pkt.Src, DCF{Seq: m.Seq})
 	case LRQ:
-		g.mu.Lock()
 		reg, exists := g.lookupLive(m.Alias.Pack(), env.Now())
-		var addr netip.Addr
-		var port uint16
-		if exists {
-			addr, port = reg.signalAddr, reg.signalPort
-		}
-		g.mu.Unlock()
 		if !exists {
 			g.ep.SendRAS(env, pkt.Src, LRJ{Seq: m.Seq, Reason: RejectCalledPartyNotRegistered})
 			return
 		}
-		g.ep.SendRAS(env, pkt.Src, LCF{Seq: m.Seq, SignalAddr: addr, SignalPort: port})
+		g.ep.SendRAS(env, pkt.Src, LCF{Seq: m.Seq, SignalAddr: reg.signalAddr, SignalPort: reg.signalPort})
 	}
 }
 
@@ -375,7 +343,6 @@ func (g *Gatekeeper) resolveIMSIThen(env *sim.Env, src netip.Addr, m RRQ) {
 			return
 		}
 		key := m.Alias.Pack()
-		g.mu.Lock()
 		if _, row := g.byIMSI.Get(key); row != nil {
 			row.imsi = ack.IMSI.Pack()
 		} else {
@@ -383,7 +350,6 @@ func (g *Gatekeeper) resolveIMSIThen(env *sim.Env, src netip.Addr, m RRQ) {
 			row.alias, row.imsi = key, ack.IMSI.Pack()
 			g.byIMSI.Put(key, h)
 		}
-		g.mu.Unlock()
 		g.handleRRQ(env, src, m)
 	})
 	env.Send(g.cfg.ID, g.cfg.HLR, sigmap.SendIMSI{Invoke: invoke, MSISDN: m.Alias})
@@ -391,7 +357,6 @@ func (g *Gatekeeper) resolveIMSIThen(env *sim.Env, src netip.Addr, m RRQ) {
 
 func (g *Gatekeeper) handleRRQ(env *sim.Env, src netip.Addr, m RRQ) {
 	key := m.Alias.Pack()
-	g.mu.Lock()
 	existing := g.reg(key)
 	if existing != nil && g.expired(existing, env.Now()) {
 		g.dropReg(key)
@@ -400,14 +365,12 @@ func (g *Gatekeeper) handleRRQ(env *sim.Env, src netip.Addr, m RRQ) {
 	// A keepalive refresh presumes the gatekeeper still holds the row;
 	// if it lapsed (or never existed), demand a full registration.
 	if m.KeepAlive && (existing == nil || existing.signalAddr != m.SignalAddr) {
-		g.mu.Unlock()
 		g.ep.SendRAS(env, src, RRJ{Seq: m.Seq, Reason: RejectFullRegistrationRequired})
 		return
 	}
 	// Re-registration from the same transport address refreshes the row;
 	// a different address claiming a registered alias is rejected.
 	if existing != nil && existing.signalAddr != m.SignalAddr {
-		g.mu.Unlock()
 		g.ep.SendRAS(env, src, RRJ{Seq: m.Seq, Reason: RejectDuplicateAlias})
 		return
 	}
@@ -425,7 +388,6 @@ func (g *Gatekeeper) handleRRQ(env *sim.Env, src netip.Addr, m RRQ) {
 		row.epID, row.expiresAt = epNum, expiryAt(env.Now(), granted)
 		g.byAlias.Put(key, h)
 	}
-	g.mu.Unlock()
 	g.ep.SendRAS(env, src, RCF{
 		Seq: m.Seq, EndpointID: fmt.Sprintf("ep-%d", epNum), TTLSeconds: granted,
 	})
@@ -479,8 +441,6 @@ func (g *Gatekeeper) lookupLive(key gsmid.PackedDigits, now time.Duration) (*gkR
 // and reports how many went. Expiry is otherwise lazy; this exists for
 // operators (and tests) that want the table compacted eagerly.
 func (g *Gatekeeper) SweepExpired(now time.Duration) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	var lapsed []gsmid.PackedDigits
 	g.regs.Range(func(_ slab.Handle, r *gkReg) bool {
 		if g.expired(r, now) {
@@ -496,8 +456,6 @@ func (g *Gatekeeper) SweepExpired(now time.Duration) int {
 
 func (g *Gatekeeper) handleARQ(env *sim.Env, src netip.Addr, m ARQ) {
 	var response sim.Message
-
-	g.mu.Lock()
 	if m.Answer {
 		// Admission for an incoming call: the callee asks permission to
 		// accept; no translation needed.
@@ -520,13 +478,11 @@ func (g *Gatekeeper) handleARQ(env *sim.Env, src netip.Addr, m ARQ) {
 		g.rejects++
 		response = ARJ{Seq: m.Seq, Reason: RejectCalledPartyNotRegistered}
 	}
-	g.mu.Unlock()
-
 	g.ep.SendRAS(env, src, response)
 }
 
 // openCall creates the row of an admitted call if this is the first
-// admission of the (caller, reference) pair (callers hold g.mu).
+// admission of the (caller, reference) pair.
 func (g *Gatekeeper) openCall(m ARQ, now time.Duration) {
 	key := gkCallKey{m.CallerAlias.Pack(), m.CallRef}
 	if h, _ := g.byCall.Get(key); !h.IsZero() {
@@ -538,7 +494,7 @@ func (g *Gatekeeper) openCall(m ARQ, now time.Duration) {
 }
 
 // routesToPSTN reports whether an unregistered called alias should be
-// admitted toward the configured PSTN gateway (callers hold g.mu).
+// admitted toward the configured PSTN gateway.
 func (g *Gatekeeper) routesToPSTN(alias gsmid.MSISDN) bool {
 	if !g.cfg.PSTNGateway.IsValid() {
 		return false

@@ -388,9 +388,7 @@ func TestGatewayDRQClosesOnlyItsCall(t *testing.T) {
 			other = c
 		}
 	}
-	p.gk.mu.Lock()
 	p.gk.openCall(ARQ{CallerAlias: other, CalledAlias: "85221119999", CallRef: ref}, 0)
-	p.gk.mu.Unlock()
 
 	refA, err := p.a.Call(p.env, "85221110001")
 	if err != nil {
@@ -413,9 +411,7 @@ func TestGatewayDRQClosesOnlyItsCall(t *testing.T) {
 	if p.trunks.InUse() != 0 {
 		t.Fatal("trunk leaked")
 	}
-	p.gk.mu.Lock()
 	_, held := p.gk.byCall.Get(gkCallKey{other.Pack(), ref})
-	p.gk.mu.Unlock()
 	if active, _, _ := p.gk.Calls(); held == nil || active != 1 {
 		t.Fatalf("the other caller's call was closed (%d active calls)", active)
 	}

@@ -7,7 +7,6 @@ package hlr
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"vgprs/internal/gsmid"
@@ -89,7 +88,6 @@ type HLR struct {
 	cfg Config
 	dm  *ss7.DialogueManager
 
-	mu       sync.Mutex
 	recs     *slab.Sharded[hlrRec]
 	byIMSI   *slab.RowIndex[gsmid.PackedDigits, hlrRec]
 	byMSISDN *slab.RowIndex[gsmid.PackedDigits, hlrRec]
@@ -127,12 +125,10 @@ func (h *HLR) OutstandingDialogues() int { return h.dm.Outstanding() }
 
 // Subscribers returns the number of provisioned records.
 func (h *HLR) Subscribers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.recs.Len()
 }
 
-// lookupRec resolves an IMSI to its slab record. Callers hold h.mu.
+// lookupRec resolves an IMSI to its slab record.
 func (h *HLR) lookupRec(imsi gsmid.IMSI) *hlrRec {
 	_, r := h.byIMSI.Get(imsi.Pack())
 	return r
@@ -162,8 +158,6 @@ func (h *HLR) export(r *hlrRec) Record {
 // Provision adds a subscriber. It returns an error on duplicate IMSI or
 // MSISDN.
 func (h *HLR) Provision(s Subscriber) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	imsi, msisdn := s.IMSI.Pack(), s.MSISDN.Pack()
 	if _, r := h.byIMSI.Get(imsi); r != nil {
 		return fmt.Errorf("hlr: duplicate IMSI %s", s.IMSI)
@@ -192,8 +186,6 @@ func (h *HLR) Provision(s Subscriber) error {
 
 // Lookup returns a copy of the record for the IMSI.
 func (h *HLR) Lookup(imsi gsmid.IMSI) (Record, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	r := h.lookupRec(imsi)
 	if r == nil {
 		return Record{}, false
@@ -203,8 +195,6 @@ func (h *HLR) Lookup(imsi gsmid.IMSI) (Record, bool) {
 
 // LookupByMSISDN returns a copy of the record for the MSISDN.
 func (h *HLR) LookupByMSISDN(msisdn gsmid.MSISDN) (Record, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	_, r := h.byMSISDN.Get(msisdn.Pack())
 	if r == nil {
 		return Record{}, false
@@ -222,8 +212,6 @@ func (h *HLR) Audit(report func(kind string, n int)) {
 // Footprint is the memory the subscriber store holds, in bytes: slab chunks
 // plus index tables, and the MAP dialogue table.
 func (h *HLR) Footprint() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.recs.Bytes() + h.byIMSI.Bytes() + h.byMSISDN.Bytes() + h.dm.Bytes()
 }
 
@@ -231,8 +219,6 @@ func (h *HLR) Footprint() int {
 // exactly one entry per live record and per-shard occupancy must balance.
 // Non-zero means records were lost or leaked.
 func (h *HLR) SlabImbalance() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.dm.Occupancy().Imbalance() +
 		h.byIMSI.Audit() + h.byMSISDN.Stale()
 }
@@ -265,29 +251,21 @@ func (h *HLR) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Messa
 // VLR if the subscriber moved, push the subscription profile into the new
 // VLR, then confirm.
 func (h *HLR) handleUpdateLocation(env *sim.Env, from sim.NodeID, m sigmap.UpdateLocation) {
-	h.mu.Lock()
 	rec := h.lookupRec(m.IMSI)
-	ok := rec != nil
-	var oldVLR string
-	var profile sigmap.SubscriberProfile
-	if ok {
-		oldVLR = h.strs.Val(rec.vlr)
-		rec.vlr = h.strs.ID(m.VLR)
-		rec.msc = h.strs.ID(m.MSC)
-		profile = sigmap.SubscriberProfile{
-			MSISDN:               rec.profMSISDN.MSISDN(),
-			InternationalAllowed: rec.flags&hlrIntlAllowed != 0,
-			VoIPQoS:              rec.voipQoS,
-			Barred:               rec.flags&hlrBarred != 0,
-		}
-	}
-	h.mu.Unlock()
-
-	if !ok {
+	if rec == nil {
 		env.Send(h.cfg.ID, from, sigmap.UpdateLocationAck{
 			Invoke: m.Invoke, Cause: sigmap.CauseUnknownSubscriber,
 		})
 		return
+	}
+	oldVLR := h.strs.Val(rec.vlr)
+	rec.vlr = h.strs.ID(m.VLR)
+	rec.msc = h.strs.ID(m.MSC)
+	profile := sigmap.SubscriberProfile{
+		MSISDN:               rec.profMSISDN.MSISDN(),
+		InternationalAllowed: rec.flags&hlrIntlAllowed != 0,
+		VoIPQoS:              rec.voipQoS,
+		Barred:               rec.flags&hlrBarred != 0,
 	}
 
 	if oldVLR != "" && oldVLR != m.VLR && env.HasLink(h.cfg.ID, sim.NodeID(oldVLR)) {
@@ -310,16 +288,8 @@ func (h *HLR) handleUpdateLocation(env *sim.Env, from sim.NodeID, m sigmap.Updat
 }
 
 func (h *HLR) handleSendAuthInfo(env *sim.Env, from sim.NodeID, m sigmap.SendAuthenticationInfo) {
-	h.mu.Lock()
 	rec := h.lookupRec(m.IMSI)
-	ok := rec != nil
-	var ki [16]byte
-	if ok {
-		ki = rec.ki
-	}
-	h.mu.Unlock()
-
-	if !ok {
+	if rec == nil {
 		env.Send(h.cfg.ID, from, sigmap.SendAuthenticationInfoAck{
 			Invoke: m.Invoke, Cause: sigmap.CauseUnknownSubscriber,
 		})
@@ -336,7 +306,7 @@ func (h *HLR) handleSendAuthInfo(env *sim.Env, from sim.NodeID, m sigmap.SendAut
 		for j := range rand {
 			rand[j] = byte(env.Rand().Intn(256))
 		}
-		triplets = append(triplets, GenerateTriplet(ki, rand))
+		triplets = append(triplets, GenerateTriplet(rec.ki, rand))
 	}
 	env.Send(h.cfg.ID, from, sigmap.SendAuthenticationInfoAck{
 		Invoke: m.Invoke, Cause: sigmap.CauseNone, Triplets: triplets,
@@ -347,24 +317,14 @@ func (h *HLR) handleSendAuthInfo(env *sim.Env, from sim.NodeID, m sigmap.SendAut
 // GMSC asks where the subscriber is; the HLR relays to the serving VLR for
 // an MSRN and returns it.
 func (h *HLR) handleSendRoutingInfo(env *sim.Env, from sim.NodeID, m sigmap.SendRoutingInformation) {
-	h.mu.Lock()
 	_, rec := h.byMSISDN.Get(m.MSISDN.Pack())
-	ok := rec != nil
-	var imsi gsmid.IMSI
-	var vlr string
-	if ok {
-		imsi = rec.imsi.IMSI()
-		vlr = h.strs.Val(rec.vlr)
-	}
-	h.mu.Unlock()
-
-	if !ok {
+	if rec == nil {
 		env.Send(h.cfg.ID, from, sigmap.SendRoutingInformationAck{
 			Invoke: m.Invoke, Cause: sigmap.CauseUnknownSubscriber,
 		})
 		return
 	}
-	if vlr == "" {
+	if rec.vlr == 0 {
 		env.Send(h.cfg.ID, from, sigmap.SendRoutingInformationAck{
 			Invoke: m.Invoke, Cause: sigmap.CauseAbsentSubscriber,
 		})
@@ -381,8 +341,8 @@ func (h *HLR) handleSendRoutingInfo(env *sim.Env, from sim.NodeID, m sigmap.Send
 		}
 		env.Send(h.cfg.ID, from, ack)
 	})
-	h.dm.Transmit(env, prnInvoke, sim.NodeID(vlr), sigmap.ProvideRoamingNumber{
-		Invoke: prnInvoke, IMSI: imsi, GMSC: string(from),
+	h.dm.Transmit(env, prnInvoke, sim.NodeID(h.strs.Val(rec.vlr)), sigmap.ProvideRoamingNumber{
+		Invoke: prnInvoke, IMSI: rec.imsi.IMSI(), GMSC: string(from),
 	}, h.cfg.SigRTO, h.cfg.SigRetries)
 }
 
@@ -391,9 +351,7 @@ func (h *HLR) handleSendRoutingInfo(env *sim.Env, from sim.NodeID, m sigmap.Send
 // TR 23.923 architecture; the HLR cannot tell callers apart, which is the
 // point.
 func (h *HLR) handleSendIMSI(env *sim.Env, from sim.NodeID, m sigmap.SendIMSI) {
-	h.mu.Lock()
 	_, rec := h.byMSISDN.Get(m.MSISDN.Pack())
-	h.mu.Unlock()
 	ack := sigmap.SendIMSIAck{Invoke: m.Invoke}
 	if rec == nil {
 		ack.Cause = sigmap.CauseUnknownSubscriber
@@ -404,51 +362,35 @@ func (h *HLR) handleSendIMSI(env *sim.Env, from sim.NodeID, m sigmap.SendIMSI) {
 }
 
 func (h *HLR) handleUpdateGPRSLocation(env *sim.Env, from sim.NodeID, m sigmap.UpdateGPRSLocation) {
-	h.mu.Lock()
 	rec := h.lookupRec(m.IMSI)
-	ok := rec != nil
-	var oldSGSN string
-	if ok {
-		oldSGSN = h.strs.Val(rec.sgsn)
-		rec.sgsn = h.strs.ID(m.SGSN)
+	if rec == nil {
+		env.Send(h.cfg.ID, from, sigmap.UpdateGPRSLocationAck{Invoke: m.Invoke, Cause: sigmap.CauseUnknownSubscriber})
+		return
 	}
-	h.mu.Unlock()
-
-	cause := sigmap.CauseNone
-	if !ok {
-		cause = sigmap.CauseUnknownSubscriber
-	}
+	oldSGSN := h.strs.Val(rec.sgsn)
+	rec.sgsn = h.strs.ID(m.SGSN)
 	// Inter-SGSN mobility (GSM 03.60 §6.9.1): the HLR cancels the old
 	// SGSN's MM and PDP contexts when a new SGSN takes over.
-	if ok && oldSGSN != "" && oldSGSN != m.SGSN && env.HasLink(h.cfg.ID, sim.NodeID(oldSGSN)) {
+	if oldSGSN != "" && oldSGSN != m.SGSN && env.HasLink(h.cfg.ID, sim.NodeID(oldSGSN)) {
 		invoke := h.dm.InvokeRetry(func(sim.Message, bool) {})
 		h.dm.Transmit(env, invoke, sim.NodeID(oldSGSN), sigmap.CancelLocation{
 			Invoke: invoke, IMSI: m.IMSI,
 		}, h.cfg.SigRTO, h.cfg.SigRetries)
 	}
-	env.Send(h.cfg.ID, from, sigmap.UpdateGPRSLocationAck{Invoke: m.Invoke, Cause: cause})
+	env.Send(h.cfg.ID, from, sigmap.UpdateGPRSLocationAck{Invoke: m.Invoke, Cause: sigmap.CauseNone})
 }
 
 func (h *HLR) handleSendRoutingInfoForGPRS(env *sim.Env, from sim.NodeID, m sigmap.SendRoutingInfoForGPRS) {
-	h.mu.Lock()
 	rec := h.lookupRec(m.IMSI)
-	ok := rec != nil
-	var sgsn, static string
-	if ok {
-		sgsn = h.strs.Val(rec.sgsn)
-		static = h.strs.Val(rec.static)
-	}
-	h.mu.Unlock()
-
 	ack := sigmap.SendRoutingInfoForGPRSAck{Invoke: m.Invoke}
 	switch {
-	case !ok:
+	case rec == nil:
 		ack.Cause = sigmap.CauseUnknownSubscriber
-	case sgsn == "":
+	case rec.sgsn == 0:
 		ack.Cause = sigmap.CauseAbsentSubscriber
 	default:
-		ack.SGSN = sgsn
-		ack.StaticPDPAddress = static
+		ack.SGSN = h.strs.Val(rec.sgsn)
+		ack.StaticPDPAddress = h.strs.Val(rec.static)
 	}
 	env.Send(h.cfg.ID, from, ack)
 }

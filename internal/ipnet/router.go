@@ -2,7 +2,6 @@ package ipnet
 
 import (
 	"net/netip"
-	"sync"
 
 	"vgprs/internal/sim"
 )
@@ -15,7 +14,6 @@ import (
 type Router struct {
 	id sim.NodeID
 
-	mu       sync.Mutex
 	hosts    map[netip.Addr]sim.NodeID
 	prefixes []prefixRoute
 	dropped  uint64
@@ -38,15 +36,11 @@ func (r *Router) ID() sim.NodeID { return r.id }
 
 // AddHost binds an address to a directly attached node.
 func (r *Router) AddHost(addr netip.Addr, node sim.NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.hosts[addr] = node
 }
 
 // RemoveHost unbinds an address.
 func (r *Router) RemoveHost(addr netip.Addr) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	delete(r.hosts, addr)
 }
 
@@ -54,22 +48,16 @@ func (r *Router) RemoveHost(addr netip.Addr) {
 // next-hop node. Longest-registered wins is not implemented; first match in
 // insertion order applies, which suffices for the disjoint ranges used here.
 func (r *Router) AddPrefix(prefix netip.Prefix, node sim.NodeID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.prefixes = append(r.prefixes, prefixRoute{prefix: prefix, next: node})
 }
 
 // Dropped returns the number of packets with no route.
 func (r *Router) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.dropped
 }
 
 // Lookup resolves the next hop for an address.
 func (r *Router) Lookup(addr netip.Addr) (sim.NodeID, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if node, ok := r.hosts[addr]; ok {
 		return node, true
 	}
@@ -89,9 +77,7 @@ func (r *Router) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Me
 	}
 	next, found := r.Lookup(pkt.Dst)
 	if !found || next == from {
-		r.mu.Lock()
 		r.dropped++
-		r.mu.Unlock()
 		return
 	}
 	// Forward the original interface value: the packet is relayed

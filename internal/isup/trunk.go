@@ -3,22 +3,18 @@ package isup
 import (
 	"errors"
 	"fmt"
-	"sync"
 )
 
 // ErrNoCircuit is returned when a trunk group has no idle circuit.
 var ErrNoCircuit = errors.New("isup: no idle circuit in trunk group")
 
-// TrunkGroup manages the circuits between two exchanges. Seize/Release are
-// safe for concurrent use; the simulation itself is single-threaded but
-// examples print trunk occupancy from outside the event loop.
+// TrunkGroup manages the circuits between two exchanges.
 type TrunkGroup struct {
 	// Name identifies the group, e.g. "GMSC-UK<->GMSC-HK".
 	Name string
 	// Class is the tariff class counted by the tromboning experiment.
 	Class TrunkClass
 
-	mu     sync.Mutex
 	busy   map[CIC]bool
 	size   int
 	seized int // cumulative seizures, for cost accounting
@@ -34,8 +30,6 @@ func NewTrunkGroup(name string, class TrunkClass, size int) *TrunkGroup {
 
 // Seize allocates an idle circuit, returning its CIC.
 func (t *TrunkGroup) Seize() (CIC, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for i := 1; i <= t.size; i++ {
 		cic := CIC(i)
 		if !t.busy[cic] {
@@ -50,15 +44,11 @@ func (t *TrunkGroup) Seize() (CIC, error) {
 // Release returns a circuit to idle. Releasing an idle circuit is a no-op:
 // REL/RLC glare is legal in ISUP.
 func (t *TrunkGroup) Release(cic CIC) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	delete(t.busy, cic)
 }
 
 // InUse returns the number of seized circuits.
 func (t *TrunkGroup) InUse() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.busy)
 }
 
@@ -73,7 +63,5 @@ func (t *TrunkGroup) Size() int { return t.size }
 // TotalSeizures returns the cumulative number of successful seizures — each
 // one is a trunk leg the tromboning experiment charges at Class.CostUnits().
 func (t *TrunkGroup) TotalSeizures() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.seized
 }

@@ -2,7 +2,6 @@ package msc
 
 import (
 	"fmt"
-	"sync"
 
 	"vgprs/internal/gsm"
 	"vgprs/internal/gsmid"
@@ -27,7 +26,6 @@ type HandoverTarget struct {
 	// NumberPrefix prefixes allocated handover numbers.
 	NumberPrefix string
 
-	mu        sync.Mutex
 	pending   map[gsmid.MSISDN]*hoTargetCtx
 	byRef     map[uint32]*hoTargetCtx
 	nextNum   uint32
@@ -72,8 +70,6 @@ func NewHandoverTarget(node sim.NodeID, numberPrefix string) *HandoverTarget {
 
 // Completed returns the number of handovers finished at this target.
 func (h *HandoverTarget) Completed() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.completed
 }
 
@@ -83,8 +79,6 @@ func (h *HandoverTarget) Completed() uint64 {
 // once, though one between Prepare and the trunk's IAM sits in both tables.
 // Zero once every handed-in call has cleared.
 func (h *HandoverTarget) Open() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	n := len(h.byRef)
 	for _, ctx := range h.pending {
 		if h.byRef[ctx.callRef] != ctx {
@@ -97,7 +91,6 @@ func (h *HandoverTarget) Open() int {
 // Prepare handles MAP_PREPARE_HANDOVER: reserve a radio channel, allocate a
 // handover number, and acknowledge the anchor.
 func (h *HandoverTarget) Prepare(env *sim.Env, anchor sim.NodeID, t sigmap.PrepareHandover) {
-	h.mu.Lock()
 	h.nextNum++
 	h.nextChan++
 	number := gsmid.MSISDN(fmt.Sprintf("%s%05d", h.NumberPrefix, h.nextNum%100000))
@@ -107,7 +100,6 @@ func (h *HandoverTarget) Prepare(env *sim.Env, anchor sim.NodeID, t sigmap.Prepa
 	}
 	h.pending[number] = ctx
 	h.byRef[t.CallRef] = ctx
-	h.mu.Unlock()
 
 	env.Send(h.Node, anchor, sigmap.PrepareHandoverAck{
 		Invoke: t.Invoke, Cause: sigmap.CauseNone,
@@ -119,18 +111,14 @@ func (h *HandoverTarget) Prepare(env *sim.Env, anchor sim.NodeID, t sigmap.Prepa
 // answering it immediately (a network-internal leg). It reports whether the
 // IAM belonged to a handover.
 func (h *HandoverTarget) TrunkArrived(env *sim.Env, from sim.NodeID, t isup.IAM) bool {
-	h.mu.Lock()
 	ctx, ok := h.pending[t.Called]
-	if ok {
-		ctx.cic = t.CIC
-		ctx.trunkPeer = from
-		ctx.haveTrunk = true
-		delete(h.pending, t.Called)
-	}
-	h.mu.Unlock()
 	if !ok {
 		return false
 	}
+	ctx.cic = t.CIC
+	ctx.trunkPeer = from
+	ctx.haveTrunk = true
+	delete(h.pending, t.Called)
 	env.Send(h.Node, from, isup.ACM{CIC: t.CIC, CallRef: t.CallRef})
 	env.Send(h.Node, from, isup.ANM{CIC: t.CIC, CallRef: t.CallRef})
 	return true
@@ -140,18 +128,14 @@ func (h *HandoverTarget) TrunkArrived(env *sim.Env, from sim.NodeID, t isup.IAM)
 // and tells the anchor over MAP E. It reports whether the message belonged
 // to a pending handover.
 func (h *HandoverTarget) Complete(env *sim.Env, bsc sim.NodeID, t gsm.HandoverComplete) bool {
-	h.mu.Lock()
 	ctx, ok := h.byRef[t.CallRef]
-	if ok {
-		ctx.ms = t.MS
-		ctx.bsc = bsc
-		ctx.haveMS = true
-		h.completed++
-	}
-	h.mu.Unlock()
 	if !ok {
 		return false
 	}
+	ctx.ms = t.MS
+	ctx.bsc = bsc
+	ctx.haveMS = true
+	h.completed++
 	env.Send(h.Node, ctx.anchor, sigmap.SendEndSignal{Invoke: ctx.anchorIv, CallRef: t.CallRef})
 	return true
 }
@@ -159,9 +143,7 @@ func (h *HandoverTarget) Complete(env *sim.Env, bsc sim.NodeID, t gsm.HandoverCo
 // UplinkVoice bridges a handed-in MS's speech onto the anchor trunk,
 // reporting whether the frame belonged to a handover.
 func (h *HandoverTarget) UplinkVoice(env *sim.Env, t gsm.TCHFrame) bool {
-	h.mu.Lock()
 	ctx := h.forMS(t.MS)
-	h.mu.Unlock()
 	if ctx == nil || !ctx.haveTrunk {
 		return false
 	}
@@ -174,15 +156,11 @@ func (h *HandoverTarget) UplinkVoice(env *sim.Env, t gsm.TCHFrame) bool {
 // TrunkVoice bridges anchor-trunk speech down to the handed-in MS,
 // reporting whether the frame belonged to a handover.
 func (h *HandoverTarget) TrunkVoice(env *sim.Env, t isup.TrunkFrame) bool {
-	h.mu.Lock()
 	ctx, ok := h.byRef[t.CallRef]
-	if ok && ctx.haveMS {
-		ctx.seqDown++
-	}
-	h.mu.Unlock()
 	if !ok || !ctx.haveMS {
 		return false
 	}
+	ctx.seqDown++
 	env.Send(h.Node, ctx.bsc, gsm.TCHFrame{
 		Leg: gsm.LegA, MS: ctx.ms, CallRef: ctx.callRef,
 		Seq: ctx.seqDown, Downlink: true, Payload: t.Payload,
@@ -194,15 +172,11 @@ func (h *HandoverTarget) TrunkVoice(env *sim.Env, t isup.TrunkFrame) bool {
 // anchor and clear the local radio leg. It reports whether it consumed the
 // message.
 func (h *HandoverTarget) RadioDisconnect(env *sim.Env, t gsm.Disconnect) bool {
-	h.mu.Lock()
 	ctx := h.forMS(t.MS)
-	if ctx != nil {
-		delete(h.byRef, ctx.callRef)
-	}
-	h.mu.Unlock()
 	if ctx == nil {
 		return false
 	}
+	delete(h.byRef, ctx.callRef)
 	if ctx.haveTrunk {
 		env.Send(h.Node, ctx.trunkPeer, isup.REL{
 			CIC: ctx.cic, CallRef: ctx.callRef, Cause: isup.CauseNormalClearing,
@@ -216,15 +190,11 @@ func (h *HandoverTarget) RadioDisconnect(env *sim.Env, t gsm.Disconnect) bool {
 // radio leg. It reports whether it consumed the message. The caller is
 // responsible for the RLC.
 func (h *HandoverTarget) TrunkREL(env *sim.Env, t isup.REL) bool {
-	h.mu.Lock()
 	ctx, ok := h.byRef[t.CallRef]
-	if ok {
-		delete(h.byRef, t.CallRef)
-	}
-	h.mu.Unlock()
 	if !ok {
 		return false
 	}
+	delete(h.byRef, t.CallRef)
 	if ctx.haveMS && !ctx.msLeft {
 		env.Send(h.Node, ctx.bsc, gsm.Release{Leg: gsm.LegA, MS: ctx.ms, CallRef: ctx.callRef})
 	}
@@ -236,9 +206,7 @@ func (h *HandoverTarget) TrunkREL(env *sim.Env, t isup.REL) bool {
 // asks the anchor over MAP E (GSM 03.09 subsequent handover). It reports
 // whether the message belonged to a handed-in MS.
 func (h *HandoverTarget) SubsequentRequired(env *sim.Env, t gsm.HandoverRequired) bool {
-	h.mu.Lock()
 	ctx := h.forMS(t.MS)
-	h.mu.Unlock()
 	if ctx == nil {
 		return false
 	}
@@ -252,19 +220,14 @@ func (h *HandoverTarget) SubsequentRequired(env *sim.Env, t gsm.HandoverRequired
 // toward the prepared target and mark the radio leg departed. The context
 // itself stays until the anchor releases the trunk.
 func (h *HandoverTarget) SubsequentAck(env *sim.Env, t sigmap.PrepareSubsequentHandoverAck) bool {
-	h.mu.Lock()
 	ctx, ok := h.byRef[t.CallRef]
-	if ok && (t.Cause != sigmap.CauseNone || !ctx.haveMS || ctx.msLeft) {
-		h.mu.Unlock()
-		return true // refused, or nothing to move: the call stays put
-	}
-	if ok {
-		ctx.msLeft = true
-	}
-	h.mu.Unlock()
 	if !ok {
 		return false
 	}
+	if t.Cause != sigmap.CauseNone || !ctx.haveMS || ctx.msLeft {
+		return true // refused, or nothing to move: the call stays put
+	}
+	ctx.msLeft = true
 	env.Send(h.Node, ctx.bsc, gsm.HandoverCommand{
 		Leg: gsm.LegA, MS: ctx.ms, CallRef: t.CallRef,
 		TargetCell: t.TargetCell, TargetBTS: sim.NodeID(t.TargetBTS),
@@ -273,7 +236,7 @@ func (h *HandoverTarget) SubsequentAck(env *sim.Env, t sigmap.PrepareSubsequentH
 	return true
 }
 
-// forMS finds a handed-in context by MS (callers hold h.mu).
+// forMS finds a handed-in context by MS.
 func (h *HandoverTarget) forMS(ms sim.NodeID) *hoTargetCtx {
 	for _, ctx := range h.byRef {
 		if ctx.haveMS && !ctx.msLeft && ctx.ms == ms {

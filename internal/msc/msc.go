@@ -1,7 +1,6 @@
 package msc
 
 import (
-	"sync"
 	"time"
 
 	"vgprs/internal/gsm"
@@ -70,7 +69,6 @@ type MSC struct {
 	hoTarget  *HandoverTarget
 	dm        *ss7.DialogueManager
 
-	mu         sync.Mutex
 	regs       map[gsmid.IMSI]msInfo
 	byMS       map[sim.NodeID]*mscCall
 	byTrunkRef map[uint32]*mscCall
@@ -106,15 +104,11 @@ func (m *MSC) ID() sim.NodeID { return m.cfg.ID }
 
 // RegisteredMS returns the number of MSs registered through this MSC.
 func (m *MSC) RegisteredMS() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return len(m.regs)
 }
 
 // ActiveCalls returns the number of calls in progress.
 func (m *MSC) ActiveCalls() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return len(m.byMS)
 }
 
@@ -134,9 +128,7 @@ func (m *MSC) onRegistration(env *sim.Env, reg Registration) {
 		})
 		return
 	}
-	m.mu.Lock()
 	m.regs[reg.IMSI] = msInfo{ms: reg.MS, bsc: reg.BSC, tmsi: reg.TMSI}
-	m.mu.Unlock()
 	env.Send(m.cfg.ID, reg.BSC, gsm.LocationUpdateAccept{
 		Leg: gsm.LegA, MS: reg.MS, TMSI: reg.TMSI,
 	})
@@ -201,10 +193,7 @@ func (m *MSC) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Messa
 // --- Mobile-originated calls ---
 
 func (m *MSC) handleMOSetup(env *sim.Env, bsc sim.NodeID, t gsm.Setup) {
-	m.mu.Lock()
-	_, busy := m.byMS[t.MS]
-	m.mu.Unlock()
-	if busy {
+	if _, busy := m.byMS[t.MS]; busy {
 		// One call per MS; a duplicate Setup (which the MS state machine
 		// should prevent) is refused rather than clobbering the call.
 		env.Send(m.cfg.ID, bsc, gsm.Release{Leg: gsm.LegA, MS: t.MS, CallRef: t.CallRef})
@@ -214,10 +203,8 @@ func (m *MSC) handleMOSetup(env *sim.Env, bsc sim.NodeID, t gsm.Setup) {
 		ms: t.MS, bsc: bsc, radioRef: t.CallRef, trunkRef: t.CallRef,
 		state: callRouting, mobileUp: true,
 	}
-	m.mu.Lock()
 	m.byMS[t.MS] = call
 	m.byTrunkRef[call.trunkRef] = call
-	m.mu.Unlock()
 
 	invoke := m.dm.Invoke(env, m.cfg.MAPTimeout, func(resp sim.Message, ok bool) {
 		ack, isAck := resp.(sigmap.SendInfoForOutgoingCallAck)
@@ -250,8 +237,6 @@ func (m *MSC) handleMOSetup(env *sim.Env, bsc sim.NodeID, t gsm.Setup) {
 // identityForMS returns the TMSI identity of a registered MS (falling back
 // to an empty identity for unknown MSs, which the VLR rejects).
 func (m *MSC) identityForMS(ms sim.NodeID) gsmid.MobileIdentity {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, info := range m.regs {
 		if info.ms == ms {
 			return gsmid.ByTMSI(info.tmsi)
@@ -261,9 +246,7 @@ func (m *MSC) identityForMS(ms sim.NodeID) gsmid.MobileIdentity {
 }
 
 func (m *MSC) trunkACM(env *sim.Env, t isup.ACM) {
-	m.mu.Lock()
 	call := m.byTrunkRef[t.CallRef]
-	m.mu.Unlock()
 	if call == nil || !call.mobileUp {
 		return
 	}
@@ -272,9 +255,7 @@ func (m *MSC) trunkACM(env *sim.Env, t isup.ACM) {
 }
 
 func (m *MSC) trunkANM(env *sim.Env, t isup.ANM) {
-	m.mu.Lock()
 	call := m.byTrunkRef[t.CallRef]
-	m.mu.Unlock()
 	if call == nil || !call.mobileUp {
 		return
 	}
@@ -291,9 +272,7 @@ func (m *MSC) handleIAM(env *sim.Env, from sim.NodeID, t isup.IAM) {
 	}
 
 	call := &mscCall{trunkRef: t.CallRef, cic: t.CIC, trunkPeer: from, state: callPaging}
-	m.mu.Lock()
 	m.byTrunkRef[t.CallRef] = call
-	m.mu.Unlock()
 
 	invoke := m.dm.Invoke(env, m.cfg.MAPTimeout, func(resp sim.Message, ok bool) {
 		ack, isAck := resp.(sigmap.SendInfoForIncomingCallAck)
@@ -301,9 +280,7 @@ func (m *MSC) handleIAM(env *sim.Env, from sim.NodeID, t isup.IAM) {
 			m.refuseTrunk(env, call, isup.CauseUnallocatedNumber)
 			return
 		}
-		m.mu.Lock()
 		info, known := m.regs[ack.IMSI]
-		m.mu.Unlock()
 		if !known {
 			m.refuseTrunk(env, call, isup.CauseUnallocatedNumber)
 			return
@@ -311,9 +288,7 @@ func (m *MSC) handleIAM(env *sim.Env, from sim.NodeID, t isup.IAM) {
 		call.ms = info.ms
 		call.bsc = info.bsc
 		call.radioRef = t.CallRef
-		m.mu.Lock()
 		m.byMS[info.ms] = call
-		m.mu.Unlock()
 		env.Send(m.cfg.ID, info.bsc, gsm.Paging{
 			Leg: gsm.LegA, MS: info.ms, Identity: gsmid.ByTMSI(info.tmsi),
 		})
@@ -328,7 +303,6 @@ func (m *MSC) handleIAM(env *sim.Env, from sim.NodeID, t isup.IAM) {
 }
 
 func (m *MSC) pagingResponse(env *sim.Env, t gsm.PagingResponse) {
-	m.mu.Lock()
 	call := m.byMS[t.MS]
 	var bsc sim.NodeID
 	for _, info := range m.regs {
@@ -337,7 +311,6 @@ func (m *MSC) pagingResponse(env *sim.Env, t gsm.PagingResponse) {
 			break
 		}
 	}
-	m.mu.Unlock()
 	if call == nil || call.state != callPaging {
 		// Orphan paging response (the caller gave up): free the channel
 		// the MS acquired to answer.
@@ -353,9 +326,7 @@ func (m *MSC) pagingResponse(env *sim.Env, t gsm.PagingResponse) {
 }
 
 func (m *MSC) radioAlerting(env *sim.Env, t gsm.Alerting) {
-	m.mu.Lock()
 	call := m.byMS[t.MS]
-	m.mu.Unlock()
 	if call == nil || call.mobileUp {
 		return
 	}
@@ -363,9 +334,7 @@ func (m *MSC) radioAlerting(env *sim.Env, t gsm.Alerting) {
 }
 
 func (m *MSC) radioConnect(env *sim.Env, t gsm.Connect) {
-	m.mu.Lock()
 	call := m.byMS[t.MS]
-	m.mu.Unlock()
 	if call == nil || call.mobileUp {
 		return
 	}
@@ -376,9 +345,7 @@ func (m *MSC) radioConnect(env *sim.Env, t gsm.Connect) {
 // --- Clearing ---
 
 func (m *MSC) radioDisconnect(env *sim.Env, t gsm.Disconnect) {
-	m.mu.Lock()
 	call := m.byMS[t.MS]
-	m.mu.Unlock()
 	if call == nil {
 		// Possibly a handed-over MS hanging up on this target system.
 		m.hoTarget.RadioDisconnect(env, t)
@@ -397,9 +364,7 @@ func (m *MSC) radioDisconnect(env *sim.Env, t gsm.Disconnect) {
 
 func (m *MSC) trunkREL(env *sim.Env, from sim.NodeID, t isup.REL) {
 	env.Send(m.cfg.ID, from, isup.RLC{CIC: t.CIC, CallRef: t.CallRef})
-	m.mu.Lock()
 	call := m.byTrunkRef[t.CallRef]
-	m.mu.Unlock()
 	if call == nil {
 		// Possibly the anchor releasing a handed-over call.
 		m.hoTarget.TrunkREL(env, t)
@@ -424,10 +389,8 @@ func (m *MSC) clearRadio(env *sim.Env, call *mscCall) {
 }
 
 func (m *MSC) forget(call *mscCall) {
-	m.mu.Lock()
 	delete(m.byMS, call.ms)
 	delete(m.byTrunkRef, call.trunkRef)
-	m.mu.Unlock()
 }
 
 func (m *MSC) refuseTrunk(env *sim.Env, call *mscCall, cause isup.ReleaseCause) {
@@ -440,9 +403,7 @@ func (m *MSC) refuseTrunk(env *sim.Env, call *mscCall, cause isup.ReleaseCause) 
 // --- Voice bridging ---
 
 func (m *MSC) uplinkVoice(env *sim.Env, t gsm.TCHFrame) {
-	m.mu.Lock()
 	call := m.byMS[t.MS]
-	m.mu.Unlock()
 	if call == nil {
 		m.hoTarget.UplinkVoice(env, t)
 		return
@@ -455,9 +416,7 @@ func (m *MSC) uplinkVoice(env *sim.Env, t gsm.TCHFrame) {
 }
 
 func (m *MSC) trunkVoice(env *sim.Env, t isup.TrunkFrame) {
-	m.mu.Lock()
 	call := m.byTrunkRef[t.CallRef]
-	m.mu.Unlock()
 	if call == nil {
 		m.hoTarget.TrunkVoice(env, t)
 		return

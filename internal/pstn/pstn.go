@@ -8,7 +8,6 @@ package pstn
 
 import (
 	"strings"
-	"sync"
 	"time"
 
 	"vgprs/internal/gsmid"
@@ -66,7 +65,6 @@ type Exchange struct {
 	cfg ExchangeConfig
 	dm  *ss7.DialogueManager
 
-	mu    sync.Mutex
 	calls map[uint32]*call
 
 	sriQueries uint64
@@ -87,15 +85,11 @@ func (e *Exchange) ID() sim.NodeID { return e.cfg.ID }
 
 // ActiveCalls returns the number of calls currently in progress.
 func (e *Exchange) ActiveCalls() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return len(e.calls)
 }
 
 // SRIQueries returns how many HLR interrogations this exchange performed.
 func (e *Exchange) SRIQueries() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.sriQueries
 }
 
@@ -109,11 +103,9 @@ func (e *Exchange) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.
 			return isup.ACM{CIC: up.cic, CallRef: m.CallRef}
 		})
 	case isup.ANM:
-		e.mu.Lock()
 		if c := e.calls[m.CallRef]; c != nil {
 			c.answered = true
 		}
-		e.mu.Unlock()
 		e.relayUp(env, m.CallRef, func(up leg) sim.Message {
 			return isup.ANM{CIC: up.cic, CallRef: m.CallRef}
 		})
@@ -154,21 +146,16 @@ func (e *Exchange) handleIAM(env *sim.Env, from sim.NodeID, m isup.IAM) {
 		called:  m.Called,
 		calling: m.Calling,
 	}
-	e.mu.Lock()
 	if _, dup := e.calls[m.CallRef]; dup {
-		e.mu.Unlock()
 		env.Send(e.cfg.ID, from, isup.REL{CIC: m.CIC, CallRef: m.CallRef, Cause: isup.CauseNetworkFailure})
 		return
 	}
 	e.calls[m.CallRef] = c
-	e.mu.Unlock()
 
 	// GMSC role: mobile numbers are re-targeted to the MSRN the HLR
 	// returns before routing (Fig 7).
 	if e.cfg.HLR != "" && e.isMobileNumber(m.Called) {
-		e.mu.Lock()
 		e.sriQueries++
-		e.mu.Unlock()
 		invoke := e.dm.Invoke(env, e.cfg.MAPTimeout, func(resp sim.Message, ok bool) {
 			ack, isAck := resp.(sigmap.SendRoutingInformationAck)
 			if !ok || !isAck || ack.Cause != sigmap.CauseNone {
@@ -211,9 +198,7 @@ func (e *Exchange) tryNextRoute(env *sim.Env, c *call, target gsmid.MSISDN) {
 
 // failCall clears a call toward the caller.
 func (e *Exchange) failCall(env *sim.Env, c *call, cause isup.ReleaseCause) {
-	e.mu.Lock()
 	delete(e.calls, c.ref)
-	e.mu.Unlock()
 	if c.up.trunks != nil {
 		c.up.trunks.Release(c.up.cic)
 	}
@@ -221,9 +206,7 @@ func (e *Exchange) failCall(env *sim.Env, c *call, cause isup.ReleaseCause) {
 }
 
 func (e *Exchange) relayUp(env *sim.Env, ref uint32, build func(up leg) sim.Message) {
-	e.mu.Lock()
 	c := e.calls[ref]
-	e.mu.Unlock()
 	if c == nil {
 		return
 	}
@@ -231,9 +214,7 @@ func (e *Exchange) relayUp(env *sim.Env, ref uint32, build func(up leg) sim.Mess
 }
 
 func (e *Exchange) handleREL(env *sim.Env, from sim.NodeID, m isup.REL) {
-	e.mu.Lock()
 	c := e.calls[m.CallRef]
-	e.mu.Unlock()
 	if c == nil {
 		env.Send(e.cfg.ID, from, isup.RLC{CIC: m.CIC, CallRef: m.CallRef})
 		return
@@ -265,9 +246,7 @@ func (e *Exchange) handleREL(env *sim.Env, from sim.NodeID, m isup.REL) {
 	} else if c.hasDown {
 		other, haveOther = c.down, true
 	}
-	e.mu.Lock()
 	delete(e.calls, m.CallRef)
-	e.mu.Unlock()
 	if haveOther {
 		if other.trunks != nil {
 			other.trunks.Release(other.cic)
@@ -277,9 +256,7 @@ func (e *Exchange) handleREL(env *sim.Env, from sim.NodeID, m isup.REL) {
 }
 
 func (e *Exchange) relayVoice(env *sim.Env, from sim.NodeID, m isup.TrunkFrame) {
-	e.mu.Lock()
 	c := e.calls[m.CallRef]
-	e.mu.Unlock()
 	if c == nil {
 		return
 	}

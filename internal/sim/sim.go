@@ -16,6 +16,14 @@
 // derived from the root seed (see rng.go). Both depend only on the topology,
 // the seed and each context's own history, so the same seed produces a
 // byte-identical trace and identical metrics.
+//
+// # Ownership
+//
+// A world is one Env and the nodes registered with it. Its nodes are called
+// only from the goroutine that runs its Env, and worlds share no mutable
+// state, so no node takes a lock and separate worlds may run on separate
+// goroutines (the experiment sweeps do). The race detector checks both:
+// netsim.TestWorldsShareNoState runs every topology twice at once.
 package sim
 
 import (

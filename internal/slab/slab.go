@@ -193,8 +193,7 @@ func (s *Slab[T]) Bytes() int {
 
 // Sharded is a fixed-fan-out set of slabs addressed through one Handle
 // space: the handle's shard bits route Get and Free to the owning shard.
-// Sharding here partitions storage (and lets audits localise a leak); the
-// owning node still serialises access under its own lock.
+// Sharding here partitions storage (and lets audits localise a leak).
 type Sharded[T any] struct {
 	shards []Slab[T]
 }

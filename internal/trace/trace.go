@@ -7,7 +7,6 @@ package trace
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"vgprs/internal/sim"
@@ -29,10 +28,8 @@ func (e Entry) String() string {
 		e.At.Round(time.Microsecond), e.From, e.To, e.Iface, e.Msg.Name())
 }
 
-// Recorder is a sim.Tracer that stores every delivery. It is safe for
-// concurrent use so tests can inspect while examples print.
+// Recorder is a sim.Tracer that stores every delivery.
 type Recorder struct {
-	mu      sync.Mutex
 	entries []Entry
 }
 
@@ -43,15 +40,11 @@ func NewRecorder() *Recorder { return &Recorder{} }
 
 // Trace implements sim.Tracer.
 func (r *Recorder) Trace(at time.Duration, from, to sim.NodeID, iface string, msg sim.Message) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.entries = append(r.entries, Entry{At: at, From: from, To: to, Iface: iface, Msg: msg})
 }
 
 // Entries returns a copy of all recorded entries in delivery order.
 func (r *Recorder) Entries() []Entry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Entry, len(r.entries))
 	copy(out, r.entries)
 	return out
@@ -59,22 +52,18 @@ func (r *Recorder) Entries() []Entry {
 
 // Len returns the number of recorded entries.
 func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return len(r.entries)
 }
 
 // Reset discards all recorded entries.
 func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.entries = r.entries[:0]
 }
 
 // Dump renders the full trace, one entry per line.
 func (r *Recorder) Dump() string {
 	var b strings.Builder
-	for _, e := range r.Entries() {
+	for _, e := range r.entries {
 		b.WriteString(e.String())
 		b.WriteByte('\n')
 	}
@@ -84,7 +73,7 @@ func (r *Recorder) Dump() string {
 // CountMessages returns how many recorded messages have the given name.
 func (r *Recorder) CountMessages(name string) int {
 	n := 0
-	for _, e := range r.Entries() {
+	for _, e := range r.entries {
 		if e.Msg.Name() == name {
 			n++
 		}
@@ -95,7 +84,7 @@ func (r *Recorder) CountMessages(name string) int {
 // CountOnInterface returns how many messages crossed the named interface.
 func (r *Recorder) CountOnInterface(iface string) int {
 	n := 0
-	for _, e := range r.Entries() {
+	for _, e := range r.entries {
 		if e.Iface == iface {
 			n++
 		}
@@ -107,7 +96,7 @@ func (r *Recorder) CountOnInterface(iface string) int {
 // the per-interface signalling-load table used by experiment C5.
 func (r *Recorder) MessagesByInterface() map[string]int {
 	out := make(map[string]int)
-	for _, e := range r.Entries() {
+	for _, e := range r.entries {
 		out[e.Iface]++
 	}
 	return out
@@ -116,7 +105,7 @@ func (r *Recorder) MessagesByInterface() map[string]int {
 // First returns the first entry whose message has the given name, and
 // whether one exists.
 func (r *Recorder) First(name string) (Entry, bool) {
-	for _, e := range r.Entries() {
+	for _, e := range r.entries {
 		if e.Msg.Name() == name {
 			return e, true
 		}
@@ -127,7 +116,7 @@ func (r *Recorder) First(name string) (Entry, bool) {
 // FirstMatch returns the first entry matching the step's full criteria
 // (message name, endpoints, interface).
 func (r *Recorder) FirstMatch(step ExpectStep) (Entry, bool) {
-	for _, e := range r.Entries() {
+	for _, e := range r.entries {
 		if step.matches(e) {
 			return e, true
 		}
@@ -137,7 +126,7 @@ func (r *Recorder) FirstMatch(step ExpectStep) (Entry, bool) {
 
 // Last returns the last entry whose message has the given name.
 func (r *Recorder) Last(name string) (Entry, bool) {
-	entries := r.Entries()
+	entries := r.entries
 	for i := len(entries) - 1; i >= 0; i-- {
 		if entries[i].Msg.Name() == name {
 			return entries[i], true
@@ -199,7 +188,7 @@ func (s ExpectStep) matches(e Entry) bool {
 // step matched, or an error naming the first unmatched step together with a
 // window of the trace to aid debugging.
 func (r *Recorder) ExpectSequence(steps []ExpectStep) error {
-	entries := r.Entries()
+	entries := r.entries
 	i := 0
 	for _, step := range steps {
 		found := false
@@ -221,7 +210,7 @@ func (r *Recorder) ExpectSequence(steps []ExpectStep) error {
 // ExpectAbsent returns an error if any recorded message has the given name.
 // Used for negative assertions, e.g. "the gatekeeper never receives IMSI".
 func (r *Recorder) ExpectAbsent(name string) error {
-	for _, e := range r.Entries() {
+	for _, e := range r.entries {
 		if e.Msg.Name() == name {
 			return fmt.Errorf("trace: message %q present at %v (%s -> %s), expected absent",
 				name, e.At, e.From, e.To)
@@ -233,7 +222,7 @@ func (r *Recorder) ExpectAbsent(name string) error {
 // Between returns entries recorded in the half-open interval [from, to).
 func (r *Recorder) Between(from, to time.Duration) []Entry {
 	var out []Entry
-	for _, e := range r.Entries() {
+	for _, e := range r.entries {
 		if e.At >= from && e.At < to {
 			out = append(out, e)
 		}

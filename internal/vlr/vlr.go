@@ -8,7 +8,6 @@ package vlr
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"vgprs/internal/gsmid"
@@ -99,7 +98,6 @@ type VLR struct {
 	cfg Config
 	dm  *ss7.DialogueManager
 
-	mu       sync.Mutex
 	recs     *slab.Sharded[mmRec]
 	byIMSI   *slab.RowIndex[gsmid.PackedDigits, mmRec]
 	byTMSI   *slab.RowIndex[uint32, mmRec]
@@ -112,7 +110,7 @@ type VLR struct {
 	// updating dedupes in-flight location updates: the MSC retransmits
 	// UpdateLocationArea with the same invoke ID, and a duplicate must not
 	// spawn a parallel authentication chain (TMSI churn, doubled HLR
-	// updates). Driven only from the sim goroutine.
+	// updates).
 	updating *txn.Table[ulaKey, struct{}]
 }
 
@@ -152,7 +150,7 @@ func shardOf(p gsmid.PackedDigits) int {
 }
 
 // getOrCreateRec returns the record for an IMSI, allocating a fresh slab
-// slot when the subscriber is new. Callers hold v.mu.
+// slot when the subscriber is new.
 func (v *VLR) getOrCreateRec(imsi gsmid.IMSI) *mmRec {
 	packed := imsi.Pack()
 	if _, r := v.byIMSI.Get(packed); r != nil {
@@ -206,8 +204,6 @@ func (v *VLR) ID() sim.NodeID { return v.cfg.ID }
 
 // Lookup returns a copy of the MM context for the IMSI.
 func (v *VLR) Lookup(imsi gsmid.IMSI) (MMContext, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	_, r := v.byIMSI.Get(imsi.Pack())
 	if r == nil {
 		return MMContext{}, false
@@ -217,15 +213,11 @@ func (v *VLR) Lookup(imsi gsmid.IMSI) (MMContext, bool) {
 
 // Registered returns the number of MM contexts currently held.
 func (v *VLR) Registered() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return v.recs.Len()
 }
 
 // OutstandingMSRNs returns the number of roaming numbers awaiting use.
 func (v *VLR) OutstandingMSRNs() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return len(v.msrn)
 }
 
@@ -243,8 +235,6 @@ func (v *VLR) Audit(report func(kind string, n int)) {
 // tables, which a quiesced VLR holds at their floor. It is the VLR's share of
 // "who owns which bytes of a resident subscriber" (EXPERIMENTS.md).
 func (v *VLR) Footprint() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return v.recs.Bytes() + v.byIMSI.Bytes() + v.byTMSI.Bytes() + v.dm.Bytes() + v.updating.Bytes()
 }
 
@@ -254,8 +244,6 @@ func (v *VLR) Footprint() int {
 // was lost by — the slab; the soak/leak gates assert zero the same way
 // they assert empty residuals.
 func (v *VLR) SlabImbalance() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	return v.dm.Occupancy().Imbalance() + v.updating.Occupancy().Imbalance() +
 		v.byIMSI.Audit() + v.byTMSI.Stale()
 }
@@ -307,8 +295,6 @@ func (v *VLR) resolveIdentity(id gsmid.MobileIdentity) (gsmid.IMSI, bool) {
 	case gsmid.IdentityIMSI:
 		return id.IMSI, true
 	case gsmid.IdentityTMSI:
-		v.mu.Lock()
-		defer v.mu.Unlock()
 		_, r := v.byTMSI.Get(uint32(id.TMSI))
 		if r == nil {
 			return "", false
@@ -352,9 +338,7 @@ func (v *VLR) handleUpdateLocationArea(env *sim.Env, msc sim.NodeID, m sigmap.Up
 	// The MSC retransmits a lost UpdateLocationArea with the same invoke
 	// ID; a duplicate of an in-flight transaction is dropped here — the
 	// original chain will answer it.
-	v.mu.Lock()
 	key := ulaKey(v.names.ID(string(msc)))<<32 | ulaKey(m.Invoke)
-	v.mu.Unlock()
 	if v.updating.Begin(env, key, txn.Policy{}) == nil {
 		return
 	}
@@ -394,7 +378,6 @@ func ulaAuthInfoDone(arg any, resp sim.Message, ok bool) {
 	}, v.cfg.SigRTO, v.cfg.SigRetries)
 	// Remaining triplets are cached for later transactions, capped at the
 	// record's fixed-size cache (overflow vectors are simply refetched).
-	v.mu.Lock()
 	if _, r := v.byIMSI.Get(t.imsi.Pack()); r != nil {
 		for _, trip := range ack.Triplets[1:] {
 			if int(r.ntrip) >= maxCachedTriplets {
@@ -404,7 +387,6 @@ func ulaAuthInfoDone(arg any, resp sim.Message, ok bool) {
 			r.ntrip++
 		}
 	}
-	v.mu.Unlock()
 }
 
 // ulaAuthenticateDone verifies SRES and starts ciphering.
@@ -468,8 +450,6 @@ func ulaHLRDone(arg any, resp sim.Message, ok bool) {
 // createContext installs (or refreshes) the MM context and allocates a
 // TMSI, returning it with the profile MSISDN for the ack.
 func (v *VLR) createContext(imsi gsmid.IMSI, lai gsmid.LAI, msc string, ciphered bool) (gsmid.TMSI, gsmid.MSISDN) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	r := v.getOrCreateRec(imsi)
 	if r.tmsi != 0 {
 		v.byTMSI.Delete(uint32(r.tmsi))
@@ -489,7 +469,6 @@ func (v *VLR) createContext(imsi gsmid.IMSI, lai gsmid.LAI, msc string, ciphered
 }
 
 func (v *VLR) handleInsertSubscriberData(env *sim.Env, from sim.NodeID, m sigmap.InsertSubscriberData) {
-	v.mu.Lock()
 	// Profile may arrive before the UpdateLocationAck installs the
 	// context: getOrCreateRec creates a provisional one.
 	r := v.getOrCreateRec(m.IMSI)
@@ -502,12 +481,10 @@ func (v *VLR) handleInsertSubscriberData(env *sim.Env, from sim.NodeID, m sigmap
 	if m.Profile.Barred {
 		r.flags |= mmBarred
 	}
-	v.mu.Unlock()
 	env.Send(v.cfg.ID, from, sigmap.InsertSubscriberDataAck{Invoke: m.Invoke})
 }
 
 func (v *VLR) handleCancelLocation(env *sim.Env, from sim.NodeID, m sigmap.CancelLocation) {
-	v.mu.Lock()
 	var servingMSC string
 	if h, r := v.byIMSI.Get(m.IMSI.Pack()); r != nil {
 		servingMSC = v.names.Val(r.msc)
@@ -517,7 +494,6 @@ func (v *VLR) handleCancelLocation(env *sim.Env, from sim.NodeID, m sigmap.Cance
 		v.byIMSI.Delete(r.imsi)
 		v.recs.Free(h)
 	}
-	v.mu.Unlock()
 	// The subscriber left this service area: the (V)MSC holding state for
 	// it (the VMSC's MS table, its gatekeeper registration, its GPRS
 	// contexts) must clean up too (paper §5: the old VMSC releases the
@@ -540,25 +516,16 @@ func (v *VLR) handleOutgoingCall(env *sim.Env, from sim.NodeID, m sigmap.SendInf
 		reply(sigmap.CauseUnknownSubscriber, "", "")
 		return
 	}
-	v.mu.Lock()
 	_, r := v.byIMSI.Get(imsi.Pack())
-	var msisdn gsmid.MSISDN
-	var barred, intl bool
-	if r != nil {
-		msisdn = r.profMSISDN.MSISDN()
-		barred = r.flags&mmBarred != 0
-		intl = r.flags&mmIntlAllowed != 0
-	}
-	v.mu.Unlock()
 	switch {
 	case r == nil:
 		reply(sigmap.CauseUnknownSubscriber, "", "")
-	case barred:
-		reply(sigmap.CauseNotAllowed, imsi, msisdn)
-	case v.isInternational(m.Called) && !intl:
-		reply(sigmap.CauseNotAllowed, imsi, msisdn)
+	case r.flags&mmBarred != 0:
+		reply(sigmap.CauseNotAllowed, imsi, r.profMSISDN.MSISDN())
+	case v.isInternational(m.Called) && r.flags&mmIntlAllowed == 0:
+		reply(sigmap.CauseNotAllowed, imsi, r.profMSISDN.MSISDN())
 	default:
-		reply(sigmap.CauseNone, imsi, msisdn)
+		reply(sigmap.CauseNone, imsi, r.profMSISDN.MSISDN())
 	}
 }
 
@@ -569,29 +536,17 @@ func (v *VLR) isInternational(called gsmid.MSISDN) bool {
 // handleProvideRoamingNumber allocates an MSRN for an incoming call (HLR
 // interrogation path, Figs 6-7).
 func (v *VLR) handleProvideRoamingNumber(env *sim.Env, from sim.NodeID, m sigmap.ProvideRoamingNumber) {
-	v.mu.Lock()
-	_, r := v.byIMSI.Get(m.IMSI.Pack())
-	ok := r != nil
-	var msrn gsmid.MSISDN
-	if ok {
-		v.nextMSRN++
-		msrn = gsmid.MSISDN(fmt.Sprintf("%s%04d", v.cfg.MSRNPrefix, v.nextMSRN%10000))
-		v.msrn[msrn] = m.IMSI
-	}
-	v.mu.Unlock()
-
-	if !ok {
+	if _, r := v.byIMSI.Get(m.IMSI.Pack()); r == nil {
 		env.Send(v.cfg.ID, from, sigmap.ProvideRoamingNumberAck{
 			Invoke: m.Invoke, Cause: sigmap.CauseAbsentSubscriber,
 		})
 		return
 	}
+	v.nextMSRN++
+	msrn := gsmid.MSISDN(fmt.Sprintf("%s%04d", v.cfg.MSRNPrefix, v.nextMSRN%10000))
+	v.msrn[msrn] = m.IMSI
 	// Reclaim the MSRN if the IAM never arrives.
-	env.After(v.cfg.MSRNLifetime, func() {
-		v.mu.Lock()
-		delete(v.msrn, msrn)
-		v.mu.Unlock()
-	})
+	env.After(v.cfg.MSRNLifetime, func() { delete(v.msrn, msrn) })
 	env.Send(v.cfg.ID, from, sigmap.ProvideRoamingNumberAck{
 		Invoke: m.Invoke, Cause: sigmap.CauseNone, MSRN: msrn,
 	})
@@ -600,22 +555,17 @@ func (v *VLR) handleProvideRoamingNumber(env *sim.Env, from sim.NodeID, m sigmap
 // handleIncomingCall resolves an MSRN back to the subscriber when the IAM
 // reaches the serving (V)MSC.
 func (v *VLR) handleIncomingCall(env *sim.Env, from sim.NodeID, m sigmap.SendInfoForIncomingCall) {
-	v.mu.Lock()
 	imsi, ok := v.msrn[m.MSRN]
-	var msisdn gsmid.MSISDN
-	if ok {
-		delete(v.msrn, m.MSRN) // single use
-		if _, r := v.byIMSI.Get(imsi.Pack()); r != nil {
-			msisdn = r.profMSISDN.MSISDN()
-		}
-	}
-	v.mu.Unlock()
-
 	if !ok {
 		env.Send(v.cfg.ID, from, sigmap.SendInfoForIncomingCallAck{
 			Invoke: m.Invoke, Cause: sigmap.CauseUnknownSubscriber,
 		})
 		return
+	}
+	delete(v.msrn, m.MSRN) // single use
+	var msisdn gsmid.MSISDN
+	if _, r := v.byIMSI.Get(imsi.Pack()); r != nil {
+		msisdn = r.profMSISDN.MSISDN()
 	}
 	env.Send(v.cfg.ID, from, sigmap.SendInfoForIncomingCallAck{
 		Invoke: m.Invoke, Cause: sigmap.CauseNone, IMSI: imsi, MSISDN: msisdn,
