@@ -307,12 +307,8 @@ func TestQuiescedHeapIsFootprint(t *testing.T) {
 // row's generational handle), and the newcomer must register as if nothing
 // had happened — with its own P-TMSI and PDP address.
 func TestRecycledRowIgnoresLateAccept(t *testing.T) {
-	const a, gbDelay, phone = 0, 5 * time.Millisecond, sim.NodeID("MS-X")
+	const a, b, gbDelay, phone = 0, 1, 5 * time.Millisecond, sim.NodeID("MS-X")
 	imsi := func(i int) gsmid.IMSI { return netsim.SubscriberN(i).IMSI }
-	b := a + 1
-	for imsi(b).Pack().Hash()&7 != imsi(a).Pack().Hash()&7 {
-		b++ // rows route to one of 8 shards by IMSI hash; a slot is reused within its shard
-	}
 	f := newFullStack(1, 16)
 	f.Env.Connect("VMSC-1", "SGSN-1", "Gb", gbDelay) // answers stay in flight long enough to act
 	vm := f.VMSC
@@ -337,7 +333,7 @@ func TestRecycledRowIgnoresLateAccept(t *testing.T) {
 	}
 	at(3 * time.Millisecond)
 	rowB := vm.EntryHandle(imsi(b))
-	if rowB.IsZero() || rowB == rowA || rowB.Shard() != rowA.Shard() || uint32(rowB) != uint32(rowA) {
+	if rowB.IsZero() || rowB == rowA || uint32(rowB) != uint32(rowA) {
 		t.Fatalf("second subscriber's row %x does not reuse the slot of %x", rowB, rowA)
 	}
 

@@ -43,9 +43,6 @@ type GGSNConfig struct {
 	MaxKbps uint16
 }
 
-// ggsnShards is the slab fan-out; contexts spread by TID hash.
-const ggsnShards = 8
-
 // maxQueuedPerAddr bounds the packets parked per destination address while
 // network-initiated activation runs. A paging burst beyond the cap drops
 // the overflow (counted in QueueDrops) instead of pinning memory for the
@@ -83,7 +80,7 @@ type GGSN struct {
 	pool *ipnet.Pool
 	dm   *ss7.DialogueManager
 
-	recs    *slab.Sharded[ggsnRec]
+	recs    *slab.Slab[ggsnRec]
 	byTID   *slab.RowIndex[uint64, ggsnRec]
 	byAddr  *slab.RowIndex[uint32, ggsnRec] // PDP address in its ipnet.V4Key form
 	names   slab.Syms[string]               // SGSN node names
@@ -129,7 +126,7 @@ func NewGGSN(cfg GGSNConfig) *GGSN {
 	if err != nil {
 		panic(err)
 	}
-	recs := slab.NewSharded[ggsnRec](ggsnShards)
+	recs := slab.NewSlab[ggsnRec]()
 	return &GGSN{
 		cfg:   cfg,
 		pool:  pool,
@@ -222,9 +219,9 @@ func (g *GGSN) Footprint() int {
 	return g.recs.Bytes() + g.byTID.Bytes() + g.byAddr.Bytes() + g.dm.Bytes() + g.creating.Bytes()
 }
 
-// SlabImbalance audits the slab storage: per-shard occupancy must balance
-// and both indexes must resolve to live records that agree with the key.
-// Non-zero means a context leaked or was lost.
+// SlabImbalance audits the slab storage: occupancy must balance and both
+// indexes must resolve to live records that agree with the key. Non-zero
+// means a context leaked or was lost.
 func (g *GGSN) SlabImbalance() int {
 	return g.dm.Occupancy().Imbalance() + g.creating.Occupancy().Imbalance() +
 		g.byTID.Audit() + g.byAddr.Stale()
@@ -328,7 +325,7 @@ func (g *GGSN) finishCreate(env *sim.Env, sgsn sim.NodeID, m gtp.CreatePDPReques
 		env.Send(g.cfg.ID, sgsn, gtp.CreatePDPResponse{Seq: m.Seq, Cause: gtp.CauseSystemFailure})
 		return
 	}
-	h, r := g.recs.Alloc(int(slab.HashUint64(uint64(tid)) & (ggsnShards - 1)))
+	h, r := g.recs.Alloc()
 	r.imsi = m.IMSI.Pack()
 	r.nsapi = m.NSAPI
 	r.tid = tid

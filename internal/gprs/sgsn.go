@@ -42,9 +42,6 @@ type SGSNConfig struct {
 	EchoMisses int
 }
 
-// sgsnShards is the slab fan-out; subscribers spread by IMSI hash.
-const sgsnShards = 8
-
 // gbPeerLimit is the most Gb peers (BSCs and VMSCs) one SGSN serves in any
 // topology built here, with room to spare. Symbols are never released, so a
 // peers table past it means per-subscriber values are being interned — it
@@ -137,14 +134,14 @@ func (p *pdpRec) addrString() string {
 
 // SGSN is the serving GPRS support node: it terminates the Gb interface,
 // manages attach and PDP-context state, and tunnels user traffic to the
-// GGSN over GTP (Gn). Subscriber state lives in slab shards addressed by
+// GGSN over GTP (Gn). Subscriber state lives in value slabs addressed by
 // open-addressing indexes (TLLI, IMSI, TID → row) so an attached-but-
 // idle subscriber costs a bounded number of bytes.
 type SGSN struct {
 	cfg SGSNConfig
 
-	mms     *slab.Sharded[mmRec]
-	pdps    *slab.Sharded[pdpRec]
+	mms     *slab.Slab[mmRec]
+	pdps    *slab.Slab[pdpRec]
 	byTLLI  *slab.RowIndex[uint32, mmRec]
 	byIMSI  *slab.RowIndex[gsmid.PackedDigits, mmRec]
 	byTID   *slab.RowIndex[uint64, mmRec]
@@ -261,11 +258,11 @@ func NewSGSN(cfg SGSNConfig) *SGSN {
 	if cfg.SigRTO == 0 {
 		cfg.SigRTO = time.Second
 	}
-	mms := slab.NewSharded[mmRec](sgsnShards)
+	mms := slab.NewSlab[mmRec]()
 	s := &SGSN{
 		cfg:  cfg,
 		mms:  mms,
-		pdps: slab.NewSharded[pdpRec](sgsnShards),
+		pdps: slab.NewSlab[pdpRec](),
 		// A subscriber is entered under its local TLLI and, when it
 		// roamed in on one, its foreign TLLI.
 		byTLLI: slab.NewRowIndex(mms, slab.HashUint32, func(k uint32, r *mmRec) bool {
@@ -412,12 +409,12 @@ func (s *SGSN) findPDP(r *mmRec, nsapi uint8) *pdpRec {
 }
 
 // addPDP links a new context record onto the subscriber.
-func (s *SGSN) addPDP(mm slab.Handle, r *mmRec) (slab.Handle, *pdpRec) {
-	h, p := s.pdps.Alloc(mm.Shard())
+func (s *SGSN) addPDP(r *mmRec) *pdpRec {
+	h, p := s.pdps.Alloc()
 	p.next = r.pdpHead
 	r.pdpHead = h
 	r.npdp++
-	return h, p
+	return p
 }
 
 // removePDP unlinks and frees the context with the given NSAPI, returning
@@ -592,7 +589,7 @@ func (s *SGSN) handleAttach(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m A
 	h, r := s.byIMSI.Get(packed)
 	if r == nil {
 		s.nextPT++
-		h, r = s.mms.Alloc(int(packed.Hash() & (sgsnShards - 1)))
+		h, r = s.mms.Alloc()
 		r.imsi = packed
 		r.ptmsi = gsmid.PTMSI(s.nextPT)
 		s.byIMSI.Put(packed, h)
@@ -726,7 +723,7 @@ func (s *SGSN) finishActivate(env *sim.Env, t gtpTxn, resp sim.Message) {
 		s.cleanupTunnel(env, cr.TID)
 		return
 	}
-	_, p := s.addPDP(t.mm, r)
+	p := s.addPDP(r)
 	p.nsapi = t.nsapi
 	p.tid = cr.TID
 	if cr.Address != "" {

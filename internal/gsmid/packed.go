@@ -36,7 +36,7 @@ func (i IMSI) Pack() PackedDigits { return PackDigits(string(i)) }
 func (m MSISDN) Pack() PackedDigits { return PackDigits(string(m)) }
 
 // Hash returns a deterministic 64-bit mix of the packed digits, suitable
-// for slab.Index tables and shard routing.
+// for slab index tables.
 func (p PackedDigits) Hash() uint64 { return slab.HashBytes8(p) }
 
 // IsZero reports whether p is the empty digit string.

@@ -113,8 +113,6 @@ type gkIMSI struct {
 	imsi  gsmid.PackedDigits
 }
 
-const gkShards = 8
-
 // Gatekeeper is a standard H.323 gatekeeper: registration, address
 // translation, call admission, location queries, and disengage accounting.
 // Deliberately: it has no GSM MAP interface and never sees an IMSI — the
@@ -122,7 +120,7 @@ const gkShards = 8
 // test C4 audits.
 //
 // Its two per-subscriber tables (registrations and the TR-mode IMSI cache)
-// and its open calls live in sharded value slabs reached through
+// and its open calls live in value slabs reached through
 // open-addressing indexes keyed by BCD-packed aliases, the same treatment
 // the core's VLR/HLR/SGSN stores use: GSM-scale populations cost the GC
 // nothing and iteration order is deterministic.
@@ -131,11 +129,11 @@ type Gatekeeper struct {
 	ep  *Endpoint
 	dm  *ss7.DialogueManager
 
-	regs    *slab.Sharded[gkReg]
+	regs    *slab.Slab[gkReg]
 	byAlias *slab.RowIndex[gsmid.PackedDigits, gkReg]
-	calls   *slab.Sharded[gkCall]
+	calls   *slab.Slab[gkCall]
 	byCall  *slab.RowIndex[gkCallKey, gkCall]
-	imsiTab *slab.Sharded[gkIMSI] // TR 23.923 mode only
+	imsiTab *slab.Slab[gkIMSI] // TR 23.923 mode only
 	byIMSI  *slab.RowIndex[gsmid.PackedDigits, gkIMSI]
 	nextEP  uint32
 	admits  uint64
@@ -153,9 +151,9 @@ func NewGatekeeper(cfg GatekeeperConfig) *Gatekeeper {
 	if cfg.MAPTimeout == 0 {
 		cfg.MAPTimeout = 5 * time.Second
 	}
-	regs := slab.NewSharded[gkReg](gkShards)
-	calls := slab.NewSharded[gkCall](gkShards)
-	imsiTab := slab.NewSharded[gkIMSI](gkShards)
+	regs := slab.NewSlab[gkReg]()
+	calls := slab.NewSlab[gkCall]()
+	imsiTab := slab.NewSlab[gkIMSI]()
 	gk := &Gatekeeper{
 		cfg:     cfg,
 		dm:      ss7.NewDialogueManager(cfg.ID),
@@ -256,7 +254,7 @@ func (g *Gatekeeper) Footprint() int {
 
 // SlabImbalance cross-checks each slab against the index that owns its rows
 // (RowIndex.Audit): each entry must resolve to a live row carrying the same
-// key, each shard's live count must match the entries resolving into it, and
+// key, the slab's live count must match the entries resolving into it, and
 // allocated capacity must be fully accounted as live or free. Zero means no
 // leaked rows, no stale or misdirected entries, and no books that disagree
 // — the soak gate's invariant.
@@ -346,7 +344,7 @@ func (g *Gatekeeper) resolveIMSIThen(env *sim.Env, src netip.Addr, m RRQ) {
 		if _, row := g.byIMSI.Get(key); row != nil {
 			row.imsi = ack.IMSI.Pack()
 		} else {
-			h, row := g.imsiTab.Alloc(int(key.Hash() & (gkShards - 1)))
+			h, row := g.imsiTab.Alloc()
 			row.alias, row.imsi = key, ack.IMSI.Pack()
 			g.byIMSI.Put(key, h)
 		}
@@ -383,7 +381,7 @@ func (g *Gatekeeper) handleRRQ(env *sim.Env, src netip.Addr, m RRQ) {
 	} else {
 		g.nextEP++
 		epNum = g.nextEP
-		h, row := g.regs.Alloc(int(key.Hash() & (gkShards - 1)))
+		h, row := g.regs.Alloc()
 		row.alias, row.signalAddr, row.signalPort = key, m.SignalAddr, m.SignalPort
 		row.epID, row.expiresAt = epNum, expiryAt(env.Now(), granted)
 		g.byAlias.Put(key, h)
@@ -488,7 +486,7 @@ func (g *Gatekeeper) openCall(m ARQ, now time.Duration) {
 	if h, _ := g.byCall.Get(key); !h.IsZero() {
 		return
 	}
-	h, rec := g.calls.Alloc(int(hashCallKey(key) & (gkShards - 1)))
+	h, rec := g.calls.Alloc()
 	rec.caller, rec.ref, rec.admittedAt = key.caller, m.CallRef, now
 	g.byCall.Put(key, h)
 }

@@ -1,7 +1,6 @@
 package h323
 
 import (
-	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -374,20 +373,12 @@ func TestGatewayTwoConcurrentInboundCalls(t *testing.T) {
 // TestGatewayDRQClosesOnlyItsCall: the gateway's DRQ names its call, so it
 // closes that call and no other. A second call from another caller is held
 // open under the same wire reference, in a row that comes first in the
-// gatekeeper's table; releasing A's call through the gateway (A's DRQ, then
-// the gateway's) must leave it open.
+// gatekeeper's table (it was opened first, so it holds the earlier slot);
+// releasing A's call through the gateway (A's DRQ, then the gateway's) must
+// leave it open.
 func TestGatewayDRQClosesOnlyItsCall(t *testing.T) {
 	p := newPSTNLAN(t)
-	const ref = 1
-	shardOf := func(caller gsmid.MSISDN) uint64 {
-		return hashCallKey(gkCallKey{caller.Pack(), ref}) & (gkShards - 1)
-	}
-	var other gsmid.MSISDN
-	for i := 0; other == ""; i++ {
-		if c := gsmid.MSISDN(fmt.Sprintf("0447800%05d", i)); shardOf(c) <= shardOf("044781110001") {
-			other = c
-		}
-	}
+	const ref, other, caller = 1, gsmid.MSISDN("044780000000"), gsmid.MSISDN("044781110001")
 	p.gk.openCall(ARQ{CallerAlias: other, CalledAlias: "85221119999", CallRef: ref}, 0)
 
 	refA, err := p.a.Call(p.env, "85221110001")
@@ -403,6 +394,10 @@ func TestGatewayDRQClosesOnlyItsCall(t *testing.T) {
 	}
 	if active, _, _ := p.gk.Calls(); active != 2 {
 		t.Fatalf("gatekeeper holds %d active calls, want A's and the other caller's", active)
+	}
+	hOther, _ := p.gk.byCall.Get(gkCallKey{other.Pack(), ref})
+	if hA, _ := p.gk.byCall.Get(gkCallKey{caller.Pack(), ref}); hA.IsZero() || uint32(hOther) >= uint32(hA) {
+		t.Fatalf("test premise broken: the other caller's row %x does not precede A's %x", hOther, hA)
 	}
 	if err := p.a.Hangup(p.env, refA); err != nil {
 		t.Fatal(err)

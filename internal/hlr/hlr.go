@@ -45,9 +45,6 @@ type Record struct {
 	SGSN string
 }
 
-// hlrShards is the slab fan-out; subscribers spread by IMSI hash.
-const hlrShards = 8
-
 // hlrRec is the slab-resident subscriber record: fixed size, pointer-free.
 // Identities are BCD-packed; serving-element names and the static PDP
 // address are interned symbols (their cardinality is bounded by topology
@@ -88,7 +85,7 @@ type HLR struct {
 	cfg Config
 	dm  *ss7.DialogueManager
 
-	recs     *slab.Sharded[hlrRec]
+	recs     *slab.Slab[hlrRec]
 	byIMSI   *slab.RowIndex[gsmid.PackedDigits, hlrRec]
 	byMSISDN *slab.RowIndex[gsmid.PackedDigits, hlrRec]
 	strs     slab.Syms[string] // node names + static PDP addresses
@@ -101,7 +98,7 @@ func New(cfg Config) *HLR {
 	if cfg.SigRTO == 0 {
 		cfg.SigRTO = time.Second
 	}
-	recs := slab.NewSharded[hlrRec](hlrShards)
+	recs := slab.NewSlab[hlrRec]()
 	return &HLR{
 		cfg:      cfg,
 		dm:       ss7.NewDialogueManager(cfg.ID),
@@ -165,8 +162,7 @@ func (h *HLR) Provision(s Subscriber) error {
 	if _, r := h.byMSISDN.Get(msisdn); r != nil {
 		return fmt.Errorf("hlr: duplicate MSISDN %s", s.MSISDN)
 	}
-	shard := int(imsi.Hash() & (hlrShards - 1))
-	hd, r := h.recs.Alloc(shard)
+	hd, r := h.recs.Alloc()
 	r.imsi = imsi
 	r.msisdn = msisdn
 	r.ki = s.Ki
@@ -216,7 +212,7 @@ func (h *HLR) Footprint() int {
 }
 
 // SlabImbalance audits the slab storage: both identity indexes must hold
-// exactly one entry per live record and per-shard occupancy must balance.
+// exactly one entry per live record and occupancy must balance.
 // Non-zero means records were lost or leaked.
 func (h *HLR) SlabImbalance() int {
 	return h.dm.Occupancy().Imbalance() +

@@ -139,9 +139,8 @@ func TestMTCallFromTerminal(t *testing.T) {
 // TestFootprintFlatOverCalls: the resident tables follow the population, not
 // the calls placed. A terminal calls MS-1 and hangs up K times, then 10·K
 // more; every footprint in the leak gate must read exactly the same after
-// both runs, and the network must drain. K covers the warm-up: a slab shard
-// allocates its first chunk on first use, and the terminal's first 26 call
-// references reach all eight of the gatekeeper's call shards.
+// both runs, and the network must drain. K covers the warm-up: a slab
+// allocates its first chunk on first use.
 func TestFootprintFlatOverCalls(t *testing.T) {
 	const k = 100
 	n := BuildVGPRS(VGPRSOptions{Seed: 1, NoTrace: true})

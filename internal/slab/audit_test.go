@@ -9,23 +9,23 @@ type auditRow struct {
 	name uint64
 }
 
-// auditFixture is a four-shard slab of rows with both indexes over it.
+// auditFixture is a slab of rows with both indexes over it.
 type auditFixture struct {
-	s      *Sharded[auditRow]
+	s      *Slab[auditRow]
 	byID   *RowIndex[uint32, auditRow]
 	byName *RowIndex[uint64, auditRow]
 	hs     []Handle // hs[i] holds id i+1
 }
 
 func newAuditFixture() *auditFixture {
-	s := NewSharded[auditRow](4)
+	s := NewSlab[auditRow]()
 	x := &auditFixture{
 		s:      s,
 		byID:   NewRowIndex(s, HashUint32, func(k uint32, r *auditRow) bool { return r.id == k }),
 		byName: NewRowIndex(s, HashUint64, func(k uint64, r *auditRow) bool { return r.name == k }),
 	}
 	for id := uint32(1); id <= 100; id++ {
-		h, r := x.s.Alloc(int(id % 4))
+		h, r := x.s.Alloc()
 		r.id, r.name = id, uint64(id)<<32|7
 		x.byID.Put(r.id, h)
 		x.byName.Put(r.name, h)
@@ -72,7 +72,7 @@ func TestAuditPlantedFaults(t *testing.T) {
 		{"an entry under the zero key whose row was freed", func(t *testing.T, x *auditFixture) []int {
 			// Free zeroes a row, so the freed row carries the zero key:
 			// only the slot's liveness refuses it.
-			h, _ := x.s.Alloc(3)
+			h, _ := x.s.Alloc()
 			x.byID.Put(0, h)
 			x.byName.Put(0, h)
 			x.s.Free(h)
@@ -80,7 +80,7 @@ func TestAuditPlantedFaults(t *testing.T) {
 		}},
 		{"an entry whose slot was re-allocated under another key", func(t *testing.T, x *auditFixture) []int {
 			x.s.Free(x.hs[7])
-			h, r := x.s.Alloc(x.hs[7].Shard()) // the slot just freed
+			h, r := x.s.Alloc() // the slot just freed
 			r.id, r.name = 1000, 1000<<32|7
 			if h.slot() != x.hs[7].slot() {
 				t.Fatalf("Alloc took slot %d, want the freed slot %d", h.slot(), x.hs[7].slot())
@@ -96,13 +96,13 @@ func TestAuditPlantedFaults(t *testing.T) {
 			return []int{x.audit(), x.stale(), absent(t, x.byID, 1, 2), absent(t, x.byName, 1<<32|7, 2<<32|7)}
 		}},
 		{"a live row with no entry", func(t *testing.T, x *auditFixture) []int {
-			x.s.Alloc(2)
+			x.s.Alloc()
 			return []int{x.audit()}
 		}},
 		{"one row under two owning keys", func(t *testing.T, x *auditFixture) []int {
 			x.byID.Put(1000, x.hs[0])
 			// A match that accepts both keys still leaves one more entry
-			// than live rows in the shard.
+			// than live rows in the slab.
 			lax := &RowIndex[uint32, auditRow]{refs: x.byID.refs, rows: x.s, match: func(uint32, *auditRow) bool { return true }}
 			return []int{x.audit(), lax.Audit(), absent(t, x.byID, 1000)}
 		}},
@@ -111,8 +111,7 @@ func TestAuditPlantedFaults(t *testing.T) {
 			x.byID.Delete(x.s.Get(h).id)
 			x.byName.Delete(x.s.Get(h).name)
 			x.s.Free(h)
-			sh := &x.s.shards[h.Shard()]
-			sh.free = sh.free[:len(sh.free)-1]
+			x.s.free = x.s.free[:len(x.s.free)-1]
 			return []int{x.audit(), x.s.Imbalance()}
 		}},
 	} {

@@ -3,10 +3,10 @@ package slab
 import "encoding/binary"
 
 // Deterministic hash functions for Index keys. These are fixed (unseeded)
-// on purpose: the determinism suite replays identical traces across runs
-// and shard counts, so table iteration order — a function of hash values —
-// must be reproducible. The simulator is a closed world; HashDoS is not in
-// the threat model.
+// on purpose: a run is reproducible from its seed alone, so a table's layout
+// — its iteration order and probe lengths, functions of hash values — must
+// be the same in every run. The simulator is a closed world; HashDoS is not
+// in the threat model.
 
 // HashString is 64-bit FNV-1a over the string bytes.
 func HashString(s string) uint64 {

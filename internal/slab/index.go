@@ -57,9 +57,8 @@ func (x *Table[K, V]) Bytes() int {
 // home returns key's home slot: the high word of mix(hash) × capacity, which
 // is uniform over any capacity. It reads the top bits of the hash, and
 // FNV-1a's top bits barely move across sequential names, so one
-// multiplicative mix carries the low bits up first. The mix lives here and
-// not in the hash functions: nodes pick a row's slab shard from
-// key.Hash() & (shards-1), and those values are part of the trace contract.
+// multiplicative mix carries the low bits up first. The mix lives here, once
+// for every hash function a table is built with.
 func (x *Table[K, V]) home(key K) uint64 {
 	hi, _ := bits.Mul64(x.hash(key)*0x9E3779B97F4A7C15, uint64(len(x.vals)))
 	return hi
@@ -160,7 +159,7 @@ func (x *Table[K, V]) Delete(key K) bool {
 // each calls fn for every entry, in table order — a hash order. It is
 // unexported so that only the audits in this package can walk a table:
 // anything that emits messages or chooses among records walks the rows
-// (Sharded.Range).
+// (Slab.Range).
 func (x *Table[K, V]) each(fn func(K, V)) {
 	for i, v := range x.vals {
 		if v != 0 {
@@ -194,33 +193,24 @@ func NewIndex[K comparable](hash func(K) uint64) *Index[K] {
 	return &Index[K]{Table[K, Handle]{hash: hash}}
 }
 
-// A row reference is what a RowIndex cell stores instead of a Handle: the
-// shard in the top 8 bits and slot+1 in the low 24, so a shard holds at most
-// maxRefSlot rows an index can name. It carries no generation; a lookup
-// checks the slot is live and that the row carries the key instead.
-const (
-	refSlotBits = 24
-	maxRefSlot  = 1<<refSlotBits - 1 // the largest slot+1
-)
-
-// RowIndex is an index from a key to the row of one Sharded slab that
-// carries it. It is bound at construction to the slab and to the identity
-// predicate match — "this row carries this key" — so a cell needs only a
-// 32-bit row reference, and one Get both finds the row and proves it is the
-// right one: a lookup returns a row only if its slot is live and match
-// accepts it. An entry whose row was freed, or whose slot now holds a row
-// for another key, looks up as absent, as a stale Handle does in
-// Sharded.Get.
+// RowIndex is an index from a key to the row of one Slab that carries it.
+// It is bound at construction to the slab and to the identity predicate
+// match — "this row carries this key" — so a cell needs only a 32-bit row
+// reference, the slot+1 that is a Handle's low word, and one Get both finds
+// the row and proves it is the right one: a lookup returns a row only if its
+// slot is live and match accepts it. An entry whose row was freed, or whose
+// slot now holds a row for another key, looks up as absent, as a stale
+// Handle does in Slab.Get.
 //
 // Put does not read the row: the row must carry the key by the next lookup.
 type RowIndex[K comparable, T any] struct {
 	refs  Table[K, uint32]
-	rows  *Sharded[T]
+	rows  *Slab[T]
 	match func(K, *T) bool
 }
 
 // NewRowIndex returns an empty index over rows (see NewTable for hash).
-func NewRowIndex[K comparable, T any](rows *Sharded[T], hash func(K) uint64, match func(K, *T) bool) *RowIndex[K, T] {
+func NewRowIndex[K comparable, T any](rows *Slab[T], hash func(K) uint64, match func(K, *T) bool) *RowIndex[K, T] {
 	return &RowIndex[K, T]{refs: Table[K, uint32]{hash: hash}, rows: rows, match: match}
 }
 
@@ -249,29 +239,20 @@ func (x *RowIndex[K, T]) Get(key K) (Handle, *T) {
 
 // resolve checks one row reference against key.
 func (x *RowIndex[K, T]) resolve(key K, ref uint32) (Handle, *T) {
-	if int(ref>>refSlotBits) >= len(x.rows.shards) {
+	s, slot := x.rows, ref-1
+	if int(slot) >= len(s.gens) || s.gens[slot]&1 == 0 {
 		return 0, nil
 	}
-	sh := &x.rows.shards[ref>>refSlotBits]
-	slot := ref&maxRefSlot - 1
-	if int(slot) >= len(sh.gens) || sh.gens[slot]&1 == 0 {
-		return 0, nil
-	}
-	p := sh.at(slot)
+	p := s.at(slot)
 	if !x.match(key, p) {
 		return 0, nil
 	}
-	return makeHandle(sh.shard, slot, sh.gens[slot]), p
+	return makeHandle(slot, s.gens[slot]), p
 }
 
 // Put enters key → the row behind h, replacing any existing entry. It panics
-// on the zero Handle and on a slot a row reference cannot name.
-func (x *RowIndex[K, T]) Put(key K, h Handle) {
-	if h == 0 || uint32(h) > maxRefSlot {
-		panic("slab: RowIndex.Put: handle has no 32-bit row reference")
-	}
-	x.refs.Put(key, uint32(h.Shard())<<refSlotBits|uint32(h))
-}
+// on the zero Handle.
+func (x *RowIndex[K, T]) Put(key K, h Handle) { x.refs.Put(key, uint32(h)) }
 
 // Delete removes key, reporting whether it was present.
 func (x *RowIndex[K, T]) Delete(key K) bool { return x.refs.Delete(key) }
@@ -279,25 +260,13 @@ func (x *RowIndex[K, T]) Delete(key K) bool { return x.refs.Delete(key) }
 // Audit checks the index that owns its slab's rows — the one every row is
 // entered in exactly once — against them, and returns the number of
 // disagreements: entries that do not resolve to a live row carrying their
-// key, the gap between each shard's live count and the entries resolving
-// into it, and the slab's Imbalance. Zero means no leaked row, no stale or
+// key, the gap between the slab's live count and the entries resolving into
+// it, and the slab's Imbalance. Zero means no leaked row, no stale or
 // misdirected entry and no slot lost.
 func (x *RowIndex[K, T]) Audit() int {
-	s := x.rows
-	n := s.Imbalance()
-	perShard := make([]int, len(s.shards))
-	x.refs.each(func(k K, ref uint32) {
-		if h, _ := x.resolve(k, ref); h == 0 {
-			n++
-		} else {
-			perShard[h.Shard()]++
-		}
-	})
-	for i := range s.shards {
-		d := perShard[i] - s.shards[i].live
-		n += max(d, -d)
-	}
-	return n
+	stale := x.Stale()
+	d := x.refs.n - stale - x.rows.live
+	return stale + max(d, -d) + x.rows.Imbalance()
 }
 
 // Stale checks any further index over the slab's rows: it returns the

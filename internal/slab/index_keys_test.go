@@ -98,7 +98,7 @@ type benchRow[K comparable] struct {
 // benchCycle measures one Delete + Get + Put on a table holding n entries —
 // a subscriber leaving, a lookup, a subscriber arriving — with keys taken in
 // a scattered order. The lookup reads the row, as every node's does: through
-// an unbound Index it is Index.Get then Sharded.Get, through a RowIndex one
+// an unbound Index it is Index.Get then Slab.Get, through a RowIndex one
 // Get that checks the slot and the row's key. The population is constant,
 // so the table never grows inside the loop and the cycle must not allocate;
 // B/entry is what the table's arrays cost per resident key at that
@@ -106,10 +106,10 @@ type benchRow[K comparable] struct {
 func benchCycle[K comparable](b *testing.B, n int, hash func(K) uint64, key func(i int) K, bound bool) {
 	keys := make([]K, n)
 	hs := make([]slab.Handle, n)
-	rows := slab.NewSharded[benchRow[K]](8)
+	rows := slab.NewSlab[benchRow[K]]()
 	for i := range keys {
 		keys[i] = key(i)
-		h, r := rows.Alloc(i % 8)
+		h, r := rows.Alloc()
 		r.key, hs[i] = keys[i], h
 	}
 	var bytes, cells int

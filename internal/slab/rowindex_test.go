@@ -12,7 +12,7 @@ type modelRow struct {
 	data [3]uint64
 }
 
-// TestIndexBoundAgainstModel drives a RowIndex over a four-shard slab and a
+// TestIndexBoundAgainstModel drives a RowIndex over a slab and a
 // model — the live row each key was entered for, plus the keys whose rows
 // were freed behind the index's back — through a random history of inserts,
 // clean deletes, leaked frees and lookups. Freed slots are re-allocated under
@@ -20,7 +20,7 @@ type modelRow struct {
 // checking the slot and the row's key would return another subscriber's row.
 func TestIndexBoundAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	rows := NewSharded[modelRow](4)
+	rows := NewSlab[modelRow]()
 	idx := NewRowIndex(rows, HashUint32, func(k uint32, r *modelRow) bool { return r.key == k })
 	live := map[uint32]Handle{}
 	stale := map[uint32]bool{} // entered, then freed without Delete
@@ -40,7 +40,7 @@ func TestIndexBoundAgainstModel(t *testing.T) {
 		h, inLive := live[k]
 		switch r := rng.Intn(10); {
 		case r < 4 && !inLive:
-			h, row := rows.Alloc(int(k % 4))
+			h, row := rows.Alloc()
 			row.key = k
 			idx.Put(k, h)
 			live[k] = h
@@ -82,8 +82,8 @@ func TestIndexBoundAgainstModel(t *testing.T) {
 // TestIndexCellWidths pins what a cell costs: a RowIndex cell is the key plus
 // a 4-byte row reference, an unbound Index cell the key plus an 8-byte Handle.
 func TestIndexCellWidths(t *testing.T) {
-	rows := NewSharded[modelRow](2)
-	h, _ := rows.Alloc(1)
+	rows := NewSlab[modelRow]()
+	h, _ := rows.Alloc()
 	cell := func(bytes, cells int) int { return bytes / cells }
 	u32 := NewRowIndex(rows, HashUint32, func(uint32, *modelRow) bool { return true })
 	u64 := NewRowIndex(rows, HashUint64, func(uint64, *modelRow) bool { return true })
@@ -112,21 +112,4 @@ func TestIndexCellWidths(t *testing.T) {
 	if got := cell(x.Bytes(), x.Cap()); got != 4+8 {
 		t.Errorf("Index[uint32]: %d B a cell, want 12", got)
 	}
-}
-
-// TestIndexRowReferenceLimit checks the limit a 32-bit row reference puts on
-// a shard: the last slot it can name is entered, the next one is refused.
-func TestIndexRowReferenceLimit(t *testing.T) {
-	rows := NewSharded[modelRow](MaxShards)
-	idx := NewRowIndex(rows, HashUint32, func(uint32, *modelRow) bool { return true })
-	idx.Put(1, makeHandle(MaxShards-1, maxRefSlot-1, 1))
-	if got := idx.refs.Get(1); got != (MaxShards-1)<<refSlotBits|maxRefSlot {
-		t.Fatalf("row reference %x, want shard %d slot+1 %d", got, MaxShards-1, maxRefSlot)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Put accepted slot 2^24-1, which no row reference names")
-		}
-	}()
-	idx.Put(2, makeHandle(0, maxRefSlot, 1))
 }

@@ -17,14 +17,14 @@ package slab
 
 import (
 	"math/bits"
+	"slices"
 	"unsafe"
 )
 
-// Handle names one live slot in a Sharded slab. The packed layout is
+// Handle names one live slot in a Slab. The packed layout is
 //
-//	bits 40..63  generation (24 bits, odd while the slot is live)
-//	bits 32..39  shard index (8 bits)
-//	bits  0..31  slot index + 1 within the shard
+//	bits 32..55  generation (24 bits, odd while the slot is live)
+//	bits  0..31  slot index + 1
 //
 // The +1 on the slot index keeps the zero Handle permanently invalid, so
 // Index tables can use 0 as their empty marker and callers can use the
@@ -32,25 +32,19 @@ import (
 type Handle uint64
 
 const (
-	genBits   = 24
-	genMask   = 1<<genBits - 1
-	shardBits = 8
-	// MaxShards is the largest shard count a Sharded slab supports.
-	MaxShards = 1 << shardBits
+	genBits = 24
+	genMask = 1<<genBits - 1
 )
 
 // IsZero reports whether the handle is the invalid zero value.
 func (h Handle) IsZero() bool { return h == 0 }
 
-// Shard returns the shard index encoded in the handle.
-func (h Handle) Shard() int { return int(h>>32) & (MaxShards - 1) }
-
 func (h Handle) slot() uint32 { return uint32(h) - 1 }
 
-func (h Handle) gen() uint32 { return uint32(h>>40) & genMask }
+func (h Handle) gen() uint32 { return uint32(h>>32) & genMask }
 
-func makeHandle(shard int, slot uint32, gen uint32) Handle {
-	return Handle(uint64(gen&genMask)<<40 | uint64(shard)<<32 | uint64(slot+1))
+func makeHandle(slot uint32, gen uint32) Handle {
+	return Handle(uint64(gen&genMask)<<32 | uint64(slot+1))
 }
 
 // chunkSize is the number of records per full-size slab chunk. Chunks are
@@ -61,8 +55,8 @@ func makeHandle(shard int, slot uint32, gen uint32) Handle {
 // The first chunkSize slots are spread over geometrically growing chunks of
 // firstChunk, firstChunk, 2*firstChunk, ... chunkSize/2 rows, so a store
 // that holds a few dozen records (one of the small worlds a sweep builds by
-// the thousand) does not allocate and zero a thousand rows per shard on its
-// first insert. From slot chunkSize on every chunk is full size: the layout
+// the thousand) does not allocate and zero a thousand rows on its first
+// insert. From slot chunkSize on every chunk is full size: the layout
 // of a large store is what it would be without the small chunks.
 const (
 	chunkBits  = 10
@@ -85,10 +79,9 @@ func locate(slot uint32) (chunk, off uint32) {
 	return b - firstBits, slot - start
 }
 
-// Slab is a single-shard arena of T records with a generational free-list.
-// The zero value is not usable; use NewSlab or Sharded.
+// Slab is an arena of T records with a generational free-list. The zero
+// value is an empty slab.
 type Slab[T any] struct {
-	shard  int
 	chunks [][]T
 	// gens holds one generation counter per slot. Odd = live, even =
 	// free; Alloc and Free each advance the counter, so a Handle minted
@@ -99,7 +92,7 @@ type Slab[T any] struct {
 	live int
 }
 
-// NewSlab returns an empty single-shard slab.
+// NewSlab returns an empty slab.
 func NewSlab[T any]() *Slab[T] { return &Slab[T]{} }
 
 // Alloc returns a handle to a zeroed record. The pointer stays valid until
@@ -125,7 +118,7 @@ func (s *Slab[T]) Alloc() (Handle, *T) {
 	p := &s.chunks[k][off]
 	var zero T
 	*p = zero
-	return makeHandle(s.shard, slot, s.gens[slot]), p
+	return makeHandle(slot, s.gens[slot]), p
 }
 
 // Get resolves a handle to its record, or nil if the handle is zero, stale
@@ -166,6 +159,12 @@ func (s *Slab[T]) Free(h Handle) bool {
 	*s.at(slot) = zero
 	s.gens[slot]++ // odd -> even: free
 	s.live--
+	// The free list grows to the slot count at once, so the slab's memory
+	// follows its peak population and not how far it later drains: the
+	// day soak requires footprints flat across its final windows.
+	if len(s.free) == cap(s.free) {
+		s.free = slices.Grow(s.free, cap(s.gens)-len(s.free))
+	}
 	s.free = append(s.free, slot)
 	return true
 }
@@ -191,102 +190,39 @@ func (s *Slab[T]) Bytes() int {
 	return rows*int(unsafe.Sizeof(zero)) + 4*(cap(s.gens)+cap(s.free))
 }
 
-// Sharded is a fixed-fan-out set of slabs addressed through one Handle
-// space: the handle's shard bits route Get and Free to the owning shard.
-// Sharding here partitions storage (and lets audits localise a leak).
-type Sharded[T any] struct {
-	shards []Slab[T]
-}
-
-// NewSharded returns a sharded slab with n shards (1 <= n <= MaxShards).
-func NewSharded[T any](n int) *Sharded[T] {
-	if n < 1 || n > MaxShards {
-		panic("slab: shard count out of range")
-	}
-	s := &Sharded[T]{shards: make([]Slab[T], n)}
-	for i := range s.shards {
-		s.shards[i].shard = i
-	}
-	return s
-}
-
-// NumShards returns the shard fan-out.
-func (s *Sharded[T]) NumShards() int { return len(s.shards) }
-
-// Alloc allocates a zeroed record in the given shard.
-func (s *Sharded[T]) Alloc(shard int) (Handle, *T) {
-	return s.shards[shard].Alloc()
-}
-
-// Get resolves a handle in whichever shard minted it.
-func (s *Sharded[T]) Get(h Handle) *T {
-	if h == 0 {
-		return nil
-	}
-	sh := h.Shard()
-	if sh >= len(s.shards) {
-		return nil
-	}
-	return s.shards[sh].Get(h)
-}
-
-// Free releases the record behind a handle.
-func (s *Sharded[T]) Free(h Handle) bool {
-	if h == 0 {
-		return false
-	}
-	sh := h.Shard()
-	if sh >= len(s.shards) {
-		return false
-	}
-	return s.shards[sh].Free(h)
-}
-
-// Len returns the live-record count across all shards.
-func (s *Sharded[T]) Len() int {
-	n := 0
-	for i := range s.shards {
-		n += s.shards[i].live
-	}
-	return n
-}
-
-// Range calls fn for every live record in (shard, slot) order until fn
-// returns false. The order depends on which slots are occupied and on
-// nothing else — not on a hash, a table capacity or the order keys went into
-// an Index — so it is the walk for anything that emits messages or picks one
-// record among several. fn must not Alloc or Free.
-func (s *Sharded[T]) Range(fn func(Handle, *T) bool) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		for slot, g := range sh.gens {
-			if g&1 != 0 && !fn(makeHandle(i, uint32(slot), g), sh.at(uint32(slot))) {
-				return
-			}
+// Range calls fn for every live record in slot order until fn returns
+// false. The order depends on which slots are occupied and on nothing else —
+// not on a hash, a table capacity or the order keys went into an Index — so
+// it is the walk for anything that emits messages or picks one record among
+// several. fn must not Alloc or Free.
+func (s *Slab[T]) Range(fn func(Handle, *T) bool) {
+	for slot, g := range s.gens {
+		if g&1 != 0 && !fn(makeHandle(uint32(slot), g), s.at(uint32(slot))) {
+			return
 		}
 	}
 }
 
-// Bytes returns the memory held across all shards (see Slab.Bytes).
-func (s *Sharded[T]) Bytes() int {
-	n := 0
-	for i := range s.shards {
-		n += s.shards[i].Bytes()
-	}
-	return n
+// Imbalance returns the number of slots that are neither live nor on the
+// free-list. In a healthy slab every slot is one or the other; a difference
+// means slots were lost inside the slab itself, which is distinct from a
+// node forgetting to Free a handle (see RowIndex.Audit).
+func (s *Slab[T]) Imbalance() int {
+	d := len(s.gens) - s.live - len(s.free)
+	return max(d, -d)
 }
 
-// Imbalance returns the number of slots that are neither live nor on the
-// free-list, summed over the shards. In a healthy slab every slot is one or
-// the other; a difference means slots were lost inside the slab itself,
-// which is distinct from a node forgetting to Free a handle (see
-// RowIndex.Audit).
-func (s *Sharded[T]) Imbalance() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		d := len(sh.gens) - sh.live - len(sh.free)
-		n += max(d, -d)
-	}
-	return n
+// Sharded is a Slab behind the constructor and Alloc of the retired
+// sharded store.
+//
+// Deprecated: use Slab. The shard count and Alloc's shard argument are
+// accepted and ignored; every record lives in the one embedded Slab.
+type Sharded[T any] struct {
+	Slab[T]
 }
+
+// NewSharded returns an empty store; the shard count is ignored.
+func NewSharded[T any](int) *Sharded[T] { return &Sharded[T]{} }
+
+// Alloc allocates a zeroed record; the shard argument is ignored.
+func (s *Sharded[T]) Alloc(int) (Handle, *T) { return s.Slab.Alloc() }

@@ -2,6 +2,7 @@ package slab
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -102,21 +103,19 @@ func TestSlabStablePointers(t *testing.T) {
 }
 
 // TestSlabSmallStoreStaysSmall is the reason for the geometric first
-// chunks: a 40-record population spread over an 8-shard store occupies one
-// 8-row chunk per shard, not a 1,024-row chunk each.
+// chunks: a 40-record store occupies chunks of 8, 8, 16 and 32 rows, not one
+// 1,024-row chunk.
 func TestSlabSmallStoreStaysSmall(t *testing.T) {
-	s := NewSharded[rec](8)
+	s := NewSlab[rec]()
 	for i := 0; i < 40; i++ {
-		s.Alloc(i % 8)
+		s.Alloc()
 	}
-	rows := 0
-	for i := range s.shards {
-		for _, c := range s.shards[i].chunks {
-			rows += len(c)
-		}
+	var rows []int
+	for _, c := range s.chunks {
+		rows = append(rows, len(c))
 	}
-	if rows > 8*firstChunk {
-		t.Fatalf("40 records in 8 shards hold %d rows, want <= %d", rows, 8*firstChunk)
+	if !slices.Equal(rows, []int{8, 8, 16, 32}) {
+		t.Fatalf("40 records hold chunks of %v rows, want [8 8 16 32]", rows)
 	}
 	// Past the small chunks the layout is the flat one: slot s lives in
 	// chunk s/chunkSize of the full-size run.
@@ -128,49 +127,23 @@ func TestSlabSmallStoreStaysSmall(t *testing.T) {
 	}
 }
 
-func TestShardedRouting(t *testing.T) {
-	s := NewSharded[rec](8)
-	type entry struct {
-		h Handle
-		v uint64
+// TestSlabBytesFollowPeak: once a slab has begun to drain, draining it
+// further holds no more memory, so Bytes follows the peak population and
+// not the trough.
+func TestSlabBytesFollowPeak(t *testing.T) {
+	s := NewSlab[rec]()
+	var hs []Handle
+	for i := 0; i < 100; i++ {
+		h, _ := s.Alloc()
+		hs = append(hs, h)
 	}
-	var entries []entry
-	for i := 0; i < 1000; i++ {
-		shard := i % 8
-		h, p := s.Alloc(shard)
-		if h.Shard() != shard {
-			t.Fatalf("handle shard = %d, want %d", h.Shard(), shard)
-		}
-		p.id = uint64(i)
-		entries = append(entries, entry{h, uint64(i)})
-		if n := s.Imbalance(); n != 0 {
-			t.Fatalf("after %d allocs: Imbalance = %d", i+1, n)
-		}
+	s.Free(hs[0])
+	peak := s.Bytes()
+	for _, h := range hs[1:] {
+		s.Free(h)
 	}
-	if s.Len() != 1000 {
-		t.Fatalf("Len = %d, want 1000", s.Len())
-	}
-	for _, e := range entries {
-		if got := s.Get(e.h); got == nil || got.id != e.v {
-			t.Fatalf("Get(%x) = %v, want id %d", e.h, got, e.v)
-		}
-	}
-	for i, e := range entries {
-		if !s.Free(e.h) {
-			t.Fatalf("Free(%x) = false", e.h)
-		}
-		if n := s.Imbalance(); n != 0 {
-			t.Fatalf("after %d frees: Imbalance = %d", i+1, n)
-		}
-	}
-	if s.Len() != 0 {
-		t.Fatalf("Len after free-all = %d, want 0", s.Len())
-	}
-	for i := range s.shards {
-		if sh := &s.shards[i]; sh.live != 0 || len(sh.free) != len(sh.gens) {
-			t.Fatalf("shard %d free-list did not fully recycle: live %d free %d cap %d",
-				i, sh.live, len(sh.free), len(sh.gens))
-		}
+	if s.Bytes() != peak {
+		t.Fatalf("Bytes = %d after draining 100 rows, %d after the first Free", s.Bytes(), peak)
 	}
 }
 
@@ -390,54 +363,46 @@ func TestSymsRoundTrip(t *testing.T) {
 }
 
 func TestHandleFields(t *testing.T) {
-	h := makeHandle(7, 12345, 0x00abcdef)
-	if h.Shard() != 7 || h.slot() != 12345 || h.gen() != 0x00abcdef {
-		t.Fatalf("field round-trip failed: shard=%d slot=%d gen=%x",
-			h.Shard(), h.slot(), h.gen())
+	h := makeHandle(12345, 0x00abcdef)
+	if h.slot() != 12345 || h.gen() != 0x00abcdef || uint32(h) != 12346 {
+		t.Fatalf("field round-trip failed: slot=%d gen=%x low word=%d", h.slot(), h.gen(), uint32(h))
 	}
 }
 
-// TestShardedAgainstModel drives a sharded slab with random Alloc, Free and
-// Get — through live handles, handles retired by Free (some since recycled by
-// a later occupant of the slot), handles moved to another shard, and handles
-// that were never issued — against a map from live handle to the value stored
-// there. A stale or foreign handle must resolve to nothing and free nothing,
-// a fresh row must read zero, the books (Len, Imbalance) must balance after
-// every step, per-shard live/free/cap and Bytes at the end, and Range must
-// walk the survivors in row order.
-func TestShardedAgainstModel(t *testing.T) {
+// TestSlabAgainstModel drives a slab with random Alloc, Free and Get —
+// through live handles, handles retired by Free (some since recycled by a
+// later occupant of the slot), and handles that were never issued — against
+// a map from live handle to the value stored there. A stale or foreign
+// handle must resolve to nothing and free nothing, a fresh row must read
+// zero, the books (Len, Imbalance) must balance after every step, live/free/
+// cap and Bytes at the end, and Range must walk the survivors in slot order.
+func TestSlabAgainstModel(t *testing.T) {
 	type row struct {
 		val  uint64
 		note string // a pointer field: Free must clear it
 	}
-	const shards = 4
 	rng := rand.New(rand.NewSource(11))
-	s := NewSharded[row](shards)
+	s := NewSlab[row]()
 	live := map[Handle]uint64{}
 	var order, retired []Handle // order: live handles, for picking one at random
 
 	pick := func(hs []Handle) Handle { return hs[rng.Intn(len(hs))] }
 	// mangle turns a real handle into one that must not resolve.
 	mangle := func(h Handle) Handle {
-		switch rng.Intn(3) {
-		case 0: // same slot and generation, another shard
-			return makeHandle((h.Shard()+1+rng.Intn(shards-1))%shards, h.slot(), h.gen())
-		case 1: // same shard and slot, a generation not in use there
-			return makeHandle(h.Shard(), h.slot(), h.gen()+2*uint32(1+rng.Intn(4)))
-		default: // a slot far past anything allocated
-			return makeHandle(h.Shard(), h.slot()+1<<20, h.gen())
+		if rng.Intn(2) == 0 { // same slot, a generation not in use there
+			return makeHandle(h.slot(), h.gen()+2*uint32(1+rng.Intn(4)))
 		}
+		return makeHandle(h.slot()+1<<20, h.gen()) // a slot far past anything allocated
 	}
 	for op := 0; op < 200000; op++ {
 		switch r := rng.Intn(10); {
 		case r < 4 || len(order) == 0:
-			shard := rng.Intn(shards)
-			h, p := s.Alloc(shard)
+			h, p := s.Alloc()
 			if *p != (row{}) {
 				t.Fatalf("op %d: Alloc returned a dirty row %+v", op, *p)
 			}
-			if _, dup := live[h]; dup || h.IsZero() || h.Shard() != shard {
-				t.Fatalf("op %d: Alloc(%d) returned handle %x (duplicate %v)", op, shard, h, dup)
+			if _, dup := live[h]; dup || h.IsZero() {
+				t.Fatalf("op %d: Alloc returned handle %x (duplicate %v)", op, h, dup)
 			}
 			p.val, p.note = rng.Uint64(), "x"
 			live[h] = p.val
@@ -476,21 +441,19 @@ func TestShardedAgainstModel(t *testing.T) {
 			t.Fatalf("op %d: Len = %d, want %d; Imbalance = %d", op, s.Len(), len(live), s.Imbalance())
 		}
 	}
-	perShard := make([]int, shards)
 	for h, want := range live {
 		if p := s.Get(h); p == nil || p.val != want {
 			t.Fatalf("final Get(%x) = %v, want value %d", h, p, want)
 		}
-		perShard[h.Shard()]++
 	}
-	// Range: exactly the live rows, each once, in (shard, slot) order.
+	// Range: exactly the live rows, each once, in slot order.
 	seen, prev := 0, Handle(0)
 	s.Range(func(h Handle, p *row) bool {
 		if want, ok := live[h]; !ok || p.val != want || s.Get(h) != p {
 			t.Fatalf("Range yielded %x -> %+v, model has %d (live %v)", h, *p, want, ok)
 		}
-		if seen > 0 && (h.Shard() < prev.Shard() || h.Shard() == prev.Shard() && h.slot() <= prev.slot()) {
-			t.Fatalf("Range yielded %x after %x: not in (shard, slot) order", h, prev)
+		if seen > 0 && h.slot() <= prev.slot() {
+			t.Fatalf("Range yielded %x after %x: not in slot order", h, prev)
 		}
 		seen, prev = seen+1, h
 		return true
@@ -503,16 +466,10 @@ func TestShardedAgainstModel(t *testing.T) {
 	if stopped != 1 {
 		t.Fatalf("Range went on for %d rows after fn returned false", stopped)
 	}
-	rows := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if sh.live != perShard[i] || sh.live+len(sh.free) != len(sh.gens) {
-			t.Fatalf("shard %d: live %d free %d cap %d, model has %d live",
-				i, sh.live, len(sh.free), len(sh.gens), perShard[i])
-		}
-		rows += len(sh.gens)
+	if s.Len() != len(live) || s.Len()+s.FreeLen() != s.Cap() {
+		t.Fatalf("live %d free %d cap %d, model has %d live", s.Len(), s.FreeLen(), s.Cap(), len(live))
 	}
-	if min := rows * int(unsafe.Sizeof(row{})); s.Bytes() < min {
-		t.Fatalf("Bytes = %d, below the %d bytes of %d allocated rows", s.Bytes(), min, rows)
+	if min := s.Cap() * int(unsafe.Sizeof(row{})); s.Bytes() < min {
+		t.Fatalf("Bytes = %d, below the %d bytes of %d allocated rows", s.Bytes(), min, s.Cap())
 	}
 }

@@ -34,9 +34,6 @@ type MMContext struct {
 	Triplets []sigmap.AuthTriplet
 }
 
-// vlrShards is the slab fan-out; subscribers spread by identity hash.
-const vlrShards = 8
-
 // maxCachedTriplets bounds the per-subscriber auth-vector cache. The VLR
 // fetches 3 vectors per SendAuthenticationInfo, consumes one, and caches
 // the rest; without a bound, repeated re-registrations grow the cache
@@ -98,7 +95,7 @@ type VLR struct {
 	cfg Config
 	dm  *ss7.DialogueManager
 
-	recs     *slab.Sharded[mmRec]
+	recs     *slab.Slab[mmRec]
 	byIMSI   *slab.RowIndex[gsmid.PackedDigits, mmRec]
 	byTMSI   *slab.RowIndex[uint32, mmRec]
 	names    slab.Syms[string]    // MSC node names
@@ -132,7 +129,7 @@ func New(cfg Config) *VLR {
 	if cfg.MSRNPrefix == "" {
 		cfg.MSRNPrefix = "88690000"
 	}
-	recs := slab.NewSharded[mmRec](vlrShards)
+	recs := slab.NewSlab[mmRec]()
 	return &VLR{
 		cfg:      cfg,
 		dm:       ss7.NewDialogueManager(cfg.ID),
@@ -144,11 +141,6 @@ func New(cfg Config) *VLR {
 	}
 }
 
-// shardOf routes a subscriber to its slab shard by identity hash.
-func shardOf(p gsmid.PackedDigits) int {
-	return int(p.Hash() & (vlrShards - 1))
-}
-
 // getOrCreateRec returns the record for an IMSI, allocating a fresh slab
 // slot when the subscriber is new.
 func (v *VLR) getOrCreateRec(imsi gsmid.IMSI) *mmRec {
@@ -156,7 +148,7 @@ func (v *VLR) getOrCreateRec(imsi gsmid.IMSI) *mmRec {
 	if _, r := v.byIMSI.Get(packed); r != nil {
 		return r
 	}
-	h, r := v.recs.Alloc(shardOf(packed))
+	h, r := v.recs.Alloc()
 	r.imsi = packed
 	v.byIMSI.Put(packed, h)
 	return r
@@ -238,7 +230,7 @@ func (v *VLR) Footprint() int {
 	return v.recs.Bytes() + v.byIMSI.Bytes() + v.byTMSI.Bytes() + v.dm.Bytes() + v.updating.Bytes()
 }
 
-// SlabImbalance audits the slab storage: per-shard occupancy must balance
+// SlabImbalance audits the slab storage: occupancy must balance
 // (cap == live + free) and every index entry must resolve to a live record
 // that agrees with the key. Non-zero means a context leaked out of — or
 // was lost by — the slab; the soak/leak gates assert zero the same way

@@ -45,10 +45,6 @@ const (
 	NSAPIVoice      uint8 = 6
 )
 
-// mscShards is the MS-table slab fan-out. Entries route by IMSI hash; the
-// per-shard audits localise a leak to one shard.
-const mscShards = 8
-
 // HandoverTarget names the legacy MSC (and its BTS, standing in for the
 // radio channel description) serving a neighbour cell.
 type HandoverTarget struct {
@@ -139,7 +135,7 @@ type VMSC struct {
 	// procedure step (calls, RAS transactions, paging timers) references the
 	// row by generational Handle instead, so a freed subscriber can never be
 	// resurrected through a stale pointer.
-	ents   *slab.Sharded[msEntry]
+	ents   *slab.Slab[msEntry]
 	byIMSI *slab.RowIndex[gsmid.PackedDigits, msEntry]
 	byMS   *slab.RowIndex[sim.NodeID, msEntry]
 	// nodes and lais intern what rows reference by symbol: serving BSCs and
@@ -431,7 +427,7 @@ func New(cfg Config) *VMSC {
 	if cfg.H323Retries == 0 {
 		cfg.H323Retries = cfg.SigRetries
 	}
-	ents := slab.NewSharded[msEntry](mscShards)
+	ents := slab.NewSlab[msEntry]()
 	v := &VMSC{
 		cfg:     cfg,
 		dm:      ss7.NewDialogueManager(cfg.ID),
@@ -466,7 +462,7 @@ func (v *VMSC) getOrCreateEntry(imsi gsmid.IMSI) *msEntry {
 	if _, e := v.byIMSI.Get(key); e != nil {
 		return e
 	}
-	h, e := v.ents.Alloc(int(key.Hash() & (mscShards - 1)))
+	h, e := v.ents.Alloc()
 	e.self, e.imsiKey = h, key
 	v.byIMSI.Put(key, h)
 	return e
@@ -584,12 +580,12 @@ func (v *VMSC) Footprint() int {
 		v.dm.Bytes() + v.registrar.Bytes() + v.h225.Bytes() + v.gmm.Bytes()
 }
 
-// SlabImbalance audits the MS-table storage: per-shard occupancy must
-// balance (cap == live + free) and every index entry must resolve to a
-// live row that agrees with the key, and the transaction tables (the
-// registrar's included) must account for every record they allocated. Non-zero means a row or record
-// leaked out of — or was lost by — its store; the soak/leak gates assert
-// zero alongside the transient residuals.
+// SlabImbalance audits the MS-table storage: occupancy must balance
+// (cap == live + free) and every index entry must resolve to a live row
+// that agrees with the key, and the transaction tables (the registrar's
+// included) must account for every record they allocated. Non-zero means a
+// row or record leaked out of — or was lost by — its store; the soak/leak
+// gates assert zero alongside the transient residuals.
 func (v *VMSC) SlabImbalance() int {
 	return v.dm.Occupancy().Imbalance() + v.h225.Imbalance() +
 		v.gmm.Occupancy().Imbalance() + v.registrar.Imbalance() +

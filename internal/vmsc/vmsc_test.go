@@ -15,8 +15,10 @@ import (
 	"vgprs/internal/ipnet"
 	"vgprs/internal/netsim"
 	"vgprs/internal/q931"
+	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 	"vgprs/internal/slab"
+	"vgprs/internal/ss7"
 	"vgprs/internal/trace"
 	"vgprs/internal/vmsc"
 )
@@ -459,15 +461,31 @@ func TestVMSCKeepAliveUnderGatekeeperTTL(t *testing.T) {
 	}
 }
 
-// TestKeepAliveEmitsInRowOrder registers a population in shuffled order and
-// lets one keep-alive tick pass: the RRQs must leave in MS-table row order
-// (shard, then slot), which is fixed by who registered when and by nothing
-// about the by-IMSI index — its capacity, its slot function, its growth.
+// TestKeepAliveEmitsInRowOrder recycles part of the MS table, registers the
+// population in shuffled order and lets one keep-alive tick pass: the RRQs
+// must leave in MS-table slot order, which is fixed by which slots the rows
+// took and by nothing about the by-IMSI index — its capacity, its slot
+// function, its growth — nor about the order of provisioning or
+// registration. The builder provisions a row per subscriber in subscriber
+// order, so a third of them are purged and provisioned again in another
+// order: the free list hands their slots back out of order.
 func TestKeepAliveEmitsInRowOrder(t *testing.T) {
 	const population = 200
 	n := netsim.BuildVGPRS(netsim.VGPRSOptions{Seed: 5, NumMS: population, TCHCapacity: 256})
-	order := rand.New(rand.NewSource(5)).Perm(population)
-	for _, i := range order {
+	rng := rand.New(rand.NewSource(5))
+	recycled := rng.Perm(population)[:population/3]
+	for _, i := range recycled {
+		n.Env.Send("VLR-1", "VMSC-1", sigmap.CancelLocation{Invoke: ss7.InvokeID(i + 1), IMSI: n.Subscribers[i].IMSI})
+	}
+	n.Env.Run()
+	if got := n.VMSC.MSTable(); got != population-len(recycled) {
+		t.Fatalf("MS table holds %d rows after purging %d of %d", got, len(recycled), population)
+	}
+	rng.Shuffle(len(recycled), func(a, b int) { recycled[a], recycled[b] = recycled[b], recycled[a] })
+	for _, i := range recycled {
+		n.VMSC.ProvisionMSISDN(n.Subscribers[i].IMSI, n.Subscribers[i].MSISDN)
+	}
+	for _, i := range rng.Perm(population) {
 		n.MSs[i].PowerOn(n.Env)
 		n.Env.RunUntil(n.Env.Now() + 2*time.Second)
 	}
@@ -486,20 +504,14 @@ func TestKeepAliveEmitsInRowOrder(t *testing.T) {
 			t.Fatalf("no MS-table row for %s", sub.IMSI)
 		}
 	}
-	// A handle's low word is slot+1 (slab.Handle), so within one shard the
-	// handle's low 32 bits order rows by slot.
-	sort.Slice(rows, func(a, b int) bool {
-		if sa, sb := rows[a].h.Shard(), rows[b].h.Shard(); sa != sb {
-			return sa < sb
-		}
-		return uint32(rows[a].h) < uint32(rows[b].h)
-	})
+	// A handle's low word is slot+1 (slab.Handle).
+	sort.Slice(rows, func(a, b int) bool { return uint32(rows[a].h) < uint32(rows[b].h) })
 	inProvisioningOrder := true
 	for i, r := range rows {
 		inProvisioningOrder = inProvisioningOrder && r.alias == n.Subscribers[i].MSISDN
 	}
 	if inProvisioningOrder {
-		t.Fatal("row order equals provisioning order: the shuffle tests nothing")
+		t.Fatal("slot order equals provisioning order: the recycling tests nothing")
 	}
 
 	n.Rec.Reset()
@@ -516,7 +528,7 @@ func TestKeepAliveEmitsInRowOrder(t *testing.T) {
 	}
 	for i, r := range rows {
 		if sent[i] != r.alias {
-			t.Fatalf("keep-alive %d is for %s, row order has %s", i, sent[i], r.alias)
+			t.Fatalf("keep-alive %d is for %s, slot order has %s", i, sent[i], r.alias)
 		}
 	}
 }
