@@ -1,6 +1,6 @@
 # Development entry points. `make check` is the tier-1 gate plus the race
-# detector over the packages that run worlds on goroutines; CI should run
-# exactly this target.
+# detector over the packages that run worlds on goroutines and the coverage
+# ratchet (cover-system); CI should run exactly this target.
 
 GO ?= go
 
@@ -9,7 +9,7 @@ GO ?= go
 # FuzzIndexAgainstMap (the index table against a map).
 FUZZ_PKGS = ./internal/sigmap/ ./internal/gtp/ ./internal/q931/ ./internal/gb/ ./internal/isup/ ./internal/rtp/ ./internal/gsm/ ./internal/h323/ ./internal/slab/
 
-.PHONY: all build vet test race check bench-smoke bench-e2e bench bench-sim bench-slab bench-codec bench-scenarios bench-scale heap-profile bench-media bench-json loc fuzz-smoke fuzz soak soak-short
+.PHONY: all build vet test race check cover-system bench-smoke bench-e2e bench bench-sim bench-slab bench-codec bench-scenarios bench-scale heap-profile bench-media bench-json loc fuzz-smoke fuzz soak soak-short
 
 all: check
 
@@ -37,7 +37,33 @@ race:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-check: vet build test race bench-smoke
+check: vet build test race bench-smoke cover-system
+
+# The coverage ratchet: every function in internal/ either runs in some world
+# or is on the committed list of those that may stay unreached. The -short
+# runs of the system-level packages (every builder, scenario and experiment)
+# are the worlds; the functions they leave at 0.0 % are written, keyed
+# "path Func", to $(COVER_DIR)/zero.txt. The target fails when that list holds
+# an entry testdata/cover-system-zero.txt lacks (compared as multisets, with
+# the list's "# class" comments stripped), so the list may only shrink: make
+# the function run in a world or delete it, and drop its line when it is
+# reached or gone. ~25 s on 2 CPUs.
+COVER_DIR ?= .cover
+COVER_PKGS = ./cmd/... ./internal/experiments/ ./internal/netsim/...
+cover-system:
+	@mkdir -p $(COVER_DIR)
+	$(GO) test -short -coverpkg=./internal/... -coverprofile=$(COVER_DIR)/system.out $(COVER_PKGS)
+	$(GO) tool cover -func=$(COVER_DIR)/system.out > $(COVER_DIR)/func.txt
+	@grep -q '^total:' $(COVER_DIR)/func.txt || { echo "cover-system: no total line in $(COVER_DIR)/func.txt"; exit 1; }
+	@awk '$$NF == "0.0%" { f = $$1; sub(/:[0-9]+:$$/, "", f); sub(/^vgprs\//, "", f); print f, $$2 }' $(COVER_DIR)/func.txt | \
+		LC_ALL=C sort > $(COVER_DIR)/zero.txt
+	@sed 's/ *#.*//' testdata/cover-system-zero.txt | grep -v '^$$' | LC_ALL=C sort > $(COVER_DIR)/allowed.txt
+	@LC_ALL=C comm -13 $(COVER_DIR)/allowed.txt $(COVER_DIR)/zero.txt > $(COVER_DIR)/new.txt; \
+	if [ -s $(COVER_DIR)/new.txt ]; then \
+		echo "cover-system: no world reaches these; reach them or delete them:"; cat $(COVER_DIR)/new.txt; exit 1; \
+	fi; \
+	LC_ALL=C comm -23 $(COVER_DIR)/allowed.txt $(COVER_DIR)/zero.txt | sed 's/^/cover-system: now reached, drop its line: /'; \
+	echo "cover-system: $$(wc -l < $(COVER_DIR)/zero.txt) functions unreached, all on testdata/cover-system-zero.txt ($$(wc -l < $(COVER_DIR)/allowed.txt) lines)"
 
 # BENCHMARK.json's five workloads, end-to-end metrics only, one JSON line
 # each: run it in a checkout of the parent commit and in one of the change

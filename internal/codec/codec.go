@@ -146,8 +146,3 @@ func (s *Source) Next() bool {
 	s.remaining -= FrameDuration
 	return s.talking
 }
-
-// ActivityFactor estimates the long-run fraction of speech frames.
-func (s *Source) ActivityFactor() float64 {
-	return float64(s.MeanTalk) / float64(s.MeanTalk+s.MeanSilence)
-}

@@ -103,8 +103,16 @@ func TestSourceDefaultsAndActivity(t *testing.T) {
 	if s.MeanTalk != time.Second || s.MeanSilence != 1350*time.Millisecond {
 		t.Fatalf("defaults = %v/%v", s.MeanTalk, s.MeanSilence)
 	}
-	af := s.ActivityFactor()
-	if af < 0.40 || af > 0.45 {
-		t.Fatalf("activity factor = %f, want ~0.426 (Brady)", af)
+	// Over a long run the share of speech frames is the Brady activity
+	// factor, 1.0 / 2.35 ≈ 0.43 (a little above: spurts last ≥ 200 ms).
+	const frames = 100000
+	talk := 0
+	for range frames {
+		if s.Next() {
+			talk++
+		}
+	}
+	if af := float64(talk) / frames; af < 0.40 || af > 0.46 {
+		t.Fatalf("activity factor = %f, want ~0.43 (Brady)", af)
 	}
 }

@@ -88,7 +88,7 @@ type Transactions struct {
 }
 
 // procKey names one procedure of one subscriber; a subscriber runs at most
-// one attach, detach and RAU, and one activation and deactivation per NSAPI.
+// one attach and one detach, and one activation and deactivation per NSAPI.
 type procKey struct {
 	owner slab.Handle
 	proc  uint8
@@ -98,7 +98,6 @@ type procKey struct {
 const (
 	procAttach uint8 = iota + 1
 	procDetach
-	procRAU
 	procActivate
 	procDeactivate
 )
@@ -329,11 +328,8 @@ func (st *ClientState) dropContext(nsapi uint8) {
 	}
 }
 
-// ActiveContexts returns the number of active PDP contexts.
-func (st *ClientState) ActiveContexts() int { return int(st.nctx) }
-
 // PendingTransactions counts this subscriber's GMM/SM transactions still
-// awaiting an answer (attach, detach, RAU, and per-NSAPI activate/
+// awaiting an answer (attach, detach, and per-NSAPI activate/
 // deactivate). A quiesced client reports zero; soak tests assert on it to
 // catch leaked callbacks.
 func (st *ClientState) PendingTransactions() int { return int(st.pending) }
@@ -360,30 +356,19 @@ func (s Session) AttachArg(env *sim.Env, imsi gsmid.IMSI,
 	return nil
 }
 
-// UpdateRoutingArea reports a new routing area to the SGSN (movement). The
-// attach and PDP contexts survive; done fires on the accept. A second update
-// supersedes one still in flight.
-func (s Session) UpdateRoutingArea(env *sim.Env, rai gsmid.RAI, done func()) error {
-	return s.beginUntimed(env, procRAU, RAUpdateRequest{RAI: rai}, done)
-}
-
-// Detach leaves the GPRS network.
+// Detach leaves the GPRS network. The detach is in the table so it is
+// counted and audited like every other procedure, but it is sent once and
+// never expires.
 func (s Session) Detach(env *sim.Env, done func()) error {
-	return s.beginUntimed(env, procDetach, DetachRequest{}, done)
-}
-
-// beginUntimed runs a detach or RAU: in the table so it is counted and
-// audited like every other procedure, but sent once and never expired.
-func (s Session) beginUntimed(env *sim.Env, proc uint8, sm sim.Message, done func()) error {
 	if !s.attached {
 		return fmt.Errorf("gprs: client %s not attached", s.imsi)
 	}
-	pdu, err := WrapSM(sm)
+	pdu, err := WrapSM(DetachRequest{})
 	if err != nil {
 		return err
 	}
-	s.take(proc, 0)
-	s.begin(env, proc, 0, pdu, txn.Policy{}).done = done
+	s.take(procDetach, 0)
+	s.begin(env, procDetach, 0, pdu, txn.Policy{}).done = done
 	return nil
 }
 
@@ -524,10 +509,6 @@ func (s Session) HandleDownlink(env *sim.Env, pdu []byte) error {
 		}
 	case RequestPDPActivation:
 		s.txns.host.ActivationRequested(env, s.owner, m.Address)
-	case RAUpdateAccept:
-		if p, pending := s.take(procRAU, 0); pending && p.done != nil {
-			p.done()
-		}
 	}
 	return nil
 }

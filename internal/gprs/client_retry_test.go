@@ -152,8 +152,8 @@ func TestClientDeactivateRetransmitAndExhaustion(t *testing.T) {
 	if got := f.ms.Client.Retransmits(); got != 1 {
 		t.Fatalf("retransmits = %d, want 1", got)
 	}
-	if f.ms.Client.ActiveContexts() != 0 {
-		t.Fatalf("contexts = %d after deactivate", f.ms.Client.ActiveContexts())
+	if _, active := f.ms.Client.Context(5); active {
+		t.Fatal("context still active after deactivate")
 	}
 
 	// Now exhaust the budget: the context must still be released locally
@@ -171,7 +171,7 @@ func TestClientDeactivateRetransmitAndExhaustion(t *testing.T) {
 	if !errors.Is(f.ms.Client.LastError(), ErrDeactivateTimeout) {
 		t.Fatalf("LastError = %v, want ErrDeactivateTimeout", f.ms.Client.LastError())
 	}
-	if f.ms.Client.ActiveContexts() != 0 {
+	if _, active := f.ms.Client.Context(5); active {
 		t.Fatal("context not released locally on deactivation give-up")
 	}
 }

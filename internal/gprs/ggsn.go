@@ -240,8 +240,6 @@ func (g *GGSN) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Mess
 		// Voice fast path: the SGSN reuses a pointer message per realtime
 		// context to avoid the interface-boxing allocation per frame.
 		g.handleUplink(env, *m)
-	case gtp.EchoRequest:
-		env.Send(g.cfg.ID, from, gtp.EchoResponse{Seq: m.Seq})
 	case gtp.PDUNotifyResponse:
 		// Informational; queued packets flush when the context appears.
 	case ipnet.Packet:

@@ -32,14 +32,6 @@ type SGSNConfig struct {
 	// the paper's §6 PDP-residency trade-off is about). Zero means
 	// unlimited.
 	MaxContexts int
-	// EchoInterval enables GTP path supervision (GSM 09.60 Echo): the
-	// SGSN pings the GGSN every interval once StartPathSupervision is
-	// called, and declares the Gn path down after EchoMisses consecutive
-	// unanswered echoes. Zero leaves supervision off.
-	EchoInterval time.Duration
-	// EchoMisses is the consecutive-miss threshold for declaring the
-	// path down. Zero means 3.
-	EchoMisses int
 }
 
 // gbPeerLimit is the most Gb peers (BSCs and VMSCs) one SGSN serves in any
@@ -155,14 +147,6 @@ type SGSN struct {
 	gtp        *txn.Table[uint16, gtpTxn]
 	attach     *txn.Table[ss7.InvokeID, attachTxn]
 	nextInvoke ss7.InvokeID
-
-	ulPackets, dlPackets uint64
-
-	// GTP path supervision state (see SGSNConfig.EchoInterval).
-	supervising  bool
-	pathDown     bool
-	echoAwaiting bool
-	echoMissed   int
 }
 
 // gtpTxn is the payload of one outstanding GTP request toward the GGSN,
@@ -294,11 +278,6 @@ func (s *SGSN) Attached() int {
 // residency cost measured by experiment C2.
 func (s *SGSN) ActiveContexts() int {
 	return s.pdps.Len()
-}
-
-// Forwarded returns (uplink, downlink) user-plane packet counts.
-func (s *SGSN) Forwarded() (ul, dl uint64) {
-	return s.ulPackets, s.dlPackets
 }
 
 // PendingTransactions returns the number of outstanding GTP transactions
@@ -488,10 +467,6 @@ func (s *SGSN) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Mess
 		s.handleDownlinkTPDU(env, *m)
 	case gtp.PDUNotifyRequest:
 		s.handlePDUNotify(env, from, m)
-	case gtp.EchoRequest:
-		env.Send(s.cfg.ID, from, gtp.EchoResponse{Seq: m.Seq})
-	case gtp.EchoResponse:
-		s.handleEchoResponse()
 	case sigmap.UpdateGPRSLocationAck:
 		if t, ok := s.attach.Take(m.Invoke); ok {
 			s.finishAttach(env, t.mm, m.Cause == sigmap.CauseNone)
@@ -579,8 +554,6 @@ func (s *SGSN) handleUL(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata) {
 		s.handleActivate(env, peer, ul, m)
 	case DeactivatePDPRequest:
 		s.handleDeactivate(env, peer, ul, m)
-	case RAUpdateRequest:
-		s.handleRAUpdate(env, peer, ul, m)
 	}
 }
 
@@ -675,12 +648,6 @@ func (s *SGSN) handleActivate(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m
 	// flight must not issue a second CreatePDPRequest.
 	if r.activating&nsapiBit(m.NSAPI) != 0 {
 		return // duplicate of a pending activation: the original will answer
-	}
-	if s.pathDown {
-		// Path supervision has declared the GGSN unreachable: fail fast
-		// instead of letting the create request vanish into the tunnel.
-		s.reply(env, peer, ul.MS, ul.TLLI, ActivatePDPReject{NSAPI: m.NSAPI, Cause: SMCauseNetworkFailure})
-		return
 	}
 	if p := s.findPDP(r, m.NSAPI); p != nil {
 		// The NSAPI is already active: this is a retransmission whose
@@ -779,7 +746,6 @@ func (s *SGSN) handleUplinkData(env *sim.Env, ul gb.ULUnitdata, nsapi uint8, pay
 	if pdp == nil {
 		return
 	}
-	s.ulPackets++
 	if pdp.qos.Realtime && isRTP(payload) {
 		// Realtime context: reuse the context's GTP message (the GGSN
 		// consumes the previous one within the Gn latency).
@@ -798,7 +764,6 @@ func (s *SGSN) handleDownlinkTPDU(env *sim.Env, m gtp.TPDU) {
 	if r == nil {
 		return
 	}
-	s.dlPackets++
 	tlli := gsmid.LocalTLLI(r.ptmsi)
 	// Downlink follows the path the context was activated over.
 	peer, ms := s.peers.Val(r.peer), r.ms
@@ -831,33 +796,6 @@ func (s *SGSN) handleDownlinkTPDU(env *sim.Env, m gtp.TPDU) {
 	env.Send(s.cfg.ID, peer, gb.DLUnitdata{TLLI: tlli, MS: ms, PDU: pdu})
 }
 
-// handleRAUpdate refreshes the subscriber's serving cell and Gb path on a
-// routing-area update; PDP contexts survive (GSM 03.60 §6.9), though each
-// context keeps routing downlink over the path it was activated on until
-// re-activated.
-func (s *SGSN) handleRAUpdate(env *sim.Env, peer sim.NodeID, ul gb.ULUnitdata, m RAUpdateRequest) {
-	_, r := s.byTLLI.Get(uint32(ul.TLLI))
-	if r == nil {
-		return
-	}
-	peerSym := s.peers.ID(peer)
-	r.peer = peerSym
-	r.ms = ul.MS
-	r.cell = s.cells.ID(ul.Cell)
-	// Contexts activated over the moving path follow the MS.
-	for h := r.pdpHead; !h.IsZero(); {
-		p := s.pdps.Get(h)
-		if p == nil {
-			break
-		}
-		if p.ms == ul.MS {
-			p.peer = peerSym
-		}
-		h = p.next
-	}
-	s.reply(env, peer, ul.MS, ul.TLLI, RAUpdateAccept{RAI: m.RAI})
-}
-
 // handlePDUNotify relays the GGSN's network-requested activation to the MS
 // (TR 23.923 MT-call path).
 func (s *SGSN) handlePDUNotify(env *sim.Env, from sim.NodeID, m gtp.PDUNotifyRequest) {
@@ -870,47 +808,4 @@ func (s *SGSN) handlePDUNotify(env *sim.Env, from sim.NodeID, m gtp.PDUNotifyReq
 	// Unsolicited requests use the subscriber's most recent attach path
 	// (the only one the SGSN can assume is listening).
 	s.reply(env, s.peers.Val(r.peer), r.ms, gsmid.LocalTLLI(r.ptmsi), RequestPDPActivation{Address: m.Address})
-}
-
-// StartPathSupervision begins periodic GTP Echo probing of the Gn path.
-// It requires SGSNConfig.EchoInterval > 0 and is idempotent. Supervision
-// keeps the event queue non-empty, so drive the simulation with RunUntil
-// rather than Run once it is started.
-func (s *SGSN) StartPathSupervision(env *sim.Env) {
-	if s.supervising || s.cfg.EchoInterval <= 0 {
-		return
-	}
-	s.supervising = true
-	s.echoTick(env)
-}
-
-// PathUp reports whether the Gn path toward the GGSN is considered alive.
-// It is true until supervision observes the miss threshold.
-func (s *SGSN) PathUp() bool {
-	return !s.pathDown
-}
-
-func (s *SGSN) echoTick(env *sim.Env) {
-	if s.echoAwaiting {
-		s.echoMissed++
-		limit := s.cfg.EchoMisses
-		if limit == 0 {
-			limit = 3
-		}
-		if s.echoMissed >= limit {
-			s.pathDown = true
-		}
-	}
-	s.echoAwaiting = true
-	s.nextSeq++
-	env.Send(s.cfg.ID, s.cfg.GGSN, gtp.EchoRequest{Seq: s.nextSeq})
-	env.After(s.cfg.EchoInterval, func() { s.echoTick(env) })
-}
-
-// handleEchoResponse marks the Gn path alive again: any response clears
-// the miss counter and a down verdict (peer restart recovery).
-func (s *SGSN) handleEchoResponse() {
-	s.echoAwaiting = false
-	s.echoMissed = 0
-	s.pathDown = false
 }

@@ -153,23 +153,6 @@ type RequestPDPActivation struct {
 // Name implements sim.Message.
 func (RequestPDPActivation) Name() string { return "Request PDP Context Activation" }
 
-// RAUpdateRequest is the routing-area update a GPRS MS performs when it
-// observes a new RAI (GSM 03.60 §6.9); PDP contexts survive it.
-type RAUpdateRequest struct {
-	RAI gsmid.RAI
-}
-
-// Name implements sim.Message.
-func (RAUpdateRequest) Name() string { return "Routing Area Update Request" }
-
-// RAUpdateAccept confirms the routing-area update.
-type RAUpdateAccept struct {
-	RAI gsmid.RAI
-}
-
-// Name implements sim.Message.
-func (RAUpdateAccept) Name() string { return "Routing Area Update Accept" }
-
 // Interface-compliance assertions.
 var (
 	_ sim.Message = AttachRequest{}
@@ -183,8 +166,6 @@ var (
 	_ sim.Message = DeactivatePDPRequest{}
 	_ sim.Message = DeactivatePDPAccept{}
 	_ sim.Message = RequestPDPActivation{}
-	_ sim.Message = RAUpdateRequest{}
-	_ sim.Message = RAUpdateAccept{}
 )
 
 const (
@@ -199,8 +180,6 @@ const (
 	smDeactivateRequest
 	smDeactivateAccept
 	smRequestActivation
-	smRAUpdateRequest
-	smRAUpdateAccept
 )
 
 func marshalQoS(w *wire.Writer, q gtp.QoSProfile) {
@@ -282,14 +261,6 @@ func encodeSM(w *wire.Writer, msg sim.Message) error {
 	case RequestPDPActivation:
 		w.U8(smRequestActivation)
 		w.String8(m.Address)
-	case RAUpdateRequest:
-		w.U8(smRAUpdateRequest)
-		gsmid.MarshalLAI(w, m.RAI.LAI)
-		w.U8(m.RAI.RAC)
-	case RAUpdateAccept:
-		w.U8(smRAUpdateAccept)
-		gsmid.MarshalLAI(w, m.RAI.LAI)
-		w.U8(m.RAI.RAC)
 	default:
 		return fmt.Errorf("gprs: cannot marshal %T", msg)
 	}
@@ -324,10 +295,6 @@ func UnmarshalSM(b []byte) (sim.Message, error) {
 		msg = DeactivatePDPAccept{NSAPI: r.U8()}
 	case smRequestActivation:
 		msg = RequestPDPActivation{Address: r.String8()}
-	case smRAUpdateRequest:
-		msg = RAUpdateRequest{RAI: gsmid.RAI{LAI: gsmid.UnmarshalLAI(&r), RAC: r.U8()}}
-	case smRAUpdateAccept:
-		msg = RAUpdateAccept{RAI: gsmid.RAI{LAI: gsmid.UnmarshalLAI(&r), RAC: r.U8()}}
 	default:
 		return nil, fmt.Errorf("%w: unknown opcode %d", ErrBadMessage, op)
 	}

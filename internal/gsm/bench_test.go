@@ -3,6 +3,7 @@ package gsm
 import (
 	"testing"
 
+	"vgprs/internal/codec"
 	"vgprs/internal/gsmid"
 )
 
@@ -31,7 +32,7 @@ func BenchmarkUnmarshalSetup(b *testing.B) {
 }
 
 func BenchmarkMarshalTCHFrame(b *testing.B) {
-	m := TCHFrame{Leg: LegUm, MS: "MS-1", CallRef: 5, Seq: 9, Payload: SpeechPayload(0, 9)}
+	m := TCHFrame{Leg: LegUm, MS: "MS-1", CallRef: 5, Seq: 9, Payload: codec.NewFrame(0, 9)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Marshal(m); err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"vgprs/internal/codec"
 	"vgprs/internal/gb"
 	"vgprs/internal/gsmid"
 	"vgprs/internal/sim"
@@ -75,6 +76,16 @@ type radioFixture struct {
 	bsc *BSC
 	msc *scriptMSC
 	rec *trace.Recorder
+}
+
+// setupRef is the call reference on the MS's last Um Setup.
+func (f *radioFixture) setupRef(t *testing.T) uint32 {
+	t.Helper()
+	e, ok := f.rec.Last("Um_Setup")
+	if !ok {
+		t.Fatal("the MS sent no Setup")
+	}
+	return e.Msg.(Setup).CallRef
 }
 
 func newRadioFixture(t *testing.T, msCfg MSConfig, bscCfg BSCConfig) *radioFixture {
@@ -259,8 +270,8 @@ func TestMobileOriginatedCallAndClearing(t *testing.T) {
 // TestLateClearingDoesNotResurrectDetachedMS powers the MS off mid-call and
 // then delivers the network's trailing Release (or the far party's
 // Disconnect) for that call. The MS must still confirm the release so the
-// network leg clears, but it stays detached: no state change, no callRef
-// reset, no OnReleased.
+// network leg clears — for the call the network named — but it stays
+// detached: no state change, no OnReleased.
 func TestLateClearingDoesNotResurrectDetachedMS(t *testing.T) {
 	for _, late := range []string{"Release", "Disconnect"} {
 		t.Run(late, func(t *testing.T) {
@@ -277,7 +288,7 @@ func TestLateClearingDoesNotResurrectDetachedMS(t *testing.T) {
 			if f.ms.State() != MSInCall {
 				t.Fatalf("state = %v", f.ms.State())
 			}
-			ref := f.ms.CallRef()
+			ref := f.setupRef(t)
 			if err := f.ms.PowerOff(f.env); err != nil {
 				t.Fatal(err)
 			}
@@ -294,15 +305,15 @@ func TestLateClearingDoesNotResurrectDetachedMS(t *testing.T) {
 			if f.ms.State() != MSDetached {
 				t.Fatalf("late %s moved a powered-off MS to %v", late, f.ms.State())
 			}
-			if f.ms.CallRef() != ref {
-				t.Fatalf("callRef = %d, want %d left alone", f.ms.CallRef(), ref)
-			}
 			if released != 0 {
 				t.Fatalf("OnReleased fired %d times on a detached MS", released)
 			}
 			confirmed := false
 			for _, e := range f.rec.Entries()[before:] {
 				if e.From == "MS-1" && e.Msg.Name() == "Um_Release_Complete" {
+					if got := e.Msg.(ReleaseComplete).CallRef; got != ref {
+						t.Fatalf("ReleaseComplete for call %d, want %d", got, ref)
+					}
 					confirmed = true
 				}
 			}
@@ -374,7 +385,7 @@ func TestDownlinkSpeechReachesMS(t *testing.T) {
 	for i := range 5 {
 		f.env.Send("MSC-1", "BSC-1", TCHFrame{
 			Leg: LegA, MS: "MS-1", CallRef: 1, Seq: uint32(i), Downlink: true,
-			Payload: SpeechPayload(f.env.Now(), uint32(i)),
+			Payload: codec.NewFrame(f.env.Now(), uint32(i)),
 		})
 	}
 	f.env.Run()
@@ -430,7 +441,7 @@ func TestHandoverCommandMovesMS(t *testing.T) {
 	f.env.Run()
 
 	f.env.Send("MSC-1", "BSC-1", HandoverCommand{
-		Leg: LegA, MS: "MS-1", CallRef: f.ms.CallRef(),
+		Leg: LegA, MS: "MS-1", CallRef: f.setupRef(t),
 		TargetBTS: "BTS-2", Channel: 9,
 	})
 	f.env.Run()
@@ -503,17 +514,28 @@ func TestWithLegForeignMessageUnchanged(t *testing.T) {
 	}
 }
 
+// TestSpeechPayloadRoundTrip: downlink frames carry their generation time
+// and sequence number (codec.NewFrame) and the MS reads both back — its
+// media report sees every frame, none missing from the sequence span, each
+// one three 1 ms hops old.
 func TestSpeechPayloadRoundTrip(t *testing.T) {
-	p := SpeechPayload(42*time.Millisecond, 7)
-	if len(p) != 33 {
-		t.Fatalf("payload len = %d, want 33 (GSM FR frame)", len(p))
+	f := newRadioFixture(t, MSConfig{}, BSCConfig{})
+	f.ms.PowerOn(f.env)
+	f.env.Run()
+	if err := f.ms.Dial(f.env, "886955555555"); err != nil {
+		t.Fatal(err)
 	}
-	ts, ok := SpeechTimestamp(p)
-	if !ok || ts != 42*time.Millisecond {
-		t.Fatalf("timestamp = %v/%v", ts, ok)
+	f.env.Run()
+	for i := range 5 {
+		f.env.Send("MSC-1", "BSC-1", TCHFrame{
+			Leg: LegA, MS: "MS-1", CallRef: 1, Seq: uint32(i), Downlink: true,
+			Payload: codec.NewFrame(f.env.Now(), uint32(i)),
+		})
 	}
-	if _, ok := SpeechTimestamp([]byte{1}); ok {
-		t.Fatal("short payload must not decode")
+	f.env.Run()
+	r := f.ms.MediaReport()
+	if r.Frames != 5 || r.Expected != 5 || r.MeanDelay != 3*time.Millisecond || r.MaxDelay != 3*time.Millisecond {
+		t.Fatalf("media report = %+v, want 5 of 5 frames at 3ms", r)
 	}
 }
 
@@ -544,7 +566,7 @@ func (foreignMsg) Name() string { return "FOREIGN" }
 // uplink frame stream with the Brady talk-spurt model: substantially fewer
 // frames than continuous transmission, but not zero.
 func TestDTXSuppressesSilence(t *testing.T) {
-	run := func(dtx bool) uint64 {
+	run := func(dtx bool) int {
 		f := newRadioFixture(t, MSConfig{Talk: true, DTX: dtx}, BSCConfig{})
 		f.ms.PowerOn(f.env)
 		f.env.Run()
@@ -552,7 +574,7 @@ func TestDTXSuppressesSilence(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.env.RunUntil(f.env.Now() + 30*time.Second)
-		return f.ms.FramesSent()
+		return f.msc.frames // uplink frames that reached the MSC (lossless)
 	}
 	continuous := run(false)
 	gated := run(true)

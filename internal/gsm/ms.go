@@ -128,7 +128,6 @@ type MS struct {
 	nextRef  uint32
 	seq      uint32
 	rxFrames uint64
-	txFrames uint64
 
 	// pending is what the MS wants the channel for.
 	pending pendingAction
@@ -207,14 +206,6 @@ type MediaReport struct {
 	Jitter    time.Duration
 }
 
-// Lost returns the frames missing from the received sequence span.
-func (r MediaReport) Lost() uint64 {
-	if r.Expected <= r.Frames {
-		return 0
-	}
-	return r.Expected - r.Frames
-}
-
 // maxRetries bounds random-access backoff attempts during registration.
 func (m *MS) maxRetries() int {
 	if m.cfg.MaxAccessRetries > 0 {
@@ -249,10 +240,6 @@ func (m *MS) ID() sim.NodeID { return m.cfg.ID }
 // State returns the current layer-3 state.
 func (m *MS) State() MSState { return m.state }
 
-// SetOnReleased replaces the OnReleased hook (for tests and examples that
-// attach observers after construction).
-func (m *MS) SetOnReleased(fn func(callRef uint32)) { m.cfg.Hooks.OnReleased = fn }
-
 // SetOnConnected replaces the OnConnected hook.
 func (m *MS) SetOnConnected(fn func(callRef uint32)) { m.cfg.Hooks.OnConnected = fn }
 
@@ -264,12 +251,6 @@ func (m *MS) TMSI() (gsmid.TMSI, bool) { return m.tmsi, m.hasTMSI }
 
 // FramesReceived returns the number of downlink speech frames received.
 func (m *MS) FramesReceived() uint64 { return m.rxFrames }
-
-// FramesSent returns the number of uplink speech frames sent.
-func (m *MS) FramesSent() uint64 { return m.txFrames }
-
-// CallRef returns the active call reference (0 when idle).
-func (m *MS) CallRef() uint32 { return m.callRef }
 
 // MediaReport snapshots the listener-side QoS stats accumulated since power
 // on or the last ResetMedia. Read it before releasing the call: the stats
@@ -637,7 +618,6 @@ func (m *MS) startTalking(env *sim.Env) {
 		// the frame clock keeps running.
 		if m.speech == nil || m.speech.Next() {
 			m.seq++
-			m.txFrames++
 			// The frame buffer is reused every interval: everything
 			// downstream (BTS/BSC relay, VMSC transcode-at-arrival) copies
 			// or finishes with the payload well inside one FrameInterval,
@@ -671,17 +651,4 @@ func (m *MS) schedulePeriodicUpdate(env *sim.Env) {
 			_ = m.UpdateLocation(env)
 		}
 	})
-}
-
-// SpeechPayload builds a GSM full-rate-sized frame whose first bytes carry
-// the generation time, letting media-path benches measure one-way delay end
-// to end through every transcoding hop (the hops must preserve payload
-// bytes, as a transparent vocoder path does).
-func SpeechPayload(now time.Duration, seq uint32) []byte {
-	return codec.NewFrame(now, seq)
-}
-
-// SpeechTimestamp extracts the generation time embedded by SpeechPayload.
-func SpeechTimestamp(payload []byte) (time.Duration, bool) {
-	return codec.FrameTimestamp(payload)
 }

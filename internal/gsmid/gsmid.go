@@ -191,9 +191,6 @@ func ByIMSI(i IMSI) MobileIdentity { return MobileIdentity{Kind: IdentityIMSI, I
 // ByTMSI returns a MobileIdentity holding a TMSI.
 func ByTMSI(t TMSI) MobileIdentity { return MobileIdentity{Kind: IdentityTMSI, TMSI: t} }
 
-// ByPTMSI returns a MobileIdentity holding a P-TMSI.
-func ByPTMSI(p PTMSI) MobileIdentity { return MobileIdentity{Kind: IdentityPTMSI, PTMSI: p} }
-
 // String formats the contained identity.
 func (m MobileIdentity) String() string {
 	switch m.Kind {

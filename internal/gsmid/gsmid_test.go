@@ -121,7 +121,7 @@ func TestMobileIdentityRoundTrip(t *testing.T) {
 	cases := []MobileIdentity{
 		ByIMSI("466923123456789"),
 		ByTMSI(0xDEADBEEF),
-		ByPTMSI(0x01020304),
+		{Kind: IdentityPTMSI, PTMSI: 0x01020304},
 	}
 	for _, m := range cases {
 		if got := roundTripIdentity(t, m); got != m {
@@ -150,7 +150,7 @@ func TestMobileIdentityRoundTripProperty(t *testing.T) {
 		if pick {
 			m = ByTMSI(TMSI(tmsi))
 		} else {
-			m = ByPTMSI(PTMSI(tmsi))
+			m = MobileIdentity{Kind: IdentityPTMSI, PTMSI: PTMSI(tmsi)}
 		}
 		w := wire.NewWriter(8)
 		m.Marshal(w)

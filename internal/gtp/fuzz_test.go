@@ -13,8 +13,6 @@ import (
 // when a request is re-encoded from its decoded form.
 func FuzzDecode(f *testing.F) {
 	for _, msg := range []sim.Message{
-		EchoRequest{Seq: 1},
-		EchoResponse{Seq: 1},
 		CreatePDPRequest{
 			Seq: 2, IMSI: "466920000000001", NSAPI: 5,
 			QoS: SignallingQoS(), SGSN: "SGSN-1",
@@ -30,6 +28,8 @@ func FuzzDecode(f *testing.F) {
 		TPDU{TID: 42, Payload: []byte{0x45, 0x00, 0x00, 0x1C}},
 		PDUNotifyRequest{Seq: 5, IMSI: "466920000000001", Address: "10.1.0.9"},
 		PDUNotifyResponse{Seq: 5, Cause: CauseAccepted},
+		CreatePDPResponse{Seq: 6, Cause: CauseNoResources},
+		TPDU{TID: 43},
 	} {
 		b, err := Marshal(msg)
 		if err != nil {

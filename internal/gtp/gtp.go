@@ -59,8 +59,6 @@ type MsgType uint8
 
 // GTP message types implemented (spec values).
 const (
-	MsgEchoRequest       MsgType = 1
-	MsgEchoResponse      MsgType = 2
 	MsgCreatePDPRequest  MsgType = 16
 	MsgCreatePDPResponse MsgType = 17
 	MsgDeletePDPRequest  MsgType = 20
@@ -282,18 +280,6 @@ type PDUNotifyResponse struct {
 // Name implements sim.Message.
 func (PDUNotifyResponse) Name() string { return "GTP PDU Notification Response" }
 
-// EchoRequest is the GTP path-management keepalive.
-type EchoRequest struct{ Seq uint16 }
-
-// Name implements sim.Message.
-func (EchoRequest) Name() string { return "GTP Echo Request" }
-
-// EchoResponse answers an EchoRequest.
-type EchoResponse struct{ Seq uint16 }
-
-// Name implements sim.Message.
-func (EchoResponse) Name() string { return "GTP Echo Response" }
-
 // Interface-compliance assertions.
 var (
 	_ sim.Message = CreatePDPRequest{}
@@ -301,8 +287,6 @@ var (
 	_ sim.Message = DeletePDPRequest{}
 	_ sim.Message = DeletePDPResponse{}
 	_ sim.Message = TPDU{}
-	_ sim.Message = EchoRequest{}
-	_ sim.Message = EchoResponse{}
 	_ sim.Message = PDUNotifyRequest{}
 	_ sim.Message = PDUNotifyResponse{}
 )
@@ -335,10 +319,6 @@ func Append(dst []byte, msg sim.Message) ([]byte, error) {
 func encode(w *wire.Writer, msg sim.Message) error {
 	start := w.Len()
 	switch m := msg.(type) {
-	case EchoRequest:
-		marshalHeader(w, Header{Type: MsgEchoRequest, Seq: m.Seq})
-	case EchoResponse:
-		marshalHeader(w, Header{Type: MsgEchoResponse, Seq: m.Seq})
 	case CreatePDPRequest:
 		marshalHeader(w, Header{Type: MsgCreatePDPRequest, Seq: m.Seq})
 		w.BCD(string(m.IMSI))
@@ -395,10 +375,6 @@ func Unmarshal(b []byte) (sim.Message, error) {
 	}
 	var msg sim.Message
 	switch h.Type {
-	case MsgEchoRequest:
-		msg = EchoRequest{Seq: h.Seq}
-	case MsgEchoResponse:
-		msg = EchoResponse{Seq: h.Seq}
 	case MsgCreatePDPRequest:
 		m := CreatePDPRequest{Seq: h.Seq}
 		m.IMSI = gsmid.IMSI(r.BCD())

@@ -34,8 +34,6 @@ func TestMakeTID(t *testing.T) {
 func TestRoundTripAllMessages(t *testing.T) {
 	tid := MakeTID(testIMSI, 1)
 	msgs := []sim.Message{
-		EchoRequest{Seq: 9},
-		EchoResponse{Seq: 9},
 		CreatePDPRequest{
 			Seq: 10, IMSI: testIMSI, NSAPI: 5, QoS: SignallingQoS(),
 			SGSN: "SGSN-1", RequestedAddress: "", NetworkInitiated: false,
@@ -68,7 +66,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 }
 
 func TestHeaderIsTwentyBytes(t *testing.T) {
-	b, err := Marshal(EchoRequest{Seq: 1})
+	b, err := Marshal(TPDU{TID: MakeTID(testIMSI, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +80,7 @@ func TestHeaderIsTwentyBytes(t *testing.T) {
 }
 
 func TestUnmarshalRejectsWrongVersion(t *testing.T) {
-	b, err := Marshal(EchoRequest{Seq: 1})
+	b, err := Marshal(DeletePDPRequest{Seq: 1, TID: MakeTID(testIMSI, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +102,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		t.Errorf("length mismatch err = %v", err)
 	}
 	// Unknown message type.
-	b2, err := Marshal(EchoRequest{Seq: 1})
+	b2, err := Marshal(DeletePDPRequest{Seq: 1, TID: MakeTID(testIMSI, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package h323
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"strings"
 	"time"
@@ -392,16 +393,14 @@ func (g *Gatekeeper) handleRRQ(env *sim.Env, src netip.Addr, m RRQ) {
 }
 
 // grantTTL computes the lifetime an RCF grants, in seconds: the
-// gatekeeper's configured TTL, shortened further if the endpoint asked for
+// gatekeeper's configured TTL, clamped to 1 .. 65,535 s (the width of the
+// RRQ/RCF timeToLive field) and shortened further if the endpoint asked for
 // less. Zero means no expiry is in force.
 func (g *Gatekeeper) grantTTL(requested uint16) uint16 {
 	if g.cfg.RegistrationTTL <= 0 {
 		return 0
 	}
-	granted := uint16(g.cfg.RegistrationTTL / time.Second)
-	if granted == 0 {
-		granted = 1
-	}
+	granted := uint16(max(1, min(g.cfg.RegistrationTTL/time.Second, math.MaxUint16)))
 	if requested > 0 && requested < granted {
 		granted = requested
 	}
@@ -433,23 +432,6 @@ func (g *Gatekeeper) lookupLive(key gsmid.PackedDigits, now time.Duration) (*gkR
 		return nil, false
 	}
 	return r, true
-}
-
-// SweepExpired drops every lapsed registration at the given virtual time
-// and reports how many went. Expiry is otherwise lazy; this exists for
-// operators (and tests) that want the table compacted eagerly.
-func (g *Gatekeeper) SweepExpired(now time.Duration) int {
-	var lapsed []gsmid.PackedDigits
-	g.regs.Range(func(_ slab.Handle, r *gkReg) bool {
-		if g.expired(r, now) {
-			lapsed = append(lapsed, r.alias)
-		}
-		return true
-	})
-	for _, k := range lapsed {
-		g.dropReg(k)
-	}
-	return len(lapsed)
 }
 
 func (g *Gatekeeper) handleARQ(env *sim.Env, src netip.Addr, m ARQ) {

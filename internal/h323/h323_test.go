@@ -470,11 +470,43 @@ func TestRegistrationTTLExpires(t *testing.T) {
 	if _, rejected := f.gk.Admissions(); rejected == 0 {
 		t.Fatal("no admission rejection counted")
 	}
-	if n := f.gk.SweepExpired(f.env.Now()); n == 0 {
-		t.Fatal("sweep found nothing to expire")
+	// The ARQ that found the callee lapsed dropped its row.
+	if _, ok := f.gk.Lookup("85291110002"); ok {
+		t.Fatal("lapsed callee registration survived its ARJ")
 	}
-	if f.gk.Registered() != 0 {
-		t.Fatalf("%d registrations survive the sweep", f.gk.Registered())
+
+	// A late keepalive is told to register fully.
+	f.rec.Reset()
+	f.a.StartKeepAlive(f.env, time.Minute)
+	f.env.RunUntil(f.env.Now() + time.Second)
+	rrj, ok := f.rec.First("RAS RRJ")
+	if !ok || rrj.Msg.(RRJ).Reason != RejectFullRegistrationRequired {
+		t.Fatalf("late keepalive answered %+v (found %v), want full registration required", rrj.Msg, ok)
+	}
+}
+
+// TestGrantTTLClampsToFieldWidth: the RCF's timeToLive is 16 bits wide, so
+// a configured TTL past 65,535 s grants the widest lifetime the field holds
+// instead of wrapping to a short one.
+func TestGrantTTLClampsToFieldWidth(t *testing.T) {
+	for _, c := range []struct {
+		ttl       time.Duration
+		requested uint16
+		want      uint16
+	}{
+		{0, 0, 0},
+		{500 * time.Millisecond, 0, 1},
+		{10 * time.Second, 0, 10},
+		{10 * time.Second, 4, 4},
+		{18 * time.Hour, 0, 64800},
+		{65536 * time.Second, 0, 65535},
+		{24 * time.Hour, 0, 65535},
+		{24 * time.Hour, 600, 600},
+	} {
+		g := NewGatekeeper(GatekeeperConfig{RegistrationTTL: c.ttl})
+		if got := g.grantTTL(c.requested); got != c.want {
+			t.Errorf("TTL %v, requested %d s: granted %d s, want %d s", c.ttl, c.requested, got, c.want)
+		}
 	}
 }
 
@@ -490,8 +522,10 @@ func TestKeepAliveHoldsRegistration(t *testing.T) {
 	f.b.StartKeepAlive(f.env, 4*time.Second)
 
 	f.env.RunUntil(f.env.Now() + 60*time.Second)
-	if n := f.gk.SweepExpired(f.env.Now()); n != 0 {
-		t.Fatalf("%d registrations lapsed despite keepalives", n)
+	for _, alias := range []gsmid.MSISDN{"85291110001", "85291110002"} {
+		if reg, ok := f.gk.Lookup(alias); !ok || reg.ExpiresAt <= f.env.Now() {
+			t.Fatalf("%s lapsed despite keepalives (%+v, %v)", alias, reg, ok)
+		}
 	}
 	if _, err := f.a.Call(f.env, "85291110002"); err != nil {
 		t.Fatal(err)

@@ -189,15 +189,6 @@ func (h *HLR) Lookup(imsi gsmid.IMSI) (Record, bool) {
 	return h.export(r), true
 }
 
-// LookupByMSISDN returns a copy of the record for the MSISDN.
-func (h *HLR) LookupByMSISDN(msisdn gsmid.MSISDN) (Record, bool) {
-	_, r := h.byMSISDN.Get(msisdn.Pack())
-	if r == nil {
-		return Record{}, false
-	}
-	return h.export(r), true
-}
-
 // Audit reports every transient record this HLR holds, by kind, plus its
 // storage audit — all zero at quiescence. netsim's leak gate walks it.
 func (h *HLR) Audit(report func(kind string, n int)) {

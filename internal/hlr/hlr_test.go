@@ -334,17 +334,3 @@ func TestGenerateTripletKeySeparationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestLookupByMSISDN(t *testing.T) {
-	h := New(Config{ID: "HLR"})
-	if err := h.Provision(Subscriber{IMSI: "466920000000001", MSISDN: "886912345678"}); err != nil {
-		t.Fatal(err)
-	}
-	rec, ok := h.LookupByMSISDN("886912345678")
-	if !ok || rec.IMSI != "466920000000001" {
-		t.Fatalf("rec=%+v ok=%v", rec, ok)
-	}
-	if _, ok := h.LookupByMSISDN("886900000000"); ok {
-		t.Fatal("unknown MSISDN resolved")
-	}
-}

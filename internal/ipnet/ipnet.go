@@ -159,13 +159,6 @@ type Pool struct {
 	next uint32   // high-water mark of sequentially issued offsets
 	free []uint32 // LIFO stack of released offsets
 	used []uint64 // bitset over offsets; bit set = currently allocated
-	n    int
-}
-
-// NewPool returns a pool allocating prefix.1 through prefix.254, where
-// prefix is a dotted base like "10.1.2.0".
-func NewPool(prefix string) (*Pool, error) {
-	return NewPoolSize(prefix, 0)
 }
 
 // NewPoolSize returns a pool of n addresses counting up from the base
@@ -216,7 +209,6 @@ func (p *Pool) Allocate() (netip.Addr, error) {
 		off = p.next
 	}
 	p.used[off/64] |= 1 << (off % 64)
-	p.n++
 	return p.addrAt(off), nil
 }
 
@@ -229,12 +221,8 @@ func (p *Pool) Release(addr netip.Addr) {
 		return
 	}
 	p.used[off/64] &^= 1 << (off % 64)
-	p.n--
 	p.free = append(p.free, off)
 }
-
-// InUse returns the number of allocated addresses.
-func (p *Pool) InUse() int { return p.n }
 
 // V4Key returns an IPv4 address as a 4-byte index key, most significant octet
 // first. Every address on the simulated networks is IPv4 (pools allocate

@@ -82,7 +82,7 @@ func TestReply(t *testing.T) {
 }
 
 func TestPoolAllocateRelease(t *testing.T) {
-	pool, err := NewPool("10.9.8.0")
+	pool, err := NewPoolSize("10.9.8.0", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +100,7 @@ func TestPoolAllocateRelease(t *testing.T) {
 	if a1.String() != "10.9.8.1" {
 		t.Fatalf("first address = %s", a1)
 	}
-	if pool.InUse() != 2 {
-		t.Fatalf("InUse = %d", pool.InUse())
-	}
 	pool.Release(a1)
-	if pool.InUse() != 1 {
-		t.Fatalf("InUse after release = %d", pool.InUse())
-	}
 	a3, err := pool.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +111,7 @@ func TestPoolAllocateRelease(t *testing.T) {
 }
 
 func TestPoolExhaustion(t *testing.T) {
-	pool, err := NewPool("10.0.0.0")
+	pool, err := NewPoolSize("10.0.0.0", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,28 +126,40 @@ func TestPoolExhaustion(t *testing.T) {
 }
 
 func TestPoolReleaseForeignAddrNoop(t *testing.T) {
-	pool, err := NewPool("10.0.0.0")
+	pool, err := NewPoolSize("10.0.0.0", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pool.Release(MustAddr("1.1.1.1"))
-	if pool.InUse() != 0 {
-		t.Fatal("foreign release corrupted pool")
+	if n := drain(pool); n != 254 {
+		t.Fatalf("foreign release corrupted pool: %d of 254 addresses left", n)
+	}
+}
+
+// drain allocates until the pool is exhausted and returns how many
+// addresses it handed out: the pool's free count, read through Allocate.
+func drain(p *Pool) int {
+	n := 0
+	for {
+		if _, err := p.Allocate(); err != nil {
+			return n
+		}
+		n++
 	}
 }
 
 func TestNewPoolErrors(t *testing.T) {
-	if _, err := NewPool("not-an-ip"); err == nil {
+	if _, err := NewPoolSize("not-an-ip", 0); err == nil {
 		t.Fatal("bad prefix accepted")
 	}
-	if _, err := NewPool("::1"); err == nil {
+	if _, err := NewPoolSize("::1", 0); err == nil {
 		t.Fatal("IPv6 prefix accepted")
 	}
 }
 
 func TestPoolNeverDuplicatesProperty(t *testing.T) {
 	prop := func(ops []bool) bool {
-		pool, err := NewPool("10.5.5.0")
+		pool, err := NewPoolSize("10.5.5.0", 0)
 		if err != nil {
 			return false
 		}
@@ -177,7 +183,7 @@ func TestPoolNeverDuplicatesProperty(t *testing.T) {
 				delete(seen, a)
 			}
 		}
-		return pool.InUse() == len(held)
+		return drain(pool) == 254-len(held)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ type Router struct {
 
 	hosts    map[netip.Addr]sim.NodeID
 	prefixes []prefixRoute
-	dropped  uint64
 }
 
 type prefixRoute struct {
@@ -39,21 +38,11 @@ func (r *Router) AddHost(addr netip.Addr, node sim.NodeID) {
 	r.hosts[addr] = node
 }
 
-// RemoveHost unbinds an address.
-func (r *Router) RemoveHost(addr netip.Addr) {
-	delete(r.hosts, addr)
-}
-
 // AddPrefix routes a whole prefix (e.g. the GGSN's dynamic PDP range) to a
 // next-hop node. Longest-registered wins is not implemented; first match in
 // insertion order applies, which suffices for the disjoint ranges used here.
 func (r *Router) AddPrefix(prefix netip.Prefix, node sim.NodeID) {
 	r.prefixes = append(r.prefixes, prefixRoute{prefix: prefix, next: node})
-}
-
-// Dropped returns the number of packets with no route.
-func (r *Router) Dropped() uint64 {
-	return r.dropped
 }
 
 // Lookup resolves the next hop for an address.
@@ -77,8 +66,7 @@ func (r *Router) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Me
 	}
 	next, found := r.Lookup(pkt.Dst)
 	if !found || next == from {
-		r.dropped++
-		return
+		return // no route: dropped
 	}
 	// Forward the original interface value: the packet is relayed
 	// unchanged, so re-boxing the Packet struct would be a pure allocation.

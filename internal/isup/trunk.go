@@ -57,9 +57,6 @@ func (t *TrunkGroup) Audit(report func(kind string, n int)) {
 	report("trunks in use", t.InUse())
 }
 
-// Size returns the number of circuits in the group.
-func (t *TrunkGroup) Size() int { return t.size }
-
 // TotalSeizures returns the cumulative number of successful seizures — each
 // one is a trunk leg the tromboning experiment charges at Class.CostUnits().
 func (t *TrunkGroup) TotalSeizures() int {

@@ -1,6 +1,6 @@
-// Package metrics collects latency samples and counters from simulation runs
-// and renders the aligned text tables that cmd/vgprs-bench prints for each
-// experiment (the EXPERIMENTS.md "measured" columns).
+// Package metrics collects latency samples from simulation runs and renders
+// the aligned text tables that cmd/vgprs-bench prints for each experiment
+// (the EXPERIMENTS.md "measured" columns).
 package metrics
 
 import (
@@ -14,7 +14,7 @@ import (
 
 // Series is a named collection of duration samples (for example, "vGPRS MO
 // call setup"). The zero value is ready to use. Samples are kept in
-// insertion order; order statistics (Min, Max, Percentile, Summary) operate
+// insertion order; order statistics (Max, Percentile) operate
 // on a lazily maintained sorted copy, so querying them never reorders the
 // series itself.
 type Series struct {
@@ -32,10 +32,6 @@ func (s *Series) Add(d time.Duration) {
 	s.sorted = nil
 }
 
-// Samples returns the samples in insertion order. The returned slice is the
-// series' own storage; callers must not modify it.
-func (s *Series) Samples() []time.Duration { return s.samples }
-
 // Count returns the number of samples.
 func (s *Series) Count() int { return len(s.samples) }
 
@@ -49,14 +45,6 @@ func (s *Series) Mean() time.Duration {
 		sum += v
 	}
 	return sum / time.Duration(len(s.samples))
-}
-
-// Min returns the smallest sample, or zero for an empty series.
-func (s *Series) Min() time.Duration {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return s.ensureSorted()[0]
 }
 
 // Max returns the largest sample, or zero for an empty series.
@@ -86,30 +74,6 @@ func (s *Series) Percentile(p float64) time.Duration {
 		rank = len(sorted)
 	}
 	return sorted[rank-1]
-}
-
-// Stddev returns the population standard deviation.
-func (s *Series) Stddev() time.Duration {
-	n := len(s.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := float64(s.Mean())
-	var sq float64
-	for _, v := range s.samples {
-		d := float64(v) - mean
-		sq += d * d
-	}
-	return time.Duration(math.Sqrt(sq / float64(n)))
-}
-
-// Summary returns a one-line digest of the series.
-func (s *Series) Summary() string {
-	return fmt.Sprintf("%s: n=%d mean=%v p50=%v p95=%v max=%v",
-		s.Name, s.Count(), s.Mean().Round(time.Microsecond),
-		s.Percentile(50).Round(time.Microsecond),
-		s.Percentile(95).Round(time.Microsecond),
-		s.Max().Round(time.Microsecond))
 }
 
 // ensureSorted returns a sorted copy of the samples, building it on first
@@ -220,31 +184,4 @@ func (t *Table) String() string {
 // format for measured-latency table cells.
 func FormatDuration(d time.Duration) string {
 	return d.Round(time.Microsecond).String()
-}
-
-// Counter is a named monotonically increasing counter set, keyed by label.
-type Counter struct {
-	counts map[string]int
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]int)} }
-
-// Inc adds one to the labelled count.
-func (c *Counter) Inc(label string) { c.counts[label]++ }
-
-// Addn adds n to the labelled count.
-func (c *Counter) Addn(label string, n int) { c.counts[label] += n }
-
-// Get returns the labelled count.
-func (c *Counter) Get(label string) int { return c.counts[label] }
-
-// Labels returns all labels in sorted order.
-func (c *Counter) Labels() []string {
-	out := make([]string, 0, len(c.counts))
-	for k := range c.counts {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -20,8 +21,8 @@ func TestSeriesStats(t *testing.T) {
 	if s.Mean() != ms(30) {
 		t.Errorf("Mean = %v", s.Mean())
 	}
-	if s.Min() != ms(10) || s.Max() != ms(50) {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
+	if s.Max() != ms(50) {
+		t.Errorf("Max = %v", s.Max())
 	}
 	if got := s.Percentile(50); got != ms(30) {
 		t.Errorf("p50 = %v", got)
@@ -43,28 +44,44 @@ func TestSeriesQueriesPreserveInsertionOrder(t *testing.T) {
 	for _, v := range inserted {
 		s.Add(ms(v))
 	}
-	if s.Min() != ms(10) || s.Max() != ms(50) || s.Percentile(50) != ms(30) {
-		t.Fatalf("stats wrong: min=%v max=%v p50=%v", s.Min(), s.Max(), s.Percentile(50))
+	if s.Percentile(0) != ms(10) || s.Max() != ms(50) || s.Percentile(50) != ms(30) {
+		t.Fatalf("stats wrong: min=%v max=%v p50=%v", s.Percentile(0), s.Max(), s.Percentile(50))
 	}
-	_ = s.Summary()
-	for i, v := range s.Samples() {
+	for i, v := range samplesJSON(t, s) {
 		if v != ms(inserted[i]) {
-			t.Fatalf("samples reordered by order-statistic queries: %v", s.Samples())
+			t.Fatalf("samples reordered by order-statistic queries: %v", samplesJSON(t, s))
 		}
 	}
 	// A later Add invalidates the sorted copy.
 	s.Add(ms(5))
-	if s.Min() != ms(5) {
-		t.Fatalf("Min after Add = %v, want 5ms", s.Min())
+	if s.Percentile(0) != ms(5) {
+		t.Fatalf("min after Add = %v, want 5ms", s.Percentile(0))
 	}
-	if got := s.Samples()[len(s.Samples())-1]; got != ms(5) {
-		t.Fatalf("last sample = %v, want 5ms (insertion order)", got)
+	if got := samplesJSON(t, s); got[len(got)-1] != ms(5) {
+		t.Fatalf("last sample = %v, want 5ms (insertion order)", got[len(got)-1])
 	}
+}
+
+// samplesJSON reads the series' samples back from its JSON form, which
+// carries them in insertion order.
+func samplesJSON(t *testing.T, s *Series) []time.Duration {
+	t.Helper()
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Samples []time.Duration `json:"samples_ns"`
+	}
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Samples
 }
 
 func TestSeriesEmpty(t *testing.T) {
 	s := NewSeries("empty")
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 || s.Stddev() != 0 {
+	if s.Mean() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
 		t.Fatal("empty series stats must all be zero")
 	}
 }
@@ -72,36 +89,10 @@ func TestSeriesEmpty(t *testing.T) {
 func TestSeriesAddAfterSort(t *testing.T) {
 	s := NewSeries("x")
 	s.Add(ms(30))
-	_ = s.Min() // forces sort
+	_ = s.Percentile(0) // forces sort
 	s.Add(ms(10))
-	if s.Min() != ms(10) {
-		t.Fatalf("Min after post-sort Add = %v", s.Min())
-	}
-}
-
-func TestStddev(t *testing.T) {
-	s := NewSeries("x")
-	s.Add(ms(10))
-	s.Add(ms(10))
-	if s.Stddev() != 0 {
-		t.Errorf("Stddev of constants = %v", s.Stddev())
-	}
-	s2 := NewSeries("y")
-	s2.Add(ms(0))
-	s2.Add(ms(20))
-	if got := s2.Stddev(); got != ms(10) {
-		t.Errorf("Stddev = %v, want 10ms", got)
-	}
-}
-
-func TestSummaryContainsFields(t *testing.T) {
-	s := NewSeries("reg")
-	s.Add(ms(5))
-	sum := s.Summary()
-	for _, want := range []string{"reg", "n=1", "mean=", "p95="} {
-		if !strings.Contains(sum, want) {
-			t.Errorf("Summary %q missing %q", sum, want)
-		}
+	if s.Percentile(0) != ms(10) {
+		t.Fatalf("min after post-sort Add = %v", s.Percentile(0))
 	}
 }
 
@@ -135,7 +126,7 @@ func TestMeanBoundedProperty(t *testing.T) {
 		for _, v := range raw {
 			s.Add(time.Duration(v))
 		}
-		return s.Mean() >= s.Min() && s.Mean() <= s.Max()
+		return s.Mean() >= s.Percentile(0) && s.Mean() <= s.Max()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -166,19 +157,5 @@ func TestTableRendering(t *testing.T) {
 func TestFormatDuration(t *testing.T) {
 	if got := FormatDuration(1234567 * time.Nanosecond); got != "1.235ms" {
 		t.Errorf("FormatDuration = %q", got)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("a")
-	c.Inc("a")
-	c.Addn("b", 5)
-	if c.Get("a") != 2 || c.Get("b") != 5 || c.Get("missing") != 0 {
-		t.Fatalf("counts = a:%d b:%d", c.Get("a"), c.Get("b"))
-	}
-	labels := c.Labels()
-	if len(labels) != 2 || labels[0] != "a" || labels[1] != "b" {
-		t.Fatalf("Labels = %v", labels)
 	}
 }

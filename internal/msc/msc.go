@@ -16,8 +16,6 @@ type Config struct {
 	ID sim.NodeID
 	// VLR is the attached visitor location register.
 	VLR sim.NodeID
-	// PSTN is the uplink exchange for mobile-originated calls.
-	PSTN sim.NodeID
 	// Trunks maps each trunk peer (the PSTN exchange, anchor MSCs on the
 	// E interface) to the shared trunk group on that link; the MSC
 	// seizes from it for outgoing legs.
@@ -39,8 +37,7 @@ type msInfo struct {
 type callState uint8
 
 const (
-	callRouting callState = iota + 1
-	callPaging
+	callPaging callState = iota + 1
 	callAlerting
 	callActive
 	callClearing
@@ -55,7 +52,6 @@ type mscCall struct {
 	trunkPeer sim.NodeID
 	trunks    *isup.TrunkGroup
 	state     callState
-	mobileUp  bool // true when the MS side originated
 	seqDown   uint32
 }
 
@@ -102,11 +98,6 @@ func New(cfg Config) *MSC {
 // ID implements sim.Node.
 func (m *MSC) ID() sim.NodeID { return m.cfg.ID }
 
-// RegisteredMS returns the number of MSs registered through this MSC.
-func (m *MSC) RegisteredMS() int {
-	return len(m.regs)
-}
-
 // ActiveCalls returns the number of calls in progress.
 func (m *MSC) ActiveCalls() int {
 	return len(m.byMS)
@@ -145,7 +136,9 @@ func (m *MSC) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Messa
 	}
 	switch t := msg.(type) {
 	case gsm.Setup:
-		m.handleMOSetup(env, from, t)
+		// This MSC carries no mobile-originated calls: refuse the attempt
+		// so the MS clears and the BSC frees its channel.
+		env.Send(m.cfg.ID, from, gsm.Release{Leg: gsm.LegA, MS: t.MS, CallRef: t.CallRef})
 	case gsm.Alerting:
 		m.radioAlerting(env, t)
 	case gsm.Connect:
@@ -164,10 +157,6 @@ func (m *MSC) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Messa
 		m.hoTarget.Complete(env, from, t)
 	case isup.IAM:
 		m.handleIAM(env, from, t)
-	case isup.ACM:
-		m.trunkACM(env, t)
-	case isup.ANM:
-		m.trunkANM(env, t)
 	case isup.REL:
 		m.trunkREL(env, from, t)
 	case isup.RLC:
@@ -183,84 +172,9 @@ func (m *MSC) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Messa
 		m.hoTarget.SubsequentAck(env, t)
 	case sigmap.SendEndSignalAck:
 		// Anchor acknowledged; nothing further.
-	case sigmap.SendInfoForOutgoingCallAck:
-		m.dm.Resolve(t.Invoke, t)
 	case sigmap.SendInfoForIncomingCallAck:
 		m.dm.Resolve(t.Invoke, t)
 	}
-}
-
-// --- Mobile-originated calls ---
-
-func (m *MSC) handleMOSetup(env *sim.Env, bsc sim.NodeID, t gsm.Setup) {
-	if _, busy := m.byMS[t.MS]; busy {
-		// One call per MS; a duplicate Setup (which the MS state machine
-		// should prevent) is refused rather than clobbering the call.
-		env.Send(m.cfg.ID, bsc, gsm.Release{Leg: gsm.LegA, MS: t.MS, CallRef: t.CallRef})
-		return
-	}
-	call := &mscCall{
-		ms: t.MS, bsc: bsc, radioRef: t.CallRef, trunkRef: t.CallRef,
-		state: callRouting, mobileUp: true,
-	}
-	m.byMS[t.MS] = call
-	m.byTrunkRef[call.trunkRef] = call
-
-	invoke := m.dm.Invoke(env, m.cfg.MAPTimeout, func(resp sim.Message, ok bool) {
-		ack, isAck := resp.(sigmap.SendInfoForOutgoingCallAck)
-		if !ok || !isAck || ack.Cause != sigmap.CauseNone {
-			m.clearRadio(env, call)
-			return
-		}
-		trunks := m.cfg.Trunks[m.cfg.PSTN]
-		var cic isup.CIC
-		if trunks != nil {
-			seized, err := trunks.Seize()
-			if err != nil {
-				m.clearRadio(env, call)
-				return
-			}
-			cic = seized
-		}
-		call.cic = cic
-		call.trunkPeer = m.cfg.PSTN
-		call.trunks = trunks
-		env.Send(m.cfg.ID, m.cfg.PSTN, isup.IAM{
-			CIC: cic, CallRef: call.trunkRef, Called: t.Called, Calling: ack.MSISDN,
-		})
-	})
-	env.Send(m.cfg.ID, m.cfg.VLR, sigmap.SendInfoForOutgoingCall{
-		Invoke: invoke, Identity: m.identityForMS(t.MS), Called: t.Called,
-	})
-}
-
-// identityForMS returns the TMSI identity of a registered MS (falling back
-// to an empty identity for unknown MSs, which the VLR rejects).
-func (m *MSC) identityForMS(ms sim.NodeID) gsmid.MobileIdentity {
-	for _, info := range m.regs {
-		if info.ms == ms {
-			return gsmid.ByTMSI(info.tmsi)
-		}
-	}
-	return gsmid.MobileIdentity{}
-}
-
-func (m *MSC) trunkACM(env *sim.Env, t isup.ACM) {
-	call := m.byTrunkRef[t.CallRef]
-	if call == nil || !call.mobileUp {
-		return
-	}
-	call.state = callAlerting
-	env.Send(m.cfg.ID, call.bsc, gsm.Alerting{Leg: gsm.LegA, MS: call.ms, CallRef: call.radioRef})
-}
-
-func (m *MSC) trunkANM(env *sim.Env, t isup.ANM) {
-	call := m.byTrunkRef[t.CallRef]
-	if call == nil || !call.mobileUp {
-		return
-	}
-	call.state = callActive
-	env.Send(m.cfg.ID, call.bsc, gsm.Connect{Leg: gsm.LegA, MS: call.ms, CallRef: call.radioRef})
 }
 
 // --- Mobile-terminated calls ---
@@ -327,7 +241,7 @@ func (m *MSC) pagingResponse(env *sim.Env, t gsm.PagingResponse) {
 
 func (m *MSC) radioAlerting(env *sim.Env, t gsm.Alerting) {
 	call := m.byMS[t.MS]
-	if call == nil || call.mobileUp {
+	if call == nil {
 		return
 	}
 	env.Send(m.cfg.ID, call.trunkPeer, isup.ACM{CIC: call.cic, CallRef: call.trunkRef})
@@ -335,7 +249,7 @@ func (m *MSC) radioAlerting(env *sim.Env, t gsm.Alerting) {
 
 func (m *MSC) radioConnect(env *sim.Env, t gsm.Connect) {
 	call := m.byMS[t.MS]
-	if call == nil || call.mobileUp {
+	if call == nil {
 		return
 	}
 	call.state = callActive

@@ -89,10 +89,6 @@ func NewRegistrar(node, vlr sim.NodeID, onOutcome func(*sim.Env, Registration)) 
 	}
 }
 
-// Retransmits returns the number of MAP request PDUs this registrar has
-// re-sent toward its VLR.
-func (r *Registrar) Retransmits() uint64 { return r.dm.Retransmits() }
-
 // Pending returns in-flight location-update transactions plus un-answered
 // MAP invokes toward the VLR. Zero at quiescence.
 func (r *Registrar) Pending() int { return r.byMS.InFlight() + r.dm.Outstanding() }

@@ -67,8 +67,7 @@ func WireSize(msg sim.Message) (n int, family string, ok bool) {
 		family = "ISUP"
 	case gtp.CreatePDPRequest, gtp.CreatePDPResponse,
 		gtp.DeletePDPRequest, gtp.DeletePDPResponse,
-		gtp.PDUNotifyRequest, gtp.PDUNotifyResponse,
-		gtp.EchoRequest, gtp.EchoResponse, gtp.TPDU:
+		gtp.PDUNotifyRequest, gtp.PDUNotifyResponse, gtp.TPDU:
 		b, err = gtp.Append(scratch, msg)
 		family = "GTP"
 	case gb.ULUnitdata, gb.DLUnitdata:
@@ -96,7 +95,7 @@ func WireSize(msg sim.Message) (n int, family string, ok bool) {
 		gprs.DetachRequest, gprs.DetachAccept,
 		gprs.ActivatePDPRequest, gprs.ActivatePDPAccept, gprs.ActivatePDPReject,
 		gprs.DeactivatePDPRequest, gprs.DeactivatePDPAccept,
-		gprs.RequestPDPActivation, gprs.RAUpdateRequest, gprs.RAUpdateAccept:
+		gprs.RequestPDPActivation:
 		b, err = gprs.AppendSM(scratch, msg)
 		family = "GMM"
 	case gsm.ChannelRequest, gsm.ImmediateAssignment, gsm.LocationUpdate,

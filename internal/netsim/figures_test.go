@@ -303,6 +303,9 @@ func TestC4IMSIConfidentiality(t *testing.T) {
 	}
 	n.Env.RunUntil(n.Env.Now() + 5*time.Second)
 
+	if n.GK.KnownIMSIs() != 0 {
+		t.Fatalf("the vGPRS gatekeeper memorized %d IMSIs, want 0", n.GK.KnownIMSIs())
+	}
 	imsi := string(n.Subscribers[0].IMSI)
 	for _, e := range n.Rec.Entries() {
 		if e.To != "GK" && e.From != "GK" {

@@ -85,7 +85,7 @@ func BuildRoamingGSM(seed int64) *RoamingGSMNet {
 		ID: "VLR-HK", HLR: "HLR-UK", HomeCountryCode: "852", MSRNPrefix: "85290000",
 	})
 	n.MSCHK = msc.New(msc.Config{
-		ID: "MSC-HK", VLR: "VLR-HK", PSTN: "GMSC-UK",
+		ID: "MSC-HK", VLR: "VLR-HK",
 		Trunks: map[sim.NodeID]*isup.TrunkGroup{"GMSC-UK": n.IntlToHK},
 	})
 	n.GMSCUK = pstn.NewExchange(pstn.ExchangeConfig{

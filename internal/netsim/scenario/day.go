@@ -8,6 +8,7 @@ import (
 
 	"vgprs/internal/gsm"
 	"vgprs/internal/gtp"
+	"vgprs/internal/h323"
 	"vgprs/internal/ipnet"
 	"vgprs/internal/netsim"
 	"vgprs/internal/pstn"
@@ -111,6 +112,14 @@ type dayCall struct {
 	hangupAt time.Duration
 }
 
+// The day's gatekeeper enforces an H.225 registration lifetime, and both
+// VMSCs and the terminals refresh their rows with keep-alive RRQs at half
+// of it: the per-subscriber idle RAS signalling runs for the whole day.
+const (
+	dayRegistrationTTL = 10 * time.Minute
+	dayKeepAlive       = dayRegistrationTTL / 2
+)
+
 // RunDay drives the day-in-the-life workload and returns its metrics. The
 // network must drain clean at the end: any residual transient state is an
 // error naming the leaked records.
@@ -121,6 +130,9 @@ func RunDay(cfg DayConfig) (DayResult, error) {
 			Seed:    cfg.Seed,
 			NumMS:   cfg.NumMS,
 			NoTrace: !cfg.Trace,
+			GKMutate: func(gk *h323.GatekeeperConfig) {
+				gk.RegistrationTTL = dayRegistrationTTL
+			},
 		},
 		DataMS: cfg.DataMS,
 	})
@@ -128,6 +140,11 @@ func RunDay(cfg DayConfig) (DayResult, error) {
 	env := n.Env
 	if err := n.RegisterAll(); err != nil {
 		return res, err
+	}
+	n.VMSC.StartKeepAlive(env, dayKeepAlive)
+	n.VMSC2.StartKeepAlive(env, dayKeepAlive)
+	for _, t := range n.Terminals {
+		t.StartKeepAlive(env, dayKeepAlive)
 	}
 	n.Roamer.PowerOn(env)
 	if !runUntil(env, 30*time.Second, func() bool { return n.Roamer.State() == gsm.MSIdle }) {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"vgprs/internal/h323"
 )
 
 // firstTraceDiff locates the first divergent trace line for a readable
@@ -145,7 +147,25 @@ func TestDayDeterministic(t *testing.T) {
 	if base.Relocations == 0 || base.PowerCycles == 0 {
 		t.Fatalf("churn classes inert: %+v", base)
 	}
-	checkReplay(t, "day", "9f5f2008b8257780900e5ee4e981ead6526f716ba56763501a3699bb46dcb12e",
+	// The keep-alives hold every registration: they are sent, and the
+	// gatekeeper never finds a refreshed row lapsed.
+	keepAlives := 0
+	for _, e := range base.Fingerprint.Rec.Entries() {
+		switch m := e.Msg.(type) {
+		case h323.RRQ:
+			if m.KeepAlive {
+				keepAlives++
+			}
+		case h323.RRJ:
+			if m.Reason == h323.RejectFullRegistrationRequired {
+				t.Errorf("%v %s -> %s: keep-alive found its registration lapsed", e.At, e.From, e.To)
+			}
+		}
+	}
+	if keepAlives == 0 {
+		t.Error("no keep-alive RRQ in the day's trace")
+	}
+	checkReplay(t, "day", "c1db4797066ac9a53121b871d3e5524cc6253e7fe8ecaa206172c2c61eca795a",
 		base.Fingerprint, res.Fingerprint)
 	if base.Calls != res.Calls || base.DataEchoes != res.DataEchoes ||
 		base.RoamerCalls != res.RoamerCalls || base.FallbackCalls != res.FallbackCalls {

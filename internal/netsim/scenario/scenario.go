@@ -16,6 +16,7 @@ import (
 
 	"vgprs/internal/netsim"
 	"vgprs/internal/sim"
+	"vgprs/internal/trace"
 )
 
 // Fingerprint captures a run's deterministic outcome for replay
@@ -25,6 +26,9 @@ type Fingerprint struct {
 	Delivered uint64
 	Now       time.Duration
 	Entries   int
+	// Rec is the recorder the trace came from (nil when not tracing), for
+	// assertions on the messages themselves rather than their names.
+	Rec *trace.Recorder
 }
 
 // fingerprintOf snapshots a network's trace state (nil recorder — NoTrace
@@ -34,6 +38,7 @@ func fingerprintOf(n *netsim.VGPRSNet) *Fingerprint {
 	if n.Rec != nil {
 		f.Trace = n.Rec.Dump()
 		f.Entries = n.Rec.Len()
+		f.Rec = n.Rec
 	}
 	return f
 }

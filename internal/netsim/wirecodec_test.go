@@ -132,8 +132,7 @@ func roundTripMessage(t *testing.T, msg sim.Message) (string, bool) {
 		return requireEqual("ISUP", got, err)
 	case gtp.CreatePDPRequest, gtp.CreatePDPResponse,
 		gtp.DeletePDPRequest, gtp.DeletePDPResponse,
-		gtp.PDUNotifyRequest, gtp.PDUNotifyResponse,
-		gtp.EchoRequest, gtp.EchoResponse, gtp.TPDU:
+		gtp.PDUNotifyRequest, gtp.PDUNotifyResponse, gtp.TPDU:
 		b, err := gtp.Marshal(msg)
 		if err != nil {
 			t.Fatalf("GTP marshal %s: %v", msg.Name(), err)
@@ -190,7 +189,7 @@ func roundTripMessage(t *testing.T, msg sim.Message) (string, bool) {
 		gprs.DetachRequest, gprs.DetachAccept,
 		gprs.ActivatePDPRequest, gprs.ActivatePDPAccept, gprs.ActivatePDPReject,
 		gprs.DeactivatePDPRequest, gprs.DeactivatePDPAccept,
-		gprs.RequestPDPActivation, gprs.RAUpdateRequest, gprs.RAUpdateAccept:
+		gprs.RequestPDPActivation:
 		b, err := gprs.MarshalSM(msg)
 		if err != nil {
 			t.Fatalf("GMM marshal %s: %v", msg.Name(), err)

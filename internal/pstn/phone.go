@@ -68,11 +68,6 @@ func (p *Phone) ID() sim.NodeID { return p.cfg.ID }
 // attach observers after construction).
 func (p *Phone) SetOnConnected(fn func(ref uint32)) { p.cfg.Hooks.OnConnected = fn }
 
-// SetOnReleased replaces the OnReleased hook.
-func (p *Phone) SetOnReleased(fn func(ref uint32, cause isup.ReleaseCause)) {
-	p.cfg.Hooks.OnReleased = fn
-}
-
 // SetOnIncoming replaces the OnIncoming hook.
 func (p *Phone) SetOnIncoming(fn func(ref uint32, calling gsmid.MSISDN)) {
 	p.cfg.Hooks.OnIncoming = fn

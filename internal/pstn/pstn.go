@@ -66,8 +66,6 @@ type Exchange struct {
 	dm  *ss7.DialogueManager
 
 	calls map[uint32]*call
-
-	sriQueries uint64
 }
 
 var _ sim.Node = (*Exchange)(nil)
@@ -83,14 +81,10 @@ func NewExchange(cfg ExchangeConfig) *Exchange {
 // ID implements sim.Node.
 func (e *Exchange) ID() sim.NodeID { return e.cfg.ID }
 
-// ActiveCalls returns the number of calls currently in progress.
-func (e *Exchange) ActiveCalls() int {
-	return len(e.calls)
-}
-
-// SRIQueries returns how many HLR interrogations this exchange performed.
-func (e *Exchange) SRIQueries() uint64 {
-	return e.sriQueries
+// Audit reports the calls in progress for netsim's leak gate: zero once
+// every call has cleared.
+func (e *Exchange) Audit(report func(kind string, n int)) {
+	report("active calls", len(e.calls))
 }
 
 // Receive implements sim.Node.
@@ -155,7 +149,6 @@ func (e *Exchange) handleIAM(env *sim.Env, from sim.NodeID, m isup.IAM) {
 	// GMSC role: mobile numbers are re-targeted to the MSRN the HLR
 	// returns before routing (Fig 7).
 	if e.cfg.HLR != "" && e.isMobileNumber(m.Called) {
-		e.sriQueries++
 		invoke := e.dm.Invoke(env, e.cfg.MAPTimeout, func(resp sim.Message, ok bool) {
 			ack, isAck := resp.(sigmap.SendRoutingInformationAck)
 			if !ok || !isAck || ack.Cause != sigmap.CauseNone {

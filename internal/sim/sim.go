@@ -173,14 +173,6 @@ func (e *Env) AddNode(n Node) {
 	e.out = append(e.out, nil)
 }
 
-// Node returns the registered node with the given ID, or nil.
-func (e *Env) Node(id NodeID) Node {
-	if i, ok := e.idx[id]; ok {
-		return e.list[i]
-	}
-	return nil
-}
-
 // Connect creates a bidirectional link between a and b over the named
 // interface with the given one-way latency. Both endpoints must already be
 // registered. It returns the two unidirectional links so callers can adjust

@@ -78,7 +78,6 @@ type MS struct {
 	Term *h323.Terminal
 
 	registered bool
-	dropped    uint64
 	// pendingSend queues packets produced while the context is being
 	// (re)activated.
 	pendingSend []ipnet.Packet
@@ -154,9 +153,6 @@ func (m *MS) ID() sim.NodeID { return m.cfg.ID }
 // Registered reports gatekeeper registration.
 func (m *MS) Registered() bool { return m.registered }
 
-// Dropped returns packets lost because no PDP context was active.
-func (m *MS) Dropped() uint64 { return m.dropped }
-
 // Audit reports the MS's transient state for netsim's leak gate: the GPRS
 // client's open GMM/SM transactions, the packets held for a context still
 // being activated, and the embedded terminal's own state.
@@ -192,9 +188,8 @@ func (m *MS) transport(env *sim.Env, pkt ipnet.Packet) {
 	}
 	if m.activating {
 		m.pendingSend = append(m.pendingSend, pkt)
-		return
 	}
-	m.dropped++
+	// No context and none coming: the packet is dropped.
 }
 
 // Register attaches, activates the context, registers with the gatekeeper,

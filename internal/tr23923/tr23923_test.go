@@ -6,6 +6,7 @@ import (
 
 	"vgprs/internal/h323"
 	"vgprs/internal/netsim"
+	"vgprs/internal/sigmap"
 	"vgprs/internal/trace"
 )
 
@@ -22,12 +23,15 @@ func TestRegistrationDeactivatesContext(t *testing.T) {
 	if n.SGSN.ActiveContexts() != 0 {
 		t.Fatalf("idle contexts = %d, want 0", n.SGSN.ActiveContexts())
 	}
-	// The gatekeeper memorized the IMSI — the §6 confidentiality problem.
+	// The gatekeeper learned the IMSI from the HLR — the §6
+	// confidentiality problem.
+	ack, ok := n.Rec.FirstMatch(trace.ExpectStep{Msg: "MAP_SEND_IMSI_ack", To: "GK"})
+	if !ok || ack.Msg.(sigmap.SendIMSIAck).IMSI != n.Subscribers[0].IMSI {
+		t.Fatalf("the GK learned no IMSI from the HLR (ack %v)", ok)
+	}
+	// ... and memorized it.
 	if n.GK.KnownIMSIs() != 1 {
 		t.Fatalf("GK known IMSIs = %d, want 1", n.GK.KnownIMSIs())
-	}
-	if n.Rec.CountMessages("MAP_SEND_IMSI") == 0 {
-		t.Fatal("no MAP_SEND_IMSI in trace; the GK should have queried the HLR")
 	}
 	if r := n.Residual(); r.Total() != 0 {
 		t.Fatalf("residual after registration:\n%s", r.String())
@@ -148,15 +152,24 @@ func TestTransportDropsWhenContextDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Idle: context down. A stray send through the terminal's transport
-	// (simulated by a direct RAS keepalive) is counted as dropped.
+	// (simulated by a direct RAS registration) is dropped at the MS.
 	n.Env.RunUntil(n.Env.Now() + 5*time.Second)
 	if n.SGSN.ActiveContexts() != 0 {
 		t.Fatalf("contexts = %d", n.SGSN.ActiveContexts())
 	}
-	before := n.MSs[0].Dropped()
+	k := n.Rec.Len()
 	n.MSs[0].Term.Register(n.Env) // RRQ with no context and no activation in flight
 	n.Env.RunUntil(n.Env.Now() + 2*time.Second)
-	if n.MSs[0].Dropped() != before+1 {
-		t.Fatalf("dropped = %d, want %d", n.MSs[0].Dropped(), before+1)
+	// The terminal sends its RRQ (the logical RAS arrow), and nothing of it
+	// reaches the radio, Gb, Gn or IP planes.
+	sent := false
+	for _, e := range n.Rec.Entries()[k:] {
+		if e.Iface != "RAS" {
+			t.Fatalf("%v: traffic without a PDP context", e)
+		}
+		sent = sent || e.Msg.Name() == "RAS RRQ"
+	}
+	if !sent {
+		t.Fatal("the terminal sent no RRQ")
 	}
 }

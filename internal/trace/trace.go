@@ -206,26 +206,3 @@ func (r *Recorder) ExpectSequence(steps []ExpectStep) error {
 	}
 	return nil
 }
-
-// ExpectAbsent returns an error if any recorded message has the given name.
-// Used for negative assertions, e.g. "the gatekeeper never receives IMSI".
-func (r *Recorder) ExpectAbsent(name string) error {
-	for _, e := range r.entries {
-		if e.Msg.Name() == name {
-			return fmt.Errorf("trace: message %q present at %v (%s -> %s), expected absent",
-				name, e.At, e.From, e.To)
-		}
-	}
-	return nil
-}
-
-// Between returns entries recorded in the half-open interval [from, to).
-func (r *Recorder) Between(from, to time.Duration) []Entry {
-	var out []Entry
-	for _, e := range r.entries {
-		if e.At >= from && e.At < to {
-			out = append(out, e)
-		}
-	}
-	return out
-}

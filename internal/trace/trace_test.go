@@ -85,16 +85,6 @@ func TestExpectSequenceWrongEndpointFails(t *testing.T) {
 	}
 }
 
-func TestExpectAbsent(t *testing.T) {
-	r := sampleTrace()
-	if err := r.ExpectAbsent("MAP_SEND_ROUTING_INFORMATION"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ExpectAbsent("RAS RRQ"); err == nil {
-		t.Fatal("expected presence error")
-	}
-}
-
 func TestCounters(t *testing.T) {
 	r := sampleTrace()
 	if got := r.CountMessages("RAS RRQ"); got != 1 {
@@ -129,14 +119,6 @@ func TestFirstLast(t *testing.T) {
 	}
 	if _, ok := r.Last("missing"); ok {
 		t.Fatal("Last(missing) should report false")
-	}
-}
-
-func TestBetween(t *testing.T) {
-	r := sampleTrace()
-	got := r.Between(2*time.Millisecond, 5*time.Millisecond)
-	if len(got) != 3 {
-		t.Fatalf("Between = %d entries, want 3", len(got))
 	}
 }
 

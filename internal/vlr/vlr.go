@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"vgprs/internal/gsmid"
-	"vgprs/internal/hlr"
 	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 	"vgprs/internal/slab"
@@ -562,10 +561,4 @@ func (v *VLR) handleIncomingCall(env *sim.Env, from sim.NodeID, m sigmap.SendInf
 	env.Send(v.cfg.ID, from, sigmap.SendInfoForIncomingCallAck{
 		Invoke: m.Invoke, Cause: sigmap.CauseNone, IMSI: imsi, MSISDN: msisdn,
 	})
-}
-
-// VerifySRES checks a signed response against the expected triplet — a
-// helper for MSC implementations that cache triplets locally.
-func VerifySRES(ki [16]byte, rand [16]byte, sres [4]byte) bool {
-	return hlr.SRES(ki, rand) == sres
 }

@@ -402,16 +402,4 @@ func TestMSRNsAreDistinct(t *testing.T) {
 	}
 }
 
-func TestVerifySRES(t *testing.T) {
-	rand := [16]byte{1, 2, 3}
-	sres := hlr.SRES(testKi, rand)
-	if !VerifySRES(testKi, rand, sres) {
-		t.Fatal("valid SRES rejected")
-	}
-	sres[0] ^= 1
-	if VerifySRES(testKi, rand, sres) {
-		t.Fatal("invalid SRES accepted")
-	}
-}
-
 func ss7Invoke(i int) ss7.InvokeID { return ss7.InvokeID(i) }

@@ -101,14 +101,13 @@ func TestPagingTimeoutReleasesCaller(t *testing.T) {
 func TestMOCallToUnknownAliasReleased(t *testing.T) {
 	n := registered(t, netsim.VGPRSOptions{Seed: 1})
 	ms := n.MSs[0]
-	released := false
-	ms.SetOnReleased(func(uint32) { released = true })
 	if err := ms.Dial(n.Env, "886299999999"); err != nil {
 		t.Fatal(err)
 	}
 	n.Env.RunUntil(n.Env.Now() + 5*time.Second)
-	if !released || ms.State() != gsm.MSIdle {
-		t.Fatalf("released=%v state=%v", released, ms.State())
+	// Back to idle from dialling: the call was released.
+	if ms.State() != gsm.MSIdle {
+		t.Fatalf("state=%v", ms.State())
 	}
 	if n.VMSC.ActiveCalls() != 0 {
 		t.Fatal("call state leaked after ARJ")
@@ -299,15 +298,14 @@ func TestVoicePDPExhaustionClearsBothLegs(t *testing.T) {
 	// The single context slot is held by the signalling context; the
 	// voice activation at Connect time must fail.
 	ms := n.MSs[0]
-	released := false
-	ms.SetOnReleased(func(uint32) { released = true })
 	if err := ms.Dial(n.Env, netsim.TerminalAlias(0)); err != nil {
 		t.Fatal(err)
 	}
 	n.Env.RunUntil(n.Env.Now() + 10*time.Second)
 
-	if !released || ms.State() != gsm.MSIdle {
-		t.Fatalf("released=%v state=%v", released, ms.State())
+	// Back to idle from dialling: the call was released.
+	if ms.State() != gsm.MSIdle {
+		t.Fatalf("state=%v", ms.State())
 	}
 	if n.Terminals[0].ActiveCalls() != 0 {
 		t.Fatal("terminal call leaked after voice-PDP failure")
@@ -430,12 +428,6 @@ func TestVMSCKeepAliveUnderGatekeeperTTL(t *testing.T) {
 	// No keepalive: the alias lapses.
 	n := registered(t, netsim.VGPRSOptions{Seed: 7, GKMutate: ttl})
 	n.Env.RunUntil(n.Env.Now() + 60*time.Second)
-	if n.GK.SweepExpired(n.Env.Now()) == 0 {
-		t.Fatal("no registration expired without keepalives")
-	}
-	if _, ok := n.GK.Lookup(n.Subscribers[0].MSISDN); ok {
-		t.Fatal("MS alias survived without keepalives")
-	}
 	if _, err := n.Terminals[0].Call(n.Env, n.Subscribers[0].MSISDN); err != nil {
 		t.Fatal(err)
 	}
@@ -443,14 +435,22 @@ func TestVMSCKeepAliveUnderGatekeeperTTL(t *testing.T) {
 	if n.VMSC.ActiveCalls() != 0 {
 		t.Fatal("MT call connected to a lapsed registration")
 	}
+	if _, rejected := n.GK.Admissions(); rejected == 0 {
+		t.Fatal("no ARJ for the lapsed MS alias")
+	}
+	if _, ok := n.GK.Lookup(n.Subscribers[0].MSISDN); ok {
+		t.Fatal("MS alias survived its ARJ without keepalives")
+	}
 
 	// With keepalives: rows live across three lifetimes, MT call works.
 	k := registered(t, netsim.VGPRSOptions{Seed: 7, GKMutate: ttl})
 	k.VMSC.StartKeepAlive(k.Env, 8*time.Second)
 	k.Terminals[0].StartKeepAlive(k.Env, 8*time.Second)
 	k.Env.RunUntil(k.Env.Now() + 60*time.Second)
-	if lapsed := k.GK.SweepExpired(k.Env.Now()); lapsed != 0 {
-		t.Fatalf("%d registrations lapsed despite VMSC keepalives", lapsed)
+	for _, alias := range []gsmid.MSISDN{k.Subscribers[0].MSISDN, netsim.TerminalAlias(0)} {
+		if reg, ok := k.GK.Lookup(alias); !ok || reg.ExpiresAt <= k.Env.Now() {
+			t.Fatalf("%s lapsed despite keepalives (%+v, %v)", alias, reg, ok)
+		}
 	}
 	if _, err := k.Terminals[0].Call(k.Env, k.Subscribers[0].MSISDN); err != nil {
 		t.Fatal(err)

@@ -4,20 +4,6 @@ import (
 	"fmt"
 )
 
-// EncodeBCD packs a decimal digit string into GSM "swapped nibble" BCD, the
-// form used for IMSI, MSISDN and called-party digits throughout GSM 04.08
-// and MAP. Odd-length strings are padded with the filler nibble 0xF.
-//
-// For example "12345" encodes to {0x21, 0x43, 0xF5}.
-func EncodeBCD(digits string) ([]byte, error) {
-	if err := checkDigits(digits); err != nil {
-		return nil, err
-	}
-	out := make([]byte, (len(digits)+1)/2)
-	packBCD(out, digits)
-	return out, nil
-}
-
 // checkDigits verifies that digits contains only '0'..'9'.
 func checkDigits(digits string) error {
 	for i := 0; i < len(digits); i++ {
@@ -28,8 +14,11 @@ func checkDigits(digits string) error {
 	return nil
 }
 
-// packBCD writes the swapped-nibble encoding of digits into out, which must
-// be exactly (len(digits)+1)/2 bytes. Digits must already be validated.
+// packBCD writes the GSM "swapped nibble" BCD encoding of digits — the form
+// of IMSI, MSISDN and called-party digits throughout GSM 04.08 and MAP —
+// into out, which must be exactly (len(digits)+1)/2 bytes; an odd-length
+// string ends in the filler nibble 0xF, so "12345" packs to 21 43 F5.
+// Digits must already be validated.
 func packBCD(out []byte, digits string) {
 	for i := 0; i < len(digits); i++ {
 		nibble := digits[i] - '0'

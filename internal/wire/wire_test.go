@@ -104,23 +104,25 @@ func TestTLVPanicsOnOversize(t *testing.T) {
 	w.TLV(1, make([]byte, 256))
 }
 
+// packed is the BCD field Writer.BCD writes for digits, without its length
+// prefix.
+func packed(digits string) []byte {
+	w := NewWriter(0)
+	w.BCD(digits)
+	return w.Bytes()[1:]
+}
+
 func TestEncodeBCDKnownVector(t *testing.T) {
 	// GSM 04.08 swapped-nibble form: "12345" -> 21 43 F5.
-	got, err := EncodeBCD("12345")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := packed("12345")
 	want := []byte{0x21, 0x43, 0xF5}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("EncodeBCD = % X, want % X", got, want)
+		t.Fatalf("BCD = % X, want % X", got, want)
 	}
 }
 
 func TestEncodeBCDEven(t *testing.T) {
-	got, err := EncodeBCD("466923123456789") // a 15-digit IMSI
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := packed("466923123456789") // a 15-digit IMSI
 	if len(got) != 8 {
 		t.Fatalf("len = %d, want 8", len(got))
 	}
@@ -134,7 +136,7 @@ func TestEncodeBCDEven(t *testing.T) {
 }
 
 func TestEncodeBCDRejectsNonDigit(t *testing.T) {
-	if _, err := EncodeBCD("12a4"); !errors.Is(err, ErrBadDigit) {
+	if err := checkDigits("12a4"); !errors.Is(err, ErrBadDigit) {
 		t.Fatalf("err = %v, want ErrBadDigit", err)
 	}
 }
@@ -167,11 +169,7 @@ func TestBCDRoundTripProperty(t *testing.T) {
 			digits = append(digits, '0'+raw[i]%10)
 		}
 		s := string(digits)
-		enc, err := EncodeBCD(s)
-		if err != nil {
-			return false
-		}
-		dec, err := DecodeBCD(enc)
+		dec, err := DecodeBCD(packed(s))
 		return err == nil && dec == s
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
