@@ -5,11 +5,12 @@
 GO ?= go
 
 # Packages with one fuzz target and a committed seed corpus under
-# testdata/fuzz/: a wire-format FuzzDecode each, and slab's
-# FuzzIndexAgainstMap (the index table against a map).
-FUZZ_PKGS = ./internal/sigmap/ ./internal/gtp/ ./internal/q931/ ./internal/gb/ ./internal/isup/ ./internal/rtp/ ./internal/gsm/ ./internal/h323/ ./internal/slab/
+# testdata/fuzz/: a wire-format FuzzDecode each, slab's FuzzIndexAgainstMap
+# (the index table against a map) and ipnet's FuzzPorts (the in-place port
+# reader against Unmarshal).
+FUZZ_PKGS = ./internal/sigmap/ ./internal/gtp/ ./internal/q931/ ./internal/gb/ ./internal/isup/ ./internal/rtp/ ./internal/gsm/ ./internal/h323/ ./internal/slab/ ./internal/ipnet/
 
-.PHONY: all build vet test race check cover-system bench-smoke bench-e2e bench bench-sim bench-slab bench-codec bench-scenarios bench-scale heap-profile bench-media bench-json loc fuzz-smoke fuzz soak soak-short
+.PHONY: all build vet test race check cover-system bench-smoke bench-e2e bench-ab bench bench-sim bench-slab bench-codec bench-scenarios bench-scale heap-profile bench-media bench-json loc fuzz-smoke fuzz soak soak-short
 
 all: check
 
@@ -27,9 +28,12 @@ test:
 # detector checks it where worlds run concurrently: runSweep
 # (internal/experiments) fans experiment points, each building its own Env,
 # across worker goroutines, and netsim.TestWorldsShareNoState runs every
-# topology builder twice at once.
+# topology builder twice at once. The codec packages run too, so their
+# allocation ceilings stay right for the race build (see their
+# race_on_test.go).
 race:
-	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/netsim/...
+	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/netsim/... \
+		./internal/gtp/ ./internal/q931/ ./internal/sigmap/ ./internal/wire/
 
 # bench/ is its own module (BENCHMARK.json's harness): the root
 # `go build ./... && go test ./...` never compiles it, yet it calls the
@@ -74,6 +78,23 @@ bench-e2e:
 	@for w in attach_storm call_churn media_relay lossy_rounds region_attach; do \
 		bash bench/run.sh --workload $$w --seed $(SEED) --seconds $(SECONDS) --trace 0 | tail -n 1 || exit 1; \
 	done
+
+# Paired A/B comparison of the working tree against BASE over the same
+# workloads (default: all of BENCHMARK.json's), PAIRS alternating base/head
+# pairs of SECONDS-long runs each, written to AB_OUT: per workload and
+# end-to-end metric both medians and quartiles, the deltas, wins k/N and a
+# verdict (gain, regression, unresolved; cmd/vgprs-ab). BASE is checked out
+# with git worktree into a temporary directory; the run refuses to start when
+# bench/ or BENCHMARK.json differ between the two sides.
+#   make bench-ab BASE=HEAD~1 PAIRS=10 WORKLOADS=media_relay SEED=2
+BASE ?=
+PAIRS ?= 10
+WORKLOADS ?=
+AB_OUT ?= bench-ab.json
+bench-ab:
+	@test -n "$(BASE)" || { echo "bench-ab: set BASE=<rev>"; exit 2; }
+	$(GO) run ./cmd/vgprs-ab -base '$(BASE)' -pairs $(PAIRS) -workloads '$(WORKLOADS)' \
+		-seed $(SEED) -seconds $(SECONDS) -out '$(AB_OUT)'
 
 # Short coverage-guided fuzz pass over every fuzz target, seeded from the
 # committed corpora. CI runs this; it is a smoke test for decoder panics and

@@ -34,13 +34,12 @@ func talkingPair(tb testing.TB, seed int64) *netsim.VGPRSNet {
 }
 
 // TestFrameForwardAllocBudget is the per-frame allocation budget for the
-// steady-state talk path. Each end-to-end frame costs exactly two heap
-// allocations — boxing the uplink TCHFrame at the MS and the downlink
-// TCHFrame at the VMSC, both value messages on the radio leg — while the
-// VMSC -> SGSN -> GGSN -> SGSN -> VMSC relay legs reuse per-call pointer
-// messages and buffers and allocate nothing. The budget of 2.5 per frame
-// leaves headroom for the engine's amortised timer-heap growth without
-// letting a third per-frame box (or any relay-leg allocation) sneak in.
+// steady-state talk path: zero. Every hop reuses a per-sender record sent by
+// pointer — the MS's uplink frame, the VMSC's per-call downlink frame and
+// RTP, LLC and Gb buffers, the SGSN's per-context GTP and Gb messages — so
+// no frame is boxed into an interface and no buffer is allocated. The
+// budget of 0.5 per frame leaves room for the engine's amortised queue
+// growth while failing on any per-frame box, which costs at least one.
 func TestFrameForwardAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget needs steady-state measurement")
@@ -62,8 +61,8 @@ func TestFrameForwardAllocBudget(t *testing.T) {
 	allocs := after.Mallocs - before.Mallocs
 	perFrame := float64(allocs) / float64(frames)
 	t.Logf("%d allocs over %d frames: %.3f allocs/frame", allocs, frames, perFrame)
-	if perFrame > 2.5 {
-		t.Fatalf("talk path allocated %.3f objects/frame, budget 2.5", perFrame)
+	if perFrame > 0.5 {
+		t.Fatalf("talk path allocated %.3f objects/frame, budget 0.5", perFrame)
 	}
 }
 

@@ -106,14 +106,11 @@ type pdpMedia struct {
 // stream: signalling sharing a realtime context (as TR 23.923 stacks do)
 // must stay on the value path, or a signalling packet and a voice frame
 // sent in the same instant would alias one reused message and the earlier
-// of the two would be lost in flight. The parse is allocation-free (the
-// payload view aliases the input).
+// of the two would be lost in flight. It reads the two ports in place and
+// accepts exactly the packets ipnet.Unmarshal accepts.
 func isRTP(encoded []byte) bool {
-	pkt, err := ipnet.Unmarshal(encoded)
-	if err != nil {
-		return false
-	}
-	return pkt.DstPort == ipnet.PortRTP || pkt.SrcPort == ipnet.PortRTP
+	src, dst, ok := ipnet.Ports(encoded)
+	return ok && (dst == ipnet.PortRTP || src == ipnet.PortRTP)
 }
 
 // addrString renders the PDP address in the SM wire form ("" when unset).

@@ -28,17 +28,16 @@ func (b *BTS) ID() sim.NodeID { return b.cfg.ID }
 
 // Receive implements sim.Node: uplink (Um) traffic is relayed to the BSC
 // with the Abis leg; downlink (Abis) traffic is relayed to the target MS
-// with the Um leg, provided the MS is in this cell.
+// with the Um leg, provided the MS is in this cell — linked to this BTS.
+// An MS in another cell is dropped here; paging elsewhere finds it.
 func (b *BTS) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Message) {
 	switch iface {
 	case "Um":
 		env.Send(b.cfg.ID, b.cfg.BSC, relayLeg(env, msg, LegAbis))
 	case "Abis":
-		ms := TargetMS(msg)
-		if ms == "" || !env.HasLink(b.cfg.ID, ms) {
-			return // MS not in this cell; paging elsewhere finds it
+		if ms := TargetMS(msg); ms != "" {
+			env.TrySend(b.cfg.ID, ms, relayLeg(env, msg, LegUm))
 		}
-		env.Send(b.cfg.ID, ms, relayLeg(env, msg, LegUm))
 	}
 }
 
@@ -55,7 +54,8 @@ func relayLeg(env *sim.Env, msg sim.Message, leg Leg) sim.Message {
 
 // WithLeg returns a copy of a radio-access message with the leg rewritten —
 // the relay operation a BTS/BSC performs when a message crosses interfaces.
-// Messages without a leg (foreign types) are returned unchanged.
+// A frame record sent by pointer comes back as a value copy, which a trace
+// may keep. Messages without a leg (foreign types) are returned unchanged.
 func WithLeg(msg sim.Message, leg Leg) sim.Message {
 	switch m := msg.(type) {
 	case ChannelRequest:
@@ -118,6 +118,10 @@ func WithLeg(msg sim.Message, leg Leg) sim.Message {
 	case TCHFrame:
 		m.Leg = leg
 		return m
+	case *TCHFrame:
+		c := *m
+		c.Leg = leg
+		return c
 	case MeasurementReport:
 		m.Leg = leg
 		return m
@@ -184,6 +188,8 @@ func TargetMS(msg sim.Message) sim.NodeID {
 	case PagingResponse:
 		return m.MS
 	case TCHFrame:
+		return m.MS
+	case *TCHFrame:
 		return m.MS
 	case MeasurementReport:
 		return m.MS

@@ -137,12 +137,20 @@ type MS struct {
 	talking bool
 	// speech is the DTX talk-spurt gate (nil when DTX is off).
 	speech *codec.Source
-	// frameBuf is the reusable uplink frame buffer; the BTS/BSC/VMSC chain
-	// consumes each frame within one FrameInterval, so overwriting it every
-	// tick is safe and keeps the steady-state talk path allocation-free.
-	frameBuf []byte
+	// ul is the reusable uplink frame record, allocated at the first
+	// frame, so an MS that never talks pays one pointer for it.
+	ul *uplinkFrame
 
 	media mediaStats
+}
+
+// uplinkFrame is an MS's reusable uplink frame: the message and the
+// payload it points at, rewritten every tick and sent by pointer. The
+// BTS/BSC/VMSC chain consumes each frame within one FrameInterval, so the
+// steady-state talk path allocates nothing.
+type uplinkFrame struct {
+	msg TCHFrame
+	buf [codec.FrameBytes]byte
 }
 
 // mediaStats accumulates listener-side QoS for the downlink speech the MS
@@ -453,23 +461,31 @@ func (m *MS) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Messag
 	case Disconnect:
 		// Far party cleared first: respond and go idle.
 		m.onCleared(env, t.CallRef)
+	case *TCHFrame:
+		m.onFrame(env, t)
 	case TCHFrame:
-		if t.Downlink {
-			m.rxFrames++
-			if gen, ok := codec.FrameTimestamp(t.Payload); ok {
-				if seq, ok := codec.FrameSeq(t.Payload); ok {
-					m.media.observe(env.Now(), gen, seq)
-				}
-			}
-			if m.cfg.Hooks.OnFrame != nil {
-				m.cfg.Hooks.OnFrame(t)
-			}
-		}
+		m.onFrame(env, &t)
 	case HandoverCommand:
 		m.onHandoverCommand(env, t)
 	}
 	_ = from
 	_ = iface
+}
+
+// onFrame hears a downlink speech frame.
+func (m *MS) onFrame(env *sim.Env, t *TCHFrame) {
+	if !t.Downlink {
+		return
+	}
+	m.rxFrames++
+	if gen, ok := codec.FrameTimestamp(t.Payload); ok {
+		if seq, ok := codec.FrameSeq(t.Payload); ok {
+			m.media.observe(env.Now(), gen, seq)
+		}
+	}
+	if m.cfg.Hooks.OnFrame != nil {
+		m.cfg.Hooks.OnFrame(*t)
+	}
 }
 
 // onCleared answers the network's Release or Disconnect for a call. The
@@ -618,18 +634,19 @@ func (m *MS) startTalking(env *sim.Env) {
 		// the frame clock keeps running.
 		if m.speech == nil || m.speech.Next() {
 			m.seq++
-			// The frame buffer is reused every interval: everything
+			// The frame record is reused every interval: everything
 			// downstream (BTS/BSC relay, VMSC transcode-at-arrival) copies
-			// or finishes with the payload well inside one FrameInterval,
-			// and nothing may retain it (OnFrame consumers included).
-			if m.frameBuf == nil {
-				m.frameBuf = make([]byte, codec.FrameBytes)
+			// or finishes with it well inside one FrameInterval, and
+			// nothing may retain it (OnFrame consumers included).
+			if m.ul == nil {
+				m.ul = new(uplinkFrame)
 			}
-			codec.FrameInto(m.frameBuf, env.Now(), m.seq)
-			env.Send(m.cfg.ID, m.cfg.BTS, TCHFrame{
+			codec.FrameInto(m.ul.buf[:], env.Now(), m.seq)
+			m.ul.msg = TCHFrame{
 				Leg: LegUm, MS: m.cfg.ID, CallRef: ref, Seq: m.seq,
-				Payload: m.frameBuf,
-			})
+				Payload: m.ul.buf[:],
+			}
+			SendFrame(env, m.cfg.ID, m.cfg.BTS, &m.ul.msg)
 		}
 		env.After(m.cfg.FrameInterval, tick)
 	}

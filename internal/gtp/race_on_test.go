@@ -1,0 +1,9 @@
+//go:build race
+
+package gtp
+
+// raceEnabled reports whether the race detector is compiled in. The race
+// build compiles append(buf, make([]byte, n)...), which is how
+// wire.Writer.BCD reserves a field, as a real allocation of the temporary
+// slice, so there every BCD field an encode writes costs one allocation.
+const raceEnabled = true

@@ -7,6 +7,7 @@
 package ipnet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -134,6 +135,35 @@ func Unmarshal(b []byte) (Packet, error) {
 		return Packet{}, fmt.Errorf("%w: %d trailing bytes", ErrBadPacket, r.Remaining())
 	}
 	return p, nil
+}
+
+// Ports returns the source and destination ports of an encoded packet
+// without decoding it: no address is parsed and no Packet is built. ok is
+// false exactly when Unmarshal would fail on b, so a caller that routes on
+// the ports (the SGSN's media fast path) sees the packets Unmarshal sees.
+func Ports(b []byte) (src, dst uint16, ok bool) {
+	off := 0
+	for range 2 { // Src, Dst: a length byte of 0, 4 or 16, then the address
+		if off >= len(b) {
+			return 0, 0, false
+		}
+		switch n := int(b[off]); n {
+		case 0, 4, 16:
+			off += 1 + n
+		default:
+			return 0, 0, false
+		}
+	}
+	// Proto, SrcPort, DstPort, then the payload's length and bytes.
+	if len(b) < off+7 {
+		return 0, 0, false
+	}
+	src = binary.BigEndian.Uint16(b[off+1:])
+	dst = binary.BigEndian.Uint16(b[off+3:])
+	if n := int(binary.BigEndian.Uint16(b[off+5:])); len(b) != off+7+n {
+		return 0, 0, false
+	}
+	return src, dst, true
 }
 
 // Reply returns a packet template answering p: swapped addresses and ports,

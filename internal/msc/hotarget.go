@@ -142,7 +142,7 @@ func (h *HandoverTarget) Complete(env *sim.Env, bsc sim.NodeID, t gsm.HandoverCo
 
 // UplinkVoice bridges a handed-in MS's speech onto the anchor trunk,
 // reporting whether the frame belonged to a handover.
-func (h *HandoverTarget) UplinkVoice(env *sim.Env, t gsm.TCHFrame) bool {
+func (h *HandoverTarget) UplinkVoice(env *sim.Env, t *gsm.TCHFrame) bool {
 	ctx := h.forMS(t.MS)
 	if ctx == nil || !ctx.haveTrunk {
 		return false

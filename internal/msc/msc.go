@@ -149,8 +149,10 @@ func (m *MSC) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Messa
 		// Channel freed at the BSC; nothing left here.
 	case gsm.PagingResponse:
 		m.pagingResponse(env, t)
-	case gsm.TCHFrame:
+	case *gsm.TCHFrame:
 		m.uplinkVoice(env, t)
+	case gsm.TCHFrame:
+		m.uplinkVoice(env, &t)
 	case gsm.HandoverAccess:
 		// First burst on the target cell; wait for HandoverComplete.
 	case gsm.HandoverComplete:
@@ -316,7 +318,7 @@ func (m *MSC) refuseTrunk(env *sim.Env, call *mscCall, cause isup.ReleaseCause) 
 
 // --- Voice bridging ---
 
-func (m *MSC) uplinkVoice(env *sim.Env, t gsm.TCHFrame) {
+func (m *MSC) uplinkVoice(env *sim.Env, t *gsm.TCHFrame) {
 	call := m.byMS[t.MS]
 	if call == nil {
 		m.hoTarget.UplinkVoice(env, t)

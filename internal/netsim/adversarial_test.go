@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -156,34 +158,71 @@ func TestDecodersSurviveTruncation(t *testing.T) {
 	}
 }
 
-// TestDecodersSurviveCorruption flips seeded random bytes in harvested
-// valid encodings and decodes the result with every decoder — both the
-// packet's own (bit errors on its link) and the others (misdelivery to the
-// wrong port/SAP). No combination may panic.
-func TestDecodersSurviveCorruption(t *testing.T) {
-	corpus := harvestEncodings(t)
-	rng := rand.New(rand.NewSource(99))
-	all := allDecoders()
-	for family, packets := range corpus {
-		for i, pkt := range packets {
+// corruption is one input TestDecodersSurviveCorruption decodes: a
+// harvested packet of the family with seeded random bytes flipped.
+type corruption struct {
+	family string
+	input  []byte
+}
+
+// corruptions derives the corrupted inputs from the corpus, in a fixed
+// order: families sorted by name, at most 25 packets each, 30 trials a
+// packet with 1–3 bytes flipped from one seeded stream. A panic it finds
+// replays from the seed alone.
+func corruptions(corpus map[string][][]byte, seed int64) []corruption {
+	rng := rand.New(rand.NewSource(seed))
+	families := make([]string, 0, len(corpus))
+	for family := range corpus {
+		families = append(families, family)
+	}
+	slices.Sort(families)
+	var out []corruption
+	for _, family := range families {
+		for i, pkt := range corpus[family] {
 			// Bound the per-family work; the corpus repeats structures.
 			if i >= 25 {
 				break
 			}
 			for trial := 0; trial < 30; trial++ {
-				b := make([]byte, len(pkt))
-				copy(b, pkt)
+				b := slices.Clone(pkt)
 				if len(b) > 0 {
 					flips := 1 + rng.Intn(3)
 					for f := 0; f < flips; f++ {
 						b[rng.Intn(len(b))] ^= byte(1 + rng.Intn(255))
 					}
 				}
-				for _, d := range all {
-					mode := "corrupted-" + family
-					mustNotPanic(t, d.family, mode, b, func() { d.decode(b) })
-				}
+				out = append(out, corruption{family, b})
 			}
+		}
+	}
+	return out
+}
+
+// TestDecodersSurviveCorruption flips seeded random bytes in harvested
+// valid encodings and decodes the result with every decoder — both the
+// packet's own (bit errors on its link) and the others (misdelivery to the
+// wrong port/SAP). No combination may panic.
+func TestDecodersSurviveCorruption(t *testing.T) {
+	all := allDecoders()
+	for _, c := range corruptions(harvestEncodings(t), 99) {
+		for _, d := range all {
+			mustNotPanic(t, d.family, "corrupted-"+c.family, c.input, func() { d.decode(c.input) })
+		}
+	}
+}
+
+// TestCorruptionsReplay derives the corrupted inputs twice, each from its
+// own harvest, and requires the same sequence: a run that ranged over the
+// corpus map would flip bytes in a different order each time.
+func TestCorruptionsReplay(t *testing.T) {
+	a := corruptions(harvestEncodings(t), 99)
+	b := corruptions(harvestEncodings(t), 99)
+	if len(a) != len(b) {
+		t.Fatalf("%d inputs, then %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i].family != b[i].family || !bytes.Equal(a[i].input, b[i].input) {
+			t.Fatalf("input %d: %s %x, then %s %x", i, a[i].family, a[i].input, b[i].family, b[i].input)
 		}
 	}
 }

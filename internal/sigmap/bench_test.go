@@ -141,8 +141,12 @@ func TestAllocCeilings(t *testing.T) {
 		}},
 	}
 	for _, c := range ceilings {
-		if got := testing.AllocsPerRun(200, c.fn); got > c.max {
-			t.Errorf("%s: %.1f allocs/op, ceiling %.0f", c.name, got, c.max)
+		ceiling := c.max
+		if raceEnabled {
+			ceiling += 2 // one per BCD field: UpdateLocationArea carries two
+		}
+		if got := testing.AllocsPerRun(200, c.fn); got > ceiling {
+			t.Errorf("%s: %.1f allocs/op, ceiling %.0f", c.name, got, ceiling)
 		}
 	}
 }

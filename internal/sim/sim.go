@@ -264,16 +264,20 @@ func (e *Env) nextKey(ctx int32) uint64 {
 	return uint64(ctx)<<ctrBits | e.ctr[ctx]
 }
 
-// linkFrom resolves the link a Send travels. A node sending under its own
-// name during its own dispatch — all traffic once a run is under way — finds
-// it in the dispatching context's adjacency. The root context (scripts and
-// load drivers outside a run) has no adjacency, and a node sending on behalf
-// of another (a VMSC-hosted client) finds none of that name or one with the
+// linkFrom resolves the link a Send travels, or nil. A node sending under
+// its own name during its own dispatch — all traffic once a run is under
+// way — finds it in the dispatching context's adjacency, whose links all
+// carry that name as From, so a miss there is final. The root context
+// (scripts and load drivers outside a run) has no adjacency, and a node
+// sending on behalf of another (a VMSC-hosted client) finds links with the
 // wrong From; both look the sender's adjacency up by name.
 func (e *Env) linkFrom(from, to NodeID) *Link {
 	adj := e.out[e.cur]
-	if i, ok := findLink(adj, to); ok && adj[i].From == from {
-		return adj[i]
+	if len(adj) > 0 && adj[0].From == from {
+		if i, ok := findLink(adj, to); ok {
+			return adj[i]
+		}
+		return nil
 	}
 	return e.LinkBetween(from, to)
 }
@@ -283,15 +287,25 @@ func (e *Env) linkFrom(from, to NodeID) *Link {
 // Send panics if no link exists: sending over a nonexistent interface is a
 // topology bug the figure tests must surface loudly.
 func (e *Env) Send(from, to NodeID, msg Message) {
+	if !e.TrySend(from, to, msg) {
+		panic(fmt.Sprintf("sim: no link %s -> %s for message %s", from, to, msg.Name()))
+	}
+}
+
+// TrySend is Send for a destination that may not be linked: it sends msg
+// and reports true, or reports false and does nothing when no link from
+// from to to exists. A relay that reaches only the nodes attached to it (a
+// BTS and the MSs in its cell) asks and sends in one adjacency lookup.
+func (e *Env) TrySend(from, to NodeID, msg Message) bool {
 	link := e.linkFrom(from, to)
 	if link == nil {
-		panic(fmt.Sprintf("sim: no link %s -> %s for message %s", from, to, msg.Name()))
+		return false
 	}
 	if link.Down || (link.Loss > 0 && e.ctxRand().Float64() < link.Loss) {
 		if e.tracer != nil {
 			e.tracer.Trace(e.now, from, to, "drop:"+link.Iface, msg)
 		}
-		return
+		return true
 	}
 	// Fault draws happen in a fixed order (loss, then duplication, then one
 	// jitter draw per copy) so a seeded run replays identically.
@@ -312,6 +326,7 @@ func (e *Env) Send(from, to NodeID, msg Message) {
 			ctx: link.toIdx, link: link, msg: msg,
 		})
 	}
+	return true
 }
 
 // dispatch runs one popped event.

@@ -592,6 +592,47 @@ func TestSendOutsideOwnContext(t *testing.T) {
 	}
 }
 
+// TestTrySend: a send to an unlinked node reports false and schedules
+// nothing, from a node's own dispatch (its adjacency decides alone), from a
+// node sending as another, and from the root context; a linked one reports
+// true and delivers.
+func TestTrySend(t *testing.T) {
+	env := NewEnv(1)
+	host := &recorderNode{id: "host"}
+	guest := &recorderNode{id: "guest"}
+	peer := &recorderNode{id: "peer"}
+	for _, n := range []*recorderNode{host, guest, peer} {
+		env.AddNode(n)
+	}
+	env.Connect("host", "peer", "hp", time.Millisecond)
+	env.Connect("guest", "host", "gh", time.Millisecond)
+
+	var sent []bool
+	guest.onMsg = func(e *Env, _ NodeID, _ string, m Message) {
+		if len(sent) > 0 {
+			return
+		}
+		sent = append(sent,
+			e.TrySend("guest", "peer", m),  // own adjacency: no link
+			e.TrySend("host", "guest", m),  // as host: linked
+			e.TrySend("host", "nobody", m), // as host: no link
+		)
+	}
+	if env.TrySend("peer", "guest", testMsg{"x"}) {
+		t.Fatal("root-context TrySend over a missing link reported true")
+	}
+	if !env.TrySend("host", "guest", testMsg{"x"}) {
+		t.Fatal("root-context TrySend over a link reported false")
+	}
+	env.Run()
+	if want := []bool{false, true, false}; !slices.Equal(sent, want) {
+		t.Fatalf("TrySend from guest's dispatch = %v, want %v", sent, want)
+	}
+	if len(peer.got) != 0 || len(guest.got) != 2 {
+		t.Fatalf("peer got %d, guest %d; want 0 and 2 (the root send, host's send as host)", len(peer.got), len(guest.got))
+	}
+}
+
 // TestSameTimestampOrderFollowsEventKey: bursts from four senders all fire
 // at t=10ms and arrive at t=13ms. The total order at equal timestamps is
 // (context index, per-context counter): senders in registration order, each

@@ -45,8 +45,10 @@ func (v *VMSC) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Mess
 		v.handleIMSIDetach(env, t)
 	case sigmap.CancelLocation:
 		v.handleCancelLocation(env, from, t)
-	case gsm.TCHFrame:
+	case *gsm.TCHFrame:
 		v.uplinkVoice(env, t)
+	case gsm.TCHFrame:
+		v.uplinkVoice(env, &t)
 	case gsm.HandoverRequired:
 		v.handoverRequired(env, t)
 	case sigmap.PrepareSubsequentHandover:
@@ -526,9 +528,12 @@ func (v *VMSC) forget(call *vCall) {
 // once per frame interval, and every downstream consumer either copies the
 // bytes at arrival or finishes with them well inside the interval — so no
 // per-frame allocation and no free step are needed. upBuf/dnFrame hold the
-// transcoded frame while the vocoder delay elapses; rtpBuf holds the
-// marshalled RTP packet whose bytes the SGSN/GGSN relay legs alias until
-// the far SGSN copies them (~4 ms + chaos jitter later); llcBuf and ulMsg
+// transcoded frame while the vocoder delay elapses, and dnMsg is the radio
+// message that carries dnFrame down to the MS by pointer (allocated at the
+// call's first downlink frame, so a call that never talks pays one
+// pointer); rtpBuf holds the marshalled RTP packet whose bytes the
+// SGSN/GGSN relay legs alias until the far SGSN copies them (~4 ms +
+// chaos jitter later); llcBuf and ulMsg
 // are the LLC framing buffer and Gb message every uplink RTP packet of the
 // call reuses, aliased the same way (total retention is the Gb+Gn+Gn latency,
 // well inside one frame interval; see chaos.MediaChaosPlan's jitter cap).
@@ -542,6 +547,7 @@ type callMedia struct {
 	ulMsg   gb.ULUnitdata
 	dnFrame [codec.FrameBytes]byte
 	dnLen   int
+	dnMsg   *gsm.TCHFrame
 	upJob   frameJob
 	dnJob   frameJob
 	// rx is the RFC 3550 receiver accounting for the RTP stream the far
@@ -557,7 +563,7 @@ type frameJob struct {
 	call *vCall
 }
 
-func (v *VMSC) uplinkVoice(env *sim.Env, t gsm.TCHFrame) {
+func (v *VMSC) uplinkVoice(env *sim.Env, t *gsm.TCHFrame) {
 	entry := v.entryByMS(t.MS)
 	if entry == nil || entry.call == nil {
 		// Possibly a handed-in MS anchored at another (V)MSC.
@@ -658,10 +664,14 @@ func downlinkFire(arg any) {
 	if entry == nil {
 		return
 	}
-	env.Send(j.v.cfg.ID, j.v.bscOf(entry), gsm.TCHFrame{
+	if call.med.dnMsg == nil {
+		call.med.dnMsg = new(gsm.TCHFrame)
+	}
+	*call.med.dnMsg = gsm.TCHFrame{
 		Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
 		Seq: call.seqDown, Downlink: true, Payload: call.med.dnFrame[:call.med.dnLen],
-	})
+	}
+	gsm.SendFrame(env, j.v.cfg.ID, j.v.bscOf(entry), call.med.dnMsg)
 }
 
 // trunkVoice carries uplink speech arriving from a handover target MSC (as

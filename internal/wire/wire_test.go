@@ -432,8 +432,12 @@ func TestPooledEncodeZeroWriterAllocs(t *testing.T) {
 		_ = w.CopyBytes()
 		PutWriter(w)
 	})
-	if avg > 1 {
-		t.Fatalf("pooled encode allocs/op = %.1f, want <= 1", avg)
+	want := 1.0
+	if raceEnabled {
+		want++ // the BCD field
+	}
+	if avg > want {
+		t.Fatalf("pooled encode allocs/op = %.1f, want <= %.0f", avg, want)
 	}
 }
 
