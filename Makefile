@@ -6,7 +6,7 @@ GO ?= go
 
 # Packages with one fuzz target and a committed seed corpus under
 # testdata/fuzz/: a wire-format FuzzDecode each, slab's FuzzIndexAgainstMap
-# (the index table against a map) and ipnet's FuzzPorts (the in-place port
+# (the index table against a map) and ipnet's FuzzPeek (the in-place header
 # reader against Unmarshal).
 FUZZ_PKGS = ./internal/sigmap/ ./internal/gtp/ ./internal/q931/ ./internal/gb/ ./internal/isup/ ./internal/rtp/ ./internal/gsm/ ./internal/h323/ ./internal/slab/ ./internal/ipnet/
 

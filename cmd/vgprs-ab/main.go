@@ -13,7 +13,10 @@
 // Pair i runs base first when i is even and head first when it is odd, so
 // a host that drifts during a pair penalises both sides equally. The JSON
 // written to FILE holds every run and, per metric, both sides' medians and
-// quartiles, the deltas, wins k/N and the verdict (see judge).
+// quartiles, the deltas, wins k/N and the verdict (see judge). The command
+// exits 1 after writing it when a metric is a regression whose median moved
+// by more than the metric's BENCHMARK.json bound (see pastBound), so CI can
+// gate on it.
 package main
 
 import (
@@ -65,6 +68,9 @@ type metricDecl struct {
 	Name   string `json:"name"`
 	Unit   string `json:"unit"`
 	Better string `json:"better"`
+	// Bound is the largest move toward worse, as a share of the base
+	// median, that the benchmark accepts.
+	Bound float64 `json:"bound"`
 }
 
 func run(ctx context.Context, base string, pairs int, workloads []string, seed int64, seconds float64, out string) error {
@@ -163,7 +169,21 @@ func run(ctx context.Context, base string, pairs int, workloads []string, seed i
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(out, append(b, '\n'), 0o644)
+	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
+		return err
+	}
+	var past []string
+	for _, wr := range report.Workloads {
+		for _, m := range wr.Metrics {
+			if m.pastBound() {
+				past = append(past, fmt.Sprintf("%s %s %+.1f %% (bound %g %%)", wr.Name, m.Name, m.DeltaPct, 100*m.Bound))
+			}
+		}
+	}
+	if len(past) > 0 {
+		return fmt.Errorf("regression past its bound: %s", strings.Join(past, "; "))
+	}
+	return nil
 }
 
 // git runs a git command in dir and returns its trimmed standard output.

@@ -24,11 +24,12 @@ func (s spread) iqr() float64 { return s.Q3 - s.Q1 }
 
 // metricReport is one metric of one workload, both sides.
 type metricReport struct {
-	Name   string `json:"name"`
-	Unit   string `json:"unit"`
-	Better string `json:"better"`
-	Base   spread `json:"base"`
-	Head   spread `json:"head"`
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
+	Base   spread  `json:"base"`
+	Head   spread  `json:"head"`
 	// Delta is the head median minus the base median, DeltaPct the same
 	// as a share of the base median, and PairedDelta the median of the
 	// per-pair differences head - base.
@@ -53,7 +54,7 @@ func summarize(decls []metricDecl, runs []pair) []metricReport {
 	var out []metricReport
 	for _, d := range decls {
 		var b, h, diff []float64
-		m := metricReport{Name: d.Name, Unit: d.Unit, Better: d.Better}
+		m := metricReport{Name: d.Name, Unit: d.Unit, Better: d.Better, Bound: d.Bound}
 		for _, p := range runs {
 			bv, okb := p.Base.Metrics[d.Name]
 			hv, okh := p.Head.Metrics[d.Name]
@@ -121,6 +122,15 @@ func judge(wins, losses, n int, improvement, baseIQR float64) string {
 		return regression
 	}
 	return unresolved
+}
+
+// pastBound reports whether m fails the benchmark: its verdict is a
+// regression and the head median is worse than the base median by more
+// than the bound's share of it. A regression inside the bound is host
+// spread the benchmark accepts; a move past the bound that the pairs do
+// not agree on is not shown to be the change's.
+func (m metricReport) pastBound() bool {
+	return m.Verdict == regression && -orient(m.Better, m.Delta) > m.Bound*math.Abs(m.Base.Median)
 }
 
 // spreadOf returns the median and quartiles of vs, interpolating between

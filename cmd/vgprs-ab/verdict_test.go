@@ -71,3 +71,32 @@ func TestSummarizeOrientsByBetter(t *testing.T) {
 		t.Errorf("live_heap_mb: %+v, want all ties, unresolved", heap)
 	}
 }
+
+// TestPastBound pins the exit rule: the command fails only on a regression
+// whose median moved toward worse by more than the metric's bound, as a
+// share of the base median, in either "better" direction.
+func TestPastBound(t *testing.T) {
+	for _, c := range []struct {
+		name              string
+		verdict, better   string
+		base, head, bound float64
+		want              bool
+	}{
+		{"regression past the bound", regression, "lower", 2, 2.6, 0.25, true},
+		{"regression inside the bound", regression, "lower", 2, 2.4, 0.25, false},
+		{"regression at the bound", regression, "lower", 2, 2.5, 0.25, false},
+		{"higher-better regression past the bound", regression, "higher", 100, 70, 0.25, true},
+		{"higher-better regression inside the bound", regression, "higher", 100, 80, 0.25, false},
+		{"unresolved past the bound", unresolved, "lower", 2, 3, 0.25, false},
+		{"gain past the bound", gain, "lower", 2, 1, 0.25, false},
+		{"zero bound, any regression", regression, "lower", 1, 1.01, 0, true},
+	} {
+		m := metricReport{
+			Better: c.better, Bound: c.bound, Verdict: c.verdict,
+			Base: spread{Median: c.base}, Head: spread{Median: c.head}, Delta: c.head - c.base,
+		}
+		if got := m.pastBound(); got != c.want {
+			t.Errorf("%s: pastBound() = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -367,9 +367,13 @@ func (g *GGSN) handleDelete(env *sim.Env, sgsn sim.NodeID, m gtp.DeletePDPReques
 // handleUplink decapsulates a T-PDU and forwards the inner packet to Gi —
 // or hairpins it straight into another tunnel when the destination is a PDP
 // address served by this GGSN (MS-to-MS traffic never leaves the gateway).
+// It routes on the header alone (ipnet.Peek, which rejects exactly what
+// Unmarshal rejects): a hairpinned packet goes on as the uplink's payload
+// bytes, which already are its canonical encoding, and only a packet
+// leaving on Gi is decoded.
 func (g *GGSN) handleUplink(env *sim.Env, m gtp.TPDU) {
-	pkt, err := ipnet.Unmarshal(m.Payload)
-	if err != nil {
+	h, _, ok := ipnet.Peek(m.Payload)
+	if !ok {
 		return
 	}
 	_, src := g.byTID.Get(uint64(m.TID))
@@ -378,31 +382,30 @@ func (g *GGSN) handleUplink(env *sim.Env, m gtp.TPDU) {
 		return
 	}
 	g.ulPackets++
-	dst := g.byDst(pkt.Dst)
+	dst := g.byDst(h.Dst)
 	if dst == nil {
+		pkt, _ := ipnet.Unmarshal(m.Payload) // cannot fail: Peek accepted it
 		env.Send(g.cfg.ID, g.cfg.Gi, pkt)
 		return
 	}
-	if src.qos.Realtime &&
-		(pkt.DstPort == ipnet.PortRTP || pkt.SrcPort == ipnet.PortRTP) {
-		// Voice-to-voice hairpin: forward the uplink T-PDU bytes as-is
-		// (they already are the canonically encoded inner packet) through
-		// the destination context's reusable downlink message. The
-		// destination is whichever context owns the peer's registered
-		// media address — its signalling context when the endpoint splits
-		// signalling and voice across two PDPs — so only the source side
-		// (always the voice context) gates on the realtime profile; the
-		// RTP port check is what keeps non-media packets off the reusable
-		// message.
+	g.dlPackets++
+	sgsn := sim.NodeID(g.names.Val(dst.sgsn))
+	if src.qos.Realtime && h.IsRTP() {
+		// Voice-to-voice hairpin: the destination context's reusable
+		// downlink message carries the frame. The destination is whichever
+		// context owns the peer's registered media address — its
+		// signalling context when the endpoint splits signalling and voice
+		// across two PDPs — so only the source side (always the voice
+		// context) gates on the realtime profile; the RTP port check is
+		// what keeps non-media packets off the reusable message.
 		if dst.media == nil {
 			dst.media = &ggsnMedia{}
 		}
-		g.dlPackets++
 		dst.media.tpdu = gtp.TPDU{TID: dst.tid, Payload: m.Payload}
-		env.Send(g.cfg.ID, sim.NodeID(g.names.Val(dst.sgsn)), &dst.media.tpdu)
+		sim.SendReused(env, g.cfg.ID, sgsn, &dst.media.tpdu)
 		return
 	}
-	g.handleDownlink(env, pkt)
+	env.Send(g.cfg.ID, sgsn, gtp.TPDU{TID: dst.tid, Payload: m.Payload})
 }
 
 // handleDownlink routes a Gi-side packet into the right tunnel; with no

@@ -43,6 +43,17 @@ func AppendData(dst []byte, nsapi uint8, pkt ipnet.Packet) []byte {
 	return pkt.AppendTo(dst)
 }
 
+// PeekData reads the inner packet of a user-data LLC PDU in place
+// (ipnet.Peek), for a receiver that consumes media without decoding the
+// packet. ok is false for a signalling PDU and for exactly the data PDUs
+// ParsePDU rejects.
+func PeekData(pdu []byte) (h ipnet.Header, payload []byte, ok bool) {
+	if len(pdu) < 2 || pdu[0] != sapiData {
+		return ipnet.Header{}, nil, false
+	}
+	return ipnet.Peek(pdu[2:])
+}
+
 // PDU is a parsed LLC PDU: exactly one of SM or Packet is meaningful.
 type PDU struct {
 	// SM holds the signalling message when the PDU is on the GMM SAPI.

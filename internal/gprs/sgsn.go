@@ -106,11 +106,11 @@ type pdpMedia struct {
 // stream: signalling sharing a realtime context (as TR 23.923 stacks do)
 // must stay on the value path, or a signalling packet and a voice frame
 // sent in the same instant would alias one reused message and the earlier
-// of the two would be lost in flight. It reads the two ports in place and
-// accepts exactly the packets ipnet.Unmarshal accepts.
+// of the two would be lost in flight. It reads the header in place
+// (ipnet.Peek) and accepts exactly the packets ipnet.Unmarshal accepts.
 func isRTP(encoded []byte) bool {
-	src, dst, ok := ipnet.Ports(encoded)
-	return ok && (dst == ipnet.PortRTP || src == ipnet.PortRTP)
+	h, _, ok := ipnet.Peek(encoded)
+	return ok && h.IsRTP()
 }
 
 // addrString renders the PDP address in the SM wire form ("" when unset).
@@ -750,7 +750,7 @@ func (s *SGSN) handleUplinkData(env *sim.Env, ul gb.ULUnitdata, nsapi uint8, pay
 			pdp.media = &pdpMedia{}
 		}
 		pdp.media.tpdu = gtp.TPDU{TID: pdp.tid, Payload: payload}
-		env.Send(s.cfg.ID, s.cfg.GGSN, &pdp.media.tpdu)
+		sim.SendReused(env, s.cfg.ID, s.cfg.GGSN, &pdp.media.tpdu)
 		return
 	}
 	env.Send(s.cfg.ID, s.cfg.GGSN, gtp.TPDU{TID: pdp.tid, Payload: payload})
@@ -784,7 +784,7 @@ func (s *SGSN) handleDownlinkTPDU(env *sim.Env, m gtp.TPDU) {
 		med.dlBuf = append(med.dlBuf[:0], sapiData, m.TID.NSAPI())
 		med.dlBuf = append(med.dlBuf, m.Payload...)
 		med.dl = gb.DLUnitdata{TLLI: tlli, MS: ms, PDU: med.dlBuf}
-		env.Send(s.cfg.ID, peer, &med.dl)
+		sim.SendReused(env, s.cfg.ID, peer, &med.dl)
 		return
 	}
 	pdu := make([]byte, 0, 2+len(m.Payload))

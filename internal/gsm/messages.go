@@ -290,20 +290,6 @@ type TCHFrame struct {
 // Name implements sim.Message.
 func (m TCHFrame) Name() string { return m.Leg.String() + "_TCH_Frame" }
 
-// SendFrame sends a speech frame from its sender's reusable record. With no
-// tracer installed the record goes by pointer, so the frame crosses the
-// radio edge without an interface box; a tracer may keep what it is shown,
-// so a traced run sends a value copy. The record lives under the rule its
-// payload buffer already follows (DESIGN.md, media plane): the sender
-// rewrites it one frame interval later, and no receiver keeps it.
-func SendFrame(env *sim.Env, from, to sim.NodeID, f *TCHFrame) {
-	if env.Tracer() != nil {
-		env.Send(from, to, *f)
-		return
-	}
-	env.Send(from, to, f)
-}
-
 // MeasurementReport carries the MS's neighbour-cell measurements; a strong
 // neighbour triggers handover (Fig 9).
 type MeasurementReport struct {

@@ -646,7 +646,7 @@ func (m *MS) startTalking(env *sim.Env) {
 				Leg: LegUm, MS: m.cfg.ID, CallRef: ref, Seq: m.seq,
 				Payload: m.ul.buf[:],
 			}
-			SendFrame(env, m.cfg.ID, m.cfg.BTS, &m.ul.msg)
+			sim.SendReused(env, m.cfg.ID, m.cfg.BTS, &m.ul.msg)
 		}
 		env.After(m.cfg.FrameInterval, tick)
 	}

@@ -137,34 +137,50 @@ func Unmarshal(b []byte) (Packet, error) {
 	return p, nil
 }
 
-// Ports returns the source and destination ports of an encoded packet
-// without decoding it: no address is parsed and no Packet is built. ok is
-// false exactly when Unmarshal would fail on b, so a caller that routes on
-// the ports (the SGSN's media fast path) sees the packets Unmarshal sees.
-func Ports(b []byte) (src, dst uint16, ok bool) {
-	off := 0
-	for range 2 { // Src, Dst: a length byte of 0, 4 or 16, then the address
-		if off >= len(b) {
-			return 0, 0, false
-		}
-		switch n := int(b[off]); n {
-		case 0, 4, 16:
-			off += 1 + n
-		default:
-			return 0, 0, false
-		}
+// Header is what Peek reads of an encoded packet in place: the fields the
+// relays route on. It is kept to 32 bytes and three fields, so the compiler
+// holds it in registers rather than copying it through memory.
+type Header struct {
+	Dst              netip.Addr
+	SrcPort, DstPort uint16
+}
+
+// IsRTP reports whether either port is the RTP port: the packet is media.
+func (h Header) IsRTP() bool { return h.DstPort == PortRTP || h.SrcPort == PortRTP }
+
+// Peek reads an encoded packet's destination and ports, and returns its
+// payload, without decoding it: the source address is skipped and no
+// Packet is built. The payload aliases b, as Unmarshal's does. ok is false
+// exactly when Unmarshal would fail on b, so a relay that routes on the
+// header (the SGSN's and GGSN's user-plane relays, the VMSC's media path)
+// sees the packets Unmarshal sees.
+func Peek(b []byte) (h Header, payload []byte, ok bool) {
+	// Src and Dst: a length byte of 0, 4 or 16, then the address.
+	if len(b) == 0 || !addrLenOK(b[0]) {
+		return Header{}, nil, false
+	}
+	d := 1 + int(b[0])
+	if len(b) <= d || !addrLenOK(b[d]) {
+		return Header{}, nil, false
 	}
 	// Proto, SrcPort, DstPort, then the payload's length and bytes.
-	if len(b) < off+7 {
-		return 0, 0, false
+	off := d + 1 + int(b[d])
+	if len(b) < off+7 || int(binary.BigEndian.Uint16(b[off+5:])) != len(b)-off-7 {
+		return Header{}, nil, false
 	}
-	src = binary.BigEndian.Uint16(b[off+1:])
-	dst = binary.BigEndian.Uint16(b[off+3:])
-	if n := int(binary.BigEndian.Uint16(b[off+5:])); len(b) != off+7+n {
-		return 0, 0, false
+	switch b[d] {
+	case 4:
+		h.Dst = netip.AddrFrom4([4]byte(b[d+1:]))
+	case 16:
+		h.Dst = netip.AddrFrom16([16]byte(b[d+1:]))
 	}
-	return src, dst, true
+	h.SrcPort = binary.BigEndian.Uint16(b[off+1:])
+	h.DstPort = binary.BigEndian.Uint16(b[off+3:])
+	return h, b[off+7:], true
 }
+
+// addrLenOK reports whether n is a valid address length field.
+func addrLenOK(n byte) bool { return n == 0 || n == 4 || n == 16 }
 
 // Reply returns a packet template answering p: swapped addresses and ports,
 // same protocol.

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -70,4 +71,41 @@ func talkReports(t *testing.T, noTrace bool, plan FaultPlan) []gsm.MediaReport {
 		reports[i] = ms.MediaReport()
 	}
 	return reports
+}
+
+// TestTraceHoldsNoReusedRecord runs a traced talking world and checks that
+// the trace holds no record its sender rewrites. Every relay that reuses
+// one record per frame interval (the MS's uplink frame, the VMSC's downlink
+// frame and uplink Gb message, the SGSN's GTP and Gb messages, the GGSN's
+// hairpin GTP message) sends it through sim.SendReused, which shows a
+// tracer a value copy; a record sent by pointer would show as a pointer
+// message, and a reused one as the same pointer in many entries.
+func TestTraceHoldsNoReusedRecord(t *testing.T) {
+	n := BuildVGPRS(VGPRSOptions{Seed: 8, NumMS: 2, Talk: true})
+	if err := n.RegisterAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.MSs[0].Dial(n.Env, n.Subscribers[1].MSISDN); err != nil {
+		t.Fatal(err)
+	}
+	n.Env.RunUntil(n.Env.Now() + 3*time.Second)
+	for _, ms := range n.MSs {
+		if ms.State() != gsm.MSInCall || ms.FramesReceived() == 0 {
+			t.Fatalf("%s: state %v, %d frames heard; want a talking call", ms.ID(), ms.State(), ms.FramesReceived())
+		}
+	}
+	entries := map[uintptr]int{} // traced pointer message -> entries holding it
+	types := map[string]int{}
+	shared := 0 // entries holding the most shared record
+	for _, e := range n.Rec.Entries() {
+		if v := reflect.ValueOf(e.Msg); v.Kind() == reflect.Pointer {
+			entries[v.Pointer()]++
+			types[v.Type().String()]++
+			shared = max(shared, entries[v.Pointer()])
+		}
+	}
+	if len(types) > 0 {
+		t.Errorf("the trace holds pointer messages %v: %d records, the most shared by %d entries",
+			types, len(entries), shared)
+	}
 }

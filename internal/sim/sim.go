@@ -329,6 +329,25 @@ func (e *Env) TrySend(from, to NodeID, msg Message) bool {
 	return true
 }
 
+// SendReused sends the message in rec, its sender's reusable record. A
+// relay that overwrites one record per frame interval (the talk path's
+// frames, GTP and Gb messages) sends it by pointer, so the message crosses
+// the link without an interface box. A tracer may keep what it is shown,
+// so with one installed the record goes as a value copy, and a trace never
+// holds a record its sender rewrites. The pointer obeys the rule the
+// record's buffers already follow: the sender rewrites it one frame
+// interval later, and no receiver keeps it.
+func SendReused[M Message, P interface {
+	*M
+	Message
+}](e *Env, from, to NodeID, rec P) {
+	if e.tracer != nil {
+		e.Send(from, to, *rec)
+		return
+	}
+	e.Send(from, to, rec)
+}
+
 // dispatch runs one popped event.
 func (e *Env) dispatch(ev *event) {
 	e.cur = ev.ctx

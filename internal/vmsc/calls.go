@@ -86,7 +86,8 @@ func (v *VMSC) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Mess
 	}
 }
 
-// handleIP dispatches IP packets arriving through an MS's PDP contexts.
+// handleIP dispatches the signalling packets arriving through an MS's PDP
+// contexts. Downlink speech never reaches it: handleDL reads RTP in place.
 func (v *VMSC) handleIP(env *sim.Env, entry *msEntry, pkt ipnet.Packet) {
 	if !entry.addr.IsValid() {
 		return // no signalling context has come up yet
@@ -100,8 +101,6 @@ func (v *VMSC) handleIP(env *sim.Env, entry *msEntry, pkt ipnet.Packet) {
 		v.h225.AnswerRAS(env, in.RAS)
 	case in.Q931 != nil:
 		v.handleQ931(env, entry, pkt, in.Q931)
-	case in.RTPPayload != nil:
-		v.downlinkVoice(env, entry, in.RTPPayload)
 	}
 }
 
@@ -671,7 +670,7 @@ func downlinkFire(arg any) {
 		Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
 		Seq: call.seqDown, Downlink: true, Payload: call.med.dnFrame[:call.med.dnLen],
 	}
-	gsm.SendFrame(env, j.v.cfg.ID, j.v.bscOf(entry), call.med.dnMsg)
+	sim.SendReused(env, j.v.cfg.ID, j.v.bscOf(entry), call.med.dnMsg)
 }
 
 // trunkVoice carries uplink speech arriving from a handover target MSC (as

@@ -270,10 +270,19 @@ func (v *VMSC) ProvisionMSISDN(imsi gsmid.IMSI, msisdn gsmid.MSISDN) {
 
 // handleDL feeds downlink Gb traffic into the right virtual client.
 // The MS name only correlates the Gb leg; the TLLI says whose frame it is.
+// Speech is read in place: an RTP packet's payload goes straight to the
+// call's downlink once a signalling context is up (the check handleIP makes
+// for signalling), and only the other packets are decoded by the client.
 func (v *VMSC) handleDL(env *sim.Env, dl gb.DLUnitdata) {
 	entry := v.entryByMS(dl.MS)
 	if entry != nil {
 		if c := v.client(entry); c.TLLI() == dl.TLLI {
+			if h, payload, ok := gprs.PeekData(dl.PDU); ok && h.DstPort == ipnet.PortRTP {
+				if entry.addr.IsValid() {
+					v.downlinkVoice(env, entry, payload)
+				}
+				return
+			}
 			_ = c.HandleDownlink(env, dl.PDU)
 			return
 		}

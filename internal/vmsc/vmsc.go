@@ -314,7 +314,7 @@ func (h *rowHost) SendIPPacket(env *sim.Env, owner slab.Handle, pkt ipnet.Packet
 			med.ulMsg = gb.ULUnitdata{
 				TLLI: v.client(e).TLLI(), MS: e.ms, Cell: v.cfg.Cell, PDU: med.llcBuf,
 			}
-			env.Send(v.cfg.ID, v.cfg.SGSN, &med.ulMsg)
+			sim.SendReused(env, v.cfg.ID, v.cfg.SGSN, &med.ulMsg)
 			return
 		}
 		nsapi = NSAPIVoice
