@@ -167,14 +167,14 @@ func measureTRCallsAt(seed int64, calls int, mobileOriginated, keepActive bool, 
 		}
 		end := n.Env.Now() + 30*time.Second
 		for n.Env.Now() < end {
-			var st h323.CallState
+			var st h323.LegState
 			var ok bool
 			if mobileOriginated {
 				st, ok = ms.Term.CallState(ref)
 			} else {
 				st, ok = term.CallState(ref)
 			}
-			if ok && st == h323.CallConnected {
+			if ok && st == h323.LegConnected {
 				established = n.Env.Now()
 				break
 			}

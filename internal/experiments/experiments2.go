@@ -89,7 +89,7 @@ func oneTRMOCall(n *netsim.TR23923Net) (time.Duration, error) {
 	}
 	end := n.Env.Now() + 30*time.Second
 	for n.Env.Now() < end {
-		if st, ok := ms.Term.CallState(ref); ok && st == h323.CallConnected {
+		if st, ok := ms.Term.CallState(ref); ok && st == h323.LegConnected {
 			established = n.Env.Now()
 			break
 		}

@@ -32,25 +32,16 @@ type GatewayConfig struct {
 	Trunks   *isup.TrunkGroup
 }
 
-// gwQKey scopes a Q.931 call reference to the peer that uses it.
-type gwQKey struct {
-	peer netip.Addr
-	ref  uint16
-}
-
 type gwCall struct {
-	ref       uint32 // ISUP call reference
-	q931Ref   uint16
-	cic       isup.CIC
-	exchange  sim.NodeID
-	remoteSig netip.Addr
-	remoteMed q931.MediaAddr
+	ref      uint32 // ISUP call reference
+	leg      Leg
+	cic      isup.CIC
+	exchange sim.NodeID
 	// pstn is the PSTN party the gateway stands in for (the caller of a
 	// call from the PSTN, the called party of a call to it), remote the
 	// H.323 party: the RAS requests, Setup and IAM name the call by them.
-	pstn     gsmid.MSISDN
-	remote   gsmid.MSISDN
-	answered bool
+	pstn   gsmid.MSISDN
+	remote gsmid.MSISDN
 	// trunks is set on outbound (H.323->PSTN) calls, where the gateway
 	// seized the circuit and must release it.
 	trunks  *isup.TrunkGroup
@@ -69,14 +60,12 @@ type Gateway struct {
 
 	nextSeq uint32
 	nextRef uint16
-	// txns holds the outstanding RAS requests. They are one-shot: sent once
-	// and never expired.
+	// txns holds the outstanding RAS requests and the calls' Q.931 cycles.
+	// They run on a zero policy: sent once and never expired.
 	txns   *Transactions[*gwHost, *gwCall]
 	byISUP map[uint32]*gwCall
-	// byQ931 keys calls by (peer signalling address, wire reference):
-	// Q.931 references are scoped per signalling connection, so two
-	// peers may use the same value concurrently.
-	byQ931 map[gwQKey]*gwCall
+	// byQ931 keys calls by their leg's peer and wire reference.
+	byQ931 map[legKey]*gwCall
 
 	voipCompleted, voipRefused uint64
 }
@@ -88,7 +77,7 @@ func NewGateway(cfg GatewayConfig) *Gateway {
 	g := &Gateway{
 		cfg:    cfg,
 		byISUP: make(map[uint32]*gwCall),
-		byQ931: make(map[gwQKey]*gwCall),
+		byQ931: make(map[legKey]*gwCall),
 	}
 	g.txns = NewTransactions[*gwHost, *gwCall]((*gwHost)(g), cfg.Gatekeeper, txn.Policy{})
 	g.ep = &Endpoint{
@@ -117,16 +106,12 @@ func (g *Gateway) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.M
 		g.handleIAM(env, from, m)
 	case isup.ACM:
 		if call, ok := g.byISUP[m.CallRef]; ok {
-			g.ep.SendQ931(env, call.remoteSig, q931.Alerting{CallRef: call.q931Ref})
+			g.txns.Alert(env, call)
 		}
 	case isup.ANM:
-		if call, ok := g.byISUP[m.CallRef]; ok {
-			call.answered = true
+		if call, ok := g.byISUP[m.CallRef]; ok &&
+			g.txns.Connect(env, call, q931.MediaAddr{Addr: g.cfg.Addr, Port: ipnet.PortRTP}) {
 			g.voipCompleted++
-			g.ep.SendQ931(env, call.remoteSig, q931.Connect{
-				CallRef: call.q931Ref,
-				Media:   q931.MediaAddr{Addr: g.cfg.Addr, Port: ipnet.PortRTP},
-			})
 		}
 	case isup.REL:
 		g.handleTrunkREL(env, from, m)
@@ -138,9 +123,8 @@ func (g *Gateway) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.M
 	}
 }
 
-// gwHost is the gateway as the host of its own transactions. Its RAS
-// requests are untimed and it sends its Setup once, so no hook ever
-// retransmits or expires anything.
+// gwHost is the gateway as the host of its own transactions. They are
+// untimed, so nothing is ever retransmitted or expired.
 type gwHost Gateway
 
 // gwRAS is one of the gateway's RAS requests in flight.
@@ -148,11 +132,17 @@ type gwRAS = RAS[*gwHost, *gwCall]
 
 func (h *gwHost) Endpoint(slab.Handle) (Endpoint, bool) { return *h.ep, true }
 
-func (h *gwHost) CallEndpoint(call *gwCall) (Endpoint, netip.Addr, bool) {
-	return *h.ep, call.remoteSig, true
-}
+func (h *gwHost) CallLeg(call *gwCall) (Endpoint, *Leg, bool) { return *h.ep, &call.leg, true }
 
-func (h *gwHost) Q931Expired(*sim.Env, *gwCall) {}
+// Released carries the H.323 side's release onto the trunk.
+func (h *gwHost) Released(env *sim.Env, call *gwCall) {
+	g := (*Gateway)(h)
+	g.disengage(env, call)
+	g.drop(call)
+	env.Send(g.cfg.ID, call.exchange, isup.REL{
+		CIC: call.cic, CallRef: call.ref, Cause: isup.CauseNormalClearing,
+	})
+}
 
 // Audit reports the gateway's transient state for netsim's leak gate.
 func (g *Gateway) Audit(report func(kind string, n int)) {
@@ -181,27 +171,30 @@ func gwLocateDone(env *sim.Env, r gwRAS, msg sim.Message) {
 	case LCF:
 		g.placeVoIPCall(env, call, lm)
 	case LRJ:
-		// Fig 8 miss arm: "the GK will instruct y to connect to the
-		// international telephone network as a normal PSTN call."
-		g.voipRefused++
-		delete(g.byISUP, call.ref)
-		env.Send(g.cfg.ID, call.exchange, isup.REL{
-			CIC: call.cic, CallRef: call.ref, Cause: isup.CauseUnallocatedNumber,
-		})
+		g.refuseTrunk(env, call)
 	}
+}
+
+// refuseTrunk is Fig 8's miss arm: "the GK will instruct y to connect to
+// the international telephone network as a normal PSTN call."
+func (g *Gateway) refuseTrunk(env *sim.Env, call *gwCall) {
+	g.voipRefused++
+	g.drop(call)
+	env.Send(g.cfg.ID, call.exchange, isup.REL{
+		CIC: call.cic, CallRef: call.ref, Cause: isup.CauseUnallocatedNumber,
+	})
 }
 
 // placeVoIPCall is Fig 8 step (3): admission plus Q.931 setup toward the
 // registered endpoint (the VMSC hosting the roamer).
 func (g *Gateway) placeVoIPCall(env *sim.Env, call *gwCall, lcf LCF) {
 	g.nextRef++
-	call.q931Ref = g.nextRef
-	call.remoteSig = lcf.SignalAddr
-	g.byQ931[gwQKey{call.remoteSig, call.q931Ref}] = call
+	call.leg = Leg{Ref: g.nextRef, Peer: lcf.SignalAddr}
+	g.byQ931[call.leg.key()] = call
 
 	g.nextSeq++
 	g.txns.SendRAS(env, 0, call, ARQ{
-		Seq: g.nextSeq, CallerAlias: call.pstn, CalledAlias: call.remote, CallRef: call.q931Ref,
+		Seq: g.nextSeq, CallerAlias: call.pstn, CalledAlias: call.remote, CallRef: call.leg.Ref,
 	}, gwAdmitDone)
 }
 
@@ -211,17 +204,12 @@ func gwAdmitDone(env *sim.Env, r gwRAS, msg sim.Message) {
 	g, call := (*Gateway)(r.Host), r.Call
 	switch msg.(type) {
 	case ACF:
-		g.ep.SendQ931(env, call.remoteSig, q931.Setup{
-			CallRef: call.q931Ref, Called: call.remote, Calling: call.pstn,
+		g.txns.Setup(env, call, q931.Setup{
+			CallRef: call.leg.Ref, Called: call.remote, Calling: call.pstn,
 			Media: q931.MediaAddr{Addr: g.cfg.Addr, Port: ipnet.PortRTP},
 		})
 	case ARJ:
-		g.voipRefused++
-		delete(g.byISUP, call.ref)
-		delete(g.byQ931, gwQKey{call.remoteSig, call.q931Ref})
-		env.Send(g.cfg.ID, call.exchange, isup.REL{
-			CIC: call.cic, CallRef: call.ref, Cause: isup.CauseUnallocatedNumber,
-		})
+		g.refuseTrunk(env, call)
 	}
 }
 
@@ -240,43 +228,23 @@ func (g *Gateway) handleIP(env *sim.Env, pkt ipnet.Packet) {
 	}
 }
 
+// handleQ931 runs a call's leg on an arriving message and carries what it
+// reports onto the trunk; a Setup for no call opens one.
 func (g *Gateway) handleQ931(env *sim.Env, pkt ipnet.Packet, msg sim.Message) {
-	if setup, isSetup := msg.(q931.Setup); isSetup {
-		g.handleOutboundSetup(env, pkt, setup)
-		return
-	}
-	ref, ok := q931.CallRefOf(msg)
-	if !ok {
-		return
-	}
-	call, found := g.byQ931[gwQKey{pkt.Src, ref}]
+	ref, _ := q931.CallRefOf(msg)
+	call, found := g.byQ931[legKey{pkt.Src, ref}]
 	if !found {
+		if setup, isSetup := msg.(q931.Setup); isSetup {
+			g.handleOutboundSetup(env, pkt, setup)
+		}
 		return
 	}
-	switch m := msg.(type) {
-	case q931.CallProceeding:
-	case q931.Alerting:
+	switch g.txns.Receive(env, call, msg) {
+	case LegAlerted:
 		env.Send(g.cfg.ID, call.exchange, isup.ACM{CIC: call.cic, CallRef: call.ref})
-	case q931.Connect:
-		// Ack every copy so the answering side's T313 stops; a lost ack
-		// means the peer retransmits, so the count must dedupe.
-		g.ep.SendQ931(env, pkt.Src, q931.ConnectAck{CallRef: ref})
-		if call.answered {
-			return
-		}
-		call.remoteMed = m.Media
-		call.answered = true
+	case LegAnswered:
 		g.voipCompleted++
 		env.Send(g.cfg.ID, call.exchange, isup.ANM{CIC: call.cic, CallRef: call.ref})
-	case q931.ConnectAck:
-		// The gateway answers on ISUP ANM without a Q.931 retransmit
-		// timer; nothing to stop.
-	case q931.ReleaseComplete:
-		g.disengage(env, call)
-		g.drop(call)
-		env.Send(g.cfg.ID, call.exchange, isup.REL{
-			CIC: call.cic, CallRef: call.ref, Cause: isup.CauseNormalClearing,
-		})
 	}
 }
 
@@ -286,9 +254,7 @@ func (g *Gateway) handleTrunkREL(env *sim.Env, from sim.NodeID, m isup.REL) {
 	if !ok {
 		return
 	}
-	g.ep.SendQ931(env, call.remoteSig, q931.ReleaseComplete{
-		CallRef: call.q931Ref, Cause: q931.CauseNormal,
-	})
+	g.txns.Release(env, call, q931.CauseNormal)
 	g.disengage(env, call)
 	g.drop(call)
 }
@@ -297,12 +263,6 @@ func (g *Gateway) handleTrunkREL(env *sim.Env, from sim.NodeID, m isup.REL) {
 // Q.931 Setup admitted toward the gateway becomes an IAM on the trunk to
 // the local exchange.
 func (g *Gateway) handleOutboundSetup(env *sim.Env, pkt ipnet.Packet, m q931.Setup) {
-	if _, dup := g.byQ931[gwQKey{pkt.Src, m.CallRef}]; dup {
-		// Retransmitted Setup: the original CallProceeding may have been
-		// lost, so re-ack to stop the caller's T303.
-		g.ep.SendQ931(env, pkt.Src, q931.CallProceeding{CallRef: m.CallRef})
-		return
-	}
 	refuse := func() {
 		g.voipRefused++
 		g.ep.SendQ931(env, pkt.Src, q931.ReleaseComplete{
@@ -326,19 +286,17 @@ func (g *Gateway) handleOutboundSetup(env *sim.Env, pkt ipnet.Packet, m q931.Set
 	call := &gwCall{
 		// The high bit keeps gateway-allocated ISUP references out of
 		// the space the PSTN side uses.
-		ref:       0x80000000 | uint32(g.nextRef),
-		q931Ref:   m.CallRef,
-		cic:       cic,
-		exchange:  g.cfg.Exchange,
-		remoteSig: pkt.Src,
-		remoteMed: m.Media,
-		pstn:      m.Called,
-		remote:    m.Calling,
-		trunks:    g.cfg.Trunks,
+		ref:      0x80000000 | uint32(g.nextRef),
+		leg:      Leg{Ref: m.CallRef, Peer: pkt.Src, Media: m.Media, Incoming: true},
+		cic:      cic,
+		exchange: g.cfg.Exchange,
+		pstn:     m.Called,
+		remote:   m.Calling,
+		trunks:   g.cfg.Trunks,
 	}
 	g.byISUP[call.ref] = call
-	g.byQ931[gwQKey{call.remoteSig, call.q931Ref}] = call
-	g.ep.SendQ931(env, pkt.Src, q931.CallProceeding{CallRef: m.CallRef})
+	g.byQ931[call.leg.key()] = call
+	g.txns.Proceed(env, call)
 	env.Send(g.cfg.ID, g.cfg.Exchange, isup.IAM{
 		CIC: cic, CallRef: call.ref, Called: call.pstn, Calling: call.remote,
 	})
@@ -348,21 +306,22 @@ func (g *Gateway) handleOutboundSetup(env *sim.Env, pkt ipnet.Packet, m q931.Set
 // PSTN party's place.
 func (g *Gateway) disengage(env *sim.Env, call *gwCall) {
 	g.nextSeq++
-	g.ep.SendRAS(env, g.cfg.Gatekeeper, DRQ{Seq: g.nextSeq, Alias: call.pstn, CallRef: call.q931Ref, Peer: call.remote})
+	g.ep.SendRAS(env, g.cfg.Gatekeeper, DRQ{Seq: g.nextSeq, Alias: call.pstn, CallRef: call.leg.Ref, Peer: call.remote})
 }
 
 func (g *Gateway) drop(call *gwCall) {
 	if call.trunks != nil {
 		call.trunks.Release(call.cic)
 	}
+	g.txns.Reset(call)
 	delete(g.byISUP, call.ref)
-	delete(g.byQ931, gwQKey{call.remoteSig, call.q931Ref})
+	delete(g.byQ931, call.leg.key())
 }
 
 // trunkVoice transcodes PSTN-side speech into RTP toward the H.323 leg.
 func (g *Gateway) trunkVoice(env *sim.Env, m isup.TrunkFrame) {
 	call, ok := g.byISUP[m.CallRef]
-	if !ok || !call.answered || !call.remoteMed.Valid() {
+	if !ok || call.leg.State != LegConnected || !call.leg.Media.Valid() {
 		return
 	}
 	payload := codec.Transcode(m.Payload)
@@ -372,37 +331,24 @@ func (g *Gateway) trunkVoice(env *sim.Env, m isup.TrunkFrame) {
 			PayloadType: rtp.PayloadTypeGSM,
 			Seq:         call.rtpSeq,
 			Timestamp:   rtp.TimestampAt(env.Now()),
-			SSRC:        uint32(call.q931Ref),
+			SSRC:        uint32(call.leg.Ref),
 			Payload:     payload,
 		}
-		g.ep.SendRTP(env, call.remoteMed, p.Marshal())
+		g.ep.SendRTP(env, call.leg.Media, p.Marshal())
 	})
 }
 
 // downlinkVoice transcodes RTP into PSTN-side trunk frames. The gateway has
-// one RTP sink; streams are demultiplexed by SSRC (the Q.931 reference).
+// one RTP sink; a stream's SSRC is its sender's wire reference and its
+// source the leg's peer, so it is one keyed lookup.
 func (g *Gateway) downlinkVoice(env *sim.Env, src netip.Addr, payload []byte) {
 	p, err := rtp.Unmarshal(payload)
 	if err != nil {
 		return
 	}
-	var call *gwCall
-	// Media SSRCs carry the sender's wire reference; scope to the sender
-	// (signalling and media share an address for every endpoint here).
-	for key, c := range g.byQ931 {
-		if key.ref == uint16(p.SSRC) && (key.peer == src || c.remoteMed.Addr == src) {
-			call = c
-			break
-		}
-	}
-	if call == nil {
-		// Single-call fallback: deliver to the only active call.
-		if len(g.byQ931) != 1 {
-			return
-		}
-		for _, c := range g.byQ931 {
-			call = c
-		}
+	call, ok := g.byQ931[legKey{src, uint16(p.SSRC)}]
+	if !ok {
+		return
 	}
 	frame := codec.Transcode(p.Payload)
 	env.After(codec.TranscodeCost, func() {

@@ -291,7 +291,7 @@ func TestGatewayScopesCallRefsPerPeer(t *testing.T) {
 	}
 	stA, _ := a.CallState(refA)
 	stB, _ := b.CallState(refB)
-	if stA != CallConnected || stB != CallConnected {
+	if stA != LegConnected || stB != LegConnected {
 		t.Fatalf("states A=%v B=%v, want both connected", stA, stB)
 	}
 	if trunks.InUse() != 2 {
@@ -304,7 +304,7 @@ func TestGatewayScopesCallRefsPerPeer(t *testing.T) {
 	}
 	env.Run()
 	stB, _ = b.CallState(refB)
-	if stB != CallConnected {
+	if stB != LegConnected {
 		t.Fatal("clearing A's call disturbed B's")
 	}
 	if trunks.InUse() != 1 {
@@ -389,7 +389,7 @@ func TestGatewayDRQClosesOnlyItsCall(t *testing.T) {
 		t.Fatalf("test premise broken: A's reference is %d, want %d", refA, ref)
 	}
 	p.env.Run()
-	if st, _ := p.a.CallState(refA); st != CallConnected {
+	if st, _ := p.a.CallState(refA); st != LegConnected {
 		t.Fatalf("A's call is %v, want connected", st)
 	}
 	if active, _, _ := p.gk.Calls(); active != 2 {

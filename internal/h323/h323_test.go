@@ -76,9 +76,6 @@ func TestRejectReasonStrings(t *testing.T) {
 	if RejectDuplicateAlias.String() != "duplicate-alias" || RejectReason(99).String() != "RejectReason(99)" {
 		t.Fatal("reason strings wrong")
 	}
-	if CallConnected.String() != "connected" || CallState(99).String() != "CallState(99)" {
-		t.Fatal("state strings wrong")
-	}
 }
 
 func TestRASRoundTripProperty(t *testing.T) {
@@ -229,7 +226,7 @@ func TestFullCallBetweenTerminals(t *testing.T) {
 	}
 	f.env.RunUntil(f.env.Now() + 2*time.Second)
 
-	if st, _ := f.a.CallState(ref); st != CallConnected {
+	if st, _ := f.a.CallState(ref); st != LegConnected {
 		t.Fatalf("caller state = %v", st)
 	}
 	// Media flowed both ways.
@@ -289,7 +286,7 @@ func TestCallToUnregisteredAliasRejected(t *testing.T) {
 	if rejectedRef != ref || reason != RejectCalledPartyNotRegistered {
 		t.Fatalf("rejection = ref %d reason %v", rejectedRef, reason)
 	}
-	if st, _ := f.a.CallState(ref); st != CallCleared {
+	if st, _ := f.a.CallState(ref); st != LegReleasing {
 		t.Fatalf("state = %v", st)
 	}
 	if _, rejects := f.gk.Admissions(); rejects != 1 {
@@ -317,7 +314,7 @@ func TestCalleeHangupClearsCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.env.Run()
-	if st, _ := f.a.CallState(ref); st != CallCleared {
+	if st, _ := f.a.CallState(ref); st != LegReleasing {
 		t.Fatalf("caller state after callee hangup = %v", st)
 	}
 }
@@ -415,7 +412,7 @@ func TestCallerCancelsBeforeAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.env.RunUntil(f.env.Now() + time.Second)
-	if st, _ := f.a.CallState(ref); st != CallAlerting {
+	if st, _ := f.a.CallState(ref); st != LegAlerting {
 		t.Fatalf("caller state = %v", st)
 	}
 	if err := f.a.Hangup(f.env, ref); err != nil {
@@ -596,7 +593,7 @@ func TestTerminalScopesCallRefsPerPeer(t *testing.T) {
 	}
 	stA, _ := f.a.CallState(refA)
 	stB, _ := f.b.CallState(refB)
-	if stA != CallConnected || stB != CallConnected {
+	if stA != LegConnected || stB != LegConnected {
 		t.Fatalf("states A=%v B=%v", stA, stB)
 	}
 
@@ -609,7 +606,7 @@ func TestTerminalScopesCallRefsPerPeer(t *testing.T) {
 		t.Fatalf("callee holds %d calls after one hangup, want 1", c.ActiveCalls())
 	}
 	stB, _ = f.b.CallState(refB)
-	if stB != CallConnected {
+	if stB != LegConnected {
 		t.Fatal("clearing A's call disturbed B's")
 	}
 

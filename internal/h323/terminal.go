@@ -15,42 +15,6 @@ import (
 	"vgprs/internal/txn"
 )
 
-// CallState is a terminal-side call state.
-type CallState uint8
-
-// Call states.
-const (
-	CallAdmitting CallState = iota + 1
-	CallSetupSent
-	CallProceeding
-	CallAlerting
-	CallRinging // incoming, local user being alerted
-	CallConnected
-	CallCleared
-)
-
-// String names the state.
-func (s CallState) String() string {
-	switch s {
-	case CallAdmitting:
-		return "admitting"
-	case CallSetupSent:
-		return "setup-sent"
-	case CallProceeding:
-		return "proceeding"
-	case CallAlerting:
-		return "alerting"
-	case CallRinging:
-		return "ringing"
-	case CallConnected:
-		return "connected"
-	case CallCleared:
-		return "cleared"
-	default:
-		return fmt.Sprintf("CallState(%d)", uint8(s))
-	}
-}
-
 // TerminalHooks observe terminal events.
 type TerminalHooks struct {
 	OnRegistered     func()
@@ -104,19 +68,14 @@ type TerminalConfig struct {
 
 type termCall struct {
 	// ref is the terminal-local call handle (unique across this
-	// terminal's calls, what the public API exposes).
-	ref   uint16
-	state CallState
-	// wireRef is the Q.931 call reference used on the wire toward
-	// remoteSig. Q.931 references are scoped per signalling connection,
-	// so two peers may legitimately use the same value; the terminal
-	// remaps collisions to a free local ref and keeps the wire value
-	// here.
-	wireRef   uint16
-	remote    gsmid.MSISDN
-	remoteSig netip.Addr
-	remoteMed q931.MediaAddr
-	mediaSeq  uint16
+	// terminal's calls, what the public API exposes). The leg holds the
+	// Q.931 reference used on the wire: references are scoped per
+	// signalling connection, so two peers may legitimately use the same
+	// value, and the terminal remaps collisions to a free local ref.
+	ref      uint16
+	leg      Leg
+	remote   gsmid.MSISDN
+	mediaSeq uint16
 }
 
 // Terminal is an H.323 terminal: a native VoIP endpoint on the external
@@ -130,6 +89,7 @@ type Terminal struct {
 	nextSeq    uint32
 	nextRef    uint16
 	calls      map[uint16]*termCall // live calls by local reference
+	byWire     map[legKey]*termCall // live calls by peer and wire reference
 	txns       *Transactions[*termHost, *termCall]
 
 	// Media is the RTP receive-side statistics collector.
@@ -144,9 +104,10 @@ func NewTerminal(cfg TerminalConfig) *Terminal {
 		cfg.FrameInterval = codec.FrameDuration
 	}
 	t := &Terminal{
-		cfg:   cfg,
-		calls: make(map[uint16]*termCall),
-		Media: rtp.NewReceiver(),
+		cfg:    cfg,
+		calls:  make(map[uint16]*termCall),
+		byWire: make(map[legKey]*termCall),
+		Media:  rtp.NewReceiver(),
 	}
 	t.txns = NewTransactions[*termHost, *termCall]((*termHost)(t), cfg.Gatekeeper,
 		txn.Policy{RTO: cfg.SigRTO, Retries: cfg.SigRetries})
@@ -173,14 +134,16 @@ func (t *Terminal) ID() sim.NodeID { return t.cfg.ID }
 // Registered reports gatekeeper registration state.
 func (t *Terminal) Registered() bool { return t.registered }
 
-// CallState returns the state of a call by reference. A call the terminal
-// does not hold — cleared, or never placed — reads CallCleared, false.
-func (t *Terminal) CallState(ref uint16) (CallState, bool) {
+// CallState returns the state of a call's leg by reference: LegIdle while
+// an outgoing call waits for admission, LegAlerting while either party
+// rings. A call the terminal does not hold — cleared, or never placed —
+// reads LegReleasing, false.
+func (t *Terminal) CallState(ref uint16) (LegState, bool) {
 	c, ok := t.calls[ref]
 	if !ok {
-		return CallCleared, false
+		return LegReleasing, false
 	}
-	return c.state, true
+	return c.leg.State, true
 }
 
 // CallRefs returns the references of all live calls.
@@ -204,19 +167,9 @@ type termRAS = RAS[*termHost, *termCall]
 
 func (h *termHost) Endpoint(slab.Handle) (Endpoint, bool) { return *h.ep, true }
 
-func (h *termHost) CallEndpoint(call *termCall) (Endpoint, netip.Addr, bool) {
-	return *h.ep, call.remoteSig, true
-}
+func (h *termHost) CallLeg(call *termCall) (Endpoint, *Leg, bool) { return *h.ep, &call.leg, true }
 
-// Q931Expired releases the call cleanly on both sides once the budget is
-// exhausted, rather than hang in a signalling state forever.
-func (h *termHost) Q931Expired(env *sim.Env, call *termCall) {
-	t := (*Terminal)(h)
-	t.ep.SendQ931(env, call.remoteSig, q931.ReleaseComplete{
-		CallRef: call.wireRef, Cause: q931.CauseRecoveryOnTimerExpiry,
-	})
-	t.finishCall(env, call)
-}
+func (h *termHost) Released(env *sim.Env, call *termCall) { (*Terminal)(h).finishCall(env, call) }
 
 // Retransmits reports how many RAS and Q.931 requests this terminal has
 // re-sent.
@@ -302,7 +255,7 @@ func (t *Terminal) Call(env *sim.Env, called gsmid.MSISDN) (uint16, error) {
 	}
 	t.nextRef++
 	ref := t.nextRef
-	call := &termCall{ref: ref, wireRef: ref, state: CallAdmitting, remote: called}
+	call := &termCall{ref: ref, leg: Leg{Ref: ref}, remote: called}
 	t.calls[ref] = call
 
 	t.nextSeq++
@@ -317,7 +270,7 @@ func (t *Terminal) Call(env *sim.Env, called gsmid.MSISDN) (uint16, error) {
 // disengages if admitted: the gatekeeper has just opened it.
 func termCallAdmitDone(env *sim.Env, r termRAS, msg sim.Message) {
 	t, call := (*Terminal)(r.Host), r.Call
-	if call.state == CallCleared {
+	if call.leg.State == LegReleasing {
 		if _, admitted := msg.(ACF); admitted {
 			t.disengage(env, call)
 		}
@@ -325,10 +278,10 @@ func termCallAdmitDone(env *sim.Env, r termRAS, msg sim.Message) {
 	}
 	switch m := msg.(type) {
 	case ACF:
-		call.remoteSig = m.SignalAddr
-		call.state = CallSetupSent
-		t.txns.SendQ931(env, call, q931.Setup{
-			CallRef: call.wireRef, Called: call.remote, Calling: t.cfg.Alias,
+		call.leg.Peer = m.SignalAddr
+		t.byWire[call.leg.key()] = call
+		t.txns.Setup(env, call, q931.Setup{
+			CallRef: call.leg.Ref, Called: call.remote, Calling: t.cfg.Alias,
 			Media: q931.MediaAddr{Addr: t.cfg.Addr, Port: ipnet.PortRTP},
 		})
 	case ARJ:
@@ -347,14 +300,9 @@ func termCallAdmitDone(env *sim.Env, r termRAS, msg sim.Message) {
 
 // answer accepts a ringing incoming call.
 func (t *Terminal) answer(env *sim.Env, call *termCall) {
-	if call.state != CallRinging {
-		return
+	if !t.txns.Connect(env, call, q931.MediaAddr{Addr: t.cfg.Addr, Port: ipnet.PortRTP}) {
+		return // cleared while it rang
 	}
-	call.state = CallConnected
-	t.txns.SendQ931(env, call, q931.Connect{
-		CallRef: call.wireRef,
-		Media:   q931.MediaAddr{Addr: t.cfg.Addr, Port: ipnet.PortRTP},
-	})
 	t.startMedia(env, call)
 	if t.cfg.Hooks.OnConnected != nil {
 		t.cfg.Hooks.OnConnected(call.ref)
@@ -368,8 +316,8 @@ func (t *Terminal) Hangup(env *sim.Env, ref uint16) error {
 	if !ok {
 		return fmt.Errorf("h323: terminal %s has no active call %d", t.cfg.ID, ref)
 	}
-	if call.state != CallAdmitting {
-		t.ep.SendQ931(env, call.remoteSig, q931.ReleaseComplete{CallRef: call.wireRef, Cause: q931.CauseNormal})
+	if call.leg.State != LegIdle {
+		t.txns.Release(env, call, q931.CauseNormal)
 	}
 	t.finishCall(env, call)
 	return nil
@@ -378,27 +326,29 @@ func (t *Terminal) Hangup(env *sim.Env, ref uint16) error {
 // finishCall clears a live call. The DRQ of a call still waiting for
 // admission is left to termCallAdmitDone: an ACF may yet open the call.
 func (t *Terminal) finishCall(env *sim.Env, call *termCall) {
-	if call.state != CallAdmitting {
+	if call.leg.State != LegIdle {
 		t.disengage(env, call)
 	}
 	t.forget(call)
-	t.txns.StopQ931(call)
 	if t.cfg.Hooks.OnReleased != nil {
 		t.cfg.Hooks.OnReleased(call.ref)
 	}
 }
 
-// forget drops a call from the live set. A continuation still holding it
-// sees CallCleared, and its media ticks stop.
+// forget drops a call from the live set and resets its leg. A continuation
+// still holding it sees the leg releasing, and its media ticks stop.
 func (t *Terminal) forget(call *termCall) {
-	call.state = CallCleared
+	t.txns.Reset(call)
 	delete(t.calls, call.ref)
+	if t.byWire[call.leg.key()] == call {
+		delete(t.byWire, call.leg.key())
+	}
 }
 
 // disengage tells the gatekeeper the call is over (paper step 3.3).
 func (t *Terminal) disengage(env *sim.Env, call *termCall) {
 	t.nextSeq++
-	t.ep.SendRAS(env, t.cfg.Gatekeeper, DRQ{Seq: t.nextSeq, Alias: t.cfg.Alias, CallRef: call.wireRef, Peer: call.remote})
+	t.ep.SendRAS(env, t.cfg.Gatekeeper, DRQ{Seq: t.nextSeq, Alias: t.cfg.Alias, CallRef: call.leg.Ref, Peer: call.remote})
 }
 
 // Receive implements sim.Node.
@@ -421,71 +371,34 @@ func (t *Terminal) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.
 	}
 }
 
+// handleQ931 runs a call's leg on an arriving message. The reference is
+// scoped to the peer that sent it, so the call is keyed by both; a Setup
+// for no call opens one.
 func (t *Terminal) handleQ931(env *sim.Env, pkt ipnet.Packet, msg sim.Message) {
-	switch m := msg.(type) {
-	case q931.Setup:
-		t.handleIncomingSetup(env, pkt, m)
-	case q931.CallProceeding:
-		if call := t.findCall(pkt.Src, m.CallRef); call != nil && call.state == CallSetupSent {
-			call.state = CallProceeding
-			t.txns.StopQ931(call) // far end holds our Setup; stop T303
+	ref, _ := q931.CallRefOf(msg)
+	call := t.byWire[legKey{pkt.Src, ref}]
+	if call == nil {
+		if m, isSetup := msg.(q931.Setup); isSetup {
+			t.handleIncomingSetup(env, pkt, m)
 		}
-	case q931.Alerting:
-		// Guard against a late duplicate regressing an answered call.
-		if call := t.findCall(pkt.Src, m.CallRef); call != nil &&
-			(call.state == CallSetupSent || call.state == CallProceeding) {
-			call.state = CallAlerting
-			t.txns.StopQ931(call) // stop T303
-			if t.cfg.Hooks.OnAlerting != nil {
-				t.cfg.Hooks.OnAlerting(call.ref)
-			}
+		return
+	}
+	switch t.txns.Receive(env, call, msg) {
+	case LegAlerted:
+		if t.cfg.Hooks.OnAlerting != nil {
+			t.cfg.Hooks.OnAlerting(call.ref)
 		}
-	case q931.Connect:
-		if call := t.findCall(pkt.Src, m.CallRef); call != nil {
-			// Acknowledge every copy so the answerer's T313 stops;
-			// process only the first.
-			t.ep.SendQ931(env, call.remoteSig, q931.ConnectAck{CallRef: call.wireRef})
-			if call.state == CallConnected {
-				return
-			}
-			call.state = CallConnected
-			t.txns.StopQ931(call) // stop T303
-			call.remoteMed = m.Media
-			t.startMedia(env, call)
-			if t.cfg.Hooks.OnConnected != nil {
-				t.cfg.Hooks.OnConnected(call.ref)
-			}
-		}
-	case q931.ConnectAck:
-		// The caller saw our Connect: stop T313.
-		if call := t.findCall(pkt.Src, m.CallRef); call != nil {
-			t.txns.StopQ931(call)
-		}
-	case q931.ReleaseComplete:
-		if call := t.findCall(pkt.Src, m.CallRef); call != nil {
-			t.finishCall(env, call)
+	case LegAnswered:
+		t.startMedia(env, call)
+		if t.cfg.Hooks.OnConnected != nil {
+			t.cfg.Hooks.OnConnected(call.ref)
 		}
 	}
-}
-
-// findCall resolves an incoming Q.931 message to a live call: the reference
-// is scoped to the peer that sent it, so both the source address and the
-// wire reference must match.
-func (t *Terminal) findCall(src netip.Addr, wireRef uint16) *termCall {
-	for _, call := range t.calls {
-		if call.wireRef == wireRef && call.remoteSig == src {
-			return call
-		}
-	}
-	return nil
 }
 
 // handleIncomingSetup runs paper steps 2.4-2.6 on the called terminal:
 // Call Proceeding back, ARQ/ACF with the gatekeeper, then Alerting.
 func (t *Terminal) handleIncomingSetup(env *sim.Env, pkt ipnet.Packet, m q931.Setup) {
-	if t.findCall(pkt.Src, m.CallRef) != nil {
-		return // retransmission of a Setup we already hold
-	}
 	// The peer's reference may collide with a call from another peer (or
 	// one of our own outgoing references); pick a free local handle.
 	ref := m.CallRef
@@ -494,11 +407,12 @@ func (t *Terminal) handleIncomingSetup(env *sim.Env, pkt ipnet.Packet, m q931.Se
 		ref = t.nextRef
 	}
 	call := &termCall{
-		ref: ref, wireRef: m.CallRef, state: CallProceeding,
-		remote: m.Calling, remoteSig: pkt.Src, remoteMed: m.Media,
+		ref: ref, remote: m.Calling,
+		leg: Leg{Ref: m.CallRef, Peer: pkt.Src, Media: m.Media, Incoming: true},
 	}
 	t.calls[ref] = call
-	t.ep.SendQ931(env, pkt.Src, q931.CallProceeding{CallRef: m.CallRef})
+	t.byWire[call.leg.key()] = call
+	t.txns.Proceed(env, call)
 
 	// Step 2.5: admission for the incoming call.
 	t.nextSeq++
@@ -513,30 +427,26 @@ func (t *Terminal) handleIncomingSetup(env *sim.Env, pkt ipnet.Packet, m q931.Se
 // meanwhile goes no further.
 func termIncomingAdmitDone(env *sim.Env, r termRAS, msg sim.Message) {
 	t, call := (*Terminal)(r.Host), r.Call
-	if call.state == CallCleared {
+	if call.leg.State == LegReleasing {
 		return
 	}
 	switch msg.(type) {
 	case ACF:
-		call.state = CallRinging
-		t.ep.SendQ931(env, call.remoteSig, q931.Alerting{CallRef: call.wireRef})
+		t.txns.Alert(env, call)
 		if t.cfg.Hooks.OnIncoming != nil {
 			t.cfg.Hooks.OnIncoming(call.ref, call.remote)
 		}
 		if t.cfg.AutoAnswer {
 			env.After(t.cfg.AnswerDelay, func() { t.answer(env, call) })
 		}
-	case ARJ:
-		// Step 2.5's failure arm: release the call.
-		t.ep.SendQ931(env, call.remoteSig, q931.ReleaseComplete{
-			CallRef: call.wireRef, Cause: q931.CauseResourcesUnavail,
-		})
-		t.forget(call)
-	case nil:
-		// Admission never answered: release toward the caller.
-		t.ep.SendQ931(env, call.remoteSig, q931.ReleaseComplete{
-			CallRef: call.wireRef, Cause: q931.CauseRecoveryOnTimerExpiry,
-		})
+	case ARJ, nil:
+		// Step 2.5's failure arm, or admission never answered: release
+		// toward the caller.
+		cause := q931.CauseRecoveryOnTimerExpiry
+		if _, rejected := msg.(ARJ); rejected {
+			cause = q931.CauseResourcesUnavail
+		}
+		t.txns.Release(env, call, cause)
 		t.forget(call)
 	}
 }
@@ -547,19 +457,19 @@ func (t *Terminal) startMedia(env *sim.Env, call *termCall) {
 	}
 	var tick func()
 	tick = func() {
-		if call.state != CallConnected {
+		if call.leg.State != LegConnected {
 			return
 		}
-		if call.remoteMed.Valid() {
+		if call.leg.Media.Valid() {
 			call.mediaSeq++
 			p := rtp.Packet{
 				PayloadType: rtp.PayloadTypeGSM,
 				Seq:         call.mediaSeq,
 				Timestamp:   rtp.TimestampAt(env.Now()),
-				SSRC:        uint32(call.wireRef),
+				SSRC:        uint32(call.leg.Ref),
 				Payload:     codec.NewFrame(env.Now(), uint32(call.mediaSeq)),
 			}
-			t.ep.SendRTP(env, call.remoteMed, p.Marshal())
+			t.ep.SendRTP(env, call.leg.Media, p.Marshal())
 		}
 		env.After(t.cfg.FrameInterval, tick)
 	}

@@ -3,33 +3,36 @@ package h323
 import (
 	"net/netip"
 
+	"vgprs/internal/q931"
 	"vgprs/internal/sim"
 	"vgprs/internal/slab"
 	"vgprs/internal/txn"
 )
 
 // Host is the H.323 element a Transactions table works for: it says where a
-// retransmission leaves from and clears a call whose Q.931 message ran out of
-// budget. The VMSC is the host of every row of its MS table (owner is the
+// request leaves from, holds each call's Leg and clears a call whose leg
+// ended. The VMSC is the host of every row of its MS table (owner is the
 // row's slab handle); a terminal or gateway is its own host (owner zero).
 type Host[C comparable] interface {
 	// Endpoint returns the endpoint owner's RAS requests leave from, or
 	// false once owner is gone (a purged MS-table row): the request then
 	// fails at once instead of spending the rest of its budget.
 	Endpoint(owner slab.Handle) (Endpoint, bool)
-	// CallEndpoint returns the endpoint a call's Q.931 messages leave from
-	// and the far end's signalling address, or false once the call's owner
-	// is gone.
-	CallEndpoint(call C) (ep Endpoint, peer netip.Addr, ok bool)
-	// Q931Expired clears a call whose Q.931 message went unanswered through
-	// its whole budget, or whose owner went while it waited.
-	Q931Expired(env *sim.Env, call C)
+	// CallLeg returns a call's leg and the endpoint its Q.931 messages leave
+	// from; ok is false once the call's owner is gone (the leg is still
+	// returned).
+	CallLeg(call C) (ep Endpoint, leg *Leg, ok bool)
+	// Released clears a call whose leg ended at the far end: its
+	// ReleaseComplete arrived, or a Q.931 message went unanswered through
+	// its whole budget (or its owner went while it waited).
+	Released(env *sim.Env, call C)
 }
 
 // Transactions is an H.323 element's in-flight signalling: RAS requests to
 // the gatekeeper keyed by sequence number, each with its completion, and the
-// Q.931 retransmission cycle (T303 for Setup, T313 for Connect) of each call,
-// keyed by the owner's call. Both run on one retransmission policy.
+// Q.931 retransmission cycle (T303 for Setup, T313 for Connect) of each call's
+// leg (leg.go), keyed by the owner's call. Both run on one retransmission
+// policy.
 type Transactions[H Host[C], C comparable] struct {
 	ras        *txn.Table[uint32, RAS[H, C]]
 	q931       *txn.Table[C, q931Cycle[C]]
@@ -98,33 +101,32 @@ func (t *Transactions[H, C]) resendRAS(env *sim.Env, r *RAS[H, C]) bool {
 
 func expiredRAS[H Host[C], C comparable](env *sim.Env, r *RAS[H, C]) { r.done(env, *r, nil) }
 
-// SendQ931 sends a Q.931 message that expects an answer and starts call's
-// retransmission cycle for it, replacing the cycle still running. An answer
-// stops it (StopQ931); a spent budget clears the call (Host.Q931Expired).
-func (t *Transactions[H, C]) SendQ931(env *sim.Env, call C, msg sim.Message) {
-	ep, peer, ok := t.host.CallEndpoint(call)
+// sendQ931 sends a Q.931 message that expects an answer and starts call's
+// retransmission cycle for it, replacing the cycle still running. The leg
+// stops it when the answer arrives; a spent budget releases the call.
+func (t *Transactions[H, C]) sendQ931(env *sim.Env, call C, msg sim.Message) {
+	ep, leg, ok := t.host.CallLeg(call)
 	if !ok {
 		return
 	}
-	ep.SendQ931(env, peer, msg)
+	ep.SendQ931(env, leg.Peer, msg)
 	t.q931.Take(call)
 	*t.q931.Begin(env, call, t.policy) = q931Cycle[C]{call: call, msg: msg}
 }
 
-// StopQ931 ends call's retransmission cycle: its answer arrived, or the call
-// is going away.
-func (t *Transactions[H, C]) StopQ931(call C) { t.q931.Take(call) }
-
 func (t *Transactions[H, C]) resendQ931(env *sim.Env, c *q931Cycle[C]) bool {
-	ep, peer, ok := t.host.CallEndpoint(c.call)
+	ep, leg, ok := t.host.CallLeg(c.call)
 	if ok {
-		ep.SendQ931(env, peer, c.msg)
+		ep.SendQ931(env, leg.Peer, c.msg)
 	}
 	return ok
 }
 
+// expiredQ931 releases a call whose Q.931 message went unanswered through
+// its budget, on both sides, the way a far-end ReleaseComplete does.
 func (t *Transactions[H, C]) expiredQ931(env *sim.Env, c *q931Cycle[C]) {
-	t.host.Q931Expired(env, c.call)
+	t.Release(env, c.call, q931.CauseRecoveryOnTimerExpiry)
+	t.host.Released(env, c.call)
 }
 
 // PendingRAS returns RAS requests still awaiting the gatekeeper's answer.

@@ -1,7 +1,6 @@
 package h323
 
 import (
-	"net/netip"
 	"reflect"
 	"testing"
 	"time"
@@ -13,9 +12,9 @@ import (
 	"vgprs/internal/txn"
 )
 
-type testCall struct{ peer netip.Addr }
+type testCall struct{ leg Leg }
 
-// testHost records what its endpoint sends and which calls expired; gone
+// testHost records what its endpoint sends and which calls it released; gone
 // stands for an owner whose row was purged.
 type testHost struct {
 	ep      Endpoint
@@ -26,11 +25,9 @@ type testHost struct {
 
 func (h *testHost) Endpoint(slab.Handle) (Endpoint, bool) { return h.ep, !h.gone }
 
-func (h *testHost) CallEndpoint(c *testCall) (Endpoint, netip.Addr, bool) {
-	return h.ep, c.peer, !h.gone
-}
+func (h *testHost) CallLeg(c *testCall) (Endpoint, *Leg, bool) { return h.ep, &c.leg, !h.gone }
 
-func (h *testHost) Q931Expired(_ *sim.Env, c *testCall) { h.expired = append(h.expired, c) }
+func (h *testHost) Released(_ *sim.Env, c *testCall) { h.expired = append(h.expired, c) }
 
 func newTestTransactions(p txn.Policy) (*sim.Env, *testHost, *Transactions[*testHost, *testCall]) {
 	h := &testHost{}
@@ -117,9 +114,9 @@ func TestTransactionsDropUnknownAndLateAnswers(t *testing.T) {
 // the new message is retransmitted, and stopping the call ends it.
 func TestTransactionsRearmReplacesCycle(t *testing.T) {
 	env, h, tx := newTestTransactions(txn.Policy{RTO: time.Second})
-	call := &testCall{peer: ipnet.MustAddr("10.0.0.3")}
-	tx.SendQ931(env, call, q931.Setup{CallRef: 1})
-	tx.SendQ931(env, call, q931.Connect{CallRef: 1})
+	call := &testCall{leg: Leg{Peer: ipnet.MustAddr("10.0.0.3")}}
+	tx.sendQ931(env, call, q931.Setup{CallRef: 1})
+	tx.sendQ931(env, call, q931.Connect{CallRef: 1})
 	env.RunUntil(1500 * time.Millisecond)
 	want := []sim.Message{q931.Setup{CallRef: 1}, q931.Connect{CallRef: 1}, q931.Connect{CallRef: 1}}
 	if !reflect.DeepEqual(h.sent, want) {
@@ -134,21 +131,22 @@ func TestTransactionsRearmReplacesCycle(t *testing.T) {
 	if s.Begun != 2 || s.Resolved != 1 || s.InFlight != 1 {
 		t.Fatalf("Q.931 table %+v, want 2 begun, 1 replaced, 1 in flight", s)
 	}
-	tx.StopQ931(call)
+	tx.Reset(call)
 	env.Run()
 	if len(h.sent) != 3 || len(h.expired) != 0 {
 		t.Fatalf("stopped cycle went on: sent %v, expired %d", h.sent, len(h.expired))
 	}
 }
 
-// A spent budget runs each expiry hook exactly once. An owner that went
-// fails its transactions at the first timeout instead of spending the budget.
+// A spent budget runs each expiry hook exactly once; the leg tells the far
+// end with a ReleaseComplete. An owner that went fails its transactions at
+// the first timeout instead of spending the budget.
 func TestTransactionsExpireOnce(t *testing.T) {
 	for _, gone := range []bool{false, true} {
 		env, h, tx := newTestTransactions(txn.Policy{RTO: 100 * time.Millisecond, Retries: 2})
 		call := &testCall{}
 		var got answers
-		tx.SendQ931(env, call, q931.Setup{CallRef: 1})
+		tx.Setup(env, call, q931.Setup{CallRef: 1})
 		tx.SendRAS(env, 0, call, ARQ{Seq: 1}, got.done)
 		h.gone = gone
 		env.Run()
@@ -158,7 +156,7 @@ func TestTransactionsExpireOnce(t *testing.T) {
 		if len(got.msgs) != 1 || got.msgs[0] != nil || got.calls[0] != call {
 			t.Errorf("gone=%v: RAS completions %v, want one nil", gone, got.msgs)
 		}
-		wantSent, wantRetx := 6, uint64(4)
+		wantSent, wantRetx := 7, uint64(4)
 		if gone {
 			wantSent, wantRetx = 2, 0
 		}

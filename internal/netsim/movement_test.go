@@ -168,7 +168,7 @@ func TestPowerOffDeregisters(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Env.RunUntil(n.Env.Now() + 5*time.Second)
-	if st, _ := term.CallState(ref); st != h323.CallCleared {
+	if st, _ := term.CallState(ref); st != h323.LegReleasing {
 		t.Fatalf("call to detached MS state = %v", st)
 	}
 

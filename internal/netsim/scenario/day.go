@@ -421,11 +421,23 @@ func RunDay(cfg DayConfig) (DayResult, error) {
 	}
 
 	// Drain: clear every call, restore every power-cycled MS, and wait
-	// for the signalling planes to settle before the leak audit.
-	for _, c := range active {
-		clearCall(c)
+	// for the signalling planes to settle before the leak audit. A call
+	// whose caller is still setting it up (dialled in the last tick) is
+	// kept until the caller is in it, then hung up, or idle again.
+	for end := env.Now() + time.Minute; ; runFor(env, tick) {
+		kept := active[:0]
+		for _, c := range active {
+			if c.caller != nil && env.Now() < end &&
+				c.caller.State() != gsm.MSIdle && c.caller.State() != gsm.MSInCall {
+				kept = append(kept, c)
+			} else {
+				clearCall(c)
+			}
+		}
+		if active = kept; len(active) == 0 {
+			break
+		}
 	}
-	active = nil
 	runFor(env, 10*time.Second)
 	for i, offAt := range poweredOffAt {
 		if offAt != 0 {

@@ -64,3 +64,22 @@ func TestDaySoakLeakProof(t *testing.T) {
 	t.Logf("soak: %v simulated, %d calls (%d failures), %d data echoes, %d relocations, %d power cycles, heap windows %v, footprint windows %v",
 		dur, res.Calls, res.CallFailures, res.DataEchoes, res.Relocations, res.PowerCycles, res.HeapWindows, res.FootprintWindows)
 }
+
+// TestDayDrainKeepsLateCalls pins two seeds whose last tick dials a call
+// (seed 32 MS-to-MS, seed 50 a breakout) that is still setting up when the
+// drain starts. The drain must keep it until the caller is in it and hang it
+// up, or the call connects after the drain and the population never settles.
+func TestDayDrainKeepsLateCalls(t *testing.T) {
+	for _, seed := range []int64{32, 50} {
+		res, err := RunDay(DayConfig{
+			Seed: seed, NumMS: 6, DataMS: 2,
+			Duration: time.Hour, HeapWindow: 15 * time.Minute,
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Calls+res.CallFailures != res.CallAttempts {
+			t.Errorf("seed %d: %d calls and %d failures of %d attempts", seed, res.Calls, res.CallFailures, res.CallAttempts)
+		}
+	}
+}

@@ -109,7 +109,7 @@ func TestMTCallFromTerminal(t *testing.T) {
 	}
 	n.Env.RunUntil(n.Env.Now() + 5*time.Second)
 
-	if st, _ := term.CallState(ref); st != h323.CallConnected {
+	if st, _ := term.CallState(ref); st != h323.LegConnected {
 		t.Fatalf("terminal state = %v", st)
 	}
 	termConnected = true
@@ -155,7 +155,7 @@ func TestFootprintFlatOverCalls(t *testing.T) {
 				t.Fatal(err)
 			}
 			n.Env.Run()
-			if st, _ := term.CallState(ref); st != h323.CallConnected {
+			if st, _ := term.CallState(ref); st != h323.LegConnected {
 				t.Fatalf("call %d: terminal state %v", i, st)
 			}
 			if err := term.Hangup(n.Env, ref); err != nil {
@@ -254,7 +254,7 @@ func TestDeactivateIdlePDPMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Env.RunUntil(n.Env.Now() + 10*time.Second)
-	if st, _ := term.CallState(ref); st != h323.CallConnected {
+	if st, _ := term.CallState(ref); st != h323.LegConnected {
 		t.Fatalf("terminal state = %v", st)
 	}
 	if ms.State() != gsm.MSInCall {

@@ -60,7 +60,7 @@ func TestMOCallReactivatesContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Env.RunUntil(n.Env.Now() + 5*time.Second)
-	if st, _ := ms.Term.CallState(ref); st != h323.CallConnected {
+	if st, _ := ms.Term.CallState(ref); st != h323.LegConnected {
 		t.Fatalf("call state = %v", st)
 	}
 	// During the call exactly one context is active.
@@ -108,7 +108,7 @@ func TestMTCallNeedsNetworkInitiatedActivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Env.RunUntil(n.Env.Now() + 10*time.Second)
-	if st, _ := term.CallState(ref); st != h323.CallConnected {
+	if st, _ := term.CallState(ref); st != h323.LegConnected {
 		t.Fatalf("terminal call state = %v", st)
 	}
 	// The MT path crossed the network-initiated activation machinery.

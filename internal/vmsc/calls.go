@@ -114,7 +114,7 @@ func (v *VMSC) handleMOSetup(env *sim.Env, bsc sim.NodeID, t gsm.Setup) {
 	}
 	v.nextRAS++ // Q.931 references share the VMSC-wide sequence space
 	call := &vCall{
-		v: v, entryH: entry.self, env: env, ref: uint16(v.nextRAS), radioRef: t.CallRef,
+		v: v, entryH: entry.self, env: env, leg: h323.Leg{Ref: uint16(v.nextRAS)}, radioRef: t.CallRef,
 		state: callRouting, mobileOriginated: true, remote: t.Called,
 	}
 	entry.call = call
@@ -158,7 +158,7 @@ func moSIFOCDone(arg any, resp sim.Message, ok bool) {
 			// call signalling channel transport address.
 			v.nextRAS++
 			v.h225.SendRAS(env, entry.self, call, h323.ARQ{
-				Seq: v.nextRAS, CallerAlias: entry.msisdnKey.MSISDN(), CalledAlias: call.remote, CallRef: call.ref,
+				Seq: v.nextRAS, CallerAlias: entry.msisdnKey.MSISDN(), CalledAlias: call.remote, CallRef: call.leg.Ref,
 			}, rasMOAdmitDone)
 		}
 	})
@@ -177,71 +177,43 @@ func rasMOAdmitDone(env *sim.Env, r rasReq, msg sim.Message) {
 		v.clearCall(env, call, true)
 		return
 	}
-	call.remoteSig = m.SignalAddr
+	call.leg.Peer = m.SignalAddr
 	call.state = callDelivering
 	// Step 2.4: Q.931 Setup through the GGSN to the terminal,
 	// retransmitted (T303) until the far end acknowledges.
-	v.h225.SendQ931(env, call, q931.Setup{
-		CallRef: call.ref, Called: call.remote, Calling: entry.msisdnKey.MSISDN(),
+	v.h225.Setup(env, call, q931.Setup{
+		CallRef: call.leg.Ref, Called: call.remote, Calling: entry.msisdnKey.MSISDN(),
 		Media: q931.MediaAddr{Addr: entry.addr, Port: ipnet.PortRTP},
 	})
 }
 
+// handleQ931 runs the call's leg on a message for the row's call and relays
+// what it reports down the radio path. A Setup that is not a repeat of the
+// call's own opens an MT call.
 func (v *VMSC) handleQ931(env *sim.Env, entry *msEntry, pkt ipnet.Packet, msg sim.Message) {
-	if m, isSetup := msg.(q931.Setup); isSetup {
+	call := entry.call
+	ref, _ := q931.CallRefOf(msg)
+	if m, isSetup := msg.(q931.Setup); isSetup && (call == nil || call.leg.Ref != ref || call.leg.Peer != pkt.Src) {
 		v.handleMTSetup(env, entry, pkt, m)
 		return
 	}
-	call := entry.call
-	if ref, _ := q931.CallRefOf(msg); call == nil || call.ref != ref {
+	if call == nil || call.leg.Ref != ref {
 		return
 	}
-	switch m := msg.(type) {
-	case q931.CallProceeding:
-		// Step 2.4 tail: no more routing information expected — the far
-		// end holds our Setup, so its retransmission cycle can stop.
-		if call.mobileOriginated {
-			v.h225.StopQ931(call)
-		}
-	case q931.Alerting:
-		// Step 2.7: relay the alerting indication down the radio path to
-		// trigger ringback at the MS. A late duplicate must not regress
-		// an answered call, hence the state guard.
-		if call.mobileOriginated && call.state == callDelivering {
-			v.h225.StopQ931(call)
-			call.state = callAlerting
-			env.Send(v.cfg.ID, v.bscOf(entry), gsm.Alerting{
-				Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
-			})
-		}
-	case q931.Connect:
-		// Step 2.8 + 2.9: answer reaches the MS; then activate the
-		// real-time voice PDP context. Every copy is acknowledged (the
-		// answerer retransmits Connect until it sees the ack); only the
-		// first is processed, and none before our Setup went out.
-		if !call.mobileOriginated || call.state < callDelivering {
-			return
-		}
-		v.endpoint(entry).SendQ931(env, call.remoteSig, q931.ConnectAck{CallRef: m.CallRef})
-		if call.state >= callConnecting {
-			return
-		}
+	switch v.h225.Receive(env, call, msg) {
+	case h323.LegAlerted:
+		// Step 2.7: ringback at the MS.
+		env.Send(v.cfg.ID, v.bscOf(entry), gsm.Alerting{
+			Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
+		})
+	case h323.LegAnswered:
+		// Step 2.8 + 2.9: the answer reaches the MS; then the real-time
+		// voice PDP context comes up.
 		call.state = callConnecting
-		v.h225.StopQ931(call)
-		call.remoteMed = m.Media
 		env.Send(v.cfg.ID, v.bscOf(entry), gsm.Connect{
 			Leg: gsm.LegA, MS: entry.ms, CallRef: call.radioRef,
 		})
 		v.activateVoicePDP(env, call)
-	case q931.ConnectAck:
-		// The far end saw our Connect (MT answer): stop T313.
-		v.h225.StopQ931(call)
-	case q931.ReleaseComplete:
-		// Far party cleared (or step 3.2's mirror for MT calls).
-		v.disengage(env, call)
-		v.releaseRadio(env, call)
-		v.teardownVoicePDP(env, entry)
-		v.forget(call)
 	}
 }
 
@@ -249,28 +221,20 @@ func (v *VMSC) handleQ931(env *sim.Env, entry *msEntry, pkt ipnet.Packet, msg si
 // GGSN on the MS's signalling PDP context.
 func (v *VMSC) handleMTSetup(env *sim.Env, entry *msEntry, pkt ipnet.Packet, m q931.Setup) {
 	if entry.call != nil {
-		if entry.call.ref == m.CallRef && entry.call.remoteSig == pkt.Src {
-			// A retransmitted Setup for the call already in progress:
-			// re-acknowledge so the caller's T303 stops; killing the
-			// call with UserBusy here would fail every MT call whose
-			// first CallProceeding was lost.
-			v.endpoint(entry).SendQ931(env, pkt.Src, q931.CallProceeding{CallRef: m.CallRef})
-			return
-		}
 		v.endpoint(entry).SendQ931(env, pkt.Src, q931.ReleaseComplete{
 			CallRef: m.CallRef, Cause: q931.CauseUserBusy,
 		})
 		return
 	}
 	call := &vCall{
-		v: v, entryH: entry.self, env: env, ref: m.CallRef, radioRef: uint32(m.CallRef),
-		state: callPaging, remote: m.Calling, remoteSig: pkt.Src, remoteMed: m.Media,
+		v: v, entryH: entry.self, env: env, radioRef: uint32(m.CallRef), state: callPaging, remote: m.Calling,
+		leg: h323.Leg{Ref: m.CallRef, Peer: pkt.Src, Media: m.Media, Incoming: true},
 	}
 	entry.call = call
 	v.active++
 
 	// Step 4.2 tail: Call Proceeding back to the caller.
-	v.endpoint(entry).SendQ931(env, pkt.Src, q931.CallProceeding{CallRef: m.CallRef})
+	v.h225.Proceed(env, call)
 
 	// Step 4.3: ARQ/ACF with the gatekeeper.
 	v.nextRAS++
@@ -289,9 +253,7 @@ func rasMTAdmitDone(env *sim.Env, r rasReq, msg sim.Message) {
 		return
 	}
 	if _, admitted := msg.(h323.ACF); !admitted { // ARJ or timeout
-		v.endpoint(entry).SendQ931(env, call.remoteSig, q931.ReleaseComplete{
-			CallRef: call.ref, Cause: q931.CauseResourcesUnavail,
-		})
+		v.h225.Release(env, call, q931.CauseResourcesUnavail)
 		v.forget(call)
 		return
 	}
@@ -312,9 +274,7 @@ func pagingExpire(arg any) {
 		return
 	}
 	v := call.v
-	v.endpoint(entry).SendQ931(call.env, call.remoteSig, q931.ReleaseComplete{
-		CallRef: call.ref, Cause: q931.CauseNoAnswer,
-	})
+	v.h225.Release(call.env, call, q931.CauseNoAnswer)
 	v.disengage(call.env, call)
 	v.forget(call)
 }
@@ -344,26 +304,22 @@ func (v *VMSC) radioAlerting(env *sim.Env, t gsm.Alerting) {
 	if entry == nil || entry.call == nil || entry.call.mobileOriginated {
 		return
 	}
-	call := entry.call
-	call.state = callAlerting
-	// Step 4.6: Q.931 Alerting toward the calling terminal (ringback).
-	v.endpoint(entry).SendQ931(env, call.remoteSig, q931.Alerting{CallRef: call.ref})
+	// Step 4.6: Q.931 Alerting toward the calling terminal (ringback). The
+	// MS rings whatever the VMSC last heard, so its answer counts again.
+	entry.call.state = callDelivering
+	v.h225.Alert(env, entry.call)
 }
 
 func (v *VMSC) radioConnect(env *sim.Env, t gsm.Connect) {
 	entry := v.entryByMS(t.MS)
-	if entry == nil || entry.call == nil || entry.call.mobileOriginated ||
-		(entry.call.state != callDelivering && entry.call.state != callAlerting) {
+	if entry == nil || entry.call == nil || entry.call.mobileOriginated || entry.call.state != callDelivering {
 		return // the answer of an MT call set up on the radio path counts once
 	}
 	call := entry.call
 	call.state = callConnecting
 	// Step 4.7: Connect toward the caller, with the MS's media address,
 	// retransmitted (T313) until the caller's ConnectAck.
-	v.h225.SendQ931(env, call, q931.Connect{
-		CallRef: call.ref,
-		Media:   q931.MediaAddr{Addr: entry.addr, Port: ipnet.PortRTP},
-	})
+	v.h225.Connect(env, call, q931.MediaAddr{Addr: entry.addr, Port: ipnet.PortRTP})
 	// Step 4.8: activate the voice PDP context.
 	v.activateVoicePDP(env, call)
 }
@@ -418,18 +374,10 @@ func (v *VMSC) radioDisconnect(env *sim.Env, t gsm.Disconnect) {
 		v.hoTarget.RadioDisconnect(env, t)
 		return
 	}
-	call := entry.call
-	// Step 3.2: release the H.323 leg.
-	v.endpoint(entry).SendQ931(env, call.remoteSig, q931.ReleaseComplete{
-		CallRef: call.ref, Cause: q931.CauseNormal,
-	})
-	// Step 3.3: disengage with the gatekeeper (charging stops).
-	v.disengage(env, call)
-	// Radio leg clearing toward the MS.
-	v.releaseRadio(env, call)
-	// Step 3.4: deactivate the voice PDP context.
-	v.teardownVoicePDP(env, entry)
-	v.forget(call)
+	// Step 3.2: release the H.323 leg; the rest clears as on a far-end
+	// release.
+	v.h225.Release(env, entry.call, q931.CauseNormal)
+	(*rowHost)(v).Released(env, entry.call)
 }
 
 // disengage sends the DRQ fire-and-forget (charging stop, no answer
@@ -441,7 +389,7 @@ func (v *VMSC) disengage(env *sim.Env, call *vCall) {
 	}
 	v.nextRAS++
 	v.endpoint(entry).SendRAS(env, v.cfg.Gatekeeper, h323.DRQ{
-		Seq: v.nextRAS, Alias: entry.msisdnKey.MSISDN(), CallRef: call.ref,
+		Seq: v.nextRAS, Alias: entry.msisdnKey.MSISDN(), CallRef: call.leg.Ref,
 		Peer: call.remote,
 	})
 }
@@ -485,10 +433,8 @@ func (v *VMSC) clearCall(env *sim.Env, call *vCall, radio bool) {
 		v.releaseRadio(env, call)
 	}
 	entry := call.ent()
-	if call.remoteSig.IsValid() && entry != nil {
-		v.endpoint(entry).SendQ931(env, call.remoteSig, q931.ReleaseComplete{
-			CallRef: call.ref, Cause: q931.CauseResourcesUnavail,
-		})
+	if call.leg.Peer.IsValid() && entry != nil {
+		v.h225.Release(env, call, q931.CauseResourcesUnavail)
 		v.disengage(env, call)
 	}
 	if entry != nil {
@@ -502,7 +448,7 @@ func (v *VMSC) forget(call *vCall) {
 		return
 	}
 	call.state = callReleased
-	v.h225.StopQ931(call) // a live retry timer must not resurrect the call
+	v.h225.Reset(call) // a live retry timer must not resurrect the call
 	call.env.Cancel(call.paging)
 	v.stats.CallsReleased++
 	entry := call.ent()
@@ -570,7 +516,7 @@ func (v *VMSC) uplinkVoice(env *sim.Env, t *gsm.TCHFrame) {
 		return
 	}
 	call := entry.call
-	if !call.talking() || !call.remoteMed.Valid() {
+	if !call.talking() || !call.leg.Media.Valid() {
 		v.stats.FramesClipped++
 		return
 	}
@@ -593,7 +539,7 @@ func (v *VMSC) uplinkVoice(env *sim.Env, t *gsm.TCHFrame) {
 func uplinkFire(arg any) {
 	j := arg.(*frameJob)
 	j.v.frameJobs--
-	if call := j.call; call.talking() && call.remoteMed.Valid() {
+	if call := j.call; call.talking() && call.leg.Media.Valid() {
 		call.med.rtpBuf = j.v.sendRTP(call, call.med.upBuf[:call.med.upLen], call.med.rtpBuf[:0])
 	}
 }
@@ -610,11 +556,11 @@ func (v *VMSC) sendRTP(call *vCall, payload, buf []byte) []byte {
 		PayloadType: rtp.PayloadTypeGSM,
 		Seq:         call.rtpSeq,
 		Timestamp:   rtp.TimestampAt(call.env.Now()),
-		SSRC:        uint32(call.ref),
+		SSRC:        uint32(call.leg.Ref),
 		Payload:     payload,
 	}
 	buf = p.AppendTo(buf)
-	v.endpoint(entry).SendRTP(call.env, call.remoteMed, buf)
+	v.endpoint(entry).SendRTP(call.env, call.leg.Media, buf)
 	return buf
 }
 
@@ -681,7 +627,7 @@ func (v *VMSC) trunkVoice(env *sim.Env, t isup.TrunkFrame) {
 		v.hoTarget.TrunkVoice(env, t)
 		return
 	}
-	if call.state != callHandedOver || !call.remoteMed.Valid() {
+	if call.state != callHandedOver || !call.leg.Media.Valid() {
 		return
 	}
 	v.stats.FramesUplink++
@@ -703,9 +649,7 @@ func (v *VMSC) trunkREL(env *sim.Env, from sim.NodeID, t isup.REL) {
 		call.ho.trunks.Release(call.ho.cic)
 	}
 	if entry := call.ent(); entry != nil {
-		v.endpoint(entry).SendQ931(env, call.remoteSig, q931.ReleaseComplete{
-			CallRef: call.ref, Cause: q931.CauseNormal,
-		})
+		v.h225.Release(env, call, q931.CauseNormal)
 		v.teardownVoicePDP(env, entry)
 	}
 	v.disengage(env, call)

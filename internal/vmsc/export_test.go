@@ -41,7 +41,7 @@ var (
 		rowRegistered: "registered", rowReregistering: "reregistering",
 		rowDeregistering: "deregistering", rowPurging: "purging"}
 	callStates = [...]string{callRouting: "routing", callPaging: "paging",
-		callDelivering: "delivering", callAlerting: "alerting", callConnecting: "connecting",
+		callDelivering: "delivering", callConnecting: "connecting",
 		callActive: "active", callHandedOver: "handed-over", callReleased: "released"}
 )
 
@@ -56,13 +56,18 @@ func (v *VMSC) RowState(imsi gsmid.IMSI) (state string, attached bool) {
 }
 
 // CallState names the state of the call on a subscriber's row ("" if none)
-// and returns its Q.931 and handover call references.
+// and returns its Q.931 and handover call references. A call delivered to a
+// called party that rings reads "alerting": the ringing is its leg's.
 func (v *VMSC) CallState(imsi gsmid.IMSI) (state string, ref uint16, hoRef uint32) {
 	_, e := v.byIMSI.Get(imsi.Pack())
 	if e == nil || e.call == nil {
 		return "", 0, 0
 	}
-	return callStates[e.call.state], e.call.ref, e.call.hoRef
+	state = callStates[e.call.state]
+	if e.call.state == callDelivering && e.call.leg.State == h323.LegAlerting {
+		state = "alerting"
+	}
+	return state, e.call.leg.Ref, e.call.hoRef
 }
 
 // RowTLLI is the TLLI a subscriber's row currently uses on Gb.

@@ -32,7 +32,6 @@ import (
 	"vgprs/internal/ipnet"
 	"vgprs/internal/isup"
 	"vgprs/internal/msc"
-	"vgprs/internal/q931"
 	"vgprs/internal/sim"
 	"vgprs/internal/slab"
 	"vgprs/internal/ss7"
@@ -283,15 +282,24 @@ func (h *rowHost) Endpoint(owner slab.Handle) (h323.Endpoint, bool) {
 	return h323.Endpoint{}, false
 }
 
-// CallEndpoint resolves a call's row for its Q.931 messages.
-func (h *rowHost) CallEndpoint(call *vCall) (h323.Endpoint, netip.Addr, bool) {
+// CallLeg resolves a call's row for its Q.931 messages.
+func (h *rowHost) CallLeg(call *vCall) (h323.Endpoint, *h323.Leg, bool) {
 	ep, ok := h.Endpoint(call.entryH)
-	return ep, call.remoteSig, ok
+	return ep, &call.leg, ok
 }
 
-// Q931Expired clears the call everywhere rather than hang once the budget
-// is exhausted (or the subscriber was purged).
-func (h *rowHost) Q931Expired(env *sim.Env, call *vCall) { (*VMSC)(h).clearCall(env, call, true) }
+// Released clears the rest of a call whose H.323 leg ended (Fig 5 steps
+// 3.2-3.4, from either side, or a spent Q.931 budget): the DRQ stops
+// charging, the radio leg clears and the voice context goes.
+func (h *rowHost) Released(env *sim.Env, call *vCall) {
+	v := (*VMSC)(h)
+	v.disengage(env, call)
+	v.releaseRadio(env, call)
+	if entry := call.ent(); entry != nil {
+		v.teardownVoicePDP(env, entry)
+	}
+	v.forget(call)
+}
 
 // SendIPPacket implements h323.Sender: a row's H.323 traffic routes through
 // the MS's PDP contexts, choosing the voice context for RTP when it is up —
@@ -322,15 +330,14 @@ func (h *rowHost) SendIPPacket(env *sim.Env, owner slab.Handle, pkt ipnet.Packet
 	_ = v.client(e).SendIP(env, nsapi, pkt)
 }
 
-// callState is where a call stands. The order matters: every state from
-// callConnecting on has been answered.
+// callState is where a call stands on the VMSC's own side. What the H.323
+// leg knows (Setup sent, the called party ringing) is its h323.Leg's.
 type callState uint8
 
 const (
 	callRouting    callState = iota + 1 // MO: VLR authorisation and admission (Fig 5 steps 2.2-2.3)
 	callPaging                          // MT: admitted, the MS is paged (Fig 6 step 4.4)
-	callDelivering                      // Setup sent toward the called party
-	callAlerting                        // the called party rings
+	callDelivering                      // MO: Setup sent to the far party; MT: Setup sent down the radio path
 	callConnecting                      // answered; the voice PDP context is coming up
 	callActive                          // conversation over the voice context
 	callHandedOver                      // conversation; the radio leg is behind an E trunk (Fig 9)
@@ -349,8 +356,8 @@ type vCall struct {
 	// env is the simulation the call runs under, kept for retry timers
 	// and retried-dialogue completions that have no live env of their own.
 	env *sim.Env
-	// ref is the Q.931 call reference on the H.323 leg.
-	ref uint16
+	// leg is the H.323 side: the Q.931 reference, the far end's addresses.
+	leg h323.Leg
 	// radioRef is the call reference on the A-interface leg.
 	radioRef         uint32
 	state            callState
@@ -362,9 +369,7 @@ type vCall struct {
 
 	// remote is the far party's alias (dialled number on MO, calling
 	// party on MT) — the gatekeeper's DRQ matching needs it.
-	remote    gsmid.MSISDN
-	remoteSig netip.Addr
-	remoteMed q931.MediaAddr
+	remote gsmid.MSISDN
 
 	rtpSeq  uint16
 	seqDown uint32

@@ -65,7 +65,7 @@ func TestMTCallWhileBusyIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Env.RunUntil(n.Env.Now() + 3*time.Second)
-	if st, _ := n.Terminals[1].CallState(ref); st != h323.CallCleared {
+	if st, _ := n.Terminals[1].CallState(ref); st != h323.LegReleasing {
 		t.Fatalf("second caller state = %v", st)
 	}
 	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
@@ -90,7 +90,7 @@ func TestPagingTimeoutReleasesCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Env.RunUntil(n.Env.Now() + 30*time.Second)
-	if st, _ := n.Terminals[0].CallState(ref); st != h323.CallCleared {
+	if st, _ := n.Terminals[0].CallState(ref); st != h323.LegReleasing {
 		t.Fatalf("caller state after paging timeout = %v", st)
 	}
 	if n.VMSC.ActiveCalls() != 0 {
