@@ -1,15 +1,17 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
+
+	"vgprs/internal/trace"
 )
 
 // TestEveryScenarioRuns runs each named scenario end to end at seeds 1 and 3
-// and pins its printed trace: the SHA-256 of rec.Dump() must equal the
-// committed digest, so a reordered, re-timed, added or dropped message in any
-// figure's flow fails here. The lossless flows draw nothing from the seed, so
+// and pins its printed trace: a trace.Digest streams the printed lines, and
+// its Sum must equal the committed digest, so a reordered, re-timed, added or
+// dropped message in any figure's flow fails here. The lossless flows draw nothing from the seed, so
 // both seeds share one digest; a run that starts to depend on it fails too.
 func TestEveryScenarioRuns(t *testing.T) {
 	digests := map[string]string{
@@ -30,21 +32,41 @@ func TestEveryScenarioRuns(t *testing.T) {
 	for name, want := range digests {
 		t.Run(name, func(t *testing.T) {
 			for _, seed := range []int64{1, 3} {
-				rec, err := runScenario(name, seed)
-				if err != nil {
+				d := trace.NewDigest()
+				if err := runScenario(name, seed, d); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				sum := sha256.Sum256([]byte(rec.Dump()))
-				if got := hex.EncodeToString(sum[:]); got != want {
-					t.Errorf("seed %d: trace digest %s, want %s (%d messages)", seed, got, want, rec.Len())
+				if got := d.Sum(); got != want {
+					t.Errorf("seed %d: trace digest %s, want %s (%d messages)", seed, got, want, d.Len())
 				}
 			}
 		})
 	}
 }
 
+// TestPrintTrace checks the printout the digests stand for: under its header,
+// which counts the messages, vgprs-sim prints one line for each delivery a
+// digest of the same run hashes.
+func TestPrintTrace(t *testing.T) {
+	var out strings.Builder
+	if err := printTrace(&out, "mo-call", 3); err != nil {
+		t.Fatal(err)
+	}
+	d := trace.NewDigest()
+	if err := runScenario("mo-call", 3, d); err != nil {
+		t.Fatal(err)
+	}
+	header, body, _ := strings.Cut(out.String(), "\n")
+	if want := fmt.Sprintf("=== scenario \"mo-call\" (seed 3): %d messages ===", d.Len()); header != want {
+		t.Errorf("header %q, want %q", header, want)
+	}
+	if lines := strings.Count(body, "\n"); lines != d.Len() {
+		t.Errorf("%d trace lines printed, the digest hashed %d", lines, d.Len())
+	}
+}
+
 func TestUnknownScenarioErrors(t *testing.T) {
-	if _, err := runScenario("nope", 1); err == nil {
+	if err := runScenario("nope", 1, nil); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 }

@@ -1,9 +1,6 @@
 package netsim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"testing"
 	"time"
 
@@ -12,31 +9,26 @@ import (
 	"vgprs/internal/trace"
 )
 
-// traceDigest is the SHA-256 of a run's full trace dump plus the engine's
-// delivery count and final clock.
-func traceDigest(rec *trace.Recorder, env *sim.Env) string {
-	sum := sha256.Sum256(fmt.Appendf(nil, "%s\ndelivered=%d now=%v\n", rec.Dump(), env.Delivered(), env.Now()))
-	return hex.EncodeToString(sum[:])
-}
-
-// digestCase is one pinned run: the run returns its recorder and engine,
-// whose traceDigest must equal digest.
+// digestCase is one pinned run: the run installs d on its engine right after
+// the build and returns the engine, and d sealed with the engine's delivery
+// count and final clock must equal digest.
 type digestCase struct {
 	name, digest string
-	run          func(t *testing.T) (*trace.Recorder, *sim.Env)
+	run          func(t *testing.T, d *trace.Digest) *sim.Env
 }
 
 // checkDigests runs each case as a subtest against its committed digest.
 func checkDigests(t *testing.T, cases []digestCase) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec, env := tc.run(t)
-			if rec.Len() == 0 {
-				t.Fatal("no trace entries recorded")
+			d := trace.NewDigest()
+			env := tc.run(t, d)
+			if d.Len() == 0 {
+				t.Fatal("no deliveries traced")
 			}
-			if got := traceDigest(rec, env); got != tc.digest {
-				t.Errorf("digest %s, want %s (%d entries, %d delivered, clock %v)",
-					got, tc.digest, rec.Len(), env.Delivered(), env.Now())
+			if got := d.Seal(env.Delivered(), env.Now()); got != tc.digest {
+				t.Errorf("digest %s, want %s (%d lines, %d delivered, clock %v)",
+					got, tc.digest, d.Len(), env.Delivered(), env.Now())
 			}
 		})
 	}
@@ -51,19 +43,21 @@ func checkDigests(t *testing.T, cases []digestCase) {
 func TestTraceDigests(t *testing.T) {
 	checkDigests(t, []digestCase{
 		{"registration", "1f713101e26011d7771d8d53157395eb907010fce06b47e9d330f0ffcc110273",
-			func(t *testing.T) (*trace.Recorder, *sim.Env) {
+			func(t *testing.T, d *trace.Digest) *sim.Env {
 				n := BuildVGPRS(VGPRSOptions{Seed: 7, NumMS: 5, NumTerminals: 2})
+				n.Env.SetTracer(d)
 				if err := n.RegisterAll(); err != nil {
 					t.Fatal(err)
 				}
 				if res := n.Residual(); res.Total() != 0 {
 					t.Fatalf("residual after registration:\n%s", res.String())
 				}
-				return n.Rec, n.Env
+				return n.Env
 			}},
 		{"call", "aef7817cfb4de53c8292aec9ccda9707a8018653f9e9e77bf374bdd0179607ef",
-			func(t *testing.T) (*trace.Recorder, *sim.Env) {
+			func(t *testing.T, d *trace.Digest) *sim.Env {
 				n := BuildVGPRS(VGPRSOptions{Seed: 11, NumMS: 2, Talk: true})
+				n.Env.SetTracer(d)
 				if err := n.RegisterAll(); err != nil {
 					t.Fatal(err)
 				}
@@ -80,18 +74,19 @@ func TestTraceDigests(t *testing.T) {
 					t.Fatal(err)
 				}
 				n.Env.RunUntil(n.Env.Now() + 2*time.Second)
-				return n.Rec, n.Env
+				return n.Env
 			}},
 		{"multi-region registration", "aad1bfe1c3661702a488114517cdba772daac8c3edb515c95a487bff99fc0bf7",
-			func(t *testing.T) (*trace.Recorder, *sim.Env) {
+			func(t *testing.T, d *trace.Digest) *sim.Env {
 				n := BuildMultiRegion(MultiRegionOptions{Seed: 3, Regions: 3, MSPerRegion: 4})
+				n.Env.SetTracer(d)
 				if err := n.RegisterAll(); err != nil {
 					t.Fatal(err)
 				}
 				if res := n.Residual(); res.Total() != 0 {
 					t.Fatalf("residual after registration:\n%s", res.String())
 				}
-				return n.Rec, n.Env
+				return n.Env
 			}},
 	})
 }
@@ -107,8 +102,8 @@ func TestTraceDigests(t *testing.T) {
 // keyed in the root context would sort first, drop the acknowledgement and
 // change the digest.
 func TestTraceDigestsUnderChaos(t *testing.T) {
-	chaos := func(plan FaultPlan, call bool) func(t *testing.T) (*trace.Recorder, *sim.Env) {
-		return func(t *testing.T) (*trace.Recorder, *sim.Env) {
+	chaos := func(plan FaultPlan, call bool) func(t *testing.T, d *trace.Digest) *sim.Env {
+		return func(t *testing.T, d *trace.Digest) *sim.Env {
 			run, numMS := (*VGPRSNet).chaosRegistration, 1
 			if call {
 				run, numMS = (*VGPRSNet).chaosCall, 2
@@ -117,12 +112,11 @@ func TestTraceDigestsUnderChaos(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n.Rec = trace.NewRecorder()
-			n.Env.SetTracer(n.Rec)
+			n.Env.SetTracer(d)
 			if _, err := run(n, 42); err != nil {
 				t.Fatal(err)
 			}
-			return n.Rec, n.Env
+			return n.Env
 		}
 	}
 	dup := FaultPlan{{A: "VLR-1", B: "HLR", Dup: 0.3}, {A: "SGSN-1", B: "GGSN-1", Dup: 0.3}}

@@ -31,9 +31,9 @@ type DayConfig struct {
 	// (default 30 min): each window ends with a forced GC and a HeapAlloc
 	// reading, so a state leak shows up as a climbing series.
 	HeapWindow time.Duration
-	// Trace records the full event trace for determinism comparison. Keep
-	// it off for long soaks — the trace grows with every delivery.
-	Trace bool
+	// Tracer, when set, sees every delivery after the build; nil runs untraced.
+	// A trace.Digest keeps only a hash, so it suits a soak of any length.
+	Tracer sim.Tracer
 }
 
 func (c *DayConfig) norm() {
@@ -129,13 +129,14 @@ func RunDay(cfg DayConfig) (DayResult, error) {
 		VGPRSOptions: netsim.VGPRSOptions{
 			Seed:    cfg.Seed,
 			NumMS:   cfg.NumMS,
-			NoTrace: !cfg.Trace,
+			NoTrace: true,
 			GKMutate: func(gk *h323.GatekeeperConfig) {
 				gk.RegistrationTTL = dayRegistrationTTL
 			},
 		},
 		DataMS: cfg.DataMS,
 	})
+	n.Env.SetTracer(cfg.Tracer)
 	res := DayResult{MSs: cfg.NumMS, Sim: cfg.Duration}
 	env := n.Env
 	if err := n.RegisterAll(); err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"vgprs/internal/gsm"
 	"vgprs/internal/netsim"
+	"vgprs/internal/sim"
 )
 
 // FlashCrowdConfig parameterises the flash-crowd scenario: a feigned VMSC
@@ -24,8 +25,8 @@ type FlashCrowdConfig struct {
 	// the chaos profile's retry-budget exhaustion, so an MS still
 	// unregistered at the deadline has failed cleanly, not slowly.
 	Window time.Duration
-	// Trace records the full event trace for determinism comparison.
-	Trace bool
+	// Tracer, when set, sees every delivery after the build; nil runs untraced.
+	Tracer sim.Tracer
 }
 
 func (c *FlashCrowdConfig) norm() {
@@ -79,10 +80,11 @@ func RunFlashCrowd(cfg FlashCrowdConfig) (FlashCrowdResult, error) {
 	n := netsim.BuildVGPRS(netsim.VGPRSOptions{
 		Seed:        cfg.Seed,
 		NumMS:       cfg.NumMS,
-		NoTrace:     !cfg.Trace,
+		NoTrace:     true,
 		Sig:         netsim.ChaosSigProfile(),
 		TCHCapacity: cfg.TCHCapacity,
 	})
+	n.Env.SetTracer(cfg.Tracer)
 	res := FlashCrowdResult{MSs: cfg.NumMS}
 	if err := n.RegisterAll(); err != nil {
 		return res, err

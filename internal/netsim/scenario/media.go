@@ -7,6 +7,7 @@ import (
 	"vgprs/internal/gsm"
 	"vgprs/internal/metrics"
 	"vgprs/internal/netsim"
+	"vgprs/internal/sim"
 )
 
 // MediaConfig parameterises the sustained talk-path scenario: paired
@@ -40,8 +41,8 @@ type MediaConfig struct {
 	Plan netsim.FaultPlan
 	// DTX gates uplink speech with the Brady talk-spurt model.
 	DTX bool
-	// Trace records the full event trace for determinism comparison.
-	Trace bool
+	// Tracer, when set, sees every delivery after the build; nil runs untraced.
+	Tracer sim.Tracer
 }
 
 func (c *MediaConfig) norm() {
@@ -105,9 +106,10 @@ func RunMedia(cfg MediaConfig) (MediaResult, error) {
 		NumMS:   2 * cfg.Calls,
 		Talk:    true,
 		DTX:     cfg.DTX,
-		NoTrace: !cfg.Trace,
+		NoTrace: true,
 		Sig:     netsim.ChaosSigProfile(),
 	})
+	n.Env.SetTracer(cfg.Tracer)
 	res := MediaResult{Calls: cfg.Calls, Waves: cfg.Waves}
 	if err := n.RegisterAll(); err != nil {
 		return res, err

@@ -5,26 +5,23 @@ import (
 	"time"
 
 	"vgprs/internal/netsim"
+	"vgprs/internal/trace"
 )
 
 // TestMediaDeterministic locks the talk path itself — every 20 ms frame
 // through the hairpin, including the reusable-message fast path and the
-// chaos loss/jitter draws — to a byte-identical trace and bit-identical
-// per-call MOS on replay, and the trace to its committed digest.
+// chaos loss/jitter draws — to an identical trace digest and bit-identical
+// per-call MOS on replay, and the digest to its committed one.
 func TestMediaDeterministic(t *testing.T) {
-	var runs [2]MediaResult
-	for i := range runs {
-		res, err := RunMedia(MediaConfig{
-			Seed: 5, Calls: 3, Waves: 2,
-			TalkTime: 5 * time.Second, LossRate: 0.02,
-			Jitter: 2 * time.Millisecond, Trace: true,
+	base, res := checkReplay(t, "media", "9509ee25e209e5f9003f22cc7ef783637902893b4a470fe8348bfb6b9448dde0",
+		func(d *trace.Digest) (MediaResult, *Fingerprint, error) {
+			r, err := RunMedia(MediaConfig{
+				Seed: 5, Calls: 3, Waves: 2,
+				TalkTime: 5 * time.Second, LossRate: 0.02,
+				Jitter: 2 * time.Millisecond, Tracer: d,
+			})
+			return r, r.Fingerprint, err
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		runs[i] = res
-	}
-	base, res := runs[0], runs[1]
 	if base.Frames == 0 || base.FramesExpected == 0 {
 		t.Fatalf("inert run: %+v", base)
 	}
@@ -34,8 +31,6 @@ func TestMediaDeterministic(t *testing.T) {
 	if len(base.PerCallMOS) != 6 {
 		t.Fatalf("scored %d calls, want 6", len(base.PerCallMOS))
 	}
-	checkReplay(t, "media", "9509ee25e209e5f9003f22cc7ef783637902893b4a470fe8348bfb6b9448dde0",
-		base.Fingerprint, res.Fingerprint)
 	if base.Frames != res.Frames || base.RTPLost != res.RTPLost ||
 		base.RTPReordered != res.RTPReordered {
 		t.Errorf("frame counters diverge: base %+v, got %+v", base, res)

@@ -58,8 +58,8 @@ type MobilityConfig struct {
 	// pair into calls, cross the boundary together mid-call, and hang up
 	// (default 3 min; 0 < StormEvery <= Duration required to see one).
 	StormEvery time.Duration
-	// Trace records the full event trace for determinism comparison.
-	Trace bool
+	// Tracer, when set, sees every delivery after the build; nil runs untraced.
+	Tracer sim.Tracer
 }
 
 func (c *MobilityConfig) norm() {
@@ -139,8 +139,9 @@ func RunMobility(cfg MobilityConfig) (MobilityResult, error) {
 	n := netsim.BuildTwoVMSC(netsim.VGPRSOptions{
 		Seed:    cfg.Seed,
 		NumMS:   cfg.NumMS,
-		NoTrace: !cfg.Trace,
+		NoTrace: true,
 	})
+	n.Env.SetTracer(cfg.Tracer)
 	res := MobilityResult{Policy: cfg.Policy.String(), MSs: cfg.NumMS}
 	if err := n.RegisterAll(); err != nil {
 		return res, err

@@ -6,8 +6,8 @@
 //
 // Every scenario drives the simulation from a driver-owned seeded RNG and
 // advances virtual time in fixed steps, so a (config, seed) pair replays
-// byte-identically — the determinism tests run each scenario twice and
-// check the trace against a committed digest.
+// byte-identically — the determinism tests run each scenario twice with a
+// streaming trace digest installed and check it against a committed one.
 package scenario
 
 import (
@@ -16,31 +16,18 @@ import (
 
 	"vgprs/internal/netsim"
 	"vgprs/internal/sim"
-	"vgprs/internal/trace"
 )
 
-// Fingerprint captures a run's deterministic outcome for replay
-// comparison: the full event trace plus the engine's delivery counters.
+// Fingerprint captures a run's engine counters for replay comparison; the
+// trace itself goes to the config's Tracer as it happens.
 type Fingerprint struct {
-	Trace     string
 	Delivered uint64
 	Now       time.Duration
-	Entries   int
-	// Rec is the recorder the trace came from (nil when not tracing), for
-	// assertions on the messages themselves rather than their names.
-	Rec *trace.Recorder
 }
 
-// fingerprintOf snapshots a network's trace state (nil recorder — NoTrace
-// runs — fingerprints only the counters).
+// fingerprintOf snapshots a network's delivery count and clock.
 func fingerprintOf(n *netsim.VGPRSNet) *Fingerprint {
-	f := &Fingerprint{Delivered: n.Env.Delivered(), Now: n.Env.Now()}
-	if n.Rec != nil {
-		f.Trace = n.Rec.Dump()
-		f.Entries = n.Rec.Len()
-		f.Rec = n.Rec
-	}
-	return f
+	return &Fingerprint{Delivered: n.Env.Delivered(), Now: n.Env.Now()}
 }
 
 // tick is the driver's decision interval: scenario logic runs between

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vgprs/internal/gsm"
+	"vgprs/internal/trace"
 )
 
 // TestCallConvergesAcrossSeeds is a robustness sweep: for many seeds the
@@ -65,11 +66,13 @@ func TestCallConvergesAcrossSeeds(t *testing.T) {
 }
 
 // TestDeterminismAcrossRuns re-runs an identical scenario and requires
-// byte-identical traces — the property every latency table in
+// identical trace digests — the property every latency table in
 // EXPERIMENTS.md relies on.
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() string {
 		n := BuildVGPRS(VGPRSOptions{Seed: 77, Talk: true})
+		d := trace.NewDigest()
+		n.Env.SetTracer(d)
 		if err := n.RegisterAll(); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +84,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.Env.RunUntil(n.Env.Now() + 3*time.Second)
-		return n.Rec.Dump()
+		return d.Seal(n.Env.Delivered(), n.Env.Now())
 	}
 	if run() != run() {
 		t.Fatal("identical seeds produced different traces")

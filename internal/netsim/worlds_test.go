@@ -17,87 +17,98 @@ import (
 // TestWorldsShareNoState checks the rule the nodes' lock-free design rests
 // on: a world (one Env and its nodes) is driven only by the goroutine that
 // runs its Env, and two worlds share no mutable state. Every builder runs
-// twice at once, on two goroutines, from the same seed; each run registers
-// and places a call where its topology has one. The two runs must agree on
-// their trace digest (untraced: delivery count and final clock), and under
-// the race detector (make race) any state they touch in common is reported.
+// twice at once, on two goroutines, from the same seed; each run installs a
+// trace digest right after the build, then registers and places a call where
+// its topology has one. The two runs must agree on their sealed digests, and
+// under the race detector (make race) any state they touch in common is
+// reported.
 func TestWorldsShareNoState(t *testing.T) {
 	cases := []struct {
 		name string
-		run  func() (*trace.Recorder, *sim.Env, error)
+		run  func(d *trace.Digest) (*sim.Env, error)
 	}{
-		{"vgprs", func() (*trace.Recorder, *sim.Env, error) {
+		{"vgprs", func(d *trace.Digest) (*sim.Env, error) {
 			n := BuildVGPRS(VGPRSOptions{Seed: 5, NumMS: 2, NumTerminals: 1, Talk: true})
-			return n.Rec, n.Env, registerAndCall(n)
+			n.Env.SetTracer(d)
+			return n.Env, registerAndCall(n)
 		}},
-		{"two-vmsc", func() (*trace.Recorder, *sim.Env, error) {
+		{"two-vmsc", func(d *trace.Digest) (*sim.Env, error) {
 			n := BuildTwoVMSC(VGPRSOptions{Seed: 5, NumMS: 2, Talk: true})
-			return n.Rec, n.Env, registerAndCall(n.VGPRSNet)
+			n.Env.SetTracer(d)
+			return n.Env, registerAndCall(n.VGPRSNet)
 		}},
-		{"handoff", func() (*trace.Recorder, *sim.Env, error) {
+		{"handoff", func(d *trace.Digest) (*sim.Env, error) {
 			n := BuildHandoff(VGPRSOptions{Seed: 5, Talk: true})
-			return n.Rec, n.Env, callAndHandoff(n.VGPRSNet, n.RunHandoff)
+			n.Env.SetTracer(d)
+			return n.Env, callAndHandoff(n.VGPRSNet, n.RunHandoff)
 		}},
-		{"handoff-vmsc", func() (*trace.Recorder, *sim.Env, error) {
+		{"handoff-vmsc", func(d *trace.Digest) (*sim.Env, error) {
 			n := BuildHandoffVMSC(VGPRSOptions{Seed: 5, Talk: true})
-			return n.Rec, n.Env, callAndHandoff(n.VGPRSNet, n.RunHandoff)
+			n.Env.SetTracer(d)
+			return n.Env, callAndHandoff(n.VGPRSNet, n.RunHandoff)
 		}},
-		{"roaming-gsm", func() (*trace.Recorder, *sim.Env, error) {
+		{"roaming-gsm", func(d *trace.Digest) (*sim.Env, error) {
 			n := BuildRoamingGSM(5)
+			n.Env.SetTracer(d)
 			if err := n.Register(); err != nil {
-				return n.Rec, n.Env, err
+				return n.Env, err
 			}
-			return n.Rec, n.Env, phoneCallsRoamer(n.Env, n.PhoneY.Call, n.PhoneY.Hangup, n.MS)
+			return n.Env, phoneCallsRoamer(n.Env, n.PhoneY.Call, n.PhoneY.Hangup, n.MS)
 		}},
-		{"roaming-vgprs", func() (*trace.Recorder, *sim.Env, error) {
+		{"roaming-vgprs", func(d *trace.Digest) (*sim.Env, error) {
 			n := BuildRoamingVGPRS(5)
+			n.Env.SetTracer(d)
 			if err := n.Register(); err != nil {
-				return n.Rec, n.Env, err
+				return n.Env, err
 			}
-			return n.Rec, n.Env, phoneCallsRoamer(n.Env, n.PhoneY.Call, n.PhoneY.Hangup, n.MS)
+			return n.Env, phoneCallsRoamer(n.Env, n.PhoneY.Call, n.PhoneY.Hangup, n.MS)
 		}},
-		{"tr23923", func() (*trace.Recorder, *sim.Env, error) {
+		{"tr23923", func(d *trace.Digest) (*sim.Env, error) {
 			n := BuildTR23923(TR23923Options{Seed: 5, Talk: true})
+			n.Env.SetTracer(d)
 			if err := n.RegisterAll(); err != nil {
-				return n.Rec, n.Env, err
+				return n.Env, err
 			}
 			ref, err := n.MSs[0].Call(n.Env, TerminalAlias(0))
 			if err != nil {
-				return n.Rec, n.Env, err
+				return n.Env, err
 			}
 			n.Env.RunUntil(n.Env.Now() + 5*time.Second)
 			if active, _, _ := n.GK.Calls(); active != 1 {
-				return n.Rec, n.Env, fmt.Errorf("gatekeeper holds %d calls, want 1", active)
+				return n.Env, fmt.Errorf("gatekeeper holds %d calls, want 1", active)
 			}
 			if err := n.MSs[0].Hangup(n.Env, ref); err != nil {
-				return n.Rec, n.Env, err
+				return n.Env, err
 			}
 			n.Env.RunUntil(n.Env.Now() + 10*time.Second)
-			return n.Rec, n.Env, nil
+			return n.Env, nil
 		}},
-		{"multi-region", func() (*trace.Recorder, *sim.Env, error) {
+		{"multi-region", func(d *trace.Digest) (*sim.Env, error) {
 			n := BuildMultiRegion(MultiRegionOptions{Seed: 5, Regions: 2, MSPerRegion: 2})
+			n.Env.SetTracer(d)
 			if err := n.RegisterAll(); err != nil {
-				return n.Rec, n.Env, err
+				return n.Env, err
 			}
-			return n.Rec, n.Env, msCall(n.Env, n.Regions[0].MSs[0], n.Regions[0].MSs[1], n.Subscribers[1].MSISDN)
+			return n.Env, msCall(n.Env, n.Regions[0].MSs[0], n.Regions[0].MSs[1], n.Subscribers[1].MSISDN)
 		}},
-		{"core", func() (*trace.Recorder, *sim.Env, error) {
+		{"core", func(d *trace.Digest) (*sim.Env, error) {
 			edge := &coreEdge{}
 			n := BuildCore(5, 2, edge)
-			return nil, n.Env, edge.registerAndCall(n)
+			n.Env.SetTracer(d)
+			return n.Env, edge.registerAndCall(n)
 		}},
-		{"day", func() (*trace.Recorder, *sim.Env, error) {
+		{"day", func(d *trace.Digest) (*sim.Env, error) {
 			n := BuildDay(DayOptions{VGPRSOptions: VGPRSOptions{Seed: 5, NumMS: 2, Talk: true}})
+			n.Env.SetTracer(d)
 			if err := registerAndCall(n.VGPRSNet); err != nil {
-				return n.Rec, n.Env, err
+				return n.Env, err
 			}
 			n.Roamer.PowerOn(n.Env)
 			n.Env.RunUntil(n.Env.Now() + 30*time.Second)
 			if n.Roamer.State() != gsm.MSIdle {
-				return n.Rec, n.Env, fmt.Errorf("roamer state %v after registration", n.Roamer.State())
+				return n.Env, fmt.Errorf("roamer state %v after registration", n.Roamer.State())
 			}
-			return n.Rec, n.Env, nil
+			return n.Env, nil
 		}},
 	}
 	for _, c := range cases {
@@ -110,13 +121,13 @@ func TestWorldsShareNoState(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					rec, env, err := c.run()
-					errs[i] = err
-					if rec != nil {
-						outcome[i] = traceDigest(rec, env)
-					} else {
-						outcome[i] = fmt.Sprintf("delivered=%d now=%v", env.Delivered(), env.Now())
+					d := trace.NewDigest()
+					env, err := c.run(d)
+					if err == nil && d.Len() == 0 {
+						err = fmt.Errorf("no deliveries traced")
 					}
+					errs[i] = err
+					outcome[i] = d.Seal(env.Delivered(), env.Now())
 				}()
 			}
 			wg.Wait()

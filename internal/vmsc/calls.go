@@ -301,12 +301,10 @@ func (v *VMSC) pagingResponse(env *sim.Env, t gsm.PagingResponse) {
 
 func (v *VMSC) radioAlerting(env *sim.Env, t gsm.Alerting) {
 	entry := v.entryByMS(t.MS)
-	if entry == nil || entry.call == nil || entry.call.mobileOriginated {
-		return
+	if entry == nil || entry.call == nil || entry.call.mobileOriginated || entry.call.state != callDelivering {
+		return // only a call being delivered rings: a late Alerting never takes back an answer
 	}
-	// Step 4.6: Q.931 Alerting toward the calling terminal (ringback). The
-	// MS rings whatever the VMSC last heard, so its answer counts again.
-	entry.call.state = callDelivering
+	// Step 4.6: Q.931 Alerting toward the calling terminal (ringback).
 	v.h225.Alert(env, entry.call)
 }
 

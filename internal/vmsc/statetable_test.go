@@ -305,6 +305,7 @@ func TestCallStateTable(t *testing.T) {
 		{"PagingResponse", func(_ *testing.T, w *world) {
 			w.a(gsm.PagingResponse{Leg: gsm.LegA, MS: "MS-1", Identity: gsmid.ByTMSI(1)})
 		}},
+		{"Alerting", func(_ *testing.T, w *world) { w.a(gsm.Alerting{Leg: gsm.LegA, MS: "MS-1"}) }},
 		{"Connect", func(_ *testing.T, w *world) { w.a(gsm.Connect{Leg: gsm.LegA, MS: "MS-1"}) }},
 		{"Disconnect", func(_ *testing.T, w *world) { w.a(gsm.Disconnect{Leg: gsm.LegA, MS: "MS-1"}) }},
 		{"Q931-Connect", func(t *testing.T, w *world) {
@@ -327,6 +328,7 @@ var callTable = map[string]tableRow{
 	"MO-routing": {7, map[string]outcome{
 		"Setup":                {"routing", 8},
 		"PagingResponse":       {"routing", 8},
+		"Alerting":             {"routing", 7},
 		"Connect":              {"routing", 7},
 		"Disconnect":           {"", 4},
 		"Q931-Connect":         {"routing", 7},
@@ -336,6 +338,7 @@ var callTable = map[string]tableRow{
 	"MO-delivering": {5, map[string]outcome{
 		"Setup":                {"delivering", 6},
 		"PagingResponse":       {"delivering", 6},
+		"Alerting":             {"delivering", 5},
 		"Connect":              {"delivering", 5},
 		"Disconnect":           {"", 4},
 		"Q931-Connect":         {"connecting", 5},
@@ -345,6 +348,7 @@ var callTable = map[string]tableRow{
 	"MO-alerting": {4, map[string]outcome{
 		"Setup":                {"alerting", 5},
 		"PagingResponse":       {"alerting", 5},
+		"Alerting":             {"alerting", 4},
 		"Connect":              {"alerting", 4},
 		"Disconnect":           {"", 4},
 		"Q931-Connect":         {"connecting", 5},
@@ -354,6 +358,7 @@ var callTable = map[string]tableRow{
 	"MO-connecting": {3, map[string]outcome{
 		"Setup":                {"connecting", 4},
 		"PagingResponse":       {"connecting", 4},
+		"Alerting":             {"connecting", 3},
 		"Connect":              {"connecting", 3},
 		"Disconnect":           {"", 7},
 		"Q931-Connect":         {"connecting", 4},
@@ -363,6 +368,7 @@ var callTable = map[string]tableRow{
 	"MO-active": {0, map[string]outcome{
 		"Setup":                {"active", 1},
 		"PagingResponse":       {"active", 1},
+		"Alerting":             {"active", 0},
 		"Connect":              {"active", 0},
 		"Disconnect":           {"", 4},
 		"Q931-Connect":         {"active", 1},
@@ -372,6 +378,7 @@ var callTable = map[string]tableRow{
 	"MO-handed-over": {1, map[string]outcome{
 		"Setup":                {"handed-over", 2},
 		"PagingResponse":       {"handed-over", 2},
+		"Alerting":             {"handed-over", 1},
 		"Connect":              {"handed-over", 1},
 		"Disconnect":           {"", 5},
 		"Q931-Connect":         {"handed-over", 2},
@@ -381,6 +388,7 @@ var callTable = map[string]tableRow{
 	"MT-paging": {7, map[string]outcome{
 		"Setup":                {"paging", 8},
 		"PagingResponse":       {"delivering", 7},
+		"Alerting":             {"paging", 7},
 		"Connect":              {"paging", 7},
 		"Disconnect":           {"", 5},
 		"Q931-Connect":         {"paging", 7},
@@ -390,7 +398,8 @@ var callTable = map[string]tableRow{
 	"MT-delivering": {4, map[string]outcome{
 		"Setup":                {"delivering", 5},
 		"PagingResponse":       {"delivering", 5},
-		"Connect":              {"connecting", 5},
+		"Alerting":             {"alerting", 5},
+		"Connect":              {"connecting", 3},
 		"Disconnect":           {"", 4},
 		"Q931-Connect":         {"delivering", 4},
 		"Q931-ReleaseComplete": {"", 3},
@@ -399,6 +408,7 @@ var callTable = map[string]tableRow{
 	"MT-alerting": {3, map[string]outcome{
 		"Setup":                {"alerting", 2},
 		"PagingResponse":       {"alerting", 2},
+		"Alerting":             {"alerting", 4},
 		"Connect":              {"connecting", 3},
 		"Disconnect":           {"", 4},
 		"Q931-Connect":         {"alerting", 3},
@@ -408,6 +418,7 @@ var callTable = map[string]tableRow{
 	"MT-connecting": {2, map[string]outcome{
 		"Setup":                {"connecting", 3},
 		"PagingResponse":       {"connecting", 3},
+		"Alerting":             {"connecting", 2},
 		"Connect":              {"connecting", 2},
 		"Disconnect":           {"", 6},
 		"Q931-Connect":         {"connecting", 2},
@@ -417,6 +428,7 @@ var callTable = map[string]tableRow{
 	"MT-active": {0, map[string]outcome{
 		"Setup":                {"active", 1},
 		"PagingResponse":       {"active", 1},
+		"Alerting":             {"active", 0},
 		"Connect":              {"active", 0},
 		"Disconnect":           {"", 4},
 		"Q931-Connect":         {"active", 0},
