@@ -118,6 +118,9 @@ type clientProc struct {
 	done       func()
 }
 
+// TxnStats reports the table's accounting.
+func (t *Transactions) TxnStats(report func(plane string, s txn.Stats)) { report("GMM/SM", t.Stats()) }
+
 // NewTransactions returns the empty GMM/SM transaction table of a host.
 func NewTransactions(host Host) *Transactions {
 	t := &Transactions{host: host}
@@ -272,9 +275,9 @@ func (c *selfHost) ActivationRequested(env *sim.Env, _ slab.Handle, address stri
 	}
 }
 
-// Retransmits reports how many GMM/SM PDUs the session's transaction table
-// has retransmitted — across all its host's subscribers.
-func (s Session) Retransmits() uint64 { return s.txns.Retransmits() }
+// TxnStats reports the session's GMM/SM table's accounting — across all its
+// host's subscribers.
+func (s Session) TxnStats(report func(plane string, st txn.Stats)) { s.txns.TxnStats(report) }
 
 // LastError returns the typed error from the most recent transaction that
 // exhausted its retransmission budget (nil if none has).
@@ -327,12 +330,6 @@ func (st *ClientState) dropContext(nsapi uint8) {
 		st.contexts[st.nctx] = ClientPDP{}
 	}
 }
-
-// PendingTransactions counts this subscriber's GMM/SM transactions still
-// awaiting an answer (attach, detach, and per-NSAPI activate/
-// deactivate). A quiesced client reports zero; soak tests assert on it to
-// catch leaked callbacks.
-func (st *ClientState) PendingTransactions() int { return int(st.pending) }
 
 // AttachArg starts GPRS attach with a closure-free completion: fn(env, arg,
 // owner, ok) fires with the outcome. A host driving many subscribers passes

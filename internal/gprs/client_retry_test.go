@@ -8,6 +8,7 @@ import (
 
 	"vgprs/internal/gtp"
 	"vgprs/internal/sim"
+	"vgprs/internal/txn"
 )
 
 func healLink(arg any) { arg.(*sim.Link).Down = false }
@@ -31,7 +32,7 @@ func TestClientAttachRetransmitRecovers(t *testing.T) {
 	if !done || !ok {
 		t.Fatalf("attach over lossy link: done=%v ok=%v", done, ok)
 	}
-	if got := f.ms.Client.Retransmits(); got != 1 {
+	if got := txn.Total(f.ms.Client.TxnStats).Retransmits; got != 1 {
 		t.Fatalf("retransmits = %d, want 1", got)
 	}
 	if err := f.ms.Client.LastError(); err != nil {
@@ -65,7 +66,7 @@ func TestClientAttachBudgetExhausted(t *testing.T) {
 	if failedAt != 15*rto {
 		t.Fatalf("failed at %v, want %v", failedAt, 15*rto)
 	}
-	if got := f.ms.Client.Retransmits(); got != 3 {
+	if got := txn.Total(f.ms.Client.TxnStats).Retransmits; got != 3 {
 		t.Fatalf("retransmits = %d, want 3", got)
 	}
 	if !errors.Is(f.ms.Client.LastError(), ErrAttachTimeout) {
@@ -97,7 +98,7 @@ func TestClientActivateRetransmitRecovers(t *testing.T) {
 	if !done || !ok || !addr.IsValid() {
 		t.Fatalf("activation over lossy link: done=%v ok=%v addr=%v", done, ok, addr)
 	}
-	if got := f.ms.Client.Retransmits(); got != 1 {
+	if got := txn.Total(f.ms.Client.TxnStats).Retransmits; got != 1 {
 		t.Fatalf("retransmits = %d, want 1", got)
 	}
 }
@@ -149,7 +150,7 @@ func TestClientDeactivateRetransmitAndExhaustion(t *testing.T) {
 	if !done {
 		t.Fatal("deactivation over lossy link never completed")
 	}
-	if got := f.ms.Client.Retransmits(); got != 1 {
+	if got := txn.Total(f.ms.Client.TxnStats).Retransmits; got != 1 {
 		t.Fatalf("retransmits = %d, want 1", got)
 	}
 	if _, active := f.ms.Client.Context(5); active {
@@ -198,7 +199,7 @@ func TestSGSNGTPRetransmitRecovers(t *testing.T) {
 	if got := f.sgsn.Retransmits(); got != 1 {
 		t.Fatalf("SGSN retransmits = %d, want 1", got)
 	}
-	if got := f.ms.Client.Retransmits(); got != 0 {
+	if got := txn.Total(f.ms.Client.TxnStats).Retransmits; got != 0 {
 		t.Fatalf("client retransmits = %d, want 0", got)
 	}
 }

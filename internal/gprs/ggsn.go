@@ -144,9 +144,9 @@ func NewGGSN(cfg GGSNConfig) *GGSN {
 }
 
 // Retransmits returns the number of MAP request PDUs this GGSN has re-sent.
-func (g *GGSN) Retransmits() uint64 { return g.dm.Retransmits() }
+func (g *GGSN) Retransmits() uint64 { return txn.Total(g.TxnStats).Retransmits }
 
-// TxnStats reports the MAP dialogue and create dedupe tables' lifetime counters.
+// TxnStats reports the MAP dialogue and create dedupe tables' accounting.
 func (g *GGSN) TxnStats(report func(plane string, s txn.Stats)) {
 	report("MAP", g.dm.Stats())
 	report("PDP create", g.creating.Stats())
@@ -157,7 +157,7 @@ func (g *GGSN) TxnStats(report func(plane string, s txn.Stats)) {
 func (g *GGSN) PendingCreates() int { return g.creating.InFlight() }
 
 // OutstandingDialogues returns un-answered MAP invokes toward the HLR.
-func (g *GGSN) OutstandingDialogues() int { return g.dm.Outstanding() }
+func (g *GGSN) OutstandingDialogues() int { return g.dm.Stats().InFlight }
 
 // ID implements sim.Node.
 func (g *GGSN) ID() sim.NodeID { return g.cfg.ID }
@@ -204,28 +204,27 @@ func (g *GGSN) QueuedPackets() int {
 	return n
 }
 
-// Audit reports every transient record this GGSN holds, by kind, plus its
-// storage audit — all zero at quiescence. netsim's leak gate walks it.
+// Audit reports the GGSN's queued packets and storage audit — zero at
+// quiescence — for netsim's leak gate, which reads its transaction tables
+// from TxnStats.
 func (g *GGSN) Audit(report func(kind string, n int)) {
-	report("pending creates", g.PendingCreates())
-	report("open dialogues", g.OutstandingDialogues())
 	report("queued activation packets", g.QueuedPackets())
-	report("slab imbalance", g.SlabImbalance())
+	report("slab imbalance", g.storeImbalance())
 }
 
 // Footprint is the memory the PDP context store holds, in bytes: slab chunks
 // plus index tables, and the two transaction tables.
 func (g *GGSN) Footprint() int {
-	return g.recs.Bytes() + g.byTID.Bytes() + g.byAddr.Bytes() + g.dm.Bytes() + g.creating.Bytes()
+	return g.recs.Bytes() + g.byTID.Bytes() + g.byAddr.Bytes() + txn.Total(g.TxnStats).Bytes
 }
 
-// SlabImbalance audits the slab storage: occupancy must balance and both
+// SlabImbalance adds the transaction tables' record imbalance to storeImbalance.
+func (g *GGSN) SlabImbalance() int { return txn.Total(g.TxnStats).Imbalance + g.storeImbalance() }
+
+// storeImbalance audits the slab storage: occupancy must balance and both
 // indexes must resolve to live records that agree with the key. Non-zero
 // means a context leaked or was lost.
-func (g *GGSN) SlabImbalance() int {
-	return g.dm.Occupancy().Imbalance() + g.creating.Occupancy().Imbalance() +
-		g.byTID.Audit() + g.byAddr.Stale()
-}
+func (g *GGSN) storeImbalance() int { return g.byTID.Audit() + g.byAddr.Stale() }
 
 // Receive implements sim.Node.
 func (g *GGSN) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Message) {

@@ -4,6 +4,7 @@ import (
 	"vgprs/internal/gsm"
 	"vgprs/internal/gsmid"
 	"vgprs/internal/sim"
+	"vgprs/internal/txn"
 )
 
 // MSConfig parameterises a GPRS-capable mobile station.
@@ -42,11 +43,9 @@ func NewMS(cfg MSConfig) *MS {
 // ID implements sim.Node.
 func (m *MS) ID() sim.NodeID { return m.cfg.ID }
 
-// Audit reports the MS's transient state for netsim's leak gate.
-func (m *MS) Audit(report func(kind string, n int)) {
-	report("pending transactions", m.Client.PendingTransactions())
-	report("transaction record imbalance", m.Client.txns.Occupancy().Imbalance())
-}
+// TxnStats reports the client's GMM/SM table's accounting, for netsim's leak
+// gate.
+func (m *MS) TxnStats(report func(plane string, s txn.Stats)) { m.Client.TxnStats(report) }
 
 // Receive implements sim.Node: downlink LLC frames feed the client.
 func (m *MS) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Message) {

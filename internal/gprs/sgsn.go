@@ -289,19 +289,15 @@ func (s *SGSN) OutstandingDialogues() int { return s.attach.InFlight() }
 
 // Retransmits returns the number of signalling request PDUs (MAP + GTP)
 // this SGSN has re-sent.
-func (s *SGSN) Retransmits() uint64 {
-	return s.attach.Retransmits() + s.gtp.Retransmits()
-}
+func (s *SGSN) Retransmits() uint64 { return txn.Total(s.TxnStats).Retransmits }
 
-// Audit reports every transient record this SGSN holds, by kind, plus its
-// storage audit — all zero at quiescence. netsim's leak gate walks it.
+// Audit reports the SGSN's storage audit — zero at quiescence — for netsim's
+// leak gate, which reads its transaction tables from TxnStats.
 func (s *SGSN) Audit(report func(kind string, n int)) {
-	report("pending GTP transactions", s.PendingTransactions())
-	report("open dialogues", s.OutstandingDialogues())
-	report("slab imbalance", s.SlabImbalance())
+	report("slab imbalance", s.storeImbalance())
 }
 
-// TxnStats reports the MAP and GTP tables' lifetime counters.
+// TxnStats reports the MAP and GTP tables' accounting.
 func (s *SGSN) TxnStats(report func(plane string, st txn.Stats)) {
 	report("MAP", s.attach.Stats())
 	report("GTP", s.gtp.Stats())
@@ -311,20 +307,21 @@ func (s *SGSN) TxnStats(report func(plane string, st txn.Stats)) {
 // chunks plus index tables, and the two transaction tables.
 func (s *SGSN) Footprint() int {
 	return s.mms.Bytes() + s.pdps.Bytes() + s.byTLLI.Bytes() + s.byIMSI.Bytes() + s.byTID.Bytes() +
-		s.attach.Bytes() + s.gtp.Bytes()
+		txn.Total(s.TxnStats).Bytes
 }
 
-// SlabImbalance audits the slab storage: the IMSI index must own the MM rows
+// SlabImbalance adds the transaction tables' record imbalance to storeImbalance.
+func (s *SGSN) SlabImbalance() int { return txn.Total(s.TxnStats).Imbalance + s.storeImbalance() }
+
+// storeImbalance audits the slab storage: the IMSI index must own the MM rows
 // (RowIndex.Audit), every TLLI entry must name its row's local TLLI or foreign
 // alias and every TID entry a context on its row's list, and the PDP slab
 // population must match the sum of per-subscriber context lists and the TID
-// index; the MAP and GTP transaction tables must account for every record
-// they allocated; and the never-released peer symbol table must stay
-// topology-sized (gbPeerLimit). Non-zero means a context or record leaked or
-// was lost; the soak/leak gates assert zero.
-func (s *SGSN) SlabImbalance() int {
-	imb := s.attach.Occupancy().Imbalance() + s.gtp.Occupancy().Imbalance() +
-		max(0, s.peers.Len()-gbPeerLimit) + s.pdps.Imbalance() +
+// index; and the never-released peer symbol table must stay topology-sized
+// (gbPeerLimit). Non-zero means a context leaked or was lost; the soak/leak
+// gates assert zero.
+func (s *SGSN) storeImbalance() int {
+	imb := max(0, s.peers.Len()-gbPeerLimit) + s.pdps.Imbalance() +
 		s.byIMSI.Audit() + s.byTLLI.Stale() + s.byTID.Stale()
 	pdpListed, tlliExpected := 0, 0
 	s.mms.Range(func(_ slab.Handle, r *mmRec) bool {

@@ -13,6 +13,7 @@ import (
 	"vgprs/internal/sim"
 	"vgprs/internal/slab"
 	"vgprs/internal/ss7"
+	"vgprs/internal/txn"
 )
 
 // GatekeeperConfig parameterises a gatekeeper node.
@@ -238,30 +239,35 @@ func (g *Gatekeeper) KnownIMSIs() int {
 	return g.byIMSI.Len()
 }
 
-// Audit reports every transient record this gatekeeper holds, by kind, plus its
-// storage audit — all zero at quiescence. netsim's leak gate walks it.
+// Audit reports the gatekeeper's calls and its store audit for netsim's leak
+// gate, which reads its transaction table from TxnStats.
 func (g *Gatekeeper) Audit(report func(kind string, n int)) {
 	active, _, _ := g.Calls()
 	report("active calls", active)
-	report("slab imbalance", g.SlabImbalance())
+	report("slab imbalance", g.storeImbalance())
 }
+
+// TxnStats reports the MAP dialogue table's accounting.
+func (g *Gatekeeper) TxnStats(report func(plane string, s txn.Stats)) { report("MAP", g.dm.Stats()) }
 
 // Footprint is the memory the registration, open-call and IMSI tables hold, in
 // bytes: slab chunks plus index tables, and the MAP dialogue table.
 func (g *Gatekeeper) Footprint() int {
 	return g.regs.Bytes() + g.byAlias.Bytes() + g.calls.Bytes() + g.byCall.Bytes() +
-		g.imsiTab.Bytes() + g.byIMSI.Bytes() + g.dm.Bytes()
+		g.imsiTab.Bytes() + g.byIMSI.Bytes() + txn.Total(g.TxnStats).Bytes
 }
 
-// SlabImbalance cross-checks each slab against the index that owns its rows
+// SlabImbalance adds the transaction tables' record imbalance to storeImbalance.
+func (g *Gatekeeper) SlabImbalance() int { return txn.Total(g.TxnStats).Imbalance + g.storeImbalance() }
+
+// storeImbalance cross-checks each slab against the index that owns its rows
 // (RowIndex.Audit): each entry must resolve to a live row carrying the same
 // key, the slab's live count must match the entries resolving into it, and
 // allocated capacity must be fully accounted as live or free. Zero means no
 // leaked rows, no stale or misdirected entries, and no books that disagree
 // — the soak gate's invariant.
-func (g *Gatekeeper) SlabImbalance() int {
-	return g.dm.Occupancy().Imbalance() +
-		g.byAlias.Audit() + g.byCall.Audit() + g.byIMSI.Audit()
+func (g *Gatekeeper) storeImbalance() int {
+	return g.byAlias.Audit() + g.byCall.Audit() + g.byIMSI.Audit()
 }
 
 // Receive implements sim.Node.

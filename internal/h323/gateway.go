@@ -144,11 +144,8 @@ func (h *gwHost) Released(env *sim.Env, call *gwCall) {
 	})
 }
 
-// Audit reports the gateway's transient state for netsim's leak gate.
-func (g *Gateway) Audit(report func(kind string, n int)) {
-	report("pending RAS", g.txns.PendingRAS())
-	report("transaction record imbalance", g.txns.Imbalance())
-}
+// TxnStats reports the RAS and Q.931 tables' accounting.
+func (g *Gateway) TxnStats(report func(plane string, s txn.Stats)) { g.txns.TxnStats(report) }
 
 // handleIAM is Fig 8 steps (1)-(2): the local exchange routes the call in;
 // the gateway checks the gatekeeper for the called party.

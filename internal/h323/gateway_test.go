@@ -212,6 +212,7 @@ func (e *answeringExchange) Receive(env *sim.Env, from sim.NodeID, _ string, msg
 type pstnLAN struct {
 	env    *sim.Env
 	gk     *Gatekeeper
+	gw     *Gateway
 	a, b   *Terminal
 	le     *answeringExchange
 	trunks *isup.TrunkGroup
@@ -261,7 +262,47 @@ func newPSTNLAN(t *testing.T) *pstnLAN {
 	if !a.Registered() || !b.Registered() {
 		t.Fatal("registration failed")
 	}
-	return &pstnLAN{env: env, gk: gk, a: a, b: b, le: le, trunks: trunks}
+	return &pstnLAN{env: env, gk: gk, gw: gw, a: a, b: b, le: le, trunks: trunks}
+}
+
+// sendCounter is a tracer counting the messages one node sends.
+type sendCounter struct {
+	node sim.NodeID
+	sent int
+}
+
+func (c *sendCounter) Trace(_ time.Duration, from, _ sim.NodeID, _ string, _ sim.Message) {
+	if from == c.node {
+		c.sent++
+	}
+}
+
+// An ACM that reaches the gateway after the ANM (a duplicate, or one
+// reordered on the trunk) is late: the answered leg stays connected and the
+// caller hears no second Alerting.
+func TestGatewayACMAfterANMLeavesLegConnected(t *testing.T) {
+	p := newPSTNLAN(t)
+	if _, err := p.a.Call(p.env, "85221110001"); err != nil {
+		t.Fatal(err)
+	}
+	p.env.Run()
+	if len(p.gw.byISUP) != 1 {
+		t.Fatalf("test premise broken: %d gateway calls, want 1", len(p.gw.byISUP))
+	}
+	var call *gwCall
+	for _, c := range p.gw.byISUP {
+		call = c
+	}
+	if call.leg.State != LegConnected {
+		t.Fatalf("test premise broken: gateway leg %v, want connected", call.leg.State)
+	}
+	gwSends := &sendCounter{node: "GW"}
+	p.env.SetTracer(gwSends)
+	p.env.Send("LE", "GW", isup.ACM{CIC: call.cic, CallRef: call.ref})
+	p.env.Run()
+	if call.leg.State != LegConnected || gwSends.sent != 0 {
+		t.Fatalf("after a late ACM: leg %v, gateway sent %d messages; want connected, 0", call.leg.State, gwSends.sent)
+	}
 }
 
 // TestGatewayScopesCallRefsPerPeer is the gateway-side regression for the

@@ -124,10 +124,11 @@ func (t *Transactions[H, C]) Proceed(env *sim.Env, call C) {
 	}
 }
 
-// Alert tells the caller of an incoming leg that the called party rings,
-// also after an answer: the VMSC's MS may ring again, and answer again.
+// Alert tells the caller of an incoming leg that the called party rings. Only
+// a leg still proceeding rings: a repeated ring, or one after the answer,
+// sends nothing and leaves the leg where it is.
 func (t *Transactions[H, C]) Alert(env *sim.Env, call C) {
-	if ep, leg, ok := t.host.CallLeg(call); ok && leg.Incoming {
+	if ep, leg, ok := t.host.CallLeg(call); ok && leg.Incoming && leg.State == LegProceeding {
 		leg.State = LegAlerting
 		ep.SendQ931(env, leg.Peer, q931.Alerting{CallRef: leg.Ref})
 	}

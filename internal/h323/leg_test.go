@@ -71,9 +71,10 @@ func releaseLeg(env *sim.Env, tx *Transactions[*testHost, *testCall], call *test
 }
 
 // TestLegCellTable plays every (state, message) cell of the Q.931 leg the
-// VMSC, the terminal and the gateway share, plus the explicit Reset. Each
-// cell starts from a fresh leg driven into its row's state, hands the leg
-// one message from the far end, and compares the cell.
+// VMSC, the terminal and the gateway share, plus this end's Alert and the
+// explicit Reset. Each cell starts from a fresh leg driven into its row's
+// state, hands the leg one message from the far end (or makes the one move),
+// and compares the cell.
 func TestLegCellTable(t *testing.T) {
 	rows := []legRow{
 		{"out/idle", func(*sim.Env, *Transactions[*testHost, *testCall], *testCall) {}},
@@ -93,13 +94,16 @@ func TestLegCellTable(t *testing.T) {
 	msgs := []sim.Message{
 		q931.Setup{CallRef: 1}, q931.CallProceeding{CallRef: 1}, q931.Alerting{CallRef: 1},
 		q931.Connect{CallRef: 1}, q931.ConnectAck{CallRef: 1}, q931.ReleaseComplete{CallRef: 1},
-		nil, // Reset
+		nil, nil, // Alert, Reset
 	}
 	for _, row := range rows {
-		for _, msg := range msgs {
+		for i, msg := range msgs {
 			name := "Reset"
-			if msg != nil {
+			switch {
+			case msg != nil:
 				name = msgName(msg)
+			case i == len(msgs)-2:
+				name = "Alert"
 			}
 			t.Run(row.name+"/"+name, func(t *testing.T) {
 				env, h, tx := newTestTransactions(txn.Policy{RTO: time.Second})
@@ -107,9 +111,12 @@ func TestLegCellTable(t *testing.T) {
 				row.to(env, tx, call)
 				h.sent = nil
 				var got legCell
-				if msg == nil {
+				switch name {
+				case "Reset":
 					tx.Reset(call)
-				} else {
+				case "Alert":
+					alert(env, tx, call)
+				default:
 					got.event = tx.Receive(env, call, msg)
 				}
 				got.next = call.leg.State
@@ -136,11 +143,13 @@ var (
 
 // legTable is the leg, cell by cell. A message a state does not expect
 // changes nothing; ReleaseComplete ends every live leg in the host's
-// Released hook, and Reset ends every leg without a word.
+// Released hook, and Reset ends every leg without a word. Alert rings only
+// an incoming leg still proceeding (reply is then what this end sends).
 var legTable = map[string]map[string]legCell{
 	"out/idle": {
 		"Setup": {next: LegIdle}, "CallProceeding": {next: LegIdle}, "Alerting": {next: LegIdle},
 		"Connect": {next: LegIdle}, "ConnectAcknowledge": {next: LegIdle}, "ReleaseComplete": released, "Reset": reset,
+		"Alert": {next: LegIdle},
 	},
 	"out/setup-sent": {
 		"Setup":              {next: LegSetupSent, cycle: true},
@@ -149,6 +158,7 @@ var legTable = map[string]map[string]legCell{
 		"Connect":            {next: LegConnected, event: LegAnswered, reply: "ConnectAcknowledge"},
 		"ConnectAcknowledge": {next: LegSetupSent, cycle: true},
 		"ReleaseComplete":    released, "Reset": reset,
+		"Alert": {next: LegSetupSent, cycle: true},
 	},
 	"out/proceeding": {
 		"Setup":              {next: LegProceeding},
@@ -157,6 +167,7 @@ var legTable = map[string]map[string]legCell{
 		"Connect":            {next: LegConnected, event: LegAnswered, reply: "ConnectAcknowledge"},
 		"ConnectAcknowledge": {next: LegProceeding},
 		"ReleaseComplete":    released, "Reset": reset,
+		"Alert": {next: LegProceeding},
 	},
 	"out/alerting": {
 		"Setup":              {next: LegAlerting},
@@ -165,6 +176,7 @@ var legTable = map[string]map[string]legCell{
 		"Connect":            {next: LegConnected, event: LegAnswered, reply: "ConnectAcknowledge"},
 		"ConnectAcknowledge": {next: LegAlerting},
 		"ReleaseComplete":    released, "Reset": reset,
+		"Alert": {next: LegAlerting},
 	},
 	"out/connected": {
 		"Setup":              {next: LegConnected},
@@ -173,10 +185,12 @@ var legTable = map[string]map[string]legCell{
 		"Connect":            {next: LegConnected, reply: "ConnectAcknowledge"},
 		"ConnectAcknowledge": {next: LegConnected},
 		"ReleaseComplete":    released, "Reset": reset,
+		"Alert": {next: LegConnected},
 	},
 	"out/releasing": {
 		"Setup": reset, "CallProceeding": reset, "Alerting": reset,
 		"Connect": reset, "ConnectAcknowledge": reset, "ReleaseComplete": reset, "Reset": reset,
+		"Alert": reset,
 	},
 	"in/proceeding": {
 		"Setup":              {next: LegProceeding, reply: "CallProceeding"},
@@ -185,6 +199,7 @@ var legTable = map[string]map[string]legCell{
 		"Connect":            {next: LegProceeding},
 		"ConnectAcknowledge": {next: LegProceeding},
 		"ReleaseComplete":    released, "Reset": reset,
+		"Alert": {next: LegAlerting, reply: "Alerting"},
 	},
 	"in/alerting": {
 		"Setup":              {next: LegAlerting, reply: "CallProceeding"},
@@ -193,6 +208,7 @@ var legTable = map[string]map[string]legCell{
 		"Connect":            {next: LegAlerting},
 		"ConnectAcknowledge": {next: LegAlerting},
 		"ReleaseComplete":    released, "Reset": reset,
+		"Alert": {next: LegAlerting},
 	},
 	"in/connected": {
 		"Setup":              {next: LegConnected, reply: "CallProceeding", cycle: true},
@@ -201,10 +217,12 @@ var legTable = map[string]map[string]legCell{
 		"Connect":            {next: LegConnected, cycle: true},
 		"ConnectAcknowledge": {next: LegConnected},
 		"ReleaseComplete":    released, "Reset": reset,
+		"Alert": {next: LegConnected, cycle: true},
 	},
 	"in/releasing": {
 		"Setup": reset, "CallProceeding": reset, "Alerting": reset,
 		"Connect": reset, "ConnectAcknowledge": reset, "ReleaseComplete": reset, "Reset": reset,
+		"Alert": reset,
 	},
 }
 

@@ -171,18 +171,13 @@ func (h *termHost) CallLeg(call *termCall) (Endpoint, *Leg, bool) { return *h.ep
 
 func (h *termHost) Released(env *sim.Env, call *termCall) { (*Terminal)(h).finishCall(env, call) }
 
-// Retransmits reports how many RAS and Q.931 requests this terminal has
-// re-sent.
-func (t *Terminal) Retransmits() uint64 { return t.txns.Retransmits() }
-
-// TxnStats reports the RAS and Q.931 tables' lifetime counters.
+// TxnStats reports the RAS and Q.931 tables' accounting.
 func (t *Terminal) TxnStats(report func(plane string, s txn.Stats)) { t.txns.TxnStats(report) }
 
-// Audit reports the terminal's transient state for netsim's leak gate.
+// Audit reports the terminal's calls for netsim's leak gate, which reads its
+// transaction tables from TxnStats.
 func (t *Terminal) Audit(report func(kind string, n int)) {
-	report("pending RAS", t.txns.PendingRAS())
 	report("active calls", t.ActiveCalls())
-	report("transaction record imbalance", t.txns.Imbalance())
 }
 
 // Register performs endpoint registration with the gatekeeper.

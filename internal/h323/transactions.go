@@ -129,28 +129,11 @@ func (t *Transactions[H, C]) expiredQ931(env *sim.Env, c *q931Cycle[C]) {
 	t.host.Released(env, c.call)
 }
 
-// PendingRAS returns RAS requests still awaiting the gatekeeper's answer.
-func (t *Transactions[H, C]) PendingRAS() int { return t.ras.InFlight() }
-
-// Retransmits returns how many RAS and Q.931 messages the tables re-sent.
-func (t *Transactions[H, C]) Retransmits() uint64 {
-	return t.ras.Retransmits() + t.q931.Retransmits()
-}
-
-// TxnStats reports the two tables' lifetime counters, by plane.
+// TxnStats reports the two tables' accounting, by plane.
 func (t *Transactions[H, C]) TxnStats(report func(plane string, s txn.Stats)) {
 	report("RAS", t.ras.Stats())
 	report("Q.931", t.q931.Stats())
 }
-
-// Imbalance is the records the two tables cannot account for, for the
-// owner's storage audit.
-func (t *Transactions[H, C]) Imbalance() int {
-	return t.ras.Occupancy().Imbalance() + t.q931.Occupancy().Imbalance()
-}
-
-// Bytes is the memory the two tables hold, for the owner's Footprint.
-func (t *Transactions[H, C]) Bytes() int { return t.ras.Bytes() + t.q931.Bytes() }
 
 // RecordSizes is what one RAS request and one Q.931 cycle occupy in their
 // tables.

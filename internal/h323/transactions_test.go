@@ -74,7 +74,7 @@ func TestTransactionsMatchEveryAnswer(t *testing.T) {
 	for _, req := range requests {
 		tx.AnswerRAS(env, req)
 	}
-	if len(got.msgs) != 0 || tx.PendingRAS() != len(requests) {
+	if len(got.msgs) != 0 || tx.ras.InFlight() != len(requests) {
 		t.Fatalf("requests fed back as answers completed %v", got.msgs)
 	}
 	for i := len(answerOf) - 1; i >= 0; i-- {
@@ -85,8 +85,8 @@ func TestTransactionsMatchEveryAnswer(t *testing.T) {
 			t.Errorf("completion %d: %v for call %p, want %v for %p", i, got.msgs[i], got.calls[i], answerOf[j], calls[j])
 		}
 	}
-	if tx.PendingRAS() != 0 {
-		t.Fatalf("%d requests still pending", tx.PendingRAS())
+	if tx.ras.InFlight() != 0 {
+		t.Fatalf("%d requests still pending", tx.ras.InFlight())
 	}
 }
 
@@ -97,7 +97,7 @@ func TestTransactionsDropUnknownAndLateAnswers(t *testing.T) {
 	var got answers
 	tx.SendRAS(env, 0, nil, RRQ{Seq: 1}, got.done)
 	tx.AnswerRAS(env, RCF{Seq: 2})
-	if len(got.msgs) != 0 || tx.PendingRAS() != 1 {
+	if len(got.msgs) != 0 || tx.ras.InFlight() != 1 {
 		t.Fatalf("unknown answer completed %v", got.msgs)
 	}
 	env.Run()
@@ -105,8 +105,8 @@ func TestTransactionsDropUnknownAndLateAnswers(t *testing.T) {
 	if len(got.msgs) != 1 || got.msgs[0] != nil {
 		t.Fatalf("completions %v, want one nil", got.msgs)
 	}
-	if len(h.sent) != 3 || tx.Retransmits() != 2 {
-		t.Fatalf("sent %d copies, %d retransmits; want 3, 2", len(h.sent), tx.Retransmits())
+	if retx := txn.Total(tx.TxnStats).Retransmits; len(h.sent) != 3 || retx != 2 {
+		t.Fatalf("sent %d copies, %d retransmits; want 3, 2", len(h.sent), retx)
 	}
 }
 
@@ -160,11 +160,12 @@ func TestTransactionsExpireOnce(t *testing.T) {
 		if gone {
 			wantSent, wantRetx = 2, 0
 		}
-		if len(h.sent) != wantSent || tx.Retransmits() != wantRetx {
-			t.Errorf("gone=%v: sent %d, %d retransmits; want %d, %d", gone, len(h.sent), tx.Retransmits(), wantSent, wantRetx)
+		tot := txn.Total(tx.TxnStats)
+		if len(h.sent) != wantSent || tot.Retransmits != wantRetx {
+			t.Errorf("gone=%v: sent %d, %d retransmits; want %d, %d", gone, len(h.sent), tot.Retransmits, wantSent, wantRetx)
 		}
-		if tx.PendingRAS() != 0 || tx.Imbalance() != 0 {
-			t.Errorf("gone=%v: %d RAS pending, imbalance %d", gone, tx.PendingRAS(), tx.Imbalance())
+		if tot.InFlight != 0 || tot.Imbalance != 0 {
+			t.Errorf("gone=%v: %d in flight, imbalance %d", gone, tot.InFlight, tot.Imbalance)
 		}
 	}
 }

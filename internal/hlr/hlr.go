@@ -112,13 +112,13 @@ func New(cfg Config) *HLR {
 func (h *HLR) ID() sim.NodeID { return h.cfg.ID }
 
 // Retransmits returns the number of MAP request PDUs this HLR has re-sent.
-func (h *HLR) Retransmits() uint64 { return h.dm.Retransmits() }
+func (h *HLR) Retransmits() uint64 { return txn.Total(h.TxnStats).Retransmits }
 
-// TxnStats reports the MAP dialogue table's lifetime counters.
+// TxnStats reports the MAP dialogue table's accounting.
 func (h *HLR) TxnStats(report func(plane string, s txn.Stats)) { report("MAP", h.dm.Stats()) }
 
 // OutstandingDialogues returns un-answered MAP invokes this HLR has open.
-func (h *HLR) OutstandingDialogues() int { return h.dm.Outstanding() }
+func (h *HLR) OutstandingDialogues() int { return h.dm.Stats().InFlight }
 
 // Subscribers returns the number of provisioned records.
 func (h *HLR) Subscribers() int {
@@ -189,26 +189,25 @@ func (h *HLR) Lookup(imsi gsmid.IMSI) (Record, bool) {
 	return h.export(r), true
 }
 
-// Audit reports every transient record this HLR holds, by kind, plus its
-// storage audit — all zero at quiescence. netsim's leak gate walks it.
+// Audit reports the HLR's storage audit — zero at quiescence — for netsim's
+// leak gate, which reads its MAP table from TxnStats.
 func (h *HLR) Audit(report func(kind string, n int)) {
-	report("open dialogues", h.OutstandingDialogues())
-	report("slab imbalance", h.SlabImbalance())
+	report("slab imbalance", h.storeImbalance())
 }
 
 // Footprint is the memory the subscriber store holds, in bytes: slab chunks
 // plus index tables, and the MAP dialogue table.
 func (h *HLR) Footprint() int {
-	return h.recs.Bytes() + h.byIMSI.Bytes() + h.byMSISDN.Bytes() + h.dm.Bytes()
+	return h.recs.Bytes() + h.byIMSI.Bytes() + h.byMSISDN.Bytes() + txn.Total(h.TxnStats).Bytes
 }
 
-// SlabImbalance audits the slab storage: both identity indexes must hold
+// SlabImbalance adds the transaction tables' record imbalance to storeImbalance.
+func (h *HLR) SlabImbalance() int { return txn.Total(h.TxnStats).Imbalance + h.storeImbalance() }
+
+// storeImbalance audits the slab storage: both identity indexes must hold
 // exactly one entry per live record and occupancy must balance.
 // Non-zero means records were lost or leaked.
-func (h *HLR) SlabImbalance() int {
-	return h.dm.Occupancy().Imbalance() +
-		h.byIMSI.Audit() + h.byMSISDN.Stale()
-}
+func (h *HLR) storeImbalance() int { return h.byIMSI.Audit() + h.byMSISDN.Stale() }
 
 // Receive implements sim.Node: the MAP server side of the HLR.
 func (h *HLR) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Message) {

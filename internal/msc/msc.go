@@ -9,6 +9,7 @@ import (
 	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 	"vgprs/internal/ss7"
+	"vgprs/internal/txn"
 )
 
 // Config parameterises a classic circuit-switched MSC.
@@ -103,13 +104,19 @@ func (m *MSC) ActiveCalls() int {
 	return len(m.byMS)
 }
 
-// Audit reports the MSC's transient state for netsim's leak gate: open MAP
-// transactions, calls in progress and handed-in legs it serves as a handover
-// target. Registrations are durable and not counted.
+// Audit reports the MSC's transient state for netsim's leak gate: calls in
+// progress and handed-in legs it serves as a handover target; the gate reads
+// the MAP tables from TxnStats. Registrations are durable and not counted.
 func (m *MSC) Audit(report func(kind string, n int)) {
-	report("pending transactions", m.registrar.Pending()+m.dm.Outstanding())
 	report("active calls", m.ActiveCalls())
 	report("handover-target legs", m.hoTarget.Open())
+}
+
+// TxnStats reports the MAP dialogue tables' accounting: the MSC's own and the
+// location-update registrar's.
+func (m *MSC) TxnStats(report func(plane string, s txn.Stats)) {
+	report("MAP", m.dm.Stats())
+	m.registrar.TxnStats(report)
 }
 
 func (m *MSC) onRegistration(env *sim.Env, reg Registration) {

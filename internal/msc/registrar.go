@@ -89,15 +89,12 @@ func NewRegistrar(node, vlr sim.NodeID, onOutcome func(*sim.Env, Registration)) 
 	}
 }
 
-// Pending returns in-flight location-update transactions plus un-answered
-// MAP invokes toward the VLR. Zero at quiescence.
-func (r *Registrar) Pending() int { return r.byMS.InFlight() + r.dm.Outstanding() }
-
-// Bytes and Imbalance are the transaction tables' share of the owner's
-// Footprint and SlabImbalance audit.
-func (r *Registrar) Bytes() int { return r.dm.Bytes() + r.byIdentity.Bytes() + r.byMS.Bytes() }
-func (r *Registrar) Imbalance() int {
-	return r.dm.Occupancy().Imbalance() + r.byIdentity.Occupancy().Imbalance() + r.byMS.Occupancy().Imbalance()
+// TxnStats reports the MAP dialogue toward the VLR and the two dedupe
+// tables' accounting.
+func (r *Registrar) TxnStats(report func(plane string, s txn.Stats)) {
+	report("location-update MAP", r.dm.Stats())
+	report("location update by MS", r.byMS.Stats())
+	report("location update by identity", r.byIdentity.Stats())
 }
 
 // Handle processes a message if it belongs to a location-update

@@ -8,6 +8,7 @@ import (
 	"vgprs/internal/gsmid"
 	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
+	"vgprs/internal/txn"
 )
 
 // silentVLR never answers — for timeout paths — and counts what it is sent.
@@ -62,14 +63,15 @@ func TestRegistrarVLRTimeoutFails(t *testing.T) {
 		t.Fatalf("cause = %v", outcome.Cause)
 	}
 	// The transaction tables are clean for a retry.
-	if r.byIdentity.InFlight() != 0 || r.byMS.InFlight() != 0 || r.Imbalance() != 0 {
+	if tot := txn.Total(r.TxnStats); tot.InFlight != 0 || tot.Imbalance != 0 {
 		t.Fatal("registrar leaked transaction state")
 	}
 }
 
 // TestRegistrarDedupesLocationUpdate repeats a LocationUpdate from the radio
 // side while the VLR transaction is in flight: one UpdateLocationArea goes
-// out, both lookups hold one transaction, and the VLR's challenge finds it by
+// out, both lookups hold one transaction (TxnStats counts three in flight:
+// the dialogue and the two lookups), and the VLR's challenge finds it by
 // identity and the MS's answer by node name.
 func TestRegistrarDedupesLocationUpdate(t *testing.T) {
 	env := sim.NewEnv(1)
@@ -86,23 +88,24 @@ func TestRegistrarDedupesLocationUpdate(t *testing.T) {
 	env.Send("BSC-1", "MSC-1", lu)
 	env.Send("BSC-1", "MSC-1", lu)
 	env.RunUntil(10 * time.Millisecond)
-	if vlr.got != 1 || r.byMS.InFlight() != 1 || r.byIdentity.InFlight() != 1 || r.Pending() != 2 {
-		t.Fatalf("VLR saw %d requests; %d by MS, %d by identity, Pending %d",
-			vlr.got, r.byMS.InFlight(), r.byIdentity.InFlight(), r.Pending())
+	inFlight := func() int { return txn.Total(r.TxnStats).InFlight }
+	if vlr.got != 1 || r.byMS.InFlight() != 1 || r.byIdentity.InFlight() != 1 || inFlight() != 3 {
+		t.Fatalf("VLR saw %d requests; %d by MS, %d by identity, %d in flight",
+			vlr.got, r.byMS.InFlight(), r.byIdentity.InFlight(), inFlight())
 	}
 	if !r.Handle(env, "VLR-SILENT", sigmap.Authenticate{Invoke: 9, Identity: id}) ||
 		!r.Handle(env, "BSC-1", gsm.AuthResponse{MS: "MS-1"}) {
 		t.Fatal("the in-flight transaction was not found by identity and by MS")
 	}
 	env.Run() // the silent VLR lets the invoke time out
-	if r.Pending() != 0 || r.Imbalance() != 0 {
-		t.Fatalf("after the timeout: Pending %d, imbalance %d", r.Pending(), r.Imbalance())
+	if tot := txn.Total(r.TxnStats); tot.InFlight != 0 || tot.Imbalance != 0 {
+		t.Fatalf("after the timeout: %d in flight, imbalance %d", tot.InFlight, tot.Imbalance)
 	}
 }
 
-// TestAuditSeesLocationUpdateInFlight checks that the MSC's leak-gate audit
-// reports a location update its VLR has not answered, and nothing once the
-// invoke has timed out.
+// TestAuditSeesLocationUpdateInFlight checks that the MSC's TxnStats, which
+// the leak gate reads, report a location update its VLR has not answered,
+// and nothing once the invoke has timed out.
 func TestAuditSeesLocationUpdateInFlight(t *testing.T) {
 	env := sim.NewEnv(1)
 	m := New(Config{ID: "MSC-1", VLR: "VLR-SILENT"})
@@ -111,15 +114,7 @@ func TestAuditSeesLocationUpdateInFlight(t *testing.T) {
 	env.AddNode(&bscStub{id: "BSC-1"})
 	env.Connect("MSC-1", "VLR-SILENT", "B", time.Millisecond)
 	env.Connect("BSC-1", "MSC-1", "A", time.Millisecond)
-	pending := func() int {
-		n := 0
-		m.Audit(func(kind string, c int) {
-			if kind == "pending transactions" {
-				n += c
-			}
-		})
-		return n
-	}
+	pending := func() int { return txn.Total(m.TxnStats).InFlight }
 
 	env.Send("BSC-1", "MSC-1", gsm.LocationUpdate{
 		Leg: gsm.LegA, MS: "MS-1", Identity: gsmid.ByIMSI("466920000000001"),

@@ -60,13 +60,11 @@ func (b *builder) record() *trace.Recorder {
 }
 
 // add registers nodes with the engine, in order, and enrols each one that
-// reports transient state in the leak gate.
+// reports transient state or transaction tables in the leak gate.
 func (b *builder) add(nodes ...sim.Node) {
 	for _, node := range nodes {
 		b.env.AddNode(node)
-		if a, ok := node.(Auditor); ok {
-			b.gate.audit(string(node.ID()), a)
-		}
+		b.gate.audit(string(node.ID()), node)
 	}
 }
 

@@ -3,6 +3,8 @@ package netsim
 import (
 	"fmt"
 	"strings"
+
+	"vgprs/internal/txn"
 )
 
 // Residual is a snapshot of every transient signalling record a network
@@ -54,11 +56,18 @@ func (r *Residual) String() string {
 	return b.String()
 }
 
-// Auditor is a stateful network element that can report the transient
-// records it holds, by kind (see the Audit methods of vmsc.VMSC, vlr.VLR,
-// gprs.SGSN and the rest).
+// Auditor is a stateful network element that reports the transient records
+// it holds outside its transaction tables, by kind (see the Audit methods of
+// vmsc.VMSC, vlr.VLR, gprs.GGSN and the rest).
 type Auditor interface {
 	Audit(report func(kind string, n int))
+}
+
+// TxnWalker is a network element that lists each of its transaction tables
+// once, by plane (see the TxnStats methods of vmsc.VMSC, msc.MSC,
+// h323.Gateway and the rest).
+type TxnWalker interface {
+	TxnStats(report func(plane string, s txn.Stats))
 }
 
 // Audited is the registry behind a network's leak gate. Every builder
@@ -72,37 +81,52 @@ type Audited struct {
 
 type auditedElement struct {
 	name string
-	node Auditor
+	node any // an Auditor, a TxnWalker or both
 }
 
-// audit registers an element under the name its residual items carry.
-func (a *Audited) audit(name string, node Auditor) {
-	a.elements = append(a.elements, auditedElement{name, node})
+// audit registers an element that is an Auditor, a TxnWalker or both under
+// the name its residual items carry; any other node is ignored.
+func (a *Audited) audit(name string, node any) {
+	switch node.(type) {
+	case Auditor, TxnWalker:
+		a.elements = append(a.elements, auditedElement{name, node})
+	}
 }
 
-// Residual snapshots the transient state of every registered element.
-// Durable state (registrations, attached subscribers, idle PDP contexts) is
-// deliberately excluded — it is supposed to survive between procedures;
-// only in-flight records count, plus each element's storage audit: a
-// non-zero slab imbalance is a storage-layer leak even when all
+// Residual snapshots the transient state of every registered element: each
+// transaction table's in-flight count and record imbalance, and the
+// element's Audit rows. Durable state (registrations, attached subscribers,
+// idle PDP contexts) is deliberately excluded — it is supposed to survive
+// between procedures; only in-flight records count, plus the storage
+// audits: a non-zero slab imbalance is a storage-layer leak even when all
 // procedure-level counters are clean.
 func (a *Audited) Residual() Residual {
 	var r Residual
 	for _, e := range a.elements {
-		e.node.Audit(func(kind string, n int) { r.add(e.name, kind, n) })
+		if a, ok := e.node.(Auditor); ok {
+			a.Audit(func(kind string, n int) { r.add(e.name, kind, n) })
+		}
+		if w, ok := e.node.(TxnWalker); ok {
+			w.TxnStats(func(plane string, s txn.Stats) {
+				if s.InFlight != 0 {
+					r.add(e.name, plane+" in flight", s.InFlight)
+				}
+				if s.Imbalance != 0 {
+					r.add(e.name, plane+" record imbalance", s.Imbalance)
+				}
+			})
+		}
 	}
 	return r
 }
 
 // SignallingRetransmits sums the retransmission counters of every
-// registered element that retransmits: MAP dialogues at the VMSCs, VLRs,
-// HLR, SGSNs and GGSN, GTP transactions at the SGSNs, the VMSCs' GMM/SM,
-// RAS and Q.931 tables, and the H.323 terminals.
+// registered element's transaction tables.
 func (a *Audited) SignallingRetransmits() uint64 {
 	var total uint64
 	for _, e := range a.elements {
-		if r, ok := e.node.(interface{ Retransmits() uint64 }); ok {
-			total += r.Retransmits()
+		if w, ok := e.node.(TxnWalker); ok {
+			total += txn.Total(w.TxnStats).Retransmits
 		}
 	}
 	return total

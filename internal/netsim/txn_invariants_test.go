@@ -45,9 +45,7 @@ func TestTransactionInvariantsUnderLoss(t *testing.T) {
 			tables := 0
 			var retransmits uint64
 			for _, e := range n.elements {
-				node, ok := e.node.(interface {
-					TxnStats(report func(plane string, s txn.Stats))
-				})
+				node, ok := e.node.(TxnWalker)
 				if !ok {
 					continue
 				}
@@ -60,8 +58,11 @@ func TestTransactionInvariantsUnderLoss(t *testing.T) {
 					}
 				})
 			}
-			if tables < 10 {
-				t.Fatalf("%s: only %d transaction tables audited", name, tables)
+			// VMSC 7 (MAP, the registrar's MAP and two dedupe tables, RAS,
+			// Q.931, GMM/SM), VLR 2, HLR 1, SGSN 2, GGSN 2, gatekeeper 1 and
+			// the H.323 terminal 2.
+			if tables != 17 {
+				t.Fatalf("%s: %d transaction tables audited, the chaos world holds 17", name, tables)
 			}
 			if got := n.SignallingRetransmits(); got != retransmits {
 				t.Errorf("%s: SignallingRetransmits = %d, tables sum to %d", name, got, retransmits)

@@ -15,6 +15,7 @@ import (
 	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
 	"vgprs/internal/ss7"
+	"vgprs/internal/txn"
 )
 
 // Route is one routing-table row: calls to numbers matching Prefix go to
@@ -86,6 +87,9 @@ func (e *Exchange) ID() sim.NodeID { return e.cfg.ID }
 func (e *Exchange) Audit(report func(kind string, n int)) {
 	report("active calls", len(e.calls))
 }
+
+// TxnStats reports the MAP dialogue table's accounting.
+func (e *Exchange) TxnStats(report func(plane string, s txn.Stats)) { report("MAP", e.dm.Stats()) }
 
 // Receive implements sim.Node.
 func (e *Exchange) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Message) {

@@ -114,19 +114,6 @@ func (d *DialogueManager) Resolve(id InvokeID, msg sim.Message) bool {
 	return ok
 }
 
-// Outstanding returns the number of unresolved invokes.
-func (d *DialogueManager) Outstanding() int { return d.txns.InFlight() }
-
-// Retransmits returns the number of request PDUs re-sent by retry timers.
-func (d *DialogueManager) Retransmits() uint64 { return d.txns.Retransmits() }
-
-// Stats returns the dialogue table's lifetime counters.
+// Stats returns the dialogue table's accounting; the owner reports it in its
+// TxnStats.
 func (d *DialogueManager) Stats() txn.Stats { return d.txns.Stats() }
-
-// Occupancy accounts for the manager's invoke records; owners add its
-// Imbalance to their SlabImbalance audit, and leak tests assert a drained
-// manager has every record back on the free list.
-func (d *DialogueManager) Occupancy() txn.Occupancy { return d.txns.Occupancy() }
-
-// Bytes is the memory the invoke records hold, for the owner's Footprint.
-func (d *DialogueManager) Bytes() int { return d.txns.Bytes() }

@@ -55,7 +55,7 @@ func retryPair(t *testing.T) (*sim.Env, *retryClient, *echoServer) {
 // were allocated, and every one of them is back on the free list.
 func assertNoRecordLeaked(t *testing.T, dm *DialogueManager) {
 	t.Helper()
-	if o := dm.Occupancy(); o.Cap == 0 || o.Free != o.Cap || o.Imbalance() != 0 {
+	if o := dm.Stats(); o.Cap == 0 || o.Free != o.Cap || o.Imbalance != 0 {
 		t.Fatalf("occupancy %+v, want every record free (record leaked)", o)
 	}
 }
@@ -84,11 +84,11 @@ func TestTransmitRetransmitsAfterDrop(t *testing.T) {
 	if s.seen != 1 {
 		t.Fatalf("server saw %d requests, want 1 (first copy was dropped)", s.seen)
 	}
-	if c.dm.Retransmits() != 1 {
-		t.Fatalf("Retransmits = %d, want 1", c.dm.Retransmits())
+	if c.dm.Stats().Retransmits != 1 {
+		t.Fatalf("Retransmits = %d, want 1", c.dm.Stats().Retransmits)
 	}
-	if c.dm.Outstanding() != 0 {
-		t.Fatalf("Outstanding = %d after resolve", c.dm.Outstanding())
+	if c.dm.Stats().InFlight != 0 {
+		t.Fatalf("in flight = %d after resolve", c.dm.Stats().InFlight)
 	}
 	// Record hygiene: one record was drawn and must be back on the free
 	// list now that its timer has fired.
@@ -113,15 +113,15 @@ func TestTransmitBudgetExhaustedFailsCleanly(t *testing.T) {
 	if !fired || ok {
 		t.Fatalf("fired=%v ok=%v, want timeout failure", fired, ok)
 	}
-	if c.dm.Retransmits() != retries {
-		t.Fatalf("Retransmits = %d, want %d", c.dm.Retransmits(), retries)
+	if c.dm.Stats().Retransmits != retries {
+		t.Fatalf("Retransmits = %d, want %d", c.dm.Stats().Retransmits, retries)
 	}
 	// Backoff shape: rto + 2rto + 4rto + 8rto = 15*rto.
 	if want := 15 * rto; failedAt != want {
 		t.Fatalf("failed at %v, want %v (doubling backoff)", failedAt, want)
 	}
-	if c.dm.Outstanding() != 0 {
-		t.Fatalf("Outstanding = %d after failure", c.dm.Outstanding())
+	if c.dm.Stats().InFlight != 0 {
+		t.Fatalf("in flight = %d after failure", c.dm.Stats().InFlight)
 	}
 	assertNoRecordLeaked(t, c.dm)
 	// A late resolve must be dropped.

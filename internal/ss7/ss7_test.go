@@ -70,8 +70,8 @@ func TestDialogueResolve(t *testing.T) {
 	var got sim.Message
 	var ok bool
 	id := dm.Invoke(env, time.Second, func(m sim.Message, k bool) { got, ok = m, k })
-	if dm.Outstanding() != 1 {
-		t.Fatalf("Outstanding = %d", dm.Outstanding())
+	if dm.Stats().InFlight != 1 {
+		t.Fatalf("in flight = %d", dm.Stats().InFlight)
 	}
 	if !dm.Resolve(id, fakeMsg{}) {
 		t.Fatal("Resolve returned false for pending invoke")
@@ -79,8 +79,8 @@ func TestDialogueResolve(t *testing.T) {
 	if !ok || got == nil {
 		t.Fatal("callback not fired with response")
 	}
-	if dm.Outstanding() != 0 {
-		t.Fatalf("Outstanding after resolve = %d", dm.Outstanding())
+	if dm.Stats().InFlight != 0 {
+		t.Fatalf("in flight after resolve = %d", dm.Stats().InFlight)
 	}
 	env.Run() // timeout must not re-fire
 	if !ok {
@@ -119,8 +119,8 @@ func TestDialogueZeroTimeoutNeverExpires(t *testing.T) {
 	if fired {
 		t.Fatal("zero-timeout invoke expired")
 	}
-	if dm.Outstanding() != 1 {
-		t.Fatalf("Outstanding = %d", dm.Outstanding())
+	if dm.Stats().InFlight != 1 {
+		t.Fatalf("in flight = %d", dm.Stats().InFlight)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"vgprs/internal/h323"
 	"vgprs/internal/ipnet"
 	"vgprs/internal/sim"
+	"vgprs/internal/txn"
 )
 
 // MSHooks observe the TR 23.923 mobile's events.
@@ -153,13 +154,19 @@ func (m *MS) ID() sim.NodeID { return m.cfg.ID }
 // Registered reports gatekeeper registration.
 func (m *MS) Registered() bool { return m.registered }
 
-// Audit reports the MS's transient state for netsim's leak gate: the GPRS
-// client's open GMM/SM transactions, the packets held for a context still
-// being activated, and the embedded terminal's own state.
+// Audit reports the MS's transient state for netsim's leak gate: the packets
+// held for a context still being activated and the embedded terminal's
+// calls. The gate reads the transaction tables from TxnStats.
 func (m *MS) Audit(report func(kind string, n int)) {
-	report("pending GMM/SM transactions", m.Client.PendingTransactions())
 	report("packets awaiting a context", len(m.pendingSend))
 	m.Term.Audit(report)
+}
+
+// TxnStats reports the GPRS client's GMM/SM table and the embedded
+// terminal's RAS and Q.931 tables.
+func (m *MS) TxnStats(report func(plane string, s txn.Stats)) {
+	m.Client.TxnStats(report)
+	m.Term.TxnStats(report)
 }
 
 // deactivateLater schedules the context teardown after a short linger, so

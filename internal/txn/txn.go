@@ -235,56 +235,54 @@ func (tb *Table[K, T]) onTimer(arg any) {
 // InFlight returns the number of unanswered transactions.
 func (tb *Table[K, T]) InFlight() int { return len(tb.byKey) }
 
-// Retransmits returns the number of requests re-sent by the timer over the
-// table's lifetime. It never decreases.
-func (tb *Table[K, T]) Retransmits() uint64 { return tb.retransmits }
-
-// Stats is a table's lifetime accounting. Once every transaction has ended
+// Stats is a table's accounting: its lifetime counters, what it holds now
+// and the memory that takes. Once every transaction has ended
 // Begun == Resolved + TimedOut.
 type Stats struct {
 	Begun       uint64
 	Resolved    uint64 // ended by Take
 	TimedOut    uint64 // ended by the timer
-	Retransmits uint64
-	InFlight    int
+	Retransmits uint64 // never decreases
+	InFlight    int    // unanswered
+	Cap         int    // records allocated
+	Free        int    // on the free list
+	// Imbalance is the records unaccounted for, |Cap − Free − InFlight|:
+	// non-zero means one leaked.
+	Imbalance int
+	// Bytes is the memory held: records, plus a key, a pointer and a
+	// control byte per map entry at 7/8 load.
+	Bytes int
 }
 
-// Stats returns the table's counters.
+// Stats returns the table's accounting.
 func (tb *Table[K, T]) Stats() Stats {
+	var key K
+	d := tb.cap - tb.idle - len(tb.byKey)
 	return Stats{
 		Begun: tb.begun, Resolved: tb.resolved, TimedOut: tb.timedOut,
 		Retransmits: tb.retransmits, InFlight: len(tb.byKey),
+		Cap: tb.cap, Free: tb.idle, Imbalance: max(d, -d),
+		Bytes: tb.cap*RecordSize[K, T]() + len(tb.byKey)*int(unsafe.Sizeof(key)+unsafe.Sizeof(&key)+1)*8/7,
 	}
 }
 
-// Occupancy accounts for every record the table ever allocated.
-type Occupancy struct {
-	Cap      int // records allocated
-	Free     int // on the free list
-	InFlight int // unanswered
-}
-
-// Imbalance is the number of records unaccounted for; non-zero means one
-// leaked. A table with nothing in flight has Free == Cap.
-func (o Occupancy) Imbalance() int {
-	d := o.Cap - o.Free - o.InFlight
-	if d < 0 {
-		return -d
-	}
-	return d
-}
-
-// Occupancy returns the record accounting; owners fold its Imbalance into
-// their SlabImbalance audit.
-func (tb *Table[K, T]) Occupancy() Occupancy {
-	return Occupancy{Cap: tb.cap, Free: tb.idle, InFlight: len(tb.byKey)}
-}
-
-// Bytes is the memory the table holds, for its owner's Footprint: records,
-// plus a key, a pointer and a control byte per map entry at 7/8 load.
-func (tb *Table[K, T]) Bytes() int {
-	var key K
-	return tb.cap*RecordSize[K, T]() + len(tb.byKey)*int(unsafe.Sizeof(key)+unsafe.Sizeof(&key)+1)*8/7
+// Total sums the tables a walk reports — a node's or a component's
+// TxnStats. Every field is added, so the per-table imbalances add up and
+// never cancel.
+func Total(walk func(report func(plane string, s Stats))) Stats {
+	var t Stats
+	walk(func(_ string, s Stats) {
+		t.Begun += s.Begun
+		t.Resolved += s.Resolved
+		t.TimedOut += s.TimedOut
+		t.Retransmits += s.Retransmits
+		t.InFlight += s.InFlight
+		t.Cap += s.Cap
+		t.Free += s.Free
+		t.Imbalance += s.Imbalance
+		t.Bytes += s.Bytes
+	})
+	return t
 }
 
 // RecordSize is what one transaction of a Table[K, T] occupies: the payload

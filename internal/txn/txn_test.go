@@ -61,7 +61,7 @@ func (h *harness) begin(t *testing.T, id uint32, p Policy) *req {
 // queue, and the lifetime counters balanced.
 func (h *harness) assertDrained(t *testing.T) {
 	t.Helper()
-	if o := h.tb.Occupancy(); o.Cap == 0 || o.Free != o.Cap || o.Imbalance() != 0 {
+	if o := h.tb.Stats(); o.Cap == 0 || o.Free != o.Cap || o.Imbalance != 0 {
 		t.Fatalf("occupancy %+v, want every record free", o)
 	}
 	if s := h.tb.Stats(); s.InFlight != 0 || s.Begun != s.Resolved+s.TimedOut {
@@ -69,6 +69,32 @@ func (h *harness) assertDrained(t *testing.T) {
 	}
 	if n := h.env.Pending(); n != 0 {
 		t.Fatalf("%d events still queued behind a drained table", n)
+	}
+}
+
+// counters is s without what the table holds: the lifetime counters and
+// InFlight, which a model can predict.
+func counters(s Stats) Stats {
+	s.Cap, s.Free, s.Imbalance, s.Bytes = 0, 0, 0, 0
+	return s
+}
+
+// TestTotalAddsImbalances sums two tables whose books are off in opposite
+// directions: a record missing from one, a record too many in the other. A
+// sum of their Cap − Free − InFlight would read zero; Total reads both.
+func TestTotalAddsImbalances(t *testing.T) {
+	a, b := newHarness(), newHarness()
+	a.begin(t, 1, Policy{})
+	b.begin(t, 1, Policy{})
+	a.tb.cap++
+	b.tb.idle++
+	sa, sb := a.tb.Stats(), b.tb.Stats()
+	got := Total(func(report func(string, Stats)) { report("a", sa); report("b", sb) })
+	if sa.Imbalance != 1 || sb.Imbalance != 1 || got.Imbalance != 2 {
+		t.Fatalf("imbalances %d + %d = %d, want 1 + 1 = 2", sa.Imbalance, sb.Imbalance, got.Imbalance)
+	}
+	if got.InFlight != 2 || got.Begun != 2 || got.Cap != sa.Cap+sb.Cap || got.Bytes != sa.Bytes+sb.Bytes || got.Bytes == 0 {
+		t.Fatalf("total %+v of %+v and %+v", got, sa, sb)
 	}
 }
 
@@ -100,8 +126,8 @@ func TestBudgetExhaustionMatchesRetryDeadline(t *testing.T) {
 		if h.expireAt != want || p.Deadline() != want {
 			t.Errorf("retries=%d: failed at %v (Deadline %v), want %v", retries, h.expireAt, p.Deadline(), want)
 		}
-		if len(h.resent) != p.Budget() || h.tb.Retransmits() != uint64(p.Budget()) {
-			t.Errorf("retries=%d: %d resends (counter %d), want %d", retries, len(h.resent), h.tb.Retransmits(), p.Budget())
+		if len(h.resent) != p.Budget() || h.tb.Stats().Retransmits != uint64(p.Budget()) {
+			t.Errorf("retries=%d: %d resends (counter %d), want %d", retries, len(h.resent), h.tb.Stats().Retransmits, p.Budget())
 		}
 		at, cur := time.Duration(0), rto
 		for i, got := range h.resent {
@@ -137,7 +163,7 @@ func TestTakeCancelsTimer(t *testing.T) {
 	if n := h.env.Pending(); n != 0 {
 		t.Fatalf("after Take: %d events queued, want the timer cancelled", n)
 	}
-	if o := h.tb.Occupancy(); o.InFlight != 0 || o.Free != o.Cap {
+	if o := h.tb.Stats(); o.InFlight != 0 || o.Free != o.Cap {
 		t.Fatalf("after Take: occupancy %+v, want the record free", o)
 	}
 
@@ -204,10 +230,10 @@ func TestTakeInsideResend(t *testing.T) {
 				want = Stats{Begun: 2, Resolved: 1, InFlight: 1}
 				pending = 1
 			}
-			if s := tb.Stats(); s != want {
+			if s := counters(tb.Stats()); s != want {
 				t.Fatalf("stats %+v, want %+v", s, want)
 			}
-			if o := tb.Occupancy(); o.Free != o.Cap-want.InFlight || o.Imbalance() != 0 {
+			if o := tb.Stats(); o.Free != o.Cap-want.InFlight || o.Imbalance != 0 {
 				t.Fatalf("occupancy %+v", o)
 			}
 			if env.Pending() != pending || expired != 0 {
@@ -327,10 +353,10 @@ func TestTableMatchesModel(t *testing.T) {
 				}
 			}
 			want := Stats{Begun: begun, Resolved: resolved, TimedOut: timedOut, Retransmits: retransmits, InFlight: len(model)}
-			if s := tb.Stats(); s != want || s.Begun != s.Resolved+s.TimedOut+uint64(s.InFlight) {
+			if s := counters(tb.Stats()); s != want || s.Begun != s.Resolved+s.TimedOut+uint64(s.InFlight) {
 				t.Fatalf("seed %d step %d: stats %+v, model %+v", seed, step, s, want)
 			}
-			if o := tb.Occupancy(); o.Imbalance() != 0 || o.InFlight != len(model) || (o.InFlight == 0 && o.Cap > releaseFloor) {
+			if o := tb.Stats(); o.Imbalance != 0 || o.InFlight != len(model) || (o.InFlight == 0 && o.Cap > releaseFloor) {
 				t.Fatalf("seed %d step %d: occupancy %+v, model holds %d", seed, step, o, len(model))
 			}
 			if env.Pending() != armed {
@@ -347,7 +373,7 @@ func TestTableMatchesModel(t *testing.T) {
 		if s := tb.Stats(); len(model) != 0 || s.InFlight != 0 || s.Begun != s.Resolved+s.TimedOut {
 			t.Fatalf("seed %d: drained with model %v, stats %+v", seed, model, s)
 		}
-		if o := tb.Occupancy(); o.Free != o.Cap || env.Pending() != 0 {
+		if o := tb.Stats(); o.Free != o.Cap || env.Pending() != 0 {
 			t.Fatalf("seed %d: drained with occupancy %+v, %d events queued", seed, o, env.Pending())
 		}
 	}
@@ -446,7 +472,7 @@ func TestExpiredHookMayBeginAgain(t *testing.T) {
 	if s := tb.Stats(); s.Begun != 2 || s.TimedOut != 2 || s.InFlight != 0 {
 		t.Fatalf("stats %+v", s)
 	}
-	if o := tb.Occupancy(); o.Free != o.Cap || o.Imbalance() != 0 {
+	if o := tb.Stats(); o.Free != o.Cap || o.Imbalance != 0 {
 		t.Fatalf("occupancy %+v", o)
 	}
 }
@@ -476,7 +502,7 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
 		t.Fatalf("steady-state transaction cycle allocated %.1f objects, want 0", allocs)
 	}
-	if o := tb.Occupancy(); o.Cap != chunk || o.Free != o.Cap {
+	if o := tb.Stats(); o.Cap != chunk || o.Free != o.Cap {
 		t.Fatalf("occupancy %+v, want one fully free chunk", o)
 	}
 }
@@ -503,7 +529,7 @@ func TestDrainedTableReleasesRecords(t *testing.T) {
 	atFloor := func(when string) {
 		t.Helper()
 		h.assertDrained(t)
-		if o := h.tb.Occupancy(); o.Cap > releaseFloor {
+		if o := h.tb.Stats(); o.Cap > releaseFloor {
 			t.Fatalf("%s: drained table holds %d records, floor is %d", when, o.Cap, releaseFloor)
 		}
 	}
@@ -511,7 +537,7 @@ func TestDrainedTableReleasesRecords(t *testing.T) {
 		for id := uint32(1); id <= storm; id++ {
 			h.begin(t, id, policy)
 		}
-		if o := h.tb.Occupancy(); o.InFlight != storm || o.Cap < storm || h.env.Pending() != storm {
+		if o := h.tb.Stats(); o.InFlight != storm || o.Cap < storm || h.env.Pending() != storm {
 			t.Fatalf("mid-storm: occupancy %+v, %d timers queued", o, h.env.Pending())
 		}
 		for id := uint32(1); id <= storm; id++ {
@@ -569,11 +595,11 @@ func TestSmallBurstsNeverRelease(t *testing.T) {
 		}
 	}
 	cycle()
-	held := h.tb.Occupancy().Cap
+	held := h.tb.Stats().Cap
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 		t.Fatalf("a 600-transaction burst on a warmed table allocated %.1f objects, want 0", allocs)
 	}
-	if o := h.tb.Occupancy(); o.Cap != held || held > releaseFloor {
+	if o := h.tb.Stats(); o.Cap != held || held > releaseFloor {
 		t.Fatalf("occupancy %+v after 1,000 bursts, first burst held %d", o, held)
 	}
 	h.assertDrained(t)
@@ -633,13 +659,13 @@ func TestReleaseFromInsideHook(t *testing.T) {
 			for id := uint32(100); id < 100+burst; id++ {
 				tb.Take(id)
 			}
-			if o := tb.Occupancy(); o.Cap <= releaseFloor || o.InFlight == 0 {
+			if o := tb.Stats(); o.Cap <= releaseFloor || o.InFlight == 0 {
 				t.Fatalf("before the timer: occupancy %+v, want a grown table still in use", o)
 			}
 			env.Run()
-			o, s := tb.Occupancy(), tb.Stats()
-			if hooks != 1 || o.Cap > releaseFloor || o.Free != o.Cap || o.Imbalance() != 0 || env.Pending() != 0 {
-				t.Fatalf("%d hook calls, occupancy %+v, %d events queued", hooks, o, env.Pending())
+			s := tb.Stats()
+			if hooks != 1 || s.Cap > releaseFloor || s.Free != s.Cap || s.Imbalance != 0 || env.Pending() != 0 {
+				t.Fatalf("%d hook calls, occupancy %+v, %d events queued", hooks, s, env.Pending())
 			}
 			if s.InFlight != 0 || s.Begun != s.Resolved+s.TimedOut || s.Retransmits != 0 {
 				t.Fatalf("stats %+v", s)
@@ -648,8 +674,8 @@ func TestReleaseFromInsideHook(t *testing.T) {
 			for id := uint32(100); id < 100+burst; id++ {
 				tb.Begin(env, id, Policy{}).id = id
 			}
-			if tb.InFlight() != burst || tb.Occupancy().Imbalance() != 0 {
-				t.Fatalf("after regrowth: occupancy %+v", tb.Occupancy())
+			if tb.InFlight() != burst || tb.Stats().Imbalance != 0 {
+				t.Fatalf("after regrowth: occupancy %+v", tb.Stats())
 			}
 		})
 	}

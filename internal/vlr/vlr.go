@@ -175,9 +175,9 @@ func (v *VLR) export(r *mmRec) MMContext {
 }
 
 // Retransmits returns the number of MAP request PDUs this VLR has re-sent.
-func (v *VLR) Retransmits() uint64 { return v.dm.Retransmits() }
+func (v *VLR) Retransmits() uint64 { return txn.Total(v.TxnStats).Retransmits }
 
-// TxnStats reports the MAP dialogue and update dedupe tables' lifetime counters.
+// TxnStats reports the MAP dialogue and update dedupe tables' accounting.
 func (v *VLR) TxnStats(report func(plane string, s txn.Stats)) {
 	report("MAP", v.dm.Stats())
 	report("location update", v.updating.Stats())
@@ -188,7 +188,7 @@ func (v *VLR) TxnStats(report func(plane string, s txn.Stats)) {
 func (v *VLR) PendingUpdates() int { return v.updating.InFlight() }
 
 // OutstandingDialogues returns un-answered MAP invokes this VLR has open.
-func (v *VLR) OutstandingDialogues() int { return v.dm.Outstanding() }
+func (v *VLR) OutstandingDialogues() int { return v.dm.Stats().InFlight }
 
 // ID implements sim.Node.
 func (v *VLR) ID() sim.NodeID { return v.cfg.ID }
@@ -212,13 +212,12 @@ func (v *VLR) OutstandingMSRNs() int {
 	return len(v.msrn)
 }
 
-// Audit reports every transient record this VLR holds, by kind, plus its
-// storage audit — all zero at quiescence. netsim's leak gate walks it.
+// Audit reports the VLR's roaming numbers and storage audit — zero at
+// quiescence — for netsim's leak gate, which reads its transaction tables
+// from TxnStats.
 func (v *VLR) Audit(report func(kind string, n int)) {
-	report("pending location updates", v.PendingUpdates())
-	report("open dialogues", v.OutstandingDialogues())
 	report("outstanding MSRNs", v.OutstandingMSRNs())
-	report("slab imbalance", v.SlabImbalance())
+	report("slab imbalance", v.storeImbalance())
 }
 
 // Footprint is the memory the subscriber store holds, in bytes: slab chunks
@@ -226,18 +225,18 @@ func (v *VLR) Audit(report func(kind string, n int)) {
 // tables, which a quiesced VLR holds at their floor. It is the VLR's share of
 // "who owns which bytes of a resident subscriber" (EXPERIMENTS.md).
 func (v *VLR) Footprint() int {
-	return v.recs.Bytes() + v.byIMSI.Bytes() + v.byTMSI.Bytes() + v.dm.Bytes() + v.updating.Bytes()
+	return v.recs.Bytes() + v.byIMSI.Bytes() + v.byTMSI.Bytes() + txn.Total(v.TxnStats).Bytes
 }
 
-// SlabImbalance audits the slab storage: occupancy must balance
+// SlabImbalance adds the transaction tables' record imbalance to storeImbalance.
+func (v *VLR) SlabImbalance() int { return txn.Total(v.TxnStats).Imbalance + v.storeImbalance() }
+
+// storeImbalance audits the slab storage: occupancy must balance
 // (cap == live + free) and every index entry must resolve to a live record
 // that agrees with the key. Non-zero means a context leaked out of — or
 // was lost by — the slab; the soak/leak gates assert zero the same way
 // they assert empty residuals.
-func (v *VLR) SlabImbalance() int {
-	return v.dm.Occupancy().Imbalance() + v.updating.Occupancy().Imbalance() +
-		v.byIMSI.Audit() + v.byTMSI.Stale()
-}
+func (v *VLR) storeImbalance() int { return v.byIMSI.Audit() + v.byTMSI.Stale() }
 
 // Receive implements sim.Node.
 func (v *VLR) Receive(env *sim.Env, from sim.NodeID, iface string, msg sim.Message) {

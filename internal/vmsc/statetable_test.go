@@ -13,6 +13,7 @@ import (
 	"vgprs/internal/q931"
 	"vgprs/internal/sigmap"
 	"vgprs/internal/sim"
+	"vgprs/internal/txn"
 	"vgprs/internal/vmsc"
 )
 
@@ -22,10 +23,10 @@ import (
 // right after it and how many messages the VMSC then puts on its links (A, B,
 // Gb, E) until quiescence; the table row names that count for the same world
 // left alone, so a message the state ignores leaves the count unchanged. Then
-// the world is drained — calls hung up — and the VMSC's Audit must read zero
-// throughout. Messages the real MS, BSC or terminal did not send can make them
-// react too (an LU reject makes an MS with a TMSI register afresh), and the
-// counts include that.
+// the world is drained — calls hung up — and the VMSC's Audit and its
+// transaction tables must read zero throughout. Messages the real MS, BSC or
+// terminal did not send can make them react too (an LU reject makes an MS
+// with a TMSI register afresh), and the counts include that.
 
 // world is one handoff topology with subscriber 0 on MS-1 and TERM-1 as the
 // far party.
@@ -105,6 +106,11 @@ func (w *world) audit(t *testing.T) {
 	w.VMSC.Audit(func(kind string, n int) {
 		if n != 0 {
 			t.Errorf("after the drain the VMSC audits %d %s", n, kind)
+		}
+	})
+	w.VMSC.TxnStats(func(plane string, s txn.Stats) {
+		if s.InFlight != 0 || s.Imbalance != 0 {
+			t.Errorf("after the drain the VMSC's %s table holds %+v", plane, s)
 		}
 	})
 }
@@ -398,7 +404,7 @@ var callTable = map[string]tableRow{
 	"MT-delivering": {4, map[string]outcome{
 		"Setup":                {"delivering", 5},
 		"PagingResponse":       {"delivering", 5},
-		"Alerting":             {"alerting", 5},
+		"Alerting":             {"alerting", 4},
 		"Connect":              {"connecting", 3},
 		"Disconnect":           {"", 4},
 		"Q931-Connect":         {"delivering", 4},
@@ -408,7 +414,7 @@ var callTable = map[string]tableRow{
 	"MT-alerting": {3, map[string]outcome{
 		"Setup":                {"alerting", 2},
 		"PagingResponse":       {"alerting", 2},
-		"Alerting":             {"alerting", 4},
+		"Alerting":             {"alerting", 3},
 		"Connect":              {"connecting", 3},
 		"Disconnect":           {"", 4},
 		"Q931-Connect":         {"alerting", 3},

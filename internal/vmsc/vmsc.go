@@ -560,42 +560,35 @@ func (v *VMSC) CallMedia(ms sim.NodeID) (MediaStats, bool) {
 
 // PendingTransactions sums every transient signalling record this VMSC
 // holds: open MAP dialogues, in-flight location updates at the registrar,
-// RAS transactions, and the per-MS GPRS clients' GMM/SM transactions. A
-// quiesced VMSC reports zero; the scenario soak asserts on it.
-func (v *VMSC) PendingTransactions() int {
-	return v.dm.Outstanding() + v.registrar.Pending() + v.h225.PendingRAS() + v.gmm.InFlight()
-}
+// RAS requests and Q.931 cycles, and the per-MS GPRS clients' GMM/SM
+// transactions. A quiesced VMSC reports zero; the scenario soak asserts on it.
+func (v *VMSC) PendingTransactions() int { return txn.Total(v.TxnStats).InFlight }
 
-// Audit reports every transient record this VMSC holds, by kind, plus its
-// storage audit — all zero at quiescence. netsim's leak gate walks it.
+// Audit reports the VMSC's calls, handovers, frames in flight and MS-table
+// audit — all zero at quiescence — for netsim's leak gate, which reads the
+// transaction tables from TxnStats.
 func (v *VMSC) Audit(report func(kind string, n int)) {
-	report("pending transactions", v.PendingTransactions())
 	report("active calls", v.ActiveCalls())
 	report("handoff trunk calls", len(v.hoCalls)) // this VMSC as the anchor of a handover
 	report("handover-target legs", v.hoTarget.Open())
 	report("in-flight media frames", v.InflightFrames())
-	report("slab imbalance", v.SlabImbalance())
+	report("slab imbalance", v.storeImbalance())
 }
 
 // Footprint is the memory the VMSC holds, in bytes: the MS table's slab
 // chunks and index tables — all a resident subscriber costs it — plus the
 // transaction tables, which a quiesced VMSC holds at their floor.
 func (v *VMSC) Footprint() int {
-	return v.ents.Bytes() + v.byIMSI.Bytes() + v.byMS.Bytes() +
-		v.dm.Bytes() + v.registrar.Bytes() + v.h225.Bytes() + v.gmm.Bytes()
+	return v.ents.Bytes() + v.byIMSI.Bytes() + v.byMS.Bytes() + txn.Total(v.TxnStats).Bytes
 }
 
-// SlabImbalance audits the MS-table storage: occupancy must balance
+// SlabImbalance adds the transaction tables' record imbalance to storeImbalance.
+func (v *VMSC) SlabImbalance() int { return txn.Total(v.TxnStats).Imbalance + v.storeImbalance() }
+
+// storeImbalance audits the MS-table storage: occupancy must balance
 // (cap == live + free) and every index entry must resolve to a live row
-// that agrees with the key, and the transaction tables (the registrar's
-// included) must account for every record they allocated. Non-zero means a
-// row or record leaked out of — or was lost by — its store; the soak/leak
-// gates assert zero alongside the transient residuals.
-func (v *VMSC) SlabImbalance() int {
-	return v.dm.Occupancy().Imbalance() + v.h225.Imbalance() +
-		v.gmm.Occupancy().Imbalance() + v.registrar.Imbalance() +
-		v.byIMSI.Audit() + v.byMS.Stale()
-}
+// that agrees with the key.
+func (v *VMSC) storeImbalance() int { return v.byIMSI.Audit() + v.byMS.Stale() }
 
 // staticAddrFor returns the provisioned static PDP address for a row in
 // DeactivateIdlePDP mode ("" = dynamic).
@@ -613,18 +606,16 @@ func (v *VMSC) staticAddrFor(e *msEntry) string {
 func (v *VMSC) sigDeadline() time.Duration { return (*rowHost)(v).Policy().Deadline() }
 
 // Retransmits reports the total signalling retransmissions this VMSC has
-// performed across its MAP, RAS, Q.931 and GMM/SM planes. Each plane's count
-// lives in its table, not on the subscriber, so the total never decreases
-// when a subscriber is purged.
-func (v *VMSC) Retransmits() uint64 {
-	return v.dm.Retransmits() + v.h225.Retransmits() + v.gmm.Retransmits()
-}
+// performed across its tables. Each plane's count lives in its table, not on
+// the subscriber, so the total never decreases when a subscriber is purged.
+func (v *VMSC) Retransmits() uint64 { return txn.Total(v.TxnStats).Retransmits }
 
-// TxnStats reports the lifetime counters of the four tables Retransmits
-// sums, by plane. (The location-update registrar keeps its own MAP dialogue
-// manager, which neither covers.)
+// TxnStats reports the accounting of every transaction table the VMSC holds,
+// by plane: its MAP dialogues, the location-update registrar's tables, RAS
+// and Q.931, and GMM/SM.
 func (v *VMSC) TxnStats(report func(plane string, s txn.Stats)) {
 	report("MAP", v.dm.Stats())
+	v.registrar.TxnStats(report)
 	v.h225.TxnStats(report)
-	report("GMM/SM", v.gmm.Stats())
+	v.gmm.TxnStats(report)
 }
