@@ -6,6 +6,7 @@ import (
 
 	"vgprs/internal/metrics"
 	"vgprs/internal/netsim"
+	"vgprs/internal/trace"
 	"vgprs/internal/vmsc"
 )
 
@@ -36,12 +37,15 @@ func RunA1RegistrationAblation(seed int64) ([]AblationResult, error) {
 		if err := n.RegisterAll(); err != nil {
 			return AblationResult{}, fmt.Errorf("experiments: %s: %w", v.name, err)
 		}
-		first, ok1 := n.Rec.First("Um_Location_Update_Request")
-		accept, ok2 := n.Rec.Last("Um_Location_Update_Accept")
-		if !ok1 || !ok2 {
-			return AblationResult{}, fmt.Errorf("experiments: %s: incomplete trace", v.name)
+		// The MS's request and accept bound Fig 4 in every variant; the
+		// idle-PDP mode requests a static address, so its GGSN skips step
+		// 1.3's Gc lookup in between.
+		fig4 := netsim.Fig4Registration
+		m, err := n.Rec.ExpectFlow(trace.Flow{fig4[0], fig4[len(fig4)-1]})
+		if err != nil {
+			return AblationResult{}, fmt.Errorf("experiments: %s: %w", v.name, err)
 		}
-		return AblationResult{Variant: v.name, Total: accept.At - first.At}, nil
+		return AblationResult{Variant: v.name, Total: m.Span("lu", "accept")}, nil
 	})
 }
 
@@ -135,11 +139,11 @@ func RunA3RadioLatencySweep(seed int64, ums []time.Duration) ([]RadioSweepPoint,
 	return runSweep(ums, func(um time.Duration) (RadioSweepPoint, error) {
 		lat := netsim.DefaultLatencies()
 		lat.Um = um
-		v, err := measureVGPRSCallsAt(seed, 1, true, false, &lat)
+		v, err := measureVGPRSCalls(seed, 1, true, false, &lat)
 		if err != nil {
 			return RadioSweepPoint{}, fmt.Errorf("experiments: A3 Um=%v vGPRS: %w", um, err)
 		}
-		tr, err := measureTRCallsAt(seed, 1, true, false, &lat)
+		tr, err := measureTRCalls(seed, 1, true, false, &lat)
 		if err != nil {
 			return RadioSweepPoint{}, fmt.Errorf("experiments: A3 Um=%v TR: %w", um, err)
 		}

@@ -13,7 +13,6 @@ import (
 	"vgprs/internal/h323"
 	"vgprs/internal/metrics"
 	"vgprs/internal/netsim"
-	"vgprs/internal/trace"
 )
 
 // RegistrationResult holds the F4 measurements.
@@ -31,21 +30,16 @@ func RunF4Registration(seed int64) (RegistrationResult, error) {
 	if err := n.RegisterAll(); err != nil {
 		return RegistrationResult{}, err
 	}
-	var res RegistrationResult
-	first, ok1 := n.Rec.First("Um_Location_Update_Request")
-	accept, ok2 := n.Rec.Last("Um_Location_Update_Accept")
-	vlrAck, ok3 := n.Rec.First("MAP_UPDATE_LOCATION_AREA_ack")
-	pdpDone, ok4 := n.Rec.First("Activate PDP Context Accept")
-	// The terminals register with the gatekeeper too; measure the RCF
-	// addressed to the VMSC.
-	rcf, ok5 := n.Rec.FirstMatch(trace.ExpectStep{Msg: "RAS RCF", To: "VMSC-1"})
-	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 {
-		return res, fmt.Errorf("experiments: registration trace incomplete")
+	m, err := n.Rec.ExpectFlow(netsim.Fig4Registration)
+	if err != nil {
+		return RegistrationResult{}, err
 	}
-	res.Total = accept.At - first.At
-	res.GSMPhase = vlrAck.At - first.At
-	res.GPRSPhase = pdpDone.At - vlrAck.At
-	res.H323Phase = rcf.At - pdpDone.At
+	res := RegistrationResult{
+		Total:     m.Span("lu", "accept"),
+		GSMPhase:  m.Span("lu", "lu-ack"),
+		GPRSPhase: m.Span("lu-ack", "pdp"),
+		H323Phase: m.Span("pdp", "rcf"),
+	}
 	res.MessageCount = n.Rec.Len()
 	return res, nil
 }
@@ -63,14 +57,10 @@ func F4Table(r RegistrationResult) *metrics.Table {
 }
 
 // measureVGPRSCalls runs `calls` MO or MT calls on a fresh vGPRS network and
-// returns per-call setup latencies (dial/ARQ to conversation).
-func measureVGPRSCalls(seed int64, calls int, mobileOriginated, deactivateIdle bool) (*metrics.Series, error) {
-	return measureVGPRSCallsAt(seed, calls, mobileOriginated, deactivateIdle, nil)
-}
-
-// measureVGPRSCallsAt is measureVGPRSCalls with an optional link-latency
-// profile override (nil = defaults) — the A3 sensitivity sweep varies it.
-func measureVGPRSCallsAt(seed int64, calls int, mobileOriginated, deactivateIdle bool, lat *netsim.Latencies) (*metrics.Series, error) {
+// returns per-call setup latencies (dial/ARQ to conversation). lat overrides
+// the link-latency profile (nil = defaults); the A3 sensitivity sweep varies
+// it.
+func measureVGPRSCalls(seed int64, calls int, mobileOriginated, deactivateIdle bool, lat *netsim.Latencies) (*metrics.Series, error) {
 	label := "vGPRS"
 	if deactivateIdle {
 		label = "vGPRS (idle-PDP-deactivation ablation)"
@@ -125,13 +115,9 @@ func measureVGPRSCallsAt(seed int64, calls int, mobileOriginated, deactivateIdle
 	return series, drained(label, n.Residual())
 }
 
-// measureTRCalls runs `calls` MO or MT calls on a TR 23.923 network.
-func measureTRCalls(seed int64, calls int, mobileOriginated, keepActive bool) (*metrics.Series, error) {
-	return measureTRCallsAt(seed, calls, mobileOriginated, keepActive, nil)
-}
-
-// measureTRCallsAt is measureTRCalls with an optional latency profile.
-func measureTRCallsAt(seed int64, calls int, mobileOriginated, keepActive bool, lat *netsim.Latencies) (*metrics.Series, error) {
+// measureTRCalls runs `calls` MO or MT calls on a TR 23.923 network, with
+// an optional latency profile.
+func measureTRCalls(seed int64, calls int, mobileOriginated, keepActive bool, lat *netsim.Latencies) (*metrics.Series, error) {
 	label := "TR 23.923"
 	if keepActive {
 		label = "TR 23.923 (keep-PDP-active ablation)"
@@ -235,9 +221,9 @@ func RunC1SetupComparison(seed int64, calls int) (C1Result, error) {
 	}
 	series, err := runSweep(runs, func(r c1Run) (*metrics.Series, error) {
 		if r.vgprs {
-			return measureVGPRSCalls(seed, calls, r.mo, r.variant)
+			return measureVGPRSCalls(seed, calls, r.mo, r.variant, nil)
 		}
-		return measureTRCalls(seed, calls, r.mo, r.variant)
+		return measureTRCalls(seed, calls, r.mo, r.variant, nil)
 	})
 	if err != nil {
 		return out, err

@@ -105,13 +105,6 @@ func C5Table(results []C5Result) *metrics.Table {
 	return t
 }
 
-// RunF7F8Tromboning runs the incoming-roamer-call scenario three ways: the
-// Fig 7 GSM baseline (two international trunks), the Fig 8 vGPRS path (one
-// local trunk), and the Fig 8 gatekeeper-miss fallback.
-func RunF7F8Tromboning(seed int64) ([]TromboneEntry, error) {
-	return runTromboning(seed)
-}
-
 // TromboneEntry is a single measured tromboning scenario.
 type TromboneEntry struct {
 	Scenario     string
@@ -122,7 +115,10 @@ type TromboneEntry struct {
 	Connected    bool
 }
 
-func runTromboning(seed int64) ([]TromboneEntry, error) {
+// RunF7F8Tromboning runs the incoming-roamer-call scenario three ways: the
+// Fig 7 GSM baseline (two international trunks), the Fig 8 vGPRS path (one
+// local trunk), and the Fig 8 gatekeeper-miss fallback.
+func RunF7F8Tromboning(seed int64) ([]TromboneEntry, error) {
 	scenarios := []string{"fig7", "fig8", "fallback"}
 	return runSweep(scenarios, func(scenario string) (TromboneEntry, error) {
 		if scenario == "fig7" {
@@ -242,12 +238,11 @@ func RunF9Handoff(seed int64) (F9Result, error) {
 	if !n.RunHandoff(ms, 10*time.Second) {
 		return res, fmt.Errorf("experiments: handover did not complete")
 	}
-	hoReq, ok1 := n.Rec.First("A_Handover_Required")
-	endSig, ok2 := n.Rec.First("MAP_SEND_END_SIGNAL")
-	if !ok1 || !ok2 {
-		return res, fmt.Errorf("experiments: handover trace incomplete")
+	m, err := n.Rec.ExpectFlow(netsim.Fig9Handoff("MSC-2"))
+	if err != nil {
+		return res, err
 	}
-	res.ExecutionTime = endSig.At - hoReq.At
+	res.ExecutionTime = m.Span("required", "end")
 
 	framesBefore := ms.FramesReceived()
 	n.Env.RunUntil(n.Env.Now() + 2*time.Second)
@@ -259,12 +254,10 @@ func RunF9Handoff(seed int64) (F9Result, error) {
 	n.Rec.Reset()
 	ms.ReportNeighbor(n.Env, n.HomeCell)
 	n.Env.RunUntil(n.Env.Now() + 2*time.Second)
-	backReq, ok5 := n.Rec.First("A_Handover_Required")
-	backDone, ok6 := n.Rec.First("Um_Handover_Complete")
-	if !ok5 || !ok6 {
-		return res, fmt.Errorf("experiments: handback trace incomplete")
+	if m, err = n.Rec.ExpectFlow(netsim.Handback("MSC-2")); err != nil {
+		return res, err
 	}
-	res.HandbackExecution = backDone.At - backReq.At
+	res.HandbackExecution = m.Span("required", "complete")
 	res.TrunksAfterHandback = n.ETrunks.InUse()
 
 	// The §7 variant: identical procedure with a second VMSC as target.
@@ -279,12 +272,10 @@ func RunF9Handoff(seed int64) (F9Result, error) {
 	if !v.RunHandoff(v.MSs[0], 10*time.Second) {
 		return res, fmt.Errorf("experiments: VMSC-to-VMSC handover did not complete")
 	}
-	hoReq2, ok3 := v.Rec.First("A_Handover_Required")
-	endSig2, ok4 := v.Rec.First("MAP_SEND_END_SIGNAL")
-	if !ok3 || !ok4 {
-		return res, fmt.Errorf("experiments: VMSC-to-VMSC trace incomplete")
+	if m, err = v.Rec.ExpectFlow(netsim.Fig9Handoff("VMSC-2")); err != nil {
+		return res, err
 	}
-	res.VMSCToVMSCExecution = endSig2.At - hoReq2.At
+	res.VMSCToVMSCExecution = m.Span("required", "end")
 	return res, nil
 }
 
@@ -310,23 +301,21 @@ type F1Result struct {
 }
 
 // RunF1Attach measures the reference GPRS procedures of Fig 1 as performed
-// by the VMSC's virtual MS: attach + signalling-PDP activation time, and
-// the round trip of one H.323-network packet through the tunnel.
+// by the VMSC's virtual MS, read from the Fig 4 flow: attach + signalling-PDP
+// activation time (step 1.3), and the round trip of the VMSC's RRQ -> RCF
+// through the tunnel (steps 1.4-1.5).
 func RunF1Attach(seed int64) (F1Result, error) {
 	var res F1Result
 	n := netsim.BuildVGPRS(netsim.VGPRSOptions{Seed: seed})
 	if err := n.RegisterAll(); err != nil {
 		return res, err
 	}
-	attach, ok1 := n.Rec.First("GPRS Attach Request")
-	activated, ok2 := n.Rec.First("Activate PDP Context Accept")
-	rrq, ok3 := n.Rec.First("RAS RRQ")
-	rcf, ok4 := n.Rec.First("RAS RCF")
-	if !ok1 || !ok2 || !ok3 || !ok4 {
-		return res, fmt.Errorf("experiments: attach trace incomplete")
+	m, err := n.Rec.ExpectFlow(netsim.Fig4Registration)
+	if err != nil {
+		return res, err
 	}
-	res.AttachAndActivate = activated.At - attach.At
-	res.DataRTT = rcf.At - rrq.At
+	res.AttachAndActivate = m.Span("attach", "pdp")
+	res.DataRTT = m.Span("rrq", "rcf")
 	return res, nil
 }
 

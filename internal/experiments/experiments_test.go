@@ -4,8 +4,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"vgprs/internal/netsim"
+	"vgprs/internal/trace"
 )
 
+// TestF1Attach also holds DataRTT to the VMSC's own RRQ -> RCF exchange
+// through the tunnel, not the terminal's LAN registration that precedes it.
 func TestF1Attach(t *testing.T) {
 	r, err := RunF1Attach(1)
 	if err != nil {
@@ -13,6 +18,15 @@ func TestF1Attach(t *testing.T) {
 	}
 	if r.AttachAndActivate <= 0 || r.DataRTT <= 0 {
 		t.Fatalf("result = %+v", r)
+	}
+	n := netsim.BuildVGPRS(netsim.VGPRSOptions{Seed: 1})
+	if err := n.RegisterAll(); err != nil {
+		t.Fatal(err)
+	}
+	rrq, ok1 := n.Rec.First(trace.Step{Msg: "RAS RRQ", From: "VMSC-1"})
+	rcf, ok2 := n.Rec.First(trace.Step{Msg: "RAS RCF", To: "VMSC-1"})
+	if !ok1 || !ok2 || r.DataRTT != rcf.At-rrq.At {
+		t.Fatalf("DataRTT = %v, want the VMSC's RRQ -> RCF span %v", r.DataRTT, rcf.At-rrq.At)
 	}
 	if !strings.Contains(F1Table(r).String(), "GPRS attach") {
 		t.Fatal("table missing rows")

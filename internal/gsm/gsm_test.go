@@ -78,10 +78,10 @@ type radioFixture struct {
 	rec *trace.Recorder
 }
 
-// setupRef is the call reference on the MS's last Um Setup.
+// setupRef is the call reference on the MS's Um Setup.
 func (f *radioFixture) setupRef(t *testing.T) uint32 {
 	t.Helper()
-	e, ok := f.rec.Last("Um_Setup")
+	e, ok := f.rec.First(trace.Step{Msg: "Um_Setup"})
 	if !ok {
 		t.Fatal("the MS sent no Setup")
 	}
@@ -146,7 +146,7 @@ func TestRegistrationFlow(t *testing.T) {
 		t.Fatalf("channels in use = %d", f.bsc.ChannelsInUse())
 	}
 	// The trace follows the paper's naming hop by hop.
-	if err := f.rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := f.rec.ExpectFlow(trace.Flow{
 		{Msg: "Um_Channel_Request", From: "MS-1", To: "BTS-1", Iface: "Um"},
 		{Msg: "Abis_Channel_Required", From: "BTS-1", To: "BSC-1", Iface: "Abis"},
 		{Msg: "Um_Immediate_Assignment", To: "MS-1"},
@@ -253,7 +253,7 @@ func TestMobileOriginatedCallAndClearing(t *testing.T) {
 	if len(events) != 3 || events[0] != want[0] || events[1] != want[1] || events[2] != want[2] {
 		t.Fatalf("events = %v", events)
 	}
-	if err := f.rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := f.rec.ExpectFlow(trace.Flow{
 		{Msg: "Um_Setup", From: "MS-1", Note: "2.1"},
 		{Msg: "A_Setup", To: "MSC-1", Note: "2.1"},
 		{Msg: "Um_Alerting", To: "MS-1", Note: "2.7"},
@@ -357,7 +357,7 @@ func TestMobileTerminatedCall(t *testing.T) {
 	if f.msc.count("A_Alerting") != 1 || f.msc.count("A_Connect") != 1 {
 		t.Fatalf("alerting=%d connect=%d", f.msc.count("A_Alerting"), f.msc.count("A_Connect"))
 	}
-	if err := f.rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := f.rec.ExpectFlow(trace.Flow{
 		{Msg: "A_Paging", From: "MSC-1", Note: "4.4"},
 		{Msg: "Abis_Paging", From: "BSC-1", Note: "4.4"},
 		{Msg: "Um_Paging_Request", To: "MS-1", Note: "4.4"},
@@ -495,7 +495,7 @@ func TestPCURelaysLLCOverGb(t *testing.T) {
 	// The MS silently ignores LLC frames (it is a plain GSM MS); what
 	// matters is that the PCU routed the downlink frame into the right
 	// cell and to the right MS.
-	if err := f.rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := f.rec.ExpectFlow(trace.Flow{
 		{Msg: "Gb_DL_UNITDATA", From: "SGSN-1", To: "BSC-1", Iface: "Gb"},
 		{Msg: "Abis_LLC_Frame", From: "BSC-1", To: "BTS-1"},
 		{Msg: "Um_LLC_Frame", From: "BTS-1", To: "MS-1"},

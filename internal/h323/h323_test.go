@@ -173,7 +173,7 @@ func TestRegistrationCreatesTableEntry(t *testing.T) {
 	if !ok || reg.SignalAddr != ipnet.MustAddr("192.168.1.10") {
 		t.Fatalf("registration = %+v/%v", reg, ok)
 	}
-	if err := f.rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := f.rec.ExpectFlow(trace.Flow{
 		{Msg: "RAS RRQ", From: "TERM-A", To: "GK", Iface: "RAS"},
 		{Msg: "RAS RCF", From: "GK", To: "TERM-A", Iface: "RAS"},
 	}); err != nil {
@@ -247,7 +247,7 @@ func TestFullCallBetweenTerminals(t *testing.T) {
 	}
 
 	// The signalling trace follows the paper's H.323 message order.
-	if err := f.rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := f.rec.ExpectFlow(trace.Flow{
 		{Msg: "RAS ARQ", From: "TERM-A", To: "GK"},
 		{Msg: "RAS ACF", From: "GK", To: "TERM-A"},
 		{Msg: "Q.931 Setup", From: "TERM-A", To: "TERM-B"},
@@ -476,7 +476,7 @@ func TestRegistrationTTLExpires(t *testing.T) {
 	f.rec.Reset()
 	f.a.StartKeepAlive(f.env, time.Minute)
 	f.env.RunUntil(f.env.Now() + time.Second)
-	rrj, ok := f.rec.First("RAS RRJ")
+	rrj, ok := f.rec.First(trace.Step{Msg: "RAS RRJ"})
 	if !ok || rrj.Msg.(RRJ).Reason != RejectFullRegistrationRequired {
 		t.Fatalf("late keepalive answered %+v (found %v), want full registration required", rrj.Msg, ok)
 	}
@@ -651,10 +651,10 @@ func TestHangupDuringAdmission(t *testing.T) {
 		if f.a.ActiveCalls() != 0 || f.b.ActiveCalls() != 0 {
 			t.Fatalf("lost ARQ %v: calls a=%d b=%d", loseARQ, f.a.ActiveCalls(), f.b.ActiveCalls())
 		}
-		if e, sent := f.rec.First(q931.Setup{}.Name()); sent {
+		if e, sent := f.rec.First(trace.Step{Msg: q931.Setup{}.Name()}); sent {
 			t.Fatalf("lost ARQ %v: a Setup was sent at %v", loseARQ, e.At)
 		}
-		if _, sent := f.rec.First(q931.ReleaseComplete{}.Name()); sent {
+		if _, sent := f.rec.First(trace.Step{Msg: q931.ReleaseComplete{}.Name()}); sent {
 			t.Fatalf("lost ARQ %v: a Release Complete was sent before there was a far end", loseARQ)
 		}
 		if active, calls, _ := f.gk.Calls(); active != 0 || calls != 1 {
@@ -746,7 +746,7 @@ func TestSendWithoutTracerResolvesNothing(t *testing.T) {
 	ep.Dir = NewDirectory()
 	ep.Dir.Bind(gk, "GK")
 	ep.SendRAS(env, gk, RRQ{Seq: 2, Alias: "85291110001"})
-	if e, ok := rec.First(RRQ{}.Name()); !ok || e.From != "TERM" || e.To != "GK" || e.Iface != "RAS" {
+	if e, ok := rec.First(trace.Step{Msg: RRQ{}.Name()}); !ok || e.From != "TERM" || e.To != "GK" || e.Iface != "RAS" {
 		t.Fatalf("traced send did not note the arrow to the resolved peer:\n%s", rec.Dump())
 	}
 }

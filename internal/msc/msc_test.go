@@ -118,12 +118,12 @@ func TestClassicRegistration(t *testing.T) {
 	}
 	f.env.RunUntil(f.env.Now() + time.Second)
 	tmsi, _ := f.ms.TMSI()
-	page, ok := f.rec.FirstMatch(trace.ExpectStep{Msg: "A_Paging", From: "MSC-1"})
+	page, ok := f.rec.First(trace.Step{Msg: "A_Paging", From: "MSC-1"})
 	if !ok || page.Msg.(gsm.Paging).Identity != gsmid.ByTMSI(tmsi) {
 		t.Fatalf("MSC paged %v (%v), want MS-1 by TMSI %v", page, ok, tmsi)
 	}
 	// The full Fig-4-minus-GPRS flow appears in the trace.
-	if err := f.rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := f.rec.ExpectFlow(trace.Flow{
 		{Msg: "Um_Location_Update_Request", From: "MS-1"},
 		{Msg: "A_Location_Update", To: "MSC-1"},
 		{Msg: "MAP_UPDATE_LOCATION_AREA", From: "MSC-1", To: "VLR-1"},
@@ -184,7 +184,7 @@ func TestMobileTerminatedCallFromPSTN(t *testing.T) {
 		t.Fatalf("frames phone=%d ms=%d", f.phone.FramesReceived(), f.ms.FramesReceived())
 	}
 	// Call delivery went through HLR interrogation and paging.
-	if err := f.rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := f.rec.ExpectFlow(trace.Flow{
 		{Msg: "ISUP_IAM", From: "PHONE", To: "GMSC"},
 		{Msg: "MAP_SEND_ROUTING_INFORMATION", From: "GMSC", To: "HLR"},
 		{Msg: "MAP_PROVIDE_ROAMING_NUMBER", From: "HLR", To: "VLR-1"},
@@ -351,7 +351,7 @@ func TestMTPagingTimeoutRefusesTrunk(t *testing.T) {
 	}
 	f.env.RunUntil(f.env.Now() + 15*time.Second)
 
-	rel, ok := f.rec.FirstMatch(trace.ExpectStep{Msg: "ISUP_REL", From: "MSC-1"})
+	rel, ok := f.rec.First(trace.Step{Msg: "ISUP_REL", From: "MSC-1"})
 	if !ok || f.phone.InCall() {
 		t.Fatalf("caller never released after paging timeout (REL sent %v)", ok)
 	}

@@ -36,14 +36,7 @@ func TestResidualSeesHandoverTargets(t *testing.T) {
 	}
 	t.Run("vmsc", func(t *testing.T) {
 		n := BuildHandoffVMSC(VGPRSOptions{Seed: 1})
-		if err := n.RegisterAll(); err != nil {
-			t.Fatal(err)
-		}
-		if err := n.MSs[0].Dial(n.Env, TerminalAlias(0)); err != nil {
-			t.Fatal(err)
-		}
-		n.Env.RunUntil(n.Env.Now() + 3*time.Second)
-		if !n.RunHandoff(n.MSs[0], 10*time.Second) {
+		if !n.RunHandoff(establishedCall(t, n.VGPRSNet), 10*time.Second) {
 			t.Fatal("handover did not complete")
 		}
 		res := n.Residual()
@@ -53,7 +46,7 @@ func TestResidualSeesHandoverTargets(t *testing.T) {
 	})
 	t.Run("third-msc", func(t *testing.T) {
 		n := BuildHandoff(VGPRSOptions{Seed: 1})
-		ms := establishedCall(t, n)
+		ms := establishedCall(t, n.VGPRSNet)
 		if !n.RunHandoff(ms, 10*time.Second) {
 			t.Fatal("handover did not complete")
 		}
@@ -69,25 +62,9 @@ func TestResidualSeesHandoverTargets(t *testing.T) {
 	})
 }
 
-func establishedCall(t *testing.T, n *HandoffNet) *gsm.MS {
-	t.Helper()
-	if err := n.RegisterAll(); err != nil {
-		t.Fatal(err)
-	}
-	ms := n.MSs[0]
-	if err := ms.Dial(n.Env, TerminalAlias(0)); err != nil {
-		t.Fatal(err)
-	}
-	n.Env.RunUntil(n.Env.Now() + 3*time.Second)
-	if ms.State() != gsm.MSInCall {
-		t.Fatalf("MS state = %v before handoff", ms.State())
-	}
-	return ms
-}
-
 func TestInterSystemHandoff(t *testing.T) {
 	n := BuildHandoff(VGPRSOptions{Seed: 1, Talk: true})
-	ms := establishedCall(t, n)
+	ms := establishedCall(t, n.VGPRSNet)
 	term := n.Terminals[0]
 	beforeRTP := term.Media.Received()
 
@@ -99,16 +76,7 @@ func TestInterSystemHandoff(t *testing.T) {
 		t.Fatalf("E trunks in use = %d", n.ETrunks.InUse())
 	}
 	// The full Fig 9 message sequence appears in the trace.
-	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
-		{Msg: "Um_Measurement_Report", From: "MS-1"},
-		{Msg: "A_Handover_Required", To: "VMSC-1"},
-		{Msg: "MAP_PREPARE_HANDOVER", From: "VMSC-1", To: "MSC-2", Iface: "E"},
-		{Msg: "MAP_PREPARE_HANDOVER_ack", From: "MSC-2", To: "VMSC-1"},
-		{Msg: "ISUP_IAM", From: "VMSC-1", To: "MSC-2"},
-		{Msg: "Um_Handover_Command", To: "MS-1"},
-		{Msg: "Um_Handover_Complete", From: "MS-1", To: "BTS-2"},
-		{Msg: "MAP_SEND_END_SIGNAL", From: "MSC-2", To: "VMSC-1"},
-	}); err != nil {
+	if _, err := n.Rec.ExpectFlow(Fig9Handoff("MSC-2")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -142,7 +110,7 @@ func TestInterSystemHandoff(t *testing.T) {
 
 func TestHandoffTerminalHangsUpAfter(t *testing.T) {
 	n := BuildHandoff(VGPRSOptions{Seed: 2, Talk: true})
-	ms := establishedCall(t, n)
+	ms := establishedCall(t, n.VGPRSNet)
 	term := n.Terminals[0]
 	if !n.RunHandoff(ms, 10*time.Second) {
 		t.Fatal("handover did not complete")
@@ -169,18 +137,7 @@ func TestHandoffTerminalHangsUpAfter(t *testing.T) {
 // between two VMSCs follows the same procedure".
 func TestVMSCToVMSCHandoff(t *testing.T) {
 	n := BuildHandoffVMSC(VGPRSOptions{Seed: 5, Talk: true})
-	if err := n.RegisterAll(); err != nil {
-		t.Fatal(err)
-	}
-	ms := n.MSs[0]
-	term := n.Terminals[0]
-	if err := ms.Dial(n.Env, TerminalAlias(0)); err != nil {
-		t.Fatal(err)
-	}
-	n.Env.RunUntil(n.Env.Now() + 3*time.Second)
-	if ms.State() != gsm.MSInCall {
-		t.Fatalf("MS state = %v before handoff", ms.State())
-	}
+	ms, term := establishedCall(t, n.VGPRSNet), n.Terminals[0]
 	rtpBefore := term.Media.Received()
 
 	if !n.RunHandoff(ms, 10*time.Second) {
@@ -193,13 +150,7 @@ func TestVMSCToVMSCHandoff(t *testing.T) {
 		t.Fatalf("E trunks in use = %d", n.ETrunks.InUse())
 	}
 	// The same MAP-E procedure ran, with VMSC-2 as target.
-	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
-		{Msg: "MAP_PREPARE_HANDOVER", From: "VMSC-1", To: "VMSC-2", Iface: "E"},
-		{Msg: "MAP_PREPARE_HANDOVER_ack", From: "VMSC-2", To: "VMSC-1"},
-		{Msg: "ISUP_IAM", From: "VMSC-1", To: "VMSC-2"},
-		{Msg: "Um_Handover_Complete", From: "MS-1", To: "BTS-2"},
-		{Msg: "MAP_SEND_END_SIGNAL", From: "VMSC-2", To: "VMSC-1"},
-	}); err != nil {
+	if _, err := n.Rec.ExpectFlow(Fig9Handoff("VMSC-2")); err != nil {
 		t.Fatal(err)
 	}
 	// Media continues both ways through the two-VMSC path.
@@ -221,7 +172,7 @@ func TestVMSCToVMSCHandoff(t *testing.T) {
 
 func TestHandoffToUnknownCellIgnored(t *testing.T) {
 	n := BuildHandoff(VGPRSOptions{Seed: 3})
-	ms := establishedCall(t, n)
+	ms := establishedCall(t, n.VGPRSNet)
 	unknown := n.TargetCell
 	unknown.CI = 0xFF
 	ms.ReportNeighbor(n.Env, unknown)
@@ -241,7 +192,7 @@ func TestHandoffToUnknownCellIgnored(t *testing.T) {
 // again.
 func TestSubsequentHandback(t *testing.T) {
 	n := BuildHandoff(VGPRSOptions{Seed: 1, Talk: true})
-	ms := establishedCall(t, n)
+	ms := establishedCall(t, n.VGPRSNet)
 	term := n.Terminals[0]
 
 	if !n.RunHandoff(ms, 10*time.Second) {
@@ -261,15 +212,7 @@ func TestSubsequentHandback(t *testing.T) {
 	if n.ETrunks.InUse() != 0 {
 		t.Fatalf("E trunk not released after handback: %d in use", n.ETrunks.InUse())
 	}
-	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
-		{Msg: "Um_Measurement_Report", From: "MS-1"},
-		{Msg: "A_Handover_Required", To: "MSC-2"},
-		{Msg: "MAP_PREPARE_SUBSEQUENT_HANDOVER", From: "MSC-2", To: "VMSC-1", Iface: "E"},
-		{Msg: "MAP_PREPARE_SUBSEQUENT_HANDOVER_ack", From: "VMSC-1", To: "MSC-2"},
-		{Msg: "Um_Handover_Command", To: "MS-1"},
-		{Msg: "Um_Handover_Complete", From: "MS-1", To: "BTS-1"},
-		{Msg: "ISUP_REL", From: "VMSC-1", To: "MSC-2"},
-	}); err != nil {
+	if _, err := n.Rec.ExpectFlow(Handback("MSC-2")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -301,7 +244,7 @@ func TestSubsequentHandback(t *testing.T) {
 // released.
 func TestSubsequentHandoffToThirdMSC(t *testing.T) {
 	n := BuildHandoff(VGPRSOptions{Seed: 1, Talk: true})
-	ms := establishedCall(t, n)
+	ms := establishedCall(t, n.VGPRSNet)
 	term := n.Terminals[0]
 
 	if !n.RunHandoff(ms, 10*time.Second) {
@@ -323,7 +266,7 @@ func TestSubsequentHandoffToThirdMSC(t *testing.T) {
 	if n.ETrunks3.InUse() != 1 {
 		t.Fatalf("new E trunk in use = %d, want 1", n.ETrunks3.InUse())
 	}
-	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := n.Rec.ExpectFlow(trace.Flow{
 		{Msg: "MAP_PREPARE_SUBSEQUENT_HANDOVER", From: "MSC-2", To: "VMSC-1"},
 		{Msg: "MAP_PREPARE_HANDOVER", From: "VMSC-1", To: "MSC-3", Iface: "E"},
 		{Msg: "MAP_PREPARE_HANDOVER_ack", From: "MSC-3", To: "VMSC-1"},
@@ -368,14 +311,7 @@ func TestSubsequentHandoffToThirdMSC(t *testing.T) {
 // through the identical MAP E exchange a legacy MSC would use.
 func TestSubsequentHandbackBetweenVMSCs(t *testing.T) {
 	n := BuildHandoffVMSC(VGPRSOptions{Seed: 1, Talk: true})
-	if err := n.RegisterAll(); err != nil {
-		t.Fatal(err)
-	}
-	ms := n.MSs[0]
-	if err := ms.Dial(n.Env, TerminalAlias(0)); err != nil {
-		t.Fatal(err)
-	}
-	n.Env.RunUntil(n.Env.Now() + 3*time.Second)
+	ms := establishedCall(t, n.VGPRSNet)
 	if !n.RunHandoff(ms, 10*time.Second) {
 		t.Fatal("first handover did not complete")
 	}
@@ -390,11 +326,7 @@ func TestSubsequentHandbackBetweenVMSCs(t *testing.T) {
 	if n.ETrunks.InUse() != 0 {
 		t.Fatalf("E trunk not released after handback: %d", n.ETrunks.InUse())
 	}
-	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
-		{Msg: "MAP_PREPARE_SUBSEQUENT_HANDOVER", From: "VMSC-2", To: "VMSC-1", Iface: "E"},
-		{Msg: "MAP_PREPARE_SUBSEQUENT_HANDOVER_ack", From: "VMSC-1", To: "VMSC-2"},
-		{Msg: "Um_Handover_Complete", From: "MS-1", To: "BTS-1"},
-	}); err != nil {
+	if _, err := n.Rec.ExpectFlow(Handback("VMSC-2")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -415,7 +347,7 @@ func TestSubsequentHandbackBetweenVMSCs(t *testing.T) {
 // system, and the call continues undisturbed.
 func TestSubsequentHandoverToUnknownCellRefused(t *testing.T) {
 	n := BuildHandoff(VGPRSOptions{Seed: 1, Talk: true})
-	ms := establishedCall(t, n)
+	ms := establishedCall(t, n.VGPRSNet)
 	if !n.RunHandoff(ms, 10*time.Second) {
 		t.Fatal("first handover did not complete")
 	}
@@ -430,7 +362,7 @@ func TestSubsequentHandoverToUnknownCellRefused(t *testing.T) {
 	if n.ETrunks.InUse() != 1 {
 		t.Fatalf("E trunk state changed on refusal: %d in use", n.ETrunks.InUse())
 	}
-	if _, ok := n.Rec.First("MAP_PREPARE_SUBSEQUENT_HANDOVER"); !ok {
+	if _, ok := n.Rec.First(trace.Step{Msg: "MAP_PREPARE_SUBSEQUENT_HANDOVER"}); !ok {
 		t.Fatal("relay never asked the anchor")
 	}
 
@@ -475,15 +407,7 @@ func TestHandoffBuildersKeepCallerMutator(t *testing.T) {
 					completed = append(completed, target)
 				}
 			}})
-			if err := n.RegisterAll(); err != nil {
-				t.Fatal(err)
-			}
-			ms := n.MSs[0]
-			if err := ms.Dial(n.Env, TerminalAlias(0)); err != nil {
-				t.Fatal(err)
-			}
-			n.Env.RunUntil(n.Env.Now() + 3*time.Second)
-			if !runHandoff(ms, 10*time.Second) {
+			if !runHandoff(establishedCall(t, n), 10*time.Second) {
 				t.Fatal("handover did not complete")
 			}
 			if len(completed) != 1 || completed[0] != tc.target {

@@ -13,17 +13,7 @@ import (
 // retransmit (see chaos_test.go for loss on those).
 func TestMediaSurvivesPacketLoss(t *testing.T) {
 	n := BuildVGPRS(VGPRSOptions{Seed: 3, Talk: true})
-	if err := n.RegisterAll(); err != nil {
-		t.Fatal(err)
-	}
-	ms := n.MSs[0]
-	if err := ms.Dial(n.Env, TerminalAlias(0)); err != nil {
-		t.Fatal(err)
-	}
-	n.Env.RunUntil(n.Env.Now() + 3*time.Second)
-	if ms.State() != gsm.MSInCall {
-		t.Fatalf("call not established: %v", ms.State())
-	}
+	ms := establishedCall(t, n)
 
 	// 10% loss on the uplink tunnel leg once the call is stable.
 	n.Env.LinkBetween("SGSN-1", "GGSN-1").Loss = 0.10

@@ -51,7 +51,7 @@ func TestReRegistrationUsesTMSIAndFastPath(t *testing.T) {
 	}
 
 	// The air interface carried a TMSI, not the IMSI.
-	lu, ok := n.Rec.FirstMatch(trace.ExpectStep{Msg: "Um_Location_Update_Request", From: "MS-T"})
+	lu, ok := n.Rec.First(trace.Step{Msg: "Um_Location_Update_Request", From: "MS-T"})
 	if !ok {
 		t.Fatal("no location update in trace")
 	}
@@ -117,7 +117,7 @@ func TestMovementBetweenCellsOfOneVMSC(t *testing.T) {
 	if ms.State() != gsm.MSInCall {
 		t.Fatalf("MT call after move failed: %v", ms.State())
 	}
-	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := n.Rec.ExpectFlow(trace.Flow{
 		{Msg: "Um_Setup", From: "BTS-1b", To: "MS-1"},
 	}); err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestPowerOffDeregisters(t *testing.T) {
 	if ms.State() != gsm.MSDetached {
 		t.Fatalf("state = %v", ms.State())
 	}
-	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := n.Rec.ExpectFlow(trace.Flow{
 		{Msg: "Um_IMSI_Detach", From: "MS-1"},
 		{Msg: "A_IMSI_Detach", To: "VMSC-1"},
 		{Msg: "RAS URQ", From: "VMSC-1", To: "GK"},

@@ -198,12 +198,12 @@ func TestCancelBetweenAttachAndRCF(t *testing.T) {
 			n.Env.Send("HLR", "VLR-1", sigmap.CancelLocation{Invoke: 99, IMSI: n.Subscribers[0].IMSI})
 			n.Env.Run()
 
-			cancel, _ := n.Rec.FirstMatch(trace.ExpectStep{Msg: "MAP_CANCEL_LOCATION", To: "VMSC-1"})
-			rcf, rcfSent := n.Rec.FirstMatch(trace.ExpectStep{Msg: "RAS RCF", To: "VMSC-1"})
+			cancel, _ := n.Rec.First(trace.Step{Msg: "MAP_CANCEL_LOCATION", To: "VMSC-1"})
+			rcf, rcfSent := n.Rec.First(trace.Step{Msg: "RAS RCF", To: "VMSC-1"})
 			if rcfSent != tc.urq || (rcfSent && rcf.At <= cancel.At) {
 				t.Fatalf("RCF sent %v (at %v, want %v and after the cancel at %v)", rcfSent, rcf.At, tc.urq, cancel.At)
 			}
-			if _, urq := n.Rec.FirstMatch(trace.ExpectStep{Msg: "RAS URQ", From: "VMSC-1"}); urq != tc.urq {
+			if _, urq := n.Rec.First(trace.Step{Msg: "RAS URQ", From: "VMSC-1"}); urq != tc.urq {
 				t.Errorf("URQ sent %v, want %v", urq, tc.urq)
 			}
 			if got := n.VMSC.MSTable(); got != 0 {

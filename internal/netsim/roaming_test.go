@@ -35,14 +35,7 @@ func TestFig7TrombonedGSMCall(t *testing.T) {
 	}
 	// The signalling path matches Fig 7: call to the UK GMSC, HLR
 	// interrogation, trunk back to Hong Kong.
-	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
-		{Msg: "ISUP_IAM", From: "PHONE-Y", To: "LE-HK"},
-		{Msg: "ISUP_IAM", From: "LE-HK", To: "GMSC-UK", Note: "Fig7(1)"},
-		{Msg: "MAP_SEND_ROUTING_INFORMATION", From: "GMSC-UK", To: "HLR-UK"},
-		{Msg: "MAP_PROVIDE_ROAMING_NUMBER", From: "HLR-UK", To: "VLR-HK"},
-		{Msg: "ISUP_IAM", From: "GMSC-UK", To: "MSC-HK", Note: "Fig7(2)"},
-		{Msg: "Um_Connect", From: "MS-X"},
-	}); err != nil {
+	if _, err := n.Rec.ExpectFlow(Fig7Trombone); err != nil {
 		t.Fatal(err)
 	}
 	// Voice flows over the tromboned path.
@@ -89,14 +82,7 @@ func TestFig8TromboneEliminated(t *testing.T) {
 	}
 	// The Fig 8 sequence: local routing, gatekeeper table probe, VoIP
 	// call setup toward the VMSC.
-	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
-		{Msg: "ISUP_IAM", From: "PHONE-Y", To: "LE-HK"},
-		{Msg: "ISUP_IAM", From: "LE-HK", To: "GW-HK", Note: "Fig8(1)"},
-		{Msg: "RAS LRQ", From: "GW-HK", To: "GK-HK", Note: "Fig8(2)"},
-		{Msg: "RAS LCF", From: "GK-HK", To: "GW-HK"},
-		{Msg: "Q.931 Setup", From: "GW-HK", Note: "Fig8(3)"},
-		{Msg: "Um_Connect", From: "MS-X"},
-	}); err != nil {
+	if _, err := n.Rec.ExpectFlow(Fig8Local); err != nil {
 		t.Fatal(err)
 	}
 	// Voice flows over the local VoIP path.
@@ -144,7 +130,7 @@ func TestMSCallsPSTNPhoneThroughGateway(t *testing.T) {
 	if !phoneRang || !connected || n.MS.State() != gsm.MSInCall {
 		t.Fatalf("rang=%v connected=%v state=%v", phoneRang, connected, n.MS.State())
 	}
-	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := n.Rec.ExpectFlow(trace.Flow{
 		{Msg: "Um_Setup", From: "MS-X"},
 		{Msg: "RAS ARQ", From: "VMSC-HK", To: "GK-HK"},
 		{Msg: "RAS ACF", From: "GK-HK", To: "VMSC-HK"},
@@ -198,11 +184,7 @@ func TestFig8FallbackToPSTNOnGKMiss(t *testing.T) {
 	if n.InternationalSeizures() != 1 {
 		t.Fatalf("international seizures = %d, want 1 (normal PSTN call)", n.InternationalSeizures())
 	}
-	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
-		{Msg: "RAS LRQ", From: "GW-HK", To: "GK-HK"},
-		{Msg: "RAS LRJ", From: "GK-HK", To: "GW-HK"},
-		{Msg: "ISUP_IAM", From: "LE-HK", To: "GMSC-UK"},
-	}); err != nil {
+	if _, err := n.Rec.ExpectFlow(Fig8GKMiss); err != nil {
 		t.Fatal(err)
 	}
 }

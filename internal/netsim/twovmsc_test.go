@@ -75,7 +75,7 @@ func TestInterVMSCMovement(t *testing.T) {
 	// The cleanup chain is visible in the trace: location update through
 	// the new switch, HLR cancel to the old VLR, the VLR's relay to its
 	// VMSC, the alias unregistration, and the GPRS detach.
-	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := n.Rec.ExpectFlow(trace.Flow{
 		{Msg: "Um_Location_Update_Request", From: "MS-1", To: "BTS-2"},
 		{Msg: "MAP_UPDATE_LOCATION_AREA", From: "VMSC-2", To: "VLR-2", Iface: "B"},
 		{Msg: "MAP_UPDATE_LOCATION", From: "VLR-2", To: "HLR", Iface: "D"},

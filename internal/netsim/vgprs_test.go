@@ -35,104 +35,46 @@ func TestBuildAndRegister(t *testing.T) {
 	}
 }
 
+// TestMOCallToTerminal checks what a Fig 5 call leaves behind: both PDP
+// contexts and speech both ways while it lasts; after the MS hangs up, only
+// the signalling context, and a gatekeeper that closed the call at the DRQ.
 func TestMOCallToTerminal(t *testing.T) {
 	n := BuildVGPRS(VGPRSOptions{Seed: 1, Talk: true})
-	if err := n.RegisterAll(); err != nil {
-		t.Fatal(err)
+	ms, term := establishedCall(t, n), n.Terminals[0]
+	if term.ActiveCalls() != 1 || n.SGSN.ActiveContexts() != 2 {
+		t.Fatalf("terminal calls = %d, SGSN contexts = %d", term.ActiveCalls(), n.SGSN.ActiveContexts())
 	}
-	ms := n.MSs[0]
-	term := n.Terminals[0]
-
-	connected := false
-	ms.SetOnConnected(func(uint32) { connected = true })
-	if err := ms.Dial(n.Env, TerminalAlias(0)); err != nil {
-		t.Fatal(err)
-	}
-	n.Env.RunUntil(n.Env.Now() + 3*time.Second)
-
-	if !connected || ms.State() != gsm.MSInCall {
-		t.Fatalf("connected=%v state=%v", connected, ms.State())
-	}
-	if term.ActiveCalls() != 1 {
-		t.Fatalf("terminal calls = %d", term.ActiveCalls())
-	}
-	// Voice flows both ways: the terminal receives transcoded RTP; the MS
-	// receives transcoded TCH frames.
-	n.Env.RunUntil(n.Env.Now() + 2*time.Second)
-	if term.Media.Received() == 0 {
-		t.Fatal("terminal received no RTP")
-	}
-	if ms.FramesReceived() == 0 {
-		t.Fatal("MS received no downlink speech")
-	}
-	// Both PDP contexts are up during the call.
-	if n.SGSN.ActiveContexts() != 2 {
-		t.Fatalf("SGSN contexts during call = %d", n.SGSN.ActiveContexts())
-	}
-
-	// MS-side hangup (Fig 5 release).
-	if err := ms.Hangup(n.Env); err != nil {
-		t.Fatal(err)
-	}
-	n.Env.RunUntil(n.Env.Now() + 2*time.Second)
-	if ms.State() != gsm.MSIdle {
-		t.Fatalf("MS state after hangup = %v", ms.State())
-	}
-	if term.ActiveCalls() != 0 {
-		t.Fatal("terminal call not cleared")
-	}
-	// The voice context is gone; the signalling context remains.
-	if n.SGSN.ActiveContexts() != 1 {
-		t.Fatalf("SGSN contexts after call = %d", n.SGSN.ActiveContexts())
-	}
-	if n.VMSC.ActiveCalls() != 0 {
-		t.Fatal("VMSC call state leaked")
-	}
-	// The gatekeeper admitted the call and closed it at the DRQ.
-	if active, calls, _ := n.GK.Calls(); active != 0 || calls != 1 {
-		t.Fatalf("GK: %d calls active, %d disengaged; want 0/1", active, calls)
-	}
-}
-
-func TestMTCallFromTerminal(t *testing.T) {
-	n := BuildVGPRS(VGPRSOptions{Seed: 1, Talk: true})
-	if err := n.RegisterAll(); err != nil {
-		t.Fatal(err)
-	}
-	ms := n.MSs[0]
-	term := n.Terminals[0]
-
-	var termConnected bool
-	ref, err := term.Call(n.Env, n.Subscribers[0].MSISDN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Env.RunUntil(n.Env.Now() + 5*time.Second)
-
-	if st, _ := term.CallState(ref); st != h323.LegConnected {
-		t.Fatalf("terminal state = %v", st)
-	}
-	termConnected = true
-	_ = termConnected
-	if ms.State() != gsm.MSInCall {
-		t.Fatalf("MS state = %v", ms.State())
-	}
-	// Media flows.
 	n.Env.RunUntil(n.Env.Now() + 2*time.Second)
 	if term.Media.Received() == 0 || ms.FramesReceived() == 0 {
 		t.Fatalf("media term=%d ms=%d", term.Media.Received(), ms.FramesReceived())
 	}
+	if err := ms.Hangup(n.Env); err != nil {
+		t.Fatal(err)
+	}
+	n.Env.RunUntil(n.Env.Now() + 2*time.Second)
+	if active, calls, _ := n.GK.Calls(); ms.State() != gsm.MSIdle || term.ActiveCalls() != 0 ||
+		n.VMSC.ActiveCalls() != 0 || n.SGSN.ActiveContexts() != 1 || active != 0 || calls != 1 {
+		t.Fatalf("after hang-up: MS %v, terminal calls %d, VMSC calls %d, SGSN contexts %d, GK %d active %d closed",
+			ms.State(), term.ActiveCalls(), n.VMSC.ActiveCalls(), n.SGSN.ActiveContexts(), active, calls)
+	}
+}
 
-	// Terminal-side hangup clears everything.
+// TestMTCallFromTerminal checks what a Fig 6 call leaves behind: speech both
+// ways, and after the terminal hangs up, only the signalling context.
+func TestMTCallFromTerminal(t *testing.T) {
+	n := BuildVGPRS(VGPRSOptions{Seed: 1, Talk: true})
+	ms, term, ref := terminatedCall(t, n)
+	n.Env.RunUntil(n.Env.Now() + 2*time.Second)
+	if term.Media.Received() == 0 || ms.FramesReceived() == 0 {
+		t.Fatalf("media term=%d ms=%d", term.Media.Received(), ms.FramesReceived())
+	}
 	if err := term.Hangup(n.Env, ref); err != nil {
 		t.Fatal(err)
 	}
 	n.Env.RunUntil(n.Env.Now() + 2*time.Second)
-	if ms.State() != gsm.MSIdle || n.VMSC.ActiveCalls() != 0 {
-		t.Fatalf("state ms=%v vmsc-calls=%d", ms.State(), n.VMSC.ActiveCalls())
-	}
-	if n.SGSN.ActiveContexts() != 1 {
-		t.Fatalf("SGSN contexts after call = %d", n.SGSN.ActiveContexts())
+	if ms.State() != gsm.MSIdle || n.VMSC.ActiveCalls() != 0 || n.SGSN.ActiveContexts() != 1 {
+		t.Fatalf("after hang-up: MS %v, VMSC calls %d, SGSN contexts %d",
+			ms.State(), n.VMSC.ActiveCalls(), n.SGSN.ActiveContexts())
 	}
 }
 

@@ -68,7 +68,7 @@ func TestMTCallWhileBusyIsRefused(t *testing.T) {
 	if st, _ := n.Terminals[1].CallState(ref); st != h323.LegReleasing {
 		t.Fatalf("second caller state = %v", st)
 	}
-	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := n.Rec.ExpectFlow(trace.Flow{
 		{Msg: "Q.931 Release Complete", From: "VMSC-1", To: "TERM-2"},
 	}); err != nil {
 		t.Fatal(err)
@@ -252,7 +252,7 @@ func TestOrphanPagingResponseReleasesChannel(t *testing.T) {
 		Leg: gsm.LegA, MS: "MS-1", Identity: gsmid.ByTMSI(1),
 	})
 	n.Env.RunUntil(n.Env.Now() + 2*time.Second)
-	if err := n.Rec.ExpectSequence([]trace.ExpectStep{
+	if _, err := n.Rec.ExpectFlow(trace.Flow{
 		{Msg: "A_Paging_Response", To: "VMSC-1"},
 		{Msg: "A_Release", From: "VMSC-1", To: "BSC-1"},
 	}); err != nil {
@@ -412,7 +412,7 @@ func TestPowerOffInIdlePDPModeReactivatesSignalling(t *testing.T) {
 		t.Errorf("SGSN holds %d contexts after idle-mode detach", got)
 	}
 	// The unregistration must be visible on the RAS plane.
-	if _, ok := n.Rec.First("RAS URQ"); !ok {
+	if _, ok := n.Rec.First(trace.Step{Msg: "RAS URQ"}); !ok {
 		t.Error("no URQ traced for the detach")
 	}
 }
